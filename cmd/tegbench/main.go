@@ -27,6 +27,12 @@
 //	                    drive (dnor, inor, ehtr, baseline)
 //	scaling_inor_n<N>   a single INOR decision at N = 100, 200, 400, 800
 //	scaling_ehtr_n100   the O(N³) reconstruction at N = 100
+//	decide_live_<scheme>_n500
+//	                    one Decide (inor, dnor, ehtr) at N = 500 on the
+//	                    sensed temperatures recorded from a WLTC session,
+//	                    replayed in order — the live decide cost the
+//	                    ramp-profile scaling_* suites understate
+//	                    (ticks_per_sec counts decisions)
 //	fleet_step_m64      one lockstep control period of a 64-member INOR
 //	                    fleet (ticks_per_sec counts member-ticks): the
 //	                    digital-twin fleet-mode unit cost and the fleet
@@ -75,6 +81,9 @@
 //	  "go_version":     "go1.24.x",
 //	  "goos":           "linux",
 //	  "goarch":         "amd64",
+//	  "num_cpu":        2,            // runtime.NumCPU
+//	  "gomaxprocs":     2,            // runtime.GOMAXPROCS(0)
+//	  "cpu_model":      "<model name from /proc/cpuinfo|unknown>",
 //	  "quick":          false,        // -quick was set
 //	  "timestamp":      "RFC 3339 UTC",
 //	  "results": [
@@ -86,27 +95,35 @@
 //	      "allocs_per_op": 0,         // heap allocations per operation
 //	      "ticks_per_sec": 3484,      // simulated control periods per second,
 //	                                  // when the suite simulates ticks
+//	      "module_ticks_per_sec": 348400, // ticks_per_sec × modules per tick,
+//	                                  // comparable across array sizes
+//	                                  // (omitted by suites mixing sizes)
 //	    }, ...
 //	  ]
 //	}
 //
 // Budget file schema (-budget): a JSON object whose present fields are
-// enforced against the measured results:
+// enforced against the measured results (the budgetRules table; an
+// unknown key is an error, so a typo cannot switch a bound off):
 //
 //	{
 //	  "session_step_max_allocs_per_op":    0,
 //	  "session_step_max_bytes_per_op":     64,
 //	  "session_step_max_ns_per_op":        0,    // 0 = not enforced
 //	  "sweep_throughput_min_ticks_per_sec": 1100, // 0 = not enforced
+//	  "twin_sessions_min_ticks_per_sec":    500,  // 0 = not enforced
 //	  "sweep_sharded_throughput_min_ticks_per_sec": 500, // 0 = not enforced
 //	  "matrix_expand_min_cells_per_sec":    500,  // 0 = not enforced
-//	  "session_step_instrumented_max_overhead_frac": 0.15 // vs session_step; 0 = not enforced
+//	  "session_step_instrumented_max_overhead_frac": 0.15, // vs session_step; 0 = not enforced
+//	  "decide_live_inor_n500_max_ns_per_op": 1e6  // 0 = not enforced
 //	}
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -117,12 +134,14 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tegrecon/internal/core"
 	"tegrecon/internal/drive"
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/obs"
@@ -143,7 +162,17 @@ type Result struct {
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 	TicksPerSec float64 `json:"ticks_per_sec,omitempty"`
-	CellsPerSec float64 `json:"cells_per_sec,omitempty"`
+	// ModuleTicksPerSec is TicksPerSec × the array size, the unit that
+	// compares suites running different module counts.
+	ModuleTicksPerSec float64 `json:"module_ticks_per_sec,omitempty"`
+	CellsPerSec       float64 `json:"cells_per_sec,omitempty"`
+}
+
+// withModules fills ModuleTicksPerSec for a suite whose every tick
+// steps an array of n modules.
+func (r Result) withModules(n int) Result {
+	r.ModuleTicksPerSec = r.TicksPerSec * float64(n)
+	return r
 }
 
 // Document is the whole emitted report.
@@ -155,27 +184,12 @@ type Document struct {
 	GoVersion     string   `json:"go_version"`
 	GOOS          string   `json:"goos"`
 	GOARCH        string   `json:"goarch"`
+	NumCPU        int      `json:"num_cpu"`
+	GOMAXPROCS    int      `json:"gomaxprocs"`
+	CPUModel      string   `json:"cpu_model"`
 	Quick         bool     `json:"quick"`
 	Timestamp     string   `json:"timestamp"`
 	Results       []Result `json:"results"`
-}
-
-// Budget is the enforced envelope: allocation ceilings for the
-// session_step suite and throughput floors for the sweep and the
-// concurrent twin-session serving path.
-type Budget struct {
-	SessionStepMaxAllocsPerOp     *int64  `json:"session_step_max_allocs_per_op"`
-	SessionStepMaxBytesPerOp      *int64  `json:"session_step_max_bytes_per_op"`
-	SessionStepMaxNsPerOp         float64 `json:"session_step_max_ns_per_op"`
-	SweepThroughputMinTicksPerSec float64 `json:"sweep_throughput_min_ticks_per_sec"`
-	TwinSessionsMinTicksPerSec    float64 `json:"twin_sessions_min_ticks_per_sec"`
-	MatrixExpandMinCellsPerSec    float64 `json:"matrix_expand_min_cells_per_sec"`
-	SweepShardedMinTicksPerSec    float64 `json:"sweep_sharded_throughput_min_ticks_per_sec"`
-
-	// InstrumentedMaxOverheadFrac caps the phase-timing observability
-	// tax: session_step_instrumented's ns/op may exceed session_step's
-	// by at most this fraction (e.g. 0.10 = 10%). 0 = not enforced.
-	InstrumentedMaxOverheadFrac float64 `json:"session_step_instrumented_max_overhead_frac"`
 }
 
 func main() {
@@ -199,6 +213,9 @@ func main() {
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,
+		NumCPU:        runtime.NumCPU(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		CPUModel:      cpuModel(),
 		Quick:         *quick,
 		Timestamp:     time.Now().UTC().Format(time.RFC3339),
 	}
@@ -207,10 +224,11 @@ func main() {
 		log.Fatalf("working tree has uncommitted changes (commit or stash before measuring; see `git status`)")
 	}
 
-	runDur, sweepCap := 120.0, 120.0
+	runDur, sweepCap, liveDur := 120.0, 120.0, 600.0
 	if *quick {
-		runDur, sweepCap = 60.0, 45.0
+		runDur, sweepCap, liveDur = 60.0, 45.0, 200.0
 	}
+	live := sync.OnceValues(func() (*liveTemps, error) { return recordLiveTemps(liveModules, liveDur) })
 
 	suites := []struct {
 		name string
@@ -227,6 +245,9 @@ func main() {
 		{"scaling_inor_n400", func() (Result, error) { return benchDecide(400, false) }},
 		{"scaling_inor_n800", func() (Result, error) { return benchDecide(800, false) }},
 		{"scaling_ehtr_n100", func() (Result, error) { return benchDecide(100, true) }},
+		{"decide_live_inor_n500", func() (Result, error) { return benchDecideLive("INOR", live) }},
+		{"decide_live_dnor_n500", func() (Result, error) { return benchDecideLive("DNOR", live) }},
+		{"decide_live_ehtr_n500", func() (Result, error) { return benchDecideLive("EHTR", live) }},
 		{"scaling_ehtr_n800", func() (Result, error) { return benchDecide(800, true) }},
 		{"fleet_step_m64", func() (Result, error) { return benchFleetStep(64, runDur) }},
 		{"sweep_throughput", func() (Result, error) { return benchSweep(sweepCap, 0, sim.StepAuto) }},
@@ -283,117 +304,139 @@ func gitState() (sha string, dirty bool) {
 	return strings.TrimSpace(string(rev)), err == nil && len(bytes.TrimSpace(status)) > 0
 }
 
-// enforceBudget fails when the session_step result exceeds any budget
-// field present in the file.
+// cpuModel reads the first "model name" line of /proc/cpuinfo;
+// "unknown" where there is none (non-Linux hosts, some ARM kernels).
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return "unknown"
+}
+
+// budgetRule is one bench_budget.json key: a ceiling or floor on one
+// metric of one suite.
+type budgetRule struct {
+	key   string // bench_budget.json field
+	suite string // result the bound applies to
+	unit  string // metric name for messages
+	max   bool   // ceiling when true, floor otherwise
+	// zeroBinds marks keys whose 0 is a real bound (the allocation
+	// ceilings); for every other key 0 means "not enforced".
+	zeroBinds bool
+	metric    func(r Result, results map[string]Result) (float64, error)
+}
+
+var budgetRules = []budgetRule{
+	{"session_step_max_allocs_per_op", "session_step", "allocs/op", true, true, allocsPerOp},
+	{"session_step_max_bytes_per_op", "session_step", "B/op", true, true, bytesPerOp},
+	{"session_step_max_ns_per_op", "session_step", "ns/op", true, false, nsPerOpOf},
+	{"session_step_instrumented_max_overhead_frac", "session_step_instrumented", "overhead vs session_step", true, false, overheadVs("session_step")},
+	{"sweep_throughput_min_ticks_per_sec", "sweep_throughput", "ticks/sec", false, false, ticksPerSec},
+	{"twin_sessions_min_ticks_per_sec", "twin_sessions_concurrent", "ticks/sec", false, false, ticksPerSec},
+	{"sweep_sharded_throughput_min_ticks_per_sec", "sweep_sharded_throughput", "ticks/sec", false, false, ticksPerSec},
+	{"matrix_expand_min_cells_per_sec", "matrix_expand", "cells/sec", false, false, cellsPerSec},
+	{"decide_live_inor_n500_max_ns_per_op", "decide_live_inor_n500", "ns/op", true, false, nsPerOpOf},
+}
+
+func allocsPerOp(r Result, _ map[string]Result) (float64, error) {
+	if r.AllocsPerOp == nil {
+		return 0, fmt.Errorf("%s did not track allocations", r.Name)
+	}
+	return float64(*r.AllocsPerOp), nil
+}
+
+func bytesPerOp(r Result, _ map[string]Result) (float64, error) {
+	if r.BytesPerOp == nil {
+		return 0, fmt.Errorf("%s did not track allocations", r.Name)
+	}
+	return float64(*r.BytesPerOp), nil
+}
+
+func nsPerOpOf(r Result, _ map[string]Result) (float64, error)   { return r.NsPerOp, nil }
+func ticksPerSec(r Result, _ map[string]Result) (float64, error) { return r.TicksPerSec, nil }
+func cellsPerSec(r Result, _ map[string]Result) (float64, error) { return r.CellsPerSec, nil }
+
+// overheadVs is the fraction by which a suite's ns/op exceeds the base
+// suite's — the instrumented-overhead cap stays relative to
+// session_step, so it holds on any machine.
+func overheadVs(base string) func(Result, map[string]Result) (float64, error) {
+	return func(r Result, results map[string]Result) (float64, error) {
+		b, ok := results[base]
+		if !ok {
+			return 0, fmt.Errorf("no %s result to anchor the overhead cap", base)
+		}
+		if b.NsPerOp <= 0 {
+			return 0, fmt.Errorf("%s ns/op %.0f cannot anchor the overhead cap", base, b.NsPerOp)
+		}
+		return r.NsPerOp/b.NsPerOp - 1, nil
+	}
+}
+
+// enforceBudget checks the results against the budget file at path.
 func enforceBudget(path string, doc Document) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var b Budget
-	if err := json.Unmarshal(raw, &b); err != nil {
+	var budget map[string]float64
+	if err := json.Unmarshal(raw, &budget); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	var step *Result
-	for i := range doc.Results {
-		if doc.Results[i].Name == "session_step" {
-			step = &doc.Results[i]
+	return checkBudget(budget, doc.Results)
+}
+
+// checkBudget applies every budgetRules entry present in budget to the
+// results and reports all violations.
+func checkBudget(budget map[string]float64, results []Result) error {
+	byName := make(map[string]Result, len(results))
+	for _, r := range results {
+		byName[r.Name] = r
+	}
+	known := make(map[string]bool, len(budgetRules))
+	var errs []error
+	for _, rule := range budgetRules {
+		known[rule.key] = true
+		bound, ok := budget[rule.key]
+		if !ok || (bound == 0 && !rule.zeroBinds) {
+			continue
+		}
+		r, ok := byName[rule.suite]
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s: no %s result to enforce against", rule.key, rule.suite))
+			continue
+		}
+		v, err := rule.metric(r, byName)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", rule.key, err))
+			continue
+		}
+		switch {
+		case rule.max && v > bound:
+			errs = append(errs, fmt.Errorf("%s: %s %s %.4g exceeds ceiling %.4g", rule.key, rule.suite, rule.unit, v, bound))
+		case !rule.max && v < bound:
+			errs = append(errs, fmt.Errorf("%s: %s %s %.4g below floor %.4g", rule.key, rule.suite, rule.unit, v, bound))
 		}
 	}
-	if step == nil {
-		return fmt.Errorf("no session_step result to enforce against")
-	}
-	if step.AllocsPerOp == nil || step.BytesPerOp == nil {
-		return fmt.Errorf("session_step did not track allocations")
-	}
-	if b.SessionStepMaxAllocsPerOp != nil && *step.AllocsPerOp > *b.SessionStepMaxAllocsPerOp {
-		return fmt.Errorf("session_step allocs/op %d exceeds budget %d", *step.AllocsPerOp, *b.SessionStepMaxAllocsPerOp)
-	}
-	if b.SessionStepMaxBytesPerOp != nil && *step.BytesPerOp > *b.SessionStepMaxBytesPerOp {
-		return fmt.Errorf("session_step B/op %d exceeds budget %d", *step.BytesPerOp, *b.SessionStepMaxBytesPerOp)
-	}
-	if b.SessionStepMaxNsPerOp > 0 && step.NsPerOp > b.SessionStepMaxNsPerOp {
-		return fmt.Errorf("session_step ns/op %.0f exceeds budget %.0f", step.NsPerOp, b.SessionStepMaxNsPerOp)
-	}
-	if b.InstrumentedMaxOverheadFrac > 0 {
-		var inst *Result
-		for i := range doc.Results {
-			if doc.Results[i].Name == "session_step_instrumented" {
-				inst = &doc.Results[i]
-			}
-		}
-		if inst == nil {
-			return fmt.Errorf("no session_step_instrumented result to enforce against")
-		}
-		if step.NsPerOp <= 0 {
-			return fmt.Errorf("session_step ns/op %.0f cannot anchor the overhead cap", step.NsPerOp)
-		}
-		if frac := inst.NsPerOp/step.NsPerOp - 1; frac > b.InstrumentedMaxOverheadFrac {
-			return fmt.Errorf("session_step_instrumented overhead %.1f%% exceeds budget %.1f%% (%.0f vs %.0f ns/op)",
-				frac*100, b.InstrumentedMaxOverheadFrac*100, inst.NsPerOp, step.NsPerOp)
+	var unknown []string
+	for key := range budget {
+		if !known[key] {
+			unknown = append(unknown, key)
 		}
 	}
-	if b.SweepThroughputMinTicksPerSec > 0 {
-		var sweep *Result
-		for i := range doc.Results {
-			if doc.Results[i].Name == "sweep_throughput" {
-				sweep = &doc.Results[i]
-			}
-		}
-		if sweep == nil {
-			return fmt.Errorf("no sweep_throughput result to enforce against")
-		}
-		if sweep.TicksPerSec < b.SweepThroughputMinTicksPerSec {
-			return fmt.Errorf("sweep_throughput %.0f ticks/sec below floor %.0f",
-				sweep.TicksPerSec, b.SweepThroughputMinTicksPerSec)
-		}
+	sort.Strings(unknown)
+	for _, key := range unknown {
+		errs = append(errs, fmt.Errorf("unknown budget key %q", key))
 	}
-	if b.TwinSessionsMinTicksPerSec > 0 {
-		var twin *Result
-		for i := range doc.Results {
-			if doc.Results[i].Name == "twin_sessions_concurrent" {
-				twin = &doc.Results[i]
-			}
-		}
-		if twin == nil {
-			return fmt.Errorf("no twin_sessions_concurrent result to enforce against")
-		}
-		if twin.TicksPerSec < b.TwinSessionsMinTicksPerSec {
-			return fmt.Errorf("twin_sessions_concurrent %.0f ticks/sec below floor %.0f",
-				twin.TicksPerSec, b.TwinSessionsMinTicksPerSec)
-		}
-	}
-	if b.SweepShardedMinTicksPerSec > 0 {
-		var sharded *Result
-		for i := range doc.Results {
-			if doc.Results[i].Name == "sweep_sharded_throughput" {
-				sharded = &doc.Results[i]
-			}
-		}
-		if sharded == nil {
-			return fmt.Errorf("no sweep_sharded_throughput result to enforce against")
-		}
-		if sharded.TicksPerSec < b.SweepShardedMinTicksPerSec {
-			return fmt.Errorf("sweep_sharded_throughput %.0f ticks/sec below floor %.0f",
-				sharded.TicksPerSec, b.SweepShardedMinTicksPerSec)
-		}
-	}
-	if b.MatrixExpandMinCellsPerSec > 0 {
-		var exp *Result
-		for i := range doc.Results {
-			if doc.Results[i].Name == "matrix_expand" {
-				exp = &doc.Results[i]
-			}
-		}
-		if exp == nil {
-			return fmt.Errorf("no matrix_expand result to enforce against")
-		}
-		if exp.CellsPerSec < b.MatrixExpandMinCellsPerSec {
-			return fmt.Errorf("matrix_expand %.0f cells/sec below floor %.0f",
-				exp.CellsPerSec, b.MatrixExpandMinCellsPerSec)
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // benchSetup builds the Section VI rig over a shortened synthetic
@@ -485,7 +528,7 @@ func benchSessionStepSampled(seconds float64, sampleEvery int) (Result, error) {
 	if r.NsPerOp > 0 {
 		r.TicksPerSec = 1e9 / r.NsPerOp
 	}
-	return r, nil
+	return r.withModules(s.Sys.Modules), nil
 }
 
 // benchTableScheme times one full Table I run of the named scheme and
@@ -517,7 +560,7 @@ func benchTableScheme(scheme string, seconds float64) (Result, error) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		r.TicksPerSec = float64(ticks.Load()) / secs
 	}
-	return r, nil
+	return r.withModules(s.Sys.Modules), nil
 }
 
 // benchDecide times a single controller invocation at array size n —
@@ -556,6 +599,124 @@ func benchDecide(n int, ehtr bool) (Result, error) {
 		return Result{}, decErr
 	}
 	return fromBenchmark(br), nil
+}
+
+// liveModules is the array size of the decide_live_* suites: the
+// twins_n500 scalability case.
+const liveModules = 500
+
+// liveTemps is a recorded live control sequence: the sensed
+// temperatures and ambient every Decide of a session received, in tick
+// order.
+type liveTemps struct {
+	temps    [][]float64
+	ambientC []float64
+}
+
+// recorder is a Controller that keeps a copy of every distribution it
+// is asked to decide on before delegating.
+type recorder struct {
+	core.Controller
+	rec liveTemps
+}
+
+func (r *recorder) Decide(tick int, tempsC []float64, ambientC float64) (core.Decision, error) {
+	r.rec.temps = append(r.rec.temps, append([]float64(nil), tempsC...))
+	r.rec.ambientC = append(r.rec.ambientC, ambientC)
+	return r.Controller.Decide(tick, tempsC, ambientC)
+}
+
+// recordLiveTemps drives an n-module INOR session through the first
+// seconds of WLTC with the default sensor noise and records what its
+// controller saw.
+func recordLiveTemps(n int, seconds float64) (*liveTemps, error) {
+	cycle, err := drive.CycleByName("wltc")
+	if err != nil {
+		return nil, err
+	}
+	tr, err := drive.FromSpeedSchedule(drive.DefaultSynthConfig(), cycle.Schedule())
+	if err != nil {
+		return nil, err
+	}
+	sys := sim.DefaultSystem()
+	sys.Modules = n
+	sch, err := sim.SchemeByName("INOR")
+	if err != nil {
+		return nil, err
+	}
+	ctrl, err := sch.New(sys, sim.SchemeConfig{})
+	if err != nil {
+		return nil, err
+	}
+	rec := &recorder{Controller: ctrl}
+	opts := sim.DefaultOptions()
+	opts.DeterministicRuntime = true
+	opts.KeepTicks = false
+	sess, err := sim.NewSession(sys, rec, opts)
+	if err != nil {
+		return nil, err
+	}
+	for k := 0; float64(k)*opts.TickSeconds < seconds; k++ {
+		cond, err := drive.ConditionsAt(tr, tr.Times[0]+float64(k)*opts.TickSeconds)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := sess.Step(cond); err != nil {
+			return nil, err
+		}
+	}
+	return &rec.rec, nil
+}
+
+// benchDecideLive times one Decide of the named scheme at liveModules
+// modules, replaying the recorded live sequence in tick order (DNOR's
+// holding ticks included, so its figure is the amortised cost). One
+// untimed pass first grows the scratch and warms DNOR's predictor.
+func benchDecideLive(scheme string, live func() (*liveTemps, error)) (Result, error) {
+	rec, err := live()
+	if err != nil {
+		return Result{}, err
+	}
+	sys := sim.DefaultSystem()
+	sys.Modules = liveModules
+	sch, err := sim.SchemeByName(scheme)
+	if err != nil {
+		return Result{}, err
+	}
+	ctrl, err := sch.New(sys, sim.SchemeConfig{})
+	if err != nil {
+		return Result{}, err
+	}
+	tick := 0
+	decide := func() error {
+		k := tick % len(rec.temps)
+		_, err := ctrl.Decide(tick, rec.temps[k], rec.ambientC[k])
+		tick++
+		return err
+	}
+	for range rec.temps {
+		if err := decide(); err != nil {
+			return Result{}, err
+		}
+	}
+	var decErr error
+	br := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := decide(); err != nil {
+				decErr = err
+				b.FailNow()
+			}
+		}
+	})
+	if decErr != nil {
+		return Result{}, decErr
+	}
+	r := fromBenchmark(br)
+	if r.NsPerOp > 0 {
+		r.TicksPerSec = 1e9 / r.NsPerOp
+	}
+	return r.withModules(liveModules), nil
 }
 
 // benchFleetStep measures one steady-state lockstep control period of
@@ -625,7 +786,7 @@ func benchFleetStep(m int, seconds float64) (Result, error) {
 	if r.NsPerOp > 0 {
 		r.TicksPerSec = float64(m) * 1e9 / r.NsPerOp
 	}
-	return r, nil
+	return r.withModules(s.Sys.Modules), nil
 }
 
 // benchSweep runs the whole cycle × scheme scenario matrix on the
@@ -654,7 +815,7 @@ func benchSweep(maxDuration float64, workers int, stepping sim.Stepping) (Result
 	if secs := elapsed.Seconds(); secs > 0 {
 		r.TicksPerSec = float64(ticks.Load()) / secs
 	}
-	return r, nil
+	return r.withModules(s.Sys.Modules), nil
 }
 
 // benchServeCacheHit measures the steady-state cost of a POST /v1/runs
@@ -718,8 +879,9 @@ func benchTwinSessions(quick bool) (Result, error) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	const (
-		twins = 8
-		batch = 50
+		twins   = 8
+		batch   = 50
+		modules = 100
 	)
 	batches := 24 // 1200 ticks/twin = 600 s of the 900 s delivery cycle
 	if quick {
@@ -742,7 +904,7 @@ func benchTwinSessions(quick bool) (Result, error) {
 	ids := make([]string, twins)
 	for i := range ids {
 		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
-			strings.NewReader(`{"scheme":"inor","modules":100}`))
+			strings.NewReader(fmt.Sprintf(`{"scheme":"inor","modules":%d}`, modules)))
 		if err != nil {
 			return Result{}, err
 		}
@@ -788,7 +950,7 @@ func benchTwinSessions(quick bool) (Result, error) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		r.TicksPerSec = float64(total) / secs
 	}
-	return r, nil
+	return r.withModules(modules), nil
 }
 
 // benchMatrixSpec is the fixed scenario matrix the two matrix suites
@@ -844,7 +1006,8 @@ func benchMatrixExpand() (Result, error) {
 
 // benchMatrixSweep runs the same matrix end to end on the batch engine
 // with default routing (all cores, StepAuto → lockstep fleets grouped
-// by plant) and reports aggregate simulated ticks/sec.
+// by plant) and reports aggregate simulated ticks/sec. It reports no
+// module_ticks_per_sec: its cells mix two array sizes.
 func benchMatrixSweep(quick bool) (Result, error) {
 	cellDuration := 30.0
 	if quick {
@@ -890,7 +1053,8 @@ func benchSweepSharded(quick bool) (Result, error) {
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
 
-	body := fmt.Sprintf(`{"cycles":["wltc","delivery","nedc"],"schemes":["inor","dnor"],"max_duration_s":%g,"modules":20}`, maxDuration)
+	const modules = 20
+	body := fmt.Sprintf(`{"cycles":["wltc","delivery","nedc"],"schemes":["inor","dnor"],"max_duration_s":%g,"modules":%d}`, maxDuration, modules)
 	start := time.Now()
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -926,7 +1090,7 @@ func benchSweepSharded(quick bool) (Result, error) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		r.TicksPerSec = float64(ticks) / secs
 	}
-	return r, nil
+	return r.withModules(modules), nil
 }
 
 // fromBenchmark converts a testing.BenchmarkResult.

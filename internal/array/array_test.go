@@ -451,3 +451,22 @@ func TestMPPCurrentsMatchSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupOfMatchesBounds: the binary-searched GroupOf names the group
+// whose bounds contain each module, up to one group per module.
+func TestGroupOfMatchesBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(600)
+		cfg := AllSeries(n)
+		if trial%2 == 1 {
+			cfg = randomConfig(rng, n)
+		}
+		for m := 0; m < n; m++ {
+			lo, hi := cfg.GroupBounds(cfg.GroupOf(m))
+			if m < lo || m >= hi {
+				t.Fatalf("trial %d: module %d placed in [%d, %d)", trial, m, lo, hi)
+			}
+		}
+	}
+}

@@ -111,14 +111,66 @@ func (a *Array) Equivalent(cfg Config) (Equivalent, error) {
 
 // EquivalentInto is Equivalent assembled in place: dst's Groups backing
 // storage is reused when its capacity suffices, and every other field is
-// overwritten. The evaluator prices dozens of candidate configurations
-// per control period and the simulator re-derives the chosen one every
-// tick, so the per-call Groups allocation used to dominate the hot
-// loop's heap churn; a reused equivalent removes it. On error dst is
-// left in an unspecified state.
+// overwritten. It derives the Norton pairs afresh on every call; a
+// caller pricing many configurations on one temperature distribution
+// builds them once with NortonInto and asks Norton.EquivalentInto
+// instead. On error dst is left in an unspecified state.
 func (a *Array) EquivalentInto(dst *Equivalent, cfg Config) error {
-	if cfg.N != a.N() {
-		return fmt.Errorf("array: config for %d modules applied to %d", cfg.N, a.N())
+	return a.norton().EquivalentInto(dst, cfg)
+}
+
+// Norton holds every module's Norton pair at one temperature
+// distribution: G[i] = 1/Rᵢ and J[i] = Voc,i/Rᵢ. A failed-short module
+// is (1/R_short, 0) and a failed-open one (0, 0), so the group sums
+// need no health branch: adding +0 leaves a sum bit-unchanged. The
+// pairs depend only on the operating points, not on the configuration,
+// so the deciders fill one Norton per sensed distribution and price
+// every candidate group count against it.
+type Norton struct {
+	G []float64 // module conductance 1/R, S
+	J []float64 // module source term Voc/R, A
+}
+
+// NortonInto writes the Norton pair of every module of a into dst,
+// reusing its backing storage when the capacity suffices.
+func (a *Array) NortonInto(dst *Norton) {
+	n := a.N()
+	if cap(dst.G) < n {
+		dst.G = make([]float64, n)
+		dst.J = make([]float64, n)
+	}
+	dst.G, dst.J = dst.G[:n], dst.J[:n]
+	for i := range dst.G {
+		dst.G[i], dst.J[i] = a.contribution(i)
+	}
+}
+
+// norton returns freshly built Norton pairs of a — the convenience
+// forms' one-off source.
+func (a *Array) norton() *Norton {
+	nt := &Norton{}
+	a.NortonInto(nt)
+	return nt
+}
+
+// solve returns fresh Norton pairs of a and the equivalent of cfg over
+// them, for the convenience forms that need both.
+func (a *Array) solve(cfg Config) (*Norton, Equivalent, error) {
+	nt := a.norton()
+	var eq Equivalent
+	if err := nt.EquivalentInto(&eq, cfg); err != nil {
+		return nil, Equivalent{}, err
+	}
+	return nt, eq, nil
+}
+
+// N returns the module count the pairs were built for.
+func (nt *Norton) N() int { return len(nt.G) }
+
+// EquivalentInto is Array.EquivalentInto over precomputed Norton pairs.
+func (nt *Norton) EquivalentInto(dst *Equivalent, cfg Config) error {
+	if cfg.N != nt.N() {
+		return fmt.Errorf("array: config for %d modules applied to %d", cfg.N, nt.N())
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -131,14 +183,14 @@ func (a *Array) EquivalentInto(dst *Equivalent, cfg Config) error {
 	dst.Voc, dst.R, dst.Broken = 0, 0, false
 	for j := range dst.Groups {
 		lo, hi := cfg.GroupBounds(j)
-		sumG, sumVG := 0.0, 0.0 // Σ 1/R, Σ Voc/R
-		for i := lo; i < hi; i++ {
-			gi, vgi, conducts := a.contribution(i)
-			if !conducts {
-				continue
-			}
-			sumG += gi
-			sumVG += vgi
+		// Sum in module order; a failed-open pair adds +0, which
+		// leaves both sums bit-equal to skipping the module.
+		sumG, sumJ := 0.0, 0.0 // Σ 1/R, Σ Voc/R
+		gs, js := nt.G[lo:hi], nt.J[lo:hi]
+		js = js[:len(gs)]
+		for m, g := range gs {
+			sumG += g
+			sumJ += js[m]
 		}
 		if sumG == 0 {
 			// Every module of the group failed open: the series chain
@@ -148,7 +200,7 @@ func (a *Array) EquivalentInto(dst *Equivalent, cfg Config) error {
 			dst.R = 0
 			return nil
 		}
-		g := GroupEquivalent{Voc: sumVG / sumG, R: 1 / sumG}
+		g := GroupEquivalent{Voc: sumJ / sumG, R: 1 / sumG}
 		dst.Groups[j] = g
 		dst.Voc += g.Voc
 		dst.R += g.R
@@ -178,29 +230,31 @@ func (e Equivalent) MPP() teg.MPP {
 // modules carry nothing and failed-short modules sink −V_g/R_short. A
 // broken chain (see Equivalent.Broken) carries zero everywhere.
 func (a *Array) ModuleCurrents(cfg Config, iOut float64) ([]float64, error) {
-	eq, err := a.Equivalent(cfg)
+	nt, eq, err := a.solve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return a.ModuleCurrentsAt(eq, cfg, iOut), nil
+	return nt.ModuleCurrentsInto(nil, eq, cfg, iOut), nil
 }
 
-// ModuleCurrentsAt is ModuleCurrents evaluated against an already
-// computed Equivalent of cfg — the evaluator's inner loop prices every
-// candidate off one Equivalent and reuses it here instead of re-deriving
-// the whole Thevenin chain per question.
-func (a *Array) ModuleCurrentsAt(eq Equivalent, cfg Config, iOut float64) []float64 {
-	return a.ModuleCurrentsInto(nil, eq, cfg, iOut)
-}
-
-// ModuleCurrentsInto is ModuleCurrentsAt writing into dst, reusing its
-// backing storage when the capacity suffices — the allocation-free form
-// the simulator's per-tick efficiency accounting runs on.
+// ModuleCurrentsInto is ModuleCurrents against an already computed
+// Equivalent of cfg, writing into dst and reusing its backing storage
+// when the capacity suffices. Like EquivalentInto it derives the Norton
+// pairs afresh; the simulator's per-tick accounting holds them and
+// calls Norton.ModuleCurrentsInto.
 func (a *Array) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOut float64) []float64 {
-	if cap(dst) < a.N() {
-		dst = make([]float64, a.N())
+	return a.norton().ModuleCurrentsInto(dst, eq, cfg, iOut)
+}
+
+// ModuleCurrentsInto is Array.ModuleCurrentsInto over precomputed
+// Norton pairs: within group j module m carries J[m] − V_g·G[m].
+// Failed-open modules (G = 0) carry exactly zero.
+func (nt *Norton) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOut float64) []float64 {
+	n := nt.N()
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	out := dst[:a.N()]
+	out := dst[:n]
 	for i := range out {
 		out[i] = 0
 	}
@@ -211,11 +265,9 @@ func (a *Array) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOu
 		vg := g.Voc - iOut*g.R
 		lo, hi := cfg.GroupBounds(j)
 		for m := lo; m < hi; m++ {
-			gm, vgm, conducts := a.contribution(m)
-			if !conducts {
-				continue
+			if nt.G[m] != 0 {
+				out[m] = nt.J[m] - vg*nt.G[m]
 			}
-			out[m] = vgm - vg*gm
 		}
 	}
 	return out
@@ -225,29 +277,30 @@ func (a *Array) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOu
 // zero current (absorbing power — the failure mode of Fig. 3) when the
 // array delivers iOut under cfg.
 func (a *Array) HasReverseCurrent(cfg Config, iOut float64) (bool, error) {
-	eq, err := a.Equivalent(cfg)
+	nt, eq, err := a.solve(cfg)
 	if err != nil {
 		return false, err
 	}
-	return a.HasReverseCurrentAt(eq, cfg, iOut), nil
+	return nt.HasReverseCurrentAt(eq, cfg, iOut), nil
 }
 
-// HasReverseCurrentAt is HasReverseCurrent against an already computed
-// Equivalent of cfg. It needs no module-current scratch: within group j
-// the module current (Voc,m − V_g)·g_m is checked on the fly.
-func (a *Array) HasReverseCurrentAt(eq Equivalent, cfg Config, iOut float64) bool {
+// HasReverseCurrentAt is HasReverseCurrent over precomputed Norton
+// pairs and an already computed Equivalent of cfg — the candidate
+// check of the deciders. It needs no module-current scratch: each
+// module current
+// J[m] − V_g·G[m] is checked on the fly. A failed-open module's
+// 0 − V_g·0 is never below the tolerance, so it needs no branch.
+func (nt *Norton) HasReverseCurrentAt(eq Equivalent, cfg Config, iOut float64) bool {
 	if eq.Broken {
 		return false
 	}
 	for j, g := range eq.Groups {
 		vg := g.Voc - iOut*g.R
 		lo, hi := cfg.GroupBounds(j)
-		for m := lo; m < hi; m++ {
-			gm, vgm, conducts := a.contribution(m)
-			if !conducts {
-				continue
-			}
-			if vgm-vg*gm < -1e-9 {
+		gs, js := nt.G[lo:hi], nt.J[lo:hi]
+		gs = gs[:len(js)]
+		for m, jm := range js {
+			if jm-vg*gs[m] < -1e-9 {
 				return true
 			}
 		}
@@ -303,23 +356,23 @@ func (a *Array) MismatchLoss(cfg Config) (float64, error) {
 // wiring is lossless in this model). Returns the relative discrepancy;
 // used by tests and the simulator's self-check mode.
 func (a *Array) EnergyConservationCheck(cfg Config, iOut float64) (float64, error) {
-	eq, err := a.Equivalent(cfg)
+	nt, eq, err := a.solve(cfg)
 	if err != nil {
 		return 0, err
 	}
 	if eq.Broken {
 		return 0, nil
 	}
-	currents, err := a.ModuleCurrents(cfg, iOut)
-	if err != nil {
-		return 0, err
-	}
+	currents := nt.ModuleCurrentsInto(nil, eq, cfg, iOut)
 	sum := 0.0
-	for m, im := range currents {
+	for j, g := range eq.Groups {
 		// Each conducting module's terminal sits at its group voltage;
 		// failed-short modules therefore contribute negative power.
-		vg := eq.Groups[cfg.GroupOf(m)].Voc - iOut*eq.Groups[cfg.GroupOf(m)].R
-		sum += vg * im
+		vg := g.Voc - iOut*g.R
+		lo, hi := cfg.GroupBounds(j)
+		for _, im := range currents[lo:hi] {
+			sum += vg * im
+		}
 	}
 	pArr := eq.PowerAt(iOut)
 	scale := math.Max(math.Abs(pArr), 1e-9)

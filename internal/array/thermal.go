@@ -54,12 +54,11 @@ func (a *Array) thermalInputFromCurrents(currents []float64) (float64, error) {
 // ConversionEfficiency returns array electrical output over thermal
 // input at (cfg, iOut); 0 when no heat flows.
 func (a *Array) ConversionEfficiency(cfg Config, iOut float64) (float64, error) {
-	eq, err := a.Equivalent(cfg)
+	nt, eq, err := a.solve(cfg)
 	if err != nil {
 		return 0, err
 	}
-	currents := a.ModuleCurrentsAt(eq, cfg, iOut)
-	return a.ConversionEfficiencyAt(eq, cfg, iOut, currents)
+	return a.ConversionEfficiencyAt(eq, cfg, iOut, nt.ModuleCurrentsInto(nil, eq, cfg, iOut))
 }
 
 // ConversionEfficiencyAt is ConversionEfficiency evaluated against an

@@ -39,7 +39,7 @@ type DNOR struct {
 	lastPower float64 // delivered power estimate for overhead pricing
 
 	// sc holds the reusable work arrays of the whole decision path:
-	// INOR's candidate search and the 2·(tp+1) windowEnergy pricings per
+	// INOR's candidate search and the 2·(tp+1) window pricings per
 	// decision run entirely over these buffers, so a steady-state Decide
 	// allocates only what the predictor does.
 	sc     *scratch
@@ -170,11 +170,7 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 	c.window = append(c.window, forecast...)
 	window := c.window
 
-	eOld, err := c.windowEnergy(old, window, ambientC)
-	if err != nil {
-		return Decision{}, err
-	}
-	eNew, err := c.windowEnergy(cand, window, ambientC)
+	eOld, eNew, err := c.windowEnergies(old, cand, window, ambientC)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -202,23 +198,31 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 	return d, nil
 }
 
-// windowEnergy prices a configuration over a window of (predicted)
-// temperature distributions: Σ delivered-power × tick length. It runs
-// entirely over the controller's scratch — cfg may alias the scratch
-// winner buffers (the candidate does), which the pricing never touches.
-func (c *DNOR) windowEnergy(cfg array.Config, window [][]float64, ambientC float64) (float64, error) {
-	total := 0.0
+// windowEnergies prices the incumbent old and the candidate cand over
+// a window of (predicted) temperature distributions: each total is
+// Σ delivered-power × tick length, accumulated in window order. Each
+// window step's operating points and Norton pairs are built once and
+// both configurations are priced against them. It runs entirely over
+// the controller's scratch — cand may alias the scratch winner buffers,
+// which the pricing never touches.
+func (c *DNOR) windowEnergies(old, cand array.Config, window [][]float64, ambientC float64) (eOld, eNew float64, err error) {
 	for _, temps := range window {
 		// The evaluator's spec was validated at construction, so the
 		// Array value is assembled in place over the reused scratch
 		// buffer instead of going through array.New every step.
 		c.sc.ops = teg.OpsFromTempsInto(c.sc.ops, temps, ambientC)
 		c.sc.arr = array.Array{Spec: c.eval.Spec, Ops: c.sc.ops}
-		op, err := c.eval.bestAt(c.sc, &c.sc.arr, cfg)
+		c.sc.arr.NortonInto(&c.sc.nt)
+		opOld, err := c.eval.bestAt(c.sc, old)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		total += op.Delivered * c.tickSecs
+		opNew, err := c.eval.bestAt(c.sc, cand)
+		if err != nil {
+			return 0, 0, err
+		}
+		eOld += opOld.Delivered * c.tickSecs
+		eNew += opNew.Delivered * c.tickSecs
 	}
-	return total, nil
+	return eOld, eNew, nil
 }

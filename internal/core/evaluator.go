@@ -55,7 +55,9 @@ type Operating struct {
 // through their per-controller scratch (bestAt) so the per-period hot
 // path allocates nothing.
 func (e *Evaluator) Best(arr *array.Array, cfg array.Config) (Operating, error) {
-	return e.bestAt(newScratch(e), arr, cfg)
+	sc := newScratch(e)
+	arr.NortonInto(&sc.nt)
+	return e.bestAt(sc, cfg)
 }
 
 // GroupWindow derives Algorithm 1's [nmin, nmax] from the converter's

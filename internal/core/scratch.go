@@ -10,11 +10,12 @@ import (
 )
 
 // scratch is the reusable work state of one decider. Every buffer the
-// per-period decision path needs — operating points, MPP currents,
-// prefix sums, candidate partitions, the Thevenin equivalent and the
-// delivered-power closure handed to the golden-section search — lives
-// here and is overwritten in place each Decide, so a controller's
-// steady-state decision performs no heap allocation.
+// per-period decision path needs — operating points, the per-module
+// Norton pairs, MPP currents, prefix sums, candidate partitions, the
+// Thevenin equivalent and the delivered-power closure handed to the
+// golden-section search — lives here and is overwritten in place each
+// Decide, so a controller's steady-state decision performs no heap
+// allocation.
 //
 // A scratch is owned by exactly one controller and shares its
 // no-concurrent-use contract; the configs a decider returns alias the
@@ -25,6 +26,7 @@ import (
 type scratch struct {
 	ops    []teg.OperatingPoint // sensed temperatures → operating points
 	arr    array.Array          // assembled in place over ops
+	nt     array.Norton         // per-module Norton pairs of the distribution being priced
 	impp   []float64            // per-module MPP currents (Algorithm 1 input)
 	prefix []float64            // prefix sums of impp, shared by all candidates
 	starts []int                // candidate partition under evaluation
@@ -63,13 +65,15 @@ func (sc *scratch) parkConfig(n int) array.Config {
 	return array.Config{N: n, Starts: sc.park}
 }
 
-// bestAt is Evaluator.Best evaluated through the scratch: the
-// equivalent circuit, the delivered-power closure and every intermediate
-// buffer are reused, so pricing a candidate configuration allocates
-// nothing. Identical arithmetic to Best — the same coarse scan, the
-// same golden-section refinement — so results are bit-equal.
-func (e *Evaluator) bestAt(sc *scratch, arr *array.Array, cfg array.Config) (Operating, error) {
-	if err := arr.EquivalentInto(&sc.eq, cfg); err != nil {
+// bestAt is Evaluator.Best evaluated through the scratch against the
+// Norton pairs already in sc.nt: the equivalent circuit, the
+// delivered-power closure and every intermediate buffer are reused, so
+// pricing a candidate configuration allocates nothing and reads each
+// module's 1/R and Voc/R instead of re-deriving them. Identical
+// arithmetic to Best — the same coarse scan, the same golden-section
+// refinement — so results are bit-equal.
+func (e *Evaluator) bestAt(sc *scratch, cfg array.Config) (Operating, error) {
+	if err := sc.nt.EquivalentInto(&sc.eq, cfg); err != nil {
 		return Operating{}, err
 	}
 	if sc.eq.Voc <= 0 {
@@ -92,7 +96,7 @@ func (e *Evaluator) bestAt(sc *scratch, arr *array.Array, cfg array.Config) (Ope
 	lo := math.Max(0, bestI-isc/coarse)
 	hi := math.Min(isc, bestI+isc/coarse)
 	i, p := units.GoldenMax(sc.deliver, lo, hi, isc*1e-7)
-	rev := arr.HasReverseCurrentAt(sc.eq, cfg, i)
+	rev := sc.nt.HasReverseCurrentAt(sc.eq, cfg, i)
 	v := sc.eq.VoltageAt(i)
 	return Operating{
 		Current:   i,
@@ -106,8 +110,10 @@ func (e *Evaluator) bestAt(sc *scratch, arr *array.Array, cfg array.Config) (Ope
 // configureAt searches the group-count window through the scratch:
 // greedy partitions (INOR/DNOR) or the exhaustive DP (EHTR when
 // exhaustive is set), each candidate priced by bestAt over reused
-// buffers. The returned Config aliases the scratch winner buffers and
-// is valid until the scratch's next use.
+// buffers. The Norton pairs depend only on the distribution, so they
+// are built once here, before the group-count loop. The returned
+// Config aliases the scratch winner buffers and is valid until the
+// scratch's next use.
 func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) (array.Config, Operating, error) {
 	nmin, nmax, err := e.GroupWindow(arr)
 	if err != nil {
@@ -115,6 +121,7 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 		// configuration delivering nothing.
 		return sc.parkConfig(arr.N()), Operating{}, nil
 	}
+	arr.NortonInto(&sc.nt)
 	sc.impp = arr.MPPCurrentsInto(sc.impp)
 	sc.prefix = prefixSumsInto(sc.prefix, sc.impp)
 	if exhaustive {
@@ -145,7 +152,7 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 			greedyPartitionInto(sc.starts, sc.prefix)
 		}
 		cfg := array.Config{N: arr.N(), Starts: sc.starts}
-		op, err := e.bestAt(sc, arr, cfg)
+		op, err := e.bestAt(sc, cfg)
 		if err != nil {
 			return array.Config{}, Operating{}, err
 		}

@@ -110,27 +110,24 @@ func (m *MLR) fit() error {
 	if m.perModule {
 		return m.fitPerModule()
 	}
-	samples := arDataset(m.hist, m.order)
-	if len(samples) == 0 {
+	total := arCount(m.hist, m.order)
+	if total == 0 {
 		return ErrNotReady
 	}
-	if len(samples) > m.maxSamples {
-		// Strided subsample keeps coverage across ticks and modules
-		// (arDataset interleaves modules within each tick).
-		stride := (len(samples) + m.maxSamples - 1) / m.maxSamples
-		kept := samples[:0:0]
-		for i := 0; i < len(samples); i += stride {
-			kept = append(kept, samples[i])
-		}
-		samples = kept
+	// Strided subsample keeps coverage across ticks and modules (the
+	// pooled dataset interleaves modules within each tick); only the
+	// kept pairs are built, straight into the regression matrix.
+	stride := 1
+	if total > m.maxSamples {
+		stride = (total + m.maxSamples - 1) / m.maxSamples
 	}
-	a := linalg.NewMatrix(len(samples), m.order+1)
-	b := make([]float64, len(samples))
-	for r, s := range samples {
-		row := a.Row(r)
-		copy(row, s.x)
-		row[m.order] = 1 // intercept
-		b[r] = s.y
+	rows := (total + stride - 1) / stride
+	width := m.order + 1
+	a := linalg.NewMatrix(rows, width)
+	b := make([]float64, rows)
+	arRowsInto(m.hist, m.order, stride, a.Data, width, b)
+	for r := 0; r < rows; r++ {
+		a.Data[r*width+m.order] = 1 // intercept
 	}
 	coef, err := linalg.RidgeLeastSquares(a, b, m.ridge)
 	if err != nil {

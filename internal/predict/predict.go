@@ -111,23 +111,49 @@ type arSample struct {
 }
 
 // arDataset extracts all pooled AR training pairs of the given order
-// from the history.
+// from the history, their lag vectors sharing one backing array.
 func arDataset(h *History, order int) []arSample {
-	t := h.Len()
-	if t <= order {
+	total := arCount(h, order)
+	if total == 0 {
 		return nil
 	}
-	out := make([]arSample, 0, (t-order)*h.Modules())
-	for end := order; end < t; end++ {
-		for m := 0; m < h.Modules(); m++ {
-			x := make([]float64, order)
-			for k := 0; k < order; k++ {
-				x[k] = h.Tick(end - order + k)[m]
-			}
-			out = append(out, arSample{x: x, y: h.Tick(end)[m]})
-		}
+	x := make([]float64, total*order)
+	y := make([]float64, total)
+	arRowsInto(h, order, 1, x, order, y)
+	out := make([]arSample, total)
+	for r := range out {
+		out[r] = arSample{x: x[r*order : (r+1)*order : (r+1)*order], y: y[r]}
 	}
 	return out
+}
+
+// arCount returns the number of pooled AR training pairs of the given
+// order in h: one per module for every tick with order predecessors.
+func arCount(h *History, order int) int {
+	if h.Len() <= order {
+		return 0
+	}
+	return (h.Len() - order) * h.Modules()
+}
+
+// arRowsInto is the one pooled-dataset builder. It writes every
+// stride-th AR training pair of the given order, in dataset order, as
+// row r of x (width floats per row, lags in the first order columns,
+// the rest left untouched) with its target in y[r], for len(y) rows.
+// Pair idx is module idx%N at target tick order+idx/N — modules
+// interleave within each tick — so row r is pair r·stride and a strided
+// subsample never builds the pairs it skips.
+func arRowsInto(h *History, order, stride int, x []float64, width int, y []float64) {
+	n := h.Modules()
+	for r := range y {
+		idx := r * stride
+		end, mod := order+idx/n, idx%n
+		row := x[r*width : r*width+order]
+		for k := range row {
+			row[k] = h.Tick(end - order + k)[mod]
+		}
+		y[r] = h.Tick(end)[mod]
+	}
 }
 
 // latestFeatures returns the current AR feature vector of every module

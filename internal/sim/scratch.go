@@ -9,12 +9,13 @@ import (
 
 // scratch is the per-session reusable work state of the tick loop:
 // every buffer Step needs — the module-bank temperature vector, the
-// noisy controller view, the operating points, the Thevenin equivalent,
-// the module currents of the efficiency accounting, the copy of the
-// previous topology and the delivered-power closure handed to the MPPT
-// — lives here and is overwritten in place each control period, so a
-// steady-state Step performs no heap allocation (see
-// BenchmarkSessionStep and TestSessionStepAllocationFree).
+// noisy controller view, the operating points, their Norton pairs, the
+// Thevenin equivalent, the module currents of the efficiency
+// accounting, the copy of the previous topology and the delivered-power
+// closure handed to the MPPT — lives here and is overwritten in place
+// each control period, so a steady-state Step performs no heap
+// allocation (see BenchmarkSessionStep and
+// TestSessionStepAllocationFree).
 //
 // Ownership: a scratch serves exactly one Session at a time and shares
 // its single-goroutine contract. The batch engine hands each worker one
@@ -28,6 +29,7 @@ type scratch struct {
 	ops        []teg.OperatingPoint // plant operating points from temps
 	currents   []float64            // per-module currents for the efficiency accounting
 	prevStarts []int                // session-owned copy of the previous topology
+	nt         array.Norton         // per-module Norton pairs of ops (and health)
 	eq         array.Equivalent     // Thevenin equivalent of the decided config
 	arr        array.Array          // plant array assembled in place over ops
 	conv       converter.Model      // this tick's converter (charge stage may retarget it)

@@ -263,7 +263,8 @@ func (s *Session) tickAct(cond thermal.Conditions) (Tick, error) {
 	sc.ops = teg.OpsFromTempsInto(sc.ops, sc.temps, cond.AirInletC)
 	sc.arr = array.Array{Spec: s.sys.Spec, Ops: sc.ops, Health: health}
 	arr := &sc.arr
-	if err := arr.EquivalentInto(&sc.eq, dec.Config); err != nil {
+	arr.NortonInto(&sc.nt)
+	if err := sc.nt.EquivalentInto(&sc.eq, dec.Config); err != nil {
 		return Tick{}, fmt.Errorf("sim: %s produced bad config at t=%g: %w", s.ctrl.Name(), now, err)
 	}
 	// The charger's P&O search window spans the configuration's
@@ -331,7 +332,7 @@ func (s *Session) tickAct(cond thermal.Conditions) (Tick, error) {
 
 	tegEff := 0.0
 	if gross > 0 {
-		sc.currents = arr.ModuleCurrentsInto(sc.currents, sc.eq, dec.Config, opCurrent)
+		sc.currents = sc.nt.ModuleCurrentsInto(sc.currents, sc.eq, dec.Config, opCurrent)
 		tegEff, err = arr.ConversionEfficiencyAt(sc.eq, dec.Config, opCurrent, sc.currents)
 		if err != nil {
 			return Tick{}, err
