@@ -22,7 +22,9 @@
 //	                    session_step with 1-in-16 phase-timing sampling
 //	                    (the serve layer's default rate) — the
 //	                    observability tax, capped by the budget file
-//	                    relative to the plain suite
+//	                    relative to the plain suite; also records the
+//	                    sampled per-phase shares of the measured steps
+//	                    (phases)
 //	table1_<scheme>     one full run per Table I scheme over the synthetic
 //	                    drive (dnor, inor, ehtr, baseline)
 //	scaling_inor_n<N>   a single INOR decision at N = 100, 200, 400, 800
@@ -98,6 +100,11 @@
 //	      "module_ticks_per_sec": 348400, // ticks_per_sec × modules per tick,
 //	                                  // comparable across array sizes
 //	                                  // (omitted by suites mixing sizes)
+//	      "phases": {                 // phase-sampled suites only
+//	        "samples": 1024,          // fully timed control periods
+//	        "temps_frac": 0.05, "sense_frac": 0.01,
+//	        "decide_frac": 0.80, "act_frac": 0.14
+//	      }
 //	    }, ...
 //	  ]
 //	}
@@ -115,7 +122,8 @@
 //	  "sweep_sharded_throughput_min_ticks_per_sec": 500, // 0 = not enforced
 //	  "matrix_expand_min_cells_per_sec":    500,  // 0 = not enforced
 //	  "session_step_instrumented_max_overhead_frac": 0.15, // vs session_step; 0 = not enforced
-//	  "decide_live_inor_n500_max_ns_per_op": 1e6  // 0 = not enforced
+//	  "decide_live_inor_n500_max_ns_per_op": 1e6, // 0 = not enforced
+//	  "decide_live_ehtr_n500_max_ns_per_op": 2e6  // 0 = not enforced
 //	}
 package main
 
@@ -166,6 +174,42 @@ type Result struct {
 	// compares suites running different module counts.
 	ModuleTicksPerSec float64 `json:"module_ticks_per_sec,omitempty"`
 	CellsPerSec       float64 `json:"cells_per_sec,omitempty"`
+	// Phases is the sampled per-phase split of tick time, recorded by
+	// the phase-sampled session suite.
+	Phases *PhaseFracs `json:"phases,omitempty"`
+}
+
+// PhaseFracs is each tick phase's share of the sampled tick time
+// (sim.Result.Phases) over a suite's measured steps.
+type PhaseFracs struct {
+	Samples int64   `json:"samples"`
+	Temps   float64 `json:"temps_frac"`
+	Sense   float64 `json:"sense_frac"`
+	Decide  float64 `json:"decide_frac"`
+	Act     float64 `json:"act_frac"`
+}
+
+// phaseFracs splits the timings sampled between two snapshots of one
+// session's phase accumulator; nil when nothing was sampled.
+func phaseFracs(before, after sim.PhaseTimings) *PhaseFracs {
+	d := sim.PhaseTimings{
+		Samples:  after.Samples - before.Samples,
+		TempsNs:  after.TempsNs - before.TempsNs,
+		SenseNs:  after.SenseNs - before.SenseNs,
+		DecideNs: after.DecideNs - before.DecideNs,
+		ActNs:    after.ActNs - before.ActNs,
+	}
+	total := float64(d.TotalNs())
+	if d.Samples <= 0 || total <= 0 {
+		return nil
+	}
+	return &PhaseFracs{
+		Samples: d.Samples,
+		Temps:   float64(d.TempsNs) / total,
+		Sense:   float64(d.SenseNs) / total,
+		Decide:  float64(d.DecideNs) / total,
+		Act:     float64(d.ActNs) / total,
+	}
 }
 
 // withModules fills ModuleTicksPerSec for a suite whose every tick
@@ -345,6 +389,7 @@ var budgetRules = []budgetRule{
 	{"sweep_sharded_throughput_min_ticks_per_sec", "sweep_sharded_throughput", "ticks/sec", false, false, ticksPerSec},
 	{"matrix_expand_min_cells_per_sec", "matrix_expand", "cells/sec", false, false, cellsPerSec},
 	{"decide_live_inor_n500_max_ns_per_op", "decide_live_inor_n500", "ns/op", true, false, nsPerOpOf},
+	{"decide_live_ehtr_n500_max_ns_per_op", "decide_live_ehtr_n500", "ns/op", true, false, nsPerOpOf},
 }
 
 func allocsPerOp(r Result, _ map[string]Result) (float64, error) {
@@ -509,6 +554,7 @@ func benchSessionStepSampled(seconds float64, sampleEvery int) (Result, error) {
 			return Result{}, err
 		}
 	}
+	before := sess.Result().Phases
 	var stepErr error
 	i := 0
 	br := testing.Benchmark(func(b *testing.B) {
@@ -528,6 +574,7 @@ func benchSessionStepSampled(seconds float64, sampleEvery int) (Result, error) {
 	if r.NsPerOp > 0 {
 		r.TicksPerSec = 1e9 / r.NsPerOp
 	}
+	r.Phases = phaseFracs(before, sess.Result().Phases)
 	return r.withModules(s.Sys.Modules), nil
 }
 

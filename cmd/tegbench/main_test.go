@@ -1,8 +1,11 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"tegrecon/internal/sim"
 )
 
 func i64(v int64) *int64 { return &v }
@@ -17,6 +20,7 @@ func passingResults() []Result {
 		{Name: "sweep_sharded_throughput", TicksPerSec: 900},
 		{Name: "matrix_expand", CellsPerSec: 9000},
 		{Name: "decide_live_inor_n500", NsPerOp: 400_000},
+		{Name: "decide_live_ehtr_n500", NsPerOp: 1_000_000},
 	}
 }
 
@@ -31,6 +35,7 @@ func passingBudget() map[string]float64 {
 		"sweep_sharded_throughput_min_ticks_per_sec":  500,
 		"matrix_expand_min_cells_per_sec":             7000,
 		"decide_live_inor_n500_max_ns_per_op":         1_000_000,
+		"decide_live_ehtr_n500_max_ns_per_op":         2_000_000,
 	}
 }
 
@@ -50,6 +55,7 @@ func TestCheckBudgetViolatesEachKeyOnce(t *testing.T) {
 		"sweep_sharded_throughput_min_ticks_per_sec":  func(r *Result) { r.TicksPerSec = 499 },
 		"matrix_expand_min_cells_per_sec":             func(r *Result) { r.CellsPerSec = 6999 },
 		"decide_live_inor_n500_max_ns_per_op":         func(r *Result) { r.NsPerOp = 1_000_001 },
+		"decide_live_ehtr_n500_max_ns_per_op":         func(r *Result) { r.NsPerOp = 2_000_001 },
 	}
 	if len(violate) != len(budgetRules) {
 		t.Fatalf("%d violations for %d rules", len(violate), len(budgetRules))
@@ -105,6 +111,24 @@ func TestCheckBudgetZeroAndMissing(t *testing.T) {
 
 // TestRecordLiveTemps records a short live sequence: one private copy
 // of the sensed distribution per tick.
+// TestPhaseFracs pins the phase split: only the timings sampled
+// between the two snapshots count, the shares sum to one, and an
+// interval with nothing sampled records no split.
+func TestPhaseFracs(t *testing.T) {
+	before := sim.PhaseTimings{Samples: 3, TempsNs: 100, SenseNs: 100, DecideNs: 100, ActNs: 100}
+	after := sim.PhaseTimings{Samples: 7, TempsNs: 200, SenseNs: 150, DecideNs: 800, ActNs: 250}
+	got := phaseFracs(before, after)
+	want := PhaseFracs{Samples: 4, Temps: 0.1, Sense: 0.05, Decide: 0.7, Act: 0.15}
+	if got == nil || got.Samples != want.Samples ||
+		math.Abs(got.Temps-want.Temps) > 1e-12 || math.Abs(got.Sense-want.Sense) > 1e-12 ||
+		math.Abs(got.Decide-want.Decide) > 1e-12 || math.Abs(got.Act-want.Act) > 1e-12 {
+		t.Fatalf("phaseFracs = %+v, want %+v", got, want)
+	}
+	if got := phaseFracs(after, after); got != nil {
+		t.Fatalf("empty interval gave %+v", got)
+	}
+}
+
 func TestRecordLiveTemps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records a live session")

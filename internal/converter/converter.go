@@ -72,7 +72,9 @@ func (m Model) Validate() error {
 
 // Efficiency returns η(Vin) ∈ [0, 1]. Inputs outside [MinInput,
 // MaxInput] return 0 (converter shut down); callers treat that as an
-// infeasible operating point.
+// infeasible operating point. For a validated model with finite
+// parameters and a finite vin the result never exceeds PeakEff: the
+// deciders' candidate pricing relies on that bound to skip points.
 func (m Model) Efficiency(vin float64) float64 {
 	if vin < m.MinInput || vin > m.MaxInput {
 		return 0

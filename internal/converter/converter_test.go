@@ -2,6 +2,7 @@ package converter
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +95,53 @@ func TestEfficiencyBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEfficiencyWithinPeakForValidModels pins the bound the deciders'
+// candidate pricing prunes with: for any validated model with finite
+// parameters, Efficiency(v) ∈ [0, PeakEff] at every finite v, inside
+// the input range or not (negative, zero and huge inputs included).
+func TestEfficiencyWithinPeakForValidModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	models := 0
+	for models < 500 {
+		peak := rng.Float64()
+		minIn := rng.ExpFloat64() * 5
+		m := Model{
+			OutputVoltage: rng.ExpFloat64() * 20,
+			PeakEff:       peak,
+			Spread:        rng.ExpFloat64() * 0.5,
+			FloorEff:      peak * rng.Float64(),
+			MinInput:      minIn,
+			MaxInput:      minIn * (1 + rng.ExpFloat64()*10),
+		}
+		if rng.Intn(10) == 0 {
+			m.FloorEff = 0
+		}
+		if rng.Intn(10) == 0 {
+			m.Spread = 0
+		}
+		if m.Validate() != nil {
+			continue
+		}
+		models++
+		for k := 0; k < 200; k++ {
+			var v float64
+			switch k % 4 {
+			case 0: // inside the input range
+				v = m.MinInput + rng.Float64()*(m.MaxInput-m.MinInput)
+			case 1: // anywhere near it, including negative inputs
+				v = (rng.Float64()*2 - 0.5) * 2 * m.MaxInput
+			case 2: // range edges
+				v = []float64{m.MinInput, m.MaxInput, m.OutputVoltage, 0}[rng.Intn(4)]
+			default: // extreme magnitudes
+				v = math.Ldexp(rng.NormFloat64(), rng.Intn(2000)-1000)
+			}
+			if e := m.Efficiency(v); !(e >= 0 && e <= m.PeakEff) {
+				t.Fatalf("%+v: Efficiency(%g) = %g outside [0, %g]", m, v, e, m.PeakEff)
+			}
+		}
 	}
 }
 

@@ -202,7 +202,8 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 // a window of (predicted) temperature distributions: each total is
 // Σ delivered-power × tick length, accumulated in window order. Each
 // window step's operating points and Norton pairs are built once and
-// both configurations are priced against them. It runs entirely over
+// both configurations are priced against them. Only Delivered is read,
+// so the reverse-current check never runs here. It runs entirely over
 // the controller's scratch — cand may alias the scratch winner buffers,
 // which the pricing never touches.
 func (c *DNOR) windowEnergies(old, cand array.Config, window [][]float64, ambientC float64) (eOld, eNew float64, err error) {
@@ -213,11 +214,11 @@ func (c *DNOR) windowEnergies(old, cand array.Config, window [][]float64, ambien
 		c.sc.ops = teg.OpsFromTempsInto(c.sc.ops, temps, ambientC)
 		c.sc.arr = array.Array{Spec: c.eval.Spec, Ops: c.sc.ops}
 		c.sc.arr.NortonInto(&c.sc.nt)
-		opOld, err := c.eval.bestAt(c.sc, old)
+		opOld, _, err := c.eval.bestAt(c.sc, old)
 		if err != nil {
 			return 0, 0, err
 		}
-		opNew, err := c.eval.bestAt(c.sc, cand)
+		opNew, _, err := c.eval.bestAt(c.sc, cand)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -11,9 +11,11 @@ import (
 // output, O(N³) runtime and unconditional reconfiguration every control
 // period; this reconstruction searches the same series-group window but
 // replaces INOR's O(N) greedy partition with exhaustive dynamic
-// programming over all consecutive partitions (O(N²) per group count,
-// and the window scales with N, giving the O(N³) total the paper
-// reports). See DESIGN.md §2 for the substitution rationale.
+// programming over all consecutive partitions. One table serves every
+// candidate group count, and its Knuth-bounded rows cost O(N·(N+nmax))
+// per decision (dpBuffers.tableInto), so the measured premium over INOR
+// is a small factor, not the cubic growth the paper reports for the
+// original. See DESIGN.md §2 for the substitution rationale.
 type EHTR struct {
 	eval *Evaluator
 	sc   *scratch

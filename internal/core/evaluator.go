@@ -57,7 +57,11 @@ type Operating struct {
 func (e *Evaluator) Best(arr *array.Array, cfg array.Config) (Operating, error) {
 	sc := newScratch(e)
 	arr.NortonInto(&sc.nt)
-	return e.bestAt(sc, cfg)
+	op, ok, err := e.bestAt(sc, cfg)
+	if ok {
+		op.Reverse = sc.nt.HasReverseCurrentAt(sc.eq, cfg, op.Current)
+	}
+	return op, err
 }
 
 // GroupWindow derives Algorithm 1's [nmin, nmax] from the converter's

@@ -180,19 +180,20 @@ func TestPartitionDeviationZeroForPerfectBalance(t *testing.T) {
 }
 
 // partitionTableNaive is the shared DP table filled by full quadratic
-// row scans — the reference the divide-and-conquer tableInto must match
-// bit for bit, starts and all (docs/ARCHITECTURE.md determinism
-// clause 4).
+// row scans — the reference the Knuth-bounded tableInto must match bit
+// for bit, starts and all (docs/ARCHITECTURE.md determinism clause 4).
 func partitionTableNaive(starts []int, p []float64) error {
-	n := len(starts)
+	return reconstructNaive(starts, naiveChoiceTable(p, len(starts)), len(p)-1)
+}
+
+// naiveChoiceTable fills the choice rows 1..nmax of the shared DP table
+// by full quadratic row scans: every start s ∈ [j−1, e−1], ascending,
+// strict `<`.
+func naiveChoiceTable(p []float64, nmax int) [][]int32 {
 	nMod := len(p) - 1
-	starts[0] = 0
-	if n == 1 {
-		return nil
-	}
 	prev := make([]float64, nMod+1)
 	cur := make([]float64, nMod+1)
-	choice := make([][]int32, n+1)
+	choice := make([][]int32, nmax+1)
 	for j := range choice {
 		choice[j] = make([]int32, nMod+1)
 	}
@@ -202,7 +203,7 @@ func partitionTableNaive(starts []int, p []float64) error {
 		choice[1][e] = 0
 	}
 	prev, cur = cur, prev
-	for j := 2; j <= n; j++ {
+	for j := 2; j <= nmax; j++ {
 		for e := j; e <= nMod; e++ {
 			d := p[e] - p[j-1]
 			best, bestS := prev[j-1]+d*d, j-1
@@ -217,6 +218,13 @@ func partitionTableNaive(starts []int, p []float64) error {
 		}
 		prev, cur = cur, prev
 	}
+	return choice
+}
+
+// reconstructNaive walks a naiveChoiceTable back from nMod.
+func reconstructNaive(starts []int, choice [][]int32, nMod int) error {
+	n := len(starts)
+	starts[0] = 0
 	e := nMod
 	for j := n; j >= 2; j-- {
 		s := int(choice[j][e])
@@ -292,11 +300,12 @@ func partitionIntoNaive(starts []int, p []float64) error {
 	return nil
 }
 
-// TestDPTableMatchesNaive pins the divide-and-conquer shared-table DP to
-// the quadratic reference: identical starts — not merely equal
-// deviations — on random profiles, the radiator's decay profile, and
-// tie-heavy inputs (flat, zero-padded, duplicated currents) where the
-// leftmost-argmin tie-break is what distinguishes equal-cost partitions.
+// TestDPTableMatchesNaive pins the Knuth-bounded shared-table DP to the
+// quadratic reference: identical starts — not merely equal deviations —
+// on random profiles, the radiator's decay profile at live array sizes,
+// and tie-heavy inputs (flat, zero-padded, duplicated currents) where
+// the leftmost-argmin tie-break is what distinguishes equal-cost
+// partitions.
 func TestDPTableMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var dp dpBuffers // one reused buffer set, like the EHTR decider
@@ -309,14 +318,14 @@ func TestDPTableMatchesNaive(t *testing.T) {
 		}
 		got := make([]int, n)
 		if err := dp.tableInto(p, n); err != nil {
-			t.Fatalf("%s: d&c: %v", name, err)
+			t.Fatalf("%s: knuth: %v", name, err)
 		}
 		if err := dp.reconstructInto(got); err != nil {
-			t.Fatalf("%s: d&c: %v", name, err)
+			t.Fatalf("%s: knuth: %v", name, err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s (nMod=%d n=%d): starts diverge at %d: d&c %v, naive %v",
+				t.Fatalf("%s (nMod=%d n=%d): starts diverge at %d: knuth %v, naive %v",
 					name, len(impp), n, i, got, want)
 			}
 		}
@@ -346,6 +355,60 @@ func TestDPTableMatchesNaive(t *testing.T) {
 	}
 	for n := 1; n <= 40; n++ {
 		check("decay", decay, n)
+	}
+
+	// Live array sizes: radiator decay plus noise at N = 100 and 500,
+	// tables up to the 160 rows the N=500 windows reach, with runs of
+	// zero currents (failed modules) and of exactly equal currents. One
+	// table per profile serves every group count (rows never depend on
+	// nmax), so the whole choice table is compared entry by entry and
+	// then every n ≤ nmax is reconstructed from both.
+	for _, nMod := range []int{100, 500} {
+		for trial := 0; trial < 3; trial++ {
+			impp := make([]float64, nMod)
+			for i := range impp {
+				impp[i] = 1.5*math.Exp(-3*float64(i)/float64(nMod)) + 0.05*rng.Float64()
+			}
+			if trial > 0 {
+				// A run of failed modules and a run of exact ties.
+				z := rng.Intn(nMod - 10)
+				for i := z; i < z+1+rng.Intn(10); i++ {
+					impp[i] = 0
+				}
+				q := rng.Intn(nMod - 20)
+				for i := q; i < q+1+rng.Intn(20); i++ {
+					impp[i] = 0.75
+				}
+			}
+			nmax := min(160, nMod)
+			p := prefixSums(impp)
+			ref := naiveChoiceTable(p, nmax)
+			if err := dp.tableInto(p, nmax); err != nil {
+				t.Fatal(err)
+			}
+			for j := 2; j <= nmax; j++ {
+				for e := j; e <= nMod; e++ {
+					if dp.choice[j][e] != ref[j][e] {
+						t.Fatalf("decay N=%d trial %d: choice[%d][%d] = %d, naive %d",
+							nMod, trial, j, e, dp.choice[j][e], ref[j][e])
+					}
+				}
+			}
+			for n := 1; n <= nmax; n++ {
+				got, want := make([]int, n), make([]int, n)
+				if err := dp.reconstructInto(got); err != nil {
+					t.Fatal(err)
+				}
+				if err := reconstructNaive(want, ref, nMod); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("decay N=%d trial %d n=%d: knuth %v, naive %v", nMod, trial, n, got, want)
+					}
+				}
+			}
+		}
 	}
 
 	// Random fuzz, including runs of exactly-equal and zero currents.

@@ -38,8 +38,9 @@ type scratch struct {
 
 	// deliver is the converter-weighted power at array output current i
 	// for the equivalent currently in eq — the objective handed to the
-	// coarse scan and golden-section search. Built once per scratch so
-	// pricing a candidate captures no per-call closure.
+	// golden-section search (the coarse scan inlines the same
+	// arithmetic). Built once per scratch so pricing a candidate
+	// captures no per-call closure.
 	deliver func(i float64) float64
 }
 
@@ -72,39 +73,53 @@ func (sc *scratch) parkConfig(n int) array.Config {
 // module's 1/R and Voc/R instead of re-deriving them. Identical
 // arithmetic to Best — the same coarse scan, the same golden-section
 // refinement — so results are bit-equal.
-func (e *Evaluator) bestAt(sc *scratch, cfg array.Config) (Operating, error) {
+//
+// bestAt leaves Reverse false: callers that read it run the O(N)
+// reverse-current check themselves, and only when ok reports that an
+// operating point was searched. sc.eq keeps cfg's equivalent for that
+// check until the scratch prices another candidate.
+func (e *Evaluator) bestAt(sc *scratch, cfg array.Config) (op Operating, ok bool, err error) {
 	if err := sc.nt.EquivalentInto(&sc.eq, cfg); err != nil {
-		return Operating{}, err
+		return Operating{}, false, err
 	}
 	if sc.eq.Voc <= 0 {
-		return Operating{}, nil
+		return Operating{}, false, nil
 	}
 	isc := sc.eq.Voc / sc.eq.R
-	// Coarse scan to bracket the global maximum.
+	// Coarse scan to bracket the global maximum. Efficiency never
+	// exceeds PeakEff and IEEE multiplication is monotone, so a point
+	// whose array power at peak efficiency is ≤ bestP cannot win the
+	// strict comparison below; skipping its converter call (math.Log)
+	// leaves bestI and bestP unchanged. (A NaN efficiency never wins
+	// either.)
 	const coarse = 64
+	peak := e.Conv.PeakEff
 	bestI, bestP := 0.0, 0.0
 	for k := 0; k <= coarse; k++ {
 		i := isc * float64(k) / coarse
-		if p := sc.deliver(i); p > bestP {
+		v := sc.eq.VoltageAt(i)
+		pin := v * i
+		if pin*peak <= bestP {
+			continue
+		}
+		if p := e.Conv.OutputPower(v, pin); p > bestP {
 			bestP, bestI = p, i
 		}
 	}
 	if bestP <= 0 {
 		// Converter cannot run anywhere on this curve.
-		return Operating{Reverse: false}, nil
+		return Operating{}, false, nil
 	}
 	lo := math.Max(0, bestI-isc/coarse)
 	hi := math.Min(isc, bestI+isc/coarse)
 	i, p := units.GoldenMax(sc.deliver, lo, hi, isc*1e-7)
-	rev := sc.nt.HasReverseCurrentAt(sc.eq, cfg, i)
 	v := sc.eq.VoltageAt(i)
 	return Operating{
 		Current:   i,
 		Voltage:   v,
 		ArrayW:    v * i,
 		Delivered: p,
-		Reverse:   rev,
-	}, nil
+	}, true, nil
 }
 
 // configureAt searches the group-count window through the scratch:
@@ -152,9 +167,16 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 			greedyPartitionInto(sc.starts, sc.prefix)
 		}
 		cfg := array.Config{N: arr.N(), Starts: sc.starts}
-		op, err := e.bestAt(sc, cfg)
+		op, ok, err := e.bestAt(sc, cfg)
 		if err != nil {
 			return array.Config{}, Operating{}, err
+		}
+		// Only a candidate that could become the clean winner needs the
+		// reverse check. bestOp.Delivered ≥ cleanOp.Delivered always
+		// holds, so any candidate that becomes the overall winner passes
+		// this test too, and bestOp.Reverse is always computed.
+		if ok && (!haveClean || op.Delivered > cleanOp.Delivered) {
+			op.Reverse = sc.nt.HasReverseCurrentAt(sc.eq, cfg, op.Current)
 		}
 		if !haveAny || op.Delivered > bestOp.Delivered {
 			sc.best = append(sc.best[:0], sc.starts...)

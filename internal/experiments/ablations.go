@@ -24,9 +24,9 @@ type ScalingPoint struct {
 // array sizes on a synthetic radiator profile — the scalability
 // argument of the paper's Sections I and VII. The paper contrasts the
 // O(N) greedy with an O(N³) exhaustive search; here the exhaustive
-// side runs the shared-table DP (O(nmax·N log N) per decision), so the
-// measured gap is the residual table-build premium rather than the
-// naive cubic blow-up. Each runtime is the fastest of reps decisions
+// side runs the shared-table DP (Knuth-bounded rows, O(N·(N+nmax)) per
+// decision), so the measured gap is the residual table-build premium
+// rather than the naive cubic blow-up. Each runtime is the fastest of reps decisions
 // on warmed controllers — the least-disturbed sample, since anything
 // else sharing the CPU only ever adds time.
 func ScalingStudy(sizes []int, reps int) ([]ScalingPoint, error) {

@@ -213,9 +213,10 @@ func TestScalingStudy(t *testing.T) {
 	if len(pts) != 3 {
 		t.Fatalf("%d points", len(pts))
 	}
-	// With the shared-table DP, EHTR runs O(nmax·N log N) against
-	// INOR's O(nmax·N) greedy — near-parity at small N instead of the
-	// naive DP's cubic blow-up. Both runtimes must still grow with N,
+	// With the shared-table DP, EHTR's table costs O(N·(N+nmax))
+	// (Knuth-bounded rows) on top of the candidate pricing it shares
+	// with INOR's O(nmax·N) greedy — near-parity at small N instead of
+	// the naive DP's cubic blow-up. Both runtimes must still grow with N,
 	// and the study must record positive measurements throughout.
 	if pts[2].EHTRRuntime <= pts[0].EHTRRuntime {
 		t.Errorf("EHTR runtime not growing with N: %v → %v", pts[0].EHTRRuntime, pts[2].EHTRRuntime)

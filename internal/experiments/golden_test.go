@@ -84,26 +84,32 @@ func TestTableIGolden(t *testing.T) {
 	}
 }
 
-// TestTableIRuntimeOrdering checks the measured-runtime claims on a
-// short serial run: EHTR remains the slowest scheme (the shared-table
+// TestTableIRuntimeOrdering checks the measured-runtime claims on
+// short serial runs: EHTR remains the slowest scheme (the shared-table
 // DP collapsed its premium from the paper's ~8×/13× — properties of
 // the naive per-candidate DP — to a small constant, but the table
 // build is work INOR never does), the static baseline is the cheapest,
 // and DNOR's prediction-gated search undercuts INOR's every-tick
-// optimisation.
+// optimisation. Each scheme's runtime is the fastest of a few runs, so
+// a burst of load from other test packages landing on one scheme's
+// run does not decide the ordering.
 func TestTableIRuntimeOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures wall-clock controller runtimes")
 	}
-	s := shortSetup(t, 120)
-	s.Opts.Workers = 1 // serial: measured runtimes must not fight for cores
-	res, err := TableI(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rt := map[string]float64{}
-	for _, r := range res.Rows {
-		rt[r.Scheme] = float64(r.AvgRuntime)
+	for rep := 0; rep < 3; rep++ {
+		s := shortSetup(t, 120)
+		s.Opts.Workers = 1 // serial: measured runtimes must not fight for cores
+		res, err := TableI(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Rows {
+			if v, ok := rt[r.Scheme]; !ok || float64(r.AvgRuntime) < v {
+				rt[r.Scheme] = float64(r.AvgRuntime)
+			}
+		}
 	}
 	if rt["EHTR"] < 0.9*rt["INOR"] || rt["EHTR"] <= 1.5*rt["DNOR"] {
 		t.Errorf("EHTR should stay the most expensive scheme: EHTR %.0f ns, INOR %.0f ns, DNOR %.0f ns",
