@@ -35,6 +35,10 @@
 //	                    replayed in order — the live decide cost the
 //	                    ramp-profile scaling_* suites understate
 //	                    (ticks_per_sec counts decisions)
+//	decide_live_<scheme>_n100
+//	                    the same for inor and ehtr at N = 100 (the
+//	                    runs_n100 and session_step array size), over a
+//	                    WLTC session recorded at that size
 //	fleet_step_m64      one lockstep control period of a 64-member INOR
 //	                    fleet (ticks_per_sec counts member-ticks): the
 //	                    digital-twin fleet-mode unit cost and the fleet
@@ -123,7 +127,8 @@
 //	  "matrix_expand_min_cells_per_sec":    500,  // 0 = not enforced
 //	  "session_step_instrumented_max_overhead_frac": 0.15, // vs session_step; 0 = not enforced
 //	  "decide_live_inor_n500_max_ns_per_op": 1e6, // 0 = not enforced
-//	  "decide_live_ehtr_n500_max_ns_per_op": 2e6  // 0 = not enforced
+//	  "decide_live_ehtr_n500_max_ns_per_op": 2e6, // 0 = not enforced
+//	  "decide_live_inor_n100_max_ns_per_op": 4e5  // 0 = not enforced
 //	}
 package main
 
@@ -236,12 +241,29 @@ type Document struct {
 	Results       []Result `json:"results"`
 }
 
+// newLogger quiets library logging and returns the logger for
+// tegbench's own progress lines and fatal errors. Library code logs
+// through slog, and a bench run wants that quiet unless something is
+// actually wrong. slog.SetDefault also reroutes the log package's
+// default logger into that Warn-level handler at Info level, which
+// would drop every progress line and every fatal reason, so tegbench
+// writes through a logger of its own instead.
+func newLogger(w io.Writer) *log.Logger {
+	slog.SetDefault(obs.MustLogger(w, slog.LevelWarn, "text"))
+	return log.New(w, "tegbench: ", 0)
+}
+
+// meetBudget enforces the budget file at path against doc, exiting 1
+// with the violations on the logger when a bound is missed.
+func meetBudget(logger *log.Logger, path string, doc Document) {
+	if err := enforceBudget(path, doc); err != nil {
+		logger.Fatalf("budget violation: %v", err)
+	}
+	logger.Printf("budget %s satisfied", path)
+}
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tegbench: ")
-	// Library code logs through slog; a bench run wants that quiet
-	// unless something is actually wrong.
-	slog.SetDefault(obs.MustLogger(os.Stderr, slog.LevelWarn, "text"))
+	logger := newLogger(os.Stderr)
 	var (
 		quick        = flag.Bool("quick", false, "shrink durations and iteration counts (CI mode)")
 		out          = flag.String("out", "", "write the JSON document to this file instead of stdout")
@@ -265,14 +287,15 @@ func main() {
 	}
 	doc.GitSHA, doc.GitDirty = gitState()
 	if *requireClean && doc.GitDirty {
-		log.Fatalf("working tree has uncommitted changes (commit or stash before measuring; see `git status`)")
+		logger.Fatalf("working tree has uncommitted changes (commit or stash before measuring; see `git status`)")
 	}
 
 	runDur, sweepCap, liveDur := 120.0, 120.0, 600.0
 	if *quick {
 		runDur, sweepCap, liveDur = 60.0, 45.0, 200.0
 	}
-	live := sync.OnceValues(func() (*liveTemps, error) { return recordLiveTemps(liveModules, liveDur) })
+	live500 := sync.OnceValues(func() (*liveTemps, error) { return recordLiveTemps(500, liveDur) })
+	live100 := sync.OnceValues(func() (*liveTemps, error) { return recordLiveTemps(100, liveDur) })
 
 	suites := []struct {
 		name string
@@ -289,9 +312,11 @@ func main() {
 		{"scaling_inor_n400", func() (Result, error) { return benchDecide(400, false) }},
 		{"scaling_inor_n800", func() (Result, error) { return benchDecide(800, false) }},
 		{"scaling_ehtr_n100", func() (Result, error) { return benchDecide(100, true) }},
-		{"decide_live_inor_n500", func() (Result, error) { return benchDecideLive("INOR", live) }},
-		{"decide_live_dnor_n500", func() (Result, error) { return benchDecideLive("DNOR", live) }},
-		{"decide_live_ehtr_n500", func() (Result, error) { return benchDecideLive("EHTR", live) }},
+		{"decide_live_inor_n500", func() (Result, error) { return benchDecideLive("INOR", 500, live500) }},
+		{"decide_live_dnor_n500", func() (Result, error) { return benchDecideLive("DNOR", 500, live500) }},
+		{"decide_live_ehtr_n500", func() (Result, error) { return benchDecideLive("EHTR", 500, live500) }},
+		{"decide_live_inor_n100", func() (Result, error) { return benchDecideLive("INOR", 100, live100) }},
+		{"decide_live_ehtr_n100", func() (Result, error) { return benchDecideLive("EHTR", 100, live100) }},
 		{"scaling_ehtr_n800", func() (Result, error) { return benchDecide(800, true) }},
 		{"fleet_step_m64", func() (Result, error) { return benchFleetStep(64, runDur) }},
 		{"sweep_throughput", func() (Result, error) { return benchSweep(sweepCap, 0, sim.StepAuto) }},
@@ -303,10 +328,10 @@ func main() {
 		{"sweep_sharded_throughput", func() (Result, error) { return benchSweepSharded(*quick) }},
 	}
 	for _, s := range suites {
-		log.Printf("running %s ...", s.name)
+		logger.Printf("running %s ...", s.name)
 		r, err := s.run()
 		if err != nil {
-			log.Fatalf("%s: %v", s.name, err)
+			logger.Fatalf("%s: %v", s.name, err)
 		}
 		r.Name = s.name
 		doc.Results = append(doc.Results, r)
@@ -314,23 +339,20 @@ func main() {
 
 	payload, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		logger.Fatal(err)
 	}
 	payload = append(payload, '\n')
 	if *out != "" {
 		if err := os.WriteFile(*out, payload, 0o644); err != nil {
-			log.Fatal(err)
+			logger.Fatal(err)
 		}
-		log.Printf("wrote %s", *out)
+		logger.Printf("wrote %s", *out)
 	} else {
 		os.Stdout.Write(payload)
 	}
 
 	if *budgetPath != "" {
-		if err := enforceBudget(*budgetPath, doc); err != nil {
-			log.Fatalf("budget violation: %v", err)
-		}
-		log.Printf("budget %s satisfied", *budgetPath)
+		meetBudget(logger, *budgetPath, doc)
 	}
 }
 
@@ -390,6 +412,7 @@ var budgetRules = []budgetRule{
 	{"matrix_expand_min_cells_per_sec", "matrix_expand", "cells/sec", false, false, cellsPerSec},
 	{"decide_live_inor_n500_max_ns_per_op", "decide_live_inor_n500", "ns/op", true, false, nsPerOpOf},
 	{"decide_live_ehtr_n500_max_ns_per_op", "decide_live_ehtr_n500", "ns/op", true, false, nsPerOpOf},
+	{"decide_live_inor_n100_max_ns_per_op", "decide_live_inor_n100", "ns/op", true, false, nsPerOpOf},
 }
 
 func allocsPerOp(r Result, _ map[string]Result) (float64, error) {
@@ -648,10 +671,6 @@ func benchDecide(n int, ehtr bool) (Result, error) {
 	return fromBenchmark(br), nil
 }
 
-// liveModules is the array size of the decide_live_* suites: the
-// twins_n500 scalability case.
-const liveModules = 500
-
 // liveTemps is a recorded live control sequence: the sensed
 // temperatures and ambient every Decide of a session received, in tick
 // order.
@@ -715,17 +734,17 @@ func recordLiveTemps(n int, seconds float64) (*liveTemps, error) {
 	return &rec.rec, nil
 }
 
-// benchDecideLive times one Decide of the named scheme at liveModules
-// modules, replaying the recorded live sequence in tick order (DNOR's
+// benchDecideLive times one Decide of the named scheme at n modules,
+// replaying the live sequence recorded at that size in tick order (DNOR's
 // holding ticks included, so its figure is the amortised cost). One
 // untimed pass first grows the scratch and warms DNOR's predictor.
-func benchDecideLive(scheme string, live func() (*liveTemps, error)) (Result, error) {
+func benchDecideLive(scheme string, n int, live func() (*liveTemps, error)) (Result, error) {
 	rec, err := live()
 	if err != nil {
 		return Result{}, err
 	}
 	sys := sim.DefaultSystem()
-	sys.Modules = liveModules
+	sys.Modules = n
 	sch, err := sim.SchemeByName(scheme)
 	if err != nil {
 		return Result{}, err
@@ -763,7 +782,7 @@ func benchDecideLive(scheme string, live func() (*liveTemps, error)) (Result, er
 	if r.NsPerOp > 0 {
 		r.TicksPerSec = 1e9 / r.NsPerOp
 	}
-	return r.withModules(liveModules), nil
+	return r.withModules(n), nil
 }
 
 // benchFleetStep measures one steady-state lockstep control period of

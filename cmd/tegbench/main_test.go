@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,6 +26,7 @@ func passingResults() []Result {
 		{Name: "matrix_expand", CellsPerSec: 9000},
 		{Name: "decide_live_inor_n500", NsPerOp: 400_000},
 		{Name: "decide_live_ehtr_n500", NsPerOp: 1_000_000},
+		{Name: "decide_live_inor_n100", NsPerOp: 150_000},
 	}
 }
 
@@ -36,6 +42,7 @@ func passingBudget() map[string]float64 {
 		"matrix_expand_min_cells_per_sec":             7000,
 		"decide_live_inor_n500_max_ns_per_op":         1_000_000,
 		"decide_live_ehtr_n500_max_ns_per_op":         2_000_000,
+		"decide_live_inor_n100_max_ns_per_op":         400_000,
 	}
 }
 
@@ -56,6 +63,7 @@ func TestCheckBudgetViolatesEachKeyOnce(t *testing.T) {
 		"matrix_expand_min_cells_per_sec":             func(r *Result) { r.CellsPerSec = 6999 },
 		"decide_live_inor_n500_max_ns_per_op":         func(r *Result) { r.NsPerOp = 1_000_001 },
 		"decide_live_ehtr_n500_max_ns_per_op":         func(r *Result) { r.NsPerOp = 2_000_001 },
+		"decide_live_inor_n100_max_ns_per_op":         func(r *Result) { r.NsPerOp = 400_001 },
 	}
 	if len(violate) != len(budgetRules) {
 		t.Fatalf("%d violations for %d rules", len(violate), len(budgetRules))
@@ -109,8 +117,6 @@ func TestCheckBudgetZeroAndMissing(t *testing.T) {
 	}
 }
 
-// TestRecordLiveTemps records a short live sequence: one private copy
-// of the sensed distribution per tick.
 // TestPhaseFracs pins the phase split: only the timings sampled
 // between the two snapshots count, the shares sum to one, and an
 // interval with nothing sampled records no split.
@@ -129,6 +135,8 @@ func TestPhaseFracs(t *testing.T) {
 	}
 }
 
+// TestRecordLiveTemps records a short live sequence: one private copy
+// of the sensed distribution per tick.
 func TestRecordLiveTemps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records a live session")
@@ -142,5 +150,33 @@ func TestRecordLiveTemps(t *testing.T) {
 	}
 	if &rec.temps[0][0] == &rec.temps[1][0] {
 		t.Fatal("recorded distributions share storage")
+	}
+}
+
+// TestBudgetViolationReachesStderr runs main's budget gate in a child
+// process behind main's logging set-up: a violated budget must exit 1
+// and name the violated key on stderr, which the Warn-level slog
+// default must not swallow.
+func TestBudgetViolationReachesStderr(t *testing.T) {
+	if path := os.Getenv("TEGBENCH_BUDGET_CHILD"); path != "" {
+		meetBudget(newLogger(os.Stderr), path, Document{Results: passingResults()})
+		os.Exit(0)
+	}
+	const key = "decide_live_inor_n100_max_ns_per_op"
+	path := filepath.Join(t.TempDir(), "budget.json")
+	if err := os.WriteFile(path, []byte(`{"`+key+`": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBudgetViolationReachesStderr$")
+	cmd.Env = append(os.Environ(), "TEGBENCH_BUDGET_CHILD="+path)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("child exited with %v, want exit status 1; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "budget violation: "+key) {
+		t.Fatalf("stderr does not name %s:\n%s", key, stderr.String())
 	}
 }

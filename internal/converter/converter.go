@@ -87,6 +87,25 @@ func (m Model) Efficiency(vin float64) float64 {
 	return eff
 }
 
+// MaxEfficiency returns the largest Efficiency over input voltages in
+// [lo, hi]: 0 when the interval misses [MinInput, MaxInput], PeakEff
+// when it contains OutputVoltage, and otherwise the efficiency at the
+// in-range end nearest OutputVoltage, because η falls monotonically
+// away from OutputVoltage on both sides (the floor clamp only flattens
+// it). The deciders' candidate pruning bounds delivered power with it.
+func (m Model) MaxEfficiency(lo, hi float64) float64 {
+	lo, hi = max(lo, m.MinInput), min(hi, m.MaxInput)
+	switch {
+	case !(lo <= hi):
+		return 0
+	case hi < m.OutputVoltage:
+		return m.Efficiency(hi)
+	case lo > m.OutputVoltage:
+		return m.Efficiency(lo)
+	}
+	return m.Efficiency(m.OutputVoltage)
+}
+
 // OutputPower returns the power delivered to the battery for a given
 // array operating point (input voltage and power).
 func (m Model) OutputPower(vin, pin float64) float64 {

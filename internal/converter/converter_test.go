@@ -216,3 +216,68 @@ func TestWindowVoltagesInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxEfficiencyMatchesDenseSampling checks MaxEfficiency against
+// Efficiency sampled densely inside random sub-intervals of random
+// validated models: it is never below a sample, and it is attained at
+// the clamped interval ends or at OutputVoltage. The intervals straddle
+// OutputVoltage, sit wholly on either side of it, reach outside
+// [MinInput, MaxInput] or miss it entirely, and a share of the models
+// are steep enough that FloorEff clamps.
+func TestMaxEfficiencyMatchesDenseSampling(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	kinds := map[string]int{}
+	for trial := 0; trial < 3000; trial++ {
+		m := LTM4607()
+		if trial%2 == 1 {
+			m.Spread = rng.ExpFloat64() * 0.3
+			m.FloorEff = m.PeakEff * rng.Float64()
+			m.OutputVoltage = m.MinInput + rng.Float64()*(m.MaxInput-m.MinInput)
+		}
+		span := m.MaxInput * 1.5
+		lo, hi := rng.Float64()*span, rng.Float64()*span
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if trial%7 == 0 {
+			lo, hi = hi, lo // empty interval
+		}
+		got := m.MaxEfficiency(lo, hi)
+		a, b := max(lo, m.MinInput), min(hi, m.MaxInput)
+		switch {
+		case !(a <= b):
+			kinds["outside"]++
+			if got != 0 {
+				t.Fatalf("%+v: MaxEfficiency(%g, %g) = %g outside the input range, want 0", m, lo, hi, got)
+			}
+			continue
+		case a <= m.OutputVoltage && m.OutputVoltage <= b:
+			kinds["straddle"]++
+		default:
+			kinds["one-sided"]++
+		}
+		attained := max(m.Efficiency(a), m.Efficiency(b))
+		if a <= m.OutputVoltage && m.OutputVoltage <= b {
+			attained = max(attained, m.Efficiency(m.OutputVoltage))
+		}
+		if got != attained {
+			t.Fatalf("%+v: MaxEfficiency(%g, %g) = %g, not attained (%g)", m, lo, hi, got, attained)
+		}
+		const samples = 1000
+		for k := 0; k <= samples; k++ {
+			v := min(lo+(hi-lo)*float64(k)/samples, hi)
+			e := m.Efficiency(v)
+			if e == m.FloorEff && e < m.PeakEff {
+				kinds["floor"]++
+			}
+			if e > got {
+				t.Fatalf("%+v: Efficiency(%g) = %g above MaxEfficiency(%g, %g) = %g", m, v, e, lo, hi, got)
+			}
+		}
+	}
+	for _, k := range []string{"outside", "straddle", "one-sided", "floor"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s interval exercised: %v", k, kinds)
+		}
+	}
+}

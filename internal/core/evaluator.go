@@ -69,16 +69,25 @@ func (e *Evaluator) Best(arr *array.Array, cfg array.Config) (Operating, error) 
 // balanced parallel group of k modules keeps its MPP voltage near the
 // mean module Voc/2, independent of k).
 func (e *Evaluator) GroupWindow(arr *array.Array) (nmin, nmax int, err error) {
+	nmin, nmax, _, err = e.groupWindow(arr)
+	return nmin, nmax, err
+}
+
+// groupWindow is GroupWindow that also returns the nominal per-group
+// voltage the window was derived from, which configureAt uses to pick
+// the candidate it prices first.
+func (e *Evaluator) groupWindow(arr *array.Array) (nmin, nmax int, vGroup float64, err error) {
 	mean := 0.0
 	for _, op := range arr.Ops {
 		mean += e.Spec.Voc(op)
 	}
 	mean /= float64(arr.N())
-	vGroup := mean / 2
+	vGroup = mean / 2
 	if vGroup <= 0 {
-		return 0, 0, fmt.Errorf("core: array has no EMF (all modules at ambient)")
+		return 0, 0, 0, fmt.Errorf("core: array has no EMF (all modules at ambient)")
 	}
-	return e.Conv.GroupCountWindow(vGroup, arr.N())
+	nmin, nmax, err = e.Conv.GroupCountWindow(vGroup, arr.N())
+	return nmin, nmax, vGroup, err
 }
 
 // Decision is a controller's output for one control period.

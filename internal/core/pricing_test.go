@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tegrecon/internal/array"
+	"tegrecon/internal/converter"
 	"tegrecon/internal/teg"
 	"tegrecon/internal/units"
 )
@@ -98,13 +99,41 @@ func sameOperating(a, b Operating) bool {
 		a.Reverse == b.Reverse
 }
 
-// pricingTestArray draws a radiator profile of 20–140 modules with a
-// random health mix: fault-free, a few failed-open and failed-short
-// modules, or many failed-short ones (which reverse-drive every group
-// they share, forcing the all-reverse fallback).
-func pricingTestArray(t *testing.T, e *Evaluator, rng *rand.Rand) *array.Array {
+// Temperature profiles of pricingTestArray.
+const (
+	// radiatorProfile is randomProfile's radiator decay.
+	radiatorProfile = iota
+	// coldProfile pushes about a quarter of the modules below ambient:
+	// they have no EMF, so a group mixing them with hot modules
+	// reverse-drives them, often at n̂ itself.
+	coldProfile
+	// hotSpotProfile decays steeply from the inlet to a floor just above
+	// ambient, so the mean group voltage is low and the high group
+	// counts of the window stack open-circuit voltages past 2·MaxInput.
+	hotSpotProfile
+)
+
+// pricingTestArray draws a profile of 20–140 modules of the given kind
+// with a random health mix: fault-free, a few failed-open and
+// failed-short modules, or many failed-short ones (which reverse-drive
+// every group they share, forcing the all-reverse fallback).
+func pricingTestArray(t *testing.T, e *Evaluator, rng *rand.Rand, kind int) *array.Array {
 	t.Helper()
 	temps, ambient := randomProfile(rng)
+	switch kind {
+	case coldProfile:
+		for i := range temps {
+			if rng.Intn(4) == 0 {
+				temps[i] = ambient - 10*rng.Float64()
+			}
+		}
+	case hotSpotProfile:
+		tau := float64(len(temps)) * (0.02 + 0.06*rng.Float64())
+		inlet, floor := ambient+60+30*rng.Float64(), ambient+0.5+1.5*rng.Float64()
+		for i := range temps {
+			temps[i] = floor + (inlet-floor)*math.Exp(-float64(i)/tau)
+		}
+	}
 	health := make([]array.ModuleHealth, len(temps))
 	switch rng.Intn(3) {
 	case 1:
@@ -126,19 +155,27 @@ func pricingTestArray(t *testing.T, e *Evaluator, rng *rand.Rand) *array.Array {
 }
 
 // TestPricingMatchesUnprunedReference pins the pruned candidate pricing
-// (coarse-scan points skipped by the PeakEff bound, the reverse check
-// only where it can change the winner) to the unpruned reference: the
-// same starts and bit-identical operating points from configureAt for
-// both partitioners, from Best on random configurations, and from DNOR's
+// (candidates skipped by their delivered-power bound, coarse-scan
+// points skipped by the PeakEff bound, the reverse check only where it
+// can change the winner) to the unpruned reference: the same starts and
+// bit-identical operating points from configureAt for both
+// partitioners, from Best on random configurations, and from DNOR's
 // windowEnergies. Both the clean-winner and the all-reverse fallback
-// branches of configureAt must be exercised.
+// branches of configureAt must be exercised, and so must decisions
+// whose n̂ is reverse-driven (no threshold until the loop finds a clean
+// candidate) and decisions with a clean n̂ whose candidates include
+// equivalents with Voc < MinInput or Voc/2 > MaxInput.
 func TestPricingMatchesUnprunedReference(t *testing.T) {
 	e := newEval(t)
 	rng := rand.New(rand.NewSource(77))
 	sc, ref := newScratch(e), newScratch(e)
-	cleanWins, fallbacks := 0, 0
-	for trial := 0; trial < 150; trial++ {
-		arr := pricingTestArray(t, e, rng)
+	cleanWins, fallbacks, hatReverse, vocOutside, pruned := 0, 0, 0, 0, 0
+	for trial := 0; trial < 300; trial++ {
+		kind := radiatorProfile
+		if trial >= 150 {
+			kind = coldProfile + trial%2
+		}
+		arr := pricingTestArray(t, e, rng, kind)
 		for _, exhaustive := range []bool{false, true} {
 			cfg, op, err := e.configureAt(sc, arr, exhaustive)
 			if err != nil {
@@ -161,6 +198,14 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 					fallbacks++
 				}
 			}
+			if nmin, nmax, err := e.GroupWindow(arr); err == nil {
+				pruned += nmax - nmin + 1 - sc.priced
+			}
+			if !exhaustive {
+				r, o := pruneRegimes(t, e, ref, arr, sc.hat)
+				hatReverse += r
+				vocOutside += o
+			}
 		}
 
 		// Best on random partitions of the same array.
@@ -182,6 +227,11 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 	}
 	if cleanWins == 0 || fallbacks == 0 {
 		t.Fatalf("branches not both exercised: %d clean winners, %d all-reverse fallbacks", cleanWins, fallbacks)
+	}
+	t.Logf("%d clean winners, %d fallbacks, %d reverse-driven n̂, %d out-of-range equivalents, %d candidates pruned",
+		cleanWins, fallbacks, hatReverse, vocOutside, pruned)
+	if hatReverse == 0 || vocOutside == 0 || pruned == 0 {
+		t.Fatalf("prune regimes not exercised: %d reverse-driven n̂, %d out-of-range equivalents, %d pruned", hatReverse, vocOutside, pruned)
 	}
 
 	// DNOR's window pricing reads only Delivered.
@@ -225,6 +275,43 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 	}
 }
 
+// pruneRegimes classifies a greedy configureAt decision on arr whose n̂
+// partition is hat: reverse is 1 when n̂ was priced but reverse-driven
+// (so it set no threshold); outside is 1 when n̂ was clean and some
+// candidate of the window has an equivalent with Voc < MinInput or
+// Voc/2 > MaxInput. ref must hold arr's Norton pairs.
+func pruneRegimes(t *testing.T, e *Evaluator, ref *scratch, arr *array.Array, hat []int) (reverse, outside int) {
+	t.Helper()
+	nmin, nmax, err := e.GroupWindow(arr)
+	if err != nil {
+		return 0, 0 // parked: hat is stale
+	}
+	cfg := array.Config{N: arr.N(), Starts: hat}
+	op, ok, err := e.bestAt(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		return 0, 0
+	}
+	if ref.nt.HasReverseCurrentAt(ref.eq, cfg, op.Current) {
+		return 1, 0
+	}
+	p := prefixSums(arr.MPPCurrentsInto(nil))
+	for n := nmin; n <= nmax; n++ {
+		s := make([]int, n)
+		greedyPartitionInto(s, p)
+		eq, err := arr.Equivalent(array.Config{N: arr.N(), Starts: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq.Voc > 0 && (eq.Voc < e.Conv.MinInput || eq.Voc/2 > e.Conv.MaxInput) {
+			return 0, 1
+		}
+	}
+	return 0, 0
+}
+
 // randomConfig draws a valid partition of n modules into 1..min(n, 40)
 // groups.
 func randomConfig(rng *rand.Rand, n int) array.Config {
@@ -235,4 +322,78 @@ func randomConfig(rng *rand.Rand, n int) array.Config {
 	}
 	sort.Ints(starts)
 	return array.Config{N: n, Starts: starts}
+}
+
+// TestDeliverBoundDominatesDeliveredPower checks both stages of the
+// prune bound (the PeakEff parabola bound, returned when it already
+// falls below the threshold, and the banded bound) on random
+// equivalents and converter models: each is at least the delivered
+// power at every current of a dense grid over [0, isc], and at least
+// the Delivered that pricing finds. Open-circuit voltages span from
+// below MinInput to past 2·MaxInput.
+func TestDeliverBoundDominatesDeliveredPower(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	priced := 0
+	for trial := 0; trial < 1500; trial++ {
+		conv := converter.LTM4607()
+		if trial%2 == 1 {
+			conv.Spread = rng.ExpFloat64() * 0.2
+			conv.FloorEff = conv.PeakEff * rng.Float64()
+			conv.MinInput = logUniform(1, 10)
+			conv.MaxInput = conv.MinInput * logUniform(1.5, 20)
+			conv.OutputVoltage = logUniform(conv.MinInput/2, conv.MaxInput*2)
+		}
+		e := &Evaluator{Spec: teg.TGM199, Conv: conv}
+		sc := newScratch(e)
+		sc.bands.build(conv)
+		sc.eq = array.Equivalent{Voc: logUniform(1, 300), R: logUniform(0.05, 50)}
+		voc, r := sc.eq.Voc, sc.eq.R
+		stages := [2]float64{
+			sc.bands.deliverBound(voc, r, math.Inf(1)),  // PeakEff stage
+			sc.bands.deliverBound(voc, r, math.Inf(-1)), // banded stage
+		}
+		isc := voc / r
+		const grid = 4000
+		for k := 0; k <= grid; k++ {
+			i := isc * float64(k) / grid
+			if d := sc.deliver(i); d > stages[0] || d > stages[1] {
+				t.Fatalf("%+v Voc=%g R=%g: deliver(%g) = %g above bound %v", conv, voc, r, i, d, stages)
+			}
+		}
+		if op, ok := e.priceEq(sc); ok {
+			priced++
+			if op.Delivered > stages[0] || op.Delivered > stages[1] {
+				t.Fatalf("%+v Voc=%g R=%g: Delivered %g above bound %v", conv, voc, r, op.Delivered, stages)
+			}
+		}
+	}
+	if priced == 0 {
+		t.Fatal("no equivalent was priceable")
+	}
+}
+
+// TestConfigureAtPricesAtMostHalfTheWindow pins the prune rate on a
+// fixed radiator-decay profile at N = 100: both partitioners run the
+// converter search for at most half of the group-count window. A
+// silent revert to pricing every candidate fails here well before a
+// wall-clock budget would notice.
+func TestConfigureAtPricesAtMostHalfTheWindow(t *testing.T) {
+	e := newEval(t)
+	arr := newArr(t, decayTemps(100, 95, 45, 40), 25)
+	nmin, nmax, err := e.GroupWindow(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := nmax - nmin + 1
+	sc := newScratch(e)
+	for _, exhaustive := range []bool{false, true} {
+		if _, _, err := e.configureAt(sc, arr, exhaustive); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("exhaustive=%v: priced %d of %d candidates", exhaustive, sc.priced, window)
+		if 2*sc.priced > window {
+			t.Errorf("exhaustive=%v: priced %d of a %d-candidate window, want at most half", exhaustive, sc.priced, window)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tegrecon/internal/array"
+	"tegrecon/internal/converter"
 	"tegrecon/internal/teg"
 	"tegrecon/internal/units"
 )
@@ -30,11 +31,17 @@ type scratch struct {
 	impp   []float64            // per-module MPP currents (Algorithm 1 input)
 	prefix []float64            // prefix sums of impp, shared by all candidates
 	starts []int                // candidate partition under evaluation
+	hat    []int                // partition of n̂, the candidate priced first
 	best   []int                // winner partition (any operating point)
 	clean  []int                // winner partition without reverse-driven modules
 	park   []int                // the all-parallel fallback config
 	eq     array.Equivalent     // Thevenin equivalent of the candidate under pricing
 	dp     dpBuffers            // EHTR's dynamic-programming state
+	bands  bandTable            // converter efficiency bounds for candidate pruning
+
+	// priced counts the candidates configureAt ran the converter search
+	// for in its last call; the rest were pruned by their bound.
+	priced int
 
 	// deliver is the converter-weighted power at array output current i
 	// for the equivalent currently in eq — the objective handed to the
@@ -55,6 +62,62 @@ func newScratch(e *Evaluator) *scratch {
 	return sc
 }
 
+// pruneBands is the number of geometric input-voltage bands that
+// bandTable splits the converter's [MinInput, MaxInput] range into.
+const pruneBands = 32
+
+// bandTable holds the converter's efficiency maximum over each of
+// pruneBands geometric voltage bands spanning [MinInput, MaxInput].
+// It depends only on the converter model, so a scratch builds it once
+// and rebuilds it only if its evaluator's model changes.
+type bandTable struct {
+	conv converter.Model // model the table was built for
+	edge [pruneBands + 1]float64
+	eta  [pruneBands]float64 // MaxEfficiency over [edge[k], edge[k+1]]
+}
+
+// build tabulates the band edges and efficiency maxima of m.
+func (b *bandTable) build(m converter.Model) {
+	b.conv = m
+	b.edge[0], b.edge[pruneBands] = m.MinInput, m.MaxInput
+	for k := 1; k < pruneBands; k++ {
+		b.edge[k] = m.MinInput * math.Pow(m.MaxInput/m.MinInput, float64(k)/pruneBands)
+	}
+	for k := range b.eta {
+		b.eta[k] = m.MaxEfficiency(b.edge[k], b.edge[k+1])
+	}
+}
+
+// deliverBound returns an upper bound on the delivered power
+// v·i·η(v) at every output current of an equivalent with open-circuit
+// voltage voc > 0 and resistance r, including the rounding of the
+// pricing arithmetic. Array power is at most the parabola v(voc−v)/r,
+// so PeakEff·voc²/4r bounds it; only when that does not fall below thr
+// is the tighter bound computed: the maximum over the bands below
+// min(MaxInput, voc) of the band's parabola maximum times its
+// efficiency maximum. Either result is inflated by a relative 1e-9 and
+// an absolute 1e-12·voc²/r, which dominate the rounding of v·i and
+// Efficiency's logarithm. A NaN input yields a NaN bound.
+func (b *bandTable) deliverBound(voc, r, thr float64) float64 {
+	slack := 1e-12 * voc * voc / r
+	if ub := b.conv.PeakEff*voc*voc/(4*r)*(1+1e-9) + slack; ub < thr {
+		return ub
+	}
+	top, half := min(voc, b.conv.MaxInput), voc/2
+	best := 0.0
+	for k, eta := range b.eta {
+		lo := b.edge[k]
+		if lo > top {
+			break
+		}
+		// The parabola peaks at voc/2; on [lo, hi] its maximum sits at
+		// the point of the band nearest it.
+		v := min(max(half, lo), min(b.edge[k+1], top))
+		best = max(best, eta*v*(voc-v)) // NaN-propagating
+	}
+	return best/r*(1+1e-9) + slack
+}
+
 // parkConfig returns the all-parallel configuration backed by the
 // scratch's own storage (the zero-EMF fallback of configureAt).
 func (sc *scratch) parkConfig(n int) array.Config {
@@ -67,12 +130,10 @@ func (sc *scratch) parkConfig(n int) array.Config {
 }
 
 // bestAt is Evaluator.Best evaluated through the scratch against the
-// Norton pairs already in sc.nt: the equivalent circuit, the
-// delivered-power closure and every intermediate buffer are reused, so
-// pricing a candidate configuration allocates nothing and reads each
-// module's 1/R and Voc/R instead of re-deriving them. Identical
-// arithmetic to Best — the same coarse scan, the same golden-section
-// refinement — so results are bit-equal.
+// Norton pairs already in sc.nt: it builds cfg's equivalent into sc.eq
+// and prices it (priceEq). Best and DNOR's window pricing use this
+// combined form; configureAt builds each equivalent itself so that it
+// can bound a candidate before deciding to price it.
 //
 // bestAt leaves Reverse false: callers that read it run the O(N)
 // reverse-current check themselves, and only when ok reports that an
@@ -82,8 +143,20 @@ func (e *Evaluator) bestAt(sc *scratch, cfg array.Config) (op Operating, ok bool
 	if err := sc.nt.EquivalentInto(&sc.eq, cfg); err != nil {
 		return Operating{}, false, err
 	}
+	op, ok = e.priceEq(sc)
+	return op, ok, nil
+}
+
+// priceEq locates the delivered-power maximum of the equivalent in
+// sc.eq. The delivered-power closure and every intermediate buffer are
+// reused, so pricing a candidate allocates nothing. Identical
+// arithmetic to Best — the same coarse scan, the same golden-section
+// refinement — so results are bit-equal. ok is false when no operating
+// point was searched (no EMF, or the converter runs nowhere on the
+// curve).
+func (e *Evaluator) priceEq(sc *scratch) (op Operating, ok bool) {
 	if sc.eq.Voc <= 0 {
-		return Operating{}, false, nil
+		return Operating{}, false
 	}
 	isc := sc.eq.Voc / sc.eq.R
 	// Coarse scan to bracket the global maximum. Efficiency never
@@ -108,7 +181,7 @@ func (e *Evaluator) bestAt(sc *scratch, cfg array.Config) (op Operating, ok bool
 	}
 	if bestP <= 0 {
 		// Converter cannot run anywhere on this curve.
-		return Operating{}, false, nil
+		return Operating{}, false
 	}
 	lo := math.Max(0, bestI-isc/coarse)
 	hi := math.Min(isc, bestI+isc/coarse)
@@ -119,22 +192,48 @@ func (e *Evaluator) bestAt(sc *scratch, cfg array.Config) (op Operating, ok bool
 		Voltage:   v,
 		ArrayW:    v * i,
 		Delivered: p,
-	}, true, nil
+	}, true
+}
+
+// partitionInto writes the len(starts)-group partition of the chain
+// into starts: the greedy walk over sc.prefix (INOR/DNOR) or a backward
+// walk over the DP table already built in sc.dp (EHTR).
+func (sc *scratch) partitionInto(starts []int, exhaustive bool) error {
+	if exhaustive {
+		return sc.dp.reconstructInto(starts)
+	}
+	greedyPartitionInto(starts, sc.prefix)
+	return nil
 }
 
 // configureAt searches the group-count window through the scratch:
 // greedy partitions (INOR/DNOR) or the exhaustive DP (EHTR when
-// exhaustive is set), each candidate priced by bestAt over reused
-// buffers. The Norton pairs depend only on the distribution, so they
-// are built once here, before the group-count loop. The returned
-// Config aliases the scratch winner buffers and is valid until the
-// scratch's next use.
+// exhaustive is set), each candidate priced over reused buffers. The
+// Norton pairs depend only on the distribution, so they are built once
+// here, before the group-count loop. The returned Config aliases the
+// scratch winner buffers and is valid until the scratch's next use.
+//
+// Most candidates are priced only to lose, so the search prices n̂
+// first: the group count whose nominal stacked voltage lands nearest
+// the converter's output voltage. Every clean candidate found — n̂ if
+// it is priced and drives no module in reverse, then each new clean
+// winner of the loop — raises the threshold thr, which the final clean
+// winner, and so the final overall winner, reaches. Every other
+// candidate whose delivered-power bound (bandTable.deliverBound) falls
+// below thr is skipped without the converter search: its Delivered is
+// strictly below both final maxima, so it could win neither strict
+// comparison of the ascending loop, and dropping it changes neither
+// the first maxima nor the reverse checks that decide them.
 func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) (array.Config, Operating, error) {
-	nmin, nmax, err := e.GroupWindow(arr)
+	sc.priced = 0
+	nmin, nmax, vGroup, err := e.groupWindow(arr)
 	if err != nil {
 		// No EMF or no feasible window: park in the all-parallel
 		// configuration delivering nothing.
 		return sc.parkConfig(arr.N()), Operating{}, nil
+	}
+	if sc.bands.conv != e.Conv {
+		sc.bands.build(e.Conv)
 	}
 	arr.NortonInto(&sc.nt)
 	sc.impp = arr.MPPCurrentsInto(sc.impp)
@@ -148,47 +247,76 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 		}
 	}
 
+	// Price n̂ first. thr is the largest Delivered of a clean candidate
+	// seen so far, −Inf (nothing pruned) until there is one.
+	hat := int(math.Round(min(max(e.Conv.OutputVoltage/vGroup, float64(nmin)), float64(nmax))))
+	if err := checkPartition(arr.N(), hat); err != nil {
+		return array.Config{}, Operating{}, err
+	}
+	sc.hat = resizeInts(sc.hat, hat)
+	if err := sc.partitionInto(sc.hat, exhaustive); err != nil {
+		return array.Config{}, Operating{}, err
+	}
+	hatCfg := array.Config{N: arr.N(), Starts: sc.hat}
+	hatOp, ok, err := e.bestAt(sc, hatCfg)
+	if err != nil {
+		return array.Config{}, Operating{}, err
+	}
+	sc.priced++
+	thr := math.Inf(-1)
+	if ok {
+		hatOp.Reverse = sc.nt.HasReverseCurrentAt(sc.eq, hatCfg, hatOp.Current)
+		if !hatOp.Reverse {
+			thr = hatOp.Delivered
+		}
+	}
+
 	var bestCfg, cleanCfg array.Config
 	var bestOp, cleanOp Operating
 	haveAny, haveClean := false, false
 	for n := nmin; n <= nmax; n++ {
-		if err := checkPartition(arr.N(), n); err != nil {
-			return array.Config{}, Operating{}, err
-		}
-		if cap(sc.starts) < n {
-			sc.starts = make([]int, n)
-		}
-		sc.starts = sc.starts[:n]
-		if exhaustive {
-			if err := sc.dp.reconstructInto(sc.starts); err != nil {
+		cfg, op := hatCfg, hatOp
+		if n != hat {
+			if err := checkPartition(arr.N(), n); err != nil {
 				return array.Config{}, Operating{}, err
 			}
-		} else {
-			greedyPartitionInto(sc.starts, sc.prefix)
-		}
-		cfg := array.Config{N: arr.N(), Starts: sc.starts}
-		op, ok, err := e.bestAt(sc, cfg)
-		if err != nil {
-			return array.Config{}, Operating{}, err
-		}
-		// Only a candidate that could become the clean winner needs the
-		// reverse check. bestOp.Delivered ≥ cleanOp.Delivered always
-		// holds, so any candidate that becomes the overall winner passes
-		// this test too, and bestOp.Reverse is always computed.
-		if ok && (!haveClean || op.Delivered > cleanOp.Delivered) {
-			op.Reverse = sc.nt.HasReverseCurrentAt(sc.eq, cfg, op.Current)
+			sc.starts = resizeInts(sc.starts, n)
+			if err := sc.partitionInto(sc.starts, exhaustive); err != nil {
+				return array.Config{}, Operating{}, err
+			}
+			cfg = array.Config{N: arr.N(), Starts: sc.starts}
+			if err := sc.nt.EquivalentInto(&sc.eq, cfg); err != nil {
+				return array.Config{}, Operating{}, err
+			}
+			// Delivered ≤ bound < thr: this candidate cannot win. A NaN
+			// bound or threshold fails the comparison and prunes nothing.
+			if thr > math.Inf(-1) && sc.eq.Voc > 0 && sc.bands.deliverBound(sc.eq.Voc, sc.eq.R, thr) < thr {
+				continue
+			}
+			op, ok = e.priceEq(sc)
+			sc.priced++
+			// Only a candidate that could become the clean winner needs
+			// the reverse check. bestOp.Delivered ≥ cleanOp.Delivered
+			// always holds, so any candidate that becomes the overall
+			// winner passes this test too, and bestOp.Reverse is always
+			// computed. (n̂'s check above runs unconditionally; a check
+			// this gate would skip cannot change either comparison.)
+			if ok && (!haveClean || op.Delivered > cleanOp.Delivered) {
+				op.Reverse = sc.nt.HasReverseCurrentAt(sc.eq, cfg, op.Current)
+			}
 		}
 		if !haveAny || op.Delivered > bestOp.Delivered {
-			sc.best = append(sc.best[:0], sc.starts...)
+			sc.best = append(sc.best[:0], cfg.Starts...)
 			bestCfg = array.Config{N: arr.N(), Starts: sc.best}
 			bestOp, haveAny = op, true
 		}
 		// The Fig. 3 current constraint: prefer configurations whose
 		// operating point drives no module in reverse.
 		if !op.Reverse && (!haveClean || op.Delivered > cleanOp.Delivered) {
-			sc.clean = append(sc.clean[:0], sc.starts...)
+			sc.clean = append(sc.clean[:0], cfg.Starts...)
 			cleanCfg = array.Config{N: arr.N(), Starts: sc.clean}
 			cleanOp, haveClean = op, true
+			thr = max(thr, op.Delivered)
 		}
 	}
 	if haveClean {
@@ -198,6 +326,15 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 		return bestCfg, bestOp, nil
 	}
 	return sc.parkConfig(arr.N()), Operating{}, nil
+}
+
+// resizeInts returns s with length n, reallocating only when its
+// capacity is short.
+func resizeInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }
 
 // configureTempsAt converts the sensed temperatures in place and runs
