@@ -39,19 +39,8 @@
 //	                    the same for inor and ehtr at N = 100 (the
 //	                    runs_n100 and session_step array size), over a
 //	                    WLTC session recorded at that size
-//	fleet_step_m64      one lockstep control period of a 64-member INOR
-//	                    fleet (ticks_per_sec counts member-ticks): the
-//	                    digital-twin fleet-mode unit cost and the fleet
-//	                    engine's zero-allocation gate
 //	sweep_throughput    the full cycle × scheme scenario sweep on the
-//	                    batch engine with default routing (StepAuto →
-//	                    lockstep fleets, all cores; aggregate ticks/sec)
-//	sweep_batched_throughput
-//	                    the same sweep forced through one serial
-//	                    lockstep fleet per cycle (Workers=1,
-//	                    StepLockstep) — the batched engine's own
-//	                    throughput with no worker-pool scheduling in
-//	                    the number
+//	                    batch engine, all cores (aggregate ticks/sec)
 //	serve_cache_hit     a POST /v1/runs answered from the result cache —
 //	                    the steady-state cost of a repeated request
 //	scaling_ehtr_n800   the O(N³) reconstruction at N = 800 — the deep
@@ -318,9 +307,7 @@ func main() {
 		{"decide_live_inor_n100", func() (Result, error) { return benchDecideLive("INOR", 100, live100) }},
 		{"decide_live_ehtr_n100", func() (Result, error) { return benchDecideLive("EHTR", 100, live100) }},
 		{"scaling_ehtr_n800", func() (Result, error) { return benchDecide(800, true) }},
-		{"fleet_step_m64", func() (Result, error) { return benchFleetStep(64, runDur) }},
-		{"sweep_throughput", func() (Result, error) { return benchSweep(sweepCap, 0, sim.StepAuto) }},
-		{"sweep_batched_throughput", func() (Result, error) { return benchSweep(sweepCap, 1, sim.StepLockstep) }},
+		{"sweep_throughput", func() (Result, error) { return benchSweep(sweepCap) }},
 		{"serve_cache_hit", benchServeCacheHit},
 		{"twin_sessions_concurrent", func() (Result, error) { return benchTwinSessions(*quick) }},
 		{"matrix_expand", benchMatrixExpand},
@@ -785,89 +772,15 @@ func benchDecideLive(scheme string, n int, live func() (*liveTemps, error)) (Res
 	return r.withModules(n), nil
 }
 
-// benchFleetStep measures one steady-state lockstep control period of
-// an m-member INOR fleet sharing one plant and one set of boundary
-// conditions — the sweep's inner shape and the digital-twin fleet-mode
-// unit cost. The reported ticks_per_sec counts member-ticks, so it is
-// directly comparable to session_step: the gap between the two is what
-// the shared phase loops and the phase-1 radiator dedup buy.
-func benchFleetStep(m int, seconds float64) (Result, error) {
-	s, err := benchSetup(seconds)
-	if err != nil {
-		return Result{}, err
-	}
-	conds1, err := preparedConds(s)
-	if err != nil {
-		return Result{}, err
-	}
-	opts := s.Opts
-	opts.DeterministicRuntime = true
-	opts.KeepTicks = false
-	fjobs := make([]sim.FleetJob, m)
-	for i := range fjobs {
-		o := opts
-		o.Seed = int64(i + 1)
-		ctrl, err := s.NewINOR()
-		if err != nil {
-			return Result{}, err
-		}
-		fjobs[i] = sim.FleetJob{Sys: s.Sys, Ctrl: ctrl, Opts: o}
-	}
-	f, err := sim.NewFleet(fjobs)
-	if err != nil {
-		return Result{}, err
-	}
-	conds := make([]thermal.Conditions, m)
-	step := func(k int) error {
-		for i := range conds {
-			conds[i] = conds1[k%len(conds1)]
-		}
-		if i, err := f.Step(conds); err != nil {
-			return fmt.Errorf("member %d: %w", i, err)
-		}
-		return nil
-	}
-	// Warmup: one full pass grows every member's scratch to steady state.
-	for k := range conds1 {
-		if err := step(k); err != nil {
-			return Result{}, err
-		}
-	}
-	var stepErr error
-	k := 0
-	br := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for n := 0; n < b.N; n++ {
-			if err := step(k); err != nil {
-				stepErr = err
-				b.FailNow()
-			}
-			k++
-		}
-	})
-	if stepErr != nil {
-		return Result{}, stepErr
-	}
-	r := fromBenchmark(br)
-	if r.NsPerOp > 0 {
-		r.TicksPerSec = float64(m) * 1e9 / r.NsPerOp
-	}
-	return r.withModules(s.Sys.Modules), nil
-}
-
 // benchSweep runs the whole cycle × scheme scenario matrix on the
 // batch engine and reports aggregate simulated ticks/sec — the
-// service's bulk-throughput number. workers and stepping select the
-// engine: (0, StepAuto) is the default path users get (lockstep fleets
-// chunked across all cores); (1, StepLockstep) isolates one serial
-// fleet per cycle, the batched engine's own throughput.
-func benchSweep(maxDuration float64, workers int, stepping sim.Stepping) (Result, error) {
+// service's bulk-throughput number, on all cores.
+func benchSweep(maxDuration float64) (Result, error) {
 	s, err := benchSetup(60) // sweep synthesises its own cycle traces
 	if err != nil {
 		return Result{}, err
 	}
-	s.Opts.Workers = workers
-	s.Opts.Stepping = stepping
+	s.Opts.Workers = 0
 	s.Opts.DeterministicRuntime = true
 	s.Opts.KeepTicks = false
 	var ticks atomic.Int64
@@ -1070,9 +983,8 @@ func benchMatrixExpand() (Result, error) {
 	return r, nil
 }
 
-// benchMatrixSweep runs the same matrix end to end on the batch engine
-// with default routing (all cores, StepAuto → lockstep fleets grouped
-// by plant) and reports aggregate simulated ticks/sec. It reports no
+// benchMatrixSweep runs the same matrix end to end on the batch engine,
+// all cores, and reports aggregate simulated ticks/sec. It reports no
 // module_ticks_per_sec: its cells mix two array sizes.
 func benchMatrixSweep(quick bool) (Result, error) {
 	cellDuration := 30.0

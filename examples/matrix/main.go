@@ -8,7 +8,7 @@
 // averaged over everything else" without any bespoke sweep code.
 //
 // Every cell's seed is derived from its coordinate, so the whole grid
-// is bit-identical serial, parallel or lockstep — and identical again
+// is bit-identical serial or parallel — and identical again
 // when the same spec is POSTed to a tegserve instance's /v1/matrix.
 //
 // TEGRECON_EXAMPLE_DURATION caps each cell's simulated span (the

@@ -116,7 +116,7 @@ func HorizonAblationContext(ctx context.Context, s *Setup, horizons []int) ([]Ho
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers, Stepping: s.Opts.Stepping}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ func PredictorAblationContext(ctx context.Context, s *Setup) ([]PredictorPoint, 
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers, Stepping: s.Opts.Stepping}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ func WindowAblationContext(ctx context.Context, s *Setup, windows [][2]float64) 
 		}
 		jobs = append(jobs, sim.Job{Sys: setup.Sys, Trace: s.Trace, Ctrl: inor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers, Stepping: s.Opts.Stepping}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +286,7 @@ func MarginAblationContext(ctx context.Context, s *Setup, marginsJ []float64) ([
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers, Stepping: s.Opts.Stepping}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

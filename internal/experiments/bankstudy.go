@@ -71,7 +71,7 @@ func BankStudyContext(ctx context.Context, s *Setup, paths int, levels []float64
 			levelOf = append(levelOf, li, li)
 		}
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers, Stepping: s.Opts.Stepping}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

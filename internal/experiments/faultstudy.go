@@ -74,7 +74,7 @@ func FaultStudyContext(ctx context.Context, s *Setup, failures int, seed int64) 
 			sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: clean, Opts: cleanOpts},
 			sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: faulted, Opts: faultOpts})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers, Stepping: s.Opts.Stepping}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

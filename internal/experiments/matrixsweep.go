@@ -42,16 +42,13 @@ type MatrixResult struct {
 type MatrixOptions struct {
 	// Workers bounds the batch worker pool (0 → NumCPU, 1 → serial).
 	Workers int
-	// Stepping selects the batch engine (StepAuto routes same-plant
-	// groups onto the lockstep fleet).
-	Stepping sim.Stepping
 	// OnTick, when non-nil, observes every simulated control period —
 	// the aggregate progress feed. It may be called concurrently from
 	// worker goroutines.
 	OnTick func(sim.Tick)
 	// OnCell, when non-nil, receives each cell as it completes, in
 	// stable cell order. Setting it switches the sweep to cell-by-cell
-	// batches (progress granularity over cross-cell lockstep sharing);
+	// batches (progress granularity over one batch of every job);
 	// results are bit-identical either way.
 	OnCell func(MatrixCell)
 }
@@ -62,11 +59,9 @@ func MatrixSweep(m *scenario.Matrix, opts MatrixOptions) (*MatrixResult, error) 
 }
 
 // MatrixSweepContext expands the matrix and runs every job on the
-// batch engine, folding per-path results into cells. Jobs are grouped
-// by plant (one group per array size) so StepAuto can route each group
-// onto the lockstep fleet; serial, parallel and lockstep runs are
-// bit-identical because every job is seeded from its cell coordinate
-// and runs with DeterministicRuntime.
+// batch engine, folding per-path results into cells. Serial and
+// parallel runs are bit-identical because every job is seeded from its
+// cell coordinate and runs with DeterministicRuntime.
 func MatrixSweepContext(ctx context.Context, m *scenario.Matrix, opts MatrixOptions) (*MatrixResult, error) {
 	ex, err := m.Expand()
 	if err != nil {
@@ -102,15 +97,14 @@ func RunExpansionContext(ctx context.Context, ex *scenario.Expansion, opts Matri
 
 	if opts.OnCell != nil {
 		// Cell-by-cell batches: per-cell completion granularity for
-		// streaming transports. Multi-path cells still lockstep their
-		// paths (same plant); cross-cell sharing is given up.
+		// streaming transports.
 		start := 0
 		for ci := range ex.Cells {
 			end := start
 			for end < len(ex.CellOf) && ex.CellOf[end] == ci {
 				end++
 			}
-			results, err := sim.Batch{Workers: opts.Workers, Stepping: opts.Stepping}.RunContext(ctx, ex.Jobs[start:end])
+			results, err := sim.Batch{Workers: opts.Workers}.RunContext(ctx, ex.Jobs[start:end])
 			if err != nil {
 				return nil, fmt.Errorf("experiments: matrix cell %s: %w", ex.Cells[ci].Coord, err)
 			}
@@ -123,30 +117,12 @@ func RunExpansionContext(ctx context.Context, ex *scenario.Expansion, opts Matri
 		return out, nil
 	}
 
-	// Group jobs by plant so one Batch per array size keeps StepAuto's
-	// lockstep eligibility — a mixed-size matrix would otherwise
-	// degrade the whole job list to per-session stepping.
-	groups := map[*sim.System][]int{}
-	var order []*sim.System
-	for i, j := range ex.Jobs {
-		if _, ok := groups[j.Sys]; !ok {
-			order = append(order, j.Sys)
-		}
-		groups[j.Sys] = append(groups[j.Sys], i)
+	results, err := sim.Batch{Workers: opts.Workers}.RunContext(ctx, ex.Jobs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: matrix sweep: %w", err)
 	}
-	for _, sys := range order {
-		idxs := groups[sys]
-		jobs := make([]sim.Job, len(idxs))
-		for k, i := range idxs {
-			jobs[k] = ex.Jobs[i]
-		}
-		results, err := sim.Batch{Workers: opts.Workers, Stepping: opts.Stepping}.RunContext(ctx, jobs)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: matrix sweep: %w", err)
-		}
-		for k, r := range results {
-			fold(idxs[k], r)
-		}
+	for i, r := range results {
+		fold(i, r)
 	}
 	return out, nil
 }

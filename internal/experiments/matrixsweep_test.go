@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tegrecon/internal/scenario"
-	"tegrecon/internal/sim"
 )
 
 // goldenMatrix is deliberately heterogeneous — two array sizes, a
@@ -29,11 +28,12 @@ func goldenMatrix() *scenario.Matrix {
 // TestMatrixSweepBitIdentity is the subsystem's core promise: the same
 // spec produces byte-for-byte identical per-cell results no matter how
 // the jobs are scheduled. The serial run is the golden reference;
-// parallel, forced-lockstep and streaming (OnCell) runs must match it
-// exactly — not approximately.
+// parallel (an explicit pool, so workers run concurrently even on one
+// CPU), default-pool and streaming (OnCell) runs must match it exactly
+// — not approximately.
 func TestMatrixSweepBitIdentity(t *testing.T) {
 	m := goldenMatrix()
-	golden, err := MatrixSweep(m, MatrixOptions{Workers: 1, Stepping: sim.StepSessions})
+	golden, err := MatrixSweep(m, MatrixOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,9 @@ func TestMatrixSweepBitIdentity(t *testing.T) {
 		name string
 		opts MatrixOptions
 	}{
-		{"parallel", MatrixOptions{Workers: 0, Stepping: sim.StepSessions}},
+		{"parallel", MatrixOptions{Workers: 4}},
 		{"auto", MatrixOptions{Workers: 0}},
-		{"lockstep", MatrixOptions{Workers: 0, Stepping: sim.StepLockstep}},
-		{"serial repeat", MatrixOptions{Workers: 1, Stepping: sim.StepSessions}},
+		{"serial repeat", MatrixOptions{Workers: 1}},
 	}
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {

@@ -115,7 +115,7 @@ func ScenarioSweepContext(ctx context.Context, s *Setup, opts ScenarioOptions) (
 			jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: tr, Ctrl: ctrl, Opts: runOpts})
 		}
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers, Stepping: s.Opts.Stepping}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

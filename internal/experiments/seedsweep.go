@@ -75,7 +75,7 @@ func SeedSweepContext(ctx context.Context, s *Setup, seeds int, duration float64
 			jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: tr, Ctrl: c, Opts: opts})
 		}
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers, Stepping: s.Opts.Stepping}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

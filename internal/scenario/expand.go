@@ -177,8 +177,8 @@ func cellCoord(cycleID, scheme string, amb AmbientSpec, fl FlowSpec, faultID str
 // expandState caches the expensive intermediates shared across cells:
 // generated base traces (per cycle × ambient), coolant-offset and
 // path-scaled variants, one sim.System per array size (all sharing one
-// radiator pointer, which is what lets same-plant cells route onto the
-// lockstep fleet), and per-cell fault plans.
+// radiator pointer, so a large matrix builds and validates one plant
+// per size rather than one per job), and per-cell fault plans.
 type expandState struct {
 	m       *Matrix
 	systems map[int]*sim.System
@@ -284,7 +284,7 @@ func (st *expandState) flowWeights(fl FlowSpec) ([]float64, error) {
 
 // system recalls the shared plant for one array size. Systems differ
 // only in module count and share the one radiator, so every cell of
-// one size is lockstep-eligible with every other.
+// one size runs on the same plant.
 func (st *expandState) system(modules int) *sim.System {
 	if sys, ok := st.systems[modules]; ok {
 		return sys

@@ -170,7 +170,7 @@ func TestExpandStableAndSeeded(t *testing.T) {
 		}
 	}
 	// Every job of one array size must share a plant, and every plant
-	// one radiator — the lockstep-eligibility contract.
+	// one radiator — the one-plant-per-size contract.
 	sysBySize := map[int]any{}
 	for _, j := range ex.Jobs {
 		if prev, ok := sysBySize[j.Sys.Modules]; ok && prev != j.Sys {

@@ -46,13 +46,6 @@ type Batch struct {
 	// Workers bounds concurrent jobs: 0 picks runtime.NumCPU(), 1 runs
 	// the jobs serially on the calling goroutine.
 	Workers int
-	// Stepping selects the engine: the zero value (StepAuto) routes
-	// same-plant, same-cadence jobs through the lockstep fleet engine
-	// (see lockstep.go) and everything else through one session per
-	// job. Both paths are bit-identical under DeterministicRuntime; the
-	// fleet path shares radiator solves and walks contiguous plant
-	// slabs, which is what sweep throughput is made of.
-	Stepping Stepping
 }
 
 // Run executes the jobs and collects their results in job order.
@@ -88,9 +81,6 @@ func (b Batch) RunContext(ctx context.Context, jobs []Job) ([]*Result, error) {
 		if err := j.Sys.Validate(); err != nil {
 			return nil, jobError(i, j, err)
 		}
-	}
-	if b.Stepping == StepLockstep || (b.Stepping == StepAuto && lockstepEligible(jobs)) {
-		return b.runLockstep(ctx, jobs, workers)
 	}
 	results := make([]*Result, len(jobs))
 	if workers == 1 {
@@ -146,64 +136,6 @@ func (b Batch) RunContext(ctx context.Context, jobs []Job) ([]*Result, error) {
 	// of the claim loop), in which case no run ever observed ctx and errs
 	// stays empty — but unclaimed jobs left nil holes in results. Never
 	// hand callers a partial slice with a nil error.
-	if err := ctx.Err(); err != nil {
-		for i, r := range results {
-			if r == nil {
-				return nil, jobError(i, jobs[i], err)
-			}
-		}
-	}
-	return results, nil
-}
-
-// runLockstep executes the jobs on the fleet engine: the job list is
-// split into contiguous chunks, one lockstep fleet per worker, so a
-// serial batch is a single fleet and a parallel one is a few large
-// fleets rather than many solo sessions. Error reporting matches the
-// per-session path: the lowest-indexed failing job surfaces, wrapped by
-// jobError.
-func (b Batch) runLockstep(ctx context.Context, jobs []Job, workers int) ([]*Result, error) {
-	if workers == 1 {
-		res, idx, err := runFleetContext(ctx, jobs)
-		if err != nil {
-			if idx < 0 {
-				idx = 0
-			}
-			return nil, jobError(idx, jobs[idx], err)
-		}
-		return res, nil
-	}
-	results := make([]*Result, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(jobs)/workers, (w+1)*len(jobs)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			res, idx, err := runFleetContext(ctx, jobs[lo:hi])
-			if err != nil {
-				if idx < 0 {
-					idx = 0
-				}
-				errs[lo+idx] = err
-				return
-			}
-			copy(results[lo:hi], res)
-		}(lo, hi)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, jobError(i, jobs[i], err)
-		}
-	}
-	// Unlike the claim loop, chunks are pre-assigned, and a cancel is
-	// observed by every fleet's per-tick check — so a canceled batch
-	// always surfaces through errs above. The hole check is defensive.
 	if err := ctx.Err(); err != nil {
 		for i, r := range results {
 			if r == nil {

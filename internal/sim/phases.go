@@ -18,9 +18,7 @@ type PhaseTimings struct {
 	// four phases of the same tick (the phase methods key their timing
 	// decision off the same step counter).
 	Samples int64
-	// TempsNs is sampled time in the radiator solve (tickTemps). Fleet
-	// members that receive a deduplicated temperature copy skip the
-	// solve, so their TempsNs stays 0 by design.
+	// TempsNs is sampled time in the radiator solve (tickTemps).
 	TempsNs int64
 	// SenseNs is sampled time building the controller's noisy view.
 	SenseNs int64
@@ -49,11 +47,9 @@ func (p *PhaseTimings) Add(q PhaseTimings) {
 func (s *Session) PhaseTimings() PhaseTimings { return s.phases }
 
 // phaseTimed reports whether the current control period is a sampled
-// one. Each phase method evaluates it independently — the fleet engine
-// calls phases directly (and skips tickTemps on deduplicated members),
-// so there is no single per-tick spot to latch the decision — but all
-// four reads within one tick see the same step counter (tickAct
-// increments it last) and therefore agree.
+// one. Each phase method evaluates it independently; all four reads
+// within one tick see the same step counter (tickAct increments it
+// last) and therefore agree.
 func (s *Session) phaseTimed() bool {
 	return s.opts.PhaseSampleEvery > 0 && s.steps%s.opts.PhaseSampleEvery == 0
 }

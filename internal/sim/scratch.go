@@ -36,10 +36,9 @@ type scratch struct {
 
 	// Per-tick transients carried between the phase methods of
 	// Session.Step (tickTemps → tickSense → tickDecide → tickAct), so
-	// the lockstep fleet can run one phase across every member before
-	// starting the next. health aliases the fault tracker's storage;
-	// dec.Config aliases the controller's (both stable until the owning
-	// session's next tick).
+	// each phase can be timed on its own (PhaseTimings). health aliases
+	// the fault tracker's storage; dec.Config aliases the controller's
+	// (both stable until the owning session's next tick).
 	health []array.ModuleHealth // this tick's true module health, nil when unfaulted
 	dec    core.Decision        // this tick's controller decision
 

@@ -156,8 +156,7 @@ func (s *Session) Step(cond thermal.Conditions) (Tick, error) {
 
 // tickTemps is Step's plant-input phase: solve the radiator under this
 // period's boundary conditions into the scratch's module-temperature
-// row. The fleet engine replaces this phase with one shared solve per
-// distinct (radiator, conditions) pair.
+// row.
 func (s *Session) tickTemps(cond thermal.Conditions) error {
 	timed := s.phaseTimed()
 	var t0 time.Time

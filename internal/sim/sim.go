@@ -9,6 +9,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"tegrecon/internal/charger"
@@ -96,12 +97,6 @@ type Options struct {
 	// DeterministicRuntime runs) or where throughput matters more than
 	// the runtime-priced decimals.
 	Workers int
-	// Stepping selects the batch engine used when this Options value
-	// drives a batch of independent runs: the zero value (StepAuto)
-	// routes same-plant, same-cadence jobs through the lockstep fleet
-	// engine, StepSessions forces one session per job, StepLockstep
-	// forces the fleet. A single Run ignores it. See Batch.Stepping.
-	Stepping Stepping
 	// DeterministicRuntime drops the measured controller wall-clock from
 	// the physics: switching overhead is priced with zero compute time
 	// and the runtime statistics report zero. Everything else in a run
@@ -247,6 +242,11 @@ func runContextWith(ctx context.Context, sys *System, tr *trace.Trace, ctrl core
 	return sess.Result(), nil
 }
 
+// ticksFor is the control-period count of a trace replay.
+func ticksFor(tr *trace.Trace, tickSeconds float64) int {
+	return int(math.Floor(tr.Duration()/tickSeconds)) + 1
+}
+
 // RunAll runs several controllers over the same trace — the Table I
 // driver. The runs are independent, so they execute on the batch engine
 // (see batch.go) with a pool bounded by opts.Workers; results keep the
@@ -262,5 +262,5 @@ func RunAllContext(ctx context.Context, sys *System, tr *trace.Trace, ctrls []co
 	for i, c := range ctrls {
 		jobs[i] = Job{Sys: sys, Trace: tr, Ctrl: c, Opts: opts}
 	}
-	return Batch{Workers: opts.Workers, Stepping: opts.Stepping}.RunContext(ctx, jobs)
+	return Batch{Workers: opts.Workers}.RunContext(ctx, jobs)
 }

@@ -39,34 +39,25 @@ func (b *Bank) Validate() error {
 
 // FlowWeights returns the per-path flow weights (mean exactly 1).
 func (b *Bank) FlowWeights() ([]float64, error) {
-	return b.FlowWeightsInto(nil)
-}
-
-// FlowWeightsInto is FlowWeights writing into dst, reusing its backing
-// storage when the capacity suffices.
-func (b *Bank) FlowWeightsInto(dst []float64) ([]float64, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	if cap(dst) < b.Paths {
-		dst = make([]float64, b.Paths)
-	}
-	dst = dst[:b.Paths]
+	w := make([]float64, b.Paths)
 	if b.Paths == 1 {
-		dst[0] = 1
-		return dst, nil
+		w[0] = 1
+		return w, nil
 	}
 	sum := 0.0
-	for i := range dst {
+	for i := range w {
 		x := float64(i) / float64(b.Paths-1)
-		dst[i] = 1 + b.Maldistribution*(4*x*(1-x)-2.0/3.0)
-		sum += dst[i]
+		w[i] = 1 + b.Maldistribution*(4*x*(1-x)-2.0/3.0)
+		sum += w[i]
 	}
 	scale := float64(b.Paths) / sum
-	for i := range dst {
-		dst[i] *= scale
+	for i := range w {
+		w[i] *= scale
 	}
-	return dst, nil
+	return w, nil
 }
 
 // PathConditions splits per-path-average conditions into the actual
@@ -74,45 +65,21 @@ func (b *Bank) FlowWeightsInto(dst []float64) ([]float64, error) {
 // The supplied Conditions carry the per-path *average* coolant and air
 // flows (the convention of the drive-trace channels).
 func (b *Bank) PathConditions(avg Conditions) ([]Conditions, error) {
-	return b.PathConditionsInto(nil, avg)
-}
-
-// PathConditionsInto is PathConditions writing into dst, reusing its
-// backing storage when the capacity suffices. The flow weights are
-// derived inline, so a bank-stepping loop that holds one Conditions
-// buffer pays no per-tick allocation here.
-func (b *Bank) PathConditionsInto(dst []Conditions, avg Conditions) ([]Conditions, error) {
-	if err := b.Validate(); err != nil {
+	weights, err := b.FlowWeights()
+	if err != nil {
 		return nil, err
 	}
 	if err := avg.Validate(); err != nil {
 		return nil, err
 	}
-	if cap(dst) < b.Paths {
-		dst = make([]Conditions, b.Paths)
-	}
-	dst = dst[:b.Paths]
-	if b.Paths == 1 {
-		dst[0] = avg
-		return dst, nil
-	}
-	// Same parabolic profile and renormalisation as FlowWeightsInto,
-	// with the weight consumed as it is produced.
-	sum := 0.0
-	for i := 0; i < b.Paths; i++ {
-		x := float64(i) / float64(b.Paths-1)
-		sum += 1 + b.Maldistribution*(4*x*(1-x)-2.0/3.0)
-	}
-	scale := float64(b.Paths) / sum
-	for i := range dst {
-		x := float64(i) / float64(b.Paths-1)
-		w := (1 + b.Maldistribution*(4*x*(1-x)-2.0/3.0)) * scale
-		dst[i] = avg
-		dst[i].CoolantFlowKgS = avg.CoolantFlowKgS * w
+	out := make([]Conditions, len(weights))
+	for i, w := range weights {
+		out[i] = avg
+		out[i].CoolantFlowKgS = avg.CoolantFlowKgS * w
 		// Air maldistributes much less (open fin area); half strength.
-		dst[i].AirFlowKgS = avg.AirFlowKgS * (1 + (w-1)/2)
+		out[i].AirFlowKgS = avg.AirFlowKgS * (1 + (w-1)/2)
 	}
-	return dst, nil
+	return out, nil
 }
 
 // ModuleTemps returns per-path per-module hot-side temperatures for a
@@ -131,23 +98,4 @@ func (b *Bank) ModuleTemps(avg Conditions, perPath int) ([][]float64, error) {
 		out[i] = temps
 	}
 	return out, nil
-}
-
-// ModuleTempsInto is ModuleTemps over caller-held buffers: the per-path
-// boundary conditions land in conds and the temperatures in dst as a
-// row-major [Paths×perPath] slab (path i's modules at dst[i*perPath:
-// (i+1)*perPath]), both reused when their capacity suffices. A
-// bank-stepping loop holding the two buffers evaluates the whole 2-D
-// radiator each tick without the [][]float64 the allocating form builds
-// (TestBankModuleTempsIntoMatches pins the slab rows to it).
-func (b *Bank) ModuleTempsInto(dst []float64, conds []Conditions, avg Conditions, perPath int) ([]float64, []Conditions, error) {
-	conds, err := b.PathConditionsInto(conds, avg)
-	if err != nil {
-		return nil, nil, err
-	}
-	dst, err = b.Radiator.ModuleTempsBatchInto(dst, conds, perPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dst, conds, nil
 }

@@ -147,135 +147,3 @@ func TestBankSinglePath(t *testing.T) {
 		}
 	}
 }
-
-// testConditions is the nominal per-path average used across the
-// Into-form equivalence tests.
-func testConditions() Conditions {
-	return Conditions{CoolantInletC: 90, CoolantFlowKgS: 0.12, AirInletC: 25, AirFlowKgS: 0.4}
-}
-
-func TestFlowWeightsIntoMatches(t *testing.T) {
-	for _, paths := range []int{1, 2, 7, 16} {
-		for _, m := range []float64{0, 0.25, 0.8} {
-			b := testBank(paths, m)
-			want, err := b.FlowWeights()
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]float64, 0, paths)
-			got, err := b.FlowWeightsInto(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if &got[0] != &buf[:1][0] {
-				t.Fatalf("paths=%d m=%g: FlowWeightsInto reallocated a sufficient buffer", paths, m)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("paths=%d m=%g: weight %d = %v, want %v", paths, m, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestPathConditionsIntoMatches(t *testing.T) {
-	for _, paths := range []int{1, 3, 12} {
-		for _, m := range []float64{0, 0.4} {
-			b := testBank(paths, m)
-			want, err := b.PathConditions(testConditions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]Conditions, 0, paths)
-			got, err := b.PathConditionsInto(buf, testConditions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if &got[0] != &buf[:1][0] {
-				t.Fatalf("paths=%d m=%g: PathConditionsInto reallocated a sufficient buffer", paths, m)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("paths=%d m=%g: path %d = %+v, want %+v", paths, m, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestBankModuleTempsIntoMatches pins the slab form to the allocating
-// [][]float64 form row by row, bit for bit.
-func TestBankModuleTempsIntoMatches(t *testing.T) {
-	const perPath = 25
-	for _, paths := range []int{1, 2, 9} {
-		for _, m := range []float64{0, 0.35, 0.7} {
-			b := testBank(paths, m)
-			want, err := b.ModuleTemps(testConditions(), perPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var slab []float64
-			var conds []Conditions
-			slab, conds, err = b.ModuleTempsInto(slab, conds, testConditions(), perPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(slab) != paths*perPath || len(conds) != paths {
-				t.Fatalf("paths=%d m=%g: slab %d conds %d", paths, m, len(slab), len(conds))
-			}
-			for p := 0; p < paths; p++ {
-				for i := 0; i < perPath; i++ {
-					if got := slab[p*perPath+i]; got != want[p][i] {
-						t.Fatalf("paths=%d m=%g: path %d module %d = %v, want %v", paths, m, p, i, got, want[p][i])
-					}
-				}
-			}
-			// Steady-state: re-filling the held buffers must not allocate.
-			allocs := testing.AllocsPerRun(50, func() {
-				slab, conds, err = b.ModuleTempsInto(slab, conds, testConditions(), perPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("paths=%d m=%g: ModuleTempsInto allocates %v per tick with warm buffers", paths, m, allocs)
-			}
-		}
-	}
-}
-
-// TestModuleTempsBatchIntoDedup checks the shared-solve path: identical
-// conditions rows must come out bit-identical to an independent solve,
-// including when interleaved with distinct rows.
-func TestModuleTempsBatchIntoDedup(t *testing.T) {
-	r := DefaultRadiator()
-	a := testConditions()
-	bc := testConditions()
-	bc.CoolantInletC = 70
-	conds := []Conditions{a, bc, a, a, bc}
-	const n = 40
-	slab, err := r.ModuleTempsBatchInto(nil, conds, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantA, err := r.ModuleTemps(a, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := r.ModuleTemps(bc, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{wantA, wantB, wantA, wantA, wantB}
-	for row := range conds {
-		for i := 0; i < n; i++ {
-			if slab[row*n+i] != want[row][i] {
-				t.Fatalf("row %d module %d = %v, want %v", row, i, slab[row*n+i], want[row][i])
-			}
-		}
-	}
-	if _, err := r.ModuleTempsBatchInto(nil, conds, 0); err == nil {
-		t.Error("non-positive module count should error")
-	}
-}

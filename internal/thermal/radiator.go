@@ -193,43 +193,6 @@ func (r *Radiator) ModuleTempsInto(dst []float64, c Conditions, n int) ([]float6
 	return dst, nil
 }
 
-// ModuleTempsBatchInto is ModuleTempsInto over a slab of boundary
-// conditions: row i of the returned row-major [len(conds)×n] slab holds
-// the n module temperatures under conds[i], and dst's backing storage
-// is reused when its capacity suffices. Rows with identical conditions
-// share one radiator solve — the Eq. (1) distribution is a pure
-// function of the conditions, so the copy is bit-identical — which is
-// what makes batch-stepping many same-scenario plants cheap (the bank's
-// per-path evaluation and the lockstep fleet's phase-1 dedup are this
-// pattern).
-func (r *Radiator) ModuleTempsBatchInto(dst []float64, conds []Conditions, n int) ([]float64, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("thermal: non-positive module count %d", n)
-	}
-	if cap(dst) < len(conds)*n {
-		dst = make([]float64, len(conds)*n)
-	}
-	dst = dst[:len(conds)*n]
-	for i, c := range conds {
-		row := dst[i*n : (i+1)*n]
-		shared := false
-		for j := 0; j < i; j++ {
-			if conds[j] == c {
-				copy(row, dst[j*n:(j+1)*n])
-				shared = true
-				break
-			}
-		}
-		if shared {
-			continue
-		}
-		if _, err := r.ModuleTempsInto(row, c, n); err != nil {
-			return nil, fmt.Errorf("thermal: conditions %d: %w", i, err)
-		}
-	}
-	return dst, nil
-}
-
 // HeatDuty returns the total heat rejected by the radiator (W) under the
 // given conditions, using the whole-exchanger ε-NTU relation.
 func (r *Radiator) HeatDuty(c Conditions) (float64, error) {

@@ -278,7 +278,7 @@ func NewRandomFaultPlan(modules, count int, duration float64, seed int64) (*Faul
 // RunScenarioMatrix expands and runs a declarative scenario matrix on
 // the parallel batch engine. Every cell's seed derives from its
 // canonical coordinate, so the sweep is bit-identical at any worker
-// count or stepping mode.
+// count.
 func RunScenarioMatrix(m *ScenarioMatrix, opts MatrixOptions) (*MatrixResult, error) {
 	return experiments.MatrixSweep(m, opts)
 }
