@@ -60,9 +60,10 @@
 //	                    engine, all cores (aggregate ticks/sec): the
 //	                    scenario-matrix serving cost
 //	sweep_sharded_throughput
-//	                    a cycle sweep sharded by a coordinator across
-//	                    two in-process worker servers over the
-//	                    /v1/shards protocol and merged bit-exactly
+//	                    a cycle sweep whose matrix cells a coordinator
+//	                    shards across two in-process worker servers
+//	                    over the /v1/shards protocol and merges
+//	                    bit-exactly
 //	                    (aggregate worker ticks/sec over coordinator
 //	                    wall clock): the distributed tier's overhead
 //
@@ -1009,9 +1010,10 @@ func benchMatrixSweep(quick bool) (Result, error) {
 }
 
 // benchSweepSharded measures the distributed sweep tier end to end: a
-// coordinator tegserve sharding one cycle sweep across two in-process
-// worker servers over HTTP (internal/serve's /v1/shards protocol) and
-// merging their tables. ticks_per_sec aggregates the workers' simulated
+// coordinator tegserve dispatching one cycle sweep's matrix cells as
+// cell shards to two in-process worker servers over HTTP
+// (internal/serve's /v1/shards protocol) and merging the cells into
+// the sweep table. ticks_per_sec aggregates the workers' simulated
 // control periods over the coordinator's wall clock, so the number
 // carries the full dispatch + merge + transport overhead.
 func benchSweepSharded(quick bool) (Result, error) {

@@ -130,42 +130,3 @@ func (t *Table) Write(w io.Writer, f Format) error {
 		return fmt.Errorf("report: unknown format %q", f)
 	}
 }
-
-// MergeTables concatenates the rows of same-shaped tables in argument
-// order — the coordinator's merge step for sharded sweeps, where each
-// shard renders a contiguous slice of the full table. Title and header
-// must agree exactly across parts (they are schema, and a mismatch
-// means the parts are not shards of one result); a nil part is an
-// error for the same reason. Merging one part returns a copy, so a
-// sharded single-cycle sweep takes the same path as any other.
-func MergeTables(parts []*Table) (*Table, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("report: merging zero tables")
-	}
-	first := parts[0]
-	if first == nil {
-		return nil, fmt.Errorf("report: merging a nil table")
-	}
-	out := &Table{Title: first.Title, Header: first.Header}
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("report: merging a nil table (part %d)", i)
-		}
-		if p.Title != first.Title {
-			return nil, fmt.Errorf("report: part %d title %q differs from %q", i, p.Title, first.Title)
-		}
-		if len(p.Header) != len(first.Header) {
-			return nil, fmt.Errorf("report: part %d has %d columns, want %d", i, len(p.Header), len(first.Header))
-		}
-		for j := range p.Header {
-			if p.Header[j] != first.Header[j] {
-				return nil, fmt.Errorf("report: part %d column %d is %q, want %q", i, j, p.Header[j], first.Header[j])
-			}
-		}
-		out.Rows = append(out.Rows, p.Rows...)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

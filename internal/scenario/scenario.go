@@ -506,11 +506,13 @@ func normalizeAmbients(in []AmbientSpec) ([]AmbientSpec, error) {
 		if a.StepC < 0 || a.ToC < a.FromC {
 			return nil, specErrf("ambient %d range [%g, %g] step %g is not ascending", i, a.FromC, a.ToC, a.StepC)
 		}
-		points := int(math.Floor((a.ToC-a.FromC)/a.StepC)) + 1
+		// Bound the count as a float: a tiny step overflows int, and
+		// the conversion would then drop the whole range silently.
+		points := math.Floor((a.ToC-a.FromC)/a.StepC) + 1
 		if points > maxAmbientAxis {
-			return nil, specErrf("ambient %d range expands to %d points (cap %d)", i, points, maxAmbientAxis)
+			return nil, specErrf("ambient %d range expands to %g points (cap %d)", i, points, maxAmbientAxis)
 		}
-		for k := 0; k < points; k++ {
+		for k := 0; k < int(points); k++ {
 			if err := add(a.FromC+float64(k)*a.StepC, a.CoolantOffsetC); err != nil {
 				return nil, err
 			}

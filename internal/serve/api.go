@@ -55,9 +55,9 @@ type RunRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// SweepRequest is the POST /v1/sweeps body: a cycle × scheme matrix on
-// the batch engine. Sweeps always run with deterministic runtime
-// pricing (a worker pool makes measured runtimes meaningless), so every
+// SweepRequest is the POST /v1/sweeps body: a cycle × scheme matrix,
+// answered as a rendering of scenario-matrix cells (see sweepMatrix).
+// Sweeps always run with deterministic runtime pricing, so every
 // sweep is cacheable.
 type SweepRequest struct {
 	// Cycles selects workloads by name; empty runs every registered
@@ -90,18 +90,6 @@ type runParams struct {
 	keepTicks  bool
 }
 
-// sweepParams is a SweepRequest after normalization.
-type sweepParams struct {
-	cycles       []drive.Cycle
-	schemes      []string // canonical registry names
-	maxDurationS float64
-	tickS        float64
-	noiseC       float64
-	seed         int64
-	modules      int
-	horizon      int
-}
-
 // httpError is a client-visible failure with its status code.
 type httpError struct {
 	status int
@@ -117,8 +105,8 @@ func errf(status int, format string, args ...any) *httpError {
 // defaultOpts mirrors the paper's settings the API defaults to.
 var defaultOpts = sim.DefaultOptions()
 
-// normalizeShared validates the knobs runs and sweeps share, applying
-// defaults in place.
+// normalizeShared validates the knobs runs and twin sessions share,
+// applying defaults in place.
 func (s *Server) normalizeShared(tickS *float64, seed **int64, noise **float64, modules, horizon *int) *httpError {
 	if *tickS == 0 {
 		*tickS = defaultOpts.TickSeconds
@@ -216,56 +204,6 @@ func (s *Server) normalizeRun(req RunRequest) (runParams, *httpError) {
 	}
 	if n := ticksFor(p.durationS, p.tickS); n > float64(s.cfg.MaxTicksPerJob) {
 		return p, errf(http.StatusBadRequest, "run spans %.0f control periods, over the server's %d limit — raise tick_s or lower duration_s", n, s.cfg.MaxTicksPerJob)
-	}
-	return p, nil
-}
-
-func (s *Server) normalizeSweep(req SweepRequest) (sweepParams, *httpError) {
-	var p sweepParams
-	if math.IsNaN(req.MaxDurationS) || math.IsInf(req.MaxDurationS, 0) || req.MaxDurationS < 0 {
-		return p, errf(http.StatusBadRequest, "max_duration_s %g is not a non-negative finite number", req.MaxDurationS)
-	}
-	if herr := s.normalizeShared(&req.TickS, &req.Seed, &req.SensorNoiseC, &req.Modules, &req.HorizonTicks); herr != nil {
-		return p, herr
-	}
-	if len(req.Cycles) == 0 {
-		p.cycles = drive.Cycles()
-	} else {
-		for _, name := range req.Cycles {
-			c, err := drive.CycleByName(name)
-			if err != nil {
-				return sweepParams{}, errf(http.StatusBadRequest, "%v", err)
-			}
-			p.cycles = append(p.cycles, c)
-		}
-	}
-	if len(req.Schemes) == 0 {
-		p.schemes = sim.SchemeNames()
-	} else {
-		for _, name := range req.Schemes {
-			sch, err := sim.SchemeByName(name)
-			if err != nil {
-				return sweepParams{}, errf(http.StatusBadRequest, "%v", err)
-			}
-			p.schemes = append(p.schemes, sch.Name)
-		}
-	}
-	if req.MaxDurationS > 0 && (req.MaxDurationS < 1 || req.MaxDurationS < req.TickS) {
-		return sweepParams{}, errf(http.StatusBadRequest, "max_duration_s %g is shorter than one control period (min 1 s and ≥ tick_s)", req.MaxDurationS)
-	}
-	p.maxDurationS = req.MaxDurationS
-	p.tickS = req.TickS
-	p.noiseC = *req.SensorNoiseC
-	p.seed = *req.Seed
-	p.modules = req.Modules
-	p.horizon = req.HorizonTicks
-	total := 0.0
-	for _, c := range p.cycles {
-		total += ticksFor(effectiveDuration(c, p.maxDurationS), p.tickS)
-	}
-	total *= float64(len(p.schemes))
-	if total > float64(s.cfg.MaxTicksPerJob) {
-		return sweepParams{}, errf(http.StatusBadRequest, "sweep spans %.0f control periods, over the server's %d limit — cap max_duration_s or select fewer cycles", total, s.cfg.MaxTicksPerJob)
 	}
 	return p, nil
 }

@@ -274,28 +274,38 @@ func TestCanonicalKeys(t *testing.T) {
 		seen[k] = i
 	}
 
-	// Sweep keys: order of cycles/schemes is part of the identity.
-	sw1, herr := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
-	if herr != nil {
-		t.Fatal(herr)
+	// Sweep keys hash the translated, normalized matrix: order of
+	// cycles/schemes is part of the identity.
+	keyOfSweep := func(req SweepRequest) string {
+		t.Helper()
+		p, herr := s.normalizeMatrix(MatrixRequest{Matrix: sweepMatrix(req)})
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		k, err := matrixKey("sweep", p.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
 	}
-	sw2, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"wltc", "nedc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
-	if sweepKey(sw1) == sweepKey(sw2) {
+	sw1 := keyOfSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
+	sw2 := keyOfSweep(SweepRequest{Cycles: []string{"wltc", "nedc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
+	if sw1 == sw2 {
 		t.Fatal("cycle order did not change the sweep key")
 	}
-	sw3, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"INOR", "DNOR"}, MaxDurationS: 10})
-	if sweepKey(sw1) != sweepKey(sw3) {
+	sw3 := keyOfSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"INOR", "DNOR"}, MaxDurationS: 10})
+	if sw1 != sw3 {
 		t.Fatal("scheme name case changed the sweep key")
 	}
 	// A cap past every schedule end is physically the same sweep as no
 	// cap; a cap between two cycle lengths is not.
-	swFull, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}})
-	swHuge, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}, MaxDurationS: 1e6})
-	if sweepKey(swFull) != sweepKey(swHuge) {
+	swFull := keyOfSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}})
+	swHuge := keyOfSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}, MaxDurationS: 1e6})
+	if swFull != swHuge {
 		t.Fatal("past-the-end sweep cap hashed differently from no cap")
 	}
-	swMid, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}, MaxDurationS: 1500})
-	if sweepKey(swMid) == sweepKey(swFull) {
+	swMid := keyOfSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}, MaxDurationS: 1500})
+	if swMid == swFull {
 		t.Fatal("a cap that truncates only the wltc did not change the key")
 	}
 }
@@ -323,20 +333,22 @@ func TestNormalizeRejects(t *testing.T) {
 		}
 	}
 	neg := -0.1
-	if _, herr := s.normalizeSweep(SweepRequest{SensorNoiseC: &neg}); herr == nil {
-		t.Error("negative noise sweep normalized")
+	sweeps := []struct {
+		name string
+		req  SweepRequest
+	}{
+		{"negative noise", SweepRequest{SensorNoiseC: &neg}},
+		{"unknown cycle", SweepRequest{Cycles: []string{"nope"}}},
+		{"unknown scheme", SweepRequest{Schemes: []string{"nope"}}},
+		{"sub-period cap", SweepRequest{Cycles: []string{"delivery"}, MaxDurationS: 0.2}},
+		{"full default sweep over a 1000-tick budget", SweepRequest{}},
 	}
-	if _, herr := s.normalizeSweep(SweepRequest{Cycles: []string{"nope"}}); herr == nil {
-		t.Error("unknown sweep cycle normalized")
-	}
-	if _, herr := s.normalizeSweep(SweepRequest{Schemes: []string{"nope"}}); herr == nil {
-		t.Error("unknown sweep scheme normalized")
-	}
-	if _, herr := s.normalizeSweep(SweepRequest{Cycles: []string{"delivery"}, MaxDurationS: 0.2}); herr == nil {
-		t.Error("sub-period sweep cap normalized")
-	}
-	if _, herr := s.normalizeSweep(SweepRequest{}); herr == nil {
-		t.Error("full default sweep fit under a 1000-tick budget")
+	for _, tc := range sweeps {
+		if _, herr := s.normalizeMatrix(MatrixRequest{Matrix: sweepMatrix(tc.req)}); herr == nil {
+			t.Errorf("sweep %s normalized", tc.name)
+		} else if herr.status != 400 {
+			t.Errorf("sweep %s status = %d", tc.name, herr.status)
+		}
 	}
 }
 

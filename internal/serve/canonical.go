@@ -24,8 +24,7 @@ const keyVersion = "tegserve/v1"
 
 type keyBuilder struct{ b strings.Builder }
 
-func (k *keyBuilder) str(name, v string)            { k.b.WriteString("|" + name + "=" + v) }
-func (k *keyBuilder) strs(name string, vs []string) { k.str(name, strings.Join(vs, ",")) }
+func (k *keyBuilder) str(name, v string) { k.b.WriteString("|" + name + "=" + v) }
 func (k *keyBuilder) num(name string, v float64) {
 	// 'x' is the hexadecimal floating-point form: exact, canonical and
 	// locale-free. 0.1 encodes as 0x1.999999999999ap-04, never a rounded
@@ -76,28 +75,5 @@ func cellKey(p matrixParams, cell scenario.Cell) string {
 	k.int("horizon", int64(p.m.HorizonTicks))
 	k.num("dur_s", cell.DurationS)
 	k.str("coord", cell.Coord)
-	return k.sum()
-}
-
-// sweepKey hashes a normalized sweep request. Cycle and scheme order
-// matter — they shape the response matrix — so they are part of the
-// identity, not sorted away. The duration cap enters as each cycle's
-// effective span, not the raw cap: a cap past every schedule end is
-// physically the same sweep as no cap at all and must share its key.
-func sweepKey(p sweepParams) string {
-	var k keyBuilder
-	k.b.WriteString(keyVersion + "/sweep")
-	names := make([]string, len(p.cycles))
-	for i, c := range p.cycles {
-		names[i] = c.Name
-		k.num("dur_"+c.Name, effectiveDuration(c, p.maxDurationS))
-	}
-	k.strs("cycles", names)
-	k.strs("schemes", p.schemes)
-	k.num("tick_s", p.tickS)
-	k.num("noise_c", p.noiseC)
-	k.int("seed", p.seed)
-	k.int("modules", int64(p.modules))
-	k.int("horizon", int64(p.horizon))
 	return k.sum()
 }

@@ -194,7 +194,7 @@ func TestCoordinatorShardedMatrixByteIdentity(t *testing.T) {
 }
 
 // TestCoordinatorShardedSweepByteIdentity: the same contract for
-// /v1/sweeps — cycle shards merged in request order match the
+// /v1/sweeps — cell shards rendered in request order match the
 // single-process table byte for byte.
 func TestCoordinatorShardedSweepByteIdentity(t *testing.T) {
 	_, tsSingle := newTestServer(t, Config{})

@@ -78,16 +78,19 @@ func (s *Server) normalizeMatrix(req MatrixRequest) (matrixParams, *httpError) {
 	return p, nil
 }
 
-// matrixKey hashes the canonical (normalized) spec. Normalize is
-// deterministic and json.Marshal of the canonical struct is too, so
-// every spelling of the same matrix shares one envelope key.
-func matrixKey(m *scenario.Matrix) (string, error) {
+// matrixKey hashes the canonical (normalized) spec under an envelope
+// domain: "matrix" for /v1/matrix, "sweep" for the /v1/sweeps table of
+// the same cells. Normalize is deterministic and json.Marshal of the
+// canonical struct is too, so every spelling of the same matrix shares
+// one envelope key; Normalize keeps axis order, so cycle and scheme
+// order stay part of it.
+func matrixKey(domain string, m *scenario.Matrix) (string, error) {
 	b, err := json.Marshal(m)
 	if err != nil {
 		return "", err
 	}
 	var k keyBuilder
-	k.b.WriteString(keyVersion + "/matrix")
+	k.b.WriteString(keyVersion + "/" + domain)
 	k.str("spec", string(b))
 	return k.sum(), nil
 }
@@ -235,12 +238,8 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 		}
 		return nil
 	}
-	if distribute && onCell == nil && len(s.cfg.WorkerPeers) > 0 {
-		// Coordinator mode: the missing cells fan out to the peers in
-		// contiguous index shards; caching and merging happen through
-		// the same finish path a local run uses, so the resulting
-		// envelope is byte-identical either way.
-		got, err := s.distributeMatrixCells(ctx, ex, missing)
+	if onCell == nil {
+		got, err := s.computeCells(ctx, ex, missing, distribute)
 		if err != nil {
 			return nil, cached, err
 		}
@@ -251,49 +250,49 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 		}
 		return cells, cached, nil
 	}
+	// Streaming: cell-by-cell batches for per-cell progress. The
+	// callback's error (client gone) aborts the remaining cells.
 	sub, err := ex.Subset(missing)
 	if err != nil {
 		return nil, cached, err
 	}
+	k := 0
+	var cbErr error
 	opts := experiments.MatrixOptions{
 		Workers: s.cfg.Workers,
 		OnTick:  s.matrixTicksObserver(),
-	}
-	if onCell != nil {
-		// Streaming: cell-by-cell batches for per-cell progress. The
-		// callback's error (client gone) aborts the remaining cells.
-		k := 0
-		var cbErr error
-		opts.OnCell = func(c experiments.MatrixCell) {
+		OnCell: func(c experiments.MatrixCell) {
 			if cbErr == nil {
 				cbErr = finish(k, c)
 			}
 			k++
-		}
-		if _, err := experiments.RunExpansionContext(ctx, sub, opts); err != nil {
-			return nil, cached, err
-		}
-		if cbErr != nil {
-			return nil, cached, cbErr
-		}
-		return cells, cached, nil
+		},
 	}
-	res, err := experiments.RunExpansionContext(ctx, sub, opts)
-	if err != nil {
+	if _, err := experiments.RunExpansionContext(ctx, sub, opts); err != nil {
 		return nil, cached, err
 	}
-	for k, c := range res.Cells {
-		if err := finish(k, c); err != nil {
-			return nil, cached, err
-		}
+	if cbErr != nil {
+		return nil, cached, cbErr
 	}
 	return cells, cached, nil
 }
 
+// computeCells simulates the given cells (indices into ex.Cells) and
+// returns them in that order. With distribute set, a coordinator fans
+// them out to its worker peers in contiguous index shards; otherwise
+// (or without peers) they run here. Either way every cell is
+// bit-identical, so callers merge without caring who computed it.
+func (s *Server) computeCells(ctx context.Context, ex *scenario.Expansion, idxs []int, distribute bool) ([]experiments.MatrixCell, error) {
+	if distribute && len(s.cfg.WorkerPeers) > 0 {
+		return s.distributeMatrixCells(ctx, ex, idxs)
+	}
+	return s.localMatrixShard(ctx, ex, idxs)
+}
+
 // matrixPayload claims a queue slot, computes (or recalls) every cell
-// and encodes the envelope. distribute fans missing cells out to the
-// worker peers when the server is a coordinator.
-func (s *Server) matrixPayload(ctx context.Context, p matrixParams, ex *scenario.Expansion, keys []string, distribute bool) ([]byte, int, error) {
+// and encodes the envelope. Missing cells fan out to the worker peers
+// when the server is a coordinator.
+func (s *Server) matrixPayload(ctx context.Context, p matrixParams, ex *scenario.Expansion, keys []string) ([]byte, int, error) {
 	if err := s.q.acquire(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -301,7 +300,7 @@ func (s *Server) matrixPayload(ctx context.Context, p matrixParams, ex *scenario
 	s.met.computations.Add(1)
 	started := time.Now()
 	defer func() { s.met.observeJob(time.Since(started)) }()
-	cells, cached, err := s.computeMatrix(ctx, ex, keys, nil, distribute)
+	cells, cached, err := s.computeMatrix(ctx, ex, keys, nil, true)
 	if err != nil {
 		return nil, cached, err
 	}
@@ -336,7 +335,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.matrices.Add(1)
-	key, err := matrixKey(p.m)
+	key, err := matrixKey("matrix", p.m)
 	if err != nil {
 		s.writeJSONError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -346,43 +345,23 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		s.streamMatrix(w, r, p, key)
 		return
 	}
-	if payload, ok := s.cache.get(key); ok {
-		s.logCache(r, "hit", key)
-		writePayload(w, "hit", payload)
-		return
-	}
 	var cachedCells int
-	payload, err, shared := s.flights.do(r.Context(), key, func() ([]byte, error) {
-		if b, ok := s.cache.peek(key); ok {
-			return b, nil
-		}
+	payload, state, err := s.cachedPayload(r, key, func(ctx context.Context) ([]byte, error) {
 		ex, keys, err := s.expandMatrix(p, key)
 		if err != nil {
 			return nil, err
 		}
-		ctx, cancel := s.detachedJobContext()
-		defer cancel()
-		b, err := s.computeShared(ctx, key, func() ([]byte, error) {
-			b, cached, err := s.matrixPayload(ctx, p, ex, keys, true)
-			cachedCells = cached
-			return b, err
-		})
-		if err == nil {
-			s.cache.put(key, b)
-		}
+		b, cached, err := s.matrixPayload(ctx, p, ex, keys)
+		cachedCells = cached
 		return b, err
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)
 		return
 	}
-	state := "miss"
-	if shared {
-		state = "coalesced"
-		s.met.coalesced.Add(1)
+	if state != "hit" {
+		w.Header().Set("X-Matrix-Cells-Cached", strconv.Itoa(cachedCells))
 	}
-	s.logCache(r, state, key)
-	w.Header().Set("X-Matrix-Cells-Cached", strconv.Itoa(cachedCells))
 	writePayload(w, state, payload)
 }
 

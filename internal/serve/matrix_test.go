@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"tegrecon/internal/experiments"
+	"tegrecon/internal/report"
 	"tegrecon/internal/scenario"
 )
 
@@ -110,11 +112,11 @@ func TestMatrixKeySurfaceFormInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka, err := matrixKey(na)
+	ka, err := matrixKey("matrix", na)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := matrixKey(nb)
+	kb, err := matrixKey("matrix", nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,5 +424,70 @@ func TestMatrixMetrics(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestSweepRendersMatrixCells pins the /v1/sweeps contract: the table
+// is a rendering of scenario-matrix cells. Its rows equal, in request
+// order, the /v1/matrix cells for the same cycles, schemes, seed, cap
+// and modules, rendered through report.FromScenarioSweep. The request
+// lists cycles and schemes out of coordinate order, so row order comes
+// from the request, not from the matrix's stable cell order.
+func TestSweepRendersMatrixCells(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cycles := []string{"nedc", "delivery"}
+	schemes := []string{"DNOR", "Baseline", "INOR"} // canonical spellings
+	resp, b := postJSON(t, ts.URL+"/v1/sweeps",
+		`{"cycles":["nedc","delivery"],"schemes":["dnor","baseline","inor"],"max_duration_s":6,"modules":20,"seed":11}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("sweep: %d: %s", resp.StatusCode, b)
+	}
+	var sweep sweepEnvelope
+	if err := json.Unmarshal(b, &sweep); err != nil {
+		t.Fatal(err)
+	}
+	resp, b = postJSON(t, ts.URL+"/v1/matrix",
+		`{"cycles":[{"name":"nedc"},{"name":"delivery"}],"schemes":["dnor","baseline","inor"],"max_duration_s":6,"array_sizes":[20],"seed":11}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("matrix: %d: %s", resp.StatusCode, b)
+	}
+	var matrix matrixEnvelope
+	if err := json.Unmarshal(b, &matrix); err != nil {
+		t.Fatal(err)
+	}
+
+	res := &experiments.ScenarioSweepResult{Schemes: schemes}
+	for _, cy := range cycles {
+		var row []experiments.ScenarioCell
+		for _, sch := range schemes {
+			found := false
+			for _, c := range matrix.Cells {
+				if c.Cycle != cy || c.Scheme != sch {
+					continue
+				}
+				found = true
+				row = append(row, experiments.ScenarioCell{
+					Cycle: c.Cycle, Scheme: c.Scheme, DurationS: c.DurationS,
+					EnergyOutJ: c.EnergyOutJ, OverheadJ: c.OverheadJ,
+					SwitchEvents: c.SwitchEvents, SwitchToggles: c.SwitchToggles,
+					IdealEnergyJ: c.IdealEnergyJ,
+				})
+			}
+			if !found {
+				t.Fatalf("matrix has no cell for %s × %s", cy, sch)
+			}
+		}
+		res.Cells = append(res.Cells, row)
+	}
+	want, err := json.Marshal(report.FromScenarioSweep(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(sweep.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sweep table is not the rendering of the matrix cells\ngot  %s\nwant %s", got, want)
 	}
 }

@@ -14,7 +14,8 @@
 //	GET  /v1/schemes  registered reconfiguration schemes
 //	POST /v1/runs     one scheme over one cycle (JSON result, or SSE
 //	                  tick stream with "stream": true)
-//	POST /v1/sweeps   cycle × scheme matrix on the batch engine
+//	POST /v1/sweeps   cycle × scheme table, rendered from the cells of
+//	                  the scenario matrix it translates to
 //	POST /v1/matrix   declarative scenario matrix (internal/scenario):
 //	                  expanded under the admission bounds, every cell
 //	                  content-addressed into the result cache, SSE
@@ -53,6 +54,7 @@ import (
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/obs"
 	"tegrecon/internal/report"
+	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/store"
 )
@@ -123,7 +125,7 @@ type Config struct {
 	Store *store.Store
 	// WorkerPeers lists peer tegserve base URLs (e.g.
 	// "http://10.0.0.2:8080"). When non-empty this server becomes a
-	// coordinator: /v1/sweeps and /v1/matrix split their job lists into
+	// coordinator: /v1/sweeps and /v1/matrix split their cell lists into
 	// contiguous shards, fan them out to the peers over POST /v1/shards,
 	// and merge the bit-identical partial results into the same envelope
 	// a single process would produce; a failed shard is recomputed
@@ -440,6 +442,46 @@ func (s *Server) logCache(r *http.Request, state, key string) {
 	s.log.Debug("cache", "state", state, "key", key, "request_id", obs.RequestID(r.Context()))
 }
 
+// cachedPayload answers a deterministic request from the result cache
+// or computes it exactly once: concurrent misses for one key coalesce
+// onto a single flight, whose leader runs compute under a context
+// detached from any one client (computeShared widens the claim to
+// every process sharing the store) and caches the payload on the way
+// out. It returns the payload and its X-Cache state — "hit", "miss" or
+// "coalesced" — with the outcome already logged.
+func (s *Server) cachedPayload(r *http.Request, key string, compute func(context.Context) ([]byte, error)) ([]byte, string, error) {
+	if payload, ok := s.cache.get(key); ok {
+		s.logCache(r, "hit", key)
+		return payload, "hit", nil
+	}
+	payload, err, shared := s.flights.do(r.Context(), key, func() ([]byte, error) {
+		// Re-check under the flight: a request that lost the race
+		// between the cache probe above and joining the flight must
+		// not become a second computation of a result that just landed
+		// (peek: internal, invisible to the hit/miss accounting).
+		if b, ok := s.cache.peek(key); ok {
+			return b, nil
+		}
+		ctx, cancel := s.detachedJobContext()
+		defer cancel()
+		b, err := s.computeShared(ctx, key, func() ([]byte, error) { return compute(ctx) })
+		if err == nil {
+			s.cache.put(key, b)
+		}
+		return b, err
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	state := "miss"
+	if shared {
+		state = "coalesced"
+		s.met.coalesced.Add(1)
+	}
+	s.logCache(r, state, key)
+	return payload, state, nil
+}
+
 func writePayload(w http.ResponseWriter, cacheState string, payload []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheState)
@@ -586,39 +628,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writePayload(w, "bypass", payload)
 		return
 	}
-	if payload, ok := s.cache.get(key); ok {
-		s.logCache(r, "hit", key)
-		writePayload(w, "hit", payload)
-		return
-	}
-	payload, err, shared := s.flights.do(r.Context(), key, func() ([]byte, error) {
-		// Re-check under the flight: a request that lost the race
-		// between the cache probe above and joining the flight must
-		// not become a second computation of a result that just landed
-		// (peek: internal, invisible to the hit/miss accounting).
-		if b, ok := s.cache.peek(key); ok {
-			return b, nil
-		}
-		ctx, cancel := s.detachedJobContext()
-		defer cancel()
-		b, err := s.computeShared(ctx, key, func() ([]byte, error) {
-			return s.runPayload(ctx, p)
-		})
-		if err == nil {
-			s.cache.put(key, b)
-		}
-		return b, err
+	payload, state, err := s.cachedPayload(r, key, func(ctx context.Context) ([]byte, error) {
+		return s.runPayload(ctx, p)
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)
 		return
 	}
-	state := "miss"
-	if shared {
-		state = "coalesced"
-		s.met.coalesced.Add(1)
-	}
-	s.logCache(r, state, key)
 	writePayload(w, state, payload)
 }
 
@@ -704,10 +720,50 @@ type sweepEnvelope struct {
 	Table   *report.Table `json:"table"`
 }
 
-// sweepPayload claims a queue slot and runs the cycle × scheme matrix
-// on the batch engine. Sweeps always price runtime deterministically —
-// the cacheability contract — so the payload is bit-reproducible.
-func (s *Server) sweepPayload(ctx context.Context, p sweepParams) ([]byte, error) {
+// sweepMatrix translates a sweep request into the scenario matrix it
+// renders: the named cycles (every registered one when none are named)
+// × the selected schemes at one array size, under the request's run
+// parameters. A cap at or past every selected cycle's full length is
+// dropped, so it shares a spec — and so a cache key — with no cap.
+func sweepMatrix(req SweepRequest) scenario.Matrix {
+	names := req.Cycles
+	if len(names) == 0 {
+		for _, c := range drive.Cycles() {
+			names = append(names, c.Name)
+		}
+	}
+	m := scenario.Matrix{
+		TickS:        req.TickS,
+		SensorNoiseC: req.SensorNoiseC,
+		HorizonTicks: req.HorizonTicks,
+		MaxDurationS: req.MaxDurationS,
+		Cycles:       make([]scenario.CycleSpec, len(names)),
+		Schemes:      req.Schemes,
+	}
+	if req.Seed != nil {
+		m.Seed = *req.Seed
+	}
+	if req.Modules != 0 {
+		m.ArraySizes = []int{req.Modules}
+	}
+	longest := 0.0
+	for i, name := range names {
+		m.Cycles[i] = scenario.CycleSpec{Name: name}
+		if c, err := drive.CycleByName(name); err == nil {
+			longest = math.Max(longest, c.DurationS)
+		}
+	}
+	if m.MaxDurationS >= longest {
+		m.MaxDurationS = 0
+	}
+	return m
+}
+
+// computeSweep claims a queue slot, computes every cell of the sweep's
+// matrix (fanned out to the worker peers in coordinator mode) and
+// renders them as the cycle × scheme table. Cells are not cached one
+// by one: a sweep costs a single store write, its envelope's.
+func (s *Server) computeSweep(ctx context.Context, p matrixParams) ([]byte, error) {
 	if err := s.q.acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -715,26 +771,49 @@ func (s *Server) sweepPayload(ctx context.Context, p sweepParams) ([]byte, error
 	s.met.computations.Add(1)
 	started := time.Now()
 	defer func() { s.met.observeJob(time.Since(started)) }()
-	sys := sim.DefaultSystem()
-	sys.Modules = p.modules
-	opts := sim.DefaultOptions()
-	opts.TickSeconds = p.tickS
-	opts.SensorNoiseC = p.noiseC
-	opts.Seed = p.seed
-	opts.Workers = s.cfg.Workers
-	opts.DeterministicRuntime = true
-	opts.KeepTicks = false
-	opts.OnTick = func(sim.Tick) { s.met.ticks.Add(1) }
-	setup := &experiments.Setup{Sys: sys, Opts: opts, HorizonTicks: p.horizon}
-	res, err := experiments.ScenarioSweepContext(ctx, setup, experiments.ScenarioOptions{
-		Cycles:      p.cycles,
-		Schemes:     p.schemes,
-		MaxDuration: p.maxDurationS,
-	})
+	ex, err := p.m.Expand()
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: report.FromScenarioSweep(res)})
+	all := make([]int, len(ex.Cells))
+	for i := range all {
+		all[i] = i
+	}
+	cells, err := s.computeCells(ctx, ex, all, true)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: sweepTable(p.m, cells)})
+}
+
+// sweepTable renders the cells in request order — each cycle as listed
+// under each scheme as listed, the axis order Normalize keeps —
+// through the same table the library's cycle × scheme sweep produces.
+func sweepTable(m *scenario.Matrix, cells []experiments.MatrixCell) *report.Table {
+	type rowKey struct{ cycle, scheme string }
+	byRow := make(map[rowKey]experiments.MatrixCell, len(cells))
+	for _, c := range cells {
+		byRow[rowKey{c.Cycle, c.Scheme}] = c
+	}
+	res := &experiments.ScenarioSweepResult{Schemes: m.Schemes}
+	for _, cy := range m.Cycles {
+		row := make([]experiments.ScenarioCell, len(m.Schemes))
+		for j, sch := range m.Schemes {
+			c := byRow[rowKey{cy.Label, sch}]
+			row[j] = experiments.ScenarioCell{
+				Cycle:         c.Cycle,
+				Scheme:        c.Scheme,
+				DurationS:     c.DurationS,
+				EnergyOutJ:    c.EnergyOutJ,
+				OverheadJ:     c.OverheadJ,
+				SwitchEvents:  c.SwitchEvents,
+				SwitchToggles: c.SwitchToggles,
+				IdealEnergyJ:  c.IdealEnergyJ,
+			}
+		}
+		res.Cells = append(res.Cells, row)
+	}
+	return report.FromScenarioSweep(res)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -743,7 +822,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeHTTPError(w, herr)
 		return
 	}
-	p, herr := s.normalizeSweep(req)
+	p, herr := s.normalizeMatrix(MatrixRequest{Matrix: sweepMatrix(req)})
 	if herr != nil {
 		s.writeHTTPError(w, herr)
 		return
@@ -753,50 +832,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.sweeps.Add(1)
-	s.serveSweepCached(w, r, p, true)
-}
-
-// serveSweepCached is the cache → flight → compute path shared by
-// /v1/sweeps and the /v1/shards sweep leg. Only the client-facing
-// entrypoint may distribute: a shard request computes locally
-// regardless of WorkerPeers, so a misconfigured coordinator-as-peer
-// cannot recurse the fan-out.
-func (s *Server) serveSweepCached(w http.ResponseWriter, r *http.Request, p sweepParams, distribute bool) {
-	key := sweepKey(p)
-	w.Header().Set("X-Cache-Key", key)
-	if payload, ok := s.cache.get(key); ok {
-		s.logCache(r, "hit", key)
-		writePayload(w, "hit", payload)
+	key, err := matrixKey("sweep", p.m)
+	if err != nil {
+		s.writeJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	payload, err, shared := s.flights.do(r.Context(), key, func() ([]byte, error) {
-		// Same race re-check as handleRun: never recompute a result
-		// that landed between the cache probe and the flight claim.
-		if b, ok := s.cache.peek(key); ok {
-			return b, nil
-		}
-		ctx, cancel := s.detachedJobContext()
-		defer cancel()
-		b, err := s.computeShared(ctx, key, func() ([]byte, error) {
-			if distribute && len(s.cfg.WorkerPeers) > 0 {
-				return s.distributedSweep(ctx, p)
-			}
-			return s.sweepPayload(ctx, p)
-		})
-		if err == nil {
-			s.cache.put(key, b)
-		}
-		return b, err
+	w.Header().Set("X-Cache-Key", key)
+	payload, state, err := s.cachedPayload(r, key, func(ctx context.Context) ([]byte, error) {
+		return s.computeSweep(ctx, p)
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)
 		return
 	}
-	state := "miss"
-	if shared {
-		state = "coalesced"
-		s.met.coalesced.Add(1)
-	}
-	s.logCache(r, state, key)
 	writePayload(w, state, payload)
 }

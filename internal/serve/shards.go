@@ -1,15 +1,16 @@
 // POST /v1/shards: the internal worker protocol behind coordinator
-// mode. A coordinator (a server configured with WorkerPeers) splits a
-// sweep's cycle list or a matrix's missing-cell list into contiguous
-// shards (scenario.PlanShards), posts each to a peer, and merges the
-// partial results into the same envelope a single process would have
+// mode. A coordinator (a server configured with WorkerPeers) splits
+// the cell list of a matrix — the missing cells of a /v1/matrix
+// request, every cell of a /v1/sweeps table — into contiguous shards
+// (scenario.PlanShards), posts each to a peer, and merges the partial
+// results into the same envelope a single process would have
 // produced. The merge is sound by construction: every cell's seed
-// derives from its coordinate and every sweep job from the shared
-// request seed, so a shard computes bit-identical values wherever it
-// runs — distribution changes who simulates, never what. A peer that
-// fails mid-shard (crash, network, 5xx) is not retried remotely: the
-// coordinator recomputes that shard locally, trading latency for the
-// guarantee that one dead worker can never change or lose a result.
+// derives from its coordinate, so a shard computes bit-identical
+// values wherever it runs — distribution changes who simulates, never
+// what. A peer that fails mid-shard (crash, network, 5xx) is not
+// retried remotely: the coordinator recomputes that shard locally,
+// trading latency for the guarantee that one dead worker can never
+// change or lose a result.
 //
 // Workers never re-fan-out: the shard handler always computes locally,
 // so a misconfigured ring of coordinators degrades into local
@@ -28,26 +29,21 @@ import (
 	"time"
 
 	"tegrecon/internal/experiments"
-	"tegrecon/internal/report"
 	"tegrecon/internal/scenario"
 )
 
-// ShardRequest is the POST /v1/shards body. Exactly one of the two
-// legs is populated, selected by Kind.
+// ShardRequest is the POST /v1/shards body.
 type ShardRequest struct {
-	// Kind is "matrix" or "sweep".
+	// Kind is "matrix", the only shard kind. It stays on the wire so a
+	// peer on another build refuses a kind it does not know with a 400,
+	// which the coordinator absorbs by computing the shard locally.
 	Kind string `json:"kind"`
-	// Matrix is the full normalized spec (kind "matrix"). The worker
-	// re-expands it — expansion is deterministic, so coordinator and
-	// worker agree on every cell index — and simulates only Cells.
+	// Matrix is the full normalized spec. The worker re-expands it —
+	// expansion is deterministic, so coordinator and worker agree on
+	// every cell index — and simulates only Cells.
 	Matrix *scenario.Matrix `json:"matrix,omitempty"`
 	// Cells are indices into the full expansion's stable cell order.
 	Cells []int `json:"cells,omitempty"`
-	// Sweep is the sub-sweep to run (kind "sweep"): the coordinator's
-	// normalized request narrowed to this shard's cycles. Every sweep
-	// job is seeded from the request alone, so a cycle subset computes
-	// the same rows the full sweep would.
-	Sweep *SweepRequest `json:"sweep,omitempty"`
 }
 
 // shardMatrixResponse carries a matrix shard's cells back. Cell Index
@@ -70,14 +66,11 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.shardsServed.Add(1)
-	switch req.Kind {
-	case "matrix":
-		s.handleMatrixShard(w, r, req)
-	case "sweep":
-		s.handleSweepShard(w, r, req)
-	default:
-		s.writeJSONError(w, http.StatusBadRequest, "shard kind must be \"matrix\" or \"sweep\"")
+	if req.Kind != "matrix" {
+		s.writeJSONError(w, http.StatusBadRequest, "shard kind must be \"matrix\"")
+		return
 	}
+	s.handleMatrixShard(w, r, req)
 }
 
 func (s *Server) handleMatrixShard(w http.ResponseWriter, r *http.Request, req ShardRequest) {
@@ -93,7 +86,7 @@ func (s *Server) handleMatrixShard(w http.ResponseWriter, r *http.Request, req S
 		s.writeHTTPError(w, herr)
 		return
 	}
-	key, err := matrixKey(p.m)
+	key, err := matrixKey("matrix", p.m)
 	if err != nil {
 		s.writeJSONError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -132,20 +125,6 @@ func (s *Server) handleMatrixShard(w http.ResponseWriter, r *http.Request, req S
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(shardMatrixResponse{Cells: cells})
-}
-
-func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request, req ShardRequest) {
-	if req.Sweep == nil {
-		s.writeJSONError(w, http.StatusBadRequest, "sweep shard needs a sweep request")
-		return
-	}
-	p, herr := s.normalizeSweep(*req.Sweep)
-	if herr != nil {
-		s.writeHTTPError(w, herr)
-		return
-	}
-	// distribute=false: a shard computes here, never fans out again.
-	s.serveSweepCached(w, r, p, false)
 }
 
 // --- coordinator side ---
@@ -251,8 +230,9 @@ func (s *Server) dispatchMatrixShard(ctx context.Context, peer string, ex *scena
 	return resp.Cells, nil
 }
 
-// localMatrixShard is the retry path: the same Subset the peer would
-// have run, on this process's batch pool.
+// localMatrixShard runs cells on this process's batch pool: the local
+// path of computeCells, and the retry of a failed shard — the same
+// Subset the peer would have run.
 func (s *Server) localMatrixShard(ctx context.Context, ex *scenario.Expansion, idxs []int) ([]experiments.MatrixCell, error) {
 	sub, err := ex.Subset(idxs)
 	if err != nil {
@@ -267,107 +247,3 @@ func (s *Server) localMatrixShard(ctx context.Context, ex *scenario.Expansion, i
 	}
 	return res.Cells, nil
 }
-
-// distributedSweep fans the sweep's cycles out to the worker peers and
-// merges the per-shard tables back into the envelope a single process
-// would produce. Shards are contiguous cycle ranges in request order,
-// so concatenating the returned rows in shard order reproduces the
-// serial row order; every job's seed comes from the request, so the
-// row contents are bit-identical wherever they ran. The coordinator
-// holds no queue slot while peers work — only a local retry claims
-// one, inside sweepPayload.
-func (s *Server) distributedSweep(ctx context.Context, p sweepParams) ([]byte, error) {
-	peers := s.cfg.WorkerPeers
-	shards := scenario.PlanShards(len(p.cycles), len(peers))
-	parts := make([]*report.Table, len(shards))
-	errs := make([]error, len(shards))
-	started := time.Now()
-	defer func() { s.met.observeJob(time.Since(started)) }()
-	var wg sync.WaitGroup
-	for si, rng := range shards {
-		wg.Add(1)
-		go func(si int, sub sweepParams) {
-			defer wg.Done()
-			peer := peers[si%len(peers)]
-			tab, err := s.dispatchSweepShard(ctx, peer, sub)
-			if err != nil {
-				s.met.shardRetries.Add(1)
-				s.log.Warn("sweep shard failed, recomputing locally",
-					"peer", peer, "cycles", len(sub.cycles), "error", err)
-				var payload []byte
-				if payload, err = s.sweepPayload(ctx, sub); err == nil {
-					tab, err = sweepTableOf(payload)
-				}
-			}
-			parts[si], errs[si] = tab, err
-		}(si, p.subset(rng[0], rng[1]))
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged, err := report.MergeTables(parts)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: merged})
-}
-
-// subset narrows the normalized sweep to a contiguous cycle range.
-func (p sweepParams) subset(lo, hi int) sweepParams {
-	sub := p
-	sub.cycles = p.cycles[lo:hi]
-	return sub
-}
-
-// shardSweepRequest re-encodes a normalized sub-sweep as the request
-// the worker will normalize again — canonical registry names and
-// explicit values throughout, so both sides agree on every default.
-func shardSweepRequest(p sweepParams) SweepRequest {
-	names := make([]string, len(p.cycles))
-	for i, c := range p.cycles {
-		names[i] = c.Name
-	}
-	seed, noise := p.seed, p.noiseC
-	return SweepRequest{
-		Cycles:       names,
-		Schemes:      p.schemes,
-		MaxDurationS: p.maxDurationS,
-		TickS:        p.tickS,
-		Seed:         &seed,
-		SensorNoiseC: &noise,
-		Modules:      p.modules,
-		HorizonTicks: p.horizon,
-	}
-}
-
-func (s *Server) dispatchSweepShard(ctx context.Context, peer string, sub sweepParams) (*report.Table, error) {
-	b, err := s.postShard(ctx, peer, ShardRequest{Kind: "sweep", Sweep: ptr(shardSweepRequest(sub))})
-	if err != nil {
-		return nil, err
-	}
-	tab, err := sweepTableOf(b)
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: %w", peer, err)
-	}
-	return tab, nil
-}
-
-// sweepTableOf decodes a sweep envelope back to its table — the merge
-// currency. The decoded strings are the exact bytes the worker
-// rendered, so re-marshaling the merged table stays bit-identical to a
-// single-process render.
-func sweepTableOf(payload []byte) (*report.Table, error) {
-	var env sweepEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return nil, fmt.Errorf("decoding sweep envelope: %w", err)
-	}
-	if env.Version != report.ResultVersion || env.Table == nil {
-		return nil, fmt.Errorf("sweep envelope version %d without a table (want version %d)", env.Version, report.ResultVersion)
-	}
-	return env.Table, nil
-}
-
-func ptr[T any](v T) *T { return &v }
