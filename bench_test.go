@@ -6,6 +6,7 @@
 package tegrecon
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -96,7 +97,7 @@ func benchTableIScheme(b *testing.B, build func(*experiments.Setup) (core.Contro
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Run(s.Sys, s.Trace, ctrl, s.Opts)
+		res, err := sim.Run(context.Background(), s.Sys, s.Trace, ctrl, s.Opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func BenchmarkHorizonAblation(b *testing.B) {
 	s := benchSetup(b, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HorizonAblation(s, []int{1, 4}); err != nil {
+		if _, err := experiments.HorizonAblation(context.Background(), s, []int{1, 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,7 +329,7 @@ func BenchmarkRunVsSession(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sim.Run(s.Sys, s.Trace, ctrl, opts); err != nil {
+			if _, err := sim.Run(context.Background(), s.Sys, s.Trace, ctrl, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -362,7 +363,7 @@ func BenchmarkFaultStudy(b *testing.B) {
 	s := benchSetup(b, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FaultStudy(s, 10, int64(i)+1); err != nil {
+		if _, err := experiments.FaultStudy(context.Background(), s, 10, int64(i)+1); err != nil {
 			b.Fatal(err)
 		}
 	}

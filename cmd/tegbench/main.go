@@ -125,6 +125,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -606,7 +607,7 @@ func benchTableScheme(scheme string, seconds float64) (Result, error) {
 		return Result{}, err
 	}
 	start := time.Now()
-	res, err := sim.Run(s.Sys, s.Trace, ctrl, opts)
+	res, err := sim.Run(context.Background(), s.Sys, s.Trace, ctrl, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -787,7 +788,7 @@ func benchSweep(maxDuration float64) (Result, error) {
 	var ticks atomic.Int64
 	s.Opts.OnTick = func(sim.Tick) { ticks.Add(1) }
 	start := time.Now()
-	if _, err := experiments.ScenarioSweep(s, experiments.ScenarioOptions{MaxDuration: maxDuration}); err != nil {
+	if _, err := experiments.ScenarioSweep(context.Background(), s, experiments.ScenarioOptions{MaxDuration: maxDuration}); err != nil {
 		return Result{}, err
 	}
 	elapsed := time.Since(start)
@@ -995,7 +996,7 @@ func benchMatrixSweep(quick bool) (Result, error) {
 	m := benchMatrixSpec(cellDuration)
 	var ticks atomic.Int64
 	start := time.Now()
-	if _, err := experiments.MatrixSweep(m, experiments.MatrixOptions{
+	if _, err := experiments.MatrixSweep(context.Background(), m, experiments.MatrixOptions{
 		Workers: 0,
 		OnTick:  func(sim.Tick) { ticks.Add(1) },
 	}); err != nil {

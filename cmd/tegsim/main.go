@@ -215,7 +215,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sim.RunContext(ctx, setup.Sys, setup.Trace, ctrl, setup.Opts)
+		res, err := sim.Run(ctx, setup.Sys, setup.Trace, ctrl, setup.Opts)
 		if err != nil {
 			fail(err)
 		}
@@ -240,7 +240,7 @@ func main() {
 	var trailer string
 	switch *study {
 	case "table1":
-		res, err := experiments.TableIContext(ctx, setup)
+		res, err := experiments.TableI(ctx, setup)
 		if err != nil {
 			fail(err)
 		}
@@ -253,38 +253,38 @@ func main() {
 		}
 		tab = report.FromTableI(res)
 	case "faults":
-		pts, err := experiments.FaultStudyContext(ctx, setup, *failures, *seed)
+		pts, err := experiments.FaultStudy(ctx, setup, *failures, *seed)
 		if err != nil {
 			fail(err)
 		}
 		tab = report.FromFaultStudy(pts)
 	case "seeds":
-		res, err := experiments.SeedSweepContext(ctx, setup, *seeds, *duration)
+		res, err := experiments.SeedSweep(ctx, setup, *seeds, *duration)
 		if err != nil {
 			fail(err)
 		}
 		tab = report.FromSeedSweep(res)
 	case "margins":
-		pts, err := experiments.MarginAblationContext(ctx, setup, []float64{0, 0.25, 0.5, 1, 2})
+		pts, err := experiments.MarginAblation(ctx, setup, []float64{0, 0.25, 0.5, 1, 2})
 		if err != nil {
 			fail(err)
 		}
 		tab = report.FromMargins(pts)
 		trailer = "margin 0 is the paper's Algorithm 2 rule"
 	case "bank":
-		pts, err := experiments.BankStudyContext(ctx, setup, 5, []float64{0, 0.2, 0.4, 0.6})
+		pts, err := experiments.BankStudy(ctx, setup, 5, []float64{0, 0.2, 0.4, 0.6})
 		if err != nil {
 			fail(err)
 		}
 		tab = report.FromBank(pts)
 	case "horizon":
-		pts, err := experiments.HorizonAblationContext(ctx, setup, []int{1, 2, 4, 6, 8})
+		pts, err := experiments.HorizonAblation(ctx, setup, []int{1, 2, 4, 6, 8})
 		if err != nil {
 			fail(err)
 		}
 		tab = report.FromHorizon(pts)
 	case "predictors":
-		pts, err := experiments.PredictorAblationContext(ctx, setup)
+		pts, err := experiments.PredictorAblation(ctx, setup)
 		if err != nil {
 			fail(err)
 		}
@@ -298,7 +298,7 @@ func main() {
 		if *workers != 1 {
 			setup.Opts.DeterministicRuntime = true
 		}
-		res, err := experiments.ScenarioSweepContext(ctx, setup, experiments.ScenarioOptions{MaxDuration: *scenarioCap})
+		res, err := experiments.ScenarioSweep(ctx, setup, experiments.ScenarioOptions{MaxDuration: *scenarioCap})
 		if err != nil {
 			fail(err)
 		}

@@ -55,7 +55,7 @@ func runMatrix(ctx context.Context, path string, workers int, format report.Form
 		return err
 	}
 	meter := newProgressMeter()
-	res, err := experiments.MatrixSweepContext(ctx, m, experiments.MatrixOptions{
+	res, err := experiments.MatrixSweep(ctx, m, experiments.MatrixOptions{
 		Workers: workers,
 		OnTick:  meter.observe,
 	})

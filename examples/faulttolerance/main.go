@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 	}
 
 	for _, failures := range []int{5, 15, 30} {
-		pts, err := experiments.FaultStudy(setup, failures, 7)
+		pts, err := experiments.FaultStudy(context.Background(), setup, failures, 7)
 		if err != nil {
 			log.Fatal(err)
 		}

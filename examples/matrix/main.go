@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	_ "embed"
 	"encoding/json"
 	"fmt"
@@ -51,7 +52,7 @@ func main() {
 	fmt.Printf("spec %q: %d cells, %d jobs, %d control periods\n\n",
 		m.Name, counts.Cells, counts.Jobs, counts.Ticks)
 
-	res, err := experiments.MatrixSweep(&m, experiments.MatrixOptions{Workers: 0})
+	res, err := experiments.MatrixSweep(context.Background(), &m, experiments.MatrixOptions{Workers: 0})
 	if err != nil {
 		log.Fatal(err)
 	}

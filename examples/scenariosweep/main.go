@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	}
 	fmt.Println()
 
-	res, err := experiments.ScenarioSweep(setup, experiments.ScenarioOptions{MaxDuration: durationCap})
+	res, err := experiments.ScenarioSweep(context.Background(), setup, experiments.ScenarioOptions{MaxDuration: durationCap})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -99,13 +99,8 @@ type HorizonPoint struct {
 // HorizonAblation sweeps DNOR's prediction horizon tp over the setup's
 // trace. Horizon 1 is the shortest durable window; larger horizons
 // amortise switches further but lean harder on forecast quality.
-func HorizonAblation(s *Setup, horizons []int) ([]HorizonPoint, error) {
-	return HorizonAblationContext(context.Background(), s, horizons)
-}
-
-// HorizonAblationContext is HorizonAblation with cancellation threaded
-// into every run's per-tick check.
-func HorizonAblationContext(ctx context.Context, s *Setup, horizons []int) ([]HorizonPoint, error) {
+// Cancellation is threaded into every run's per-tick check.
+func HorizonAblation(ctx context.Context, s *Setup, horizons []int) ([]HorizonPoint, error) {
 	jobs := make([]sim.Job, 0, len(horizons))
 	for _, h := range horizons {
 		setup := *s
@@ -116,7 +111,7 @@ func HorizonAblationContext(ctx context.Context, s *Setup, horizons []int) ([]Ho
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -143,13 +138,8 @@ type PredictorPoint struct {
 // PredictorAblation runs DNOR with each predictor (MLR, BPNN, SVR, the
 // persistence baseline, and the oracle upper bound) over the setup's
 // trace.
-func PredictorAblation(s *Setup) ([]PredictorPoint, error) {
-	return PredictorAblationContext(context.Background(), s)
-}
-
-// PredictorAblationContext is PredictorAblation with cancellation
-// threaded into every run's per-tick check.
-func PredictorAblationContext(ctx context.Context, s *Setup) ([]PredictorPoint, error) {
+// Cancellation is threaded into every run's per-tick check.
+func PredictorAblation(ctx context.Context, s *Setup) ([]PredictorPoint, error) {
 	seq, _, err := s.TempSequence()
 	if err != nil {
 		return nil, err
@@ -183,7 +173,7 @@ func PredictorAblationContext(ctx context.Context, s *Setup) ([]PredictorPoint, 
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -208,13 +198,8 @@ type WindowPoint struct {
 // WindowAblation narrows the converter's input-voltage band (hence
 // INOR's [nmin, nmax]) and measures delivered energy, demonstrating why
 // the group-count window matters (Section III.B).
-func WindowAblation(s *Setup, windows [][2]float64) ([]WindowPoint, error) {
-	return WindowAblationContext(context.Background(), s, windows)
-}
-
-// WindowAblationContext is WindowAblation with cancellation threaded
-// into every run's per-tick check.
-func WindowAblationContext(ctx context.Context, s *Setup, windows [][2]float64) ([]WindowPoint, error) {
+// Cancellation is threaded into every run's per-tick check.
+func WindowAblation(ctx context.Context, s *Setup, windows [][2]float64) ([]WindowPoint, error) {
 	jobs := make([]sim.Job, 0, len(windows))
 	for _, w := range windows {
 		if w[1] <= w[0] {
@@ -232,7 +217,7 @@ func WindowAblationContext(ctx context.Context, s *Setup, windows [][2]float64) 
 		}
 		jobs = append(jobs, sim.Job{Sys: setup.Sys, Trace: s.Trace, Ctrl: inor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -257,13 +242,8 @@ type MarginPoint struct {
 // fewer switch events — the knob that closes the gap between our
 // synthetic trace's switch count and the paper's (EXPERIMENTS.md
 // Table I note 1).
-func MarginAblation(s *Setup, marginsJ []float64) ([]MarginPoint, error) {
-	return MarginAblationContext(context.Background(), s, marginsJ)
-}
-
-// MarginAblationContext is MarginAblation with cancellation threaded
-// into every run's per-tick check.
-func MarginAblationContext(ctx context.Context, s *Setup, marginsJ []float64) ([]MarginPoint, error) {
+// Cancellation is threaded into every run's per-tick check.
+func MarginAblation(ctx context.Context, s *Setup, marginsJ []float64) ([]MarginPoint, error) {
 	eval, err := s.Evaluator()
 	if err != nil {
 		return nil, err
@@ -286,7 +266,7 @@ func MarginAblationContext(ctx context.Context, s *Setup, marginsJ []float64) ([
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"tegrecon/internal/drive"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/thermal"
-	"tegrecon/internal/trace"
 )
 
 // BankPoint is one maldistribution level of the Ext-G 2-D radiator
@@ -30,14 +29,9 @@ type BankPoint struct {
 // while starved edge paths develop steeper ones, and the flow→power map
 // is nonlinear. Paths are electrically independent here (one charger
 // per path); a shared-bus variant would only widen the gap.
-func BankStudy(s *Setup, paths int, levels []float64) ([]BankPoint, error) {
-	return BankStudyContext(context.Background(), s, paths, levels)
-}
-
-// BankStudyContext is BankStudy with cancellation: the context reaches
-// every run's per-tick check, so a cancel aborts the study within one
-// control period.
-func BankStudyContext(ctx context.Context, s *Setup, paths int, levels []float64) ([]BankPoint, error) {
+// The context reaches every run's per-tick check, so a cancel aborts
+// the study within one control period.
+func BankStudy(ctx context.Context, s *Setup, paths int, levels []float64) ([]BankPoint, error) {
 	if paths < 2 {
 		return nil, fmt.Errorf("experiments: bank study needs ≥2 paths, got %d", paths)
 	}
@@ -53,25 +47,21 @@ func BankStudyContext(ctx context.Context, s *Setup, paths int, levels []float64
 			return nil, err
 		}
 		for _, w := range weights {
-			pathTrace, err := pathScaledTrace(s.Trace, w)
+			pathTrace, err := drive.PathTrace(s.Trace, w)
 			if err != nil {
 				return nil, err
 			}
-			inor, err := s.NewINOR()
-			if err != nil {
-				return nil, err
-			}
-			base, err := s.NewBaseline()
+			ctrls, err := s.newSchemes("INOR", "Baseline")
 			if err != nil {
 				return nil, err
 			}
 			jobs = append(jobs,
-				sim.Job{Sys: s.Sys, Trace: pathTrace, Ctrl: inor, Opts: opts},
-				sim.Job{Sys: s.Sys, Trace: pathTrace, Ctrl: base, Opts: opts})
+				sim.Job{Sys: s.Sys, Trace: pathTrace, Ctrl: ctrls[0], Opts: opts},
+				sim.Job{Sys: s.Sys, Trace: pathTrace, Ctrl: ctrls[1], Opts: opts})
 			levelOf = append(levelOf, li, li)
 		}
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -90,15 +80,4 @@ func BankStudyContext(ctx context.Context, s *Setup, paths int, levels []float64
 		}
 	}
 	return out, nil
-}
-
-// pathScaledTrace applies a path's flow weight to the shared drive
-// trace (coolant fully, air at half strength, mirroring
-// thermal.Bank.PathConditions).
-func pathScaledTrace(tr *trace.Trace, w float64) (*trace.Trace, error) {
-	scaled, err := tr.ScaleChannel(drive.ChanCoolantFlow, w)
-	if err != nil {
-		return nil, err
-	}
-	return scaled.ScaleChannel(drive.ChanAirFlow, 1+(w-1)/2)
 }

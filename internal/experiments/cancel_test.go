@@ -34,7 +34,7 @@ func TestScenarioSweepCancelAbortsWithinOnePeriod(t *testing.T) {
 		}
 	}
 
-	_, err = ScenarioSweepContext(ctx, s, ScenarioOptions{MaxDuration: 120})
+	_, err = ScenarioSweep(ctx, s, ScenarioOptions{MaxDuration: 120})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -47,8 +47,9 @@ func TestScenarioSweepCancelAbortsWithinOnePeriod(t *testing.T) {
 	}
 }
 
-// TestTableICancelPropagates covers the serial (Workers: 1) path: the
-// cancel must surface from the batch's calling-goroutine loop too.
+// TestTableICancelPropagates covers Workers: 1, where the batch runs
+// its jobs one at a time on a single pool goroutine: the cancel must
+// surface there too.
 func TestTableICancelPropagates(t *testing.T) {
 	s := shortSetup(t, 60)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -59,7 +60,7 @@ func TestTableICancelPropagates(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := TableIContext(ctx, s); !errors.Is(err, context.Canceled) {
+	if _, err := TableI(ctx, s); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 	if got := ticks.Load(); got != 20 {

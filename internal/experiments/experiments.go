@@ -77,6 +77,19 @@ func (s *Setup) NewScheme(name string) (core.Controller, error) {
 	return sch.New(s.Sys, s.schemeConfig())
 }
 
+// newSchemes builds one fresh controller per name, in order.
+func (s *Setup) newSchemes(names ...string) ([]core.Controller, error) {
+	out := make([]core.Controller, len(names))
+	for i, name := range names {
+		c, err := s.NewScheme(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
 // NewDNOR builds the paper's DNOR (MLR predictor).
 func (s *Setup) NewDNOR() (core.Controller, error) { return s.NewScheme("DNOR") }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -164,7 +165,7 @@ func TestTableIShortRun(t *testing.T) {
 		t.Skip("table I is slow")
 	}
 	s := shortSetup(t, 120)
-	res, err := TableI(s)
+	res, err := TableI(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestHorizonAblation(t *testing.T) {
 		t.Skip("ablation is slow")
 	}
 	s := shortSetup(t, 100)
-	pts, err := HorizonAblation(s, []int{1, 4})
+	pts, err := HorizonAblation(context.Background(), s, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestPredictorAblation(t *testing.T) {
 		t.Skip("ablation is slow")
 	}
 	s := shortSetup(t, 100)
-	pts, err := PredictorAblation(s)
+	pts, err := PredictorAblation(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestWindowAblation(t *testing.T) {
 		t.Skip("ablation is slow")
 	}
 	s := shortSetup(t, 80)
-	pts, err := WindowAblation(s, [][2]float64{{4.5, 36}, {12, 16}})
+	pts, err := WindowAblation(context.Background(), s, [][2]float64{{4.5, 36}, {12, 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestWindowAblation(t *testing.T) {
 	if pts[0].EnergyOutJ < pts[1].EnergyOutJ*0.98 {
 		t.Errorf("full window %v below narrow window %v", pts[0].EnergyOutJ, pts[1].EnergyOutJ)
 	}
-	if _, err := WindowAblation(s, [][2]float64{{10, 5}}); err == nil {
+	if _, err := WindowAblation(context.Background(), s, [][2]float64{{10, 5}}); err == nil {
 		t.Error("inverted window should error")
 	}
 }
@@ -347,7 +348,7 @@ func TestFaultStudy(t *testing.T) {
 		t.Skip("fault study is slow")
 	}
 	s := shortSetup(t, 100)
-	pts, err := FaultStudy(s, 15, 3)
+	pts, err := FaultStudy(context.Background(), s, 15, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestFaultStudy(t *testing.T) {
 
 func TestFaultStudyValidation(t *testing.T) {
 	s := shortSetup(t, 40)
-	if _, err := FaultStudy(s, 0, 1); err == nil {
+	if _, err := FaultStudy(context.Background(), s, 0, 1); err == nil {
 		t.Error("zero failures should error")
 	}
 }
@@ -384,7 +385,7 @@ func TestSeedSweep(t *testing.T) {
 		t.Skip("seed sweep is slow")
 	}
 	s := shortSetup(t, 60)
-	res, err := SeedSweep(s, 4, 60)
+	res, err := SeedSweep(context.Background(), s, 4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,13 +416,13 @@ func TestSeedSweepParallelBitIdenticalToSerial(t *testing.T) {
 	// count must reproduce the serial result exactly — not approximately.
 	s := shortSetup(t, 40)
 	s.Opts.Workers = 1
-	serial, err := SeedSweep(s, 3, 40)
+	serial, err := SeedSweep(context.Background(), s, 3, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Force the concurrent path even on a single-CPU box.
 	s.Opts.Workers = max(4, runtime.NumCPU())
-	parallel, err := SeedSweep(s, 3, 40)
+	parallel, err := SeedSweep(context.Background(), s, 3, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,10 +433,10 @@ func TestSeedSweepParallelBitIdenticalToSerial(t *testing.T) {
 
 func TestSeedSweepValidation(t *testing.T) {
 	s := shortSetup(t, 40)
-	if _, err := SeedSweep(s, 1, 60); err == nil {
+	if _, err := SeedSweep(context.Background(), s, 1, 60); err == nil {
 		t.Error("one seed should error")
 	}
-	if _, err := SeedSweep(s, 3, 0); err == nil {
+	if _, err := SeedSweep(context.Background(), s, 3, 0); err == nil {
 		t.Error("zero duration should error")
 	}
 }
@@ -445,7 +446,7 @@ func TestBankStudy(t *testing.T) {
 		t.Skip("bank study is slow")
 	}
 	s := shortSetup(t, 60)
-	pts, err := BankStudy(s, 3, []float64{0, 0.6})
+	pts, err := BankStudy(context.Background(), s, 3, []float64{0, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,10 +469,10 @@ func TestBankStudy(t *testing.T) {
 
 func TestBankStudyValidation(t *testing.T) {
 	s := shortSetup(t, 40)
-	if _, err := BankStudy(s, 1, []float64{0}); err == nil {
+	if _, err := BankStudy(context.Background(), s, 1, []float64{0}); err == nil {
 		t.Error("one path should error")
 	}
-	if _, err := BankStudy(s, 3, []float64{2}); err == nil {
+	if _, err := BankStudy(context.Background(), s, 3, []float64{2}); err == nil {
 		t.Error("maldistribution ≥1 should error")
 	}
 }
@@ -481,7 +482,7 @@ func TestMarginAblation(t *testing.T) {
 		t.Skip("ablation is slow")
 	}
 	s := shortSetup(t, 120)
-	pts, err := MarginAblation(s, []float64{0, 0.5, 2})
+	pts, err := MarginAblation(context.Background(), s, []float64{0, 0.5, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +522,7 @@ func TestSchemeBuilderGuards(t *testing.T) {
 	if _, err := s.NewDNOR(); err == nil {
 		t.Error("horizon 0 DNOR built silently")
 	}
-	if _, err := HorizonAblation(s, []int{0}); err == nil {
+	if _, err := HorizonAblation(context.Background(), s, []int{0}); err == nil {
 		t.Error("horizon-0 ablation point ran silently")
 	}
 	// INOR ignores the horizon, so it still builds.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"tegrecon/internal/core"
 	"tegrecon/internal/faults"
 	"tegrecon/internal/sim"
 )
@@ -19,35 +18,14 @@ type FaultPoint struct {
 	FaultyCaptureFrac float64 // faulty energy / surviving-module ideal
 }
 
-// buildController dispatches scheme construction by name.
-func (s *Setup) buildController(name string) (core.Controller, error) {
-	switch name {
-	case "DNOR":
-		return s.NewDNOR()
-	case "INOR":
-		return s.NewINOR()
-	case "EHTR":
-		return s.NewEHTR()
-	case "Baseline":
-		return s.NewBaseline()
-	default:
-		return nil, fmt.Errorf("experiments: unknown scheme %q", name)
-	}
-}
-
 // FaultStudy (Ext-E) injects `failures` random module failures over the
 // trace and compares how much of the healthy-case energy each scheme
 // retains. Reconfiguration re-balances around dead modules while the
 // static baseline cannot — the extension of the paper's Section I
 // robustness motivation.
-func FaultStudy(s *Setup, failures int, seed int64) ([]FaultPoint, error) {
-	return FaultStudyContext(context.Background(), s, failures, seed)
-}
-
-// FaultStudyContext is FaultStudy with cancellation: the context reaches
-// every run's per-tick check, so a cancel aborts the study within one
-// control period.
-func FaultStudyContext(ctx context.Context, s *Setup, failures int, seed int64) ([]FaultPoint, error) {
+// The context reaches every run's per-tick check, so a cancel aborts
+// the study within one control period.
+func FaultStudy(ctx context.Context, s *Setup, failures int, seed int64) ([]FaultPoint, error) {
 	if failures <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive failure count %d", failures)
 	}
@@ -62,19 +40,15 @@ func FaultStudyContext(ctx context.Context, s *Setup, failures int, seed int64) 
 	faultOpts.FaultPlan = plan
 	jobs := make([]sim.Job, 0, 2*len(schemes))
 	for _, name := range schemes {
-		clean, err := s.buildController(name)
-		if err != nil {
-			return nil, err
-		}
-		faulted, err := s.buildController(name)
+		ctrls, err := s.newSchemes(name, name)
 		if err != nil {
 			return nil, err
 		}
 		jobs = append(jobs,
-			sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: clean, Opts: cleanOpts},
-			sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: faulted, Opts: faultOpts})
+			sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: ctrls[0], Opts: cleanOpts},
+			sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: ctrls[1], Opts: faultOpts})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

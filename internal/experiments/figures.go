@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"tegrecon/internal/core"
 	"tegrecon/internal/predict"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/teg"
@@ -90,23 +90,11 @@ func Fig6PowerSeries(s *Setup, startS, endS float64) (*PowerSeriesResult, error)
 	if window.Len() < 2 {
 		return nil, fmt.Errorf("experiments: window [%g, %g] outside trace", startS, endS)
 	}
-	dnor, err := s.NewDNOR()
+	ctrls, err := s.newSchemes("DNOR", "INOR", "EHTR", "Baseline")
 	if err != nil {
 		return nil, err
 	}
-	inor, err := s.NewINOR()
-	if err != nil {
-		return nil, err
-	}
-	ehtr, err := s.NewEHTR()
-	if err != nil {
-		return nil, err
-	}
-	base, err := s.NewBaseline()
-	if err != nil {
-		return nil, err
-	}
-	runs, err := sim.RunAll(s.Sys, window, []core.Controller{dnor, inor, ehtr, base}, s.Opts)
+	runs, err := sim.RunAll(context.TODO(), s.Sys, window, ctrls, s.Opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestTableIGolden(t *testing.T) {
 	}
 	s.Opts.DeterministicRuntime = true
 	s.Opts.Workers = 0 // bit-identical to serial under DeterministicRuntime
-	res, err := TableI(s)
+	res, err := TableI(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +91,20 @@ func TestTableIGolden(t *testing.T) {
 // the naive per-candidate DP — to a small constant, but the table
 // build is work INOR never does), the static baseline is the cheapest,
 // and DNOR's prediction-gated search undercuts INOR's every-tick
-// optimisation. Each scheme's runtime is the fastest of a few runs, so
+// optimisation. Each scheme's runtime is the fastest of seven runs, so
 // a burst of load from other test packages landing on one scheme's
-// run does not decide the ordering.
+// runs does not decide the ordering: under a full parallel `go test
+// ./...`, three runs were not enough for every scheme to get one
+// undisturbed sample.
 func TestTableIRuntimeOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures wall-clock controller runtimes")
 	}
 	rt := map[string]float64{}
-	for rep := 0; rep < 3; rep++ {
+	for rep := 0; rep < 7; rep++ {
 		s := shortSetup(t, 120)
 		s.Opts.Workers = 1 // serial: measured runtimes must not fight for cores
-		res, err := TableI(s)
+		res, err := TableI(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}

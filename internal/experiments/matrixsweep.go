@@ -40,7 +40,8 @@ type MatrixResult struct {
 // MatrixOptions tunes the sweep engine, not the physics — nothing here
 // can change a cell's numbers (every job runs DeterministicRuntime).
 type MatrixOptions struct {
-	// Workers bounds the batch worker pool (0 → NumCPU, 1 → serial).
+	// Workers bounds the batch worker pool (0 → NumCPU, 1 → one job at
+	// a time).
 	Workers int
 	// OnTick, when non-nil, observes every simulated control period —
 	// the aggregate progress feed. It may be called concurrently from
@@ -53,27 +54,24 @@ type MatrixOptions struct {
 	OnCell func(MatrixCell)
 }
 
-// MatrixSweep expands and runs a scenario matrix. See MatrixSweepContext.
-func MatrixSweep(m *scenario.Matrix, opts MatrixOptions) (*MatrixResult, error) {
-	return MatrixSweepContext(context.Background(), m, opts)
-}
-
-// MatrixSweepContext expands the matrix and runs every job on the
-// batch engine, folding per-path results into cells. Serial and
-// parallel runs are bit-identical because every job is seeded from its
-// cell coordinate and runs with DeterministicRuntime.
-func MatrixSweepContext(ctx context.Context, m *scenario.Matrix, opts MatrixOptions) (*MatrixResult, error) {
+// MatrixSweep expands the matrix and runs every job on the batch
+// engine, folding per-path results into cells. Serial and parallel runs
+// are bit-identical because every job is seeded from its cell
+// coordinate and runs with DeterministicRuntime. The context reaches
+// every run's per-tick check, so a cancel aborts the sweep within one
+// control period.
+func MatrixSweep(ctx context.Context, m *scenario.Matrix, opts MatrixOptions) (*MatrixResult, error) {
 	ex, err := m.Expand()
 	if err != nil {
 		return nil, err
 	}
-	return RunExpansionContext(ctx, ex, opts)
+	return RunExpansion(ctx, ex, opts)
 }
 
-// RunExpansionContext runs an already-expanded matrix — the entry
-// point for callers that need the Expansion themselves (serve's
-// per-cell cache addressing).
-func RunExpansionContext(ctx context.Context, ex *scenario.Expansion, opts MatrixOptions) (*MatrixResult, error) {
+// RunExpansion runs an already-expanded matrix — the entry point for
+// callers that need the Expansion themselves (serve's per-cell cache
+// addressing). Cancellation behaves as in MatrixSweep.
+func RunExpansion(ctx context.Context, ex *scenario.Expansion, opts MatrixOptions) (*MatrixResult, error) {
 	runOpts := make([]sim.Options, len(ex.Jobs))
 	for i := range ex.Jobs {
 		runOpts[i] = ex.Jobs[i].Opts
@@ -104,7 +102,7 @@ func RunExpansionContext(ctx context.Context, ex *scenario.Expansion, opts Matri
 			for end < len(ex.CellOf) && ex.CellOf[end] == ci {
 				end++
 			}
-			results, err := sim.Batch{Workers: opts.Workers}.RunContext(ctx, ex.Jobs[start:end])
+			results, err := sim.Batch{Workers: opts.Workers}.Run(ctx, ex.Jobs[start:end])
 			if err != nil {
 				return nil, fmt.Errorf("experiments: matrix cell %s: %w", ex.Cells[ci].Coord, err)
 			}
@@ -117,7 +115,7 @@ func RunExpansionContext(ctx context.Context, ex *scenario.Expansion, opts Matri
 		return out, nil
 	}
 
-	results, err := sim.Batch{Workers: opts.Workers}.RunContext(ctx, ex.Jobs)
+	results, err := sim.Batch{Workers: opts.Workers}.Run(ctx, ex.Jobs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: matrix sweep: %w", err)
 	}

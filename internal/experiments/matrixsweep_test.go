@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -33,7 +34,7 @@ func goldenMatrix() *scenario.Matrix {
 // — not approximately.
 func TestMatrixSweepBitIdentity(t *testing.T) {
 	m := goldenMatrix()
-	golden, err := MatrixSweep(m, MatrixOptions{Workers: 1})
+	golden, err := MatrixSweep(context.Background(), m, MatrixOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestMatrixSweepBitIdentity(t *testing.T) {
 	}
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
-			res, err := MatrixSweep(goldenMatrix(), run.opts)
+			res, err := MatrixSweep(context.Background(), goldenMatrix(), run.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +80,7 @@ func TestMatrixSweepBitIdentity(t *testing.T) {
 	// delivered cell must still be bit-identical to the golden one.
 	t.Run("oncell", func(t *testing.T) {
 		var streamed []MatrixCell
-		res, err := MatrixSweep(goldenMatrix(), MatrixOptions{
+		res, err := MatrixSweep(context.Background(), goldenMatrix(), MatrixOptions{
 			Workers: 0,
 			OnCell:  func(c MatrixCell) { streamed = append(streamed, c) },
 		})
@@ -103,7 +104,7 @@ func TestMatrixSweepBitIdentity(t *testing.T) {
 }
 
 func TestMatrixMarginals(t *testing.T) {
-	res, err := MatrixSweep(goldenMatrix(), MatrixOptions{Workers: 0})
+	res, err := MatrixSweep(context.Background(), goldenMatrix(), MatrixOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestMatrixMarginals(t *testing.T) {
 // as the full sweep.
 func TestRunExpansionSubset(t *testing.T) {
 	m := goldenMatrix()
-	full, err := MatrixSweep(m, MatrixOptions{Workers: 0})
+	full, err := MatrixSweep(context.Background(), m, MatrixOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRunExpansionSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunExpansionContext(t.Context(), sub, MatrixOptions{Workers: 0})
+	res, err := RunExpansion(t.Context(), sub, MatrixOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"tegrecon/internal/core"
 	"tegrecon/internal/drive"
 	"tegrecon/internal/sim"
 )
@@ -46,27 +45,22 @@ type ScenarioSweepResult struct {
 	Cells [][]ScenarioCell
 }
 
-// scenarioSchemes builds one controller factory per selected scheme —
-// controllers carry mutable state and must not be shared across jobs,
-// so each (cycle, scheme) job calls its factory for a fresh instance.
-// A nil selection runs the whole registry, whose order follows the
-// paper's presentation: static baseline first, then INOR, DNOR, EHTR.
-func scenarioSchemes(s *Setup, names []string) ([]func() (core.Controller, error), error) {
+// scenarioSchemes validates the scheme selection. A nil selection runs
+// the whole registry, whose order follows the paper's presentation:
+// static baseline first, then INOR, DNOR, EHTR.
+func scenarioSchemes(names []string) ([]string, error) {
 	if names == nil {
 		names = sim.SchemeNames()
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("experiments: scenario sweep with no schemes")
 	}
-	out := make([]func() (core.Controller, error), 0, len(names))
 	for _, name := range names {
 		if _, err := sim.SchemeByName(name); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		name := name
-		out = append(out, func() (core.Controller, error) { return s.NewScheme(name) })
 	}
-	return out, nil
+	return names, nil
 }
 
 // ScenarioSweep runs every selected cycle under all four reconfiguration
@@ -75,14 +69,10 @@ func scenarioSchemes(s *Setup, names []string) ([]func() (core.Controller, error
 // The cycle traces are prescribed-speed and therefore deterministic;
 // with s.Opts.DeterministicRuntime set the whole sweep is bit-identical
 // at any worker count.
-func ScenarioSweep(s *Setup, opts ScenarioOptions) (*ScenarioSweepResult, error) {
-	return ScenarioSweepContext(context.Background(), s, opts)
-}
-
-// ScenarioSweepContext is ScenarioSweep with cancellation: the context
-// reaches every job's per-tick check, so a cancel aborts each in-flight
-// run within one control period and no further jobs start.
-func ScenarioSweepContext(ctx context.Context, s *Setup, opts ScenarioOptions) (*ScenarioSweepResult, error) {
+// The context reaches every job's per-tick check, so a cancel aborts
+// each in-flight run within one control period and no further jobs
+// start.
+func ScenarioSweep(ctx context.Context, s *Setup, opts ScenarioOptions) (*ScenarioSweepResult, error) {
 	cycles := opts.Cycles
 	if cycles == nil {
 		cycles = drive.Cycles()
@@ -93,7 +83,7 @@ func ScenarioSweepContext(ctx context.Context, s *Setup, opts ScenarioOptions) (
 	if opts.MaxDuration < 0 {
 		return nil, fmt.Errorf("experiments: negative scenario duration cap %g", opts.MaxDuration)
 	}
-	builders, err := scenarioSchemes(s, opts.Schemes)
+	schemes, err := scenarioSchemes(opts.Schemes)
 	if err != nil {
 		return nil, err
 	}
@@ -107,21 +97,22 @@ func ScenarioSweepContext(ctx context.Context, s *Setup, opts ScenarioOptions) (
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cycle %s: %w", cy.Name, err)
 		}
-		for _, build := range builders {
-			ctrl, err := build()
+		// Controllers carry mutable state, so every job gets its own.
+		for _, name := range schemes {
+			ctrl, err := s.NewScheme(name)
 			if err != nil {
 				return nil, err
 			}
 			jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: tr, Ctrl: ctrl, Opts: runOpts})
 		}
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
 
 	out := &ScenarioSweepResult{}
-	perCycle := len(builders)
+	perCycle := len(schemes)
 	for i, cy := range cycles {
 		row := make([]ScenarioCell, perCycle)
 		for j := 0; j < perCycle; j++ {

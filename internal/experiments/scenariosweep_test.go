@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func sweepSetup(t *testing.T, workers int) *Setup {
 // schemes) on truncated cycles and checks the matrix shape and content.
 func TestScenarioSweepMatrix(t *testing.T) {
 	s := sweepSetup(t, 0)
-	res, err := ScenarioSweep(s, ScenarioOptions{MaxDuration: 30})
+	res, err := ScenarioSweep(context.Background(), s, ScenarioOptions{MaxDuration: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +75,15 @@ func TestScenarioSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	opts := ScenarioOptions{Cycles: cycles, MaxDuration: 20}
 
-	serial, err := ScenarioSweep(sweepSetup(t, 1), opts)
+	serial, err := ScenarioSweep(context.Background(), sweepSetup(t, 1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ScenarioSweep(sweepSetup(t, 4), opts)
+	parallel, err := ScenarioSweep(context.Background(), sweepSetup(t, 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := ScenarioSweep(sweepSetup(t, 4), opts)
+	again, err := ScenarioSweep(context.Background(), sweepSetup(t, 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +109,10 @@ func cyclesByName(names ...string) ([]drive.Cycle, error) {
 
 func TestScenarioSweepRejectsBadOptions(t *testing.T) {
 	s := sweepSetup(t, 1)
-	if _, err := ScenarioSweep(s, ScenarioOptions{Cycles: []drive.Cycle{}}); err == nil {
+	if _, err := ScenarioSweep(context.Background(), s, ScenarioOptions{Cycles: []drive.Cycle{}}); err == nil {
 		t.Error("empty cycle list should error")
 	}
-	if _, err := ScenarioSweep(s, ScenarioOptions{MaxDuration: -1}); err == nil {
+	if _, err := ScenarioSweep(context.Background(), s, ScenarioOptions{MaxDuration: -1}); err == nil {
 		t.Error("negative duration cap should error")
 	}
 }
@@ -122,7 +123,7 @@ func TestScenarioSweepRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sweepSetup(t, 0)
-	res, err := ScenarioSweep(s, ScenarioOptions{Cycles: cycles, MaxDuration: 20})
+	res, err := ScenarioSweep(context.Background(), s, ScenarioOptions{Cycles: cycles, MaxDuration: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestScenarioSweepRender(t *testing.T) {
 
 	// A measured-runtime sweep renders it.
 	s.Opts.DeterministicRuntime = false
-	res, err = ScenarioSweep(s, ScenarioOptions{Cycles: cycles, MaxDuration: 20})
+	res, err = ScenarioSweep(context.Background(), s, ScenarioOptions{Cycles: cycles, MaxDuration: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"tegrecon/internal/core"
 	"tegrecon/internal/drive"
 	"tegrecon/internal/sim"
 )
@@ -34,14 +33,9 @@ type SeedSweepResult struct {
 // (zero) compute time here — the sweep reports energy statistics, not
 // runtimes, and dropping the wall-clock term makes the result
 // bit-identical across repeats and worker counts.
-func SeedSweep(s *Setup, seeds int, duration float64) (*SeedSweepResult, error) {
-	return SeedSweepContext(context.Background(), s, seeds, duration)
-}
-
-// SeedSweepContext is SeedSweep with cancellation: the context reaches
-// every run's per-tick check, so a cancel aborts the sweep within one
-// control period.
-func SeedSweepContext(ctx context.Context, s *Setup, seeds int, duration float64) (*SeedSweepResult, error) {
+// The context reaches every run's per-tick check, so a cancel aborts
+// the sweep within one control period.
+func SeedSweep(ctx context.Context, s *Setup, seeds int, duration float64) (*SeedSweepResult, error) {
 	if seeds < 2 {
 		return nil, fmt.Errorf("experiments: seed sweep needs ≥2 seeds, got %d", seeds)
 	}
@@ -59,23 +53,15 @@ func SeedSweepContext(ctx context.Context, s *Setup, seeds int, duration float64
 		if err != nil {
 			return nil, err
 		}
-		dnor, err := s.NewDNOR()
+		ctrls, err := s.newSchemes("DNOR", "INOR", "Baseline")
 		if err != nil {
 			return nil, err
 		}
-		inor, err := s.NewINOR()
-		if err != nil {
-			return nil, err
-		}
-		base, err := s.NewBaseline()
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range []core.Controller{dnor, inor, base} {
+		for _, c := range ctrls {
 			jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: tr, Ctrl: c, Opts: opts})
 		}
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.RunContext(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"tegrecon/internal/core"
 	"tegrecon/internal/sim"
 )
 
@@ -37,31 +36,14 @@ type TableIResult struct {
 }
 
 // TableI runs the four schemes of Table I over the setup's trace.
-func TableI(s *Setup) (*TableIResult, error) {
-	return TableIContext(context.Background(), s)
-}
-
-// TableIContext is TableI with cancellation: the context reaches every
-// run's per-tick check, so a cancel aborts the whole study within one
-// control period.
-func TableIContext(ctx context.Context, s *Setup) (*TableIResult, error) {
-	dnor, err := s.NewDNOR()
+// The context reaches every run's per-tick check, so a cancel aborts
+// the whole study within one control period.
+func TableI(ctx context.Context, s *Setup) (*TableIResult, error) {
+	ctrls, err := s.newSchemes("DNOR", "INOR", "EHTR", "Baseline")
 	if err != nil {
 		return nil, err
 	}
-	inor, err := s.NewINOR()
-	if err != nil {
-		return nil, err
-	}
-	ehtr, err := s.NewEHTR()
-	if err != nil {
-		return nil, err
-	}
-	base, err := s.NewBaseline()
-	if err != nil {
-		return nil, err
-	}
-	results, err := sim.RunAllContext(ctx, s.Sys, s.Trace, []core.Controller{dnor, inor, ehtr, base}, s.summaryOpts())
+	results, err := sim.RunAll(ctx, s.Sys, s.Trace, ctrls, s.summaryOpts())
 	if err != nil {
 		return nil, err
 	}

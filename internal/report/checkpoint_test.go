@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -140,7 +141,7 @@ func TestCheckpointRoundTripRestores(t *testing.T) {
 	}
 	sys := sim.DefaultSystem()
 	sys.Modules = 24
-	sess, err := sim.RestoreSession(sys, back)
+	sess, err := sim.RestoreSession(context.Background(), sys, back)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,8 +245,7 @@ func (st *expandState) baseTrace(ci int, c CycleSpec, amb AmbientSpec) (*trace.T
 }
 
 // pathTrace applies one bank path's flow weight to a base trace
-// (coolant fully, air at half strength — thermal.Bank.PathConditions'
-// convention, same as experiments.BankStudy).
+// through drive.PathTrace, memoised per (base, weight).
 func (st *expandState) pathTrace(baseKey string, base *trace.Trace, w float64) (*trace.Trace, error) {
 	if w == 1 {
 		return base, nil
@@ -255,11 +254,7 @@ func (st *expandState) pathTrace(baseKey string, base *trace.Trace, w float64) (
 	if tr, ok := st.traces[key]; ok {
 		return tr, nil
 	}
-	scaled, err := base.ScaleChannel(drive.ChanCoolantFlow, w)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := scaled.ScaleChannel(drive.ChanAirFlow, 1+(w-1)/2)
+	tr, err := drive.PathTrace(base, w)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -86,7 +87,7 @@ func TestShardMergePropertyByteIdentity(t *testing.T) {
 	ctx := context.Background()
 
 	// Serial baseline: the whole grid on one worker.
-	res, err := experiments.RunExpansionContext(ctx, ex, experiments.MatrixOptions{Workers: 1})
+	res, err := experiments.RunExpansion(ctx, ex, experiments.MatrixOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestShardMergePropertyByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sres, err := experiments.RunExpansionContext(ctx, sub, experiments.MatrixOptions{Workers: 1 + rng.Intn(4)})
+			sres, err := experiments.RunExpansion(ctx, sub, experiments.MatrixOptions{Workers: 1 + rng.Intn(4)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,6 +296,78 @@ func TestCoordinatorRetriesKilledShardLocally(t *testing.T) {
 	}
 	if st.Ticks == 0 {
 		t.Fatal("local retry did not simulate (who computed the dead shards?)")
+	}
+}
+
+// paddingPeer is the injectable oversized worker: it relays each
+// shard to a real worker and returns that worker's honest 200 body,
+// then keeps streaming JSON whitespace, so without a bound the padded
+// body would still decode into the right cells. honest records the
+// relayed body's length.
+func paddingPeer(t *testing.T, worker string, honest *int) string {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := http.Post(worker+r.URL.Path, "application/json", r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			http.Error(w, "relay failed", http.StatusBadGateway)
+			return
+		}
+		*honest = len(body)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+		pad := bytes.Repeat([]byte(" "), 64<<10)
+		// Stops once the coordinator hangs up; 64 MiB is a backstop so a
+		// missing bound fails the test instead of hanging it.
+		for i := 0; i < 1024; i++ {
+			if _, err := w.Write(pad); err != nil {
+				return
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestCoordinatorBoundsOversizedShardResponse: a peer whose 200 body
+// runs past the shard's response cap is a failed shard. The
+// coordinator stops reading, recomputes the shard locally, and serves
+// the same bytes as a lone server.
+func TestCoordinatorBoundsOversizedShardResponse(t *testing.T) {
+	_, tsSingle := newTestServer(t, Config{})
+	_, bodySingle := postJSON(t, tsSingle.URL+"/v1/matrix", distMatrixJSON)
+
+	workers, _ := newWorkerFleet(t, 1)
+	var honest int
+	coord, tsCoord := newTestServer(t, Config{WorkerPeers: []string{paddingPeer(t, workers[0], &honest)}})
+	resp, body := postJSON(t, tsCoord.URL+"/v1/matrix", distMatrixJSON)
+	if resp.StatusCode != 200 {
+		t.Fatalf("coordinator: %d: %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(body, bodySingle) {
+		t.Fatal("envelope differs from the single-process run after an oversized shard")
+	}
+	if st := coord.Stats(); st.ShardRetries != 1 {
+		t.Fatalf("retries = %d, want 1", st.ShardRetries)
+	}
+
+	// The honest part of the reply fits its cap: the bound refuses only
+	// the padding.
+	ex, err := distMatrix().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, len(ex.Cells))
+	for i := range all {
+		all[i] = i
+	}
+	if limit := shardResponseCap(ex, all); honest == 0 || int64(honest) > limit {
+		t.Fatalf("honest shard body %d bytes, cap %d", honest, limit)
 	}
 }
 

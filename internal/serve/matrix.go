@@ -268,7 +268,7 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 			k++
 		},
 	}
-	if _, err := experiments.RunExpansionContext(ctx, sub, opts); err != nil {
+	if _, err := experiments.RunExpansion(ctx, sub, opts); err != nil {
 		return nil, cached, err
 	}
 	if cbErr != nil {

@@ -528,7 +528,7 @@ func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 // --- run execution ---
 
 // executeRun replays the cycle through the Session engine (via
-// sim.RunContext) with the service's observers wired into
+// sim.Run) with the service's observers wired into
 // Options.OnTick.
 func (s *Server) executeRun(ctx context.Context, p runParams, onTick func(sim.Tick)) (*sim.Result, error) {
 	cfg := drive.DefaultSynthConfig()
@@ -557,7 +557,7 @@ func (s *Server) executeRun(ctx context.Context, p runParams, onTick func(sim.Ti
 			onTick(t)
 		}
 	}
-	res, err := sim.RunContext(ctx, sys, tr, ctrl, opts)
+	res, err := sim.Run(ctx, sys, tr, ctrl, opts)
 	if err == nil {
 		// Sampled phase timings are observability, not physics: they fold
 		// into the service aggregate here and never into the serialized

@@ -362,7 +362,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			defer s.q.release()
 			started := time.Now()
 			defer func() { s.met.observeJob(time.Since(started)) }()
-			return sim.RestoreSessionContext(ctx, sys, st)
+			return sim.RestoreSession(ctx, sys, st)
 		}()
 		if err != nil {
 			if errors.Is(err, errQueueFull) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -129,10 +129,31 @@ func (s *Server) handleMatrixShard(w http.ResponseWriter, r *http.Request, req S
 
 // --- coordinator side ---
 
+// shardCellAllowance bounds one encoded MatrixCell's bytes beyond its
+// strings: field names, numbers and punctuation (a cell with a long
+// synth coordinate encodes to about 640 bytes, strings included).
+const shardCellAllowance = 1 << 10
+
+// shardResponseCap is the most bytes an honest peer can answer a shard
+// with: the envelope plus, per expected cell, the fixed allowance and
+// its strings at JSON's worst-case escape (6 bytes per \u00XX byte).
+// The coordinator knows every cell it asked for, so the cap needs no
+// knob.
+func shardResponseCap(ex *scenario.Expansion, idxs []int) int64 {
+	n := int64(shardCellAllowance)
+	for _, i := range idxs {
+		c := ex.Cells[i]
+		n += shardCellAllowance + 6*int64(len(c.Coord)+len(c.Cycle)+len(c.Scheme)+len(c.Fault))
+	}
+	return n
+}
+
 // postShard posts one shard to a peer and returns the response body.
-// Any transport error, non-200 status, or truncated body counts as a
-// failed shard — the caller recomputes locally.
-func (s *Server) postShard(ctx context.Context, peer string, shard ShardRequest) ([]byte, error) {
+// Any transport error, non-200 status, truncated body, or body longer
+// than limit counts as a failed shard — the caller recomputes locally.
+// Peers are untrusted input: the limit keeps a confused one from
+// making the coordinator buffer without end.
+func (s *Server) postShard(ctx context.Context, peer string, shard ShardRequest, limit int64) ([]byte, error) {
 	body, err := json.Marshal(shard)
 	if err != nil {
 		return nil, err
@@ -148,9 +169,12 @@ func (s *Server) postShard(ctx context.Context, peer string, shard ShardRequest)
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
+	}
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("peer %s: shard response exceeds %d bytes", peer, limit)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("peer %s: %s: %s", peer, resp.Status, truncate(b, 200))
@@ -209,7 +233,7 @@ func (s *Server) distributeMatrixCells(ctx context.Context, ex *scenario.Expansi
 // anything else means a version-skewed or confused peer, and the shard
 // is treated as failed rather than merged.
 func (s *Server) dispatchMatrixShard(ctx context.Context, peer string, ex *scenario.Expansion, idxs []int) ([]experiments.MatrixCell, error) {
-	b, err := s.postShard(ctx, peer, ShardRequest{Kind: "matrix", Matrix: ex.Matrix, Cells: idxs})
+	b, err := s.postShard(ctx, peer, ShardRequest{Kind: "matrix", Matrix: ex.Matrix, Cells: idxs}, shardResponseCap(ex, idxs))
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +262,7 @@ func (s *Server) localMatrixShard(ctx context.Context, ex *scenario.Expansion, i
 	if err != nil {
 		return nil, err
 	}
-	res, err := experiments.RunExpansionContext(ctx, sub, experiments.MatrixOptions{
+	res, err := experiments.RunExpansion(ctx, sub, experiments.MatrixOptions{
 		Workers: s.cfg.Workers,
 		OnTick:  s.matrixTicksObserver(),
 	})

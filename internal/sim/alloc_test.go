@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"tegrecon/internal/drive"
@@ -80,7 +82,7 @@ func TestKeepTicksFalseAllocatesNoTickSlice(t *testing.T) {
 	opts.KeepTicks = false
 	seen := 0
 	opts.OnTick = func(Tick) { seen++ }
-	res, err := Run(sys, tr, newINOR(t, sys), opts)
+	res, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,43 +97,33 @@ func TestKeepTicksFalseAllocatesNoTickSlice(t *testing.T) {
 	}
 }
 
-// TestBatchScratchReuseBitIdentical proves the per-worker scratch
-// threading is invisible to the physics: the same job run (a) fresh,
-// (b) as the second job of a serial batch whose scratch already carries
-// another run's state, and (c) in a parallel batch, produces
+// TestBatchJobBitIdenticalToFreshRun proves a batch job computes the
+// same physics as a standalone run: the same job run fresh and as the
+// second job of a batch, at one worker and at two, produces
 // tick-for-tick identical results.
-func TestBatchScratchReuseBitIdentical(t *testing.T) {
+func TestBatchJobBitIdenticalToFreshRun(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
 	opts.DeterministicRuntime = true
 
-	fresh, err := Run(sys, tr, newINOR(t, sys), opts)
+	fresh, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A serial batch reuses one scratch across consecutive jobs; put a
-	// different scheme first so the reused buffers carry foreign state.
-	jobs := []Job{
-		{Sys: sys, Trace: tr, Ctrl: newDNOR(t, sys), Opts: opts},
-		{Sys: sys, Trace: tr, Ctrl: newINOR(t, sys), Opts: opts},
+	for _, workers := range []int{1, 2} {
+		// A different scheme first, so with one worker the INOR job runs
+		// right after another run on the same pool goroutine.
+		jobs := []Job{
+			{Sys: sys, Trace: tr, Ctrl: newDNOR(t, sys), Opts: opts},
+			{Sys: sys, Trace: tr, Ctrl: newINOR(t, sys), Opts: opts},
+		}
+		rs, err := Batch{Workers: workers}.Run(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertTicksEqual(t, fmt.Sprintf("workers=%d batch job", workers), fresh, rs[1])
 	}
-	serial, err := Batch{Workers: 1}.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTicksEqual(t, "serial scratch reuse", fresh, serial[1])
-
-	jobs = []Job{
-		{Sys: sys, Trace: tr, Ctrl: newDNOR(t, sys), Opts: opts},
-		{Sys: sys, Trace: tr, Ctrl: newINOR(t, sys), Opts: opts},
-	}
-	par, err := Batch{Workers: 2}.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTicksEqual(t, "parallel batch", fresh, par[1])
 }
 
 // assertTicksEqual compares two results tick for tick, bit for bit.

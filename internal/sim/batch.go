@@ -44,22 +44,19 @@ type Job struct {
 // results bit-identical at any worker count.
 type Batch struct {
 	// Workers bounds concurrent jobs: 0 picks runtime.NumCPU(), 1 runs
-	// the jobs serially on the calling goroutine.
+	// the jobs one at a time on a single pool goroutine.
 	Workers int
 }
 
-// Run executes the jobs and collects their results in job order.
-func (b Batch) Run(jobs []Job) ([]*Result, error) {
-	return b.RunContext(context.Background(), jobs)
-}
-
-// RunContext is Run with cancellation: the context reaches every job's
-// per-tick check (sim.RunContext), so a cancel aborts each in-flight run
-// within one control period, stops the claim loop from starting new
-// jobs, and — after every worker goroutine has drained — surfaces as the
-// lowest-indexed job error wrapping ctx.Err(). No goroutines outlive the
-// call.
-func (b Batch) RunContext(ctx context.Context, jobs []Job) ([]*Result, error) {
+// Run executes the jobs and collects their results in job order. Every
+// worker count runs the same claim loop: each pool goroutine claims the
+// next unstarted job and runs it on a fresh Session. The context
+// reaches every job's per-tick check (sim.Run), so a cancel aborts each
+// in-flight run within one control period, stops the claim loop from
+// starting new jobs, and — after every worker goroutine has drained —
+// surfaces as the lowest-indexed job error wrapping ctx.Err(). No
+// goroutines outlive the call.
+func (b Batch) Run(ctx context.Context, jobs []Job) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
@@ -72,8 +69,8 @@ func (b Batch) RunContext(ctx context.Context, jobs []Job) ([]*Result, error) {
 	}
 	// Validate every system once, serially, before any job runs:
 	// System.Validate (via Radiator.Validate) back-fills zero-valued
-	// fluids, so first-validation must not race between workers — and the
-	// serial path keeps the same early, job-indexed error.
+	// fluids, so first-validation must not race between workers — and it
+	// keeps the same early, job-indexed error at any worker count.
 	for i, j := range jobs {
 		if j.Sys == nil {
 			return nil, jobError(i, j, fmt.Errorf("sim: nil system"))
@@ -83,22 +80,6 @@ func (b Batch) RunContext(ctx context.Context, jobs []Job) ([]*Result, error) {
 		}
 	}
 	results := make([]*Result, len(jobs))
-	if workers == 1 {
-		// One scratch threaded through the whole serial batch: buffers
-		// are reused run to run, never shared, and every run's output is
-		// scratch-free — so results stay bit-identical to fresh-scratch
-		// runs (TestBatchScratchReuseBitIdentical is the referee).
-		sc := newScratch()
-		for i, j := range jobs {
-			r, err := runContextWith(ctx, j.Sys, j.Trace, j.Ctrl, j.Opts, sc)
-			if err != nil {
-				return nil, jobError(i, j, err)
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-
 	errs := make([]error, len(jobs))
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -107,16 +88,13 @@ func (b Batch) RunContext(ctx context.Context, jobs []Job) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch: reused across this worker's consecutive
-			// jobs, touched by no other goroutine.
-			sc := newScratch()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) || failed.Load() || ctx.Err() != nil {
 					return
 				}
 				j := jobs[i]
-				r, err := runContextWith(ctx, j.Sys, j.Trace, j.Ctrl, j.Opts, sc)
+				r, err := Run(ctx, j.Sys, j.Trace, j.Ctrl, j.Opts)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)

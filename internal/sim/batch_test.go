@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -38,13 +39,13 @@ func TestBatchParallelBitIdenticalToSerial(t *testing.T) {
 	opts.DeterministicRuntime = true
 
 	opts.Workers = 1
-	serial, err := RunAll(sys, tr, fourSchemes(t, sys), opts)
+	serial, err := RunAll(context.Background(), sys, tr, fourSchemes(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Force the concurrent path even on a single-CPU box.
 	opts.Workers = max(4, runtime.NumCPU())
-	parallel, err := RunAll(sys, tr, fourSchemes(t, sys), opts)
+	parallel, err := RunAll(context.Background(), sys, tr, fourSchemes(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestBatchKeepsJobOrder(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 4
 	ctrls := []core.Controller{newBaseline(t, sys), newINOR(t, sys)}
-	rs, err := RunAll(sys, tr, ctrls, opts)
+	rs, err := RunAll(context.Background(), sys, tr, ctrls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestBatchReportsLowestFailingJob(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		rs, err := RunAll(sys, tr, []core.Controller{newBaseline(t, sys), erroringCtrl{}, newBaseline(t, sys)}, opts)
+		rs, err := RunAll(context.Background(), sys, tr, []core.Controller{newBaseline(t, sys), erroringCtrl{}, newBaseline(t, sys)}, opts)
 		if err == nil {
 			t.Fatalf("workers=%d: batch with failing job did not error", workers)
 		}
@@ -109,7 +110,7 @@ func TestBatchNilSystemErrorsOnEveryPath(t *testing.T) {
 	tr := shortTrace(t)
 	for _, workers := range []int{1, 4} {
 		jobs := []Job{{Sys: nil, Trace: tr, Ctrl: newBaseline(t, sys), Opts: DefaultOptions()}}
-		rs, err := Batch{Workers: workers}.Run(jobs)
+		rs, err := Batch{Workers: workers}.Run(context.Background(), jobs)
 		if err == nil || rs != nil {
 			t.Errorf("workers=%d: nil system not rejected (%v, %v)", workers, rs, err)
 		}
@@ -117,7 +118,7 @@ func TestBatchNilSystemErrorsOnEveryPath(t *testing.T) {
 }
 
 func TestBatchEmpty(t *testing.T) {
-	rs, err := Batch{}.Run(nil)
+	rs, err := Batch{}.Run(context.Background(), nil)
 	if err != nil || rs != nil {
 		t.Errorf("empty batch: %v, %v", rs, err)
 	}

@@ -161,17 +161,13 @@ func (s *Session) Snapshot() (*SessionState, error) {
 // KeepTicks) on st.Options before restoring; changing physics knobs
 // (tick length, seed, noise) breaks the bit-exact contract and, where
 // detectable, is rejected.
-func RestoreSession(sys *System, st *SessionState) (*Session, error) {
-	return RestoreSessionContext(context.Background(), sys, st)
-}
-
-// RestoreSessionContext is RestoreSession with a cancelable RNG
-// fast-forward: the replay loop is the one part of a restore whose cost
-// scales with the checkpoint's claimed progress, so it checks ctx
-// periodically and aborts with ctx.Err() when the caller gives up.
-// Services restoring untrusted checkpoints should use this form under
-// the same bounded queue as their other simulation work.
-func RestoreSessionContext(ctx context.Context, sys *System, st *SessionState) (*Session, error) {
+//
+// The RNG fast-forward is the one part of a restore whose cost scales
+// with the checkpoint's claimed progress, so it checks ctx periodically
+// and aborts with ctx.Err() when the caller gives up; services restoring
+// untrusted checkpoints run it under the same bounded queue as their
+// other simulation work.
+func RestoreSession(ctx context.Context, sys *System, st *SessionState) (*Session, error) {
 	if st == nil {
 		return nil, fmt.Errorf("sim: nil session state")
 	}

@@ -99,7 +99,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			}
 			sys := DefaultSystem()
 			sys.Modules = 40
-			restored, err := RestoreSession(sys, st)
+			restored, err := RestoreSession(context.Background(), sys, st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestRestoreSessionMidCycleStartTime(t *testing.T) {
 	}
 	sys := DefaultSystem()
 	sys.Modules = 40
-	restored, err := RestoreSession(sys, st)
+	restored, err := RestoreSession(context.Background(), sys, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,22 +200,22 @@ func TestRestoreSessionRejects(t *testing.T) {
 	sys := DefaultSystem()
 	sys.Modules = 40
 
-	if _, err := RestoreSession(sys, nil); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, nil); err == nil {
 		t.Error("nil state accepted")
 	}
 	st := snap()
 	st.Modules = 41
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("module-count mismatch accepted")
 	}
 	st = snap()
 	st.Result = nil
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("missing result accumulator accepted")
 	}
 	st = snap()
 	st.RNGDraws = -1
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("negative RNG position accepted")
 	}
 	// The session draws exactly Modules values per step, so any claimed
@@ -223,33 +223,33 @@ func TestRestoreSessionRejects(t *testing.T) {
 	// position is an unbounded CPU burn in the restore's replay loop.
 	st = snap()
 	st.RNGDraws = int64(st.Steps)*int64(st.Modules) + 1
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("RNG position beyond steps×modules accepted")
 	}
 	st = snap()
 	st.Steps = math.MaxInt // implausible progress: steps×modules overflows
 	st.RNGDraws = math.MaxInt64
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("overflowing steps×modules accepted")
 	}
 	st = snap()
 	st.Scheme = "NoSuchScheme"
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 	st = snap()
 	st.Options.TickSeconds = -1
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("invalid restored options accepted (Validate not applied)")
 	}
 	st = snap()
 	st.Options.Workers = MaxWorkers + 1
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("over-cap worker count accepted on restore")
 	}
 	st = snap()
 	st.Options.Battery = true // options say battery, checkpoint has no battery state
-	if _, err := RestoreSession(sys, st); err == nil {
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("battery-enabled options without battery state accepted")
 	}
 }
@@ -275,10 +275,10 @@ func TestRestoreSessionContextCanceled(t *testing.T) {
 	sys.Modules = 40
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RestoreSessionContext(ctx, sys, st); !errors.Is(err, context.Canceled) {
+	if _, err := RestoreSession(ctx, sys, st); !errors.Is(err, context.Canceled) {
 		t.Fatalf("restore under a canceled context returned %v, want context.Canceled", err)
 	}
-	if restored, err := RestoreSessionContext(context.Background(), sys, st); err != nil || restored == nil {
+	if restored, err := RestoreSession(context.Background(), sys, st); err != nil || restored == nil {
 		t.Fatalf("restore under a live context failed: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 func TestPhaseTimingsOffByDefault(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
-	res, err := Run(sys, tr, newEHTR(t, sys), DefaultOptions())
+	res, err := Run(context.Background(), sys, tr, newEHTR(t, sys), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestPhaseTimingsSampleInterval(t *testing.T) {
 	tr := shortTrace(t)
 	opts := DefaultOptions()
 	opts.PhaseSampleEvery = 16
-	res, err := Run(sys, tr, newBaseline(t, sys), opts)
+	res, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

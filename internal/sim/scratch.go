@@ -17,12 +17,10 @@ import (
 // allocation (see BenchmarkSessionStep and
 // TestSessionStepAllocationFree).
 //
-// Ownership: a scratch serves exactly one Session at a time and shares
-// its single-goroutine contract. The batch engine hands each worker one
-// scratch and threads it through that worker's consecutive runs
-// (newSessionWith), which is race-free — workers never share — and
-// bit-identical, because every field is fully rewritten before use and
-// no simulation output aliases scratch storage.
+// Ownership: NewSession builds one scratch per Session, and the scratch
+// shares the session's single-goroutine contract. Reuse is per tick
+// inside that Session, never across runs: a batch job's session builds
+// its own, exactly like a standalone run's.
 type scratch struct {
 	temps      []float64            // true module hot-side temperatures, °C
 	sensed     []float64            // noisy controller view of temps

@@ -57,14 +57,6 @@ type Session struct {
 // at its initial state of charge, and the session clock at
 // opts.StartTime.
 func NewSession(sys *System, ctrl core.Controller, opts Options) (*Session, error) {
-	return newSessionWith(sys, ctrl, opts, newScratch())
-}
-
-// newSessionWith is NewSession over caller-supplied scratch storage —
-// the batch engine reuses one scratch per worker across that worker's
-// consecutive runs, so a long sweep's steady-state allocation cost is
-// one scratch per worker instead of one buffer set per run.
-func newSessionWith(sys *System, ctrl core.Controller, opts Options, sc *scratch) (*Session, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("sim: nil system")
 	}
@@ -117,7 +109,7 @@ func newSessionWith(sys *System, ctrl core.Controller, opts Options, sc *scratch
 		// topology pays its real toggle count instead of a zero-toggle
 		// no-op.
 		powerOn: array.AllParallel(sys.Modules),
-		sc:      sc,
+		sc:      newScratch(),
 		res:     &Result{Scheme: ctrl.Name()},
 	}, nil
 }

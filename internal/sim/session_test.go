@@ -42,7 +42,7 @@ func TestSessionMatchesRunBitIdentical(t *testing.T) {
 	opts := DefaultOptions()
 	opts.DeterministicRuntime = true
 
-	ran, err := Run(sys, tr, newDNOR(t, sys), opts)
+	ran, err := Run(context.Background(), sys, tr, newDNOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSessionResultIsACheckpoint(t *testing.T) {
 	opts := DefaultOptions()
 	opts.DeterministicRuntime = true
 
-	full, err := Run(sys, tr, newINOR(t, sys), opts)
+	full, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStreamingMatchesBufferedRun(t *testing.T) {
 	opts := DefaultOptions()
 	opts.DeterministicRuntime = true
 
-	buffered, err := Run(sys, tr, newDNOR(t, sys), opts)
+	buffered, err := Run(context.Background(), sys, tr, newDNOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestStreamingMatchesBufferedRun(t *testing.T) {
 	streamOpts.KeepTicks = false
 	var streamed []Tick
 	streamOpts.OnTick = func(tk Tick) { streamed = append(streamed, tk) }
-	stream, err := Run(sys, tr, newDNOR(t, sys), streamOpts)
+	stream, err := Run(context.Background(), sys, tr, newDNOR(t, sys), streamOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +194,12 @@ func TestRunRejectsNaNTick(t *testing.T) {
 	tr := shortTrace(t)
 	opts := DefaultOptions()
 	opts.TickSeconds = math.NaN()
-	if _, err := Run(sys, tr, newBaseline(t, sys), opts); err == nil {
+	if _, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts); err == nil {
 		t.Error("NaN tick should error")
 	}
 	opts = DefaultOptions()
 	opts.Workers = -3
-	if _, err := Run(sys, tr, newBaseline(t, sys), opts); err == nil {
+	if _, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts); err == nil {
 		t.Error("negative workers should error")
 	}
 }
@@ -217,7 +217,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err := RunContext(ctx, sys, tr, newINOR(t, sys), opts)
+	_, err := Run(ctx, sys, tr, newINOR(t, sys), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -233,7 +233,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	tr := shortTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, sys, tr, newBaseline(t, sys), DefaultOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, sys, tr, newBaseline(t, sys), DefaultOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }
@@ -255,7 +255,7 @@ func TestBatchContextCancelNoGoroutineLeak(t *testing.T) {
 		jobs[i] = Job{Sys: sys, Trace: tr, Ctrl: newBaseline(t, sys), Opts: opts}
 	}
 	start := time.Now()
-	_, err := Batch{Workers: 4}.RunContext(ctx, jobs)
+	_, err := Batch{Workers: 4}.Run(ctx, jobs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -263,13 +263,48 @@ func TestBatchContextCancelNoGoroutineLeak(t *testing.T) {
 		t.Errorf("cancellation took %v", elapsed)
 	}
 
-	// RunContext must have joined every worker before returning; give the
+	// Run must have joined every worker before returning; give the
 	// runtime a moment to retire exiting goroutines, then compare.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= before {
 			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBatchSingleWorkerCancel covers cancellation at Workers: 1, which
+// runs on one pool goroutine like any other worker count: a cancel
+// mid-run and a cancel before the first claim both surface as
+// context.Canceled with no results, and the pool goroutine is joined.
+func TestBatchSingleWorkerCancel(t *testing.T) {
+	sys := DefaultSystem()
+	tr := shortTrace(t)
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := DefaultOptions()
+	var once sync.Once
+	opts.OnTick = func(Tick) { once.Do(cancel) }
+	jobs := []Job{
+		{Sys: sys, Trace: tr, Ctrl: newBaseline(t, sys), Opts: opts},
+		{Sys: sys, Trace: tr, Ctrl: newBaseline(t, sys), Opts: opts},
+	}
+	if rs, err := (Batch{Workers: 1}).Run(ctx, jobs); !errors.Is(err, context.Canceled) || rs != nil {
+		t.Fatalf("mid-run cancel: rs = %v, err = %v, want nil and wrapped context.Canceled", rs, err)
+	}
+	jobs[0].Ctrl, jobs[1].Ctrl = newBaseline(t, sys), newBaseline(t, sys)
+	if rs, err := (Batch{Workers: 1}).Run(ctx, jobs); !errors.Is(err, context.Canceled) || rs != nil {
+		t.Fatalf("pre-canceled: rs = %v, err = %v, want nil and wrapped context.Canceled", rs, err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
@@ -284,7 +319,7 @@ func TestBatchRunContextCompletesUncanceled(t *testing.T) {
 		{Sys: sys, Trace: tr, Ctrl: newBaseline(t, sys), Opts: DefaultOptions()},
 		{Sys: sys, Trace: tr, Ctrl: newINOR(t, sys), Opts: DefaultOptions()},
 	}
-	rs, err := Batch{Workers: 2}.RunContext(context.Background(), jobs)
+	rs, err := Batch{Workers: 2}.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

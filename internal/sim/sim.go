@@ -89,7 +89,7 @@ type Options struct {
 	ChargeProfile *charger.Profile
 	// Workers bounds the worker pool used when this Options value drives
 	// a batch of independent runs (RunAll, the experiments drivers): 0
-	// picks runtime.NumCPU(), 1 forces serial execution. A single Run
+	// picks runtime.NumCPU(), 1 runs the jobs one at a time. A single Run
 	// ignores it. DefaultOptions picks 1 because overhead pricing charges
 	// the measured controller runtime (Section III.C), and concurrent
 	// sims competing for cores inflate that measurement; opt into
@@ -197,27 +197,15 @@ func (r *Result) Clone() *Result {
 
 // Run simulates one controller over the trace. It is a thin trace-replay
 // wrapper over Session: the trace supplies each period's radiator
-// boundary conditions, Session does the physics.
-func Run(sys *System, tr *trace.Trace, ctrl core.Controller, opts Options) (*Result, error) {
-	return RunContext(context.Background(), sys, tr, ctrl, opts)
-}
-
-// RunContext is Run with cancellation: the context is checked once per
-// control period, so a cancel aborts within one tick of the simulated
-// loop and the returned error wraps ctx.Err().
-func RunContext(ctx context.Context, sys *System, tr *trace.Trace, ctrl core.Controller, opts Options) (*Result, error) {
-	return runContextWith(ctx, sys, tr, ctrl, opts, newScratch())
-}
-
-// runContextWith is RunContext over caller-supplied scratch storage;
-// the batch engine threads one scratch per worker through consecutive
-// runs (see scratch.go for why that is race-free and bit-identical).
-func runContextWith(ctx context.Context, sys *System, tr *trace.Trace, ctrl core.Controller, opts Options, sc *scratch) (*Result, error) {
+// boundary conditions, Session does the physics. The context is checked
+// once per control period, so a cancel aborts within one tick of the
+// simulated loop and the returned error wraps ctx.Err().
+func Run(ctx context.Context, sys *System, tr *trace.Trace, ctrl core.Controller, opts Options) (*Result, error) {
 	if tr == nil || tr.Len() < 2 {
 		return nil, fmt.Errorf("sim: trace too short")
 	}
 	opts.StartTime = tr.Times[0]
-	sess, err := newSessionWith(sys, ctrl, opts, sc)
+	sess, err := NewSession(sys, ctrl, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -250,17 +238,12 @@ func ticksFor(tr *trace.Trace, tickSeconds float64) int {
 // RunAll runs several controllers over the same trace — the Table I
 // driver. The runs are independent, so they execute on the batch engine
 // (see batch.go) with a pool bounded by opts.Workers; results keep the
-// controllers' order.
-func RunAll(sys *System, tr *trace.Trace, ctrls []core.Controller, opts Options) ([]*Result, error) {
-	return RunAllContext(context.Background(), sys, tr, ctrls, opts)
-}
-
-// RunAllContext is RunAll with cancellation threaded through the batch
-// engine into every run's per-tick check.
-func RunAllContext(ctx context.Context, sys *System, tr *trace.Trace, ctrls []core.Controller, opts Options) ([]*Result, error) {
+// controllers' order. Cancellation reaches every run's per-tick check
+// through the batch engine.
+func RunAll(ctx context.Context, sys *System, tr *trace.Trace, ctrls []core.Controller, opts Options) ([]*Result, error) {
 	jobs := make([]Job, len(ctrls))
 	for i, c := range ctrls {
 		jobs[i] = Job{Sys: sys, Trace: tr, Ctrl: c, Opts: opts}
 	}
-	return Batch{Workers: opts.Workers}.RunContext(ctx, jobs)
+	return Batch{Workers: opts.Workers}.Run(ctx, jobs)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -101,15 +102,15 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	ctrl := newBaseline(t, sys)
 	opts := DefaultOptions()
 	opts.TickSeconds = 0
-	if _, err := Run(sys, tr, ctrl, opts); err == nil {
+	if _, err := Run(context.Background(), sys, tr, ctrl, opts); err == nil {
 		t.Error("zero tick should error")
 	}
 	opts = DefaultOptions()
 	opts.SensorNoiseC = -1
-	if _, err := Run(sys, tr, ctrl, opts); err == nil {
+	if _, err := Run(context.Background(), sys, tr, ctrl, opts); err == nil {
 		t.Error("negative noise should error")
 	}
-	if _, err := Run(sys, trace.New("x"), ctrl, DefaultOptions()); err == nil {
+	if _, err := Run(context.Background(), sys, trace.New("x"), ctrl, DefaultOptions()); err == nil {
 		t.Error("empty trace should error")
 	}
 }
@@ -119,7 +120,7 @@ func TestRunBaselineBasics(t *testing.T) {
 	tr := shortTrace(t)
 	opts := DefaultOptions()
 	opts.SelfCheck = true
-	res, err := Run(sys, tr, newBaseline(t, sys), opts)
+	res, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestRunINORBeatsBaseline(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	base, err := Run(sys, tr, newBaseline(t, sys), opts)
+	base, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inor, err := Run(sys, tr, newINOR(t, sys), opts)
+	inor, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +170,11 @@ func TestRunDNORReducesOverhead(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	inor, err := Run(sys, tr, newINOR(t, sys), opts)
+	inor, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dnor, err := Run(sys, tr, newDNOR(t, sys), opts)
+	dnor, err := Run(context.Background(), sys, tr, newDNOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestRunDNORReducesOverhead(t *testing.T) {
 func TestRunTickInvariants(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
-	res, err := Run(sys, tr, newINOR(t, sys), DefaultOptions())
+	res, err := Run(context.Background(), sys, tr, newINOR(t, sys), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestRunEnergyAccountingConsistent(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	res, err := Run(sys, tr, newINOR(t, sys), opts)
+	res, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +244,11 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	a, err := Run(sys, tr, newINOR(t, sys), opts)
+	a, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(sys, tr, newINOR(t, sys), opts)
+	b, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestRunWithBattery(t *testing.T) {
 	tr := shortTrace(t)
 	opts := DefaultOptions()
 	opts.Battery = true
-	res, err := Run(sys, tr, newBaseline(t, sys), opts)
+	res, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestRunWithBattery(t *testing.T) {
 func TestRunAll(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
-	rs, err := RunAll(sys, tr, []core.Controller{newBaseline(t, sys), newINOR(t, sys)}, DefaultOptions())
+	rs, err := RunAll(context.Background(), sys, tr, []core.Controller{newBaseline(t, sys), newINOR(t, sys)}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestFirstProgramPaysCommissioningToggles(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.DeterministicRuntime = true
-	res, err := Run(sys, tr, &fixedOnce{cfg: cfg}, opts)
+	res, err := Run(context.Background(), sys, tr, &fixedOnce{cfg: cfg}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestMPPTReinitAfterFaultRecovery(t *testing.T) {
 	opts.SensorNoiseC = 0
 	opts.DeterministicRuntime = true
 	opts.FaultPlan = plan
-	res, err := Run(sys, tr, ctrl, opts)
+	res, err := Run(context.Background(), sys, tr, ctrl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +462,7 @@ func TestMPPTReinitAfterZeroEMFDip(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SensorNoiseC = 0
 	opts.DeterministicRuntime = true
-	res, err := Run(sys, tr, ctrl, opts)
+	res, err := Run(context.Background(), sys, tr, ctrl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,11 +517,11 @@ func TestRunWithFaultPlan(t *testing.T) {
 	opts.FaultPlan = plan
 	opts.SelfCheck = true
 
-	inorClean, err := Run(sys, tr, newINOR(t, sys), DefaultOptions())
+	inorClean, err := Run(context.Background(), sys, tr, newINOR(t, sys), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	inorFault, err := Run(sys, tr, newINOR(t, sys), opts)
+	inorFault, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,11 +549,11 @@ func TestRunFaultsHitBaselineHarder(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.FaultPlan = plan
-	inor, err := Run(sys, tr, newINOR(t, sys), opts)
+	inor, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(sys, tr, newBaseline(t, sys), opts)
+	base, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +573,7 @@ func TestRunFaultPlanSizeMismatch(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.FaultPlan = plan
-	if _, err := Run(sys, tr, newBaseline(t, sys), opts); err == nil {
+	if _, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts); err == nil {
 		t.Error("plan/system size mismatch should error")
 	}
 }
@@ -580,7 +581,7 @@ func TestRunFaultPlanSizeMismatch(t *testing.T) {
 func TestRunReportsConversionEfficiency(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
-	res, err := Run(sys, tr, newINOR(t, sys), DefaultOptions())
+	res, err := Run(context.Background(), sys, tr, newINOR(t, sys), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +603,7 @@ func TestRunWithChargeProfile(t *testing.T) {
 	opts.Battery = true
 	profile := charger.DefaultProfile()
 	opts.ChargeProfile = &profile
-	res, err := Run(sys, tr, newBaseline(t, sys), opts)
+	res, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +621,7 @@ func TestRunChargeProfileRequiresBattery(t *testing.T) {
 	opts := DefaultOptions()
 	profile := charger.DefaultProfile()
 	opts.ChargeProfile = &profile
-	if _, err := Run(sys, tr, newBaseline(t, sys), opts); err == nil {
+	if _, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts); err == nil {
 		t.Error("charge profile without battery should error")
 	}
 }
@@ -633,7 +634,7 @@ func TestRunChargeProfileValidated(t *testing.T) {
 	bad := charger.DefaultProfile()
 	bad.FloatSoC = 0.1
 	opts.ChargeProfile = &bad
-	if _, err := Run(sys, tr, newBaseline(t, sys), opts); err == nil {
+	if _, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts); err == nil {
 		t.Error("invalid profile should error")
 	}
 }

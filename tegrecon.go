@@ -136,14 +136,14 @@ func SynthesizeFromSchedule(cfg DriveConfig, s DriveSchedule) (*Trace, error) {
 // produced, so streaming consumers pair KeepTicks=false with an OnTick
 // callback and lose nothing but the retained buffer.
 func Simulate(sys *System, tr *Trace, ctrl Controller, opts SimOptions) (*SimResult, error) {
-	return sim.Run(sys, tr, ctrl, opts)
+	return sim.Run(context.TODO(), sys, tr, ctrl, opts)
 }
 
 // SimulateContext is Simulate with cancellation: the context is checked
 // once per control period, so a cancel aborts within one tick and the
 // returned error wraps ctx.Err().
 func SimulateContext(ctx context.Context, sys *System, tr *Trace, ctrl Controller, opts SimOptions) (*SimResult, error) {
-	return sim.RunContext(ctx, sys, tr, ctrl, opts)
+	return sim.Run(ctx, sys, tr, ctrl, opts)
 }
 
 // NewSession builds an incremental simulation session: where Simulate
@@ -280,7 +280,7 @@ func NewRandomFaultPlan(modules, count int, duration float64, seed int64) (*Faul
 // canonical coordinate, so the sweep is bit-identical at any worker
 // count.
 func RunScenarioMatrix(m *ScenarioMatrix, opts MatrixOptions) (*MatrixResult, error) {
-	return experiments.MatrixSweep(m, opts)
+	return experiments.MatrixSweep(context.TODO(), m, opts)
 }
 
 // DefaultChargeProfile returns the standard 14.4 V bulk/absorption,
