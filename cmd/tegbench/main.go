@@ -118,7 +118,8 @@
 //	  "session_step_instrumented_max_overhead_frac": 0.15, // vs session_step; 0 = not enforced
 //	  "decide_live_inor_n500_max_ns_per_op": 1e6, // 0 = not enforced
 //	  "decide_live_ehtr_n500_max_ns_per_op": 2e6, // 0 = not enforced
-//	  "decide_live_inor_n100_max_ns_per_op": 4e5  // 0 = not enforced
+//	  "decide_live_inor_n100_max_ns_per_op": 4e5, // 0 = not enforced
+//	  "decide_live_ehtr_n100_max_ns_per_op": 5e5  // 0 = not enforced
 //	}
 package main
 
@@ -402,6 +403,7 @@ var budgetRules = []budgetRule{
 	{"decide_live_inor_n500_max_ns_per_op", "decide_live_inor_n500", "ns/op", true, false, nsPerOpOf},
 	{"decide_live_ehtr_n500_max_ns_per_op", "decide_live_ehtr_n500", "ns/op", true, false, nsPerOpOf},
 	{"decide_live_inor_n100_max_ns_per_op", "decide_live_inor_n100", "ns/op", true, false, nsPerOpOf},
+	{"decide_live_ehtr_n100_max_ns_per_op", "decide_live_ehtr_n100", "ns/op", true, false, nsPerOpOf},
 }
 
 func allocsPerOp(r Result, _ map[string]Result) (float64, error) {

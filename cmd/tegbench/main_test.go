@@ -27,6 +27,7 @@ func passingResults() []Result {
 		{Name: "decide_live_inor_n500", NsPerOp: 400_000},
 		{Name: "decide_live_ehtr_n500", NsPerOp: 1_000_000},
 		{Name: "decide_live_inor_n100", NsPerOp: 150_000},
+		{Name: "decide_live_ehtr_n100", NsPerOp: 200_000},
 	}
 }
 
@@ -43,6 +44,7 @@ func passingBudget() map[string]float64 {
 		"decide_live_inor_n500_max_ns_per_op":         1_000_000,
 		"decide_live_ehtr_n500_max_ns_per_op":         2_000_000,
 		"decide_live_inor_n100_max_ns_per_op":         400_000,
+		"decide_live_ehtr_n100_max_ns_per_op":         500_000,
 	}
 }
 
@@ -64,6 +66,7 @@ func TestCheckBudgetViolatesEachKeyOnce(t *testing.T) {
 		"decide_live_inor_n500_max_ns_per_op":         func(r *Result) { r.NsPerOp = 1_000_001 },
 		"decide_live_ehtr_n500_max_ns_per_op":         func(r *Result) { r.NsPerOp = 2_000_001 },
 		"decide_live_inor_n100_max_ns_per_op":         func(r *Result) { r.NsPerOp = 400_001 },
+		"decide_live_ehtr_n100_max_ns_per_op":         func(r *Result) { r.NsPerOp = 500_001 },
 	}
 	if len(violate) != len(budgetRules) {
 		t.Fatalf("%d violations for %d rules", len(violate), len(budgetRules))

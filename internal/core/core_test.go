@@ -123,6 +123,59 @@ func TestGroupWindowDeadArray(t *testing.T) {
 	}
 }
 
+// TestNonFiniteTemperaturesPark pins the refusal of non-finite sensed
+// distributions: a NaN or +Inf module temperature, or a NaN ambient,
+// parks INOR, DNOR and EHTR in the all-parallel configuration with no
+// expected power, before any Norton pair, prefix sum or partition is
+// built.
+func TestNonFiniteTemperaturesPark(t *testing.T) {
+	e := newEval(t)
+	if _, _, err := e.GroupWindow(newArr(t, []float64{90, math.NaN(), 70}, 25)); err == nil {
+		t.Error("NaN temperature has a group window")
+	}
+	for _, tc := range []struct {
+		name    string
+		bad     float64 // replaces one module's temperature
+		ambient float64
+	}{
+		{"NaN temperature", math.NaN(), 25},
+		{"+Inf temperature", math.Inf(1), 25},
+		{"NaN ambient", 70, math.NaN()},
+	} {
+		temps := decayTemps(60, 95, 45, 20)
+		temps[17] = tc.bad
+		for _, build := range []func() (Controller, *scratch){
+			func() (Controller, *scratch) {
+				c, err := NewINOR(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c, c.sc
+			},
+			func() (Controller, *scratch) { c := newDNOR(t, 4); return c, c.sc },
+			func() (Controller, *scratch) {
+				c, err := NewEHTR(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c, c.sc
+			},
+		} {
+			c, sc := build()
+			d, err := c.Decide(0, temps, tc.ambient)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, c.Name(), err)
+			}
+			if !d.Config.Equal(array.AllParallel(len(temps))) || d.Expected != 0 {
+				t.Errorf("%s %s: decided %s expecting %g W, want the all-parallel park at 0 W", tc.name, c.Name(), d.Config, d.Expected)
+			}
+			if sc.nt.N() != 0 || len(sc.prefix) != 0 || sc.priced != 0 {
+				t.Errorf("%s %s: reached the partition (%d Norton pairs, %d prefix sums, %d priced)", tc.name, c.Name(), sc.nt.N(), len(sc.prefix), sc.priced)
+			}
+		}
+	}
+}
+
 func TestINORBeatsBaseline(t *testing.T) {
 	e := newEval(t)
 	temps := decayTemps(100, 92, 38, 30)

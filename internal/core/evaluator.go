@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"tegrecon/internal/array"
@@ -83,6 +84,12 @@ func (e *Evaluator) groupWindow(arr *array.Array) (nmin, nmax int, vGroup float6
 	}
 	mean /= float64(arr.N())
 	vGroup = mean / 2
+	if math.IsNaN(vGroup) || math.IsInf(vGroup, 0) {
+		// A NaN or infinite sensed temperature: refuse it here rather
+		// than leave the window to int() of a non-finite quotient,
+		// whose result Go leaves to the implementation.
+		return 0, 0, 0, fmt.Errorf("core: non-finite mean group voltage %g", vGroup)
+	}
 	if vGroup <= 0 {
 		return 0, 0, 0, fmt.Errorf("core: array has no EMF (all modules at ambient)")
 	}

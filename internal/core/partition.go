@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // prefixSums returns P with P[0]=0 and P[i] = Σ x[:i].
 func prefixSums(x []float64) []float64 {
@@ -55,6 +52,19 @@ func greedyPartition(impp []float64, n int) ([]int, error) {
 // n = len(starts) group starts into starts. The caller has validated
 // 1 ≤ n ≤ nMod; every entry of starts is overwritten, so the slice can
 // be reused across candidates without clearing.
+//
+// Each boundary is the smallest end e in [loEnd, hiEnd] with
+// p[e] ≥ target (clamped to hiEnd), moved to e−1 when that lands at
+// least as close to the target. The end is found by galloping from the
+// expected one — the previous group's length past the group start,
+// nMod/n for the first group — and then binary-searching the bracket,
+// so a group near its expected length costs O(1) probes instead of a
+// full O(log N) search. The result is the index a binary search over
+// the whole range returns because the predicate p[e] ≥ target is
+// monotone in e: p is non-decreasing. That holds for every decider
+// input: teg.OpsFromTempsInto clamps ΔT to ≥ 0, failed modules
+// contribute a zero MPP current, and groupWindow parks a non-finite
+// distribution before any partition is built.
 func greedyPartitionInto(starts []int, p []float64) {
 	n := len(starts)
 	nMod := len(p) - 1
@@ -63,18 +73,15 @@ func greedyPartitionInto(starts []int, p []float64) {
 		return
 	}
 	iIdeal := p[nMod] / float64(n)
-	start := 0
+	start, length := 0, nMod/n
 	for j := 1; j < n; j++ {
 		// Boundary candidates for the end (exclusive) of group j-1:
 		// must leave at least one module per remaining group.
 		loEnd := start + 1
 		hiEnd := nMod - (n - j)
 		target := p[start] + iIdeal
-		// Smallest end with cumulative sum ≥ target.
-		e := sort.SearchFloat64s(p[loEnd:hiEnd+1], target) + loEnd
-		if e > hiEnd {
-			e = hiEnd
-		}
+		// Smallest end with cumulative sum ≥ target, hiEnd if none.
+		e := gallopAtLeast(p, loEnd, hiEnd, start+length, target)
 		// The closest of e and e−1 to the target.
 		if e > loEnd {
 			if target-p[e-1] <= p[e]-target {
@@ -82,8 +89,54 @@ func greedyPartitionInto(starts []int, p []float64) {
 			}
 		}
 		starts[j] = e
+		length = e - start
 		start = e
 	}
+}
+
+// gallopAtLeast returns the smallest e in [lo, hi) with p[e] ≥ target,
+// or hi when there is none. It probes guess first, gallops away from it
+// in doubling steps until the answer is bracketed, and binary-searches
+// the bracket. p[lo:hi] must be non-decreasing (see greedyPartitionInto);
+// the predicate is then monotone and the result does not depend on
+// guess.
+func gallopAtLeast(p []float64, lo, hi, guess int, target float64) int {
+	if lo >= hi {
+		return hi
+	}
+	// Invariant: the answer lies in (a, b]; p[a] < target unless
+	// a = lo−1, and p[b] ≥ target unless b = hi.
+	a, b := lo-1, hi
+	g := min(max(guess, lo), hi-1)
+	if p[g] >= target {
+		b = g
+		for d := 1; g-d > a; d *= 2 {
+			if p[g-d] >= target {
+				b = g - d
+			} else {
+				a = g - d
+				break
+			}
+		}
+	} else {
+		a = g
+		for d := 1; g+d < b; d *= 2 {
+			if p[g+d] >= target {
+				b = g + d
+				break
+			}
+			a = g + d
+		}
+	}
+	for b-a > 1 {
+		m := int(uint(a+b) >> 1)
+		if p[m] >= target {
+			b = m
+		} else {
+			a = m
+		}
+	}
+	return b
 }
 
 // dpPartition is the exhaustive counterpart used by the EHTR

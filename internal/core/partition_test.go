@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -533,6 +534,109 @@ func TestGreedyPartitionNearBalanced(t *testing.T) {
 		// small absolute allowance (module granularity).
 		if gDev > dDev*8+0.05 {
 			t.Fatalf("trial %d n=%d: greedy %v far from optimal %v", trial, n, gDev, dDev)
+		}
+	}
+}
+
+// greedyPartitionSearchRef is the greedy boundary walk with each end
+// found by sort.SearchFloat64s over the boundary's whole range — the
+// search greedyPartitionInto's galloping walk replaced, kept as its
+// referee.
+func greedyPartitionSearchRef(starts []int, p []float64) {
+	n := len(starts)
+	nMod := len(p) - 1
+	starts[0] = 0
+	if n == 1 {
+		return
+	}
+	iIdeal := p[nMod] / float64(n)
+	start := 0
+	for j := 1; j < n; j++ {
+		loEnd := start + 1
+		hiEnd := nMod - (n - j)
+		target := p[start] + iIdeal
+		e := sort.SearchFloat64s(p[loEnd:hiEnd+1], target) + loEnd
+		if e > hiEnd {
+			e = hiEnd
+		}
+		if e > loEnd {
+			if target-p[e-1] <= p[e]-target {
+				e--
+			}
+		}
+		starts[j] = e
+		start = e
+	}
+}
+
+// TestGreedyWalkMatchesSearchReference pins the galloping boundary walk
+// to the binary-search walk it replaced: identical starts for every
+// group count on random non-decreasing prefixes, small-integer currents
+// whose targets tie prefix entries exactly, uniform currents, runs of
+// zero currents (failed modules) and radiator decay profiles, for
+// N = 1…64, 100 and 500.
+func TestGreedyWalkMatchesSearchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	profiles := []struct {
+		name string
+		draw func(i, nMod int) float64
+	}{
+		{"random", func(int, int) float64 { return 3 * rng.Float64() }},
+		{"ties", func(int, int) float64 { return float64(rng.Intn(3)) }},
+		{"uniform", func(int, int) float64 { return 0.75 }},
+		{"zero runs", func(i, nMod int) float64 {
+			if (i/4)%3 == 1 {
+				return 0
+			}
+			return 0.1 + rng.Float64()
+		}},
+		{"decay", func(i, nMod int) float64 {
+			return 1.5*math.Exp(-float64(i)/(0.2*float64(nMod))) + 0.05*rng.Float64()
+		}},
+		{"all zero", func(int, int) float64 { return 0 }},
+	}
+	sizes := []int{100, 500}
+	for nMod := 1; nMod <= 64; nMod++ {
+		sizes = append(sizes, nMod)
+	}
+	compared := 0
+	for _, nMod := range sizes {
+		for _, prof := range profiles {
+			impp := make([]float64, nMod)
+			for i := range impp {
+				impp[i] = prof.draw(i, nMod)
+			}
+			p := prefixSums(impp)
+			for n := 1; n <= nMod; n++ {
+				got, want := make([]int, n), make([]int, n)
+				greedyPartitionInto(got, p)
+				greedyPartitionSearchRef(want, p)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%s N=%d n=%d: starts %v, reference %v", prof.name, nMod, n, got, want)
+					}
+				}
+				compared++
+			}
+		}
+	}
+	t.Logf("%d partitions compared", compared)
+}
+
+// TestGallopAtLeastMatchesSearch checks the search itself from every
+// guess, in range and out of it, on a prefix with repeated entries.
+func TestGallopAtLeastMatchesSearch(t *testing.T) {
+	p := []float64{0, 0, 1, 1, 1, 2, 4, 4, 7, 7, 7, 7, 9}
+	for lo := 0; lo <= len(p); lo++ {
+		for hi := lo; hi <= len(p); hi++ {
+			for _, target := range []float64{-1, 0, 0.5, 1, 3, 4, 7, 8, 9, 10, math.NaN()} {
+				want := sort.SearchFloat64s(p[lo:hi], target) + lo
+				for guess := lo - 3; guess <= hi+3; guess++ {
+					if got := gallopAtLeast(p, lo, hi, guess, target); got != want {
+						t.Fatalf("gallopAtLeast(p, %d, %d, guess %d, %v) = %d, want %d", lo, hi, guess, target, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -397,3 +397,117 @@ func TestConfigureAtPricesAtMostHalfTheWindow(t *testing.T) {
 		}
 	}
 }
+
+// loadPrefixBound builds the prefix sums and error terms
+// equivalentBound reads from the Norton pairs in sc.nt, as configureAt
+// does once per decision.
+func loadPrefixBound(sc *scratch) {
+	sc.pg = prefixSumsInto(sc.pg, sc.nt.G)
+	sc.pj = prefixSumsInto(sc.pj, sc.nt.J)
+	sc.eg, sc.ej = groupSumError(sc.pg), groupSumError(sc.pj)
+}
+
+// TestPrefixBoundDominatesEquivalent checks equivalentBound against
+// the sequential sums of Norton.EquivalentInto: vocHi ≥ Voc and
+// rLo ≤ R on every configuration it accepts, and a refusal for every
+// configuration with a broken group. The Norton pairs come from random
+// and radiator-decay arrays with failed-open and failed-short modules
+// (runs of failed-open modules break whole groups), and from synthetic
+// pairs spanning sixteen decades with exact zeros, where the prefix
+// differences round hardest. On physical arrays the bound must also be
+// tight (within a relative 1e-6), or it would prune nothing.
+func TestPrefixBoundDominatesEquivalent(t *testing.T) {
+	e := newEval(t)
+	rng := rand.New(rand.NewSource(23))
+	sc := newScratch(e)
+	var eq array.Equivalent
+	accepted, brokenRefused := 0, 0
+	check := func(label string, cfg array.Config, tight bool) {
+		t.Helper()
+		if err := sc.nt.EquivalentInto(&eq, cfg); err != nil {
+			t.Fatal(err)
+		}
+		vocHi, rLo, ok := sc.equivalentBound(cfg.Starts)
+		if eq.Broken {
+			if ok {
+				t.Fatalf("%s %v: broken equivalent accepted (vocHi %g, rLo %g)", label, cfg, vocHi, rLo)
+			}
+			brokenRefused++
+			return
+		}
+		if !ok {
+			return
+		}
+		accepted++
+		if !(vocHi >= eq.Voc) || !(rLo <= eq.R) {
+			t.Fatalf("%s %v: bound (vocHi %v, rLo %v) does not dominate (Voc %v, R %v)", label, cfg, vocHi, rLo, eq.Voc, eq.R)
+		}
+		if tight && (vocHi > eq.Voc*(1+1e-6)+1e-300 || rLo < eq.R*(1-1e-6)) {
+			t.Fatalf("%s %v: bound (vocHi %v, rLo %v) loose against (Voc %v, R %v)", label, cfg, vocHi, rLo, eq.Voc, eq.R)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		var arr *array.Array
+		label := "decay"
+		if trial%2 == 0 {
+			label = "random"
+			arr = pricingTestArray(t, e, rng, radiatorProfile)
+		} else {
+			n := 100
+			if trial%6 == 1 {
+				n = 500
+			}
+			health := make([]array.ModuleHealth, n)
+			for k := 0; k < rng.Intn(4); k++ {
+				// A run of failed-open modules: any group inside it is broken.
+				at, run := rng.Intn(n), 1+rng.Intn(8)
+				for i := at; i < min(n, at+run); i++ {
+					health[i] = array.FailedOpen
+				}
+			}
+			for k := 0; k < rng.Intn(4); k++ {
+				health[rng.Intn(n)] = array.FailedShort
+			}
+			var err error
+			arr, err = array.NewWithHealth(e.Spec, teg.OpsFromTemps(decayTemps(n, 80+20*rng.Float64(), 40, float64(n)*(0.1+0.4*rng.Float64())), 25), health)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		arr.NortonInto(&sc.nt)
+		loadPrefixBound(sc)
+		p := prefixSums(arr.MPPCurrentsInto(nil))
+		for k := 0; k < 12; k++ {
+			check(label, randomConfig(rng, arr.N()), true)
+			s := make([]int, 1+rng.Intn(arr.N()))
+			greedyPartitionInto(s, p)
+			check(label, array.Config{N: arr.N(), Starts: s}, true)
+		}
+		// Single-module groups across every failed-open module.
+		check(label, array.AllParallel(arr.N()), true)
+		check(label, array.AllSeries(arr.N()), true)
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		sc.nt.G, sc.nt.J = make([]float64, n), make([]float64, n)
+		for i := range sc.nt.G {
+			switch rng.Intn(6) {
+			case 0: // failed open
+			case 1: // failed short
+				sc.nt.G[i] = math.Pow(10, 8*rng.Float64())
+			default:
+				sc.nt.G[i] = math.Pow(10, 16*rng.Float64()-8)
+				sc.nt.J[i] = math.Pow(10, 16*rng.Float64()-8)
+			}
+		}
+		loadPrefixBound(sc)
+		for k := 0; k < 20; k++ {
+			check("synthetic", randomConfig(rng, n), false)
+		}
+		check("synthetic", array.AllSeries(n), false)
+	}
+	t.Logf("%d bounds checked, %d broken configurations refused", accepted, brokenRefused)
+	if accepted == 0 || brokenRefused == 0 {
+		t.Fatalf("cases not exercised: %d bounds accepted, %d broken configurations refused", accepted, brokenRefused)
+	}
+}

@@ -12,11 +12,11 @@ import (
 
 // scratch is the reusable work state of one decider. Every buffer the
 // per-period decision path needs — operating points, the per-module
-// Norton pairs, MPP currents, prefix sums, candidate partitions, the
-// Thevenin equivalent and the delivered-power closure handed to the
-// golden-section search — lives here and is overwritten in place each
-// Decide, so a controller's steady-state decision performs no heap
-// allocation.
+// Norton pairs, MPP currents, prefix sums of the currents and of the
+// Norton pairs, candidate partitions, the Thevenin equivalent and the
+// delivered-power closure handed to the golden-section search — lives
+// here and is overwritten in place each Decide, so a controller's
+// steady-state decision performs no heap allocation.
 //
 // A scratch is owned by exactly one controller and shares its
 // no-concurrent-use contract; the configs a decider returns alias the
@@ -30,6 +30,8 @@ type scratch struct {
 	nt     array.Norton         // per-module Norton pairs of the distribution being priced
 	impp   []float64            // per-module MPP currents (Algorithm 1 input)
 	prefix []float64            // prefix sums of impp, shared by all candidates
+	pg, pj []float64            // prefix sums of nt.G and nt.J (the candidate bound)
+	eg, ej float64              // their difference-error terms (groupSumError)
 	starts []int                // candidate partition under evaluation
 	hat    []int                // partition of n̂, the candidate priced first
 	best   []int                // winner partition (any operating point)
@@ -116,6 +118,63 @@ func (b *bandTable) deliverBound(voc, r, thr float64) float64 {
 		best = max(best, eta*v*(voc-v)) // NaN-propagating
 	}
 	return best/r*(1+1e-9) + slack
+}
+
+// unitRoundoff is u = 2⁻⁵³, the largest relative rounding error of
+// one float64 operation.
+const unitRoundoff = 0x1p-53
+
+// groupSumError bounds how far a difference p[hi] − p[lo] of the
+// prefix sums p of N non-negative terms (prefixSumsInto) can lie from
+// the sequential sum of the same terms over [lo, hi) that
+// array.Norton.EquivalentInto accumulates from zero. With T the exact
+// total and γ_N = N·u/(1−N·u): each prefix entry lies within γ_N·T of
+// its exact value, the sequential group sum within γ_N·T of its own,
+// and the subtraction rounds by at most u·(1+2γ_N)·T. For N·u ≤ 0.01
+// (N below 10¹³, far past any admitted array) that sum is below
+// 4(N+1)·u·p[N], with room for the rounding of the product itself;
+// where the product would underflow the sums are subnormal, and
+// subnormal additions are exact. An overflowed total yields +Inf (or
+// NaN downstream), which prunes nothing.
+func groupSumError(p []float64) float64 {
+	n := len(p) - 1
+	return float64(4*(n+1)) * p[n] * unitRoundoff
+}
+
+// equivalentBound returns vocHi ≥ eq.Voc and rLo ≤ eq.R for the
+// equivalent eq that array.Norton.EquivalentInto builds for the
+// partition starts, in O(n) from the prefix sums sc.pg and sc.pj of the
+// Norton pairs instead of that O(N) sequential sum. Each group's
+// conductance and source sums lie within sc.eg and sc.ej of their
+// prefix differences ΔG and ΔJ (groupSumError), so a group's
+// equivalent obeys Voc_g ≤ (ΔJ+ej)/(ΔG−eg) and R_g ≥ 1/(ΔG+eg) before
+// rounding. The rounding of EquivalentInto's divisions and n-term sums
+// and of this function's own arithmetic is below a relative (2n+3)·u
+// on either side; scaling vocHi up and rLo down by 4(n+2)·u covers it.
+// ok is false, and the bound unusable, when some group's conductance
+// lower bound is not positive or is NaN: that group may be broken
+// (every module failed open), which EquivalentInto reports with a
+// zeroed equivalent. sc.pj sums nt.J itself rather than doubling
+// sc.prefix: J = Voc/R equals twice the MPP current Voc/(2R) bit for
+// bit only while that quotient is a normal float.
+func (sc *scratch) equivalentBound(starts []int) (vocHi, rLo float64, ok bool) {
+	n, nMod := len(starts), len(sc.pg)-1
+	voc, r := 0.0, 0.0
+	for j, lo := range starts {
+		hi := nMod
+		if j+1 < n {
+			hi = starts[j+1]
+		}
+		dg := sc.pg[hi] - sc.pg[lo]
+		gLo := dg - sc.eg
+		if !(gLo > 0) {
+			return 0, 0, false
+		}
+		voc += (sc.pj[hi] - sc.pj[lo] + sc.ej) / gLo
+		r += 1 / (dg + sc.eg)
+	}
+	slack := float64(4*(n+2)) * unitRoundoff
+	return voc * (1 + slack), r * (1 - slack), true
 }
 
 // parkConfig returns the all-parallel configuration backed by the
@@ -223,7 +282,12 @@ func (sc *scratch) partitionInto(starts []int, exhaustive bool) error {
 // below thr is skipped without the converter search: its Delivered is
 // strictly below both final maxima, so it could win neither strict
 // comparison of the ascending loop, and dropping it changes neither
-// the first maxima nor the reverse checks that decide them.
+// the first maxima nor the reverse checks that decide them. The bound
+// is first read at equivalentBound's O(n) over-estimate of the
+// candidate's equivalent, from prefix sums of the Norton pairs built
+// once per decision, so a pruned candidate costs its O(n) partition
+// and that bound; only a survivor pays the O(N) EquivalentInto, and
+// then runs the same bound test and pricing it always has.
 func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) (array.Config, Operating, error) {
 	sc.priced = 0
 	nmin, nmax, vGroup, err := e.groupWindow(arr)
@@ -238,6 +302,9 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 	arr.NortonInto(&sc.nt)
 	sc.impp = arr.MPPCurrentsInto(sc.impp)
 	sc.prefix = prefixSumsInto(sc.prefix, sc.impp)
+	sc.pg = prefixSumsInto(sc.pg, sc.nt.G)
+	sc.pj = prefixSumsInto(sc.pj, sc.nt.J)
+	sc.eg, sc.ej = groupSumError(sc.pg), groupSumError(sc.pj)
 	if exhaustive {
 		// The DP cost Σ groupSum² is independent of the group count, so
 		// one table build serves the whole candidate window; each n below
@@ -285,11 +352,19 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 				return array.Config{}, Operating{}, err
 			}
 			cfg = array.Config{N: arr.N(), Starts: sc.starts}
+			// Delivered ≤ bound < thr: this candidate cannot win. The
+			// O(n) prefix bound is tried before the O(N) equivalent; the
+			// bound rises with voc and falls with r, so it holds at
+			// (vocHi, rLo) too. A NaN bound or threshold fails the
+			// comparison and prunes nothing.
+			if thr > math.Inf(-1) {
+				if vocHi, rLo, ok := sc.equivalentBound(sc.starts); ok && sc.bands.deliverBound(vocHi, rLo, thr) < thr {
+					continue
+				}
+			}
 			if err := sc.nt.EquivalentInto(&sc.eq, cfg); err != nil {
 				return array.Config{}, Operating{}, err
 			}
-			// Delivered ≤ bound < thr: this candidate cannot win. A NaN
-			// bound or threshold fails the comparison and prunes nothing.
 			if thr > math.Inf(-1) && sc.eq.Voc > 0 && sc.bands.deliverBound(sc.eq.Voc, sc.eq.R, thr) < thr {
 				continue
 			}

@@ -495,7 +495,8 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 
 // stepSource is a step request reduced to where its conditions come
 // from: an explicit sequence, or a synthesized drive trace still to be
-// sampled at the twin's clock. The sampling is deliberately deferred:
+// sampled at the twin's clock (a named cycle's trace is shared across
+// requests and only read). The sampling is deliberately deferred:
 // the clock read and the steps it positions must happen under one
 // continuous hold of the session mutex, or a concurrent step on the
 // same session advances the clock in between and the source segment
@@ -547,21 +548,20 @@ func (s *Server) parseStepSource(req SessionStepRequest) (*stepSource, *httpErro
 	if ticks < 1 || ticks > s.cfg.MaxTicksPerJob {
 		return nil, errf(http.StatusBadRequest, "ticks %d outside 1..%d", ticks, s.cfg.MaxTicksPerJob)
 	}
-	var (
-		sched drive.Schedule
-		err   error
-	)
 	if req.Cycle != "" {
-		cycle, cerr := drive.CycleByName(req.Cycle)
-		if cerr != nil {
-			return nil, errf(http.StatusBadRequest, "%v", cerr)
-		}
-		sched = cycle.Schedule()
-	} else {
-		sched, err = drive.ReadSchedule(strings.NewReader(req.CSV), req.Channel)
+		cycle, err := drive.CycleByName(req.Cycle)
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "csv: %v", err)
+			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
+		tr, err := cycleTraces[cycle.Name]()
+		if err != nil {
+			return nil, errf(http.StatusBadRequest, "%v", err)
+		}
+		return &stepSource{tr: tr, ticks: ticks}, nil
+	}
+	sched, err := drive.ReadSchedule(strings.NewReader(req.CSV), req.Channel)
+	if err != nil {
+		return nil, errf(http.StatusBadRequest, "csv: %v", err)
 	}
 	tr, err := drive.FromSpeedSchedule(drive.DefaultSynthConfig(), sched)
 	if err != nil {
@@ -569,6 +569,24 @@ func (s *Server) parseStepSource(req SessionStepRequest) (*stepSource, *httpErro
 	}
 	return &stepSource{tr: tr, ticks: ticks}, nil
 }
+
+// cycleTraces holds, per registered cycle name, the trace that cycle
+// synthesizes under the default synth config, built on first use. The
+// synthesis is deterministic, so every twin stepping through a named
+// cycle can share one trace instead of re-synthesizing it per request;
+// sampling it (drive.ConditionsAt, trace.At) only reads it, and
+// sync.OnceValues makes the first build safe under concurrent
+// steppers and releases the builder once it has run, so only the
+// trace itself stays resident.
+var cycleTraces = func() map[string]func() (*trace.Trace, error) {
+	m := make(map[string]func() (*trace.Trace, error))
+	for _, c := range drive.Cycles() {
+		m[c.Name] = sync.OnceValues(func() (*trace.Trace, error) {
+			return c.Synthesize(drive.DefaultSynthConfig())
+		})
+	}
+	return m
+}()
 
 // sample materializes the condition sequence at the twin's current
 // clock: a session that has lived 0..now_s continues the source where

@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"tegrecon/internal/drive"
+	"tegrecon/internal/trace"
 )
 
 // sessionResponse decodes the "session" object every session endpoint
@@ -484,5 +488,61 @@ func TestSessionCycleExhaustion(t *testing.T) {
 	resp, b := postJSON(t, ts.URL+"/v1/sessions/"+id+"/step", `{"cycle":"delivery","ticks":2000}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("stepping past the cycle end: %d %s (twin at %g s)", resp.StatusCode, b, sr.Session.NowS)
+	}
+}
+
+// TestCycleStepSharesOneSynthesizedTrace pins the named-cycle step
+// source: concurrent steps through one cycle, under any spelling of its
+// name, share a single trace equal to a fresh synthesis under the
+// default config, while a CSV source still builds its own.
+func TestCycleStepSharesOneSynthesizedTrace(t *testing.T) {
+	s := New(Config{})
+	cycle, err := drive.CycleByName("wltc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := drive.FromSpeedSchedule(drive.DefaultSynthConfig(), cycle.Schedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"wltc", "WLTC", "Wltc", "wltc"}
+	got := make([]*trace.Trace, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src, herr := s.parseStepSource(SessionStepRequest{Cycle: name, Ticks: 3})
+			if herr != nil {
+				t.Errorf("%s: %v", name, herr)
+				return
+			}
+			got[i] = src.tr
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, tr := range got {
+		if tr != got[0] {
+			t.Fatalf("step %d (%q) got its own trace", i, names[i])
+		}
+	}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatal("shared cycle trace differs from a fresh synthesis")
+	}
+
+	const csv = "time_s,speed_kph\n0,0\n10,30\n20,50\n"
+	a, herr := s.parseStepSource(SessionStepRequest{CSV: csv})
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	b, herr := s.parseStepSource(SessionStepRequest{CSV: csv})
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	if a.tr == b.tr {
+		t.Fatal("CSV sources share a trace")
 	}
 }
