@@ -92,7 +92,7 @@ func (b *bandTable) build(m converter.Model) {
 
 // deliverBound returns an upper bound on the delivered power
 // v·i·η(v) at every output current of an equivalent with open-circuit
-// voltage voc > 0 and resistance r, including the rounding of the
+// voltage voc ≥ 0 and resistance r, including the rounding of the
 // pricing arithmetic. Array power is at most the parabola v(voc−v)/r,
 // so PeakEff·voc²/4r bounds it; only when that does not fall below thr
 // is the tighter bound computed: the maximum over the bands below
@@ -283,11 +283,11 @@ func (sc *scratch) partitionInto(starts []int, exhaustive bool) error {
 // strictly below both final maxima, so it could win neither strict
 // comparison of the ascending loop, and dropping it changes neither
 // the first maxima nor the reverse checks that decide them. The bound
-// is first read at equivalentBound's O(n) over-estimate of the
-// candidate's equivalent, from prefix sums of the Norton pairs built
-// once per decision, so a pruned candidate costs its O(n) partition
-// and that bound; only a survivor pays the O(N) EquivalentInto, and
-// then runs the same bound test and pricing it always has.
+// is read at equivalentBound's O(n) over-estimate of the candidate's
+// equivalent, from prefix sums of the Norton pairs built once per
+// decision, so a pruned candidate costs its partition and that bound;
+// only a survivor pays the O(N) EquivalentInto, and then runs the
+// same pricing it always has.
 func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) (array.Config, Operating, error) {
 	sc.priced = 0
 	nmin, nmax, vGroup, err := e.groupWindow(arr)
@@ -353,10 +353,11 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 			}
 			cfg = array.Config{N: arr.N(), Starts: sc.starts}
 			// Delivered ≤ bound < thr: this candidate cannot win. The
-			// O(n) prefix bound is tried before the O(N) equivalent; the
 			// bound rises with voc and falls with r, so it holds at
-			// (vocHi, rLo) too. A NaN bound or threshold fails the
-			// comparison and prunes nothing.
+			// equivalentBound's (vocHi, rLo), read in O(n) before the
+			// O(N) equivalent is built. A refused bound (a group that
+			// may be broken), a NaN bound or a NaN threshold prunes
+			// nothing.
 			if thr > math.Inf(-1) {
 				if vocHi, rLo, ok := sc.equivalentBound(sc.starts); ok && sc.bands.deliverBound(vocHi, rLo, thr) < thr {
 					continue
@@ -364,9 +365,6 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 			}
 			if err := sc.nt.EquivalentInto(&sc.eq, cfg); err != nil {
 				return array.Config{}, Operating{}, err
-			}
-			if thr > math.Inf(-1) && sc.eq.Voc > 0 && sc.bands.deliverBound(sc.eq.Voc, sc.eq.R, thr) < thr {
-				continue
 			}
 			op, ok = e.priceEq(sc)
 			sc.priced++
