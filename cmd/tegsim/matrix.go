@@ -15,17 +15,6 @@ import (
 	"tegrecon/internal/scenario"
 )
 
-// matrixEnvelope mirrors the POST /v1/matrix response so a spec run
-// locally with -format json and the same spec submitted to a tegserve
-// instance produce the same shape.
-type matrixEnvelope struct {
-	Version   int                          `json:"version"`
-	Name      string                       `json:"name,omitempty"`
-	Counts    scenario.Counts              `json:"counts"`
-	Cells     []experiments.MatrixCell     `json:"cells"`
-	Marginals []experiments.MatrixMarginal `json:"marginals"`
-}
-
 func loadMatrixSpec(path string) (*scenario.Matrix, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -68,13 +57,7 @@ func runMatrix(ctx context.Context, path string, workers int, format report.Form
 	case report.JSON:
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(matrixEnvelope{
-			Version:   report.ResultVersion,
-			Name:      res.Name,
-			Counts:    counts,
-			Cells:     res.Cells,
-			Marginals: res.Marginals(),
-		})
+		return enc.Encode(report.NewMatrixEnvelope(res, counts))
 	default:
 		if format != report.CSV {
 			name := res.Name

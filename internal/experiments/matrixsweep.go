@@ -47,11 +47,6 @@ type MatrixOptions struct {
 	// the aggregate progress feed. It may be called concurrently from
 	// worker goroutines.
 	OnTick func(sim.Tick)
-	// OnCell, when non-nil, receives each cell as it completes, in
-	// stable cell order. Setting it switches the sweep to cell-by-cell
-	// batches (progress granularity over one batch of every job);
-	// results are bit-identical either way.
-	OnCell func(MatrixCell)
 }
 
 // MatrixSweep expands the matrix and runs every job on the batch
@@ -68,9 +63,11 @@ func MatrixSweep(ctx context.Context, m *scenario.Matrix, opts MatrixOptions) (*
 	return RunExpansion(ctx, ex, opts)
 }
 
-// RunExpansion runs an already-expanded matrix — the entry point for
-// callers that need the Expansion themselves (serve's per-cell cache
-// addressing). Cancellation behaves as in MatrixSweep.
+// RunExpansion runs an already-expanded matrix as one batch — the entry
+// point for callers that need the Expansion themselves (serve's
+// per-cell cache addressing, and its shards: a Subset of the expansion,
+// down to one cell for per-cell stream progress). Cancellation behaves
+// as in MatrixSweep.
 func RunExpansion(ctx context.Context, ex *scenario.Expansion, opts MatrixOptions) (*MatrixResult, error) {
 	runOpts := make([]sim.Options, len(ex.Jobs))
 	for i := range ex.Jobs {
@@ -83,44 +80,18 @@ func RunExpansion(ctx context.Context, ex *scenario.Expansion, opts MatrixOption
 	for i, c := range ex.Cells {
 		out.Cells[i] = MatrixCell{Cell: c}
 	}
-	fold := func(jobIdx int, r *sim.Result) {
-		c := &out.Cells[ex.CellOf[jobIdx]]
+	results, err := sim.Batch{Workers: opts.Workers}.Run(ctx, ex.Jobs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: matrix sweep: %w", err)
+	}
+	for i, r := range results {
+		c := &out.Cells[ex.CellOf[i]]
 		c.EnergyOutJ += r.EnergyOutJ
 		c.OverheadJ += r.OverheadJ
 		c.IdealEnergyJ += r.IdealEnergyJ
 		c.SwitchEvents += r.SwitchEvents
 		c.SwitchToggles += r.SwitchToggles
 		c.Jobs++
-	}
-
-	if opts.OnCell != nil {
-		// Cell-by-cell batches: per-cell completion granularity for
-		// streaming transports.
-		start := 0
-		for ci := range ex.Cells {
-			end := start
-			for end < len(ex.CellOf) && ex.CellOf[end] == ci {
-				end++
-			}
-			results, err := sim.Batch{Workers: opts.Workers}.Run(ctx, ex.Jobs[start:end])
-			if err != nil {
-				return nil, fmt.Errorf("experiments: matrix cell %s: %w", ex.Cells[ci].Coord, err)
-			}
-			for j, r := range results {
-				fold(start+j, r)
-			}
-			opts.OnCell(out.Cells[ci])
-			start = end
-		}
-		return out, nil
-	}
-
-	results, err := sim.Batch{Workers: opts.Workers}.Run(ctx, ex.Jobs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: matrix sweep: %w", err)
-	}
-	for i, r := range results {
-		fold(i, r)
 	}
 	return out, nil
 }

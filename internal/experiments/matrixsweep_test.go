@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"reflect"
-	"sort"
 	"testing"
 
 	"tegrecon/internal/scenario"
@@ -30,8 +29,7 @@ func goldenMatrix() *scenario.Matrix {
 // spec produces byte-for-byte identical per-cell results no matter how
 // the jobs are scheduled. The serial run is the golden reference;
 // parallel (an explicit pool, so workers run concurrently even on one
-// CPU), default-pool and streaming (OnCell) runs must match it exactly
-// — not approximately.
+// CPU) and default-pool runs must match it exactly — not approximately.
 func TestMatrixSweepBitIdentity(t *testing.T) {
 	m := goldenMatrix()
 	golden, err := MatrixSweep(context.Background(), m, MatrixOptions{Workers: 1})
@@ -75,32 +73,6 @@ func TestMatrixSweepBitIdentity(t *testing.T) {
 			}
 		})
 	}
-
-	// Streaming mode delivers cells as they finish (any order), but each
-	// delivered cell must still be bit-identical to the golden one.
-	t.Run("oncell", func(t *testing.T) {
-		var streamed []MatrixCell
-		res, err := MatrixSweep(context.Background(), goldenMatrix(), MatrixOptions{
-			Workers: 0,
-			OnCell:  func(c MatrixCell) { streamed = append(streamed, c) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed) != len(golden.Cells) {
-			t.Fatalf("streamed %d cells, want %d", len(streamed), len(golden.Cells))
-		}
-		sort.Slice(streamed, func(i, j int) bool { return streamed[i].Index < streamed[j].Index })
-		for i := range streamed {
-			if !reflect.DeepEqual(streamed[i], golden.Cells[i]) {
-				t.Fatalf("streamed cell %d differs from golden:\n%+v\n%+v",
-					i, streamed[i], golden.Cells[i])
-			}
-			if !reflect.DeepEqual(res.Cells[i], golden.Cells[i]) {
-				t.Fatalf("result cell %d differs from golden in OnCell mode", i)
-			}
-		}
-	})
 }
 
 func TestMatrixMarginals(t *testing.T) {

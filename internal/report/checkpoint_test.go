@@ -20,7 +20,7 @@ import (
 // and snapshots it — the round-trip tests exercise the encoder on
 // state a live engine actually produces (awkward floats, DNOR
 // incumbent, predictor window), not hand-picked values.
-func liveSessionState(t *testing.T, scheme string) *sim.SessionState {
+func liveSessionState(t testing.TB, scheme string) *sim.SessionState {
 	t.Helper()
 	sys := sim.DefaultSystem()
 	sys.Modules = 24

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"tegrecon/internal/experiments"
+	"tegrecon/internal/scenario"
 )
 
 func f1(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
@@ -231,4 +232,30 @@ func FromMatrixMarginals(r *experiments.MatrixResult) *Table {
 		})
 	}
 	return t
+}
+
+// MatrixEnvelope is the versioned JSON form of a scenario matrix: the
+// POST /v1/matrix response and `tegsim -matrix -format json`, so a spec
+// run locally and the same spec submitted to tegserve produce the same
+// bytes. It carries the cells' results alone (no request-time state),
+// so a repeat submission encodes identically however its cells were
+// obtained.
+type MatrixEnvelope struct {
+	Version   int                          `json:"version"`
+	Name      string                       `json:"name,omitempty"`
+	Counts    scenario.Counts              `json:"counts"`
+	Cells     []experiments.MatrixCell     `json:"cells"`
+	Marginals []experiments.MatrixMarginal `json:"marginals"`
+}
+
+// NewMatrixEnvelope wraps a completed matrix with its counts and
+// marginals.
+func NewMatrixEnvelope(r *experiments.MatrixResult, counts scenario.Counts) MatrixEnvelope {
+	return MatrixEnvelope{
+		Version:   ResultVersion,
+		Name:      r.Name,
+		Counts:    counts,
+		Cells:     r.Cells,
+		Marginals: r.Marginals(),
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"math"
 	"net/http"
 
+	"tegrecon/internal/core"
 	"tegrecon/internal/drive"
 	"tegrecon/internal/sim"
 )
@@ -74,12 +75,11 @@ type SweepRequest struct {
 	HorizonTicks int      `json:"horizon_ticks,omitempty"`
 }
 
-// runParams is a RunRequest after normalization: registry identities
-// resolved, every default applied, all bounds checked.
-type runParams struct {
-	cycle      drive.Cycle
+// physics is the knobs runs and twin sessions share, after
+// normalization: the scheme resolved, every default applied, all
+// bounds checked. build turns it into what the engine consumes.
+type physics struct {
 	scheme     sim.Scheme
-	durationS  float64 // effective simulated span (never 0, never past the cycle end)
 	tickS      float64
 	noiseC     float64
 	seed       int64
@@ -88,6 +88,14 @@ type runParams struct {
 	battery    bool
 	detRuntime bool
 	keepTicks  bool
+}
+
+// runParams is a RunRequest after normalization: registry identities
+// resolved, every default applied, all bounds checked.
+type runParams struct {
+	physics
+	cycle     drive.Cycle
+	durationS float64 // effective simulated span (never 0, never past the cycle end)
 }
 
 // httpError is a client-visible failure with its status code.
@@ -105,45 +113,78 @@ func errf(status int, format string, args ...any) *httpError {
 // defaultOpts mirrors the paper's settings the API defaults to.
 var defaultOpts = sim.DefaultOptions()
 
-// normalizeShared validates the knobs runs and twin sessions share,
-// applying defaults in place.
-func (s *Server) normalizeShared(tickS *float64, seed **int64, noise **float64, modules, horizon *int) *httpError {
-	if *tickS == 0 {
-		*tickS = defaultOpts.TickSeconds
+// orDefault reads an optional request field.
+func orDefault[T any](v *T, def T) T {
+	if v == nil {
+		return def
 	}
-	if math.IsNaN(*tickS) || math.IsInf(*tickS, 0) || *tickS <= 0 {
-		return errf(http.StatusBadRequest, "tick_s %g is not a positive finite number of seconds", *tickS)
+	return *v
+}
+
+// lookupScheme resolves a request's scheme name.
+func lookupScheme(name string) (sim.Scheme, *httpError) {
+	if name == "" {
+		return sim.Scheme{}, errf(http.StatusBadRequest, "missing scheme (GET /v1/schemes lists them)")
+	}
+	sch, err := sim.SchemeByName(name)
+	if err != nil {
+		return sim.Scheme{}, errf(http.StatusBadRequest, "%v", err)
+	}
+	return sch, nil
+}
+
+// normalizePhysics applies the paper's defaults to the zero-valued
+// knobs and checks every bound. The optional fields (seed, sensor
+// noise, deterministic runtime) arrive already defaulted by orDefault.
+func (s *Server) normalizePhysics(ph physics) (physics, *httpError) {
+	if ph.tickS == 0 {
+		ph.tickS = defaultOpts.TickSeconds
+	}
+	if math.IsNaN(ph.tickS) || math.IsInf(ph.tickS, 0) || ph.tickS <= 0 {
+		return ph, errf(http.StatusBadRequest, "tick_s %g is not a positive finite number of seconds", ph.tickS)
 	}
 	// An absurd control period is a client error, not a simulation to
 	// attempt: energy integrates as power × tick_s, so near-MaxFloat64
 	// periods overflow the accounting to +Inf deep in the engine.
-	if *tickS > 3600 {
-		return errf(http.StatusBadRequest, "tick_s %g is over the 3600 s limit", *tickS)
+	if ph.tickS > 3600 {
+		return ph, errf(http.StatusBadRequest, "tick_s %g is over the 3600 s limit", ph.tickS)
 	}
-	if *seed == nil {
-		v := defaultOpts.Seed
-		*seed = &v
+	if n := ph.noiseC; math.IsNaN(n) || math.IsInf(n, 0) || n < 0 {
+		return ph, errf(http.StatusBadRequest, "sensor_noise_c %g is not a non-negative finite °C", n)
 	}
-	if *noise == nil {
-		v := defaultOpts.SensorNoiseC
-		*noise = &v
+	if ph.modules == 0 {
+		ph.modules = 100
 	}
-	if n := **noise; math.IsNaN(n) || math.IsInf(n, 0) || n < 0 {
-		return errf(http.StatusBadRequest, "sensor_noise_c %g is not a non-negative finite °C", **noise)
+	if ph.modules < 1 || ph.modules > s.cfg.MaxModules {
+		return ph, errf(http.StatusBadRequest, "modules %d outside 1..%d", ph.modules, s.cfg.MaxModules)
 	}
-	if *modules == 0 {
-		*modules = 100
+	if ph.horizon == 0 {
+		ph.horizon = 4
 	}
-	if *modules < 1 || *modules > s.cfg.MaxModules {
-		return errf(http.StatusBadRequest, "modules %d outside 1..%d", *modules, s.cfg.MaxModules)
+	if ph.horizon < 0 {
+		return ph, errf(http.StatusBadRequest, "horizon_ticks %d is negative", ph.horizon)
 	}
-	if *horizon == 0 {
-		*horizon = 4
+	return ph, nil
+}
+
+// build makes the system, controller and options a run or a fresh twin
+// session runs on; sim.Run and sim.NewSession consume them as they are.
+func (ph physics) build(phaseSampleEvery int) (*sim.System, core.Controller, sim.Options, error) {
+	sys := sim.DefaultSystem()
+	sys.Modules = ph.modules
+	ctrl, err := ph.scheme.New(sys, sim.SchemeConfig{HorizonTicks: ph.horizon, TickSeconds: ph.tickS})
+	if err != nil {
+		return nil, nil, sim.Options{}, err
 	}
-	if *horizon < 0 {
-		return errf(http.StatusBadRequest, "horizon_ticks %d is negative", *horizon)
-	}
-	return nil
+	opts := sim.DefaultOptions()
+	opts.TickSeconds = ph.tickS
+	opts.SensorNoiseC = ph.noiseC
+	opts.Seed = ph.seed
+	opts.Battery = ph.battery
+	opts.DeterministicRuntime = ph.detRuntime
+	opts.KeepTicks = ph.keepTicks
+	opts.PhaseSampleEvery = phaseSampleEvery
+	return sys, ctrl, opts, nil
 }
 
 // effectiveDuration clamps a requested span onto the cycle: 0 or
@@ -170,32 +211,28 @@ func (s *Server) normalizeRun(req RunRequest) (runParams, *httpError) {
 	if err != nil {
 		return p, errf(http.StatusBadRequest, "%v", err)
 	}
-	if req.Scheme == "" {
-		return p, errf(http.StatusBadRequest, "missing scheme (GET /v1/schemes lists them)")
-	}
-	scheme, err := sim.SchemeByName(req.Scheme)
-	if err != nil {
-		return p, errf(http.StatusBadRequest, "%v", err)
+	scheme, herr := lookupScheme(req.Scheme)
+	if herr != nil {
+		return p, herr
 	}
 	if math.IsNaN(req.DurationS) || math.IsInf(req.DurationS, 0) || req.DurationS < 0 {
 		return p, errf(http.StatusBadRequest, "duration_s %g is not a non-negative finite number", req.DurationS)
 	}
-	if herr := s.normalizeShared(&req.TickS, &req.Seed, &req.SensorNoiseC, &req.Modules, &req.HorizonTicks); herr != nil {
-		return p, herr
-	}
-	p = runParams{
-		cycle:      cycle,
+	ph, herr := s.normalizePhysics(physics{
 		scheme:     scheme,
-		durationS:  effectiveDuration(cycle, req.DurationS),
 		tickS:      req.TickS,
-		noiseC:     *req.SensorNoiseC,
-		seed:       *req.Seed,
+		noiseC:     orDefault(req.SensorNoiseC, defaultOpts.SensorNoiseC),
+		seed:       orDefault(req.Seed, defaultOpts.Seed),
 		modules:    req.Modules,
 		horizon:    req.HorizonTicks,
 		battery:    req.Battery,
-		detRuntime: req.DeterministicRuntime == nil || *req.DeterministicRuntime,
+		detRuntime: orDefault(req.DeterministicRuntime, true),
 		keepTicks:  req.Ticks && !req.Stream,
+	})
+	if herr != nil {
+		return p, herr
 	}
+	p = runParams{physics: ph, cycle: cycle, durationS: effectiveDuration(cycle, req.DurationS)}
 	// The trace generator needs at least two 0.5 s samples and the run
 	// at least one whole control period; shorter spans would fail deep
 	// in the engine as a 500 instead of the 400 they are.

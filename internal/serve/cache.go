@@ -34,10 +34,10 @@ type cache struct {
 
 	disk *store.Store // optional second tier (nil → memory only)
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	diskHits  atomic.Int64 // hits answered by the disk tier
-	diskFails atomic.Int64 // write-through Put errors (disk full, perms)
+	hits          atomic.Int64
+	misses        atomic.Int64
+	diskHits      atomic.Int64 // hits answered by the disk tier
+	diskPutErrors atomic.Int64 // write-through Put errors (disk full, perms, oversize)
 }
 
 type cacheEntry struct {
@@ -74,9 +74,7 @@ func (c *cache) get(key string) ([]byte, bool) {
 		if b, ok := c.disk.Get(key); ok {
 			c.hits.Add(1)
 			c.diskHits.Add(1)
-			c.mu.Lock()
 			c.memPut(key, b)
-			c.mu.Unlock()
 			return b, true
 		}
 	}
@@ -121,14 +119,12 @@ func (c *cache) has(key string) bool {
 // memory-disabled payload can still persist to disk (and a disk-full
 // error never evicts the memory entry).
 func (c *cache) put(key string, payload []byte) {
-	c.mu.Lock()
 	c.memPut(key, payload)
-	c.mu.Unlock()
 	if c.disk != nil {
 		// Write-through outside the mutex: an fsync must never stall
 		// concurrent cache reads.
 		if err := c.disk.Put(key, payload); err != nil {
-			c.diskFails.Add(1)
+			c.diskPutErrors.Add(1)
 		}
 	}
 }
@@ -138,11 +134,14 @@ func (c *cache) put(key string, payload []byte) {
 // A payload larger than the whole byte budget is rejected outright,
 // before it can touch the LRU — admitting it would first flush every
 // resident entry and then still leave the cache over budget with an
-// entry the next eviction removes anyway. Callers hold c.mu.
+// entry the next eviction removes anyway. It is also how a payload
+// already on disk is promoted into memory.
 func (c *cache) memPut(key string, payload []byte) {
 	if c.max <= 0 || int64(len(payload)) > c.maxBytes {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
 		c.bytes += int64(len(payload)) - int64(len(e.payload))

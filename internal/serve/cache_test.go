@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tegrecon/internal/store"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -489,5 +491,60 @@ func TestCacheDisabledMemoryStillPersists(t *testing.T) {
 	}
 	if got, ok := c.get(key); !ok || string(got) != "v" {
 		t.Fatalf("disk tier did not serve with memory disabled: %q, %v", got, ok)
+	}
+}
+
+// TestComputeSharedFillsOnce covers both ends of the cross-process
+// single flight: a payload a peer process already landed in the store
+// is taken without computing and promoted into memory only, and a
+// computed payload is written to memory and, once, to the store before
+// the key's lock is released.
+func TestComputeSharedFillsOnce(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: st})
+
+	landed := testCellHash("landed by a peer")
+	if err := peer.Put(landed, []byte("peer")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.computeShared(landed, func(context.Context) ([]byte, error) {
+		t.Fatal("computed a payload a peer already landed")
+		return nil, nil
+	})
+	if err != nil || string(b) != "peer" {
+		t.Fatalf("peer-landed payload = %q, %v", b, err)
+	}
+	if _, ok := s.cache.entries[landed]; !ok {
+		t.Fatal("peer-landed payload not promoted into memory")
+	}
+
+	fresh := testCellHash("computed here")
+	calls := 0
+	b, err = s.computeShared(fresh, func(context.Context) ([]byte, error) {
+		calls++
+		if _, ok := st.TryLock(fresh); ok {
+			t.Error("computing without holding the key's store lock")
+		}
+		return []byte("mine"), nil
+	})
+	if err != nil || string(b) != "mine" || calls != 1 {
+		t.Fatalf("computed payload = %q, %v after %d computations", b, err, calls)
+	}
+	if _, ok := s.cache.entries[fresh]; !ok {
+		t.Fatal("computed payload not cached in memory")
+	}
+	if got, ok := peer.Get(fresh); !ok || string(got) != "mine" {
+		t.Fatalf("computed payload not in the store: %q, %v", got, ok)
+	}
+	if puts := st.Snapshot().Puts; puts != 1 {
+		t.Fatalf("store puts = %d, want 1 (the computed payload only)", puts)
 	}
 }

@@ -163,14 +163,12 @@ func TestServeListenerError(t *testing.T) {
 
 func BenchmarkCachedRunRequest(b *testing.B) {
 	s := New(Config{})
-	ctx, cancelCtx := s.jobContext(context.Background())
-	defer cancelCtx()
 	p, herr := s.normalizeRun(RunRequest{Cycle: "delivery", Scheme: "inor", DurationS: 6, Modules: 20})
 	if herr != nil {
 		b.Fatal(herr)
 	}
 	key := runKey(p)
-	payload, err := s.runPayload(ctx, p)
+	payload, err := s.runPayload(context.Background(), p)
 	if err != nil {
 		b.Fatal(err)
 	}

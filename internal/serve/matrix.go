@@ -22,7 +22,6 @@ import (
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/report"
 	"tegrecon/internal/scenario"
-	"tegrecon/internal/sim"
 )
 
 // MatrixRequest is the POST /v1/matrix body: a scenario.Matrix spec
@@ -40,19 +39,6 @@ type MatrixRequest struct {
 type matrixParams struct {
 	m      *scenario.Matrix
 	counts scenario.Counts
-}
-
-// matrixEnvelope is the response payload. It is built deterministically
-// from the per-cell results alone (no request-time state like cache
-// hit counts — those travel as headers), so a repeat submission is
-// byte-identical whether it came from the envelope cache, the per-cell
-// cache, or a fresh computation.
-type matrixEnvelope struct {
-	Version   int                          `json:"version"`
-	Name      string                       `json:"name,omitempty"`
-	Counts    scenario.Counts              `json:"counts"`
-	Cells     []experiments.MatrixCell     `json:"cells"`
-	Marginals []experiments.MatrixMarginal `json:"marginals"`
 }
 
 func (s *Server) normalizeMatrix(req MatrixRequest) (matrixParams, *httpError) {
@@ -171,12 +157,6 @@ func (r *matrixRegistry) list() []*matrixEntry {
 
 // --- execution ---
 
-// matrixTicksObserver counts simulated control periods into the
-// service-wide throughput metric.
-func (s *Server) matrixTicksObserver() func(sim.Tick) {
-	return func(sim.Tick) { s.met.ticks.Add(1) }
-}
-
 // expandMatrix expands the spec and registers the matrix (with its
 // per-cell cache keys) for status listing.
 func (s *Server) expandMatrix(p matrixParams, key string) (*scenario.Expansion, []string, error) {
@@ -197,11 +177,12 @@ func (s *Server) expandMatrix(p matrixParams, key string) (*scenario.Expansion, 
 // computeMatrix fills cells from the per-cell cache and simulates only
 // the missing ones, caching each fresh cell on the way out. onCell,
 // when non-nil, observes every cell in stable order (cached ones
-// first, then fresh ones as they complete). distribute allows the
-// missing cells to fan out to the worker peers (non-streaming
-// client-facing requests only — shard requests and SSE streams always
-// compute locally). Returns the full cell list and how many came from
-// cache.
+// first, then fresh ones as they complete): each missing cell then runs
+// as its own one-cell shard, and the callback's error (client gone)
+// aborts the remaining cells. distribute allows the missing cells to
+// fan out to the worker peers (non-streaming client-facing requests
+// only — shard requests and SSE streams always compute locally).
+// Returns the full cell list and how many came from cache.
 func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys []string, onCell func(experiments.MatrixCell) error, distribute bool) ([]experiments.MatrixCell, int, error) {
 	cells := make([]experiments.MatrixCell, len(ex.Cells))
 	var missing []int
@@ -226,53 +207,31 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 	if len(missing) == 0 {
 		return cells, cached, nil
 	}
-	finish := func(k int, c experiments.MatrixCell) error {
-		i := missing[k]
-		cells[i] = c
-		if b, err := json.Marshal(c); err == nil {
-			s.cache.put(keys[i], b)
+	batches := [][]int{missing}
+	if onCell != nil {
+		batches = make([][]int, len(missing))
+		for k, i := range missing {
+			batches[k] = []int{i}
 		}
-		s.met.matrixCells.Add(1)
-		if onCell != nil {
-			return onCell(c)
-		}
-		return nil
 	}
-	if onCell == nil {
-		got, err := s.computeCells(ctx, ex, missing, distribute)
+	for _, idxs := range batches {
+		got, err := s.computeCells(ctx, ex, idxs, distribute)
 		if err != nil {
 			return nil, cached, err
 		}
 		for k, c := range got {
-			if err := finish(k, c); err != nil {
-				return nil, cached, err
+			i := idxs[k]
+			cells[i] = c
+			if b, err := json.Marshal(c); err == nil {
+				s.cache.put(keys[i], b)
+			}
+			s.met.matrixCells.Add(1)
+			if onCell != nil {
+				if err := onCell(c); err != nil {
+					return nil, cached, err
+				}
 			}
 		}
-		return cells, cached, nil
-	}
-	// Streaming: cell-by-cell batches for per-cell progress. The
-	// callback's error (client gone) aborts the remaining cells.
-	sub, err := ex.Subset(missing)
-	if err != nil {
-		return nil, cached, err
-	}
-	k := 0
-	var cbErr error
-	opts := experiments.MatrixOptions{
-		Workers: s.cfg.Workers,
-		OnTick:  s.matrixTicksObserver(),
-		OnCell: func(c experiments.MatrixCell) {
-			if cbErr == nil {
-				cbErr = finish(k, c)
-			}
-			k++
-		},
-	}
-	if _, err := experiments.RunExpansion(ctx, sub, opts); err != nil {
-		return nil, cached, err
-	}
-	if cbErr != nil {
-		return nil, cached, cbErr
 	}
 	return cells, cached, nil
 }
@@ -289,34 +248,32 @@ func (s *Server) computeCells(ctx context.Context, ex *scenario.Expansion, idxs 
 	return s.localMatrixShard(ctx, ex, idxs)
 }
 
-// matrixPayload claims a queue slot, computes (or recalls) every cell
-// and encodes the envelope. Missing cells fan out to the worker peers
-// when the server is a coordinator.
+// matrixPayload computes (or recalls) every cell as one job and
+// encodes the envelope. Missing cells fan out to the worker peers when
+// the server is a coordinator.
 func (s *Server) matrixPayload(ctx context.Context, p matrixParams, ex *scenario.Expansion, keys []string) ([]byte, int, error) {
-	if err := s.q.acquire(ctx); err != nil {
-		return nil, 0, err
-	}
-	defer s.q.release()
-	s.met.computations.Add(1)
-	started := time.Now()
-	defer func() { s.met.observeJob(time.Since(started)) }()
-	cells, cached, err := s.computeMatrix(ctx, ex, keys, nil, true)
-	if err != nil {
-		return nil, cached, err
-	}
-	payload, err := marshalMatrixEnvelope(p, cells)
+	var payload []byte
+	var cached int
+	err := s.job(ctx, func(ctx context.Context) error {
+		s.met.computations.Add(1)
+		cells, n, err := s.computeMatrix(ctx, ex, keys, nil, true)
+		cached = n
+		if err != nil {
+			return err
+		}
+		payload, err = marshalMatrixEnvelope(p, cells)
+		return err
+	})
 	return payload, cached, err
 }
 
+// marshalMatrixEnvelope encodes the response payload. It is built
+// deterministically from the per-cell results alone (no request-time
+// state like cache hit counts — those travel as headers), so a repeat
+// submission is byte-identical whether it came from the envelope cache,
+// the per-cell cache, or a fresh computation.
 func marshalMatrixEnvelope(p matrixParams, cells []experiments.MatrixCell) ([]byte, error) {
-	res := &experiments.MatrixResult{Name: p.m.Name, Cells: cells}
-	return json.Marshal(matrixEnvelope{
-		Version:   report.ResultVersion,
-		Name:      p.m.Name,
-		Counts:    p.counts,
-		Cells:     cells,
-		Marginals: res.Marginals(),
-	})
+	return json.Marshal(report.NewMatrixEnvelope(&experiments.MatrixResult{Name: p.m.Name, Cells: cells}, p.counts))
 }
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
@@ -371,63 +328,27 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 // holding the same envelope the non-streaming path serves (which also
 // back-fills the envelope cache).
 func (s *Server) streamMatrix(w http.ResponseWriter, r *http.Request, p matrixParams, key string) {
-	ctx, cancel := s.jobContext(r.Context())
-	defer cancel()
-	if err := s.q.acquire(ctx); err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	defer s.q.release()
-	ew, err := newEventWriter(w)
-	if err != nil {
-		s.writeJSONError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.met.streams.Add(1)
-	s.met.computations.Add(1)
-	started := time.Now()
-	defer func() {
-		s.met.streams.Add(-1)
-		s.met.streamHist.ObserveDuration(time.Since(started))
-		s.met.observeJob(time.Since(started))
-	}()
-
-	ex, keys, err := s.expandMatrix(p, key)
-	if err != nil {
-		msg, _ := json.Marshal(map[string]string{"error": err.Error()})
-		ew.event("error", msg)
-		return
-	}
-	start, _ := json.Marshal(map[string]any{"key": key, "name": p.m.Name, "counts": p.counts})
-	if ew.event("start", start) != nil {
-		return
-	}
-	cells, _, err := s.computeMatrix(ctx, ex, keys, func(c experiments.MatrixCell) error {
-		// (streams compute locally: events must flow as cells finish)
-		b, merr := json.Marshal(c)
-		if merr != nil {
-			return merr
+	s.stream(w, r, key, true, func(ctx context.Context, send func(string, []byte) error) ([]byte, error) {
+		ex, keys, err := s.expandMatrix(p, key)
+		if err != nil {
+			return nil, err
 		}
-		if merr := ew.event("cell", b); merr != nil {
-			// Client gone: stop simulating into a dead socket.
-			cancel()
-			return merr
+		start, _ := json.Marshal(map[string]any{"key": key, "name": p.m.Name, "counts": p.counts})
+		if err := send("start", start); err != nil {
+			return nil, err
 		}
-		return nil
-	}, false)
-	if err != nil {
-		msg, _ := json.Marshal(map[string]string{"error": err.Error()})
-		ew.event("error", msg)
-		return
-	}
-	payload, err := marshalMatrixEnvelope(p, cells)
-	if err != nil {
-		msg, _ := json.Marshal(map[string]string{"error": err.Error()})
-		ew.event("error", msg)
-		return
-	}
-	s.cache.put(key, payload)
-	ew.event("summary", payload)
+		cells, _, err := s.computeMatrix(ctx, ex, keys, func(c experiments.MatrixCell) error {
+			b, err := json.Marshal(c)
+			if err != nil {
+				return err
+			}
+			return send("cell", b)
+		}, false)
+		if err != nil {
+			return nil, err
+		}
+		return marshalMatrixEnvelope(p, cells)
+	})
 }
 
 // --- status listing ---

@@ -451,7 +451,7 @@ func TestSweepRendersMatrixCells(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("matrix: %d: %s", resp.StatusCode, b)
 	}
-	var matrix matrixEnvelope
+	var matrix report.MatrixEnvelope
 	if err := json.Unmarshal(b, &matrix); err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,6 @@ type metrics struct {
 	matrixCells      atomic.Int64 // matrix cells actually simulated (not recalled from cache)
 	coalesced        atomic.Int64 // requests served by waiting on an identical in-flight job
 	streams          atomic.Int64 // live SSE streams (gauge)
-	jobs             atomic.Int64 // jobs whose execution time landed in jobNanos
-	jobNanos         atomic.Int64 // cumulative job execution time
 	sessionsCreated  atomic.Int64 // twin sessions opened (fresh and restored)
 	sessionsRestored atomic.Int64 // twin sessions opened from a checkpoint
 	sessionsEvicted  atomic.Int64 // twin sessions evicted past the idle TTL
@@ -59,14 +57,6 @@ func newMetrics() metrics {
 		jobHist:    obs.NewHistogram(obs.DefBuckets()),
 		streamHist: obs.NewHistogram(obs.DefBuckets()),
 	}
-}
-
-// observeJob folds one job's execution time into the job-latency
-// histogram whose p90 the 503 Retry-After derivation reads.
-func (m *metrics) observeJob(d time.Duration) {
-	m.jobNanos.Add(int64(d))
-	m.jobs.Add(1)
-	m.jobHist.ObserveDuration(d)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -114,6 +104,7 @@ type Stats struct {
 	CacheHitRatio  float64 // lifetime hit ratio, 0 when no lookups yet
 
 	DiskHits         int64 // cache hits answered by the disk tier
+	DiskPutErrors    int64 // write-throughs the disk tier refused (disk full, perms, oversize)
 	ShardsDispatched int64 // shards posted to worker peers (coordinator mode)
 	ShardRetries     int64 // failed shards recomputed locally
 	ShardsServed     int64 // shard requests accepted from a coordinator
@@ -157,6 +148,7 @@ func (s *Server) Stats() Stats {
 		Ticks:          s.met.ticks.Load(),
 
 		DiskHits:         s.cache.diskHits.Load(),
+		DiskPutErrors:    s.cache.diskPutErrors.Load(),
 		ShardsDispatched: s.met.shardsDispatched.Load(),
 		ShardRetries:     s.met.shardRetries.Load(),
 		ShardsServed:     s.met.shardsServed.Load(),
@@ -216,6 +208,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tegserve_cache_bytes", "Resident bytes of cached result payloads.", "gauge", st.CacheBytes},
 		{"tegserve_cache_hit_ratio", "Lifetime cache hit ratio.", "gauge", st.CacheHitRatio},
 		{"tegserve_cache_disk_hits_total", "Cache hits answered by the disk store tier.", "counter", st.DiskHits},
+		{"tegserve_cache_disk_put_errors_total", "Result payloads the disk store tier failed to write (disk full, permissions, over its byte budget).", "counter", st.DiskPutErrors},
 		{"tegserve_store_objects", "Payloads resident in the disk store.", "gauge", st.StoreObjects},
 		{"tegserve_store_bytes", "Resident disk-store payload bytes.", "gauge", st.StoreBytes},
 		{"tegserve_store_puts_total", "Payloads written to the disk store.", "counter", st.StorePuts},

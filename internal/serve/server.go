@@ -48,6 +48,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"tegrecon/internal/drive"
@@ -208,10 +209,15 @@ type Server struct {
 	phases   phaseAgg
 	mux      *http.ServeMux
 	handler  http.Handler
-	drainCh  chan struct{}
 	sessions *sessionRegistry
 	matrices *matrixRegistry
 	peers    *http.Client // shard dispatch client (coordinator mode)
+
+	// drainCtx is the server's lifetime: Drain cancels it once, and every
+	// job's context is canceled with it.
+	drainCtx  context.Context
+	drain     context.CancelFunc
+	drainOnce sync.Once
 }
 
 // New builds a server with the given bounds.
@@ -224,11 +230,11 @@ func New(cfg Config) *Server {
 		cache:    newCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Store),
 		met:      newMetrics(),
 		mux:      http.NewServeMux(),
-		drainCh:  make(chan struct{}),
 		sessions: newSessionRegistry(cfg.MaxSessions, cfg.SessionIdleTTL),
 		matrices: newMatrixRegistry(cfg.MaxMatrices),
 		peers:    &http.Client{}, // per-shard deadlines come from contexts
 	}
+	s.drainCtx, s.drain = context.WithCancel(context.Background())
 	s.mux.HandleFunc("GET /v1/cycles", s.handleCycles)
 	s.mux.HandleFunc("GET /v1/schemes", s.handleSchemes)
 	s.mux.HandleFunc("POST /v1/runs", s.handleRun)
@@ -258,28 +264,19 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // in-flight job's context is canceled, aborting each simulation within
 // one control period. Safe to call more than once.
 func (s *Server) Drain() {
-	select {
-	case <-s.drainCh:
-	default:
-		close(s.drainCh)
+	s.drainOnce.Do(func() {
+		s.drain()
 		s.log.Info("drain started",
 			"queue_depth", s.q.depth(),
 			"active_jobs", s.q.active(),
 			"open_streams", s.met.streams.Load(),
 			"twin_sessions", s.sessions.len(),
 		)
-	}
+	})
 }
 
 // Draining reports whether Drain has been called.
-func (s *Server) Draining() bool {
-	select {
-	case <-s.drainCh:
-		return true
-	default:
-		return false
-	}
-}
+func (s *Server) Draining() bool { return s.drainCtx.Err() != nil }
 
 // Serve runs the service on the listener until ctx is canceled, then
 // drains: jobs abort within a control period, streams close, and —
@@ -315,62 +312,69 @@ func (s *Server) Serve(ctx context.Context, l net.Listener, drainTimeout time.Du
 	return serr
 }
 
-// jobContext derives a job's context from the request's, additionally
-// canceled by Drain — the bridge from SIGTERM to every simulation's
-// per-tick abort check.
-func (s *Server) jobContext(parent context.Context) (context.Context, context.CancelFunc) {
+// job runs fn as one unit of simulation work: a run, a stream, a sweep,
+// a matrix, a shard, a checkpoint restore or a step batch. fn's context
+// derives from parent and is also canceled by Drain, the bridge from
+// SIGTERM to every simulation's per-tick abort check; it is an
+// AfterFunc registration on the drain context, removed when the job
+// ends, so no goroutine waits per job. The job then claims an execution
+// slot from the bounded queue — failing with errQueueFull when the wait
+// queue is full, or with the context's error when the caller gives up
+// first — and fn's run time lands in job_seconds, whose p90 feeds
+// Retry-After. Defers release the slot, so a panic in fn cannot leak it.
+func (s *Server) job(parent context.Context, fn func(context.Context) error) error {
 	ctx, cancel := context.WithCancel(parent)
-	go func() {
-		select {
-		case <-s.drainCh:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
-}
-
-// detachedJobContext is jobContext off the server's own lifetime
-// instead of a single request's: cache-filling computations run under
-// it so that a leader's client disconnecting cannot poison the
-// coalesced followers waiting on the same result.
-func (s *Server) detachedJobContext() (context.Context, context.CancelFunc) {
-	return s.jobContext(context.Background())
+	defer cancel()
+	defer context.AfterFunc(s.drainCtx, cancel)()
+	if err := s.q.acquire(ctx); err != nil {
+		return err
+	}
+	defer s.q.release()
+	defer func(started time.Time) { s.met.jobHist.ObserveDuration(time.Since(started)) }(time.Now())
+	return fn(ctx)
 }
 
 // storeLockPoll is how often a cross-process single-flight follower
 // re-probes the store for the leader's payload.
 const storeLockPoll = 100 * time.Millisecond
 
-// computeShared is the flightGroup promoted to cross-process scope:
-// when a disk store is configured, the in-process flight leader first
-// checks whether a peer sharing the store already landed the payload,
-// then claims the key's store-level lock file before computing. A
-// follower process polls the store until the payload appears (or the
-// leader's lock goes stale and it inherits the claim). On success the
-// payload is written through to the store before the lock releases, so
-// waiting peers find it on their next probe. Without a store this is
-// just fn — the in-process flightGroup already holds the key.
-func (s *Server) computeShared(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, error) {
+// computeShared runs a cache miss's computation and fills the cache
+// with its payload. compute runs under the drain context, detached
+// from any one client, so that a leader's client disconnecting cannot
+// poison the coalesced followers waiting on the same result. When a
+// disk store is configured the claim widens to every process sharing
+// it: the leader first checks whether a peer already landed the
+// payload (then only the memory tier takes it), else claims the key's
+// store-level lock file before computing. A follower process polls the
+// store until the payload appears (or the leader's lock goes stale and
+// it inherits the claim). A computed payload goes through cache.put —
+// memory and the one disk write — before the lock releases, so waiting
+// peers find it on their next probe.
+func (s *Server) computeShared(key string, compute func(context.Context) ([]byte, error)) ([]byte, error) {
+	fill := func() ([]byte, error) {
+		b, err := compute(s.drainCtx)
+		if err == nil {
+			s.cache.put(key, b)
+		}
+		return b, err
+	}
 	st := s.cfg.Store
 	if st == nil {
-		return fn()
+		return fill()
 	}
 	for {
 		if b, ok := st.Get(key); ok {
+			s.cache.memPut(key, b)
 			return b, nil
 		}
 		if release, ok := st.TryLock(key); ok {
-			b, err := fn()
-			if err == nil {
-				st.Put(key, b)
-			}
+			b, err := fill()
 			release()
 			return b, err
 		}
 		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case <-s.drainCtx.Done():
+			return nil, s.drainCtx.Err()
 		case <-time.After(storeLockPoll):
 		}
 	}
@@ -444,10 +448,9 @@ func (s *Server) logCache(r *http.Request, state, key string) {
 
 // cachedPayload answers a deterministic request from the result cache
 // or computes it exactly once: concurrent misses for one key coalesce
-// onto a single flight, whose leader runs compute under a context
-// detached from any one client (computeShared widens the claim to
-// every process sharing the store) and caches the payload on the way
-// out. It returns the payload and its X-Cache state — "hit", "miss" or
+// onto a single flight, whose leader runs compute through
+// computeShared, which caches the payload on the way out. It returns
+// the payload and its X-Cache state — "hit", "miss" or
 // "coalesced" — with the outcome already logged.
 func (s *Server) cachedPayload(r *http.Request, key string, compute func(context.Context) ([]byte, error)) ([]byte, string, error) {
 	if payload, ok := s.cache.get(key); ok {
@@ -462,13 +465,7 @@ func (s *Server) cachedPayload(r *http.Request, key string, compute func(context
 		if b, ok := s.cache.peek(key); ok {
 			return b, nil
 		}
-		ctx, cancel := s.detachedJobContext()
-		defer cancel()
-		b, err := s.computeShared(ctx, key, func() ([]byte, error) { return compute(ctx) })
-		if err == nil {
-			s.cache.put(key, b)
-		}
-		return b, err
+		return s.computeShared(key, compute)
 	})
 	if err != nil {
 		return nil, "", err
@@ -537,20 +534,10 @@ func (s *Server) executeRun(ctx context.Context, p runParams, onTick func(sim.Ti
 	if err != nil {
 		return nil, err
 	}
-	sys := sim.DefaultSystem()
-	sys.Modules = p.modules
-	ctrl, err := p.scheme.New(sys, sim.SchemeConfig{HorizonTicks: p.horizon, TickSeconds: p.tickS})
+	sys, ctrl, opts, err := p.build(s.cfg.PhaseSampleEvery)
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.DefaultOptions()
-	opts.TickSeconds = p.tickS
-	opts.SensorNoiseC = p.noiseC
-	opts.Seed = p.seed
-	opts.Battery = p.battery
-	opts.DeterministicRuntime = p.detRuntime
-	opts.KeepTicks = p.keepTicks
-	opts.PhaseSampleEvery = s.cfg.PhaseSampleEvery
 	opts.OnTick = func(t sim.Tick) {
 		s.met.ticks.Add(1)
 		if onTick != nil {
@@ -567,21 +554,20 @@ func (s *Server) executeRun(ctx context.Context, p runParams, onTick func(sim.Ti
 	return res, err
 }
 
-// runPayload claims a queue slot, executes the run and encodes the
-// versioned result payload.
+// runPayload executes the run as a job and encodes the versioned
+// result payload.
 func (s *Server) runPayload(ctx context.Context, p runParams) ([]byte, error) {
-	if err := s.q.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.q.release()
-	s.met.computations.Add(1)
-	started := time.Now()
-	defer func() { s.met.observeJob(time.Since(started)) }()
-	res, err := s.executeRun(ctx, p, nil)
-	if err != nil {
-		return nil, err
-	}
-	return report.MarshalResult(res)
+	var payload []byte
+	err := s.job(ctx, func(ctx context.Context) error {
+		s.met.computations.Add(1)
+		res, err := s.executeRun(ctx, p, nil)
+		if err != nil {
+			return err
+		}
+		payload, err = report.MarshalResult(res)
+		return err
+	})
+	return payload, err
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -617,9 +603,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !p.detRuntime {
 		// Measured-runtime physics is not reproducible, so it is never
 		// cached; each request pays for its own computation.
-		ctx, cancel := s.jobContext(r.Context())
-		defer cancel()
-		payload, err := s.runPayload(ctx, p)
+		payload, err := s.runPayload(r.Context(), p)
 		if err != nil {
 			s.writeJobError(w, r, err)
 			return
@@ -638,76 +622,92 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writePayload(w, state, payload)
 }
 
-// streamRun answers a run request with Server-Sent Events: `start`,
-// one `tick` per control period straight from Options.OnTick, then a
-// terminal `summary` (or `error`). A deterministic run's summary also
-// back-fills the result cache on the way out.
-func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, p runParams, key string) {
-	ctx, cancel := s.jobContext(r.Context())
-	defer cancel()
-	if err := s.q.acquire(ctx); err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	defer s.q.release()
-	ew, err := newEventWriter(w)
-	if err != nil {
-		s.writeJSONError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.met.streams.Add(1)
-	s.met.computations.Add(1)
-	started := time.Now()
-	defer func() {
-		s.met.streams.Add(-1)
-		s.met.streamHist.ObserveDuration(time.Since(started))
-		s.met.observeJob(time.Since(started))
-	}()
-
-	start, _ := json.Marshal(map[string]any{
-		"key":        key,
-		"cycle":      p.cycle.Name,
-		"scheme":     p.scheme.Name,
-		"duration_s": p.durationS,
-		"tick_s":     p.tickS,
-	})
-	if ew.event("start", start) != nil {
-		return
-	}
-	var writeErr error
-	res, err := s.executeRun(ctx, p, func(t sim.Tick) {
-		if writeErr != nil {
-			return
+// stream answers a request with Server-Sent Events as one job. body
+// runs the simulation, sending its own events — `start` first, then
+// ticks or cells — and returns the summary payload; the stream closes
+// with exactly one terminal event, `summary` carrying that payload or
+// `error`. With fill set the summary also back-fills the result cache
+// under key. A failed write means the client went away: it cancels the
+// job, so the simulation stops at its next per-tick context check
+// instead of simulating into a dead socket, and no terminal event
+// follows.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, fill bool,
+	body func(ctx context.Context, send func(name string, data []byte) error) ([]byte, error)) {
+	err := s.job(r.Context(), func(ctx context.Context) error {
+		ew, err := newEventWriter(w)
+		if err != nil {
+			s.writeJSONError(w, http.StatusInternalServerError, err.Error())
+			return nil
 		}
-		b, merr := report.MarshalTick(t)
-		if merr == nil {
-			merr = ew.event("tick", b)
+		s.met.streams.Add(1)
+		s.met.computations.Add(1)
+		defer func(started time.Time) {
+			s.met.streams.Add(-1)
+			s.met.streamHist.ObserveDuration(time.Since(started))
+		}(time.Now())
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		var gone error
+		send := func(name string, data []byte) error {
+			if gone == nil {
+				if gone = ew.event(name, data); gone != nil {
+					cancel()
+				}
+			}
+			return gone
 		}
-		if merr != nil {
-			// The client went away mid-stream: stop the simulation at
-			// its next per-tick context check instead of simulating
-			// into a dead socket.
-			writeErr = merr
-			cancel()
-		}
-	})
-	if err != nil {
-		if writeErr == nil {
+		payload, err := body(ctx, send)
+		switch {
+		case gone != nil:
+		case err != nil:
 			msg, _ := json.Marshal(map[string]string{"error": err.Error()})
 			ew.event("error", msg)
+		default:
+			if fill {
+				s.cache.put(key, payload)
+			}
+			ew.event("summary", payload)
 		}
-		return
-	}
-	payload, err := report.MarshalResult(res)
+		return nil
+	})
 	if err != nil {
-		msg, _ := json.Marshal(map[string]string{"error": err.Error()})
-		ew.event("error", msg)
-		return
+		s.writeJobError(w, r, err)
 	}
-	if p.detRuntime {
-		s.cache.put(key, payload)
-	}
-	ew.event("summary", payload)
+}
+
+// streamRun answers a run request with Server-Sent Events: `start`,
+// one `tick` per control period straight from Options.OnTick, then the
+// terminal `summary` (or `error`). A deterministic run's summary also
+// back-fills the result cache.
+func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, p runParams, key string) {
+	s.stream(w, r, key, p.detRuntime, func(ctx context.Context, send func(string, []byte) error) ([]byte, error) {
+		start, _ := json.Marshal(map[string]any{
+			"key":        key,
+			"cycle":      p.cycle.Name,
+			"scheme":     p.scheme.Name,
+			"duration_s": p.durationS,
+			"tick_s":     p.tickS,
+		})
+		if err := send("start", start); err != nil {
+			return nil, err
+		}
+		var tickErr error
+		res, err := s.executeRun(ctx, p, func(t sim.Tick) {
+			if tickErr == nil {
+				var b []byte
+				if b, tickErr = report.MarshalTick(t); tickErr == nil {
+					tickErr = send("tick", b)
+				}
+			}
+		})
+		if tickErr != nil {
+			return nil, tickErr
+		}
+		if err != nil {
+			return nil, err
+		}
+		return report.MarshalResult(res)
+	})
 }
 
 // --- sweep execution ---
@@ -759,31 +759,30 @@ func sweepMatrix(req SweepRequest) scenario.Matrix {
 	return m
 }
 
-// computeSweep claims a queue slot, computes every cell of the sweep's
-// matrix (fanned out to the worker peers in coordinator mode) and
-// renders them as the cycle × scheme table. Cells are not cached one
-// by one: a sweep costs a single store write, its envelope's.
+// computeSweep computes, as one job, every cell of the sweep's matrix
+// (fanned out to the worker peers in coordinator mode) and renders them
+// as the cycle × scheme table. Cells are not cached one by one: a sweep
+// costs a single store write, its envelope's.
 func (s *Server) computeSweep(ctx context.Context, p matrixParams) ([]byte, error) {
-	if err := s.q.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.q.release()
-	s.met.computations.Add(1)
-	started := time.Now()
-	defer func() { s.met.observeJob(time.Since(started)) }()
-	ex, err := p.m.Expand()
-	if err != nil {
-		return nil, err
-	}
-	all := make([]int, len(ex.Cells))
-	for i := range all {
-		all[i] = i
-	}
-	cells, err := s.computeCells(ctx, ex, all, true)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: sweepTable(p.m, cells)})
+	var payload []byte
+	err := s.job(ctx, func(ctx context.Context) error {
+		s.met.computations.Add(1)
+		ex, err := p.m.Expand()
+		if err != nil {
+			return err
+		}
+		all := make([]int, len(ex.Cells))
+		for i := range all {
+			all[i] = i
+		}
+		cells, err := s.computeCells(ctx, ex, all, true)
+		if err != nil {
+			return err
+		}
+		payload, err = json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: sweepTable(p.m, cells)})
+		return err
+	})
+	return payload, err
 }
 
 // sweepTable renders the cells in request order — each cycle as listed

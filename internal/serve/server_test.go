@@ -399,11 +399,22 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestQueueSheddingHTTP holds the single execution slot, queues one
-// waiter to fill the 1-deep wait queue, then proves the next request
-// is shed with 503 + Retry-After — and that the waiter still completes
-// once the slot frees.
+// waiter to fill the 1-deep wait queue, then proves every endpoint that
+// runs simulation work — runs and run streams, sweeps, matrices and
+// matrix streams, shards, checkpoint restores and twin steps — is shed
+// with 503 + Retry-After, and that the waiter still completes once the
+// slot frees.
 func TestQueueSheddingHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueued: 1})
+	// A twin and its checkpoint, made while the slot is free (creating a
+	// fresh session and fetching a checkpoint are not jobs).
+	id := createSession(t, ts.URL, `{"scheme":"inor","modules":10}`).Session.ID
+	stepSession(t, ts.URL, id, `{"cycle":"delivery","ticks":2}`)
+	restore, err := json.Marshal(map[string]json.RawMessage{"from_checkpoint": getCheckpoint(t, ts.URL, id)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// Occupy the only slot directly (white box): deterministic, no
 	// timing games with a real long run.
 	if err := s.q.acquire(context.Background()); err != nil {
@@ -422,13 +433,30 @@ func TestQueueSheddingHTTP(t *testing.T) {
 		waiter <- resp.StatusCode
 	}()
 	waitFor(t, func() bool { return s.q.depth() == 1 })
-	// Third concurrent job: shed.
-	resp, body := postJSON(t, ts.URL+"/v1/runs", `{"cycle":"delivery","scheme":"ehtr","duration_s":6,"modules":20}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over-capacity request = %d %s", resp.StatusCode, body)
+
+	// Every further job is shed. Each body is a distinct cache miss, so
+	// none is answered without claiming a slot.
+	matrix := `{"cycles":[{"synth":{"profile":"urban","seed":9,"duration_s":6}}],"schemes":["INOR"],"array_sizes":[20],"max_duration_s":6`
+	cases := []struct{ name, path, body string }{
+		{"run", "/v1/runs", `{"cycle":"delivery","scheme":"ehtr","duration_s":6,"modules":20}`},
+		{"run stream", "/v1/runs", `{"cycle":"delivery","scheme":"dnor","duration_s":6,"modules":20,"stream":true}`},
+		{"sweep", "/v1/sweeps", `{"cycles":["delivery"],"schemes":["inor"],"max_duration_s":6,"modules":20}`},
+		{"matrix", "/v1/matrix", matrix + `}`},
+		{"matrix stream", "/v1/matrix", matrix + `,"seed":3,"stream":true}`},
+		{"shard", "/v1/shards", `{"kind":"matrix","matrix":` + matrix + `},"cells":[0]}`},
+		{"restore", "/v1/sessions", string(restore)},
+		{"step", "/v1/sessions/" + id + "/step", `{"cycle":"delivery"}`},
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shed response has no Retry-After")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("over-capacity request = %d %s", resp.StatusCode, body)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("shed response has no Retry-After")
+			}
+		})
 	}
 	s.q.release() // free the slot; the waiter runs to completion
 	if status := <-waiter; status != 200 {

@@ -350,20 +350,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		sys := sim.DefaultSystem()
 		sys.Modules = st.Modules
-		ctx, cancel := s.jobContext(r.Context())
-		defer cancel()
-		// The queue slot and the job timer are released by defers inside
-		// the closure (not by explicit calls on the success path) so a
-		// panic during the restore replay cannot leak an execution slot.
-		sess, err = func() (*sim.Session, error) {
-			if err := s.q.acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.q.release()
-			started := time.Now()
-			defer func() { s.met.observeJob(time.Since(started)) }()
-			return sim.RestoreSession(ctx, sys, st)
-		}()
+		err = s.job(r.Context(), func(ctx context.Context) error {
+			var err error
+			sess, err = sim.RestoreSession(ctx, sys, st)
+			return err
+		})
 		if err != nil {
 			if errors.Is(err, errQueueFull) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				s.writeJobError(w, r, err) // shed / drain / client gone, not a bad checkpoint
@@ -374,40 +365,35 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		scheme, modules, restored = st.Scheme, st.Modules, true
 	} else {
-		if req.Scheme == "" {
-			s.writeJSONError(w, http.StatusBadRequest, "missing scheme (GET /v1/schemes lists them)")
-			return
-		}
-		sch, err := sim.SchemeByName(req.Scheme)
-		if err != nil {
-			s.writeJSONError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if herr := s.normalizeShared(&req.TickS, &req.Seed, &req.SensorNoiseC, &req.Modules, &req.HorizonTicks); herr != nil {
+		sch, herr := lookupScheme(req.Scheme)
+		if herr != nil {
 			s.writeHTTPError(w, herr)
 			return
 		}
-		sys := sim.DefaultSystem()
-		sys.Modules = req.Modules
-		ctrl, err := sch.New(sys, sim.SchemeConfig{HorizonTicks: req.HorizonTicks, TickSeconds: req.TickS})
+		ph, herr := s.normalizePhysics(physics{
+			scheme:     sch,
+			tickS:      req.TickS,
+			noiseC:     orDefault(req.SensorNoiseC, defaultOpts.SensorNoiseC),
+			seed:       orDefault(req.Seed, defaultOpts.Seed),
+			modules:    req.Modules,
+			horizon:    req.HorizonTicks,
+			battery:    req.Battery,
+			detRuntime: orDefault(req.DeterministicRuntime, true),
+			keepTicks:  req.Ticks,
+		})
+		if herr != nil {
+			s.writeHTTPError(w, herr)
+			return
+		}
+		sys, ctrl, opts, err := ph.build(s.cfg.PhaseSampleEvery)
+		if err == nil {
+			sess, err = sim.NewSession(sys, ctrl, opts)
+		}
 		if err != nil {
 			s.writeJSONError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		opts := sim.DefaultOptions()
-		opts.TickSeconds = req.TickS
-		opts.SensorNoiseC = *req.SensorNoiseC
-		opts.Seed = *req.Seed
-		opts.Battery = req.Battery
-		opts.DeterministicRuntime = req.DeterministicRuntime == nil || *req.DeterministicRuntime
-		opts.KeepTicks = req.Ticks
-		opts.PhaseSampleEvery = s.cfg.PhaseSampleEvery
-		sess, err = sim.NewSession(sys, ctrl, opts)
-		if err != nil {
-			s.writeJSONError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		scheme, modules = sch.Name, req.Modules
+		scheme, modules = sch.Name, ph.modules
 	}
 	id, err := newSessionID()
 	if err != nil {
@@ -639,70 +625,64 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		s.writeHTTPError(w, herr)
 		return
 	}
-	// Stepping is real simulation work; it runs under the same bounded
-	// queue as runs and sweeps so a flood of large step batches cannot
-	// oversubscribe the host.
-	ctx, cancel := s.jobContext(r.Context())
-	defer cancel()
-	if err := s.q.acquire(ctx); err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	defer s.q.release()
-
-	started := time.Now()
+	// Stepping is real simulation work; it runs as a job under the same
+	// bounded queue as runs and sweeps so a flood of large step batches
+	// cannot oversubscribe the host.
 	var (
+		conds      []thermal.Conditions
 		ticks      []json.RawMessage
 		omitted    int   // ticks applied but not marshaled
 		marshalErr error // last MarshalTick failure
 	)
-	// One continuous hold of e.mu from the clock read through the last
-	// Step: sampling the drive source and applying its ticks must be a
-	// single critical section, or a concurrent step on the same session
-	// moves the clock between them and the source segment replays
-	// overlapped.
-	e.mu.Lock()
-	phasesBefore := e.sess.PhaseTimings()
-	conds, herr := src.sample(e.sess.Now(), e.sess.TickSeconds())
-	if herr != nil {
-		e.mu.Unlock()
-		s.writeHTTPError(w, herr)
-		return
-	}
-	for i, c := range conds {
-		if err := ctx.Err(); err != nil {
-			e.mu.Unlock()
-			s.writeJobError(w, r, err)
-			return
+	err := s.job(r.Context(), func(ctx context.Context) error {
+		// One continuous hold of e.mu from the clock read through the last
+		// Step: sampling the drive source and applying its ticks must be a
+		// single critical section, or a concurrent step on the same
+		// session moves the clock between them and the source segment
+		// replays overlapped.
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		phasesBefore := e.sess.PhaseTimings()
+		if conds, herr = src.sample(e.sess.Now(), e.sess.TickSeconds()); herr != nil {
+			return herr
 		}
-		tick, err := e.sess.Step(c)
-		if err != nil {
-			e.mu.Unlock()
-			s.writeJSONError(w, http.StatusInternalServerError,
-				fmt.Sprintf("step %d of %d: %v", i+1, len(conds), err))
-			return
-		}
-		s.met.ticks.Add(1)
-		s.met.sessionSteps.Add(1)
-		if req.ReturnTicks || i == len(conds)-1 {
-			if b, merr := report.MarshalTick(tick); merr == nil {
-				if !req.ReturnTicks {
-					ticks = ticks[:0]
+		for i, c := range conds {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			tick, err := e.sess.Step(c)
+			if err != nil {
+				return errf(http.StatusInternalServerError, "step %d of %d: %v", i+1, len(conds), err)
+			}
+			s.met.ticks.Add(1)
+			s.met.sessionSteps.Add(1)
+			if req.ReturnTicks || i == len(conds)-1 {
+				if b, merr := report.MarshalTick(tick); merr == nil {
+					if !req.ReturnTicks {
+						ticks = ticks[:0]
+					}
+					ticks = append(ticks, b)
+				} else {
+					omitted++
+					marshalErr = merr
 				}
-				ticks = append(ticks, b)
-			} else {
-				omitted++
-				marshalErr = merr
 			}
 		}
+		// Fold this batch's sampled phase timings into the service
+		// aggregate — the delta, because the session accumulator is
+		// cumulative and a long-lived twin is stepped through many
+		// requests.
+		s.phases.add(phaseDelta(phasesBefore, e.sess.PhaseTimings()))
+		return nil
+	})
+	switch {
+	case errors.As(err, &herr):
+		s.writeHTTPError(w, herr)
+		return
+	case err != nil:
+		s.writeJobError(w, r, err)
+		return
 	}
-	phasesAfter := e.sess.PhaseTimings()
-	e.mu.Unlock()
-	// Fold this batch's sampled phase timings into the service aggregate
-	// — the delta, because the session accumulator is cumulative and a
-	// long-lived twin is stepped through many requests.
-	s.phases.add(phaseDelta(phasesBefore, phasesAfter))
-	s.met.observeJob(time.Since(started))
 	summary := e.summary(time.Now())
 
 	out := map[string]any{

@@ -438,7 +438,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 	// observation lands in the (1, 2.5] histogram bucket, where the p90
 	// interpolates to 1 + 0.9×1.5 = 2.35 s, so the derivation should
 	// advise ceil(10 × 2.35) = 24 s.
-	srv.met.observeJob(2 * time.Second)
+	srv.met.jobHist.ObserveDuration(2 * time.Second)
 	srv.q.waiting.Add(10)
 	if got := srv.retryAfterSeconds(); got != 24 {
 		t.Fatalf("retryAfterSeconds() = %d, want 24", got)

@@ -26,10 +26,10 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/scenario"
+	"tegrecon/internal/sim"
 )
 
 // ShardRequest is the POST /v1/shards body.
@@ -108,17 +108,13 @@ func (s *Server) handleMatrixShard(w http.ResponseWriter, r *http.Request, req S
 	// The shard runs under the coordinator's request context: if the
 	// coordinator gives up (or this worker drains), the simulation
 	// aborts at its next per-tick check.
-	ctx, cancel := s.jobContext(r.Context())
-	defer cancel()
-	if err := s.q.acquire(ctx); err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	defer s.q.release()
-	s.met.computations.Add(1)
-	started := time.Now()
-	defer func() { s.met.observeJob(time.Since(started)) }()
-	cells, _, err := s.computeMatrix(ctx, sub, keys, nil, false)
+	var cells []experiments.MatrixCell
+	err = s.job(r.Context(), func(ctx context.Context) error {
+		s.met.computations.Add(1)
+		var err error
+		cells, _, err = s.computeMatrix(ctx, sub, keys, nil, false)
+		return err
+	})
 	if err != nil {
 		s.writeJobError(w, r, err)
 		return
@@ -264,7 +260,7 @@ func (s *Server) localMatrixShard(ctx context.Context, ex *scenario.Expansion, i
 	}
 	res, err := experiments.RunExpansion(ctx, sub, experiments.MatrixOptions{
 		Workers: s.cfg.Workers,
-		OnTick:  s.matrixTicksObserver(),
+		OnTick:  func(sim.Tick) { s.met.ticks.Add(1) },
 	})
 	if err != nil {
 		return nil, err
