@@ -71,22 +71,6 @@ func BenchmarkFig6PowerSeries(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7PowerRatio regenerates the Fig. 7 ratio view (same runs
-// as Fig. 6 plus the normalisation pass).
-func BenchmarkFig7PowerRatio(b *testing.B) {
-	s := benchSetup(b, 160)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6PowerSeries(s, 20, 140)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := res.RatioSeries(); len(got) != 4 {
-			b.Fatal("missing scheme")
-		}
-	}
-}
-
 // benchTableIScheme times one Table I column over a 60 s excerpt.
 func benchTableIScheme(b *testing.B, build func(*experiments.Setup) (core.Controller, error)) {
 	b.Helper()
@@ -222,7 +206,7 @@ func BenchmarkMLRObservePredict(b *testing.B) {
 // BenchmarkArrayEquivalent times the per-candidate equivalent-circuit
 // evaluation that dominates the inner loop of both INOR and EHTR.
 func BenchmarkArrayEquivalent(b *testing.B) {
-	arr, err := array.New(teg.TGM199, teg.OpsFromTemps(decayTemps(100), 25))
+	arr, err := array.New(teg.TGM199, teg.OpsFromTempsInto(nil, decayTemps(100), 25))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +230,7 @@ func BenchmarkEvaluatorBest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arr, err := array.New(sys.Spec, teg.OpsFromTemps(decayTemps(100), 25))
+	arr, err := array.New(sys.Spec, teg.OpsFromTempsInto(nil, decayTemps(100), 25))
 	if err != nil {
 		b.Fatal(err)
 	}

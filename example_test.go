@@ -1,6 +1,7 @@
 package tegrecon_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func ExampleSimulate() {
 	opts := tegrecon.DefaultSimOptions()
 	opts.DeterministicRuntime = true
 
-	res, err := tegrecon.Simulate(sys, tr, ctrl, opts)
+	res, err := tegrecon.Simulate(context.Background(), sys, tr, ctrl, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func ExampleNewSession() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	batch, err := tegrecon.Simulate(sys, tr, ctrl2, opts)
+	batch, err := tegrecon.Simulate(context.Background(), sys, tr, ctrl2, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

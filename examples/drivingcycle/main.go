@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := tegrecon.Simulate(sys, tr, ctrl, tegrecon.DefaultSimOptions())
+		res, err := tegrecon.Simulate(context.Background(), sys, tr, ctrl, tegrecon.DefaultSimOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

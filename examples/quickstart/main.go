@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := tegrecon.Simulate(sys, tr, ctrl, tegrecon.DefaultSimOptions())
+	res, err := tegrecon.Simulate(context.Background(), sys, tr, ctrl, tegrecon.DefaultSimOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

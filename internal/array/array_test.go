@@ -17,7 +17,7 @@ func testOps(n int) []teg.OperatingPoint {
 	for i := range temps {
 		temps[i] = 35 + 55*math.Exp(-float64(i)/float64(n/3+1))
 	}
-	return teg.OpsFromTemps(temps, 25)
+	return teg.OpsFromTempsInto(nil, temps, 25)
 }
 
 func testArray(t *testing.T, n int) *Array {
@@ -59,12 +59,22 @@ func TestNewConfigInvalid(t *testing.T) {
 	}
 }
 
+// groupSizes returns the module count of every group of c.
+func groupSizes(c Config) []int {
+	out := make([]int, c.Groups())
+	for j := range out {
+		lo, hi := c.GroupBounds(j)
+		out[j] = hi - lo
+	}
+	return out
+}
+
 func TestUniformTenByTen(t *testing.T) {
 	c, err := Uniform(100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := c.GroupSizes()
+	sizes := groupSizes(c)
 	if len(sizes) != 10 {
 		t.Fatalf("groups = %d", len(sizes))
 	}
@@ -80,7 +90,7 @@ func TestUniformRemainder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := c.GroupSizes()
+	sizes := groupSizes(c)
 	total := 0
 	for _, s := range sizes {
 		total += s
@@ -149,19 +159,9 @@ func TestGroupBoundsAndSizesCoverAllModules(t *testing.T) {
 	}
 }
 
-func TestGroupOf(t *testing.T) {
-	c, _ := NewConfig(10, []int{0, 4, 8})
-	wants := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2}
-	for i, want := range wants {
-		if got := c.GroupOf(i); got != want {
-			t.Errorf("GroupOf(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestEqualAndClone(t *testing.T) {
 	a, _ := NewConfig(10, []int{0, 5})
-	b := a.Clone()
+	b := Config{N: a.N, Starts: append([]int(nil), a.Starts...)}
 	if !a.Equal(b) {
 		t.Error("clone not equal")
 	}
@@ -264,7 +264,7 @@ func TestKirchhoffCurrentLaw(t *testing.T) {
 	a := testArray(t, 20)
 	cfg, _ := NewConfig(20, []int{0, 5, 9, 15})
 	for _, iOut := range []float64{0, 0.5, 1.0, 2.0} {
-		currents, err := a.ModuleCurrents(cfg, iOut)
+		currents, err := moduleCurrents(a, cfg, iOut)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,14 +308,35 @@ func TestArrayMPPNeverBeatsIdeal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpp, err := a.ArrayMPP(cfg)
+		eq, err := a.Equivalent(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mpp.Power > ideal+1e-9 {
+		if mpp := eq.MPP(); mpp.Power > ideal+1e-9 {
 			t.Fatalf("config %v: MPP %v exceeds ideal %v", cfg, mpp.Power, ideal)
 		}
 	}
+}
+
+// mismatchLoss returns 1 − P_MPP(cfg)/P_ideal: the fraction of the
+// ideal power lost to series/parallel mismatch under cfg.
+func mismatchLoss(t *testing.T, a *Array, cfg Config) float64 {
+	t.Helper()
+	eq, err := a.Equivalent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 1 - eq.MPP().Power/a.IdealPower()
+}
+
+// moduleCurrents returns the current through every module when a
+// delivers iOut under cfg, on fresh Norton pairs.
+func moduleCurrents(a *Array, cfg Config, iOut float64) ([]float64, error) {
+	nt, eq, err := a.solve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return nt.ModuleCurrentsInto(nil, eq, cfg, iOut), nil
 }
 
 func TestUniformTempsMakeUniformConfigIdeal(t *testing.T) {
@@ -334,11 +355,7 @@ func TestUniformTempsMakeUniformConfigIdeal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loss, err := a.MismatchLoss(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loss > 1e-12 {
+		if loss := mismatchLoss(t, a, cfg); loss > 1e-12 {
 			t.Errorf("%d groups: mismatch loss %v on uniform temps", groups, loss)
 		}
 	}
@@ -350,10 +367,7 @@ func TestMismatchLossPositiveOnGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss, err := a.MismatchLoss(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loss := mismatchLoss(t, a, cfg)
 	if loss <= 0.01 {
 		t.Errorf("expected visible mismatch loss on thermal gradient, got %v", loss)
 	}
@@ -383,24 +397,33 @@ func TestMPPOfEquivalentMatchesScan(t *testing.T) {
 	}
 }
 
+// hasReverseCurrent runs the deciders' reverse-current check on fresh
+// Norton pairs of a.
+func hasReverseCurrent(t *testing.T, a *Array, cfg Config, iOut float64) bool {
+	t.Helper()
+	var nt Norton
+	a.NortonInto(&nt)
+	var eq Equivalent
+	if err := nt.EquivalentInto(&eq, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return nt.HasReverseCurrentAt(eq, cfg, iOut)
+}
+
 func TestReverseCurrentDetection(t *testing.T) {
 	// A group pairing a hot module with a cold one in parallel drives
 	// the cold module in reverse near open circuit.
 	temps := []float64{95, 26} // one hot, one barely warm
-	a, err := New(teg.TGM199, teg.OpsFromTemps(temps, 25))
+	a, err := New(teg.TGM199, teg.OpsFromTempsInto(nil, temps, 25))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := AllParallel(2)
-	rev, err := a.HasReverseCurrent(cfg, 0) // open circuit
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rev {
+	if !hasReverseCurrent(t, a, cfg, 0) { // open circuit
 		t.Error("expected reverse current through cold module at open circuit")
 	}
 	// At high output current both modules source current.
-	currents, err := a.ModuleCurrents(cfg, a.Spec.ShortCircuitCurrent(a.Ops[0]))
+	currents, err := moduleCurrents(a, cfg, a.Spec.ShortCircuitCurrent(a.Ops[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,53 +443,17 @@ func TestNoReverseCurrentOnBalancedGroups(t *testing.T) {
 	}
 	cfg, _ := Uniform(10, 2)
 	eq, _ := a.Equivalent(cfg)
-	rev, err := a.HasReverseCurrent(cfg, eq.MPP().Current)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rev {
+	if hasReverseCurrent(t, a, cfg, eq.MPP().Current) {
 		t.Error("balanced identical groups should never reverse at MPP")
-	}
-}
-
-func TestPowerAtCurrentMatchesEquivalent(t *testing.T) {
-	a := testArray(t, 8)
-	cfg, _ := NewConfig(8, []int{0, 4})
-	eq, _ := a.Equivalent(cfg)
-	p, err := a.PowerAtCurrent(cfg, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-eq.PowerAt(0.7)) > 1e-12 {
-		t.Error("PowerAtCurrent disagrees with Equivalent.PowerAt")
 	}
 }
 
 func TestMPPCurrentsMatchSpec(t *testing.T) {
 	a := testArray(t, 5)
-	currents := a.MPPCurrents()
+	currents := a.MPPCurrentsInto(nil)
 	for i, op := range a.Ops {
 		if math.Abs(currents[i]-a.Spec.MPPCurrent(op)) > 1e-15 {
 			t.Errorf("module %d MPP current mismatch", i)
-		}
-	}
-}
-
-// TestGroupOfMatchesBounds: the binary-searched GroupOf names the group
-// whose bounds contain each module, up to one group per module.
-func TestGroupOfMatchesBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(600)
-		cfg := AllSeries(n)
-		if trial%2 == 1 {
-			cfg = randomConfig(rng, n)
-		}
-		for m := 0; m < n; m++ {
-			lo, hi := cfg.GroupBounds(cfg.GroupOf(m))
-			if m < lo || m >= hi {
-				t.Fatalf("trial %d: module %d placed in [%d, %d)", trial, m, lo, hi)
-			}
 		}
 	}
 }

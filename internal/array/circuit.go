@@ -51,17 +51,11 @@ func New(spec teg.ModuleSpec, ops []teg.OperatingPoint) (*Array, error) {
 // N returns the module count.
 func (a *Array) N() int { return len(a.Ops) }
 
-// MPPCurrents returns I_MPP,i for every module — the input to
-// Algorithm 1. Failed modules contribute zero (they cannot source
-// current at any operating point).
-func (a *Array) MPPCurrents() []float64 {
-	return a.MPPCurrentsInto(nil)
-}
-
-// MPPCurrentsInto is MPPCurrents writing into dst, reusing its backing
-// storage when the capacity suffices. The controllers recompute the MPP
-// current vector every decision; a reused scratch slice keeps that off
-// the heap.
+// MPPCurrentsInto writes I_MPP,i for every module — the input to
+// Algorithm 1 — into dst, reusing its backing storage when the capacity
+// suffices. Failed modules contribute zero (they cannot source current
+// at any operating point). The controllers recompute the MPP current
+// vector every decision; a reused scratch slice keeps that off the heap.
 func (a *Array) MPPCurrentsInto(dst []float64) []float64 {
 	if cap(dst) < len(a.Ops) {
 		dst = make([]float64, len(a.Ops))
@@ -145,8 +139,8 @@ func (a *Array) NortonInto(dst *Norton) {
 	}
 }
 
-// norton returns freshly built Norton pairs of a — the convenience
-// forms' one-off source.
+// norton returns freshly built Norton pairs of a for the one-off
+// callers that do not keep them.
 func (a *Array) norton() *Norton {
 	nt := &Norton{}
 	a.NortonInto(nt)
@@ -154,7 +148,7 @@ func (a *Array) norton() *Norton {
 }
 
 // solve returns fresh Norton pairs of a and the equivalent of cfg over
-// them, for the convenience forms that need both.
+// them.
 func (a *Array) solve(cfg Config) (*Norton, Equivalent, error) {
 	nt := a.norton()
 	var eq Equivalent
@@ -224,31 +218,14 @@ func (e Equivalent) MPP() teg.MPP {
 	}
 }
 
-// ModuleCurrents returns the current through every module when the array
-// delivers output current i under cfg. Within group j the module m
-// carries (Voc,m − V_g)·g_m with V_g = Voc_g − i·R_g; failed-open
-// modules carry nothing and failed-short modules sink −V_g/R_short. A
-// broken chain (see Equivalent.Broken) carries zero everywhere.
-func (a *Array) ModuleCurrents(cfg Config, iOut float64) ([]float64, error) {
-	nt, eq, err := a.solve(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return nt.ModuleCurrentsInto(nil, eq, cfg, iOut), nil
-}
-
-// ModuleCurrentsInto is ModuleCurrents against an already computed
-// Equivalent of cfg, writing into dst and reusing its backing storage
-// when the capacity suffices. Like EquivalentInto it derives the Norton
-// pairs afresh; the simulator's per-tick accounting holds them and
-// calls Norton.ModuleCurrentsInto.
-func (a *Array) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOut float64) []float64 {
-	return a.norton().ModuleCurrentsInto(dst, eq, cfg, iOut)
-}
-
-// ModuleCurrentsInto is Array.ModuleCurrentsInto over precomputed
-// Norton pairs: within group j module m carries J[m] − V_g·G[m].
-// Failed-open modules (G = 0) carry exactly zero.
+// ModuleCurrentsInto writes the current through every module when the
+// array delivers output current iOut under cfg into dst, reusing its
+// backing storage when the capacity suffices. It reads precomputed
+// Norton pairs and an already computed Equivalent of cfg: within group
+// j module m carries J[m] − V_g·G[m] with V_g = Voc_g − iOut·R_g, so
+// failed-open modules (G = 0) carry exactly zero and failed-short ones
+// sink −V_g/R_short. A broken chain (see Equivalent.Broken) carries
+// zero everywhere.
 func (nt *Norton) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOut float64) []float64 {
 	n := nt.N()
 	if cap(dst) < n {
@@ -273,21 +250,11 @@ func (nt *Norton) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, i
 	return out
 }
 
-// HasReverseCurrent reports whether any module would be driven below
+// HasReverseCurrentAt reports whether any module would be driven below
 // zero current (absorbing power — the failure mode of Fig. 3) when the
-// array delivers iOut under cfg.
-func (a *Array) HasReverseCurrent(cfg Config, iOut float64) (bool, error) {
-	nt, eq, err := a.solve(cfg)
-	if err != nil {
-		return false, err
-	}
-	return nt.HasReverseCurrentAt(eq, cfg, iOut), nil
-}
-
-// HasReverseCurrentAt is HasReverseCurrent over precomputed Norton
-// pairs and an already computed Equivalent of cfg — the candidate
-// check of the deciders. It needs no module-current scratch: each
-// module current
+// array delivers iOut under cfg, over precomputed Norton pairs and an
+// already computed Equivalent of cfg — the candidate check of the
+// deciders. It needs no module-current scratch: each module current
 // J[m] − V_g·G[m] is checked on the fly. A failed-open module's
 // 0 − V_g·0 is never below the tolerance, so it needs no branch.
 func (nt *Norton) HasReverseCurrentAt(eq Equivalent, cfg Config, iOut float64) bool {
@@ -306,49 +273,6 @@ func (nt *Norton) HasReverseCurrentAt(eq Equivalent, cfg Config, iOut float64) b
 		}
 	}
 	return false
-}
-
-// PowerAtCurrent returns the array output power at current iOut under
-// cfg (may be negative past short circuit).
-func (a *Array) PowerAtCurrent(cfg Config, iOut float64) (float64, error) {
-	eq, err := a.Equivalent(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return eq.PowerAt(iOut), nil
-}
-
-// ArrayMPP returns the unconstrained maximum power point of cfg.
-func (a *Array) ArrayMPP(cfg Config) (teg.MPP, error) {
-	eq, err := a.Equivalent(cfg)
-	if err != nil {
-		return teg.MPP{}, err
-	}
-	return eq.MPP(), nil
-}
-
-// MismatchLoss returns 1 − P_MPP(cfg)/P_ideal: the fraction of the ideal
-// power lost to series/parallel mismatch under cfg, before converter
-// losses. Zero means every module sits exactly at its MPP.
-func (a *Array) MismatchLoss(cfg Config) (float64, error) {
-	mpp, err := a.ArrayMPP(cfg)
-	if err != nil {
-		return 0, err
-	}
-	ideal := a.IdealPower()
-	if ideal <= 0 {
-		return 0, nil
-	}
-	loss := 1 - mpp.Power/ideal
-	if loss < 0 {
-		// Guard against floating-point jitter; the array MPP can never
-		// beat the sum of individual MPPs.
-		if loss < -1e-9 {
-			return 0, fmt.Errorf("array: MPP %g exceeds ideal %g", mpp.Power, ideal)
-		}
-		loss = 0
-	}
-	return loss, nil
 }
 
 // EnergyConservationCheck verifies that at output current i the power

@@ -9,7 +9,6 @@ package array
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -108,26 +107,6 @@ func (c Config) GroupBounds(j int) (lo, hi int) {
 	return lo, hi
 }
 
-// GroupOf returns the group index containing module i. A binary
-// search over the strictly increasing starts: at N=500 a decision
-// window reaches 160 groups.
-func (c Config) GroupOf(i int) int {
-	if j := sort.SearchInts(c.Starts, i+1) - 1; j > 0 {
-		return j
-	}
-	return 0
-}
-
-// GroupSizes returns the module count of every group.
-func (c Config) GroupSizes() []int {
-	out := make([]int, c.Groups())
-	for j := range out {
-		lo, hi := c.GroupBounds(j)
-		out[j] = hi - lo
-	}
-	return out
-}
-
 // Equal reports whether two configurations are identical.
 func (c Config) Equal(o Config) bool {
 	if c.N != o.N || len(c.Starts) != len(o.Starts) {
@@ -139,11 +118,6 @@ func (c Config) Equal(o Config) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns an independent copy.
-func (c Config) Clone() Config {
-	return Config{N: c.N, Starts: append([]int(nil), c.Starts...)}
 }
 
 // String renders the configuration compactly, e.g. "C(1,11,21,…)/100"

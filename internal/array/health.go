@@ -66,17 +66,6 @@ func (a *Array) healthOf(i int) ModuleHealth {
 	return a.Health[i]
 }
 
-// FailedCount returns the number of non-healthy modules.
-func (a *Array) FailedCount() int {
-	n := 0
-	for i := 0; i < a.N(); i++ {
-		if a.healthOf(i) != Healthy {
-			n++
-		}
-	}
-	return n
-}
-
 // contribution returns the Norton pair (conductance g = 1/R and source
 // term voc·g) of module i, honouring its health: failed-open modules
 // are (0, 0) and failed-short ones (1/R_short, 0). NortonInto is its

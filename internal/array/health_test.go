@@ -15,6 +15,32 @@ func uniformOps(n int, dT float64) []teg.OperatingPoint {
 	return ops
 }
 
+// failedCount returns the number of non-healthy modules of a.
+func failedCount(a *Array) int {
+	n := 0
+	for i := range a.Ops {
+		if a.healthOf(i) != Healthy {
+			n++
+		}
+	}
+	return n
+}
+
+// efficiency prices (cfg, iOut) as the simulator does: the equivalent
+// and module currents first, then ConversionEfficiencyAt.
+func efficiency(t *testing.T, a *Array, cfg Config, iOut float64) (float64, error) {
+	t.Helper()
+	eq, err := a.Equivalent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	currents, err := moduleCurrents(a, cfg, iOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.ConversionEfficiencyAt(eq, cfg, iOut, currents)
+}
+
 func TestNewWithHealthValidation(t *testing.T) {
 	ops := uniformOps(4, 50)
 	if _, err := NewWithHealth(teg.TGM199, ops, []ModuleHealth{Healthy}); err == nil {
@@ -24,8 +50,8 @@ func TestNewWithHealthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.FailedCount() != 0 {
-		t.Errorf("nil health should mean all healthy, got %d failed", a.FailedCount())
+	if n := failedCount(a); n != 0 {
+		t.Errorf("nil health should mean all healthy, got %d failed", n)
 	}
 }
 
@@ -62,8 +88,8 @@ func TestFailedOpenInParallelGroupDegradesGracefully(t *testing.T) {
 	if eq.Broken {
 		t.Error("group with survivors should not be broken")
 	}
-	if a.FailedCount() != 1 {
-		t.Errorf("failed count = %d", a.FailedCount())
+	if n := failedCount(a); n != 1 {
+		t.Errorf("failed count = %d", n)
 	}
 }
 
@@ -86,7 +112,7 @@ func TestAllOpenGroupBreaksChain(t *testing.T) {
 	if eq.PowerAt(1) != 0 {
 		t.Errorf("broken chain delivers %v W", eq.PowerAt(1))
 	}
-	currents, err := a.ModuleCurrents(cfg, 1)
+	currents, err := moduleCurrents(a, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +156,7 @@ func TestFailedModulesExcludedFromIdealAndMPP(t *testing.T) {
 	if got, want := faulty.IdealPower(), healthy.IdealPower()/2; math.Abs(got-want) > 1e-12 {
 		t.Errorf("ideal power %v, want %v", got, want)
 	}
-	currents := faulty.MPPCurrents()
+	currents := faulty.MPPCurrentsInto(nil)
 	if currents[1] != 0 || currents[2] != 0 {
 		t.Errorf("failed modules have MPP currents %v", currents)
 	}
@@ -150,7 +176,7 @@ func TestKirchhoffWithFaults(t *testing.T) {
 	}
 	cfg, _ := NewConfig(6, []int{0, 3})
 	for _, iOut := range []float64{0, 0.3, 0.8} {
-		currents, err := a.ModuleCurrents(cfg, iOut)
+		currents, err := moduleCurrents(a, cfg, iOut)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +233,11 @@ func TestThermalInputOpenCircuitIsConductionOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := a.ThermalInput(AllParallel(4), 0)
+	currents, err := moduleCurrents(a, AllParallel(4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := a.thermalInputFromCurrents(currents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +261,7 @@ func TestConversionEfficiencyRealistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eta, err := a.ConversionEfficiency(cfg, eq.MPP().Current)
+	eta, err := efficiency(t, a, cfg, eq.MPP().Current)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +294,11 @@ func TestConversionEfficiencyWithFaults(t *testing.T) {
 	}
 	healthyArr, _ := New(teg.TGM199, ops)
 	hEq, _ := healthyArr.Equivalent(cfg)
-	etaF, err := a.ConversionEfficiency(cfg, eq.MPP().Current)
+	etaF, err := efficiency(t, a, cfg, eq.MPP().Current)
 	if err != nil {
 		t.Fatal(err)
 	}
-	etaH, err := healthyArr.ConversionEfficiency(cfg, hEq.MPP().Current)
+	etaH, err := efficiency(t, healthyArr, cfg, hEq.MPP().Current)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,18 +316,18 @@ func TestConversionEfficiencyEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eta, err := a.ConversionEfficiency(AllParallel(2), 0)
+	eta, err := efficiency(t, a, AllParallel(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eta != 0 {
 		t.Errorf("dead array efficiency %v", eta)
 	}
-	if _, err := a.ConversionEfficiency(AllParallel(2), -1); err == nil {
+	if _, err := efficiency(t, a, AllParallel(2), -1); err == nil {
 		t.Error("negative current should error")
 	}
 	broken, _ := NewWithHealth(teg.TGM199, uniformOps(2, 50), []ModuleHealth{FailedOpen, FailedOpen})
-	eta, err = broken.ConversionEfficiency(AllParallel(2), 0)
+	eta, err = efficiency(t, broken, AllParallel(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,16 +72,17 @@ func TestEquivalentIntoMatchesEquivalent(t *testing.T) {
 	}
 }
 
-// TestModuleCurrentsIntoMatches proves the scratch-reusing form equals
-// the allocating one, stale buffer contents included.
+// TestModuleCurrentsIntoMatches proves the scratch-reusing Norton form
+// equals the allocating one, stale buffer contents included.
 func TestModuleCurrentsIntoMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var buf []float64
+	var nt Norton
 	for trial := 0; trial < 200; trial++ {
 		a := randomFaultyArray(t, rng, 30)
 		cfg := randomConfig(rng, 30)
 		iOut := 3 * rng.Float64()
-		want, err := a.ModuleCurrents(cfg, iOut)
+		want, err := moduleCurrents(a, cfg, iOut)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,8 @@ func TestModuleCurrentsIntoMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf = a.ModuleCurrentsInto(buf, eq, cfg, iOut)
+		a.NortonInto(&nt)
+		buf = nt.ModuleCurrentsInto(buf, eq, cfg, iOut)
 		if len(buf) != len(want) {
 			t.Fatalf("trial %d: %d vs %d currents", trial, len(buf), len(want))
 		}
@@ -101,25 +103,28 @@ func TestModuleCurrentsIntoMatches(t *testing.T) {
 	}
 }
 
-// TestConversionEfficiencyAtMatches proves the allocation-free
-// efficiency path is bit-identical to ConversionEfficiency across
-// healthy and faulty arrays.
+// TestConversionEfficiencyAtMatches proves the simulator's efficiency
+// path over reused Norton pairs, equivalent and current scratch is
+// bit-identical to one priced on fresh allocations, across healthy and
+// faulty arrays.
 func TestConversionEfficiencyAtMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var buf []float64
+	var nt Norton
 	var eq Equivalent
 	for trial := 0; trial < 200; trial++ {
 		a := randomFaultyArray(t, rng, 30)
 		cfg := randomConfig(rng, 30)
 		iOut := 2 * rng.Float64()
-		want, err := a.ConversionEfficiency(cfg, iOut)
+		want, err := efficiency(t, a, cfg, iOut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.EquivalentInto(&eq, cfg); err != nil {
+		a.NortonInto(&nt)
+		if err := nt.EquivalentInto(&eq, cfg); err != nil {
 			t.Fatal(err)
 		}
-		buf = a.ModuleCurrentsInto(buf, eq, cfg, iOut)
+		buf = nt.ModuleCurrentsInto(buf, eq, cfg, iOut)
 		got, err := a.ConversionEfficiencyAt(eq, cfg, iOut, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -130,14 +135,14 @@ func TestConversionEfficiencyAtMatches(t *testing.T) {
 	}
 }
 
-// TestMPPCurrentsIntoReusesAndMatches checks values and in-place reuse,
-// including the stale-entry overwrite of failed modules.
+// TestMPPCurrentsIntoReusesAndMatches checks in-place reuse against a
+// fresh slice, including the stale-entry overwrite of failed modules.
 func TestMPPCurrentsIntoReusesAndMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	buf := []float64{99, 99, 99} // stale content must be overwritten
 	for trial := 0; trial < 50; trial++ {
 		a := randomFaultyArray(t, rng, 25)
-		want := a.MPPCurrents()
+		want := a.MPPCurrentsInto(nil)
 		buf = a.MPPCurrentsInto(buf)
 		for i := range want {
 			if buf[i] != want[i] {

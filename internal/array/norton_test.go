@@ -169,18 +169,11 @@ func TestNortonPathBitEqualsPerModuleReference(t *testing.T) {
 				if w {
 					reversed++
 				}
-				if got, _ := a.HasReverseCurrent(cfg, iOut); got != refReverse(a, want, cfg, iOut) {
-					t.Fatalf("N=%d trial %d I=%g: Array.HasReverseCurrent disagrees", n, trial, iOut)
-				}
 				wantCur := refModuleCurrents(a, want, cfg, iOut)
 				cur = nt.ModuleCurrentsInto(cur, eq, cfg, iOut)
-				viaArr, err := a.ModuleCurrents(cfg, iOut)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for m := range wantCur {
-					if !sameBits(cur[m], wantCur[m]) || !sameBits(viaArr[m], wantCur[m]) {
-						t.Fatalf("N=%d trial %d I=%g module %d: %g / %g, want %g", n, trial, iOut, m, cur[m], viaArr[m], wantCur[m])
+					if !sameBits(cur[m], wantCur[m]) {
+						t.Fatalf("N=%d trial %d I=%g module %d: %g, want %g", n, trial, iOut, m, cur[m], wantCur[m])
 					}
 				}
 			}

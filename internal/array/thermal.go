@@ -2,9 +2,11 @@ package array
 
 import "fmt"
 
-// ThermalInput returns the total heat (W) drawn from the radiator by the
-// array when it delivers iOut under cfg, using the per-module relation
-// of teg.HeatInput (Goupil et al.). Conventions for non-ideal modules:
+// thermalInputFromCurrents returns the total heat (W) drawn from the
+// radiator by the array, given the module currents already solved for
+// the delivered output current (Norton.ModuleCurrentsInto). It uses the
+// per-module relation of teg.HeatInput (Goupil et al.). Conventions for
+// non-ideal modules:
 //
 //   - healthy modules carrying forward current contribute Peltier +
 //     conduction − ½ Joule;
@@ -12,21 +14,6 @@ import "fmt"
 //     heat; their electrical terms are skipped (conservative);
 //   - failed-short modules leak conduction only (no Seebeck EMF);
 //   - failed-open modules leak half the conduction (cracked leg).
-//
-// The companion ConversionEfficiency is array electrical output divided
-// by this heat draw — the quantity a system designer quotes as the TEG
-// stage's thermal-to-electrical efficiency.
-func (a *Array) ThermalInput(cfg Config, iOut float64) (float64, error) {
-	currents, err := a.ModuleCurrents(cfg, iOut)
-	if err != nil {
-		return 0, err
-	}
-	return a.thermalInputFromCurrents(currents)
-}
-
-// thermalInputFromCurrents sums the per-module heat draw given the
-// already-solved module currents (as produced by ModuleCurrents /
-// ModuleCurrentsInto for the same cfg and iOut).
 func (a *Array) thermalInputFromCurrents(currents []float64) (float64, error) {
 	kth := a.Spec.ThermalConductanceWK()
 	total := 0.0
@@ -51,19 +38,12 @@ func (a *Array) thermalInputFromCurrents(currents []float64) (float64, error) {
 	return total, nil
 }
 
-// ConversionEfficiency returns array electrical output over thermal
-// input at (cfg, iOut); 0 when no heat flows.
-func (a *Array) ConversionEfficiency(cfg Config, iOut float64) (float64, error) {
-	nt, eq, err := a.solve(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return a.ConversionEfficiencyAt(eq, cfg, iOut, nt.ModuleCurrentsInto(nil, eq, cfg, iOut))
-}
-
-// ConversionEfficiencyAt is ConversionEfficiency evaluated against an
-// already computed Equivalent of cfg and the module currents solved at
-// (eq, cfg, iOut) — see ModuleCurrentsInto. It performs no allocation:
+// ConversionEfficiencyAt returns array electrical output over thermal
+// input when the array delivers iOut under cfg — the quantity a system
+// designer quotes as the TEG stage's thermal-to-electrical efficiency —
+// or 0 when no heat flows. It reads an already computed Equivalent of
+// cfg and the module currents solved at (eq, cfg, iOut) — see
+// Norton.ModuleCurrentsInto. It performs no allocation:
 // the simulator calls it once per producing control period and already
 // holds both inputs from the tick's own bookkeeping.
 func (a *Array) ConversionEfficiencyAt(eq Equivalent, cfg Config, iOut float64, currents []float64) (float64, error) {

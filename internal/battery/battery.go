@@ -37,16 +37,6 @@ func NewLeadAcid(initialSoC float64) (*LeadAcid, error) {
 	}, nil
 }
 
-// OpenCircuitVoltage returns the rest voltage as a function of state of
-// charge (the standard 11.8–12.7 V lead-acid window).
-func (b *LeadAcid) OpenCircuitVoltage() float64 {
-	return 11.8 + 0.9*b.SoC
-}
-
-// ChargingVoltage returns the terminal voltage while being charged —
-// the charger regulates to the float voltage.
-func (b *LeadAcid) ChargingVoltage() float64 { return b.FloatVoltage }
-
 // Accept integrates power watts over dt seconds into the battery,
 // respecting capacity, and returns the energy actually stored (J).
 func (b *LeadAcid) Accept(power, dt float64) (float64, error) {
@@ -64,9 +54,6 @@ func (b *LeadAcid) Accept(power, dt float64) (float64, error) {
 
 // AbsorbedJoules returns the total energy stored since construction.
 func (b *LeadAcid) AbsorbedJoules() float64 { return b.absorbed }
-
-// Full reports whether the battery cannot accept more charge.
-func (b *LeadAcid) Full() bool { return b.SoC >= 1-1e-12 }
 
 // State is the complete serializable state of a LeadAcid battery: the
 // model parameters plus the two integrators (state of charge and total

@@ -21,17 +21,6 @@ func TestNewLeadAcid(t *testing.T) {
 	}
 }
 
-func TestOpenCircuitVoltageWindow(t *testing.T) {
-	b, _ := NewLeadAcid(0)
-	if v := b.OpenCircuitVoltage(); math.Abs(v-11.8) > 1e-12 {
-		t.Errorf("OCV empty = %v", v)
-	}
-	b.SoC = 1
-	if v := b.OpenCircuitVoltage(); math.Abs(v-12.7) > 1e-12 {
-		t.Errorf("OCV full = %v", v)
-	}
-}
-
 func TestAcceptIntegratesWithEfficiency(t *testing.T) {
 	b, _ := NewLeadAcid(0.5)
 	stored, err := b.Accept(100, 10) // 1 kJ at 90% → 900 J
@@ -58,8 +47,8 @@ func TestAcceptRespectsCapacity(t *testing.T) {
 	if stored != 0 {
 		t.Errorf("full battery stored %v J", stored)
 	}
-	if !b.Full() {
-		t.Error("battery should report full")
+	if b.SoC != 1 {
+		t.Errorf("full battery's SoC moved to %v", b.SoC)
 	}
 }
 
@@ -85,12 +74,5 @@ func TestAcceptRejectsNegative(t *testing.T) {
 	}
 	if _, err := b.Accept(1, -1); err == nil {
 		t.Error("negative dt should error")
-	}
-}
-
-func TestChargingVoltage(t *testing.T) {
-	b, _ := NewLeadAcid(0.2)
-	if b.ChargingVoltage() != 13.8 {
-		t.Errorf("charging voltage = %v", b.ChargingVoltage())
 	}
 }

@@ -32,7 +32,7 @@ func newEval(t *testing.T) *Evaluator {
 
 func newArr(t *testing.T, temps []float64, ambient float64) *array.Array {
 	t.Helper()
-	a, err := array.New(teg.TGM199, teg.OpsFromTemps(temps, ambient))
+	a, err := array.New(teg.TGM199, teg.OpsFromTempsInto(nil, temps, ambient))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestBestZeroEMF(t *testing.T) {
 func TestGroupWindowReasonable(t *testing.T) {
 	e := newEval(t)
 	arr := newArr(t, decayTemps(100, 92, 38, 30), 25)
-	nmin, nmax, err := e.GroupWindow(arr)
+	nmin, nmax, _, err := e.groupWindow(arr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestGroupWindowReasonable(t *testing.T) {
 func TestGroupWindowDeadArray(t *testing.T) {
 	e := newEval(t)
 	arr := newArr(t, []float64{25, 25}, 25)
-	if _, _, err := e.GroupWindow(arr); err == nil {
+	if _, _, _, err := e.groupWindow(arr); err == nil {
 		t.Error("dead array should have no window")
 	}
 }
@@ -130,7 +130,7 @@ func TestGroupWindowDeadArray(t *testing.T) {
 // built.
 func TestNonFiniteTemperaturesPark(t *testing.T) {
 	e := newEval(t)
-	if _, _, err := e.GroupWindow(newArr(t, []float64{90, math.NaN(), 70}, 25)); err == nil {
+	if _, _, _, err := e.groupWindow(newArr(t, []float64{90, math.NaN(), 70}, 25)); err == nil {
 		t.Error("NaN temperature has a group window")
 	}
 	for _, tc := range []struct {

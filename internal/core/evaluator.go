@@ -65,18 +65,12 @@ func (e *Evaluator) Best(arr *array.Array, cfg array.Config) (Operating, error) 
 	return op, err
 }
 
-// GroupWindow derives Algorithm 1's [nmin, nmax] from the converter's
+// groupWindow derives Algorithm 1's [nmin, nmax] from the converter's
 // usable input band and the array's typical per-group MPP voltage (a
 // balanced parallel group of k modules keeps its MPP voltage near the
-// mean module Voc/2, independent of k).
-func (e *Evaluator) GroupWindow(arr *array.Array) (nmin, nmax int, err error) {
-	nmin, nmax, _, err = e.groupWindow(arr)
-	return nmin, nmax, err
-}
-
-// groupWindow is GroupWindow that also returns the nominal per-group
-// voltage the window was derived from, which configureAt uses to pick
-// the candidate it prices first.
+// mean module Voc/2, independent of k). It also returns that nominal
+// per-group voltage, which configureAt uses to pick the candidate it
+// prices first.
 func (e *Evaluator) groupWindow(arr *array.Array) (nmin, nmax int, vGroup float64, err error) {
 	mean := 0.0
 	for _, op := range arr.Ops {

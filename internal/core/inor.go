@@ -59,9 +59,9 @@ func (c *INOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 
 // Configure runs one INOR pass (the pure function INOR(Ti) of
 // Algorithm 1) and returns the winning configuration and its operating
-// point. It is exposed on Evaluator because DNOR reuses it verbatim.
-// The convenience form allocates its own work state; the deciders run
-// the identical search through their per-controller scratch.
+// point. It allocates its own work state, which makes it the tests'
+// one-off referee; the deciders (INOR and DNOR alike) run the identical
+// search through their per-controller scratch.
 func (e *Evaluator) Configure(tempsC []float64, ambientC float64) (array.Config, Operating, error) {
 	return e.configureTempsAt(newScratch(e), tempsC, ambientC, false)
 }

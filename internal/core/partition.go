@@ -2,15 +2,10 @@ package core
 
 import "fmt"
 
-// prefixSums returns P with P[0]=0 and P[i] = Σ x[:i].
-func prefixSums(x []float64) []float64 {
-	return prefixSumsInto(nil, x)
-}
-
-// prefixSumsInto is prefixSums writing into dst, reusing its backing
-// storage when the capacity suffices. The group-count search recomputes
-// the same prefix vector for every candidate n; the deciders hoist it
-// into their scratch instead.
+// prefixSumsInto writes P with P[0]=0 and P[i] = Σ x[:i] into dst,
+// reusing its backing storage when the capacity suffices. The
+// group-count search reads the same prefix vector for every candidate
+// n, so the deciders keep it in their scratch.
 func prefixSumsInto(dst []float64, x []float64) []float64 {
 	if cap(dst) < len(x)+1 {
 		dst = make([]float64, len(x)+1)
@@ -32,26 +27,17 @@ func checkPartition(nMod, n int) error {
 	return nil
 }
 
-// greedyPartition implements the inner loop of Algorithm 1: split the
-// module chain into n consecutive groups so that each group's summed MPP
-// current lands as close as possible to Iideal = total/n, scanning left
-// to right and placing each boundary at the prefix point nearest the
-// running target. O(N) via a monotone two-pointer walk over the prefix
-// sums. Every group receives at least one module.
-func greedyPartition(impp []float64, n int) ([]int, error) {
-	if err := checkPartition(len(impp), n); err != nil {
-		return nil, err
-	}
-	starts := make([]int, n)
-	greedyPartitionInto(starts, prefixSums(impp))
-	return starts, nil
-}
-
-// greedyPartitionInto runs the greedy boundary walk over the
-// already-computed prefix sums p (p[0]=0, len(p) = nMod+1), writing the
-// n = len(starts) group starts into starts. The caller has validated
-// 1 ≤ n ≤ nMod; every entry of starts is overwritten, so the slice can
-// be reused across candidates without clearing.
+// greedyPartitionInto implements the inner loop of Algorithm 1: split
+// the module chain into n consecutive groups so that each group's summed
+// MPP current lands as close as possible to Iideal = total/n, scanning
+// left to right and placing each boundary at the prefix point nearest
+// the running target. Every group receives at least one module.
+//
+// It walks the already-computed prefix sums p (p[0]=0,
+// len(p) = nMod+1) and writes the n = len(starts) group starts into
+// starts. The caller has validated 1 ≤ n ≤ nMod; every entry of starts
+// is overwritten, so the slice can be reused across candidates without
+// clearing.
 //
 // Each boundary is the smallest end e in [loEnd, hiEnd] with
 // p[e] ≥ target (clamped to hiEnd), moved to e−1 when that lands at
@@ -139,34 +125,18 @@ func gallopAtLeast(p []float64, lo, hi, guess int, target float64) int {
 	return b
 }
 
-// dpPartition is the exhaustive counterpart used by the EHTR
-// reconstruction: dynamic programming over all consecutive partitions
-// minimising Σ (groupSum − Iideal)². Because the total Σ groupSum is the
-// same for every partition, that objective equals Σ groupSum² − total²/n,
-// so ranking partitions by Σ groupSum² gives the same optima — and that
-// cost does not depend on the group count n. The DP therefore fills one
-// shared table whose rows serve every candidate n (tableInto), and each
-// group count is read off by a backward walk (reconstructInto).
-func dpPartition(impp []float64, n int) ([]int, error) {
-	if err := checkPartition(len(impp), n); err != nil {
-		return nil, err
-	}
-	starts := make([]int, n)
-	var dp dpBuffers
-	if err := dp.tableInto(prefixSums(impp), n); err != nil {
-		return nil, err
-	}
-	if err := dp.reconstructInto(starts); err != nil {
-		return nil, err
-	}
-	return starts, nil
-}
-
 // dpBuffers holds the shared dynamic-programming table of the exhaustive
-// partitioner. The EHTR decider builds the table once per control period
-// (tableInto up to the largest candidate group count) and reconstructs
-// each candidate from it, reusing these arrays so the steady-state
-// decision path allocates nothing.
+// partitioner used by the EHTR reconstruction: dynamic programming over
+// all consecutive partitions minimising Σ (groupSum − Iideal)². Because
+// the total Σ groupSum is the same for every partition, that objective
+// equals Σ groupSum² − total²/n, so ranking partitions by Σ groupSum²
+// gives the same optima — and that cost does not depend on the group
+// count n. The DP therefore fills one shared table whose rows serve
+// every candidate n (tableInto), and each group count is read off by a
+// backward walk (reconstructInto). The EHTR decider builds the table
+// once per control period (tableInto up to the largest candidate group
+// count) and reconstructs each candidate from it, reusing these arrays
+// so the steady-state decision path allocates nothing.
 type dpBuffers struct {
 	prev, cur []float64
 	choice    [][]int32
@@ -286,24 +256,4 @@ func (dp *dpBuffers) reconstructInto(starts []int) error {
 		e = s
 	}
 	return nil
-}
-
-// partitionDeviation returns Σ (groupSum − total/n)² for a partition —
-// the balance objective, used by tests to verify DP optimality and by
-// the scaling study.
-func partitionDeviation(impp []float64, starts []int) float64 {
-	p := prefixSums(impp)
-	n := len(starts)
-	iIdeal := p[len(impp)] / float64(n)
-	sum := 0.0
-	for j := 0; j < n; j++ {
-		lo := starts[j]
-		hi := len(impp)
-		if j+1 < n {
-			hi = starts[j+1]
-		}
-		d := p[hi] - p[lo] - iIdeal
-		sum += d * d
-	}
-	return sum
 }

@@ -46,7 +46,7 @@ func bestAtUnpruned(e *Evaluator, sc *scratch, cfg array.Config) (Operating, err
 // configureAtUnpruned is configureAt over bestAtUnpruned. It also
 // reports whether a clean (no reverse-driven module) candidate won.
 func configureAtUnpruned(e *Evaluator, sc *scratch, arr *array.Array, exhaustive bool) (starts []int, op Operating, clean bool, err error) {
-	nmin, nmax, err := e.GroupWindow(arr)
+	nmin, nmax, _, err := e.groupWindow(arr)
 	if err != nil {
 		return []int{0}, Operating{}, false, nil
 	}
@@ -147,7 +147,7 @@ func pricingTestArray(t *testing.T, e *Evaluator, rng *rand.Rand, kind int) *arr
 			}
 		}
 	}
-	arr, err := array.NewWithHealth(e.Spec, teg.OpsFromTemps(temps, ambient), health)
+	arr, err := array.NewWithHealth(e.Spec, teg.OpsFromTempsInto(nil, temps, ambient), health)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 					fallbacks++
 				}
 			}
-			if nmin, nmax, err := e.GroupWindow(arr); err == nil {
+			if nmin, nmax, _, err := e.groupWindow(arr); err == nil {
 				pruned += nmax - nmin + 1 - sc.priced
 			}
 			if !exhaustive {
@@ -253,7 +253,7 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 		}
 		var wOld, wNew float64
 		for _, w := range window {
-			a, err := array.New(e.Spec, teg.OpsFromTemps(w, ambient))
+			a, err := array.New(e.Spec, teg.OpsFromTempsInto(nil, w, ambient))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,7 +282,7 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 // Voc/2 > MaxInput. ref must hold arr's Norton pairs.
 func pruneRegimes(t *testing.T, e *Evaluator, ref *scratch, arr *array.Array, hat []int) (reverse, outside int) {
 	t.Helper()
-	nmin, nmax, err := e.GroupWindow(arr)
+	nmin, nmax, _, err := e.groupWindow(arr)
 	if err != nil {
 		return 0, 0 // parked: hat is stale
 	}
@@ -381,7 +381,7 @@ func TestDeliverBoundDominatesDeliveredPower(t *testing.T) {
 func TestConfigureAtPricesAtMostHalfTheWindow(t *testing.T) {
 	e := newEval(t)
 	arr := newArr(t, decayTemps(100, 95, 45, 40), 25)
-	nmin, nmax, err := e.GroupWindow(arr)
+	nmin, nmax, _, err := e.groupWindow(arr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestPrefixBoundDominatesEquivalent(t *testing.T) {
 				health[rng.Intn(n)] = array.FailedShort
 			}
 			var err error
-			arr, err = array.NewWithHealth(e.Spec, teg.OpsFromTemps(decayTemps(n, 80+20*rng.Float64(), 40, float64(n)*(0.1+0.4*rng.Float64())), 25), health)
+			arr, err = array.NewWithHealth(e.Spec, teg.OpsFromTempsInto(nil, decayTemps(n, 80+20*rng.Float64(), 40, float64(n)*(0.1+0.4*rng.Float64())), 25), health)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,7 +54,7 @@ func TestINORInvariantsProperty(t *testing.T) {
 		if op.Reverse {
 			return false
 		}
-		arr, err := array.New(e.Spec, teg.OpsFromTemps(temps, ambient))
+		arr, err := array.New(e.Spec, teg.OpsFromTempsInto(nil, temps, ambient))
 		if err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestINORBeatsUniformConfigsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		arr, err := array.New(e.Spec, teg.OpsFromTemps(temps, ambient))
+		arr, err := array.New(e.Spec, teg.OpsFromTempsInto(nil, temps, ambient))
 		if err != nil {
 			return false
 		}

@@ -497,10 +497,11 @@ func ConditionsAt(tr *trace.Trace, t float64) (thermal.Conditions, error) {
 	}, nil
 }
 
-// PathTrace applies one radiator-bank path's flow weight w to a trace
-// of per-path-average conditions: coolant flow scales by w, air flow by
-// 1+(w−1)/2, the convention of thermal.Bank.PathConditions. It returns
-// a new trace; w = 1 reproduces tr's values exactly.
+// PathTrace applies one radiator-bank path's flow weight w (from
+// thermal.Bank.FlowWeights) to a trace of per-path-average conditions:
+// coolant flow scales by w, and air flow, which the open fin area
+// maldistributes less, by 1+(w−1)/2. It returns a new trace; w = 1
+// reproduces tr's values exactly.
 func PathTrace(tr *trace.Trace, w float64) (*trace.Trace, error) {
 	scaled, err := tr.ScaleChannel(ChanCoolantFlow, w)
 	if err != nil {

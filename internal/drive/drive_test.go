@@ -251,6 +251,56 @@ func TestConditionsAtMissingChannels(t *testing.T) {
 	}
 }
 
+// TestPathTraceConservesFlow: splitting a trace over a bank's flow
+// weights keeps the summed coolant and air flow of every sample, and a
+// unit weight reproduces the trace exactly.
+func TestPathTraceConservesFlow(t *testing.T) {
+	cfg := DefaultSynthConfig()
+	cfg.Duration = 20
+	tr, err := Synthesize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := &thermal.Bank{Radiator: thermal.DefaultRadiator(), Paths: 9, Maldistribution: 0.4}
+	weights, err := bank.FlowWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	iCool, iAir := tr.ChannelIndex(ChanCoolantFlow), tr.ChannelIndex(ChanAirFlow)
+	sumCool := make([]float64, tr.Len())
+	sumAir := make([]float64, tr.Len())
+	for _, w := range weights {
+		path, err := PathTrace(tr, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, row := range path.Values {
+			sumCool[k] += row[iCool]
+			sumAir[k] += row[iAir]
+		}
+	}
+	paths := float64(len(weights))
+	for k, row := range tr.Values {
+		if math.Abs(sumCool[k]-paths*row[iCool]) > 1e-12 {
+			t.Fatalf("sample %d: coolant flow %v, want %v", k, sumCool[k], paths*row[iCool])
+		}
+		if math.Abs(sumAir[k]-paths*row[iAir]) > 1e-9 {
+			t.Fatalf("sample %d: air flow %v, want %v", k, sumAir[k], paths*row[iAir])
+		}
+	}
+	same, err := PathTrace(tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, row := range tr.Values {
+		for c, v := range row {
+			if same.Values[k][c] != v {
+				t.Fatalf("w=1 changed sample %d channel %d: %v vs %v", k, c, same.Values[k][c], v)
+			}
+		}
+	}
+}
+
 func TestProfileString(t *testing.T) {
 	if Urban.String() != "urban" || Highway.String() != "highway" || Mixed.String() != "mixed" {
 		t.Error("profile names wrong")

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tegrecon/internal/drive"
+	"tegrecon/internal/sim"
 	"tegrecon/internal/teg"
 )
 
@@ -126,22 +127,24 @@ func TestFig6And7PowerSeries(t *testing.T) {
 			t.Fatalf("%s produced no ticks", r.Scheme)
 		}
 	}
-	ratios := res.RatioSeries()
-	if len(ratios) != 4 {
-		t.Fatalf("%d ratio series", len(ratios))
-	}
-	for scheme, pts := range ratios {
-		for _, p := range pts {
-			if p.Ratio < 0 || p.Ratio > 1+1e-9 {
-				t.Fatalf("%s ratio %v out of range", scheme, p.Ratio)
+	// Fig. 7 reads each tick's ratio and switch marker.
+	for _, r := range res.Runs {
+		for _, tk := range r.Ticks {
+			if tk.Ratio < 0 || tk.Ratio > 1+1e-9 {
+				t.Fatalf("%s ratio %v out of range", r.Scheme, tk.Ratio)
 			}
 		}
 	}
 	// DNOR must carry visible switch markers but far fewer than ticks.
-	dnor := ratios["DNOR"]
+	var dnor []sim.Tick
+	for _, r := range res.Runs {
+		if r.Scheme == "DNOR" {
+			dnor = r.Ticks
+		}
+	}
 	switches := 0
-	for _, p := range dnor {
-		if p.Switched {
+	for _, tk := range dnor {
+		if tk.Switched {
 			switches++
 		}
 	}

@@ -100,24 +100,3 @@ func Fig6PowerSeries(s *Setup, startS, endS float64) (*PowerSeriesResult, error)
 	}
 	return &PowerSeriesResult{StartS: startS, EndS: endS, Runs: runs}, nil
 }
-
-// Fig7PowerRatio regenerates Fig. 7 from the same machinery: it returns
-// per-scheme (time, ratio, switched) triples.
-type Fig7Point struct {
-	Time     float64
-	Ratio    float64
-	Switched bool
-}
-
-// RatioSeries extracts the Fig. 7 view from a PowerSeriesResult.
-func (p *PowerSeriesResult) RatioSeries() map[string][]Fig7Point {
-	out := make(map[string][]Fig7Point, len(p.Runs))
-	for _, r := range p.Runs {
-		pts := make([]Fig7Point, len(r.Ticks))
-		for i, tk := range r.Ticks {
-			pts[i] = Fig7Point{Time: tk.Time, Ratio: tk.Ratio, Switched: tk.Switched}
-		}
-		out[r.Scheme] = pts
-	}
-	return out
-}

@@ -144,14 +144,3 @@ func (tr *Tracker) AdvanceTo(t float64) (health []array.ModuleHealth, changed bo
 	}
 	return tr.health, changed, nil
 }
-
-// FailedCount returns the currently failed module count.
-func (tr *Tracker) FailedCount() int {
-	n := 0
-	for _, h := range tr.health {
-		if h != array.Healthy {
-			n++
-		}
-	}
-	return n
-}

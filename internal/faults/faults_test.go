@@ -50,8 +50,8 @@ func TestPlanOrdersEvents(t *testing.T) {
 	if !changed || h[1] != array.FailedOpen {
 		t.Errorf("after t=11: changed=%v health=%v", changed, h)
 	}
-	if tr.FailedCount() != 2 {
-		t.Errorf("failed count = %d", tr.FailedCount())
+	if n := failedCount(h); n != 2 {
+		t.Errorf("failed count = %d", n)
 	}
 }
 
@@ -76,18 +76,29 @@ func TestTrackerRejectsTimeTravel(t *testing.T) {
 	}
 }
 
+// failedCount returns the number of non-healthy modules in h.
+func failedCount(h []array.ModuleHealth) int {
+	n := 0
+	for _, m := range h {
+		if m != array.Healthy {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTrackerRepair(t *testing.T) {
 	p, _ := NewPlan(2, []Event{
 		{TimeS: 1, Module: 0, To: array.FailedOpen},
 		{TimeS: 2, Module: 0, To: array.Healthy},
 	})
 	tr, _ := NewTracker(p)
-	tr.AdvanceTo(1.5)
-	if tr.FailedCount() != 1 {
+	h, _, _ := tr.AdvanceTo(1.5)
+	if failedCount(h) != 1 {
 		t.Error("module should be failed at t=1.5")
 	}
-	_, changed, _ := tr.AdvanceTo(2.5)
-	if !changed || tr.FailedCount() != 0 {
+	h, changed, _ := tr.AdvanceTo(2.5)
+	if !changed || failedCount(h) != 0 {
 		t.Error("repair did not apply")
 	}
 }

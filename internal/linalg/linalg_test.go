@@ -53,51 +53,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for r := range want {
-		for col := range want[r] {
-			if c.At(r, col) != want[r][col] {
-				t.Errorf("c[%d][%d] = %v, want %v", r, col, c.At(r, col), want[r][col])
-			}
-		}
-	}
-}
-
-func TestMulShapeError(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3)
-	if _, err := a.Mul(b); !errors.Is(err, ErrShape) {
-		t.Errorf("want ErrShape, got %v", err)
-	}
-}
-
-func TestMulIdentityProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(6)
-		a := NewMatrix(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		got, err := a.Mul(Identity(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Data {
-			if math.Abs(got.Data[i]-a.Data[i]) > 1e-12 {
-				t.Fatalf("A·I != A at flat index %d", i)
-			}
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	y, err := a.MulVec([]float64{1, 1, 1})
@@ -126,18 +81,6 @@ func TestDotAndNorm(t *testing.T) {
 	}
 	if got := Norm2(nil); got != 0 {
 		t.Errorf("Norm2(nil) = %v", got)
-	}
-}
-
-func TestAXPYScale(t *testing.T) {
-	y := []float64{1, 2}
-	AXPY(2, []float64{10, 20}, y)
-	if y[0] != 21 || y[1] != 42 {
-		t.Errorf("AXPY = %v", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 10.5 || y[1] != 21 {
-		t.Errorf("Scale = %v", y)
 	}
 }
 
@@ -381,16 +324,6 @@ func TestGaussVsQRAgreement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddScaledIdentity(t *testing.T) {
-	m := NewMatrix(3, 3)
-	m.AddScaledIdentity(2.5)
-	for i := 0; i < 3; i++ {
-		if m.At(i, i) != 2.5 {
-			t.Errorf("diag[%d] = %v", i, m.At(i, i))
-		}
 	}
 }
 

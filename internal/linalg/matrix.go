@@ -1,13 +1,12 @@
-// Package linalg implements the small dense linear-algebra kernel used by
-// the temperature-prediction models (multiple linear regression, neural
-// network, support vector regression): vectors, row-major matrices,
-// Gaussian elimination, Householder QR and (ridge) least squares.
+// Package linalg implements the small dense linear-algebra kernel behind
+// the MLR temperature predictor's ridge fit: row-major matrices,
+// Householder QR and (ridge) least squares.
 //
 // The package is deliberately minimal — it supports exactly the
-// operations the predictors need — but every routine is numerically
-// careful (partial pivoting, column-norm scaling) because the regression
-// design matrices produced by near-constant radiator temperatures are
-// poorly conditioned.
+// operations that fit needs — but the QR path is numerically careful
+// (overflow-guarded norms, a relative rank tolerance) because the
+// regression design matrices produced by near-constant radiator
+// temperatures are poorly conditioned.
 package linalg
 
 import (
@@ -39,30 +38,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: FromRows with empty input")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, row := range rows {
-		if len(row) != m.Cols {
-			panic("linalg: FromRows with ragged input")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], row)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
@@ -79,64 +54,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			out.Set(c, r, m.At(r, c))
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: (%dx%d)·(%dx%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for r := 0; r < m.Rows; r++ {
-		mrow := m.Row(r)
-		orow := out.Row(r)
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for c, bv := range brow {
-				orow[c] += mv * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("%w: (%dx%d)·vec(%d)", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = Dot(m.Row(r), x)
-	}
-	return out, nil
-}
-
-// AddScaledIdentity adds λ to every diagonal element in place; used for
-// ridge regularisation. It returns m for chaining.
-func (m *Matrix) AddScaledIdentity(lambda float64) *Matrix {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	for i := 0; i < n; i++ {
-		m.Data[i*m.Cols+i] += lambda
-	}
-	return m
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var sb strings.Builder
@@ -144,18 +61,6 @@ func (m *Matrix) String() string {
 		fmt.Fprintf(&sb, "%v\n", m.Row(r))
 	}
 	return sb.String()
-}
-
-// Dot returns the inner product of a and b. It panics on length mismatch.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i, av := range a {
-		s += av * b[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of x, guarding against overflow.
@@ -174,21 +79,4 @@ func Norm2(x []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// AXPY computes y ← y + alpha·x in place. It panics on length mismatch.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
 }

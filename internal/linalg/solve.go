@@ -5,66 +5,6 @@ import (
 	"math"
 )
 
-// SolveGauss solves A·x = b by Gaussian elimination with partial
-// pivoting. A must be square; A and b are not modified. It returns
-// ErrSingular when a pivot underflows the numerical tolerance.
-func SolveGauss(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("%w: SolveGauss needs square matrix, got %dx%d", ErrShape, a.Rows, a.Cols)
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: rhs length %d for %dx%d system", ErrShape, len(b), n, n)
-	}
-	// Work on copies.
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot, pmax := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > pmax {
-				pivot, pmax = r, v
-			}
-		}
-		if pmax < 1e-300 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			pr, cr := m.Row(pivot), m.Row(col)
-			for i := range pr {
-				pr[i], cr[i] = cr[i], pr[i]
-			}
-			x[pivot], x[col] = x[col], x[pivot]
-		}
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			m.Set(r, col, 0)
-			rrow, crow := m.Row(r), m.Row(col)
-			for c := col + 1; c < n; c++ {
-				rrow[c] -= f * crow[c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for r := n - 1; r >= 0; r-- {
-		s := x[r]
-		row := m.Row(r)
-		for c := r + 1; c < n; c++ {
-			s -= row[c] * x[c]
-		}
-		x[r] = s / row[r]
-	}
-	return x, nil
-}
-
 // QR holds a Householder QR factorisation of an m×n matrix with m ≥ n.
 type QR struct {
 	qr   *Matrix   // packed factors: R in upper triangle, v's below

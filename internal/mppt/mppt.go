@@ -97,10 +97,6 @@ func New(opts Options) (*Tracker, error) {
 	return &Tracker{opts: opts}, nil
 }
 
-// Reset forgets the previous operating point (called after array
-// reconfiguration, when the old current command is meaningless).
-func (t *Tracker) Reset() { t.ok = false }
-
 // Retune revalidates and installs new options and forgets the previous
 // operating point — equivalent to replacing the tracker with
 // New(opts), but reusing the existing allocation. The simulator retunes
@@ -188,17 +184,6 @@ func FromState(st TrackerState) (*Tracker, error) {
 	}
 	tr.last, tr.ok = st.Last, st.OK
 	return tr, nil
-}
-
-// SettleIterations estimates how many perturbations a cold-start track
-// of f needs to converge; the simulator uses it to scale the MPPT
-// portion of the timing overhead after a reconfiguration.
-func (t *Tracker) SettleIterations(f PowerFunc) int {
-	saved, savedOK := t.last, t.ok
-	t.ok = false
-	res := t.Track(f)
-	t.last, t.ok = saved, savedOK
-	return res.Iterations
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -89,7 +89,10 @@ func TestResetForcesColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Track(quadratic(2, 10))
-	tr.Reset()
+	// Retune is the reset the simulator runs after every topology change.
+	if err := tr.Retune(DefaultOptions(10)); err != nil {
+		t.Fatal(err)
+	}
 	res := tr.Track(quadratic(8, 10))
 	if math.Abs(res.Current-8) > 0.05 {
 		t.Errorf("after reset, current = %v, want ≈8", res.Current)
@@ -143,22 +146,6 @@ func TestTrackOnTEGLikeCurve(t *testing.T) {
 	}
 	if res.Power < best*0.999 {
 		t.Errorf("power = %v, scan says %v", res.Power, best)
-	}
-}
-
-func TestSettleIterationsDoesNotDisturbState(t *testing.T) {
-	tr, err := New(DefaultOptions(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Track(quadratic(4, 20))
-	savedLast := tr.last
-	n := tr.SettleIterations(quadratic(7, 20))
-	if n <= 0 {
-		t.Errorf("settle iterations = %d", n)
-	}
-	if tr.last != savedLast || !tr.ok {
-		t.Error("SettleIterations disturbed tracker state")
 	}
 }
 

@@ -90,11 +90,6 @@ func (h *Histogram) Count() uint64 {
 	return total
 }
 
-// Sum returns the running sum of observed values.
-func (h *Histogram) Sum() float64 {
-	return math.Float64frombits(h.sumBit.Load())
-}
-
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket
 // counts, interpolating linearly inside the containing bucket. An
 // empty histogram returns 0; values landing in the +Inf bucket clamp

@@ -121,8 +121,8 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 		t.Fatalf("Count = %d, want 100", h.Count())
 	}
 	wantSum := 50*0.05 + 50*0.3
-	if math.Abs(h.Sum()-wantSum) > 1e-9 {
-		t.Errorf("Sum = %v, want %v", h.Sum(), wantSum)
+	if _, _, sum := h.snapshot(); math.Abs(sum-wantSum) > 1e-9 {
+		t.Errorf("sum = %v, want %v", sum, wantSum)
 	}
 	// Median sits at the first/second bucket boundary; p90 interpolates
 	// inside the (0.1, 0.5] bucket: 0.1 + 0.4*(90-50)/50 = 0.42.
@@ -141,8 +141,8 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 func TestHistogramObserveDuration(t *testing.T) {
 	h := NewHistogram(DefBuckets())
 	h.ObserveDuration(250 * time.Millisecond)
-	if h.Count() != 1 || math.Abs(h.Sum()-0.25) > 1e-9 {
-		t.Errorf("ObserveDuration recorded count=%d sum=%v", h.Count(), h.Sum())
+	if _, count, sum := h.snapshot(); count != 1 || math.Abs(sum-0.25) > 1e-9 {
+		t.Errorf("ObserveDuration recorded count=%d sum=%v", count, sum)
 	}
 }
 

@@ -223,12 +223,3 @@ func (m *MLR) RestoreHistory(window [][]float64) error {
 	}
 	return nil
 }
-
-// Coefficients returns a copy of the fitted weights (lags then
-// intercept); nil before the first fit. Exposed for tests and analysis.
-func (m *MLR) Coefficients() []float64 {
-	if m.coef == nil {
-		return nil
-	}
-	return append([]float64(nil), m.coef...)
-}

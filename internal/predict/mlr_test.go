@@ -73,7 +73,7 @@ func TestMLRStridedBuildBitEqualsReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		coef := refMLRCoef(t, m.hist, order, maxSamples, opts.Ridge)
-		have := m.Coefficients()
+		have := m.coef
 		if len(have) != len(coef) {
 			t.Fatalf("MaxSamples %d: %d coefficients, want %d", maxSamples, len(have), len(coef))
 		}

@@ -153,7 +153,7 @@ func TestMLRBadHorizon(t *testing.T) {
 
 func TestMLRCoefficients(t *testing.T) {
 	mlr, _ := NewMLR(MLROptions{Order: 2, Window: 30, Ridge: 1e-9})
-	if mlr.Coefficients() != nil {
+	if mlr.coef != nil {
 		t.Error("coefficients before fit should be nil")
 	}
 	seq := synthSeq(25, 3, 0, 1)
@@ -163,13 +163,8 @@ func TestMLRCoefficients(t *testing.T) {
 	if _, err := mlr.Predict(1); err != nil {
 		t.Fatal(err)
 	}
-	coef := mlr.Coefficients()
-	if len(coef) != 3 { // 2 lags + intercept
-		t.Fatalf("coef = %v", coef)
-	}
-	coef[0] = 999
-	if mlr.Coefficients()[0] == 999 {
-		t.Error("Coefficients must return a copy")
+	if len(mlr.coef) != 3 { // 2 lags + intercept
+		t.Fatalf("coef = %v", mlr.coef)
 	}
 }
 

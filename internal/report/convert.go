@@ -33,23 +33,6 @@ func FromTableI(r *experiments.TableIResult) *Table {
 	return t
 }
 
-// FromScaling converts the Ext-A scaling study.
-func FromScaling(pts []experiments.ScalingPoint) *Table {
-	t := &Table{
-		Title:  "Ext-A — INOR vs EHTR runtime scaling",
-		Header: []string{"n_modules", "inor_us", "ehtr_us", "speedup"},
-	}
-	for _, p := range pts {
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(p.N),
-			strconv.FormatInt(p.INORRuntime.Microseconds(), 10),
-			strconv.FormatInt(p.EHTRRuntime.Microseconds(), 10),
-			f1(p.Speedup),
-		})
-	}
-	return t
-}
-
 // FromHorizon converts the Ext-B horizon ablation.
 func FromHorizon(pts []experiments.HorizonPoint) *Table {
 	t := &Table{
@@ -166,21 +149,6 @@ func FromScenarioSweep(r *experiments.ScenarioSweepResult) *Table {
 				strconv.Itoa(c.SwitchEvents), f4(float64(c.AvgRuntime) / 1e6), capture,
 			})
 		}
-	}
-	return t
-}
-
-// FromFig5 converts the Fig. 5 prediction comparison summary.
-func FromFig5(r *experiments.Fig5Result) *Table {
-	t := &Table{
-		Title:  "Fig. 5 — prediction accuracy and cost",
-		Header: []string{"method", "mape_pct", "max_ape_pct", "runtime_ms", "evaluated"},
-	}
-	for _, res := range r.Results {
-		t.Rows = append(t.Rows, []string{
-			res.Name, f4(res.MAPE), f4(res.MaxAPE),
-			f1(float64(res.Runtime) / 1e6), strconv.Itoa(res.Evaluated),
-		})
 	}
 	return t
 }

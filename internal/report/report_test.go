@@ -129,18 +129,6 @@ func TestFromTableI(t *testing.T) {
 	}
 }
 
-func TestFromScaling(t *testing.T) {
-	tab := FromScaling([]experiments.ScalingPoint{
-		{N: 100, INORRuntime: 250 * time.Microsecond, EHTRRuntime: 5 * time.Millisecond, Speedup: 20},
-	})
-	if err := tab.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Rows[0][0] != "100" || tab.Rows[0][1] != "250" || tab.Rows[0][2] != "5000" {
-		t.Errorf("row = %v", tab.Rows[0])
-	}
-}
-
 func TestFromFaultStudyAndSeedSweep(t *testing.T) {
 	ft := FromFaultStudy([]experiments.FaultPoint{
 		{Scheme: "INOR", HealthyEnergyJ: 10, FaultyEnergyJ: 8, RetainedFraction: 0.8, FaultyCaptureFrac: 0.9},
@@ -202,9 +190,6 @@ func TestRemainingConverters(t *testing.T) {
 		t.Error(err)
 	}
 	if err := FromMargins([]experiments.MarginPoint{{MarginJ: 1, EnergyOutJ: 5}}).Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := FromFig5(&experiments.Fig5Result{Results: nil}).Validate(); err != nil {
 		t.Error(err)
 	}
 }

@@ -7,17 +7,15 @@ import (
 	"testing"
 )
 
-// FuzzMatrixNormalize feeds arbitrary JSON specs to Normalize, the
-// admission step every /v1/matrix and /v1/sweeps request reaches from
-// outside the process. Nothing may panic; an accepted spec must be a
-// fixed point (normalizing it again changes no byte of its JSON) and
-// must size without error.
-func FuzzMatrixNormalize(f *testing.F) {
+// matrixSeeds is the seed corpus both matrix fuzzers start from: the
+// example spec, a grid, a translated sweep, CSV and fault axes, a swept
+// ambient range and a few malformed specs.
+func matrixSeeds(f *testing.F) []string {
 	example, err := os.ReadFile("../../examples/matrix/spec.json")
 	if err != nil {
 		f.Fatal(err)
 	}
-	seeds := []string{
+	return []string{
 		string(example),
 		// grid-shaped: 2 synthetic cycles × 4 schemes × 2 ambients ×
 		// 2 flow splits at N=100.
@@ -40,7 +38,15 @@ func FuzzMatrixNormalize(f *testing.F) {
 		`{}`,
 		`{"cycles":[{"name":"nedc","csv":"x"}]}`,
 	}
-	for _, s := range seeds {
+}
+
+// FuzzMatrixNormalize feeds arbitrary JSON specs to Normalize, the
+// admission step every /v1/matrix and /v1/sweeps request reaches from
+// outside the process. Nothing may panic; an accepted spec must be a
+// fixed point (normalizing it again changes no byte of its JSON) and
+// must size without error.
+func FuzzMatrixNormalize(f *testing.F) {
+	for _, s := range matrixSeeds(f) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -69,6 +75,79 @@ func FuzzMatrixNormalize(f *testing.F) {
 		}
 		if _, err := n.Counts(); err != nil {
 			t.Fatalf("Counts of a normalized spec: %v", err)
+		}
+	})
+}
+
+// FuzzMatrixExpand compiles small accepted specs and cuts shards out of
+// them. Expand must not panic and must yield the cell and job counts
+// Counts promised. Subset, which POST /v1/shards feeds with untrusted
+// cell lists, must not panic either: it refuses an out-of-range or
+// repeated index and otherwise keeps each cell's full-grid Index.
+func FuzzMatrixExpand(f *testing.F) {
+	for i, s := range matrixSeeds(f) {
+		f.Add([]byte(s), []byte{0, byte(i), 1, 255, 3})
+	}
+	f.Fuzz(func(t *testing.T, data, picks []byte) {
+		var m Matrix
+		if err := json.Unmarshal(data, &m); err != nil {
+			return
+		}
+		if _, err := m.Normalize(); err != nil {
+			return
+		}
+		c, err := m.Counts()
+		if err != nil {
+			t.Fatalf("Counts of a normalizable spec: %v", err)
+		}
+		if c.Cells > 64 || c.Ticks > 1e5 {
+			return
+		}
+		ex, err := m.Expand()
+		if err != nil {
+			t.Fatalf("Expand of a spec Counts sized at %+v: %v", c, err)
+		}
+		if len(ex.Cells) != c.Cells || len(ex.Jobs) != c.Jobs || len(ex.CellOf) != len(ex.Jobs) {
+			t.Fatalf("expanded %d cells and %d jobs, Counts said %d and %d", len(ex.Cells), len(ex.Jobs), c.Cells, c.Jobs)
+		}
+
+		// Each pick byte is a signed index, so the list reaches past
+		// both ends of the grid and repeats entries.
+		idx := make([]int, len(picks))
+		seen := map[int]bool{}
+		valid := true
+		for k, b := range picks {
+			idx[k] = int(int8(b))
+			if idx[k] < 0 || idx[k] >= len(ex.Cells) || seen[idx[k]] {
+				valid = false
+			}
+			seen[idx[k]] = true
+		}
+		sub, err := ex.Subset(idx)
+		if !valid {
+			if err == nil {
+				t.Fatalf("Subset(%v) of %d cells accepted", idx, len(ex.Cells))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Subset(%v) of %d cells: %v", idx, len(ex.Cells), err)
+		}
+		if len(sub.Cells) != len(idx) {
+			t.Fatalf("Subset(%v) kept %d cells", idx, len(sub.Cells))
+		}
+		for k, ci := range idx {
+			if sub.Cells[k].Index != ex.Cells[ci].Index || sub.Cells[k].Coord != ex.Cells[ci].Coord {
+				t.Fatalf("subset cell %d is %d %q, want %d %q", k, sub.Cells[k].Index, sub.Cells[k].Coord, ex.Cells[ci].Index, ex.Cells[ci].Coord)
+			}
+		}
+		if len(sub.CellOf) != len(sub.Jobs) {
+			t.Fatalf("subset has %d jobs and %d cell links", len(sub.Jobs), len(sub.CellOf))
+		}
+		for _, p := range sub.CellOf {
+			if p < 0 || p >= len(sub.Cells) {
+				t.Fatalf("subset job links to cell %d of %d", p, len(sub.Cells))
+			}
 		}
 	})
 }

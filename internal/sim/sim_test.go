@@ -414,7 +414,7 @@ func TestMPPTReinitAfterFaultRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := array.New(sys.Spec, teg.OpsFromTemps(temps, cond.AirInletC))
+	arr, err := array.New(sys.Spec, teg.OpsFromTempsInto(nil, temps, cond.AirInletC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestMPPTReinitAfterZeroEMFDip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := array.New(sys.Spec, teg.OpsFromTemps(temps, cond.AirInletC))
+	arr, err := array.New(sys.Spec, teg.OpsFromTempsInto(nil, temps, cond.AirInletC))
 	if err != nil {
 		t.Fatal(err)
 	}

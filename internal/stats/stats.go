@@ -72,37 +72,6 @@ func MaxAPE(actual, forecast []float64) (float64, error) {
 	return m, nil
 }
 
-// RMSE returns the root-mean-square error between actual and forecast.
-func RMSE(actual, forecast []float64) (float64, error) {
-	if len(actual) != len(forecast) {
-		return 0, ErrLength
-	}
-	if len(actual) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for i, a := range actual {
-		d := a - forecast[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(actual))), nil
-}
-
-// MAE returns the mean absolute error between actual and forecast.
-func MAE(actual, forecast []float64) (float64, error) {
-	if len(actual) != len(forecast) {
-		return 0, ErrLength
-	}
-	if len(actual) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for i, a := range actual {
-		sum += math.Abs(a - forecast[i])
-	}
-	return sum / float64(len(actual)), nil
-}
-
 // Summary holds order statistics and moments of a sample.
 type Summary struct {
 	N                  int

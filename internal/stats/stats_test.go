@@ -90,47 +90,6 @@ func TestMaxAPEEmpty(t *testing.T) {
 	}
 }
 
-func TestRMSEKnown(t *testing.T) {
-	got, err := RMSE([]float64{1, 2, 3}, []float64{2, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(2.0 / 3.0)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("RMSE = %v, want %v", got, want)
-	}
-}
-
-func TestRMSEGreaterEqualMAEProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(50)
-		a, f := make([]float64, n), make([]float64, n)
-		for i := range a {
-			a[i] = rng.NormFloat64() * 10
-			f[i] = a[i] + rng.NormFloat64()
-		}
-		rmse, err1 := RMSE(a, f)
-		mae, err2 := MAE(a, f)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if rmse < mae-1e-12 {
-			t.Fatalf("RMSE %v < MAE %v", rmse, mae)
-		}
-	}
-}
-
-func TestMAEKnown(t *testing.T) {
-	got, err := MAE([]float64{1, 2}, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("MAE = %v, want 1.5", got)
-	}
-}
-
 func TestSummarizeKnown(t *testing.T) {
 	s, err := Summarize([]float64{4, 1, 3, 2, 5})
 	if err != nil {

@@ -211,20 +211,16 @@ func (s ModuleSpec) CurveFamily(ambientC float64, deltaTs []float64, n int) (map
 	return out, nil
 }
 
-// OpsFromTemps converts per-module hot-side temperatures (°C) and a
+// OpsFromTempsInto converts per-module hot-side temperatures (°C) and a
 // common ambient (cold-side) temperature into operating points, the form
-// consumed by the array and reconfiguration packages. Hot-side readings
-// below ambient clamp to zero ΔT (a module cannot harvest there, and the
-// paper's ΔT(i) = T(i) − Tamb never goes negative on a running engine).
-func OpsFromTemps(hotC []float64, ambientC float64) []OperatingPoint {
-	return OpsFromTempsInto(nil, hotC, ambientC)
-}
-
-// OpsFromTempsInto is OpsFromTemps writing into dst, reusing its backing
-// storage when the capacity suffices. The simulator and the controllers
-// convert one temperature vector per control tick (and DNOR one per
-// prediction-window step), so the per-call allocation dominates their
-// heap churn; a reused scratch slice removes it.
+// consumed by the array and reconfiguration packages, writing into dst
+// and reusing its backing storage when the capacity suffices. Hot-side
+// readings below ambient clamp to zero ΔT (a module cannot harvest
+// there, and the paper's ΔT(i) = T(i) − Tamb never goes negative on a
+// running engine). The simulator and the controllers convert one
+// temperature vector per control tick (and DNOR one per
+// prediction-window step), so a reused scratch slice keeps that off the
+// heap.
 func OpsFromTempsInto(dst []OperatingPoint, hotC []float64, ambientC float64) []OperatingPoint {
 	if cap(dst) < len(hotC) {
 		dst = make([]OperatingPoint, len(hotC))

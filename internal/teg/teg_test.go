@@ -251,7 +251,7 @@ func TestCurveFamilyPropagatesError(t *testing.T) {
 }
 
 func TestOpsFromTemps(t *testing.T) {
-	ops := OpsFromTemps([]float64{90, 50, 20}, 25)
+	ops := OpsFromTempsInto(nil, []float64{90, 50, 20}, 25)
 	if len(ops) != 3 {
 		t.Fatalf("%d ops", len(ops))
 	}

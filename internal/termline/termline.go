@@ -33,9 +33,6 @@ func New() *Printer {
 	return &Printer{active: err == nil && st.Mode()&os.ModeCharDevice != 0}
 }
 
-// Active reports whether the printer writes anything at all.
-func (p *Printer) Active() bool { return p.active }
-
 // Printf redraws the status line with the formatted message, dropping
 // calls that land inside the throttle window.
 func (p *Printer) Printf(format string, args ...any) {

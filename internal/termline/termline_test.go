@@ -10,7 +10,7 @@ import (
 // writing or panicking.
 func TestInactivePrinterIsSafe(t *testing.T) {
 	p := New() // stderr is not a terminal under `go test`
-	if p.Active() {
+	if p.active {
 		t.Skip("stderr unexpectedly a terminal")
 	}
 	var wg sync.WaitGroup

@@ -59,43 +59,3 @@ func (b *Bank) FlowWeights() ([]float64, error) {
 	}
 	return w, nil
 }
-
-// PathConditions splits per-path-average conditions into the actual
-// per-path boundary conditions under the bank's flow maldistribution.
-// The supplied Conditions carry the per-path *average* coolant and air
-// flows (the convention of the drive-trace channels).
-func (b *Bank) PathConditions(avg Conditions) ([]Conditions, error) {
-	weights, err := b.FlowWeights()
-	if err != nil {
-		return nil, err
-	}
-	if err := avg.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]Conditions, len(weights))
-	for i, w := range weights {
-		out[i] = avg
-		out[i].CoolantFlowKgS = avg.CoolantFlowKgS * w
-		// Air maldistributes much less (open fin area); half strength.
-		out[i].AirFlowKgS = avg.AirFlowKgS * (1 + (w-1)/2)
-	}
-	return out, nil
-}
-
-// ModuleTemps returns per-path per-module hot-side temperatures for a
-// bank whose every path carries perPath modules.
-func (b *Bank) ModuleTemps(avg Conditions, perPath int) ([][]float64, error) {
-	conds, err := b.PathConditions(avg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(conds))
-	for i, c := range conds {
-		temps, err := b.Radiator.ModuleTemps(c, perPath)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: path %d: %w", i, err)
-		}
-		out[i] = temps
-	}
-	return out, nil
-}

@@ -77,10 +77,31 @@ func TestFlowWeightsEvenWhenZero(t *testing.T) {
 	}
 }
 
+// pathConditions splits per-path-average conditions into the actual
+// per-path boundary conditions under the bank's flow maldistribution,
+// with drive.PathTrace's convention: coolant flow scales by the path's
+// weight w, air flow by 1+(w−1)/2 (open fin area maldistributes less).
+func pathConditions(b *Bank, avg Conditions) ([]Conditions, error) {
+	weights, err := b.FlowWeights()
+	if err != nil {
+		return nil, err
+	}
+	if err := avg.Validate(); err != nil {
+		return nil, err
+	}
+	out := make([]Conditions, len(weights))
+	for i, w := range weights {
+		out[i] = avg
+		out[i].CoolantFlowKgS = avg.CoolantFlowKgS * w
+		out[i].AirFlowKgS = avg.AirFlowKgS * (1 + (w-1)/2)
+	}
+	return out, nil
+}
+
 func TestPathConditionsConserveFlow(t *testing.T) {
 	b := testBank(9, 0.4)
 	avg := validConditions()
-	conds, err := b.PathConditions(avg)
+	conds, err := pathConditions(b, avg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +125,32 @@ func TestPathConditionsRejectBadAverage(t *testing.T) {
 	b := testBank(4, 0.2)
 	bad := validConditions()
 	bad.CoolantFlowKgS = 0
-	if _, err := b.PathConditions(bad); err == nil {
+	if _, err := pathConditions(b, bad); err == nil {
 		t.Error("invalid average conditions should error")
 	}
 }
 
-func TestBankModuleTemps(t *testing.T) {
-	b := testBank(7, 0.5)
-	temps, err := b.ModuleTemps(validConditions(), 50)
+// bankTemps returns per-path per-module hot-side temperatures for a bank
+// whose every path carries perPath modules: each path's split
+// conditions through the shared radiator.
+func bankTemps(t *testing.T, b *Bank, avg Conditions, perPath int) [][]float64 {
+	t.Helper()
+	conds, err := pathConditions(b, avg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([][]float64, len(conds))
+	for i, c := range conds {
+		if out[i], err = b.Radiator.ModuleTemps(c, perPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func TestBankModuleTemps(t *testing.T) {
+	b := testBank(7, 0.5)
+	temps := bankTemps(t, b, validConditions(), 50)
 	if len(temps) != 7 || len(temps[0]) != 50 {
 		t.Fatalf("shape %dx%d", len(temps), len(temps[0]))
 	}
@@ -133,10 +169,7 @@ func TestBankModuleTemps(t *testing.T) {
 
 func TestBankSinglePath(t *testing.T) {
 	b := testBank(1, 0)
-	temps, err := b.ModuleTemps(validConditions(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := bankTemps(t, b, validConditions(), 10)
 	direct, err := DefaultRadiator().ModuleTemps(validConditions(), 10)
 	if err != nil {
 		t.Fatal(err)

@@ -22,10 +22,6 @@ type Fluid struct {
 // 90 °C (the usual radiator operating point).
 var Coolant50Glycol = Fluid{Name: "coolant-50/50-EG", Cp: 3681, Density: 1043}
 
-// Water is pure water around 90 °C, occasionally used in tests as a
-// reference fluid.
-var Water = Fluid{Name: "water", Cp: 4205, Density: 965}
-
 // Air is ambient air around 25–40 °C.
 var Air = Fluid{Name: "air", Cp: 1007, Density: 1.145}
 

@@ -27,9 +27,12 @@ func TestFluidValidate(t *testing.T) {
 	}
 }
 
+// water is pure water around 90 °C, a reference fluid for the tests.
+var water = Fluid{Name: "water", Cp: 4205, Density: 965}
+
 func TestCapacityRate(t *testing.T) {
-	got := Water.CapacityRate(2)
-	if math.Abs(got-2*Water.Cp) > 1e-9 {
+	got := water.CapacityRate(2)
+	if math.Abs(got-2*water.Cp) > 1e-9 {
 		t.Errorf("capacity rate = %v", got)
 	}
 }

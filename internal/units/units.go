@@ -1,53 +1,24 @@
-// Package units provides the physical constants, unit conversions and the
-// small numeric helpers shared by the thermal, electrical and control
-// packages of the TEG reconfiguration system.
+// Package units provides the Celsius-to-kelvin conversion and the small
+// numeric helpers (clamping, golden-section search) shared by the
+// thermal, electrical and control packages of the TEG reconfiguration
+// system.
 //
 // Conventions used across the repository:
 //
 //   - Temperatures are carried as float64 in degrees Celsius unless a name
 //     ends in K (kelvin). Temperature differences are in kelvin.
 //   - Electrical quantities are SI: volts, amperes, ohms, watts, joules.
-//   - Flow rates are kg/s internally; helpers convert from L/min.
+//   - Flow rates are mass flows in kg/s.
 //   - Time is seconds (float64) inside models, time.Duration at the edges.
 package units
 
 import "math"
 
-// Physical constants.
-const (
-	// ZeroCelsiusK is 0 °C expressed in kelvin.
-	ZeroCelsiusK = 273.15
-
-	// WaterDensity is the density of water at 20 °C in kg/m³.
-	WaterDensity = 998.2
-
-	// StandardGravity in m/s².
-	StandardGravity = 9.80665
-
-	// AirDensitySTP is the density of dry air at 25 °C, 1 atm in kg/m³.
-	AirDensitySTP = 1.184
-)
+// ZeroCelsiusK is 0 °C expressed in kelvin.
+const ZeroCelsiusK = 273.15
 
 // CToK converts a temperature from degrees Celsius to kelvin.
 func CToK(c float64) float64 { return c + ZeroCelsiusK }
-
-// KToC converts a temperature from kelvin to degrees Celsius.
-func KToC(k float64) float64 { return k - ZeroCelsiusK }
-
-// LPMToKgPerSec converts a volumetric flow in litres per minute to a mass
-// flow in kg/s for a fluid of the given density (kg/m³).
-func LPMToKgPerSec(lpm, density float64) float64 {
-	return lpm / 1000.0 / 60.0 * density
-}
-
-// KgPerSecToLPM converts a mass flow in kg/s back to litres per minute for
-// a fluid of the given density (kg/m³).
-func KgPerSecToLPM(kgs, density float64) float64 {
-	if density == 0 {
-		return 0
-	}
-	return kgs / density * 1000.0 * 60.0
-}
 
 // Clamp limits v to the closed interval [lo, hi]. It panics if lo > hi.
 func Clamp(v, lo, hi float64) float64 {
@@ -62,32 +33,6 @@ func Clamp(v, lo, hi float64) float64 {
 	default:
 		return v
 	}
-}
-
-// Lerp linearly interpolates between a and b by t (t=0 → a, t=1 → b).
-// t outside [0,1] extrapolates.
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// InvLerp returns the t for which Lerp(a, b, t) == v. It panics if a == b.
-func InvLerp(a, b, v float64) float64 {
-	if a == b {
-		panic("units: InvLerp with a == b")
-	}
-	return (v - a) / (b - a)
-}
-
-// ApproxEqual reports whether a and b are equal within the absolute
-// tolerance tol.
-func ApproxEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-// RelEqual reports whether a and b agree to within relative tolerance rel,
-// falling back to absolute comparison near zero.
-func RelEqual(a, b, rel float64) bool {
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1e-12 {
-		return true
-	}
-	return math.Abs(a-b) <= rel*scale
 }
 
 // invPhi is 1/φ, the golden-section search ratio.
@@ -118,17 +63,4 @@ func GoldenMax(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
 	}
 	x = (a + b) / 2
 	return x, f(x)
-}
-
-// Integrate computes the trapezoidal integral of samples ys spaced dt
-// apart. An empty or single-sample input integrates to zero.
-func Integrate(ys []float64, dt float64) float64 {
-	if len(ys) < 2 {
-		return 0
-	}
-	sum := 0.0
-	for i := 1; i < len(ys); i++ {
-		sum += (ys[i-1] + ys[i]) / 2 * dt
-	}
-	return sum
 }

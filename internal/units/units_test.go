@@ -6,18 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestTemperatureConversionRoundTrip(t *testing.T) {
-	f := func(c float64) bool {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return true
-		}
-		return math.Abs(KToC(CToK(c))-c) < 1e-9*math.Max(1, math.Abs(c))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCToKKnownPoints(t *testing.T) {
 	cases := []struct{ c, k float64 }{
 		{0, 273.15},
@@ -29,30 +17,6 @@ func TestCToKKnownPoints(t *testing.T) {
 		if got := CToK(tc.c); math.Abs(got-tc.k) > 1e-12 {
 			t.Errorf("CToK(%v) = %v, want %v", tc.c, got, tc.k)
 		}
-	}
-}
-
-func TestFlowConversionRoundTrip(t *testing.T) {
-	for _, lpm := range []float64{0.1, 1, 12.5, 80, 240} {
-		kgs := LPMToKgPerSec(lpm, WaterDensity)
-		back := KgPerSecToLPM(kgs, WaterDensity)
-		if math.Abs(back-lpm) > 1e-9 {
-			t.Errorf("round trip %v L/min -> %v", lpm, back)
-		}
-	}
-}
-
-func TestFlowConversionKnownValue(t *testing.T) {
-	// 60 L/min of water is 1 L/s ≈ 0.9982 kg/s.
-	got := LPMToKgPerSec(60, WaterDensity)
-	if math.Abs(got-0.9982) > 1e-4 {
-		t.Errorf("60 L/min water = %v kg/s, want ≈0.9982", got)
-	}
-}
-
-func TestKgPerSecToLPMZeroDensity(t *testing.T) {
-	if got := KgPerSecToLPM(1, 0); got != 0 {
-		t.Errorf("zero density should return 0, got %v", got)
 	}
 }
 
@@ -93,44 +57,6 @@ func TestClampProperty(t *testing.T) {
 	}
 }
 
-func TestLerpEndpoints(t *testing.T) {
-	if got := Lerp(2, 8, 0); got != 2 {
-		t.Errorf("Lerp t=0: got %v", got)
-	}
-	if got := Lerp(2, 8, 1); got != 8 {
-		t.Errorf("Lerp t=1: got %v", got)
-	}
-	if got := Lerp(2, 8, 0.5); got != 5 {
-		t.Errorf("Lerp t=0.5: got %v", got)
-	}
-}
-
-func TestInvLerpInvertsLerp(t *testing.T) {
-	f := func(a, b, tt float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(tt) {
-			return true
-		}
-		if math.Abs(a-b) < 1e-6 || math.Abs(a) > 1e100 || math.Abs(b) > 1e100 || math.Abs(tt) > 1e3 {
-			return true
-		}
-		v := Lerp(a, b, tt)
-		got := InvLerp(a, b, v)
-		return math.Abs(got-tt) < 1e-6*math.Max(1, math.Abs(tt))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInvLerpPanicsOnEqualEndpoints(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for a == b")
-		}
-	}()
-	InvLerp(3, 3, 5)
-}
-
 func TestGoldenMaxParabola(t *testing.T) {
 	// f(x) = -(x-3)² + 7 has max 7 at x=3.
 	f := func(x float64) float64 { return -(x-3)*(x-3) + 7 }
@@ -157,50 +83,5 @@ func TestGoldenMaxEdgeMaximum(t *testing.T) {
 	x, _ := GoldenMax(f, 0, 1, 1e-9)
 	if math.Abs(x-1) > 1e-4 {
 		t.Errorf("argmax = %v, want 1", x)
-	}
-}
-
-func TestIntegrateConstant(t *testing.T) {
-	ys := []float64{2, 2, 2, 2, 2}
-	if got := Integrate(ys, 0.5); math.Abs(got-4) > 1e-12 {
-		t.Errorf("integral = %v, want 4", got)
-	}
-}
-
-func TestIntegrateLinear(t *testing.T) {
-	// y = x on [0,1] with 11 samples; trapezoid is exact for linear.
-	ys := make([]float64, 11)
-	for i := range ys {
-		ys[i] = float64(i) / 10
-	}
-	if got := Integrate(ys, 0.1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("integral = %v, want 0.5", got)
-	}
-}
-
-func TestIntegrateDegenerate(t *testing.T) {
-	if got := Integrate(nil, 1); got != 0 {
-		t.Errorf("nil integral = %v", got)
-	}
-	if got := Integrate([]float64{5}, 1); got != 0 {
-		t.Errorf("single-sample integral = %v", got)
-	}
-}
-
-func TestApproxAndRelEqual(t *testing.T) {
-	if !ApproxEqual(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("ApproxEqual should accept tiny diff")
-	}
-	if ApproxEqual(1.0, 1.1, 1e-3) {
-		t.Error("ApproxEqual should reject large diff")
-	}
-	if !RelEqual(1e6, 1e6+1, 1e-5) {
-		t.Error("RelEqual should accept 1 ppm at 1e6 scale")
-	}
-	if RelEqual(1.0, 2.0, 1e-3) {
-		t.Error("RelEqual should reject 2x difference")
-	}
-	if !RelEqual(0, 1e-13, 1e-9) {
-		t.Error("RelEqual near zero should pass")
 	}
 }

@@ -13,7 +13,7 @@
 //	tr, _ := tegrecon.SynthesizeDrive(tegrecon.DefaultDriveConfig())
 //	sys := tegrecon.DefaultSystem()
 //	ctrl, _ := tegrecon.NewDNORController(sys, 4)
-//	res, _ := tegrecon.Simulate(sys, tr, ctrl, tegrecon.DefaultSimOptions())
+//	res, _ := tegrecon.Simulate(context.Background(), sys, tr, ctrl, tegrecon.DefaultSimOptions())
 //	fmt.Printf("harvested %.1f J with %d switches\n", res.EnergyOutJ, res.SwitchEvents)
 package tegrecon
 
@@ -127,6 +127,8 @@ func SynthesizeFromSchedule(cfg DriveConfig, s DriveSchedule) (*Trace, error) {
 }
 
 // Simulate runs one controller over a drive trace on the given system.
+// The context is checked once per control period, so a cancel aborts
+// within one tick and the returned error wraps ctx.Err().
 //
 // Memory contract: with SimOptions.KeepTicks true (the default) the
 // result buffers one SimTick per control period — O(duration) resident
@@ -135,14 +137,7 @@ func SynthesizeFromSchedule(cfg DriveConfig, s DriveSchedule) (*Trace, error) {
 // length; SimOptions.OnTick still observes every tick as it is
 // produced, so streaming consumers pair KeepTicks=false with an OnTick
 // callback and lose nothing but the retained buffer.
-func Simulate(sys *System, tr *Trace, ctrl Controller, opts SimOptions) (*SimResult, error) {
-	return sim.Run(context.TODO(), sys, tr, ctrl, opts)
-}
-
-// SimulateContext is Simulate with cancellation: the context is checked
-// once per control period, so a cancel aborts within one tick and the
-// returned error wraps ctx.Err().
-func SimulateContext(ctx context.Context, sys *System, tr *Trace, ctrl Controller, opts SimOptions) (*SimResult, error) {
+func Simulate(ctx context.Context, sys *System, tr *Trace, ctrl Controller, opts SimOptions) (*SimResult, error) {
 	return sim.Run(ctx, sys, tr, ctrl, opts)
 }
 
@@ -278,9 +273,9 @@ func NewRandomFaultPlan(modules, count int, duration float64, seed int64) (*Faul
 // RunScenarioMatrix expands and runs a declarative scenario matrix on
 // the parallel batch engine. Every cell's seed derives from its
 // canonical coordinate, so the sweep is bit-identical at any worker
-// count.
-func RunScenarioMatrix(m *ScenarioMatrix, opts MatrixOptions) (*MatrixResult, error) {
-	return experiments.MatrixSweep(context.TODO(), m, opts)
+// count. Cancelling ctx aborts the sweep.
+func RunScenarioMatrix(ctx context.Context, m *ScenarioMatrix, opts MatrixOptions) (*MatrixResult, error) {
+	return experiments.MatrixSweep(ctx, m, opts)
 }
 
 // DefaultChargeProfile returns the standard 14.4 V bulk/absorption,

@@ -1,6 +1,12 @@
 package tegrecon
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"tegrecon/internal/scenario"
+)
 
 func shortDrive(t *testing.T) *Trace {
 	t.Helper()
@@ -20,7 +26,7 @@ func TestFacadeQuickstartPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(sys, tr, ctrl, DefaultSimOptions())
+	res, err := Simulate(context.Background(), sys, tr, ctrl, DefaultSimOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +51,7 @@ func TestFacadeAllControllers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("builder %d: %v", i, err)
 		}
-		res, err := Simulate(sys, tr, ctrl, DefaultSimOptions())
+		res, err := Simulate(context.Background(), sys, tr, ctrl, DefaultSimOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", ctrl.Name(), err)
 		}
@@ -67,7 +73,7 @@ func TestFacadePredictors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Simulate(sys, tr, ctrl, DefaultSimOptions()); err != nil {
+		if _, err := Simulate(context.Background(), sys, tr, ctrl, DefaultSimOptions()); err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
 	}
@@ -108,7 +114,7 @@ func TestFacadeFaultsAndCharger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(sys, tr, ctrl, opts)
+	res, err := Simulate(context.Background(), sys, tr, ctrl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,5 +123,28 @@ func TestFacadeFaultsAndCharger(t *testing.T) {
 	}
 	if res.AvgTEGEff <= 0 {
 		t.Error("missing conversion-efficiency report")
+	}
+}
+
+// TestFacadeCancellation: the facade's run entry points take ctx first
+// and a cancelled context aborts them with an error wrapping ctx.Err().
+func TestFacadeCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sys := DefaultSystem()
+	ctrl, err := NewINORController(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Simulate(ctx, sys, shortDrive(t), ctrl, DefaultSimOptions()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Simulate on a cancelled context: %v", err)
+	}
+	m := &ScenarioMatrix{
+		MaxDurationS: 10,
+		Cycles:       []scenario.CycleSpec{{Name: "nedc"}},
+		Schemes:      []string{"INOR"},
+	}
+	if _, err := RunScenarioMatrix(ctx, m, MatrixOptions{Workers: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunScenarioMatrix on a cancelled context: %v", err)
 	}
 }
