@@ -39,8 +39,9 @@
 //	                    the same for inor and ehtr at N = 100 (the
 //	                    runs_n100 and session_step array size), over a
 //	                    WLTC session recorded at that size
-//	sweep_throughput    the full cycle × scheme scenario sweep on the
-//	                    batch engine, all cores (aggregate ticks/sec)
+//	sweep_throughput    the full cycle × scheme sweep (scenario.CycleSweep
+//	                    run as matrix cells) on the batch engine, all
+//	                    cores (aggregate ticks/sec)
 //	serve_cache_hit     a POST /v1/runs answered from the result cache —
 //	                    the steady-state cost of a repeated request
 //	scaling_ehtr_n800   the O(N³) reconstruction at N = 800 — the deep
@@ -776,29 +777,13 @@ func benchDecideLive(scheme string, n int, live func() (*liveTemps, error)) (Res
 	return r.withModules(n), nil
 }
 
-// benchSweep runs the whole cycle × scheme scenario matrix on the
-// batch engine and reports aggregate simulated ticks/sec — the
-// service's bulk-throughput number, on all cores.
+// benchSweep runs the whole cycle × scheme grid (scenario.CycleSweep)
+// as matrix cells on the batch engine and reports aggregate simulated
+// ticks/sec — the service's bulk-throughput number, on all cores.
 func benchSweep(maxDuration float64) (Result, error) {
-	s, err := benchSetup(60) // sweep synthesises its own cycle traces
-	if err != nil {
-		return Result{}, err
-	}
-	s.Opts.Workers = 0
-	s.Opts.DeterministicRuntime = true
-	s.Opts.KeepTicks = false
-	var ticks atomic.Int64
-	s.Opts.OnTick = func(sim.Tick) { ticks.Add(1) }
-	start := time.Now()
-	if _, err := experiments.ScenarioSweep(context.Background(), s, experiments.ScenarioOptions{MaxDuration: maxDuration}); err != nil {
-		return Result{}, err
-	}
-	elapsed := time.Since(start)
-	r := Result{Iterations: 1, NsPerOp: float64(elapsed.Nanoseconds())}
-	if secs := elapsed.Seconds(); secs > 0 {
-		r.TicksPerSec = float64(ticks.Load()) / secs
-	}
-	return r.withModules(s.Sys.Modules), nil
+	m := scenario.CycleSweep(nil, nil, maxDuration)
+	r, err := timeMatrixSweep(&m)
+	return r.withModules(sim.DefaultSystem().Modules), err
 }
 
 // benchServeCacheHit measures the steady-state cost of a POST /v1/runs
@@ -995,7 +980,12 @@ func benchMatrixSweep(quick bool) (Result, error) {
 	if quick {
 		cellDuration = 15.0
 	}
-	m := benchMatrixSpec(cellDuration)
+	return timeMatrixSweep(benchMatrixSpec(cellDuration))
+}
+
+// timeMatrixSweep runs a matrix on the batch engine, all cores, and
+// reports aggregate simulated ticks/sec over its wall clock.
+func timeMatrixSweep(m *scenario.Matrix) (Result, error) {
 	var ticks atomic.Int64
 	start := time.Now()
 	if _, err := experiments.MatrixSweep(context.Background(), m, experiments.MatrixOptions{

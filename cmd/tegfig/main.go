@@ -113,7 +113,7 @@ func emitFig6or7(w *csv.Writer, start, end float64, ratio bool, workers int) err
 	if err != nil {
 		return err
 	}
-	setup.Opts.Workers = workers
+	setup.Workers = workers
 	res, err := experiments.Fig6PowerSeries(setup, start, end)
 	if err != nil {
 		return err

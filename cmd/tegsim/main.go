@@ -7,9 +7,9 @@
 // Usage:
 //
 //	tegsim [-duration 800] [-modules 100] [-seed 42] [-tick 0.5] [-horizon 4]
-//	       [-study table1|faults|seeds|margins|bank|horizon|predictors|scenarios]
+//	       [-study table1|faults|seeds|margins|bank|horizon|predictors|window|scenarios]
 //	       [-workers 1] [-format text|csv|json]
-//	tegsim -scenarios [-scenario-duration 0] [-workers 0]
+//	tegsim -scenarios [-scenario-duration 0] [-workers 0] [-format text|csv|json]
 //	tegsim -scheme dnor [-json]
 //	tegsim -matrix spec.json [-workers 0] [-format text|csv|json]
 //	tegsim -synth profile=highway,seed=9,grade=3 [-study table1]
@@ -29,10 +29,17 @@
 //
 // -scenarios (or -study scenarios) runs every registered standard drive
 // cycle (NEDC, WLTC, FTP-75, HWFET, US06, delivery) under all four
-// schemes and prints the cycle × scheme matrix; -scenario-duration caps
-// each cycle's simulated seconds (0 = full published schedule). The
-// cycles are prescribed-speed, so -duration and -seed (which shape the
-// stochastic trace) do not apply to this mode.
+// schemes as the cells of a scenario matrix, built from -modules, -tick,
+// -horizon and -scenario-duration (a cap on each cycle's simulated
+// seconds; 0 = full published schedule). It prints one row per (cycle,
+// scheme), the same table POST /v1/sweeps serves for the same cap, and
+// is bit-identical at any -workers count. The cycles are
+// prescribed-speed, so -duration, -seed and -synth (which shape the
+// stochastic trace) are refused in this mode, and -scenario-duration
+// outside it.
+//
+// -study window is the Ext-C converter input-window ablation: INOR over
+// the LTM4607's full [4.5, 36] V band and two narrower ones.
 //
 // -scheme runs a single registered scheme over the stochastic trace
 // instead of a study; with -json the full run Result (including every
@@ -57,6 +64,7 @@ import (
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/obs"
 	"tegrecon/internal/report"
+	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/termline"
 )
@@ -84,18 +92,22 @@ func (p *progressMeter) done() {
 }
 
 func main() {
+	// Library code logs through slog; a CLI run wants that quiet unless
+	// something is actually wrong. slog.SetDefault also reroutes the log
+	// package into that Warn-level handler at Info level, which would
+	// swallow every fatal reason, so the log package is pointed back at
+	// stderr afterwards.
+	slog.SetDefault(obs.MustLogger(os.Stderr, slog.LevelWarn, "text"))
+	log.SetOutput(os.Stderr)
 	log.SetFlags(0)
 	log.SetPrefix("tegsim: ")
-	// Library code logs through slog; a CLI run wants that quiet unless
-	// something is actually wrong.
-	slog.SetDefault(obs.MustLogger(os.Stderr, slog.LevelWarn, "text"))
 	var (
 		duration = flag.Float64("duration", 800, "drive duration in seconds")
 		modules  = flag.Int("modules", 100, "TEG module count")
 		seed     = flag.Int64("seed", 42, "drive-trace random seed")
 		tick     = flag.Float64("tick", 0.5, "control period in seconds")
 		horizon  = flag.Int("horizon", 4, "DNOR prediction horizon in ticks")
-		study    = flag.String("study", "table1", "study to run: table1, faults, seeds, margins, bank, horizon, predictors or scenarios")
+		study    = flag.String("study", "table1", "study to run: table1, faults, seeds, margins, bank, horizon, predictors, window or scenarios")
 		failures = flag.Int("failures", 15, "module failures for -study faults")
 		seeds    = flag.Int("seeds", 5, "trace count for -study seeds")
 		format   = flag.String("format", "text", "output format: text, csv or json")
@@ -137,7 +149,7 @@ func main() {
 		}
 	}
 	if *matrixPath != "" {
-		for _, name := range []string{"study", "scenarios", "synth", "duration", "seed", "modules", "tick", "horizon"} {
+		for _, name := range []string{"study", "scenarios", "scenario-duration", "synth", "duration", "seed", "modules", "tick", "horizon"} {
 			if set[name] {
 				log.Fatalf("-matrix takes every axis from the spec file and cannot be combined with -%s", name)
 			}
@@ -149,6 +161,18 @@ func main() {
 				log.Fatalf("-synth carries its own %s= key and cannot be combined with -%s", name, name)
 			}
 		}
+	}
+	// The scenario sweep drives prescribed-speed cycles, so the flags
+	// that shape the stochastic trace have nothing to act on there, and
+	// its cycle cap has nothing to act on anywhere else.
+	if *study == "scenarios" {
+		for _, name := range []string{"synth", "duration", "seed"} {
+			if set[name] {
+				log.Fatalf("-study scenarios drives the standard cycles and cannot be combined with -%s", name)
+			}
+		}
+	} else if set["scenario-duration"] {
+		log.Fatalf("-scenario-duration only applies to -study scenarios")
 	}
 
 	// SIGINT/SIGTERM cancel the context; every study threads it down to
@@ -182,30 +206,22 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-	// The scenario sweep builds its own prescribed-speed trace per
-	// cycle, so the stochastic trace (and -duration/-seed, which shape
-	// it) only applies to the other studies; -scenario-duration caps
-	// the cycles instead.
-	if *study != "scenarios" {
-		cfg := drive.DefaultSynthConfig()
-		cfg.Duration = *duration
-		cfg.Seed = *seed
-		if *synthSpec != "" {
-			cfg, err = drive.ParseSynthSpec(*synthSpec)
-			if err != nil {
-				log.Fatal(err)
-			}
-			*duration = cfg.Duration // studies report the simulated span
-		}
-		tr, err := drive.Synthesize(cfg)
+	cfg := drive.DefaultSynthConfig()
+	cfg.Duration = *duration
+	cfg.Seed = *seed
+	if *synthSpec != "" {
+		cfg, err = drive.ParseSynthSpec(*synthSpec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		setup.Trace = tr
+		*duration = cfg.Duration // studies report the simulated span
+	}
+	if setup.Trace, err = drive.Synthesize(cfg); err != nil {
+		log.Fatal(err)
 	}
 	setup.Sys.Modules = *modules
 	setup.Opts.TickSeconds = *tick
-	setup.Opts.Workers = *workers
+	setup.Workers = *workers
 	setup.HorizonTicks = *horizon
 
 	// A single named scheme instead of a study: one run, full Result —
@@ -289,27 +305,25 @@ func main() {
 			fail(err)
 		}
 		tab = report.FromPredictors(pts)
-	case "scenarios":
-		// Measured controller runtime is only faithful when runs don't
-		// compete for cores (PR 1's rationale for -workers 1). A
-		// parallel sweep prices runtime deterministically instead,
-		// which also makes it bit-identical at any worker count;
-		// Render then omits the all-zero runtime matrix.
-		if *workers != 1 {
-			setup.Opts.DeterministicRuntime = true
-		}
-		res, err := experiments.ScenarioSweep(ctx, setup, experiments.ScenarioOptions{MaxDuration: *scenarioCap})
+	case "window":
+		conv := setup.Sys.Conv
+		pts, err := experiments.WindowAblation(ctx, setup, [][2]float64{{conv.MinInput, conv.MaxInput}, {8, 24}, {12, 16}})
 		if err != nil {
 			fail(err)
 		}
-		meter.done()
-		if *format == "text" {
-			fmt.Printf("Scenario sweep — %d modules, %.1f s control period, %d cycles × %d schemes\n\n",
-				*modules, *tick, len(res.Cells), len(res.Schemes))
-			fmt.Print(res.Render())
-			return
+		tab = report.FromWindow(pts)
+	case "scenarios":
+		spec := scenario.CycleSweep(nil, nil, *scenarioCap)
+		spec.TickS, spec.HorizonTicks, spec.ArraySizes = *tick, *horizon, []int{*modules}
+		m, err := spec.Normalize()
+		if err != nil {
+			log.Fatal(err)
 		}
-		tab = report.FromScenarioSweep(res)
+		res, err := experiments.MatrixSweep(ctx, m, experiments.MatrixOptions{Workers: *workers, OnTick: meter.observe})
+		if err != nil {
+			fail(err)
+		}
+		tab = report.FromSweep(m, res.Cells)
 	default:
 		log.Fatalf("unknown study %q", *study)
 	}

@@ -23,15 +23,12 @@ import (
 // Keys are "pkg.Func" or "pkg.Type.Method".
 var testOnlyExemptions = map[string]string{
 	"core.Evaluator.Best":          "allocating delivered-power search the core tests and CI's bench smoke (BenchmarkEvaluatorBest) call",
-	"core.Evaluator.Configure":     "one allocating INOR pass; core's property tests check the deciders against it",
 	"switchfab.States":             "independent switch-state reference that SwitchToggles is tested against",
 	"array.NewWithHealth":          "builds arrays with failed modules for fault tests in other packages",
 	"array.AllSeries":              "the all-series topology fault and switch-fabric tests start from",
 	"array.Array.Equivalent":       "allocating EquivalentInto that array, core and root benchmark tests price configurations with",
 	"array.Equivalent.MPP":         "the equivalent's analytic MPP that array and core tests check decisions against",
 	"thermal.Distribution.OutletC": "facade API: Distribution is what the aliased Radiator.Solve returns",
-	"experiments.WindowAblation":   "Section III.B group-count study; wiring it to a CLI is a ROADMAP item",
-	"report.FromWindow":            "renders WindowAblation's table; goes with it",
 }
 
 // listedPackage is the subset of `go list -json` this test reads.

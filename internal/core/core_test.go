@@ -11,6 +11,15 @@ import (
 	"tegrecon/internal/teg"
 )
 
+// Configure runs one INOR pass (the pure function INOR(Ti) of
+// Algorithm 1) and returns the winning configuration and its operating
+// point. It allocates its own work state, which makes it the tests'
+// one-off referee; the deciders (INOR and DNOR alike) run the identical
+// search through their per-controller scratch.
+func (e *Evaluator) Configure(tempsC []float64, ambientC float64) (array.Config, Operating, error) {
+	return e.configureTempsAt(newScratch(e), tempsC, ambientC, false)
+}
+
 // decayTemps builds a radiator-like profile for n modules: inletC at the
 // entrance decaying toward floorC.
 func decayTemps(n int, inletC, floorC, tau float64) []float64 {

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"tegrecon/internal/array"
 )
 
 // INOR is Algorithm 1 — Instantaneous Near-Optimal TEG Array
@@ -55,13 +53,4 @@ func (c *INOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 		Switched:    true,
 		ComputeTime: time.Since(start),
 	}, nil
-}
-
-// Configure runs one INOR pass (the pure function INOR(Ti) of
-// Algorithm 1) and returns the winning configuration and its operating
-// point. It allocates its own work state, which makes it the tests'
-// one-off referee; the deciders (INOR and DNOR alike) run the identical
-// search through their per-controller scratch.
-func (e *Evaluator) Configure(tempsC []float64, ambientC float64) (array.Config, Operating, error) {
-	return e.configureTempsAt(newScratch(e), tempsC, ambientC, false)
 }

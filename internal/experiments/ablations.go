@@ -111,7 +111,7 @@ func HorizonAblation(ctx context.Context, s *Setup, horizons []int) ([]HorizonPo
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func PredictorAblation(ctx context.Context, s *Setup) ([]PredictorPoint, error) 
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func WindowAblation(ctx context.Context, s *Setup, windows [][2]float64) ([]Wind
 		}
 		jobs = append(jobs, sim.Job{Sys: setup.Sys, Trace: s.Trace, Ctrl: inor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func MarginAblation(ctx context.Context, s *Setup, marginsJ []float64) ([]Margin
 		}
 		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

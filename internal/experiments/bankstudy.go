@@ -61,7 +61,7 @@ func BankStudy(ctx context.Context, s *Setup, paths int, levels []float64) ([]Ba
 			levelOf = append(levelOf, li, li)
 		}
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

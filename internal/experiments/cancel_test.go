@@ -6,35 +6,31 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
 )
 
-// TestScenarioSweepCancelAbortsWithinOnePeriod cancels a parallel
-// scenario sweep mid-flight and checks both halves of the contract: the
-// sweep surfaces a wrapped context.Canceled, and every in-flight run
-// stops within one control period — at most one extra tick per worker
-// (a Step already past its per-tick context check when the cancel
-// lands) is simulated after the trigger.
-func TestScenarioSweepCancelAbortsWithinOnePeriod(t *testing.T) {
-	s, err := DefaultSetup()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMatrixSweepCancelAbortsWithinOnePeriod cancels a parallel cycle
+// × scheme sweep mid-flight from its OnTick feed and checks both halves
+// of the contract: the sweep surfaces a wrapped context.Canceled, and
+// every in-flight run stops within one control period — at most one
+// extra tick per worker (a Step already past its per-tick context check
+// when the cancel lands) is simulated after the trigger.
+func TestMatrixSweepCancelAbortsWithinOnePeriod(t *testing.T) {
 	const workers = 2
 	const cancelAt = 40
-	s.Opts.Workers = workers
-	s.Opts.DeterministicRuntime = true
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ticks atomic.Int64
-	s.Opts.OnTick = func(sim.Tick) {
-		if ticks.Add(1) == cancelAt {
-			cancel()
-		}
-	}
-
-	_, err = ScenarioSweep(ctx, s, ScenarioOptions{MaxDuration: 120})
+	m := scenario.CycleSweep(nil, nil, 120)
+	_, err := MatrixSweep(ctx, &m, MatrixOptions{
+		Workers: workers,
+		OnTick: func(sim.Tick) {
+			if ticks.Add(1) == cancelAt {
+				cancel()
+			}
+		},
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}

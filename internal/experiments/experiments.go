@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"tegrecon/internal/core"
@@ -22,6 +23,15 @@ type Setup struct {
 	Opts  sim.Options
 	// HorizonTicks is DNOR's tp in control ticks.
 	HorizonTicks int
+	// Workers bounds the batch pool every study runs its independent
+	// jobs on: 0 picks runtime.NumCPU(), 1 runs them one at a time.
+	// DefaultSetup picks 1 because overhead pricing charges the measured
+	// controller runtime (Section III.C), and concurrent runs competing
+	// for cores inflate that measurement; opt into parallelism where the
+	// accounting is deterministic (the seed sweep, DeterministicRuntime
+	// runs) or where throughput matters more than the runtime-priced
+	// decimals.
+	Workers int
 }
 
 // DefaultSetup builds the paper's experimental rig: the 100-module
@@ -37,6 +47,7 @@ func DefaultSetup() (*Setup, error) {
 		Trace:        tr,
 		Opts:         sim.DefaultOptions(),
 		HorizonTicks: 4,
+		Workers:      1,
 	}, nil
 }
 
@@ -88,6 +99,20 @@ func (s *Setup) newSchemes(names ...string) ([]core.Controller, error) {
 		out[i] = c
 	}
 	return out, nil
+}
+
+// compareSchemes runs one fresh controller per name over the same
+// trace as a single batch; results keep the names' order.
+func (s *Setup) compareSchemes(ctx context.Context, tr *trace.Trace, opts sim.Options, names ...string) ([]*sim.Result, error) {
+	ctrls, err := s.newSchemes(names...)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]sim.Job, len(ctrls))
+	for i, c := range ctrls {
+		jobs[i] = sim.Job{Sys: s.Sys, Trace: tr, Ctrl: c, Opts: opts}
+	}
+	return sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 }
 
 // NewDNOR builds the paper's DNOR (MLR predictor).

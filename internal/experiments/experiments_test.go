@@ -418,13 +418,13 @@ func TestSeedSweepParallelBitIdenticalToSerial(t *testing.T) {
 	// The sweep prices overhead with deterministic runtime, so any worker
 	// count must reproduce the serial result exactly — not approximately.
 	s := shortSetup(t, 40)
-	s.Opts.Workers = 1
+	s.Workers = 1
 	serial, err := SeedSweep(context.Background(), s, 3, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Force the concurrent path even on a single-CPU box.
-	s.Opts.Workers = max(4, runtime.NumCPU())
+	s.Workers = max(4, runtime.NumCPU())
 	parallel, err := SeedSweep(context.Background(), s, 3, 40)
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func FaultStudy(ctx context.Context, s *Setup, failures int, seed int64) ([]Faul
 			sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: ctrls[0], Opts: cleanOpts},
 			sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: ctrls[1], Opts: faultOpts})
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -90,11 +90,7 @@ func Fig6PowerSeries(s *Setup, startS, endS float64) (*PowerSeriesResult, error)
 	if window.Len() < 2 {
 		return nil, fmt.Errorf("experiments: window [%g, %g] outside trace", startS, endS)
 	}
-	ctrls, err := s.newSchemes("DNOR", "INOR", "EHTR", "Baseline")
-	if err != nil {
-		return nil, err
-	}
-	runs, err := sim.RunAll(context.TODO(), s.Sys, window, ctrls, s.Opts)
+	runs, err := s.compareSchemes(context.TODO(), window, s.Opts, "DNOR", "INOR", "EHTR", "Baseline")
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func TestTableIGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Opts.DeterministicRuntime = true
-	s.Opts.Workers = 0 // bit-identical to serial under DeterministicRuntime
+	s.Workers = 0 // bit-identical to serial under DeterministicRuntime
 	res, err := TableI(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestTableIRuntimeOrdering(t *testing.T) {
 	rt := map[string]float64{}
 	for rep := 0; rep < 7; rep++ {
 		s := shortSetup(t, 120)
-		s.Opts.Workers = 1 // serial: measured runtimes must not fight for cores
+		s.Workers = 1 // serial: measured runtimes must not fight for cores
 		res, err := TableI(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)

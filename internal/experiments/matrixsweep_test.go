@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"tegrecon/internal/scenario"
+	"tegrecon/internal/sim"
 )
 
 // goldenMatrix is deliberately heterogeneous — two array sizes, a
@@ -147,6 +149,69 @@ func TestRunExpansionSubset(t *testing.T) {
 		if !reflect.DeepEqual(res.Cells[i], full.Cells[ci]) {
 			t.Fatalf("subset cell %d (matrix cell %d) differs from full sweep:\n%+v\n%+v",
 				i, ci, res.Cells[i], full.Cells[ci])
+		}
+	}
+}
+
+// TestScenarioSweepMatrix runs the full cycle × scheme grid
+// (scenario.CycleSweep: every registered cycle, ≥ 6, under the four
+// schemes) on cycles truncated to 30 s through MatrixSweep and checks
+// the swept cells' shape and content.
+func TestScenarioSweepMatrix(t *testing.T) {
+	m := scenario.CycleSweep(nil, nil, 30)
+	res, err := MatrixSweep(context.Background(), &m, MatrixOptions{Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSchemes := []string{"Baseline", "INOR", "DNOR", "EHTR"}
+	schemes := map[string]map[string]bool{}
+	for _, c := range res.Cells {
+		if schemes[c.Cycle] == nil {
+			schemes[c.Cycle] = map[string]bool{}
+		}
+		if schemes[c.Cycle][c.Scheme] {
+			t.Fatalf("%s/%s swept twice", c.Cycle, c.Scheme)
+		}
+		schemes[c.Cycle][c.Scheme] = true
+		if c.EnergyOutJ <= 0 {
+			t.Errorf("%s/%s: non-positive energy %g", c.Cycle, c.Scheme, c.EnergyOutJ)
+		}
+		if c.IdealEnergyJ < c.EnergyOutJ {
+			t.Errorf("%s/%s: energy %g exceeds ideal %g", c.Cycle, c.Scheme, c.EnergyOutJ, c.IdealEnergyJ)
+		}
+		if c.DurationS <= 0 || c.DurationS > 30 {
+			t.Errorf("%s/%s: duration %g beyond 30 s cap", c.Cycle, c.Scheme, c.DurationS)
+		}
+	}
+	if len(schemes) < 6 {
+		t.Fatalf("sweep covered %d cycles, want ≥ 6", len(schemes))
+	}
+	if want := len(schemes) * len(wantSchemes); len(res.Cells) != want {
+		t.Fatalf("%d cells, want %d", len(res.Cells), want)
+	}
+	for _, name := range []string{"nedc", "wltc", "ftp75", "hwfet", "us06", "delivery"} {
+		for _, s := range wantSchemes {
+			if !schemes[name][s] {
+				t.Errorf("cell %s/%s missing from sweep", name, s)
+			}
+		}
+	}
+}
+
+// TestScenarioSweepRejectsBadOptions: a cycle × scheme sweep with a
+// negative duration cap, an unknown cycle or an unknown scheme fails
+// as a spec error before any run starts.
+func TestScenarioSweepRejectsBadOptions(t *testing.T) {
+	for name, bad := range map[string]scenario.Matrix{
+		"negative cap":   scenario.CycleSweep([]string{"nedc"}, nil, -1),
+		"unknown cycle":  scenario.CycleSweep([]string{"nope"}, nil, 0),
+		"unknown scheme": scenario.CycleSweep([]string{"nedc"}, []string{"nope"}, 0),
+	} {
+		_, err := MatrixSweep(context.Background(), &bad, MatrixOptions{
+			OnTick: func(sim.Tick) { t.Errorf("%s: a run started", name) },
+		})
+		if !errors.Is(err, scenario.ErrSpec) {
+			t.Errorf("%s: err = %v, want ErrSpec", name, err)
 		}
 	}
 }

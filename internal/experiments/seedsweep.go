@@ -29,7 +29,7 @@ type SeedSweepResult struct {
 // drive traces of the given duration and aggregates the headline ratios.
 //
 // The 3·seeds runs are independent, so they execute as one batch on a
-// pool bounded by s.Opts.Workers. Overhead is priced with deterministic
+// pool bounded by s.Workers. Overhead is priced with deterministic
 // (zero) compute time here — the sweep reports energy statistics, not
 // runtimes, and dropping the wall-clock term makes the result
 // bit-identical across repeats and worker counts.
@@ -61,7 +61,7 @@ func SeedSweep(ctx context.Context, s *Setup, seeds int, duration float64) (*See
 			jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: tr, Ctrl: c, Opts: opts})
 		}
 	}
-	results, err := sim.Batch{Workers: s.Opts.Workers}.Run(ctx, jobs)
+	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -39,11 +39,7 @@ type TableIResult struct {
 // The context reaches every run's per-tick check, so a cancel aborts
 // the whole study within one control period.
 func TableI(ctx context.Context, s *Setup) (*TableIResult, error) {
-	ctrls, err := s.newSchemes("DNOR", "INOR", "EHTR", "Baseline")
-	if err != nil {
-		return nil, err
-	}
-	results, err := sim.RunAll(ctx, s.Sys, s.Trace, ctrls, s.summaryOpts())
+	results, err := s.compareSchemes(ctx, s.Trace, s.summaryOpts(), "DNOR", "INOR", "EHTR", "Baseline")
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,6 @@ type optionsJSON struct {
 	DeterministicRuntime bool         `json:"deterministic_runtime"`
 	StartTime            float64      `json:"start_time"`
 	KeepTicks            bool         `json:"keep_ticks"`
-	Workers              int          `json:"workers,omitempty"`
 	FaultPlan            *planJSON    `json:"fault_plan,omitempty"`
 	ChargeProfile        *profileJSON `json:"charge_profile,omitempty"`
 }
@@ -158,7 +157,6 @@ func MarshalCheckpoint(st *sim.SessionState) ([]byte, error) {
 		DeterministicRuntime: o.DeterministicRuntime,
 		StartTime:            o.StartTime,
 		KeepTicks:            o.KeepTicks,
-		Workers:              o.Workers,
 	}
 	if o.FaultPlan != nil {
 		p := &planJSON{Modules: o.FaultPlan.Modules()}
@@ -248,7 +246,6 @@ func UnmarshalCheckpoint(b []byte) (*sim.SessionState, error) {
 		DeterministicRuntime: o.DeterministicRuntime,
 		StartTime:            o.StartTime,
 		KeepTicks:            o.KeepTicks,
-		Workers:              o.Workers,
 	}
 	if o.FaultPlan != nil {
 		events := make([]faults.Event, len(o.FaultPlan.Events))

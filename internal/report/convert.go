@@ -131,22 +131,31 @@ func FromMargins(pts []experiments.MarginPoint) *Table {
 	return t
 }
 
-// FromScenarioSweep converts the cycle × scheme scenario matrix to long
-// format, one row per (cycle, scheme).
-func FromScenarioSweep(r *experiments.ScenarioSweepResult) *Table {
+// FromSweep renders the cells of a scenario.CycleSweep grid as the
+// cycle × scheme table, one row per (cycle, scheme) in the order of the
+// normalized matrix m — each cycle as listed under each scheme as
+// listed, not the cells' coordinate order. Matrix cells price runtime
+// deterministically, so avg_runtime_ms is always zero.
+func FromSweep(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
+	type rowKey struct{ cycle, scheme string }
+	byRow := make(map[rowKey]experiments.MatrixCell, len(cells))
+	for _, c := range cells {
+		byRow[rowKey{c.Cycle, c.Scheme}] = c
+	}
 	t := &Table{
 		Title:  "Scenario sweep — standard drive cycles × reconfiguration schemes",
 		Header: []string{"cycle", "scheme", "duration_s", "energy_j", "overhead_j", "switch_events", "avg_runtime_ms", "capture_of_ideal"},
 	}
-	for _, row := range r.Cells {
-		for _, c := range row {
+	for _, cy := range m.Cycles {
+		for _, sch := range m.Schemes {
+			c := byRow[rowKey{cy.Label, sch}]
 			capture := "/"
 			if c.IdealEnergyJ > 0 {
-				capture = pct(c.EnergyOutJ / c.IdealEnergyJ)
+				capture = pct(c.Ratio())
 			}
 			t.Rows = append(t.Rows, []string{
 				c.Cycle, c.Scheme, f1(c.DurationS), f1(c.EnergyOutJ), f2(c.OverheadJ),
-				strconv.Itoa(c.SwitchEvents), f4(float64(c.AvgRuntime) / 1e6), capture,
+				strconv.Itoa(c.SwitchEvents), f4(0), capture,
 			})
 		}
 	}

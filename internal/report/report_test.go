@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tegrecon/internal/experiments"
+	"tegrecon/internal/scenario"
 )
 
 func sampleTable() *Table {
@@ -151,28 +152,38 @@ func TestFromFaultStudyAndSeedSweep(t *testing.T) {
 	}
 }
 
-func TestFromScenarioSweep(t *testing.T) {
-	r := &experiments.ScenarioSweepResult{
-		Schemes: []string{"Baseline", "DNOR"},
-		Cells: [][]experiments.ScenarioCell{{
-			{Cycle: "nedc", Scheme: "Baseline", DurationS: 1180, EnergyOutJ: 100, IdealEnergyJ: 200},
-			{Cycle: "nedc", Scheme: "DNOR", DurationS: 1180, EnergyOutJ: 150, OverheadJ: 2.5,
-				SwitchEvents: 7, AvgRuntime: 3 * time.Millisecond, IdealEnergyJ: 200},
-		}},
+// TestFromSweep pins the cycle × scheme rendering: rows follow the
+// matrix's cycle and scheme order (not the cells' order), a missing
+// ideal renders capture as "/", and runtime is always zero.
+func TestFromSweep(t *testing.T) {
+	m := &scenario.Matrix{
+		Cycles:  []scenario.CycleSpec{{Name: "nedc", Label: "nedc"}},
+		Schemes: []string{"DNOR", "Baseline"},
 	}
-	tab := FromScenarioSweep(r)
+	cell := func(scheme string, energy, overhead float64, events int, ideal float64) experiments.MatrixCell {
+		c := experiments.MatrixCell{EnergyOutJ: energy, OverheadJ: overhead, SwitchEvents: events, IdealEnergyJ: ideal}
+		c.Cycle, c.Scheme, c.DurationS = "nedc", scheme, 1180
+		return c
+	}
+	tab := FromSweep(m, []experiments.MatrixCell{
+		cell("Baseline", 100, 0, 0, 0),
+		cell("DNOR", 150, 2.5, 7, 200),
+	})
 	if err := tab.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	dnor := tab.Rows[1]
-	if dnor[0] != "nedc" || dnor[1] != "DNOR" || dnor[3] != "150.0" || dnor[5] != "7" {
+	dnor, base := tab.Rows[0], tab.Rows[1]
+	if dnor[0] != "nedc" || dnor[1] != "DNOR" || dnor[2] != "1180.0" || dnor[3] != "150.0" || dnor[4] != "2.50" || dnor[5] != "7" {
 		t.Errorf("DNOR row = %v", dnor)
 	}
-	if dnor[6] != "3.0000" || dnor[7] != "75.0%" {
+	if dnor[6] != "0.0000" || dnor[7] != "75.0%" {
 		t.Errorf("runtime/capture cells = %v", dnor)
+	}
+	if base[1] != "Baseline" || base[7] != "/" {
+		t.Errorf("Baseline row = %v", base)
 	}
 }
 

@@ -92,6 +92,36 @@ type Matrix struct {
 	ArraySizes []int `json:"array_sizes,omitempty"`
 }
 
+// CycleSweep is the cycle × scheme grid behind the Table I comparison
+// across standard drive cycles: the named registry cycles (every
+// registered one when none are named) under the selected schemes (all
+// when none are), each capped at maxDurationS. A cap at or past every
+// selected cycle's full length is dropped, so it shares a spec — and a
+// cache key — with no cap. Every other field keeps the paper's default.
+func CycleSweep(cycles, schemes []string, maxDurationS float64) Matrix {
+	if len(cycles) == 0 {
+		for _, c := range drive.Cycles() {
+			cycles = append(cycles, c.Name)
+		}
+	}
+	m := Matrix{
+		MaxDurationS: maxDurationS,
+		Cycles:       make([]CycleSpec, len(cycles)),
+		Schemes:      schemes,
+	}
+	longest := 0.0
+	for i, name := range cycles {
+		m.Cycles[i] = CycleSpec{Name: name}
+		if c, err := drive.CycleByName(name); err == nil {
+			longest = math.Max(longest, c.DurationS)
+		}
+	}
+	if m.MaxDurationS >= longest {
+		m.MaxDurationS = 0
+	}
+	return m
+}
+
 // CycleSpec is one workload: exactly one of Name (standard-cycle
 // registry), CSV (an inline trace.ReadCSV speed log, so a spec stays
 // hermetic over HTTP) or Synth (a stochastic generator family member).

@@ -341,3 +341,51 @@ func TestCSVCycleAndTimedFaults(t *testing.T) {
 		t.Fatalf("CSV cell: %+v", ex.Cells)
 	}
 }
+
+// TestCycleSweep pins the cycle × scheme grid: with nothing named it
+// spans every registered cycle (the six standard ones at least) under
+// the four schemes in registry order, every cell within its cap; a cap
+// reaching the longest selected cycle is dropped, and a negative cap
+// or an unknown cycle is a spec error.
+func TestCycleSweep(t *testing.T) {
+	spec := CycleSweep(nil, nil, 30)
+	m, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSchemes := []string{"Baseline", "INOR", "DNOR", "EHTR"}
+	if !reflect.DeepEqual(m.Schemes, wantSchemes) {
+		t.Fatalf("schemes = %v, want %v", m.Schemes, wantSchemes)
+	}
+	ex, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(m.Cycles) * len(wantSchemes); len(ex.Cells) != want || len(ex.Jobs) != want {
+		t.Fatalf("%d cells, %d jobs, want %d of each", len(ex.Cells), len(ex.Jobs), want)
+	}
+	seen := map[string]int{}
+	for _, c := range ex.Cells {
+		seen[c.Cycle]++
+		if c.DurationS <= 0 || c.DurationS > 30 {
+			t.Errorf("%s/%s: duration %g outside the 30 s cap", c.Cycle, c.Scheme, c.DurationS)
+		}
+	}
+	for _, name := range []string{"nedc", "wltc", "ftp75", "hwfet", "us06", "delivery"} {
+		if seen[name] != len(wantSchemes) {
+			t.Errorf("cycle %s has %d cells, want %d", name, seen[name], len(wantSchemes))
+		}
+	}
+
+	if got := CycleSweep([]string{"nedc", "us06"}, []string{"dnor"}, 1e6); got.MaxDurationS != 0 {
+		t.Errorf("cap past every selected cycle kept as %g", got.MaxDurationS)
+	}
+	for name, bad := range map[string]Matrix{
+		"negative cap":  CycleSweep([]string{"nedc"}, nil, -1),
+		"unknown cycle": CycleSweep([]string{"nope"}, nil, 0),
+	} {
+		if _, err := bad.Normalize(); !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: Normalize err = %v, want ErrSpec", name, err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -428,17 +429,15 @@ func TestMatrixMetrics(t *testing.T) {
 }
 
 // TestSweepRendersMatrixCells pins the /v1/sweeps contract: the table
-// is a rendering of scenario-matrix cells. Its rows equal, in request
-// order, the /v1/matrix cells for the same cycles, schemes, seed, cap
-// and modules, rendered through report.FromScenarioSweep. The request
-// lists cycles and schemes out of coordinate order, so row order comes
-// from the request, not from the matrix's stable cell order.
+// is report.FromSweep over the experiments.MatrixSweep cells of the
+// request's scenario.CycleSweep grid — the rendering `tegsim -study
+// scenarios` prints. The request lists cycles and schemes out of
+// coordinate order, so row order comes from the request, not from the
+// matrix's stable cell order.
 func TestSweepRendersMatrixCells(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cycles := []string{"nedc", "delivery"}
-	schemes := []string{"DNOR", "Baseline", "INOR"} // canonical spellings
-	resp, b := postJSON(t, ts.URL+"/v1/sweeps",
-		`{"cycles":["nedc","delivery"],"schemes":["dnor","baseline","inor"],"max_duration_s":6,"modules":20,"seed":11}`)
+	const body = `{"cycles":["nedc","delivery"],"schemes":["dnor","baseline","inor"],"max_duration_s":6,"modules":20,"seed":11}`
+	resp, b := postJSON(t, ts.URL+"/v1/sweeps", body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("sweep: %d: %s", resp.StatusCode, b)
 	}
@@ -446,40 +445,21 @@ func TestSweepRendersMatrixCells(t *testing.T) {
 	if err := json.Unmarshal(b, &sweep); err != nil {
 		t.Fatal(err)
 	}
-	resp, b = postJSON(t, ts.URL+"/v1/matrix",
-		`{"cycles":[{"name":"nedc"},{"name":"delivery"}],"schemes":["dnor","baseline","inor"],"max_duration_s":6,"array_sizes":[20],"seed":11}`)
-	if resp.StatusCode != 200 {
-		t.Fatalf("matrix: %d: %s", resp.StatusCode, b)
-	}
-	var matrix report.MatrixEnvelope
-	if err := json.Unmarshal(b, &matrix); err != nil {
+
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-
-	res := &experiments.ScenarioSweepResult{Schemes: schemes}
-	for _, cy := range cycles {
-		var row []experiments.ScenarioCell
-		for _, sch := range schemes {
-			found := false
-			for _, c := range matrix.Cells {
-				if c.Cycle != cy || c.Scheme != sch {
-					continue
-				}
-				found = true
-				row = append(row, experiments.ScenarioCell{
-					Cycle: c.Cycle, Scheme: c.Scheme, DurationS: c.DurationS,
-					EnergyOutJ: c.EnergyOutJ, OverheadJ: c.OverheadJ,
-					SwitchEvents: c.SwitchEvents, SwitchToggles: c.SwitchToggles,
-					IdealEnergyJ: c.IdealEnergyJ,
-				})
-			}
-			if !found {
-				t.Fatalf("matrix has no cell for %s × %s", cy, sch)
-			}
-		}
-		res.Cells = append(res.Cells, row)
+	spec := sweepMatrix(req)
+	m, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, err := json.Marshal(report.FromScenarioSweep(res))
+	res, err := experiments.MatrixSweep(t.Context(), m, experiments.MatrixOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(report.FromSweep(m, res.Cells))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,5 +469,14 @@ func TestSweepRendersMatrixCells(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("sweep table is not the rendering of the matrix cells\ngot  %s\nwant %s", got, want)
+	}
+
+	var order []string
+	for _, row := range sweep.Table.Rows {
+		order = append(order, row[0]+"/"+row[1])
+	}
+	wantOrder := []string{"nedc/DNOR", "nedc/Baseline", "nedc/INOR", "delivery/DNOR", "delivery/Baseline", "delivery/INOR"}
+	if !slices.Equal(order, wantOrder) {
+		t.Fatalf("rows %v, want request order %v", order, wantOrder)
 	}
 }

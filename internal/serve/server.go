@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"tegrecon/internal/drive"
-	"tegrecon/internal/experiments"
 	"tegrecon/internal/obs"
 	"tegrecon/internal/report"
 	"tegrecon/internal/scenario"
@@ -721,40 +720,18 @@ type sweepEnvelope struct {
 }
 
 // sweepMatrix translates a sweep request into the scenario matrix it
-// renders: the named cycles (every registered one when none are named)
-// × the selected schemes at one array size, under the request's run
-// parameters. A cap at or past every selected cycle's full length is
-// dropped, so it shares a spec — and so a cache key — with no cap.
+// renders: scenario.CycleSweep's grid at one array size, under the
+// request's run parameters.
 func sweepMatrix(req SweepRequest) scenario.Matrix {
-	names := req.Cycles
-	if len(names) == 0 {
-		for _, c := range drive.Cycles() {
-			names = append(names, c.Name)
-		}
-	}
-	m := scenario.Matrix{
-		TickS:        req.TickS,
-		SensorNoiseC: req.SensorNoiseC,
-		HorizonTicks: req.HorizonTicks,
-		MaxDurationS: req.MaxDurationS,
-		Cycles:       make([]scenario.CycleSpec, len(names)),
-		Schemes:      req.Schemes,
-	}
+	m := scenario.CycleSweep(req.Cycles, req.Schemes, req.MaxDurationS)
+	m.TickS = req.TickS
+	m.SensorNoiseC = req.SensorNoiseC
+	m.HorizonTicks = req.HorizonTicks
 	if req.Seed != nil {
 		m.Seed = *req.Seed
 	}
 	if req.Modules != 0 {
 		m.ArraySizes = []int{req.Modules}
-	}
-	longest := 0.0
-	for i, name := range names {
-		m.Cycles[i] = scenario.CycleSpec{Name: name}
-		if c, err := drive.CycleByName(name); err == nil {
-			longest = math.Max(longest, c.DurationS)
-		}
-	}
-	if m.MaxDurationS >= longest {
-		m.MaxDurationS = 0
 	}
 	return m
 }
@@ -779,40 +756,10 @@ func (s *Server) computeSweep(ctx context.Context, p matrixParams) ([]byte, erro
 		if err != nil {
 			return err
 		}
-		payload, err = json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: sweepTable(p.m, cells)})
+		payload, err = json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: report.FromSweep(p.m, cells)})
 		return err
 	})
 	return payload, err
-}
-
-// sweepTable renders the cells in request order — each cycle as listed
-// under each scheme as listed, the axis order Normalize keeps —
-// through the same table the library's cycle × scheme sweep produces.
-func sweepTable(m *scenario.Matrix, cells []experiments.MatrixCell) *report.Table {
-	type rowKey struct{ cycle, scheme string }
-	byRow := make(map[rowKey]experiments.MatrixCell, len(cells))
-	for _, c := range cells {
-		byRow[rowKey{c.Cycle, c.Scheme}] = c
-	}
-	res := &experiments.ScenarioSweepResult{Schemes: m.Schemes}
-	for _, cy := range m.Cycles {
-		row := make([]experiments.ScenarioCell, len(m.Schemes))
-		for j, sch := range m.Schemes {
-			c := byRow[rowKey{cy.Label, sch}]
-			row[j] = experiments.ScenarioCell{
-				Cycle:         c.Cycle,
-				Scheme:        c.Scheme,
-				DurationS:     c.DurationS,
-				EnergyOutJ:    c.EnergyOutJ,
-				OverheadJ:     c.OverheadJ,
-				SwitchEvents:  c.SwitchEvents,
-				SwitchToggles: c.SwitchToggles,
-				IdealEnergyJ:  c.IdealEnergyJ,
-			}
-		}
-		res.Cells = append(res.Cells, row)
-	}
-	return report.FromScenarioSweep(res)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -155,7 +156,10 @@ func TestSessionLifecycle(t *testing.T) {
 // land on the identical summary (energy, overhead, switch counts) as
 // an uninterrupted twin fed the same schedule — and the restored
 // session's checkpoint must equal the uninterrupted one's byte for
-// byte, the end-to-end bit-exactness proof.
+// byte, the end-to-end bit-exactness proof. It restores the checkpoint
+// as served, and again with the batch-width "workers" option that
+// older builds wrote into every checkpoint: decoding ignores the
+// retired field, so such a checkpoint replays bit-identically too.
 func TestSessionCheckpointRestoreOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const create = `{"scheme":"dnor","modules":20,"battery":true}`
@@ -167,26 +171,32 @@ func TestSessionCheckpointRestoreOverHTTP(t *testing.T) {
 	split := createSession(t, ts.URL, create)
 	stepSession(t, ts.URL, split.Session.ID, `{"cycle":"delivery","ticks":17}`)
 	ck := getCheckpoint(t, ts.URL, split.Session.ID)
+	legacy := bytes.Replace(ck, []byte(`"options":{`), []byte(`"options":{"workers":1,`), 1)
+	if bytes.Equal(legacy, ck) {
+		t.Fatal("checkpoint carries no options object to splice into")
+	}
 
-	// Restore on a second, fresh server — nothing but the checkpoint
-	// payload crosses.
-	_, ts2 := newTestServer(t, Config{})
-	body, _ := json.Marshal(map[string]json.RawMessage{"from_checkpoint": ck})
-	resp, b := postJSON(t, ts2.URL+"/v1/sessions", string(body))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("restore: %d %s", resp.StatusCode, b)
-	}
-	var restored sessionResponse
-	if err := json.Unmarshal(b, &restored); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Session.Steps != 17 || restored.Session.Scheme != "DNOR" {
-		t.Fatalf("restored summary: %+v", restored.Session)
-	}
-	stepSession(t, ts2.URL, restored.Session.ID, `{"cycle":"delivery","ticks":23}`)
-	gotCk := getCheckpoint(t, ts2.URL, restored.Session.ID)
-	if string(gotCk) != string(refCk) {
-		t.Fatalf("restored twin's checkpoint differs from the uninterrupted one's:\nrestored: %.200s…\nreference: %.200s…", gotCk, refCk)
+	for name, ck := range map[string][]byte{"current": ck, "with workers": legacy} {
+		// Restore on a second, fresh server — nothing but the
+		// checkpoint payload crosses.
+		_, ts2 := newTestServer(t, Config{})
+		body, _ := json.Marshal(map[string]json.RawMessage{"from_checkpoint": ck})
+		resp, b := postJSON(t, ts2.URL+"/v1/sessions", string(body))
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: restore: %d %s", name, resp.StatusCode, b)
+		}
+		var restored sessionResponse
+		if err := json.Unmarshal(b, &restored); err != nil {
+			t.Fatal(err)
+		}
+		if restored.Session.Steps != 17 || restored.Session.Scheme != "DNOR" {
+			t.Fatalf("%s: restored summary: %+v", name, restored.Session)
+		}
+		stepSession(t, ts2.URL, restored.Session.ID, `{"cycle":"delivery","ticks":23}`)
+		gotCk := getCheckpoint(t, ts2.URL, restored.Session.ID)
+		if string(gotCk) != string(refCk) {
+			t.Fatalf("%s: restored twin's checkpoint differs from the uninterrupted one's:\nrestored: %.200s…\nreference: %.200s…", name, gotCk, refCk)
+		}
 	}
 }
 

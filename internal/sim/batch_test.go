@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tegrecon/internal/core"
+	"tegrecon/internal/trace"
 )
 
 func newEHTR(t *testing.T, sys *System) core.Controller {
@@ -27,6 +28,16 @@ func fourSchemes(t *testing.T, sys *System) []core.Controller {
 	return []core.Controller{newDNOR(t, sys), newINOR(t, sys), newEHTR(t, sys), newBaseline(t, sys)}
 }
 
+// runAll runs the controllers over one trace as a batch of the given
+// width — the scheme-comparison shape every study builds.
+func runAll(sys *System, tr *trace.Trace, ctrls []core.Controller, opts Options, workers int) ([]*Result, error) {
+	jobs := make([]Job, len(ctrls))
+	for i, c := range ctrls {
+		jobs[i] = Job{Sys: sys, Trace: tr, Ctrl: c, Opts: opts}
+	}
+	return Batch{Workers: workers}.Run(context.Background(), jobs)
+}
+
 func TestBatchParallelBitIdenticalToSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four-scheme comparison is slow")
@@ -38,14 +49,12 @@ func TestBatchParallelBitIdenticalToSerial(t *testing.T) {
 	// so every field of every Result must match bit for bit.
 	opts.DeterministicRuntime = true
 
-	opts.Workers = 1
-	serial, err := RunAll(context.Background(), sys, tr, fourSchemes(t, sys), opts)
+	serial, err := runAll(sys, tr, fourSchemes(t, sys), opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Force the concurrent path even on a single-CPU box.
-	opts.Workers = max(4, runtime.NumCPU())
-	parallel, err := RunAll(context.Background(), sys, tr, fourSchemes(t, sys), opts)
+	parallel, err := runAll(sys, tr, fourSchemes(t, sys), opts, max(4, runtime.NumCPU()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +74,8 @@ func TestBatchParallelBitIdenticalToSerial(t *testing.T) {
 func TestBatchKeepsJobOrder(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
-	opts := DefaultOptions()
-	opts.Workers = 4
 	ctrls := []core.Controller{newBaseline(t, sys), newINOR(t, sys)}
-	rs, err := RunAll(context.Background(), sys, tr, ctrls, opts)
+	rs, err := runAll(sys, tr, ctrls, DefaultOptions(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +97,7 @@ func TestBatchReportsLowestFailingJob(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	for _, workers := range []int{1, 4} {
-		opts := DefaultOptions()
-		opts.Workers = workers
-		rs, err := RunAll(context.Background(), sys, tr, []core.Controller{newBaseline(t, sys), erroringCtrl{}, newBaseline(t, sys)}, opts)
+		rs, err := runAll(sys, tr, []core.Controller{newBaseline(t, sys), erroringCtrl{}, newBaseline(t, sys)}, DefaultOptions(), workers)
 		if err == nil {
 			t.Fatalf("workers=%d: batch with failing job did not error", workers)
 		}

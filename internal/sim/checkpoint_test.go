@@ -243,11 +243,6 @@ func TestRestoreSessionRejects(t *testing.T) {
 		t.Error("invalid restored options accepted (Validate not applied)")
 	}
 	st = snap()
-	st.Options.Workers = MaxWorkers + 1
-	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
-		t.Error("over-cap worker count accepted on restore")
-	}
-	st = snap()
 	st.Options.Battery = true // options say battery, checkpoint has no battery state
 	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("battery-enabled options without battery state accepted")
@@ -280,20 +275,5 @@ func TestRestoreSessionContextCanceled(t *testing.T) {
 	}
 	if restored, err := RestoreSession(context.Background(), sys, st); err != nil || restored == nil {
 		t.Fatalf("restore under a live context failed: %v", err)
-	}
-}
-
-// TestValidateWorkersCap pins the Options.Validate sanity bound on
-// Workers: negative and absurd values are rejected, the cap itself is
-// accepted.
-func TestValidateWorkersCap(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = MaxWorkers
-	if err := opts.Validate(); err != nil {
-		t.Fatalf("Workers = MaxWorkers rejected: %v", err)
-	}
-	opts.Workers = MaxWorkers + 1
-	if err := opts.Validate(); err == nil {
-		t.Fatal("Workers over the sanity cap accepted")
 	}
 }

@@ -414,19 +414,11 @@ func (s *Session) Result() *Result {
 	return s.res
 }
 
-// MaxWorkers is the sanity cap on Options.Workers: far above any real
-// machine's core count, low enough that a corrupted value (a
-// hand-edited checkpoint, an overflowed config) cannot ask the batch
-// engine for millions of goroutines. Checkpoint-restored options pass
-// through the same Validate as fresh ones, so the cap holds there too.
-const MaxWorkers = 4096
-
 // Validate rejects option values the engine cannot run: a control
 // period that is not a positive finite number (NaN used to slip past
 // the old `<= 0` check and poison the tick count), non-finite or
-// negative sensor noise, a non-finite session clock origin, a negative
-// or absurdly large worker bound, and a charge profile without the
-// battery it drives.
+// negative sensor noise, a non-finite session clock origin, and a
+// charge profile without the battery it drives.
 //
 // Memory contract (KeepTicks / OnTick): a run's resident cost is
 // O(duration) only when KeepTicks is true — every Tick is then buffered
@@ -446,16 +438,6 @@ func (o Options) Validate() error {
 	}
 	if math.IsNaN(o.StartTime) || math.IsInf(o.StartTime, 0) {
 		return fmt.Errorf("sim: non-finite start time %g", o.StartTime)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count %d", o.Workers)
-	}
-	if o.Workers > MaxWorkers {
-		// A worker bound is a pool size, not a job count: anything past
-		// the sanity cap is a corrupted or hostile value (a checkpoint
-		// edited by hand, an overflowed config), and spawning that many
-		// goroutines would be the real failure.
-		return fmt.Errorf("sim: worker count %d over the %d sanity cap", o.Workers, MaxWorkers)
 	}
 	if o.ChargeProfile != nil && !o.Battery {
 		return fmt.Errorf("sim: charge profile requires the battery")

@@ -173,7 +173,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"Inf noise", func(o *Options) { o.SensorNoiseC = math.Inf(1) }},
 		{"negative noise", func(o *Options) { o.SensorNoiseC = -0.1 }},
 		{"NaN start", func(o *Options) { o.StartTime = math.NaN() }},
-		{"negative workers", func(o *Options) { o.Workers = -1 }},
 	}
 	for _, tc := range cases {
 		opts := DefaultOptions()
@@ -196,11 +195,6 @@ func TestRunRejectsNaNTick(t *testing.T) {
 	opts.TickSeconds = math.NaN()
 	if _, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts); err == nil {
 		t.Error("NaN tick should error")
-	}
-	opts = DefaultOptions()
-	opts.Workers = -3
-	if _, err := Run(context.Background(), sys, tr, newBaseline(t, sys), opts); err == nil {
-		t.Error("negative workers should error")
 	}
 }
 

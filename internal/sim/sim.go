@@ -87,16 +87,6 @@ type Options struct {
 	// the converter's output voltage through the three-stage lead-acid
 	// strategy instead of the fixed 13.8 V float.
 	ChargeProfile *charger.Profile
-	// Workers bounds the worker pool used when this Options value drives
-	// a batch of independent runs (RunAll, the experiments drivers): 0
-	// picks runtime.NumCPU(), 1 runs the jobs one at a time. A single Run
-	// ignores it. DefaultOptions picks 1 because overhead pricing charges
-	// the measured controller runtime (Section III.C), and concurrent
-	// sims competing for cores inflate that measurement; opt into
-	// parallelism where the accounting is deterministic (the seed sweep,
-	// DeterministicRuntime runs) or where throughput matters more than
-	// the runtime-priced decimals.
-	Workers int
 	// DeterministicRuntime drops the measured controller wall-clock from
 	// the physics: switching overhead is priced with zero compute time
 	// and the runtime statistics report zero. Everything else in a run
@@ -135,7 +125,7 @@ type Options struct {
 
 // DefaultOptions returns the experimental settings.
 func DefaultOptions() Options {
-	return Options{TickSeconds: 0.5, SensorNoiseC: 0.1, Seed: 7, Battery: false, Workers: 1, KeepTicks: true}
+	return Options{TickSeconds: 0.5, SensorNoiseC: 0.1, Seed: 7, Battery: false, KeepTicks: true}
 }
 
 // Tick is the per-control-period record behind Figs. 6 and 7.
@@ -233,17 +223,4 @@ func Run(ctx context.Context, sys *System, tr *trace.Trace, ctrl core.Controller
 // ticksFor is the control-period count of a trace replay.
 func ticksFor(tr *trace.Trace, tickSeconds float64) int {
 	return int(math.Floor(tr.Duration()/tickSeconds)) + 1
-}
-
-// RunAll runs several controllers over the same trace — the Table I
-// driver. The runs are independent, so they execute on the batch engine
-// (see batch.go) with a pool bounded by opts.Workers; results keep the
-// controllers' order. Cancellation reaches every run's per-tick check
-// through the batch engine.
-func RunAll(ctx context.Context, sys *System, tr *trace.Trace, ctrls []core.Controller, opts Options) ([]*Result, error) {
-	jobs := make([]Job, len(ctrls))
-	for i, c := range ctrls {
-		jobs[i] = Job{Sys: sys, Trace: tr, Ctrl: c, Opts: opts}
-	}
-	return Batch{Workers: opts.Workers}.Run(ctx, jobs)
 }

@@ -289,18 +289,6 @@ func TestRunWithBattery(t *testing.T) {
 	}
 }
 
-func TestRunAll(t *testing.T) {
-	sys := DefaultSystem()
-	tr := shortTrace(t)
-	rs, err := RunAll(context.Background(), sys, tr, []core.Controller{newBaseline(t, sys), newINOR(t, sys)}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 || rs[0].Scheme == rs[1].Scheme {
-		t.Errorf("RunAll results wrong: %+v", rs)
-	}
-}
-
 // fixedOnce programs one configuration on the first tick and holds it.
 type fixedOnce struct{ cfg array.Config }
 
