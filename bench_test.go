@@ -72,12 +72,12 @@ func BenchmarkFig6PowerSeries(b *testing.B) {
 }
 
 // benchTableIScheme times one Table I column over a 60 s excerpt.
-func benchTableIScheme(b *testing.B, build func(*experiments.Setup) (core.Controller, error)) {
+func benchTableIScheme(b *testing.B, scheme string) {
 	b.Helper()
 	s := benchSetup(b, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctrl, err := build(s)
+		ctrl, err := s.NewScheme(scheme)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,22 +93,22 @@ func benchTableIScheme(b *testing.B, build func(*experiments.Setup) (core.Contro
 
 // BenchmarkTableI_DNOR times the DNOR column of Table I.
 func BenchmarkTableI_DNOR(b *testing.B) {
-	benchTableIScheme(b, func(s *experiments.Setup) (core.Controller, error) { return s.NewDNOR() })
+	benchTableIScheme(b, "DNOR")
 }
 
 // BenchmarkTableI_INOR times the INOR column of Table I.
 func BenchmarkTableI_INOR(b *testing.B) {
-	benchTableIScheme(b, func(s *experiments.Setup) (core.Controller, error) { return s.NewINOR() })
+	benchTableIScheme(b, "INOR")
 }
 
 // BenchmarkTableI_EHTR times the EHTR column of Table I.
 func BenchmarkTableI_EHTR(b *testing.B) {
-	benchTableIScheme(b, func(s *experiments.Setup) (core.Controller, error) { return s.NewEHTR() })
+	benchTableIScheme(b, "EHTR")
 }
 
 // BenchmarkTableI_Baseline times the static-baseline column of Table I.
 func BenchmarkTableI_Baseline(b *testing.B) {
-	benchTableIScheme(b, func(s *experiments.Setup) (core.Controller, error) { return s.NewBaseline() })
+	benchTableIScheme(b, "Baseline")
 }
 
 // decayTemps builds the synthetic radiator profile used by the kernel
@@ -124,19 +124,13 @@ func decayTemps(n int) []float64 {
 // benchDecide times a single controller invocation at array size n —
 // the Ext-A scaling study (Table I "Average Runtime" and the O(N) vs
 // O(N³) claim).
-func benchDecide(b *testing.B, n int, ehtr bool) {
+func benchDecide(b *testing.B, n int, scheme string) {
 	b.Helper()
-	sys := sim.DefaultSystem()
-	eval, err := core.NewEvaluator(sys.Spec, sys.Conv)
+	sch, err := sim.SchemeByName(scheme)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var ctrl core.Controller
-	if ehtr {
-		ctrl, err = core.NewEHTR(eval)
-	} else {
-		ctrl, err = core.NewINOR(eval)
-	}
+	ctrl, err := sch.New(sim.DefaultSystem(), sim.SchemeConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,22 +144,22 @@ func benchDecide(b *testing.B, n int, ehtr bool) {
 }
 
 // BenchmarkScalingINOR_N100 …N800 sweep the O(N) algorithm.
-func BenchmarkScalingINOR_N100(b *testing.B) { benchDecide(b, 100, false) }
+func BenchmarkScalingINOR_N100(b *testing.B) { benchDecide(b, 100, "INOR") }
 
 // BenchmarkScalingINOR_N400 is the 400-module point.
-func BenchmarkScalingINOR_N400(b *testing.B) { benchDecide(b, 400, false) }
+func BenchmarkScalingINOR_N400(b *testing.B) { benchDecide(b, 400, "INOR") }
 
 // BenchmarkScalingINOR_N800 is the 800-module point.
-func BenchmarkScalingINOR_N800(b *testing.B) { benchDecide(b, 800, false) }
+func BenchmarkScalingINOR_N800(b *testing.B) { benchDecide(b, 800, "INOR") }
 
 // BenchmarkScalingEHTR_N100 …N400 sweep the O(N³) reconstruction.
-func BenchmarkScalingEHTR_N100(b *testing.B) { benchDecide(b, 100, true) }
+func BenchmarkScalingEHTR_N100(b *testing.B) { benchDecide(b, 100, "EHTR") }
 
 // BenchmarkScalingEHTR_N200 is the 200-module point.
-func BenchmarkScalingEHTR_N200(b *testing.B) { benchDecide(b, 200, true) }
+func BenchmarkScalingEHTR_N200(b *testing.B) { benchDecide(b, 200, "EHTR") }
 
 // BenchmarkScalingEHTR_N400 is the 400-module point.
-func BenchmarkScalingEHTR_N400(b *testing.B) { benchDecide(b, 400, true) }
+func BenchmarkScalingEHTR_N400(b *testing.B) { benchDecide(b, 400, "EHTR") }
 
 // BenchmarkHorizonAblation runs the Ext-B tp sweep over a short trace.
 func BenchmarkHorizonAblation(b *testing.B) {
@@ -273,7 +267,7 @@ func benchConditions(b *testing.B, s *experiments.Setup) []thermal.Conditions {
 func BenchmarkSessionStep(b *testing.B) {
 	s := benchSetup(b, 60)
 	conds := benchConditions(b, s)
-	ctrl, err := s.NewINOR()
+	ctrl, err := s.NewScheme("INOR")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -309,7 +303,7 @@ func BenchmarkRunVsSession(b *testing.B) {
 	b.Run("Run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctrl, err := s.NewINOR()
+			ctrl, err := s.NewScheme("INOR")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -321,7 +315,7 @@ func BenchmarkRunVsSession(b *testing.B) {
 	b.Run("Session", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctrl, err := s.NewINOR()
+			ctrl, err := s.NewScheme("INOR")
 			if err != nil {
 				b.Fatal(err)
 			}

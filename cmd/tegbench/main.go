@@ -550,7 +550,7 @@ func benchSessionStepSampled(seconds float64, sampleEvery int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ctrl, err := s.NewINOR()
+	ctrl, err := s.NewScheme("INOR")
 	if err != nil {
 		return Result{}, err
 	}

@@ -28,8 +28,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tegfig: ")
 	// Library code logs through slog; a CLI run wants that quiet unless
-	// something is actually wrong.
+	// something is actually wrong. slog.SetDefault also reroutes the log
+	// package into that Warn-level handler at Info level, which would
+	// swallow every fatal reason, so the log package is pointed back at
+	// stderr afterwards.
 	slog.SetDefault(obs.MustLogger(os.Stderr, slog.LevelWarn, "text"))
+	log.SetOutput(os.Stderr)
 	var (
 		fig     = flag.String("fig", "1", "figure to emit: 1, 5, 6, 7 or scaling")
 		start   = flag.Float64("start", 20, "window start for figs 6/7 (s)")

@@ -76,8 +76,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tegtrace: ")
 	// Library code logs through slog; a CLI run wants that quiet unless
-	// something is actually wrong.
+	// something is actually wrong. slog.SetDefault also reroutes the log
+	// package into that Warn-level handler at Info level, which would
+	// swallow every fatal reason, so the log package is pointed back at
+	// stderr afterwards.
 	slog.SetDefault(obs.MustLogger(os.Stderr, slog.LevelWarn, "text"))
+	log.SetOutput(os.Stderr)
 	// The -cycle usage text advertises exactly the registered stochastic
 	// profiles and standard cycles, so a new registry entry in either
 	// shows up here without a CLI edit.

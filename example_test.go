@@ -20,7 +20,7 @@ func ExampleSimulate() {
 		log.Fatal(err)
 	}
 	sys := tegrecon.DefaultSystem()
-	ctrl, err := tegrecon.NewDNORController(sys, 4)
+	ctrl, err := tegrecon.NewControllerByName("DNOR", sys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func ExampleNewSession() {
 		log.Fatal(err)
 	}
 	sys := tegrecon.DefaultSystem()
-	ctrl, err := tegrecon.NewINORController(sys)
+	ctrl, err := tegrecon.NewControllerByName("INOR", sys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func ExampleNewSession() {
 	}
 	res := sess.Result()
 
-	ctrl2, err := tegrecon.NewINORController(sys)
+	ctrl2, err := tegrecon.NewControllerByName("INOR", sys)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,17 +13,12 @@ import (
 	"time"
 
 	"tegrecon"
-	"tegrecon/internal/core"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	sys := tegrecon.DefaultSystem()
-	eval, err := core.NewEvaluator(sys.Spec, sys.Conv)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	fmt.Printf("%-10s %14s %14s %12s %14s\n",
 		"modules", "INOR", "EHTR", "speedup", "INOR power (W)")
@@ -35,11 +30,11 @@ func main() {
 			temps[i] = 60 + 120*math.Exp(-2.2*float64(i)/float64(n))
 		}
 
-		inor, err := core.NewINOR(eval)
+		inor, err := tegrecon.NewControllerByName("INOR", sys)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ehtr, err := core.NewEHTR(eval)
+		ehtr, err := tegrecon.NewControllerByName("EHTR", sys)
 		if err != nil {
 			log.Fatal(err)
 		}

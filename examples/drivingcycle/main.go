@@ -24,22 +24,11 @@ func main() {
 	}
 	sys := tegrecon.DefaultSystem()
 
-	type scheme struct {
-		name  string
-		build func() (tegrecon.Controller, error)
-	}
-	schemes := []scheme{
-		{"DNOR", func() (tegrecon.Controller, error) { return tegrecon.NewDNORController(sys, 4) }},
-		{"INOR", func() (tegrecon.Controller, error) { return tegrecon.NewINORController(sys) }},
-		{"EHTR", func() (tegrecon.Controller, error) { return tegrecon.NewEHTRController(sys) }},
-		{"Baseline", func() (tegrecon.Controller, error) { return tegrecon.NewBaselineController(sys) }},
-	}
-
 	fmt.Printf("%-10s %14s %14s %16s %10s\n",
 		"scheme", "energy (J)", "overhead (J)", "avg runtime", "switches")
 	var results []*tegrecon.SimResult
-	for _, s := range schemes {
-		ctrl, err := s.build()
+	for _, name := range []string{"DNOR", "INOR", "EHTR", "Baseline"} {
+		ctrl, err := tegrecon.NewControllerByName(name, sys)
 		if err != nil {
 			log.Fatal(err)
 		}

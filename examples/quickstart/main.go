@@ -32,7 +32,7 @@ func main() {
 
 	// DNOR (Algorithm 2): INOR + MLR prediction 4 control ticks (2 s)
 	// ahead, switching only when the gain beats the overhead.
-	ctrl, err := tegrecon.NewDNORController(sys, 4)
+	ctrl, err := tegrecon.NewControllerByName("DNOR", sys)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 	}
 
 	sys := tegrecon.DefaultSystem()
-	ctrl, err := tegrecon.NewDNORController(sys, 4)
+	ctrl, err := tegrecon.NewControllerByName("DNOR", sys)
 	if err != nil {
 		log.Fatal(err)
 	}

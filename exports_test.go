@@ -13,14 +13,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // testOnlyExemptions names the exported internal functions that no
-// production code calls but that stay on purpose, each with its reason.
-// Keys are "pkg.Func" or "pkg.Type.Method".
+// production code calls, and the exported struct fields that no
+// production code writes, that stay on purpose, each with its reason.
+// Keys are "pkg.Func", "pkg.Type.Method" or "pkg.Type.Field".
 var testOnlyExemptions = map[string]string{
 	"core.Evaluator.Best":          "allocating delivered-power search the core tests and CI's bench smoke (BenchmarkEvaluatorBest) call",
 	"switchfab.States":             "independent switch-state reference that SwitchToggles is tested against",
@@ -29,6 +31,7 @@ var testOnlyExemptions = map[string]string{
 	"array.Array.Equivalent":       "allocating EquivalentInto that array, core and root benchmark tests price configurations with",
 	"array.Equivalent.MPP":         "the equivalent's analytic MPP that array and core tests check decisions against",
 	"thermal.Distribution.OutletC": "facade API: Distribution is what the aliased Radiator.Solve returns",
+	"store.Store.StaleLockAfter":   "test seam: the lock-breaking test ages a lock in milliseconds instead of DefaultStaleLockAfter's minutes",
 }
 
 // listedPackage is the subset of `go list -json` this test reads.
@@ -82,11 +85,13 @@ func (s sourceImporter) Import(path string) (*types.Package, error) {
 }
 
 // TestNoTestOnlyExports fails on every exported function or method in
-// internal/ that no non-test file in the module or in perfbench uses.
-// Production keeps one form of each mechanism; a form only tests reach
-// belongs in a _test.go file or nowhere. Methods that satisfy an
-// interface, methods on types the facade aliases, and the exemptions
-// above are allowed.
+// internal/ that no non-test file in the module or in perfbench uses,
+// and on every exported field of an exported internal struct that no
+// such file writes. Production keeps one form of each mechanism; a form
+// or knob only tests reach belongs in a _test.go file or nowhere.
+// Methods that satisfy an interface, methods on types the facade
+// aliases, fields of json-tagged wire structs (the decoder writes
+// those) and the exemptions above are allowed.
 func TestNoTestOnlyExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -113,6 +118,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}),
 	}
 	used := map[types.Object]bool{}
+	written := map[*types.Var]bool{}
 	var literals []*types.Interface
 	var internal []*types.Package
 	for _, p := range listed {
@@ -128,8 +134,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
@@ -137,6 +144,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Fatalf("type-check %s: %v", p.ImportPath, err)
 		}
 		imp.checked[p.ImportPath] = pkg
+		markWrittenFields(files, info, written)
 		for _, obj := range info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
 				used[fn.Origin()] = true
@@ -158,14 +166,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 	ifaces := append(interfacesIn(imp.checked), literals...)
 	seen := map[string]bool{}
 	var offenders []string
-	report := func(key string, fn *types.Func) {
+	report := func(key string, obj types.Object, inUse bool) {
 		seen[key] = true
 		exempt := testOnlyExemptions[key] != ""
 		switch {
-		case used[fn] && exempt:
+		case inUse && exempt:
 			offenders = append(offenders, key+" (exempted, but production code uses it: drop the exemption)")
-		case !used[fn] && !exempt:
-			offenders = append(offenders, fmt.Sprintf("%s (%s)", key, fset.Position(fn.Pos())))
+		case !inUse && !exempt:
+			offenders = append(offenders, fmt.Sprintf("%s (%s)", key, fset.Position(obj.Pos())))
 		}
 	}
 	for _, pkg := range internal {
@@ -174,17 +182,27 @@ func TestNoTestOnlyExports(t *testing.T) {
 			switch obj := scope.Lookup(name).(type) {
 			case *types.Func:
 				if obj.Exported() {
-					report(pkg.Name()+"."+name, obj)
+					report(pkg.Name()+"."+name, obj, used[obj])
 				}
 			case *types.TypeName:
 				named, ok := obj.Type().(*types.Named)
-				if !ok || obj.IsAlias() || aliased[named] {
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				if st, ok := named.Underlying().(*types.Struct); ok && obj.Exported() && !jsonTagged(st) {
+					for i := 0; i < st.NumFields(); i++ {
+						if f := st.Field(i); f.Exported() {
+							report(pkg.Name()+"."+name+"."+f.Name(), f, written[f])
+						}
+					}
+				}
+				if aliased[named] {
 					continue
 				}
 				for i := 0; i < named.NumMethods(); i++ {
 					m := named.Method(i)
 					if m.Exported() && !satisfiesInterface(named, m.Name(), ifaces) {
-						report(pkg.Name()+"."+name+"."+m.Name(), m)
+						report(pkg.Name()+"."+name+"."+m.Name(), m, used[m])
 					}
 				}
 			}
@@ -199,6 +217,71 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, o := range offenders {
 		t.Errorf("test-only export: %s", o)
 	}
+}
+
+// markWrittenFields records every struct field the files write: as an
+// assignment or increment target (directly or through an index, a
+// dereference or a nested field), by taking its address, or in a
+// composite literal, where a positional literal writes every field.
+func markWrittenFields(files []*ast.File, info *types.Info, written map[*types.Var]bool) {
+	var target func(ast.Expr)
+	target = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			target(e.X)
+		case *ast.StarExpr:
+			target(e.X)
+		case *ast.IndexExpr:
+			target(e.X)
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				written[sel.Obj().(*types.Var).Origin()] = true
+				target(e.X)
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(n.X)
+				}
+			case *ast.CompositeLit:
+				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							written[f.Origin()] = true
+						}
+					} else {
+						written[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// jsonTagged reports whether a struct carries json tags: a wire struct
+// whose fields the decoder writes.
+func jsonTagged(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if reflect.StructTag(st.Tag(i)).Get("json") != "" {
+			return true
+		}
+	}
+	return false
 }
 
 // facadeAliases returns the internal types tegrecon.go re-exports as

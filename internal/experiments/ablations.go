@@ -9,7 +9,6 @@ import (
 	"tegrecon/internal/core"
 	"tegrecon/internal/predict"
 	"tegrecon/internal/sim"
-	"tegrecon/internal/teg"
 )
 
 // ScalingPoint is one array size of the Ext-A scalability study.
@@ -33,10 +32,9 @@ func ScalingStudy(sizes []int, reps int) ([]ScalingPoint, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("experiments: reps %d < 1", reps)
 	}
-	eval, err := core.NewEvaluator(teg.TGM199, sim.DefaultSystem().Conv)
-	if err != nil {
-		return nil, err
-	}
+	// INOR and EHTR read only the rig's system, so a bare Setup is
+	// enough to build them through the registry.
+	rig := &Setup{Sys: sim.DefaultSystem()}
 	out := make([]ScalingPoint, 0, len(sizes))
 	for _, n := range sizes {
 		if n < 10 {
@@ -46,11 +44,11 @@ func ScalingStudy(sizes []int, reps int) ([]ScalingPoint, error) {
 		for i := range temps {
 			temps[i] = 38 + 54*math.Exp(-3*float64(i)/float64(n))
 		}
-		inor, err := core.NewINOR(eval)
+		inor, err := rig.NewScheme("INOR")
 		if err != nil {
 			return nil, err
 		}
-		ehtr, err := core.NewEHTR(eval)
+		ehtr, err := rig.NewScheme("EHTR")
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +103,7 @@ func HorizonAblation(ctx context.Context, s *Setup, horizons []int) ([]HorizonPo
 	for _, h := range horizons {
 		setup := *s
 		setup.HorizonTicks = h
-		dnor, err := setup.NewDNOR()
+		dnor, err := setup.NewScheme("DNOR")
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +165,7 @@ func PredictorAblation(ctx context.Context, s *Setup) ([]PredictorPoint, error) 
 	preds := []predict.Predictor{mlr, bpnn, svr, holt, predict.NewHold(), oracle}
 	jobs := make([]sim.Job, 0, len(preds))
 	for _, p := range preds {
-		dnor, err := s.NewDNORWith(p)
+		dnor, err := s.newScheme("DNOR", p)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +209,7 @@ func WindowAblation(ctx context.Context, s *Setup, windows [][2]float64) ([]Wind
 		sysCopy.Conv.MinInput = w[0]
 		sysCopy.Conv.MaxInput = w[1]
 		setup.Sys = &sysCopy
-		inor, err := setup.NewINOR()
+		inor, err := setup.NewScheme("INOR")
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +242,7 @@ type MarginPoint struct {
 // Table I note 1).
 // Cancellation is threaded into every run's per-tick check.
 func MarginAblation(ctx context.Context, s *Setup, marginsJ []float64) ([]MarginPoint, error) {
-	eval, err := s.Evaluator()
+	eval, err := core.NewEvaluator(s.Sys.Spec, s.Sys.Conv)
 	if err != nil {
 		return nil, err
 	}

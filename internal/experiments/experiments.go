@@ -60,17 +60,6 @@ func (s *Setup) summaryOpts() sim.Options {
 	return opts
 }
 
-// Evaluator builds the shared pricing engine.
-func (s *Setup) Evaluator() (*core.Evaluator, error) {
-	return core.NewEvaluator(s.Sys.Spec, s.Sys.Conv)
-}
-
-// schemeConfig maps the setup's knobs onto the registry's builder
-// parameters.
-func (s *Setup) schemeConfig() sim.SchemeConfig {
-	return sim.SchemeConfig{HorizonTicks: s.HorizonTicks, TickSeconds: s.Opts.TickSeconds}
-}
-
 // NewScheme builds a fresh controller for any registered scheme name —
 // the experiment-level face of sim.SchemeByName. Unlike SchemeConfig's
 // zero-value-means-default contract, a Setup always carries an
@@ -78,6 +67,12 @@ func (s *Setup) schemeConfig() sim.SchemeConfig {
 // (e.g. an ablation sweeping over 0) that must fail loudly rather than
 // silently simulate the default and mislabel the result.
 func (s *Setup) NewScheme(name string) (core.Controller, error) {
+	return s.newScheme(name, nil)
+}
+
+// newScheme is NewScheme with DNOR's predictor overridden (nil keeps
+// the registry's MLR) — the predictor ablation's hook.
+func (s *Setup) newScheme(name string, p predict.Predictor) (core.Controller, error) {
 	sch, err := sim.SchemeByName(name)
 	if err != nil {
 		return nil, err
@@ -85,7 +80,7 @@ func (s *Setup) NewScheme(name string) (core.Controller, error) {
 	if sch.UsesHorizon && s.HorizonTicks < 1 {
 		return nil, fmt.Errorf("experiments: %s prediction horizon %d < 1 tick", sch.Name, s.HorizonTicks)
 	}
-	return sch.New(s.Sys, s.schemeConfig())
+	return sch.New(s.Sys, sim.SchemeConfig{HorizonTicks: s.HorizonTicks, TickSeconds: s.Opts.TickSeconds, Predictor: p})
 }
 
 // newSchemes builds one fresh controller per name, in order.
@@ -114,37 +109,6 @@ func (s *Setup) compareSchemes(ctx context.Context, tr *trace.Trace, opts sim.Op
 	}
 	return sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
 }
-
-// NewDNOR builds the paper's DNOR (MLR predictor).
-func (s *Setup) NewDNOR() (core.Controller, error) { return s.NewScheme("DNOR") }
-
-// NewDNORWith builds a DNOR around an arbitrary predictor (for the
-// predictor ablation). The predictor is the whole point here, so nil
-// is an error — it must not fall back to the registry's default MLR.
-func (s *Setup) NewDNORWith(p predict.Predictor) (core.Controller, error) {
-	if p == nil {
-		return nil, fmt.Errorf("experiments: NewDNORWith needs a predictor")
-	}
-	if s.HorizonTicks < 1 {
-		return nil, fmt.Errorf("experiments: DNOR prediction horizon %d < 1 tick", s.HorizonTicks)
-	}
-	sch, err := sim.SchemeByName("DNOR")
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.schemeConfig()
-	cfg.Predictor = p
-	return sch.New(s.Sys, cfg)
-}
-
-// NewINOR builds the instantaneous controller.
-func (s *Setup) NewINOR() (core.Controller, error) { return s.NewScheme("INOR") }
-
-// NewEHTR builds the prior-work reconstruction.
-func (s *Setup) NewEHTR() (core.Controller, error) { return s.NewScheme("EHTR") }
-
-// NewBaseline builds the static 10×10 configuration.
-func (s *Setup) NewBaseline() (core.Controller, error) { return s.NewScheme("Baseline") }
 
 // TempSequence converts the trace into per-tick module temperature
 // distributions — the predictors' input stream.

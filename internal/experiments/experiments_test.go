@@ -506,10 +506,9 @@ func TestMarginAblation(t *testing.T) {
 }
 
 // TestSchemeBuilderGuards pins the loud-failure contract of the
-// registry-backed builders: a Setup's horizon is always explicit, so a
+// registry-backed builder: a Setup's horizon is always explicit, so a
 // non-positive one (e.g. an ablation sweeping over 0) must error, not
-// silently simulate the default horizon under the wrong label — and
-// NewDNORWith must never fall back to the default predictor.
+// silently simulate the default horizon under the wrong label.
 func TestSchemeBuilderGuards(t *testing.T) {
 	s, err := DefaultSetup()
 	if err != nil {
@@ -522,18 +521,14 @@ func TestSchemeBuilderGuards(t *testing.T) {
 		t.Errorf("NewScheme(dnor): %v %v", c, err)
 	}
 	s.HorizonTicks = 0
-	if _, err := s.NewDNOR(); err == nil {
+	if _, err := s.NewScheme("DNOR"); err == nil {
 		t.Error("horizon 0 DNOR built silently")
 	}
 	if _, err := HorizonAblation(context.Background(), s, []int{0}); err == nil {
 		t.Error("horizon-0 ablation point ran silently")
 	}
 	// INOR ignores the horizon, so it still builds.
-	if _, err := s.NewINOR(); err != nil {
+	if _, err := s.NewScheme("INOR"); err != nil {
 		t.Errorf("INOR with horizon 0: %v", err)
-	}
-	s.HorizonTicks = 4
-	if _, err := s.NewDNORWith(nil); err == nil {
-		t.Error("NewDNORWith(nil) built a controller")
 	}
 }

@@ -220,7 +220,7 @@ func (n *BPNN) Predict(horizon int) ([][]float64, error) {
 		return nil, ErrNotReady
 	}
 	x := make([]float64, n.order)
-	step := func(_ int, raw []float64) float64 {
+	step := func(raw []float64) float64 {
 		for k, v := range raw {
 			x[k] = n.normalize(v)
 		}

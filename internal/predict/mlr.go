@@ -16,11 +16,9 @@ type MLR struct {
 	window     int     // sliding-window length in ticks
 	ridge      float64 // ridge regularisation λ
 	maxSamples int     // training subsample cap (strided)
-	perModule  bool    // fit one model per module instead of pooling
 	hist       *History
-	coef       []float64   // pooled: order weights followed by intercept
-	coefs      [][]float64 // per-module variant
-	fresh      bool        // coefficients reflect the current history
+	coef       []float64 // order weights followed by intercept
+	fresh      bool      // coefficients reflect the current history
 }
 
 // MLROptions tunes the predictor.
@@ -36,12 +34,6 @@ type MLROptions struct {
 	// subsampling; 0 uses the default (256). The cap is what keeps MLR
 	// the fastest of the three methods regardless of module count.
 	MaxSamples int
-	// PerModule fits an independent coefficient vector per module
-	// instead of one pooled model. The pooled form is the paper
-	// configuration (the decay physics is shared, so pooling multiplies
-	// the data); the per-module form exists for the design-choice
-	// comparison in DESIGN.md §5 and costs N× the fitting work.
-	PerModule bool
 }
 
 // DefaultMLROptions matches the configuration used for the paper
@@ -79,18 +71,12 @@ func NewMLR(opts MLROptions) (*MLR, error) {
 		window:     opts.Window,
 		ridge:      opts.Ridge,
 		maxSamples: opts.MaxSamples,
-		perModule:  opts.PerModule,
 		hist:       h,
 	}, nil
 }
 
 // Name implements Predictor.
-func (m *MLR) Name() string {
-	if m.perModule {
-		return "MLR-per-module"
-	}
-	return "MLR"
-}
+func (m *MLR) Name() string { return "MLR" }
 
 // Observe implements Predictor.
 func (m *MLR) Observe(temps []float64) error {
@@ -105,11 +91,8 @@ func (m *MLR) Observe(temps []float64) error {
 // non-degenerate fit.
 func (m *MLR) Ready() bool { return m.hist.Len() >= m.order+2 }
 
-// fit refits the model(s) on the current window.
+// fit refits the pooled model on the current window.
 func (m *MLR) fit() error {
-	if m.perModule {
-		return m.fitPerModule()
-	}
 	total := arCount(m.hist, m.order)
 	if total == 0 {
 		return ErrNotReady
@@ -138,42 +121,6 @@ func (m *MLR) fit() error {
 	return nil
 }
 
-// fitPerModule fits an independent ridge model for every module. The
-// per-module ridge needs to be stronger than the pooled one because each
-// fit sees only window−order samples of a smooth (near-collinear)
-// series.
-func (m *MLR) fitPerModule() error {
-	n := m.hist.Modules()
-	if m.coefs == nil || len(m.coefs) != n {
-		m.coefs = make([][]float64, n)
-	}
-	ridge := m.ridge
-	if ridge < 1e-4 {
-		ridge = 1e-4
-	}
-	for mod := 0; mod < n; mod++ {
-		samples := moduleSamples(m.hist, m.order, mod)
-		if len(samples) == 0 {
-			return ErrNotReady
-		}
-		a := linalg.NewMatrix(len(samples), m.order+1)
-		b := make([]float64, len(samples))
-		for r, s := range samples {
-			row := a.Row(r)
-			copy(row, s.x)
-			row[m.order] = 1
-			b[r] = s.y
-		}
-		coef, err := linalg.RidgeLeastSquares(a, b, ridge)
-		if err != nil {
-			return fmt.Errorf("predict: MLR per-module fit (module %d): %w", mod, err)
-		}
-		m.coefs[mod] = coef
-	}
-	m.fresh = true
-	return nil
-}
-
 // Predict implements Predictor.
 func (m *MLR) Predict(horizon int) ([][]float64, error) {
 	if horizon < 1 {
@@ -187,11 +134,8 @@ func (m *MLR) Predict(horizon int) ([][]float64, error) {
 			return nil, err
 		}
 	}
-	step := func(module int, x []float64) float64 {
-		coef := m.coef
-		if m.perModule {
-			coef = m.coefs[module]
-		}
+	coef := m.coef
+	step := func(x []float64) float64 {
 		y := coef[len(coef)-1]
 		for k, v := range x {
 			y += coef[k] * v

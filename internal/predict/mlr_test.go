@@ -82,7 +82,7 @@ func TestMLRStridedBuildBitEqualsReference(t *testing.T) {
 				t.Fatalf("MaxSamples %d: coefficient %d = %v, want %v", maxSamples, k, have[k], coef[k])
 			}
 		}
-		want := rollForward(m.hist, order, 3, func(_ int, x []float64) float64 {
+		want := rollForward(m.hist, order, 3, func(x []float64) float64 {
 			y := coef[len(coef)-1]
 			for k, v := range x {
 				y += coef[k] * v

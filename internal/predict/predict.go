@@ -172,9 +172,9 @@ func latestFeatures(h *History, order int) [][]float64 {
 }
 
 // rollForward produces a multi-step forecast by repeatedly applying a
-// one-step model f — which may condition on the module index — to the
-// feature window and feeding predictions back.
-func rollForward(h *History, order, horizon int, f func(module int, x []float64) float64) [][]float64 {
+// one-step model f to each module's feature window and feeding
+// predictions back.
+func rollForward(h *History, order, horizon int, f func(x []float64) float64) [][]float64 {
 	n := h.Modules()
 	// Per-module working windows seeded from history.
 	windows := latestFeatures(h, order)
@@ -182,29 +182,12 @@ func rollForward(h *History, order, horizon int, f func(module int, x []float64)
 	for step := 0; step < horizon; step++ {
 		row := make([]float64, n)
 		for m := 0; m < n; m++ {
-			y := f(m, windows[m])
+			y := f(windows[m])
 			row[m] = y
 			copy(windows[m], windows[m][1:])
 			windows[m][order-1] = y
 		}
 		out[step] = row
-	}
-	return out
-}
-
-// moduleSamples extracts the AR training pairs of a single module.
-func moduleSamples(h *History, order, module int) []arSample {
-	t := h.Len()
-	if t <= order {
-		return nil
-	}
-	out := make([]arSample, 0, t-order)
-	for end := order; end < t; end++ {
-		x := make([]float64, order)
-		for k := 0; k < order; k++ {
-			x[k] = h.Tick(end - order + k)[module]
-		}
-		out = append(out, arSample{x: x, y: h.Tick(end)[module]})
 	}
 	return out
 }

@@ -417,72 +417,12 @@ func TestRollForwardFeedback(t *testing.T) {
 	h, _ := NewHistory(5)
 	h.Push([]float64{10})
 	h.Push([]float64{11})
-	out := rollForward(h, 2, 3, func(_ int, x []float64) float64 { return x[len(x)-1] + 1 })
+	out := rollForward(h, 2, 3, func(x []float64) float64 { return x[len(x)-1] + 1 })
 	want := []float64{12, 13, 14}
 	for i, w := range want {
 		if out[i][0] != w {
 			t.Errorf("step %d = %v, want %v", i, out[i][0], w)
 		}
-	}
-}
-
-func TestMLRPerModuleVariant(t *testing.T) {
-	opts := DefaultMLROptions()
-	opts.PerModule = true
-	pm, err := NewMLR(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm.Name() != "MLR-per-module" {
-		t.Error(pm.Name())
-	}
-	seq := synthSeq(200, 6, 0.02, 12)
-	res, err := Evaluate(pm, seq, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-module fits see far less data but must still track the smooth
-	// signal to sub-percent error.
-	if res.MAPE > 1.0 {
-		t.Errorf("per-module MLR MAPE = %v%%", res.MAPE)
-	}
-}
-
-func TestMLRPooledBeatsPerModuleOnSharedPhysics(t *testing.T) {
-	// Modules share one dynamics; pooling multiplies the data, so the
-	// pooled fit should be at least as accurate — the DESIGN.md §5
-	// design choice.
-	seq := synthSeq(150, 8, 0.05, 13)
-	pooled := mustMLR(t)
-	opts := DefaultMLROptions()
-	opts.PerModule = true
-	pm, err := NewMLR(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Compare([]Predictor{pooled, pm}, seq, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0].MAPE > rs[1].MAPE*1.2 {
-		t.Errorf("pooled MAPE %v much worse than per-module %v", rs[0].MAPE, rs[1].MAPE)
-	}
-}
-
-func TestMoudleSamplesShape(t *testing.T) {
-	h, _ := NewHistory(10)
-	for i := 0; i < 6; i++ {
-		h.Push([]float64{float64(i), float64(10 + i)})
-	}
-	ms := moduleSamples(h, 3, 1)
-	if len(ms) != 3 {
-		t.Fatalf("%d samples", len(ms))
-	}
-	if ms[0].y != 13 || ms[0].x[0] != 10 {
-		t.Errorf("first sample %+v", ms[0])
-	}
-	if got := moduleSamples(h, 10, 0); got != nil {
-		t.Error("short history should return nil")
 	}
 }
 

@@ -194,7 +194,7 @@ func (s *SVR) Predict(horizon int) ([][]float64, error) {
 		}
 	}
 	w := s.w
-	step := func(_ int, raw []float64) float64 {
+	step := func(raw []float64) float64 {
 		y := w[len(w)-1] // bias feature
 		for k, v := range raw {
 			y += w[k] * (v - s.mean) / s.scale

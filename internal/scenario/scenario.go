@@ -262,15 +262,15 @@ func (m *Matrix) Normalize() (*Matrix, error) {
 	if err := checkFinite("sensor_noise_c", noise); err != nil {
 		return nil, err
 	}
-	if noise < 0 || noise > 50 {
-		return nil, specErrf("sensor_noise_c %g outside [0, 50]", noise)
+	if noise < 0 || noise > sim.MaxSensorNoiseC {
+		return nil, specErrf("sensor_noise_c %g outside [0, %g]", noise, sim.MaxSensorNoiseC)
 	}
 	n.SensorNoiseC = &noise
 	if n.HorizonTicks == 0 {
 		n.HorizonTicks = 4
 	}
-	if n.HorizonTicks < 1 || n.HorizonTicks > 10000 {
-		return nil, specErrf("horizon_ticks %d outside [1, 10000]", n.HorizonTicks)
+	if n.HorizonTicks < 1 || n.HorizonTicks > sim.MaxHorizonTicks {
+		return nil, specErrf("horizon_ticks %d outside [1, %d]", n.HorizonTicks, sim.MaxHorizonTicks)
 	}
 	if err := checkFinite("max_duration_s", n.MaxDurationS); err != nil {
 		return nil, err

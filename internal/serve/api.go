@@ -149,8 +149,8 @@ func (s *Server) normalizePhysics(ph physics) (physics, *httpError) {
 	if ph.tickS > 3600 {
 		return ph, errf(http.StatusBadRequest, "tick_s %g is over the 3600 s limit", ph.tickS)
 	}
-	if n := ph.noiseC; math.IsNaN(n) || math.IsInf(n, 0) || n < 0 {
-		return ph, errf(http.StatusBadRequest, "sensor_noise_c %g is not a non-negative finite °C", n)
+	if n := ph.noiseC; !(n >= 0 && n <= sim.MaxSensorNoiseC) {
+		return ph, errf(http.StatusBadRequest, "sensor_noise_c %g outside [0, %g]", n, sim.MaxSensorNoiseC)
 	}
 	if ph.modules == 0 {
 		ph.modules = 100
@@ -161,8 +161,8 @@ func (s *Server) normalizePhysics(ph physics) (physics, *httpError) {
 	if ph.horizon == 0 {
 		ph.horizon = 4
 	}
-	if ph.horizon < 0 {
-		return ph, errf(http.StatusBadRequest, "horizon_ticks %d is negative", ph.horizon)
+	if ph.horizon < 1 || ph.horizon > sim.MaxHorizonTicks {
+		return ph, errf(http.StatusBadRequest, "horizon_ticks %d outside [1, %d]", ph.horizon, sim.MaxHorizonTicks)
 	}
 	return ph, nil
 }

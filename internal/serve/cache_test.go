@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tegrecon/internal/sim"
 	"tegrecon/internal/store"
 )
 
@@ -314,6 +315,7 @@ func TestCanonicalKeys(t *testing.T) {
 
 func TestNormalizeRejects(t *testing.T) {
 	s := New(Config{MaxModules: 100, MaxTicksPerJob: 1000})
+	overNoise := sim.MaxSensorNoiseC + 1
 	cases := []RunRequest{
 		{},                              // no cycle
 		{Cycle: "wltc"},                 // no scheme
@@ -323,6 +325,8 @@ func TestNormalizeRejects(t *testing.T) {
 		{Cycle: "wltc", Scheme: "dnor", TickS: -0.5},
 		{Cycle: "wltc", Scheme: "dnor", Modules: 101},
 		{Cycle: "wltc", Scheme: "dnor", HorizonTicks: -1},
+		{Cycle: "wltc", Scheme: "dnor", DurationS: 1, HorizonTicks: sim.MaxHorizonTicks + 1},
+		{Cycle: "wltc", Scheme: "dnor", DurationS: 1, SensorNoiseC: &overNoise},
 		{Cycle: "wltc", Scheme: "dnor"},                              // full 1800 s / 0.5 s = 3601 ticks > 1000
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 0.1},              // shorter than one control period
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, TickS: 1e308}, // would overflow energy accounting
@@ -340,6 +344,8 @@ func TestNormalizeRejects(t *testing.T) {
 		req  SweepRequest
 	}{
 		{"negative noise", SweepRequest{SensorNoiseC: &neg}},
+		{"noise over the bound", SweepRequest{Cycles: []string{"nedc"}, MaxDurationS: 1, SensorNoiseC: &overNoise}},
+		{"horizon over the bound", SweepRequest{Cycles: []string{"nedc"}, MaxDurationS: 1, HorizonTicks: sim.MaxHorizonTicks + 1}},
 		{"unknown cycle", SweepRequest{Cycles: []string{"nope"}}},
 		{"unknown scheme", SweepRequest{Schemes: []string{"nope"}}},
 		{"sub-period cap", SweepRequest{Cycles: []string{"delivery"}, MaxDurationS: 0.2}},

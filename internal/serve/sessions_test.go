@@ -207,6 +207,8 @@ func TestSessionCreateRejects(t *testing.T) {
 		"missing scheme":         `{}`,
 		"unknown scheme":         `{"scheme":"nope"}`,
 		"bad modules":            `{"scheme":"inor","modules":100000}`,
+		"horizon over the bound": `{"scheme":"dnor","horizon_ticks":10001}`,
+		"noise over the bound":   `{"scheme":"dnor","sensor_noise_c":51}`,
 		"checkpoint plus fields": `{"scheme":"inor","from_checkpoint":{"version":1}}`,
 		"garbage checkpoint":     `{"from_checkpoint":{"not":"a checkpoint"}}`,
 	} {

@@ -181,12 +181,16 @@ func RestoreSession(ctx context.Context, sys *System, st *SessionState) (*Sessio
 		return nil, fmt.Errorf("sim: checkpoint with negative progress (steps %d, rng draws %d, eff samples %d)", st.Steps, st.RNGDraws, st.EffN)
 	}
 	// The session draws exactly Modules NormFloat64 values per step
-	// (tickSense), so Steps×Modules bounds any genuine stream position.
+	// (tickSense), so Steps×Modules is the one genuine stream position.
 	// A forged position beyond it would otherwise buy an arbitrarily
-	// long replay loop below from a few bytes of checkpoint.
-	if maxDraws := int64(st.Steps) * int64(st.Modules); st.RNGDraws > maxDraws ||
-		(st.Modules > 0 && int64(st.Steps) > math.MaxInt64/int64(st.Modules)) {
+	// long replay loop below from a few bytes of checkpoint; one short
+	// of it would silently restore onto another noise stream.
+	draws := int64(st.Steps) * int64(st.Modules)
+	if st.RNGDraws > draws || (st.Modules > 0 && int64(st.Steps) > math.MaxInt64/int64(st.Modules)) {
 		return nil, fmt.Errorf("sim: checkpoint rng position %d exceeds %d steps × %d modules draws", st.RNGDraws, st.Steps, st.Modules)
+	}
+	if st.RNGDraws < draws {
+		return nil, fmt.Errorf("sim: checkpoint rng position %d falls short of %d steps × %d modules draws", st.RNGDraws, st.Steps, st.Modules)
 	}
 	if st.Result == nil {
 		return nil, fmt.Errorf("sim: checkpoint without a result accumulator")

@@ -226,6 +226,13 @@ func TestRestoreSessionRejects(t *testing.T) {
 	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("RNG position beyond steps×modules accepted")
 	}
+	// One draw short is forged too: restoring it would silently replay
+	// onto another noise stream.
+	st = snap()
+	st.RNGDraws--
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
+		t.Error("RNG position below steps×modules accepted")
+	}
 	st = snap()
 	st.Steps = math.MaxInt // implausible progress: steps×modules overflows
 	st.RNGDraws = math.MaxInt64
@@ -236,6 +243,11 @@ func TestRestoreSessionRejects(t *testing.T) {
 	st.Scheme = "NoSuchScheme"
 	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+	st = snap()
+	st.HorizonTicks = MaxHorizonTicks + 1
+	if _, err := RestoreSession(context.Background(), sys, st); err == nil {
+		t.Error("horizon beyond MaxHorizonTicks accepted")
 	}
 	st = snap()
 	st.Options.TickSeconds = -1

@@ -23,6 +23,19 @@ type SchemeConfig struct {
 	Predictor predict.Predictor
 }
 
+// MaxHorizonTicks bounds DNOR's prediction horizon on every entry: the
+// facade, the serve API, scenario specs and checkpoint restore. Each
+// decision predicts horizon rows of N temperatures, so an unbounded
+// horizon is an unbounded allocation.
+const MaxHorizonTicks = 10000
+
+// Controller and Decision name the registry's product: what Scheme.New
+// builds and what it decides every control period.
+type (
+	Controller = core.Controller
+	Decision   = core.Decision
+)
+
 // Scheme is one registered reconfiguration scheme: a name, a one-line
 // description, and a factory for its controller. The registry mirrors
 // drive's cycle registry — one exported list (SchemeNames/SchemeByName)
@@ -56,8 +69,8 @@ func (s Scheme) New(sys *System, cfg SchemeConfig) (core.Controller, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("sim: nil system")
 	}
-	if cfg.HorizonTicks < 0 {
-		return nil, fmt.Errorf("sim: negative prediction horizon %d", cfg.HorizonTicks)
+	if cfg.HorizonTicks < 0 || cfg.HorizonTicks > MaxHorizonTicks {
+		return nil, fmt.Errorf("sim: prediction horizon %d outside [0, %d]", cfg.HorizonTicks, MaxHorizonTicks)
 	}
 	if cfg.HorizonTicks == 0 {
 		cfg.HorizonTicks = 4

@@ -74,4 +74,7 @@ func TestSchemeNew(t *testing.T) {
 	if _, err := dnor.New(sys, SchemeConfig{HorizonTicks: -1}); err == nil {
 		t.Error("New with negative horizon succeeded")
 	}
+	if _, err := dnor.New(sys, SchemeConfig{HorizonTicks: MaxHorizonTicks + 1}); err == nil {
+		t.Error("New with a horizon beyond MaxHorizonTicks succeeded")
+	}
 }

@@ -416,8 +416,8 @@ func (s *Session) Result() *Result {
 
 // Validate rejects option values the engine cannot run: a control
 // period that is not a positive finite number (NaN used to slip past
-// the old `<= 0` check and poison the tick count), non-finite or
-// negative sensor noise, a non-finite session clock origin, and a
+// the old `<= 0` check and poison the tick count), sensor noise outside
+// [0, MaxSensorNoiseC], a non-finite session clock origin, and a
 // charge profile without the battery it drives.
 //
 // Memory contract (KeepTicks / OnTick): a run's resident cost is
@@ -433,8 +433,8 @@ func (o Options) Validate() error {
 	if math.IsNaN(o.TickSeconds) || math.IsInf(o.TickSeconds, 0) || o.TickSeconds <= 0 {
 		return fmt.Errorf("sim: tick period %g is not a positive finite number of seconds", o.TickSeconds)
 	}
-	if math.IsNaN(o.SensorNoiseC) || math.IsInf(o.SensorNoiseC, 0) || o.SensorNoiseC < 0 {
-		return fmt.Errorf("sim: sensor noise %g is not a non-negative finite °C", o.SensorNoiseC)
+	if !(o.SensorNoiseC >= 0 && o.SensorNoiseC <= MaxSensorNoiseC) {
+		return fmt.Errorf("sim: sensor noise %g outside [0, %g] °C", o.SensorNoiseC, MaxSensorNoiseC)
 	}
 	if math.IsNaN(o.StartTime) || math.IsInf(o.StartTime, 0) {
 		return fmt.Errorf("sim: non-finite start time %g", o.StartTime)

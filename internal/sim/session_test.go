@@ -172,6 +172,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"NaN noise", func(o *Options) { o.SensorNoiseC = math.NaN() }},
 		{"Inf noise", func(o *Options) { o.SensorNoiseC = math.Inf(1) }},
 		{"negative noise", func(o *Options) { o.SensorNoiseC = -0.1 }},
+		{"noise over the bound", func(o *Options) { o.SensorNoiseC = MaxSensorNoiseC + 1 }},
 		{"NaN start", func(o *Options) { o.StartTime = math.NaN() }},
 	}
 	for _, tc := range cases {

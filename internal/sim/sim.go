@@ -62,6 +62,10 @@ func (s *System) Validate() error {
 	return s.Conv.Validate()
 }
 
+// MaxSensorNoiseC bounds Options.SensorNoiseC on every entry: the
+// facade, the serve API, scenario specs and checkpoint restore.
+const MaxSensorNoiseC = 50.0
+
 // Options tune a simulation run.
 type Options struct {
 	// TickSeconds is the control period (0.5 s in the paper).

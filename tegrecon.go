@@ -12,7 +12,7 @@
 //
 //	tr, _ := tegrecon.SynthesizeDrive(tegrecon.DefaultDriveConfig())
 //	sys := tegrecon.DefaultSystem()
-//	ctrl, _ := tegrecon.NewDNORController(sys, 4)
+//	ctrl, _ := tegrecon.NewControllerByName("DNOR", sys)
 //	res, _ := tegrecon.Simulate(context.Background(), sys, tr, ctrl, tegrecon.DefaultSimOptions())
 //	fmt.Printf("harvested %.1f J with %d switches\n", res.EnergyOutJ, res.SwitchEvents)
 package tegrecon
@@ -23,7 +23,6 @@ import (
 	"tegrecon/internal/array"
 	"tegrecon/internal/charger"
 	"tegrecon/internal/converter"
-	"tegrecon/internal/core"
 	"tegrecon/internal/drive"
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/faults"
@@ -51,9 +50,9 @@ type (
 	// per Step call, driven by live (or replayed) radiator conditions.
 	Session = sim.Session
 	// Controller decides the array topology every control period.
-	Controller = core.Controller
+	Controller = sim.Controller
 	// Decision is a controller's per-period output.
-	Decision = core.Decision
+	Decision = sim.Decision
 	// ModuleSpec is a TEG module datasheet model.
 	ModuleSpec = teg.ModuleSpec
 	// Radiator is the finned-tube cross-flow heat-exchanger model.
@@ -160,69 +159,13 @@ func ConditionsAt(tr *Trace, t float64) (RadiatorConditions, error) {
 	return drive.ConditionsAt(tr, t)
 }
 
-// NewINORController builds the O(N) instantaneous reconfiguration
-// controller (Algorithm 1) for the system.
-func NewINORController(sys *System) (Controller, error) {
-	eval, err := core.NewEvaluator(sys.Spec, sys.Conv)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewINOR(eval)
-}
-
-// NewEHTRController builds the prior-work O(N³) reconstruction.
-func NewEHTRController(sys *System) (Controller, error) {
-	eval, err := core.NewEvaluator(sys.Spec, sys.Conv)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewEHTR(eval)
-}
-
-// NewDNORController builds the paper's prediction-based controller
-// (Algorithm 2) with the MLR predictor, forecasting horizonTicks control
-// periods ahead.
-func NewDNORController(sys *System, horizonTicks int) (Controller, error) {
-	eval, err := core.NewEvaluator(sys.Spec, sys.Conv)
-	if err != nil {
-		return nil, err
-	}
-	mlr, err := predict.NewMLR(predict.DefaultMLROptions())
-	if err != nil {
-		return nil, err
-	}
-	return core.NewDNOR(eval, core.DNOROptions{
-		Predictor:    mlr,
-		HorizonTicks: horizonTicks,
-		TickSeconds:  sim.DefaultOptions().TickSeconds,
-		Overhead:     sys.Overhead,
-	})
-}
-
-// NewDNORControllerWith is NewDNORController with a caller-chosen
-// predictor (MLR, BPNN, SVR, or a custom implementation) and control
-// period.
-func NewDNORControllerWith(sys *System, p Predictor, horizonTicks int, tickSeconds float64) (Controller, error) {
-	eval, err := core.NewEvaluator(sys.Spec, sys.Conv)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewDNOR(eval, core.DNOROptions{
-		Predictor:    p,
-		HorizonTicks: horizonTicks,
-		TickSeconds:  tickSeconds,
-		Overhead:     sys.Overhead,
-	})
-}
-
-// NewBaselineController builds the static 10×10 baseline.
-func NewBaselineController(sys *System) (Controller, error) {
-	return core.NewBaseline10x10(sys.Modules)
-}
-
 // Scheme is a registered reconfiguration scheme: name, description and
-// controller factory.
+// controller factory. Scheme.New is the one way to build a controller.
 type Scheme = sim.Scheme
+
+// SchemeConfig tunes a scheme's controller: DNOR's horizon, control
+// period and predictor. The zero value picks the paper's settings.
+type SchemeConfig = sim.SchemeConfig
 
 // SchemeNames returns the registered reconfiguration scheme names in
 // registry order — the list NewControllerByName (and the tegserve API)
@@ -234,14 +177,15 @@ func SchemeNames() []string { return sim.SchemeNames() }
 func SchemeByName(name string) (Scheme, error) { return sim.SchemeByName(name) }
 
 // NewControllerByName builds a fresh controller for any registered
-// scheme with the paper's default tuning — the string-keyed face of the
-// NewXController constructors.
+// scheme with the paper's default tuning. For a tuned DNOR (another
+// horizon, period or predictor) call SchemeByName("DNOR") and then
+// Scheme.New with a SchemeConfig.
 func NewControllerByName(name string, sys *System) (Controller, error) {
 	sch, err := sim.SchemeByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return sch.New(sys, sim.SchemeConfig{})
+	return sch.New(sys, SchemeConfig{})
 }
 
 // NewMLRPredictor builds the paper's selected predictor with default

@@ -22,7 +22,7 @@ func shortDrive(t *testing.T) *Trace {
 func TestFacadeQuickstartPath(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortDrive(t)
-	ctrl, err := NewDNORController(sys, 4)
+	ctrl, err := NewControllerByName("DNOR", sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +41,10 @@ func TestFacadeQuickstartPath(t *testing.T) {
 func TestFacadeAllControllers(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortDrive(t)
-	builders := []func() (Controller, error){
-		func() (Controller, error) { return NewINORController(sys) },
-		func() (Controller, error) { return NewEHTRController(sys) },
-		func() (Controller, error) { return NewBaselineController(sys) },
-	}
-	for i, build := range builders {
-		ctrl, err := build()
+	for _, name := range SchemeNames() {
+		ctrl, err := NewControllerByName(name, sys)
 		if err != nil {
-			t.Fatalf("builder %d: %v", i, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		res, err := Simulate(context.Background(), sys, tr, ctrl, DefaultSimOptions())
 		if err != nil {
@@ -64,12 +59,16 @@ func TestFacadeAllControllers(t *testing.T) {
 func TestFacadePredictors(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortDrive(t)
+	dnor, err := SchemeByName("DNOR")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, build := range []func() (Predictor, error){NewMLRPredictor, NewBPNNPredictor, NewSVRPredictor} {
 		p, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctrl, err := NewDNORControllerWith(sys, p, 4, 0.5)
+		ctrl, err := dnor.New(sys, SchemeConfig{Predictor: p, HorizonTicks: 4, TickSeconds: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +109,7 @@ func TestFacadeFaultsAndCharger(t *testing.T) {
 	opts.Battery = true
 	profile := DefaultChargeProfile()
 	opts.ChargeProfile = &profile
-	ctrl, err := NewINORController(sys)
+	ctrl, err := NewControllerByName("INOR", sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestFacadeCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sys := DefaultSystem()
-	ctrl, err := NewINORController(sys)
+	ctrl, err := NewControllerByName("INOR", sys)
 	if err != nil {
 		t.Fatal(err)
 	}
