@@ -1,5 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper
-// (see DESIGN.md §4 for the experiment index), plus micro-benchmarks of
+// (the internal/experiments package doc indexes the experiments and
+// their Ext- labels), plus micro-benchmarks of
 // the algorithmic kernels. Run with:
 //
 //	go test -bench=. -benchmem

@@ -31,12 +31,13 @@
 // -store-dir adds a persistent content-addressed disk tier under the
 // in-memory cache: results survive restarts bit-exactly and are shared
 // (with cross-process single-flight) by every tegserve pointed at the
-// same directory. -worker-peers turns the process into a sweep/matrix
-// coordinator that shards grid cells across the listed plain-worker
-// tegserve processes over POST /v1/shards, merging their partial
-// results into the same byte-identical envelope a single process
-// produces and recomputing locally any shard whose worker dies. See
-// docs/DISTRIBUTION.md.
+// same directory. Matrix cells are written behind the response and
+// flushed when SIGTERM drains the process. -worker-peers turns the
+// process into a sweep/matrix coordinator that shards grid cells
+// across the listed plain-worker tegserve processes over POST
+// /v1/shards, merging their partial results into the same
+// byte-identical envelope a single process produces and recomputing
+// locally any shard whose worker dies. See docs/DISTRIBUTION.md.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight simulations abort within
 // one control period, streams close, and the process exits 0.

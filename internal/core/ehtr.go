@@ -15,7 +15,8 @@ import (
 // candidate group count, and its Knuth-bounded rows cost O(N·(N+nmax))
 // per decision (dpBuffers.tableInto), so the measured premium over INOR
 // is a small factor, not the cubic growth the paper reports for the
-// original. See DESIGN.md §2 for the substitution rationale.
+// original. docs/ARCHITECTURE.md ("Shared-table EHTR partitioning")
+// derives the shared table and why its choices match the full scan.
 type EHTR struct {
 	eval *Evaluator
 	sc   *scratch

@@ -3,8 +3,8 @@
 // inlet temperature, coolant flow rate and ambient conditions at the
 // radiator, sampled on the control period.
 //
-// The paper's trace is not public, so this package substitutes a
-// physics-based generator (documented in DESIGN.md): a seeded urban
+// The paper's trace is not public, so this package substitutes the
+// physics-based generator described here: a seeded urban
 // stop-and-go speed profile drives an engine-load model, whose waste
 // heat feeds a lumped coolant thermal mass regulated by a modulating
 // thermostat; pump flow follows engine speed and ram air follows vehicle

@@ -237,9 +237,9 @@ type MarginPoint struct {
 // MarginAblation (Ext-H) sweeps the extra switch-decision margin added
 // on top of Algorithm 2's E_old ≤ E_new − E_overhead test. The paper's
 // rule is margin 0; positive margins trade a little peak energy for
-// fewer switch events — the knob that closes the gap between our
-// synthetic trace's switch count and the paper's (EXPERIMENTS.md
-// Table I note 1).
+// fewer switch events — the knob that closes the gap between the
+// synthetic trace's switch count and the one the paper's Table I
+// reports for its measured drive.
 // Cancellation is threaded into every run's per-tick check.
 func MarginAblation(ctx context.Context, s *Setup, marginsJ []float64) ([]MarginPoint, error) {
 	eval, err := core.NewEvaluator(s.Sys.Spec, s.Sys.Conv)

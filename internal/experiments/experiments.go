@@ -1,8 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section VI) plus the extension studies indexed in
-// DESIGN.md §4. Each experiment is a pure function from a System + trace
-// (or parameters) to typed rows/series; cmd/ binaries and the benchmark
-// harness render them.
+// evaluation (Section VI) plus the extension studies, each labelled in
+// its doc comment: Ext-A array-size scaling (ScalingStudy), Ext-B
+// prediction horizon (HorizonAblation), Ext-C converter window
+// (WindowAblation), Ext-D predictor choice (PredictorAblation), Ext-E
+// module faults (FaultStudy), Ext-F drive-trace seeds (SeedSweep),
+// Ext-G 2-D radiator bank (BankStudy) and Ext-H switch margin
+// (MarginAblation). Each experiment is a pure
+// function from a System + trace (or parameters) to typed rows/series;
+// cmd/ binaries and the benchmark harness render them.
 package experiments
 
 import (

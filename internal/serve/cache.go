@@ -21,9 +21,14 @@ import (
 //
 // An optional disk tier (internal/store) sits behind the memory LRU:
 // gets fall through to disk before reporting a miss (promoting what
-// they find), puts write through, so payloads survive a process
-// restart and are shared by every process on the same store directory.
-// The disk tier persists even when the memory tier is disabled.
+// they find), so payloads survive a process restart and are shared by
+// every process on the same store directory. Whole-request payloads
+// (put) are written to disk before put returns: a cross-process lock
+// follower polls the store for them. Matrix cells (putBehind) are
+// written behind the response by one writer goroutine draining a
+// bounded queue; a queued cell stays readable from the queue until it
+// is on disk, and flush (Serve's last step) writes out whatever is
+// left. The disk tier persists even when the memory tier is disabled.
 type cache struct {
 	mu       sync.Mutex
 	max      int
@@ -34,11 +39,28 @@ type cache struct {
 
 	disk *store.Store // optional second tier (nil → memory only)
 
+	// The write-behind queue: wq holds keys in arrival order, pending
+	// their payloads until the store has them (the key being written
+	// included), writer is non-nil while the writer goroutine runs and
+	// is closed when it exits, and flushed turns putBehind into put.
+	wmu     sync.Mutex
+	wq      chan string
+	pending map[string][]byte
+	writer  chan struct{}
+	flushed bool
+
 	hits          atomic.Int64
 	misses        atomic.Int64
 	diskHits      atomic.Int64 // hits answered by the disk tier
-	diskPutErrors atomic.Int64 // write-through Put errors (disk full, perms, oversize)
+	diskPutErrors atomic.Int64 // disk-tier Put errors, queued or not (disk full, perms, oversize)
+	inlineWrites  atomic.Int64 // putBehind writes done by the caller because the queue was full
 }
+
+// writeBehindCap bounds the write-behind queue. A matrix cell is about
+// a kilobyte, so a full queue holds a few hundred KB; a fill that finds
+// it full writes inline instead, which drops nothing and throttles the
+// producer to the disk's pace.
+const writeBehindCap = 256
 
 type cacheEntry struct {
 	key     string
@@ -52,6 +74,8 @@ func newCache(maxEntries int, maxBytes int64, disk *store.Store) *cache {
 		order:    list.New(),
 		entries:  make(map[string]*list.Element, maxEntries),
 		disk:     disk,
+		wq:       make(chan string, writeBehindCap),
+		pending:  make(map[string][]byte),
 	}
 }
 
@@ -70,6 +94,11 @@ func (c *cache) get(key string) ([]byte, bool) {
 		return payload, true
 	}
 	c.mu.Unlock()
+	if b, ok := c.queued(key); ok {
+		c.hits.Add(1)
+		c.memPut(key, b)
+		return b, true
+	}
 	if c.disk != nil {
 		if b, ok := c.disk.Get(key); ok {
 			c.hits.Add(1)
@@ -95,6 +124,9 @@ func (c *cache) peek(key string) ([]byte, bool) {
 		return payload, true
 	}
 	c.mu.Unlock()
+	if b, ok := c.queued(key); ok {
+		return b, true
+	}
 	if c.disk != nil {
 		return c.disk.Get(key)
 	}
@@ -111,21 +143,115 @@ func (c *cache) has(key string) bool {
 	if ok {
 		return true
 	}
+	if _, ok := c.queued(key); ok {
+		return true
+	}
 	return c.disk != nil && c.disk.Has(key)
 }
 
-// put stores a payload in the memory tier and writes it through to the
-// disk tier. The tiers admit independently: an oversized or
-// memory-disabled payload can still persist to disk (and a disk-full
-// error never evicts the memory entry).
+// put stores a payload in the memory tier and writes it to the disk
+// tier before returning. The tiers admit independently: an oversized
+// or memory-disabled payload can still persist to disk (and a
+// disk-full error never evicts the memory entry).
 func (c *cache) put(key string, payload []byte) {
 	c.memPut(key, payload)
-	if c.disk != nil {
-		// Write-through outside the mutex: an fsync must never stall
-		// concurrent cache reads.
-		if err := c.disk.Put(key, payload); err != nil {
-			c.diskPutErrors.Add(1)
+	c.diskPut(key, payload)
+}
+
+// diskPut writes one payload to the disk tier, outside every cache
+// mutex: an fsync must never stall concurrent cache reads.
+func (c *cache) diskPut(key string, payload []byte) {
+	if c.disk == nil {
+		return
+	}
+	if err := c.disk.Put(key, payload); err != nil {
+		c.diskPutErrors.Add(1)
+	}
+}
+
+// putBehind stores a payload in the memory tier and queues its disk
+// write for the writer goroutine, starting one if none runs. A full
+// queue makes the caller write inline; after flush every write is
+// inline. Same key means same bytes, so a key already queued is not
+// queued twice.
+func (c *cache) putBehind(key string, payload []byte) {
+	c.memPut(key, payload)
+	if c.disk == nil {
+		return
+	}
+	c.wmu.Lock()
+	if _, ok := c.pending[key]; ok {
+		c.wmu.Unlock()
+		return
+	}
+	if c.flushed || len(c.pending) >= writeBehindCap {
+		full := !c.flushed
+		c.wmu.Unlock()
+		if full {
+			c.inlineWrites.Add(1)
 		}
+		c.diskPut(key, payload)
+		return
+	}
+	c.pending[key] = payload
+	c.wq <- key // never blocks: len(wq) <= len(pending) < cap(wq)
+	if c.writer == nil {
+		c.writer = make(chan struct{})
+		go c.writeBehind(c.writer)
+	}
+	c.wmu.Unlock()
+}
+
+// writeBehind drains the queue in arrival order and exits when it is
+// empty, so an idle cache holds no goroutine. A key leaves pending
+// only once the store has it, so readers never see it on neither tier.
+func (c *cache) writeBehind(done chan struct{}) {
+	for {
+		c.wmu.Lock()
+		var key string
+		select {
+		case key = <-c.wq:
+		default:
+			c.writer = nil
+			c.wmu.Unlock()
+			close(done)
+			return
+		}
+		payload := c.pending[key]
+		c.wmu.Unlock()
+		c.diskPut(key, payload)
+		c.wmu.Lock()
+		delete(c.pending, key)
+		c.wmu.Unlock()
+	}
+}
+
+// queued returns a payload still waiting in the write-behind queue.
+func (c *cache) queued(key string) ([]byte, bool) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	b, ok := c.pending[key]
+	return b, ok
+}
+
+// queuedLen reports the payloads not yet on disk (the write-behind
+// gauge).
+func (c *cache) queuedLen() int {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return len(c.pending)
+}
+
+// flush waits until every queued write is on disk and makes later
+// putBehind calls write inline, so no write outlives the caller — the
+// guarantee Serve gives once the HTTP server has shut down.
+func (c *cache) flush() {
+	c.wmu.Lock()
+	c.flushed = true
+	done := c.writer
+	c.wmu.Unlock()
+	if done != nil {
+		<-done
 	}
 }
 

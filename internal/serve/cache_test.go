@@ -554,3 +554,45 @@ func TestComputeSharedFillsOnce(t *testing.T) {
 		t.Fatalf("store puts = %d, want 1 (the computed payload only)", puts)
 	}
 }
+
+// TestWriteBehindBackpressure: more cells than the write-behind queue
+// holds all reach the disk, with no put errors. The overflow is written
+// inline by the producer rather than dropped, every cell is readable
+// the moment putBehind returns (the memory tier is disabled here, so
+// reads come from the queue or the disk), and after flush the queue is
+// empty and later cells are written before putBehind returns.
+func TestWriteBehindBackpressure(t *testing.T) {
+	st := openTestStore(t)
+	c := newCache(0, 1<<20, st)
+	keys := make([]string, 4*writeBehindCap)
+	for i := range keys {
+		keys[i] = testCellHash(fmt.Sprint("cell ", i))
+		c.putBehind(keys[i], []byte(keys[i]))
+		if b, ok := c.peek(keys[i]); !ok || string(b) != keys[i] {
+			t.Fatalf("cell %d unreadable right after putBehind: %q, %v", i, b, ok)
+		}
+	}
+	if c.inlineWrites.Load() == 0 {
+		t.Fatalf("%d cells never filled the %d-entry queue", len(keys), writeBehindCap)
+	}
+	c.flush()
+	if q := c.queuedLen(); q != 0 {
+		t.Fatalf("%d writes still queued after flush", q)
+	}
+	if e := c.diskPutErrors.Load(); e != 0 {
+		t.Fatalf("%d disk put errors", e)
+	}
+	if puts := st.Snapshot().Puts; puts != int64(len(keys)) {
+		t.Fatalf("store puts = %d, want %d", puts, len(keys))
+	}
+	for i, k := range keys {
+		if !st.Has(k) {
+			t.Fatalf("cell %d not on disk after flush", i)
+		}
+	}
+	late := testCellHash("after flush")
+	c.putBehind(late, []byte("late"))
+	if !st.Has(late) {
+		t.Fatal("a cell put after flush was queued, not written")
+	}
+}

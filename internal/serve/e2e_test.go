@@ -199,47 +199,10 @@ func TestColdRestartServesFromStore(t *testing.T) {
 		"schemes":["INOR"],"ambients":[{"ambient_c":15},{"ambient_c":25},{"ambient_c":35}],
 		"array_sizes":[20],"max_duration_s":6}`
 
-	boot := func() (*Server, string, func()) {
-		st, err := store.Open(dir, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(Config{Store: st})
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- s.Serve(ctx, l, 10*time.Second) }()
-		return s, "http://" + l.Addr().String(), func() {
-			cancel()
-			if err := <-done; err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-		}
-	}
-	post := func(base, path, body string) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: %d: %s", path, resp.StatusCode, b)
-		}
-		return resp, b
-	}
-
 	// Life 1: compute, persist, drain.
-	s1, base1, stop1 := boot()
-	_, sweepBytes := post(base1, "/v1/sweeps", sweep)
-	_, matrixABytes := post(base1, "/v1/matrix", matrixA)
+	s1, base1, stop1 := bootStoreServer(t, dir)
+	_, sweepBytes := postOK(t, base1, "/v1/sweeps", sweep)
+	_, matrixABytes := postOK(t, base1, "/v1/matrix", matrixA)
 	if st := s1.Stats(); st.Computations == 0 || st.MatrixCells != 2 {
 		t.Fatalf("life 1 stats: %+v", st)
 	}
@@ -247,15 +210,15 @@ func TestColdRestartServesFromStore(t *testing.T) {
 
 	// Life 2: a cold process on the same directory serves both from
 	// disk — byte-identical, client-visible hits, zero simulation.
-	s2, base2, stop2 := boot()
-	resp, b := post(base2, "/v1/sweeps", sweep)
+	s2, base2, stop2 := bootStoreServer(t, dir)
+	resp, b := postOK(t, base2, "/v1/sweeps", sweep)
 	if got := resp.Header.Get("X-Cache"); got != "hit" {
 		t.Fatalf("sweep after restart X-Cache = %q, want hit", got)
 	}
 	if !bytes.Equal(b, sweepBytes) {
 		t.Fatal("sweep bytes changed across restart")
 	}
-	resp, b = post(base2, "/v1/matrix", matrixA)
+	resp, b = postOK(t, base2, "/v1/matrix", matrixA)
 	if got := resp.Header.Get("X-Cache"); got != "hit" {
 		t.Fatalf("matrix after restart X-Cache = %q, want hit", got)
 	}
@@ -272,7 +235,7 @@ func TestColdRestartServesFromStore(t *testing.T) {
 
 	// Resumable grid: the superset matrix recalls A's cells from disk
 	// and simulates only the new ambient column.
-	resp, _ = post(base2, "/v1/matrix", matrixB)
+	resp, _ = postOK(t, base2, "/v1/matrix", matrixB)
 	if got := resp.Header.Get("X-Matrix-Cells-Cached"); got != "2" {
 		t.Fatalf("superset X-Matrix-Cells-Cached = %q, want 2", got)
 	}
@@ -280,4 +243,96 @@ func TestColdRestartServesFromStore(t *testing.T) {
 		t.Fatalf("superset simulated %d cells, want exactly the new one", st.MatrixCells)
 	}
 	stop2()
+}
+
+// bootStoreServer serves a fresh server over a store on dir through
+// Serve (the cmd/tegserve path) and returns it, its base URL and a stop
+// function that cancels Serve and waits for a clean drain.
+func bootStoreServer(t *testing.T, dir string) (*Server, string, func()) {
+	t.Helper()
+	st, err := store.Open(dir, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: st})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ctx, l, 10*time.Second) }()
+	return s, "http://" + l.Addr().String(), func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	}
+}
+
+// postOK posts a JSON body and fails the test unless it answers 200.
+func postOK(t *testing.T, base, path, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("%s: %d: %s", path, resp.StatusCode, b)
+	}
+	return resp, b
+}
+
+// TestDrainFlushesQueuedCells: matrix cells reach the store behind the
+// response, so Serve must write out whatever is still queued before it
+// returns. A store-backed server computes a matrix and drains; a fresh
+// server on the same directory then answers a different matrix, made
+// of a subset of those cells, without simulating any of them. No
+// goroutine outlives either server.
+func TestDrainFlushesQueuedCells(t *testing.T) {
+	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	full := `{"cycles":[{"synth":{"profile":"urban","seed":4,"duration_s":6}}],
+		"schemes":["INOR","DNOR"],
+		"ambients":[{"ambient_c":10},{"ambient_c":20},{"ambient_c":30},{"ambient_c":40}],
+		"array_sizes":[20],"max_duration_s":6}`
+	subset := `{"cycles":[{"synth":{"profile":"urban","seed":4,"duration_s":6}}],
+		"schemes":["INOR","DNOR"],"ambients":[{"ambient_c":20},{"ambient_c":40}],
+		"array_sizes":[20],"max_duration_s":6}`
+
+	s1, base1, stop1 := bootStoreServer(t, dir)
+	postOK(t, base1, "/v1/matrix", full)
+	stop1()
+	if st := s1.Stats(); st.MatrixCells != 8 || st.DiskWritesQueued != 0 || st.DiskPutErrors != 0 {
+		t.Fatalf("after drain: %d cells simulated, %d writes queued, %d put errors; want 8/0/0",
+			st.MatrixCells, st.DiskWritesQueued, st.DiskPutErrors)
+	}
+
+	_, base2, stop2 := bootStoreServer(t, dir)
+	resp, _ := postOK(t, base2, "/v1/matrix", subset)
+	if got := resp.Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("subset matrix X-Cache = %q, want miss (a different matrix)", got)
+	}
+	if got := resp.Header.Get("X-Matrix-Cells-Cached"); got != "4" {
+		t.Fatalf("subset X-Matrix-Cells-Cached = %q, want 4", got)
+	}
+	resp, err := http.Get(base2 + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\ntegserve_matrix_cells_total 0\n") {
+		t.Fatalf("restarted server simulated cells:\n%s", metrics)
+	}
+	stop2()
+	waitForGoroutines(t, before)
 }

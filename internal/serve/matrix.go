@@ -175,7 +175,8 @@ func (s *Server) expandMatrix(p matrixParams, key string) (*scenario.Expansion, 
 }
 
 // computeMatrix fills cells from the per-cell cache and simulates only
-// the missing ones, caching each fresh cell on the way out. onCell,
+// the missing ones, caching each fresh cell on the way out (its disk
+// write queued behind the response, see cache.putBehind). onCell,
 // when non-nil, observes every cell in stable order (cached ones
 // first, then fresh ones as they complete): each missing cell then runs
 // as its own one-cell shard, and the callback's error (client gone)
@@ -223,7 +224,7 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 			i := idxs[k]
 			cells[i] = c
 			if b, err := json.Marshal(c); err == nil {
-				s.cache.put(keys[i], b)
+				s.cache.putBehind(keys[i], b)
 			}
 			s.met.matrixCells.Add(1)
 			if onCell != nil {

@@ -104,7 +104,9 @@ type Stats struct {
 	CacheHitRatio  float64 // lifetime hit ratio, 0 when no lookups yet
 
 	DiskHits         int64 // cache hits answered by the disk tier
-	DiskPutErrors    int64 // write-throughs the disk tier refused (disk full, perms, oversize)
+	DiskPutErrors    int64 // disk-tier writes refused, queued ones included (disk full, perms, oversize)
+	DiskWritesQueued int   // matrix cells queued for a disk write, not yet on disk
+	DiskInlineWrites int64 // matrix-cell disk writes done inline because the queue was full
 	ShardsDispatched int64 // shards posted to worker peers (coordinator mode)
 	ShardRetries     int64 // failed shards recomputed locally
 	ShardsServed     int64 // shard requests accepted from a coordinator
@@ -149,6 +151,8 @@ func (s *Server) Stats() Stats {
 
 		DiskHits:         s.cache.diskHits.Load(),
 		DiskPutErrors:    s.cache.diskPutErrors.Load(),
+		DiskWritesQueued: s.cache.queuedLen(),
+		DiskInlineWrites: s.cache.inlineWrites.Load(),
 		ShardsDispatched: s.met.shardsDispatched.Load(),
 		ShardRetries:     s.met.shardRetries.Load(),
 		ShardsServed:     s.met.shardsServed.Load(),
@@ -208,7 +212,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tegserve_cache_bytes", "Resident bytes of cached result payloads.", "gauge", st.CacheBytes},
 		{"tegserve_cache_hit_ratio", "Lifetime cache hit ratio.", "gauge", st.CacheHitRatio},
 		{"tegserve_cache_disk_hits_total", "Cache hits answered by the disk store tier.", "counter", st.DiskHits},
-		{"tegserve_cache_disk_put_errors_total", "Result payloads the disk store tier failed to write (disk full, permissions, over its byte budget).", "counter", st.DiskPutErrors},
+		{"tegserve_cache_disk_put_errors_total", "Result payloads the disk store tier failed to write, queued writes included (disk full, permissions, over its byte budget).", "counter", st.DiskPutErrors},
+		{"tegserve_cache_disk_writes_queued", "Matrix cells answered but still queued for their disk store write.", "gauge", st.DiskWritesQueued},
+		{"tegserve_cache_disk_inline_writes_total", "Matrix-cell disk writes done on the request path because the write-behind queue was full.", "counter", st.DiskInlineWrites},
 		{"tegserve_store_objects", "Payloads resident in the disk store.", "gauge", st.StoreObjects},
 		{"tegserve_store_bytes", "Resident disk-store payload bytes.", "gauge", st.StoreBytes},
 		{"tegserve_store_puts_total", "Payloads written to the disk store.", "counter", st.StorePuts},

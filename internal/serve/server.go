@@ -118,10 +118,14 @@ type Config struct {
 	Logger *slog.Logger
 	// Store, when non-nil, backs the in-memory result cache with a
 	// disk tier (internal/store): gets fall through to it before
-	// computing, puts write through, so results survive restarts and
-	// are shared by every process opened on the same directory. The
-	// caller opens it (cmd/tegserve wires -store-dir) so New keeps its
-	// error-free signature.
+	// computing, so results survive restarts and are shared by every
+	// process opened on the same directory. Matrix cells are written
+	// behind the response and flushed when Serve drains; a SIGKILL
+	// loses at most the queued cells, which a later request recomputes
+	// to the same bytes. Whole-request payloads computed under the
+	// store's cross-process lock are written before the lock is
+	// released. The caller opens it (cmd/tegserve wires -store-dir) so
+	// New keeps its error-free signature.
 	Store *store.Store
 	// WorkerPeers lists peer tegserve base URLs (e.g.
 	// "http://10.0.0.2:8080"). When non-empty this server becomes a
@@ -280,9 +284,12 @@ func (s *Server) Draining() bool { return s.drainCtx.Err() != nil }
 // Serve runs the service on the listener until ctx is canceled, then
 // drains: jobs abort within a control period, streams close, and —
 // after Config.DrainGrace has given health probes a chance to see the
-// 503 — the HTTP server shuts down gracefully within drainTimeout. It
-// returns nil on a clean drain.
+// 503 — the HTTP server shuts down gracefully within drainTimeout.
+// Last, every matrix cell still queued for the disk store is written,
+// so a drained process leaves all it computed on disk. It returns nil
+// on a clean drain.
 func (s *Server) Serve(ctx context.Context, l net.Listener, drainTimeout time.Duration) error {
+	defer s.cache.flush()
 	hs := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()

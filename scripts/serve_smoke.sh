@@ -11,7 +11,8 @@
 # across two worker processes must produce bytes identical to a single
 # process, keep doing so after a worker is killed -9 mid-sweep (local
 # shard retry), and a sweep computed into a -store-dir must survive a
-# SIGTERM restart as a disk hit with zero recomputation.
+# SIGTERM restart as a disk hit with zero recomputation, with the
+# cells of a matrix answered just before the SIGTERM flushed to disk.
 #
 # Run from the repo root: ./scripts/serve_smoke.sh
 set -euo pipefail
@@ -195,13 +196,18 @@ echo "   $retries shard(s) recomputed locally: bytes still identical"
 kill -TERM "$coord_pid" "$single_pid" 2>/dev/null || true
 wait "$coord_pid" "$single_pid" 2>/dev/null || true
 
-echo "== persistent store: sweep survives a cold restart"
+echo "== persistent store: sweep and matrix cells survive a cold restart"
 sweep='{"cycles":["delivery","nedc"],"schemes":["inor","dnor"],"max_duration_s":10,"modules":40}'
+grid='{"cycles":[{"name":"delivery"},{"name":"nedc"}],"schemes":["INOR","DNOR"],"ambients":[{"ambient_c":15},{"ambient_c":25}],"array_sizes":[40],"max_duration_s":10}'
 boot "$workdir/store1.log" -store-dir "$workdir/store"
 store_pid=$pid
 state=$(curl -fsS -D - -H 'Content-Type: application/json' -d "$sweep" \
   "$base/v1/sweeps" -o "$workdir/sweep1.json" | tr -d '\r' | sed -n 's/^X-Cache: //p')
 [ "$state" = "miss" ] || { echo "first store sweep was '$state', want miss"; exit 1; }
+# Matrix cells reach the store behind the response. SIGTERM follows
+# the matrix response at once, while its cells are still queued: the
+# drain must write them out.
+curl -fsS -o /dev/null -H 'Content-Type: application/json' -d "$grid" "$base/v1/matrix"
 kill -TERM "$store_pid"
 wait "$store_pid" || { echo "store tegserve exited nonzero"; cat "$workdir/store1.log"; exit 1; }
 
@@ -217,6 +223,16 @@ computed=$(metric "$base" tegserve_computations_total)
 disk_hits=$(metric "$base" tegserve_cache_disk_hits_total)
 [ "${disk_hits:-0}" -ge 1 ] || { echo "no disk-tier hits after restart"; exit 1; }
 echo "   cold restart served the sweep from disk: byte-identical, zero recomputation"
+
+# A one-cycle subset of the stored matrix is a new request whose every
+# cell the first process computed: all four must come from disk.
+subset='{"cycles":[{"name":"delivery"}],"schemes":["INOR","DNOR"],"ambients":[{"ambient_c":15},{"ambient_c":25}],"array_sizes":[40],"max_duration_s":10}'
+recalled=$(curl -fsS -D - -o /dev/null -H 'Content-Type: application/json' -d "$subset" \
+  "$base/v1/matrix" | tr -d '\r' | sed -n 's/^X-Matrix-Cells-Cached: //p')
+cells=$(metric "$base" tegserve_matrix_cells_total)
+[ "$recalled" = "4" ] && [ "$cells" = "0" ] \
+  || { echo "subset matrix recalled '$recalled' cells and simulated $cells, want 4 and 0 (queued cells lost on drain)"; exit 1; }
+echo "   a one-cycle subset of the stored matrix recalled all 4 cells from disk"
 kill -TERM "$store_pid" 2>/dev/null || true
 wait "$store_pid" 2>/dev/null || true
 
