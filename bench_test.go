@@ -335,15 +335,3 @@ func BenchmarkRunVsSession(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkFaultStudy runs the Ext-E fault-tolerance study over a short
-// trace.
-func BenchmarkFaultStudy(b *testing.B) {
-	s := benchSetup(b, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FaultStudy(context.Background(), s, 10, int64(i)+1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

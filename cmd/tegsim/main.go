@@ -32,11 +32,21 @@
 // schemes as the cells of a scenario matrix, built from -modules, -tick,
 // -horizon and -scenario-duration (a cap on each cycle's simulated
 // seconds; 0 = full published schedule). It prints one row per (cycle,
-// scheme), the same table POST /v1/sweeps serves for the same cap, and
-// is bit-identical at any -workers count. The cycles are
-// prescribed-speed, so -duration, -seed and -synth (which shape the
-// stochastic trace) are refused in this mode, and -scenario-duration
-// outside it.
+// scheme), the same table POST /v1/sweeps serves for the same cap. The
+// cycles are prescribed-speed, so -duration, -seed and -synth (which
+// shape the stochastic trace) are refused in this mode, and
+// -scenario-duration outside it.
+//
+// -study faults, seeds and bank are scenario matrices as well, over the
+// stochastic trace (-synth, or -duration and -seed) at -modules, -tick
+// and -horizon: faults runs DNOR, INOR and the baseline with no faults
+// and under a storm of -failures random module failures; seeds runs
+// them over -seeds copies of the trace reseeded 101·k; bank runs INOR
+// and the baseline over 5 radiator paths at maldistribution 0, 0.2,
+// 0.4 and 0.6. Every matrix study derives its seeds from cell
+// coordinates and prices runtime deterministically, so it is
+// bit-identical at any -workers count. -failures and -seeds are refused
+// outside their study, and -seed under -study seeds.
 //
 // -study window is the Ext-C converter input-window ablation: INOR over
 // the LTM4607's full [4.5, 36] V band and two narrower ones.
@@ -174,6 +184,21 @@ func main() {
 	} else if set["scenario-duration"] {
 		log.Fatalf("-scenario-duration only applies to -study scenarios")
 	}
+	if set["failures"] && *study != "faults" {
+		log.Fatalf("-failures only applies to -study faults")
+	}
+	if *study == "seeds" {
+		// Every trace of the sweep is seeded 101·k, so -seed has
+		// nothing to act on.
+		if set["seed"] {
+			log.Fatalf("-study seeds seeds its own traces and cannot be combined with -seed")
+		}
+		if *seeds < 2 {
+			log.Fatalf("-seeds %d: the seed sweep needs at least 2 traces", *seeds)
+		}
+	} else if set["seeds"] {
+		log.Fatalf("-seeds only applies to -study seeds")
+	}
 
 	// SIGINT/SIGTERM cancel the context; every study threads it down to
 	// the per-tick check of each simulation run, so one Ctrl-C stops the
@@ -268,18 +293,17 @@ func main() {
 			return
 		}
 		tab = report.FromTableI(res)
-	case "faults":
-		pts, err := experiments.FaultStudy(ctx, setup, *failures, *seed)
+	case "faults", "seeds", "bank", "scenarios":
+		base := scenario.Matrix{TickS: *tick, HorizonTicks: *horizon, ArraySizes: []int{*modules}, MaxDurationS: *scenarioCap}
+		m, render, err := studyMatrix(*study, base, cfg, *failures, *seeds)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := experiments.MatrixSweep(ctx, m, experiments.MatrixOptions{Workers: *workers, OnTick: meter.observe})
 		if err != nil {
 			fail(err)
 		}
-		tab = report.FromFaultStudy(pts)
-	case "seeds":
-		res, err := experiments.SeedSweep(ctx, setup, *seeds, *duration)
-		if err != nil {
-			fail(err)
-		}
-		tab = report.FromSeedSweep(res)
+		tab = render(m, res.Cells)
 	case "margins":
 		pts, err := experiments.MarginAblation(ctx, setup, []float64{0, 0.25, 0.5, 1, 2})
 		if err != nil {
@@ -287,12 +311,6 @@ func main() {
 		}
 		tab = report.FromMargins(pts)
 		trailer = "margin 0 is the paper's Algorithm 2 rule"
-	case "bank":
-		pts, err := experiments.BankStudy(ctx, setup, 5, []float64{0, 0.2, 0.4, 0.6})
-		if err != nil {
-			fail(err)
-		}
-		tab = report.FromBank(pts)
 	case "horizon":
 		pts, err := experiments.HorizonAblation(ctx, setup, []int{1, 2, 4, 6, 8})
 		if err != nil {
@@ -312,18 +330,6 @@ func main() {
 			fail(err)
 		}
 		tab = report.FromWindow(pts)
-	case "scenarios":
-		spec := scenario.CycleSweep(nil, nil, *scenarioCap)
-		spec.TickS, spec.HorizonTicks, spec.ArraySizes = *tick, *horizon, []int{*modules}
-		m, err := spec.Normalize()
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := experiments.MatrixSweep(ctx, m, experiments.MatrixOptions{Workers: *workers, OnTick: meter.observe})
-		if err != nil {
-			fail(err)
-		}
-		tab = report.FromSweep(m, res.Cells)
 	default:
 		log.Fatalf("unknown study %q", *study)
 	}

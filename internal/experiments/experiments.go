@@ -2,12 +2,14 @@
 // evaluation (Section VI) plus the extension studies, each labelled in
 // its doc comment: Ext-A array-size scaling (ScalingStudy), Ext-B
 // prediction horizon (HorizonAblation), Ext-C converter window
-// (WindowAblation), Ext-D predictor choice (PredictorAblation), Ext-E
-// module faults (FaultStudy), Ext-F drive-trace seeds (SeedSweep),
-// Ext-G 2-D radiator bank (BankStudy) and Ext-H switch margin
-// (MarginAblation). Each experiment is a pure
+// (WindowAblation), Ext-D predictor choice (PredictorAblation) and
+// Ext-H switch margin (MarginAblation). Each experiment is a pure
 // function from a System + trace (or parameters) to typed rows/series;
-// cmd/ binaries and the benchmark harness render them.
+// cmd/ binaries and the benchmark harness render them. The Ext-E module
+// fault, Ext-F drive-trace seed and Ext-G 2-D radiator bank studies are
+// scenario matrices (a fault, cycle and flow axis respectively) run by
+// MatrixSweep and rendered by report.FromFaultStudy, FromSeedSweep and
+// FromBank; `tegsim -study faults|seeds|bank` builds them.
 package experiments
 
 import (
@@ -88,28 +90,15 @@ func (s *Setup) newScheme(name string, p predict.Predictor) (core.Controller, er
 	return sch.New(s.Sys, sim.SchemeConfig{HorizonTicks: s.HorizonTicks, TickSeconds: s.Opts.TickSeconds, Predictor: p})
 }
 
-// newSchemes builds one fresh controller per name, in order.
-func (s *Setup) newSchemes(names ...string) ([]core.Controller, error) {
-	out := make([]core.Controller, len(names))
+// compareSchemes runs one fresh controller per name over the same
+// trace as a single batch; results keep the names' order.
+func (s *Setup) compareSchemes(ctx context.Context, tr *trace.Trace, opts sim.Options, names ...string) ([]*sim.Result, error) {
+	jobs := make([]sim.Job, len(names))
 	for i, name := range names {
 		c, err := s.NewScheme(name)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = c
-	}
-	return out, nil
-}
-
-// compareSchemes runs one fresh controller per name over the same
-// trace as a single batch; results keep the names' order.
-func (s *Setup) compareSchemes(ctx context.Context, tr *trace.Trace, opts sim.Options, names ...string) ([]*sim.Result, error) {
-	ctrls, err := s.newSchemes(names...)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]sim.Job, len(ctrls))
-	for i, c := range ctrls {
 		jobs[i] = sim.Job{Sys: s.Sys, Trace: tr, Ctrl: c, Opts: opts}
 	}
 	return sim.Batch{Workers: s.Workers}.Run(ctx, jobs)

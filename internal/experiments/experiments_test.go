@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"math"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -343,140 +341,6 @@ func TestTempSequence(t *testing.T) {
 		if len(row) != s.Sys.Modules {
 			t.Fatalf("tick %d has %d modules", i, len(row))
 		}
-	}
-}
-
-func TestFaultStudy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault study is slow")
-	}
-	s := shortSetup(t, 100)
-	pts, err := FaultStudy(context.Background(), s, 15, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("%d schemes", len(pts))
-	}
-	byName := map[string]FaultPoint{}
-	for _, p := range pts {
-		byName[p.Scheme] = p
-		if p.FaultyEnergyJ <= 0 || p.FaultyEnergyJ >= p.HealthyEnergyJ {
-			t.Errorf("%s: faulty %v vs healthy %v", p.Scheme, p.FaultyEnergyJ, p.HealthyEnergyJ)
-		}
-		if p.RetainedFraction <= 0 || p.RetainedFraction >= 1 {
-			t.Errorf("%s: retained fraction %v", p.Scheme, p.RetainedFraction)
-		}
-	}
-	// Reconfiguration captures more of the surviving ideal power than
-	// the static baseline.
-	if byName["INOR"].FaultyCaptureFrac <= byName["Baseline"].FaultyCaptureFrac {
-		t.Errorf("INOR capture %v not above baseline %v",
-			byName["INOR"].FaultyCaptureFrac, byName["Baseline"].FaultyCaptureFrac)
-	}
-}
-
-func TestFaultStudyValidation(t *testing.T) {
-	s := shortSetup(t, 40)
-	if _, err := FaultStudy(context.Background(), s, 0, 1); err == nil {
-		t.Error("zero failures should error")
-	}
-}
-
-func TestSeedSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seed sweep is slow")
-	}
-	s := shortSetup(t, 60)
-	res, err := SeedSweep(context.Background(), s, 4, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seeds != 4 {
-		t.Errorf("seeds = %d", res.Seeds)
-	}
-	// The baseline gain must be robustly positive across traces.
-	if res.GainMin <= 0.05 {
-		t.Errorf("minimum gain %v not robustly positive", res.GainMin)
-	}
-	if res.GainMean <= res.GainMin-1e-12 {
-		t.Errorf("mean %v below min %v", res.GainMean, res.GainMin)
-	}
-	// DNOR must slash overhead on every trace.
-	if res.OverheadRatioMin < 3 {
-		t.Errorf("worst-case overhead ratio %v too small", res.OverheadRatioMin)
-	}
-	if res.DNORBeatsINOR < res.Seeds-1 {
-		t.Errorf("DNOR beat INOR on only %d of %d seeds", res.DNORBeatsINOR, res.Seeds)
-	}
-}
-
-func TestSeedSweepParallelBitIdenticalToSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seed sweep is slow")
-	}
-	// The sweep prices overhead with deterministic runtime, so any worker
-	// count must reproduce the serial result exactly — not approximately.
-	s := shortSetup(t, 40)
-	s.Workers = 1
-	serial, err := SeedSweep(context.Background(), s, 3, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force the concurrent path even on a single-CPU box.
-	s.Workers = max(4, runtime.NumCPU())
-	parallel, err := SeedSweep(context.Background(), s, 3, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel sweep differs from serial:\n%+v\n%+v", parallel, serial)
-	}
-}
-
-func TestSeedSweepValidation(t *testing.T) {
-	s := shortSetup(t, 40)
-	if _, err := SeedSweep(context.Background(), s, 1, 60); err == nil {
-		t.Error("one seed should error")
-	}
-	if _, err := SeedSweep(context.Background(), s, 3, 0); err == nil {
-		t.Error("zero duration should error")
-	}
-}
-
-func TestBankStudy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bank study is slow")
-	}
-	s := shortSetup(t, 60)
-	pts, err := BankStudy(context.Background(), s, 3, []float64{0, 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.INOREnergyJ <= p.BaselineEnergyJ {
-			t.Errorf("m=%v: INOR %v not above baseline %v", p.Maldistribution, p.INOREnergyJ, p.BaselineEnergyJ)
-		}
-		if p.Gain <= 0.1 {
-			t.Errorf("m=%v: gain %v not robustly positive", p.Maldistribution, p.Gain)
-		}
-	}
-	// The maldistribution must actually change the harvest.
-	if pts[0].INOREnergyJ == pts[1].INOREnergyJ {
-		t.Error("maldistribution had no effect")
-	}
-}
-
-func TestBankStudyValidation(t *testing.T) {
-	s := shortSetup(t, 40)
-	if _, err := BankStudy(context.Background(), s, 1, []float64{0}); err == nil {
-		t.Error("one path should error")
-	}
-	if _, err := BankStudy(context.Background(), s, 3, []float64{2}); err == nil {
-		t.Error("maldistribution ≥1 should error")
 	}
 }
 

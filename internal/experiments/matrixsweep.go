@@ -9,8 +9,9 @@ import (
 )
 
 // MatrixCell is one scenario-matrix cell with its folded results: a
-// multi-path cell's per-path runs are summed (the bank convention of
-// BankStudy), so EnergyOutJ is always "whole radiator" energy.
+// multi-path cell's per-path runs are summed (one charger per path, as
+// in the Ext-G bank study), so EnergyOutJ is always "whole radiator"
+// energy.
 type MatrixCell struct {
 	scenario.Cell
 	EnergyOutJ    float64 `json:"energy_out_j"`

@@ -215,3 +215,69 @@ func TestScenarioSweepRejectsBadOptions(t *testing.T) {
 		}
 	}
 }
+
+// faultStudyMatrix is the shape of the Ext-E fault study: DNOR, INOR
+// and Baseline, healthy and under a storm of count failures.
+func faultStudyMatrix(count int) *scenario.Matrix {
+	return &scenario.Matrix{
+		MaxDurationS: 10,
+		Cycles:       []scenario.CycleSpec{{Synth: &scenario.SynthSpec{Seed: 5, DurationS: 10}}},
+		Schemes:      []string{"DNOR", "INOR", "Baseline"},
+		Faults:       []scenario.FaultSpec{{}, {Storm: &scenario.StormSpec{Count: count}}},
+		ArraySizes:   []int{20},
+	}
+}
+
+// TestFaultStudyValidation: the fault study refuses a storm of no
+// failures, or of more failures than the array has modules, before any
+// run starts.
+func TestFaultStudyValidation(t *testing.T) {
+	if _, err := faultStudyMatrix(20).Expand(); err != nil {
+		t.Fatalf("a storm of every module: %v", err)
+	}
+	for _, count := range []int{0, -1, 21} {
+		_, err := MatrixSweep(context.Background(), faultStudyMatrix(count), MatrixOptions{
+			OnTick: func(sim.Tick) { t.Errorf("storm count %d: a run started", count) },
+		})
+		if !errors.Is(err, scenario.ErrSpec) {
+			t.Errorf("storm count %d: err = %v, want ErrSpec", count, err)
+		}
+	}
+}
+
+// seedStudyMatrix is the shape of the Ext-F seed sweep: one synth
+// trace per seed, reseeded 101·k, each durationS long.
+func seedStudyMatrix(seeds int, durationS float64) *scenario.Matrix {
+	m := &scenario.Matrix{
+		Schemes:    []string{"DNOR", "INOR", "Baseline"},
+		ArraySizes: []int{20},
+	}
+	for k := 1; k <= seeds; k++ {
+		m.Cycles = append(m.Cycles, scenario.CycleSpec{Synth: &scenario.SynthSpec{Seed: 101 * int64(k), DurationS: durationS}})
+	}
+	return m
+}
+
+// TestSeedSweepValidation: the seed sweep refuses more traces than the
+// cycle axis holds and a trace of negative duration before any run
+// starts. (A single-trace sweep is refused by tegsim's -seeds check,
+// since one trace is a legal matrix.)
+func TestSeedSweepValidation(t *testing.T) {
+	if _, err := seedStudyMatrix(64, 10).Expand(); err != nil {
+		t.Fatalf("64 seeds: %v", err)
+	}
+	for name, bad := range map[string]*scenario.Matrix{
+		"65 seeds":          seedStudyMatrix(65, 10),
+		"negative duration": seedStudyMatrix(3, -60),
+	} {
+		_, err := MatrixSweep(context.Background(), bad, MatrixOptions{
+			OnTick: func(sim.Tick) { t.Errorf("%s: a run started", name) },
+		})
+		if err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	if _, err := MatrixSweep(context.Background(), seedStudyMatrix(65, 10), MatrixOptions{}); !errors.Is(err, scenario.ErrSpec) {
+		t.Errorf("65 seeds: err = %v, want ErrSpec", err)
+	}
+}

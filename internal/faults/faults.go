@@ -2,9 +2,9 @@
 // schedules open-circuit and short-circuit failures (and optional
 // repairs) at given times, and a Tracker replays the plan into the
 // per-module health vector the array model consumes. The study built on
-// this (experiments.FaultStudy) shows why a reconfigurable array
-// tolerates failures a static one cannot — the natural extension of the
-// paper's robustness argument.
+// this (a scenario matrix's fault axis, `tegsim -study faults`) shows
+// why a reconfigurable array tolerates failures a static one cannot —
+// the natural extension of the paper's robustness argument.
 package faults
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/scenario"
+	"tegrecon/internal/stats"
 )
 
 func f1(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
@@ -13,6 +14,15 @@ func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 func f4(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 func pct(v float64) string {
 	return strconv.FormatFloat(100*v, 'f', 1, 64) + "%"
+}
+
+// share renders num/den as a percentage, or "/" when den is not
+// positive.
+func share(num, den float64) string {
+	if den <= 0 {
+		return "/"
+	}
+	return pct(num / den)
 }
 
 // FromTableI converts the Table I result.
@@ -73,45 +83,107 @@ func FromPredictors(pts []experiments.PredictorPoint) *Table {
 	return t
 }
 
-// FromFaultStudy converts the Ext-E fault-tolerance study.
-func FromFaultStudy(pts []experiments.FaultPoint) *Table {
+// FromFaultStudy renders the Ext-E fault-tolerance grid: one row per
+// (fault plan, scheme) of the normalized matrix m, in its axis order,
+// each faulted cell against the same scheme's fault-free cell. retained
+// is faulted over healthy energy, capture_of_ideal the faulted cell's
+// share of its surviving modules' ideal energy.
+func FromFaultStudy(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
+	type rowKey struct{ fault, scheme string }
+	byRow := make(map[rowKey]experiments.MatrixCell, len(cells))
+	for _, c := range cells {
+		byRow[rowKey{c.Fault, c.Scheme}] = c
+	}
+	healthy := ""
+	for _, f := range m.Faults {
+		if len(f.Events) == 0 && f.Storm == nil {
+			healthy = f.Name
+		}
+	}
 	t := &Table{
 		Title:  "Ext-E — module-failure tolerance",
-		Header: []string{"scheme", "healthy_j", "faulted_j", "retained", "capture_of_ideal"},
+		Header: []string{"fault", "scheme", "healthy_j", "faulted_j", "retained", "capture_of_ideal"},
 	}
-	for _, p := range pts {
-		t.Rows = append(t.Rows, []string{
-			p.Scheme, f1(p.HealthyEnergyJ), f1(p.FaultyEnergyJ),
-			pct(p.RetainedFraction), pct(p.FaultyCaptureFrac),
-		})
+	for _, f := range m.Faults {
+		if f.Name == healthy {
+			continue
+		}
+		for _, sch := range m.Schemes {
+			h, c := byRow[rowKey{healthy, sch}], byRow[rowKey{f.Name, sch}]
+			t.Rows = append(t.Rows, []string{
+				f.Name, sch, f1(h.EnergyOutJ), f1(c.EnergyOutJ),
+				share(c.EnergyOutJ, h.EnergyOutJ), share(c.EnergyOutJ, c.IdealEnergyJ),
+			})
+		}
 	}
 	return t
 }
 
-// FromSeedSweep converts the Ext-F robustness sweep.
-func FromSeedSweep(r *experiments.SeedSweepResult) *Table {
+// FromSeedSweep renders the Ext-F robustness sweep over the cycles of
+// the normalized matrix m: DNOR's gain over the static baseline and
+// INOR's switching overhead over DNOR's (INOR stands in for
+// reconfiguring every period without EHTR's cubic runtime), summarized
+// across cycles, and on how many cycles DNOR delivers at least INOR's
+// energy.
+func FromSeedSweep(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
+	type rowKey struct{ cycle, scheme string }
+	byRow := make(map[rowKey]experiments.MatrixCell, len(cells))
+	for _, c := range cells {
+		byRow[rowKey{c.Cycle, c.Scheme}] = c
+	}
+	var gains, ratios []float64
+	beats := 0
+	for _, cy := range m.Cycles {
+		d, i, b := byRow[rowKey{cy.Label, "DNOR"}], byRow[rowKey{cy.Label, "INOR"}], byRow[rowKey{cy.Label, "Baseline"}]
+		gains = append(gains, d.EnergyOutJ/b.EnergyOutJ-1)
+		if d.OverheadJ > 0 {
+			ratios = append(ratios, i.OverheadJ/d.OverheadJ)
+		}
+		if d.EnergyOutJ >= i.EnergyOutJ {
+			beats++
+		}
+	}
+	// Summarize fails only on an empty input: a normalized matrix has a
+	// cycle, and no DNOR overhead on any cycle leaves the ratios zero.
+	g, _ := stats.Summarize(gains)
+	r, _ := stats.Summarize(ratios)
 	return &Table{
 		Title:  "Ext-F — seed-sweep robustness",
 		Header: []string{"seeds", "gain_mean", "gain_std", "gain_min", "overhead_ratio_mean", "overhead_ratio_min", "dnor_beats_inor"},
 		Rows: [][]string{{
-			strconv.Itoa(r.Seeds),
-			pct(r.GainMean), pct(r.GainStd), pct(r.GainMin),
-			f1(r.OverheadRatioMean), f1(r.OverheadRatioMin),
-			fmt.Sprintf("%d/%d", r.DNORBeatsINOR, r.Seeds),
+			strconv.Itoa(len(m.Cycles)),
+			pct(g.Mean), pct(g.Std), pct(g.Min),
+			f1(r.Mean), f1(r.Min),
+			fmt.Sprintf("%d/%d", beats, len(m.Cycles)),
 		}},
 	}
 }
 
-// FromBank converts the Ext-G 2-D radiator bank study.
-func FromBank(pts []experiments.BankPoint) *Table {
+// FromBank renders the Ext-G 2-D radiator bank grid: one row per flow
+// level of the normalized matrix m, in its axis order, INOR against the
+// static baseline. A cell already sums its paths' energies.
+func FromBank(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
+	type rowKey struct {
+		scheme string
+		flow   scenario.FlowSpec
+	}
+	byRow := make(map[rowKey]experiments.MatrixCell, len(cells))
+	for _, c := range cells {
+		byRow[rowKey{c.Scheme, scenario.FlowSpec{Paths: c.Paths, Maldistribution: c.Maldistribution}}] = c
+	}
 	t := &Table{
 		Title:  "Ext-G — 2-D radiator bank with flow maldistribution",
 		Header: []string{"maldistribution", "paths", "inor_j", "baseline_j", "gain"},
 	}
-	for _, p := range pts {
+	for _, fl := range m.Flows {
+		in, base := byRow[rowKey{"INOR", fl}], byRow[rowKey{"Baseline", fl}]
+		gain := "/"
+		if base.EnergyOutJ > 0 {
+			gain = pct(in.EnergyOutJ/base.EnergyOutJ - 1)
+		}
 		t.Rows = append(t.Rows, []string{
-			f2(p.Maldistribution), strconv.Itoa(p.Paths),
-			f1(p.INOREnergyJ), f1(p.BaselineEnergyJ), pct(p.Gain),
+			f2(fl.Maldistribution), strconv.Itoa(fl.Paths),
+			f1(in.EnergyOutJ), f1(base.EnergyOutJ), gain,
 		})
 	}
 	return t
@@ -149,13 +221,9 @@ func FromSweep(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
 	for _, cy := range m.Cycles {
 		for _, sch := range m.Schemes {
 			c := byRow[rowKey{cy.Label, sch}]
-			capture := "/"
-			if c.IdealEnergyJ > 0 {
-				capture = pct(c.Ratio())
-			}
 			t.Rows = append(t.Rows, []string{
 				c.Cycle, c.Scheme, f1(c.DurationS), f1(c.EnergyOutJ), f2(c.OverheadJ),
-				strconv.Itoa(c.SwitchEvents), f4(0), capture,
+				strconv.Itoa(c.SwitchEvents), f4(0), share(c.EnergyOutJ, c.IdealEnergyJ),
 			})
 		}
 	}
@@ -176,15 +244,11 @@ func FromMatrix(r *experiments.MatrixResult) *Table {
 			"overhead_j", "switch_events", "capture_of_ideal"},
 	}
 	for _, c := range r.Cells {
-		capture := "/"
-		if c.IdealEnergyJ > 0 {
-			capture = pct(c.Ratio())
-		}
 		t.Rows = append(t.Rows, []string{
 			c.Cycle, c.Scheme, f1(c.AmbientC), f1(c.CoolantOffsetC),
 			strconv.Itoa(c.Paths), f2(c.Maldistribution), c.Fault,
 			strconv.Itoa(c.Modules), f1(c.DurationS), f1(c.EnergyOutJ),
-			f2(c.OverheadJ), strconv.Itoa(c.SwitchEvents), capture,
+			f2(c.OverheadJ), strconv.Itoa(c.SwitchEvents), share(c.EnergyOutJ, c.IdealEnergyJ),
 		})
 	}
 	return t

@@ -130,25 +130,67 @@ func TestFromTableI(t *testing.T) {
 	}
 }
 
+// studyCell is a rendered-study test cell: only the axis values and
+// energies the study tables read.
+func studyCell(cycle, scheme, fault string, paths int, mal, energy, overhead, ideal float64) experiments.MatrixCell {
+	c := experiments.MatrixCell{EnergyOutJ: energy, OverheadJ: overhead, IdealEnergyJ: ideal}
+	c.Cycle, c.Scheme, c.Fault, c.Paths, c.Maldistribution = cycle, scheme, fault, paths, mal
+	return c
+}
+
+// TestFromFaultStudyAndSeedSweep pins the Ext-E and Ext-F renderings:
+// a fault row sets each faulted cell against the same scheme's
+// fault-free cell, in the matrix's fault and scheme order, and the seed
+// sweep summarizes DNOR's per-cycle gain and INOR/DNOR overhead ratio.
 func TestFromFaultStudyAndSeedSweep(t *testing.T) {
-	ft := FromFaultStudy([]experiments.FaultPoint{
-		{Scheme: "INOR", HealthyEnergyJ: 10, FaultyEnergyJ: 8, RetainedFraction: 0.8, FaultyCaptureFrac: 0.9},
+	fm, err := (&scenario.Matrix{
+		Cycles:  []scenario.CycleSpec{{Name: "nedc"}},
+		Schemes: []string{"INOR", "Baseline"},
+		Faults:  []scenario.FaultSpec{{}, {Storm: &scenario.StormSpec{Count: 5}}},
+	}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := FromFaultStudy(fm, []experiments.MatrixCell{
+		studyCell("NEDC", "Baseline", "storm:5", 1, 0, 4, 0, 0),
+		studyCell("NEDC", "INOR", "storm:5", 1, 0, 8, 0, 8/0.9),
+		studyCell("NEDC", "Baseline", "none", 1, 0, 5, 0, 20),
+		studyCell("NEDC", "INOR", "none", 1, 0, 10, 0, 12),
 	})
 	if err := ft.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if ft.Rows[0][3] != "80.0%" || ft.Rows[0][4] != "90.0%" {
-		t.Errorf("fault row = %v", ft.Rows[0])
+	if len(ft.Rows) != 2 {
+		t.Fatalf("fault rows = %v, want one per scheme", ft.Rows)
 	}
-	ss := FromSeedSweep(&experiments.SeedSweepResult{
-		Seeds: 5, GainMean: 0.31, GainStd: 0.05, GainMin: 0.22,
-		OverheadRatioMean: 25, OverheadRatioMin: 18, DNORBeatsINOR: 5,
+	if got := strings.Join(ft.Rows[0], " "); got != "storm:5 INOR 10.0 8.0 80.0% 90.0%" {
+		t.Errorf("INOR fault row = %q", got)
+	}
+	if got := strings.Join(ft.Rows[1], " "); got != "storm:5 Baseline 5.0 4.0 80.0% /" {
+		t.Errorf("Baseline fault row = %q", got)
+	}
+
+	sm, err := (&scenario.Matrix{Cycles: []scenario.CycleSpec{
+		{Synth: &scenario.SynthSpec{Seed: 101}, Label: "a"},
+		{Synth: &scenario.SynthSpec{Seed: 202}, Label: "b"},
+	}}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := FromSeedSweep(sm, []experiments.MatrixCell{
+		studyCell("a", "DNOR", "none", 1, 0, 12, 1, 0),
+		studyCell("a", "INOR", "none", 1, 0, 11, 20, 0),
+		studyCell("a", "Baseline", "none", 1, 0, 10, 0, 0),
+		studyCell("b", "DNOR", "none", 1, 0, 14, 2, 0),
+		studyCell("b", "INOR", "none", 1, 0, 15, 20, 0),
+		studyCell("b", "Baseline", "none", 1, 0, 10, 0, 0),
 	})
 	if err := ss.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if ss.Rows[0][1] != "31.0%" || ss.Rows[0][6] != "5/5" {
-		t.Errorf("sweep row = %v", ss.Rows[0])
+	// Gains 20% and 40%; overhead ratios 20 and 10; DNOR beats INOR on a.
+	if got := strings.Join(ss.Rows[0], " "); got != "2 30.0% 14.1% 20.0% 15.0 10.0 1/2" {
+		t.Errorf("sweep row = %q", got)
 	}
 }
 
@@ -187,6 +229,37 @@ func TestFromSweep(t *testing.T) {
 	}
 }
 
+// TestFromBank pins the Ext-G rendering: rows follow the matrix's flow
+// axis, not the cells' coordinate order (hex-sorted, m=0.6 comes
+// before m=0.2), and a baseline that harvested nothing reads "/".
+func TestFromBank(t *testing.T) {
+	m, err := (&scenario.Matrix{
+		Cycles:  []scenario.CycleSpec{{Name: "nedc"}},
+		Schemes: []string{"INOR", "Baseline"},
+		Flows:   []scenario.FlowSpec{{Paths: 5, Maldistribution: 0.2}, {Paths: 5, Maldistribution: 0.6}},
+	}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := FromBank(m, []experiments.MatrixCell{
+		studyCell("NEDC", "Baseline", "none", 5, 0.6, 0, 0, 0),
+		studyCell("NEDC", "INOR", "none", 5, 0.6, 7, 0, 0),
+		studyCell("NEDC", "Baseline", "none", 5, 0.2, 4, 0, 0),
+		studyCell("NEDC", "INOR", "none", 5, 0.2, 6, 0, 0),
+	})
+	if err := tab.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, r := range tab.Rows {
+		rows = append(rows, strings.Join(r, " "))
+	}
+	want := []string{"0.20 5 6.0 4.0 50.0%", "0.60 5 7.0 0.0 /"}
+	if strings.Join(rows, "|") != strings.Join(want, "|") {
+		t.Errorf("bank rows = %q, want %q", rows, want)
+	}
+}
+
 func TestRemainingConverters(t *testing.T) {
 	if err := FromHorizon([]experiments.HorizonPoint{{HorizonTicks: 2, EnergyOutJ: 5}}).Validate(); err != nil {
 		t.Error(err)
@@ -195,9 +268,6 @@ func TestRemainingConverters(t *testing.T) {
 		t.Error(err)
 	}
 	if err := FromPredictors([]experiments.PredictorPoint{{Predictor: "MLR", EnergyOutJ: 5}}).Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := FromBank([]experiments.BankPoint{{Maldistribution: 0.3, Paths: 5, INOREnergyJ: 6, BaselineEnergyJ: 4, Gain: 0.5}}).Validate(); err != nil {
 		t.Error(err)
 	}
 	if err := FromMargins([]experiments.MarginPoint{{MarginJ: 1, EnergyOutJ: 5}}).Validate(); err != nil {

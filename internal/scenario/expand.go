@@ -292,9 +292,11 @@ func (st *expandState) system(modules int) *sim.System {
 }
 
 // faultPlan builds one cell's fault plan (nil for a fault-free cell).
-// A storm's schedule is seeded from the cell coordinate, so it is
-// reproducible and independent of every other cell's.
-func (f FaultSpec) faultPlan(modules int, durationS float64, base int64, coord string) (*faults.Plan, error) {
+// A storm's schedule is seeded from stormCoord, the cell coordinate
+// without its scheme, so it is reproducible, independent of every other
+// grid point's, and the same for every scheme at one grid point: a
+// fault study compares schemes under one failure schedule.
+func (f FaultSpec) faultPlan(modules int, durationS float64, base int64, stormCoord string) (*faults.Plan, error) {
 	switch {
 	case len(f.Events) > 0:
 		events := make([]faults.Event, len(f.Events))
@@ -317,7 +319,7 @@ func (f FaultSpec) faultPlan(modules int, durationS float64, base int64, coord s
 		if count > modules {
 			count = modules
 		}
-		seed := seedFor(base, coord+"|storm") + f.Storm.SeedOffset
+		seed := seedFor(base, stormCoord+"|storm") + f.Storm.SeedOffset
 		return faults.RandomPlan(modules, count, durationS, seed)
 	default:
 		return nil, nil
@@ -347,13 +349,16 @@ func (m *Matrix) Expand() (*Expansion, error) {
 	// Pass 1: enumerate coordinates and sort them — the stable order
 	// exists before any trace or controller is built.
 	type protoCell struct {
-		coord   string
-		ci      int // index into n.Cycles
-		scheme  string
-		amb     AmbientSpec
-		fl      FlowSpec
-		fi      int // index into n.Faults
-		modules int
+		coord string
+		// stormCoord is coord without the scheme: a storm drawn from it
+		// hits every scheme of a grid point with the same failures.
+		stormCoord string
+		ci         int // index into n.Cycles
+		scheme     string
+		amb        AmbientSpec
+		fl         FlowSpec
+		fi         int // index into n.Faults
+		modules    int
 	}
 	var protos []protoCell
 	for ci, cy := range n.Cycles {
@@ -365,13 +370,14 @@ func (m *Matrix) Expand() (*Expansion, error) {
 						fid := ft.identity()
 						for _, modules := range n.ArraySizes {
 							protos = append(protos, protoCell{
-								coord:   cellCoord(cid, scheme, amb, fl, fid, modules),
-								ci:      ci,
-								scheme:  scheme,
-								amb:     amb,
-								fl:      fl,
-								fi:      fi,
-								modules: modules,
+								coord:      cellCoord(cid, scheme, amb, fl, fid, modules),
+								stormCoord: cellCoord(cid, "", amb, fl, fid, modules),
+								ci:         ci,
+								scheme:     scheme,
+								amb:        amb,
+								fl:         fl,
+								fi:         fi,
+								modules:    modules,
 							})
 						}
 					}
@@ -392,7 +398,7 @@ func (m *Matrix) Expand() (*Expansion, error) {
 		}
 		baseKey := strconv.Itoa(p.ci) + "|" + hexf(p.amb.AmbientC) + "|" + hexf(p.amb.CoolantOffsetC)
 		ft := n.Faults[p.fi]
-		plan, err := ft.faultPlan(p.modules, base.Duration(), n.Seed, p.coord)
+		plan, err := ft.faultPlan(p.modules, base.Duration(), n.Seed, p.stormCoord)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: cell %s: %w", p.coord, err)
 		}

@@ -164,7 +164,7 @@ type AmbientSpec struct {
 // FlowSpec is one thermal.Bank flow-maldistribution level: Paths
 // parallel radiator paths (0 → 1) under parabolic header
 // maldistribution m ∈ [0, 1). A multi-path cell runs one job per path
-// and reports the summed energies, mirroring experiments.BankStudy.
+// and reports the summed energies: the Ext-G bank study's axis.
 type FlowSpec struct {
 	Paths           int     `json:"paths,omitempty"`
 	Maldistribution float64 `json:"maldistribution,omitempty"`
@@ -190,9 +190,10 @@ type EventSpec struct {
 // StormSpec scales faults.RandomPlan into the matrix: exactly one of
 // Count (absolute failures) or Fraction (of the cell's module count,
 // rounded, at least 1) — Fraction is what lets one storm spec span an
-// array-size axis. The storm's seed derives from the cell coordinate,
-// so every cell gets an independent but reproducible schedule;
-// SeedOffset distinguishes two otherwise-identical storms.
+// array-size axis. The storm's seed derives from the cell coordinate
+// less its scheme, so every grid point gets an independent but
+// reproducible schedule that all its schemes share; SeedOffset
+// distinguishes two otherwise-identical storms.
 type StormSpec struct {
 	Count      int     `json:"count,omitempty"`
 	Fraction   float64 `json:"fraction,omitempty"`

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -183,6 +184,41 @@ func TestExpandStableAndSeeded(t *testing.T) {
 		if !j.Opts.DeterministicRuntime {
 			t.Fatal("job without DeterministicRuntime")
 		}
+	}
+}
+
+// TestExpandStormsPairedAcrossSchemes: a storm is drawn from the cell
+// coordinate without its scheme, so every scheme at one grid point
+// faces the same failure schedule (a fault study's comparison is
+// paired), while distinct grid points draw distinct schedules.
+func TestExpandStormsPairedAcrossSchemes(t *testing.T) {
+	ex, err := testMatrix().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		cycle, fault     string
+		ambient, coolant float64
+		paths, modules   int
+		mal              float64
+	}
+	plans := map[point]string{}
+	schedules := map[string]bool{}
+	for j, job := range ex.Jobs {
+		if job.Opts.FaultPlan == nil {
+			continue
+		}
+		c := ex.Cells[ex.CellOf[j]]
+		pt := point{c.Cycle, c.Fault, c.AmbientC, c.CoolantOffsetC, c.Paths, c.Modules, c.Maldistribution}
+		plan := fmt.Sprintf("%v", *job.Opts.FaultPlan)
+		if prev, ok := plans[pt]; ok && prev != plan {
+			t.Fatalf("schemes at %+v face different storms:\n%s\n%s", pt, prev, plan)
+		}
+		plans[pt] = plan
+		schedules[plan] = true
+	}
+	if len(plans) == 0 || len(schedules) != len(plans) {
+		t.Fatalf("%d storm grid points drew %d distinct schedules", len(plans), len(schedules))
 	}
 }
 

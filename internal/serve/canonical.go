@@ -20,7 +20,7 @@ import (
 // keyVersion tags the canonical form itself: bump it whenever the
 // encoding or the physics behind it changes, and every stale cache key
 // simply stops matching.
-const keyVersion = "tegserve/v1"
+const keyVersion = "tegserve/v2"
 
 type keyBuilder struct{ b strings.Builder }
 

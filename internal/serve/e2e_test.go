@@ -188,7 +188,8 @@ func BenchmarkCachedRunRequest(b *testing.B) {
 // (SIGTERM-equivalent), and a brand-new process opening the same
 // -store-dir serves both byte-identically as cache hits with zero
 // recomputation. A superset matrix then proves resumable grids: only
-// the genuinely new cells are simulated after restart.
+// the genuinely new cells are simulated after restart; and a one-cycle
+// subset of the stored sweep, a new envelope, simulates none.
 func TestColdRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()
 	sweep := `{"cycles":["delivery","nedc"],"schemes":["inor"],"max_duration_s":6,"modules":20}`
@@ -203,7 +204,8 @@ func TestColdRestartServesFromStore(t *testing.T) {
 	s1, base1, stop1 := bootStoreServer(t, dir)
 	_, sweepBytes := postOK(t, base1, "/v1/sweeps", sweep)
 	_, matrixABytes := postOK(t, base1, "/v1/matrix", matrixA)
-	if st := s1.Stats(); st.Computations == 0 || st.MatrixCells != 2 {
+	// Two sweep cells and two matrix cells.
+	if st := s1.Stats(); st.Computations == 0 || st.MatrixCells != 4 {
 		t.Fatalf("life 1 stats: %+v", st)
 	}
 	stop1()
@@ -241,6 +243,22 @@ func TestColdRestartServesFromStore(t *testing.T) {
 	}
 	if st := s2.Stats(); st.MatrixCells != 1 {
 		t.Fatalf("superset simulated %d cells, want exactly the new one", st.MatrixCells)
+	}
+
+	subset := `{"cycles":["nedc"],"schemes":["inor"],"max_duration_s":6,"modules":20}`
+	resp, b = postOK(t, base2, "/v1/sweeps", subset)
+	if got := resp.Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("subset sweep X-Cache = %q, want miss (different envelope)", got)
+	}
+	if got := resp.Header.Get("X-Matrix-Cells-Cached"); got != "1" {
+		t.Fatalf("subset sweep X-Matrix-Cells-Cached = %q, want 1", got)
+	}
+	if st := s2.Stats(); st.MatrixCells != 1 {
+		t.Fatalf("subset sweep simulated %d cells, want none", st.MatrixCells-1)
+	}
+	_, ts := newTestServer(t, Config{})
+	if _, fresh := postOK(t, ts.URL, "/v1/sweeps", subset); !bytes.Equal(b, fresh) {
+		t.Fatalf("recalled subset sweep differs from a fresh server's\n%s\n%s", b, fresh)
 	}
 	stop2()
 }

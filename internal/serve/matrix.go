@@ -180,10 +180,12 @@ func (s *Server) expandMatrix(p matrixParams, key string) (*scenario.Expansion, 
 // when non-nil, observes every cell in stable order (cached ones
 // first, then fresh ones as they complete): each missing cell then runs
 // as its own one-cell shard, and the callback's error (client gone)
-// aborts the remaining cells. distribute allows the missing cells to
-// fan out to the worker peers (non-streaming client-facing requests
-// only — shard requests and SSE streams always compute locally).
-// Returns the full cell list and how many came from cache.
+// aborts the remaining cells. distribute lets a coordinator fan the
+// missing cells out to its worker peers in contiguous index shards
+// (non-streaming client-facing requests only — shard requests and SSE
+// streams always compute locally); every cell is bit-identical
+// whoever computes it. Returns the full cell list and how many came
+// from cache.
 func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys []string, onCell func(experiments.MatrixCell) error, distribute bool) ([]experiments.MatrixCell, int, error) {
 	cells := make([]experiments.MatrixCell, len(ex.Cells))
 	var missing []int
@@ -192,6 +194,10 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 		if b, ok := s.cache.peek(keys[i]); ok {
 			var c experiments.MatrixCell
 			if err := json.Unmarshal(b, &c); err == nil {
+				// The key leaves out the cell's index, cycle label and
+				// fault name, so a cell stored by another matrix carries
+				// that matrix's; take them from this expansion.
+				c.Cell = ex.Cells[i]
 				cells[i] = c
 				cached++
 				if onCell != nil {
@@ -216,7 +222,13 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 		}
 	}
 	for _, idxs := range batches {
-		got, err := s.computeCells(ctx, ex, idxs, distribute)
+		var got []experiments.MatrixCell
+		var err error
+		if distribute && len(s.cfg.WorkerPeers) > 0 {
+			got, err = s.distributeMatrixCells(ctx, ex, idxs)
+		} else {
+			got, err = s.localMatrixShard(ctx, ex, idxs)
+		}
 		if err != nil {
 			return nil, cached, err
 		}
@@ -235,37 +247,6 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 		}
 	}
 	return cells, cached, nil
-}
-
-// computeCells simulates the given cells (indices into ex.Cells) and
-// returns them in that order. With distribute set, a coordinator fans
-// them out to its worker peers in contiguous index shards; otherwise
-// (or without peers) they run here. Either way every cell is
-// bit-identical, so callers merge without caring who computed it.
-func (s *Server) computeCells(ctx context.Context, ex *scenario.Expansion, idxs []int, distribute bool) ([]experiments.MatrixCell, error) {
-	if distribute && len(s.cfg.WorkerPeers) > 0 {
-		return s.distributeMatrixCells(ctx, ex, idxs)
-	}
-	return s.localMatrixShard(ctx, ex, idxs)
-}
-
-// matrixPayload computes (or recalls) every cell as one job and
-// encodes the envelope. Missing cells fan out to the worker peers when
-// the server is a coordinator.
-func (s *Server) matrixPayload(ctx context.Context, p matrixParams, ex *scenario.Expansion, keys []string) ([]byte, int, error) {
-	var payload []byte
-	var cached int
-	err := s.job(ctx, func(ctx context.Context) error {
-		s.met.computations.Add(1)
-		cells, n, err := s.computeMatrix(ctx, ex, keys, nil, true)
-		cached = n
-		if err != nil {
-			return err
-		}
-		payload, err = marshalMatrixEnvelope(p, cells)
-		return err
-	})
-	return payload, cached, err
 }
 
 // marshalMatrixEnvelope encodes the response payload. It is built
@@ -303,15 +284,37 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		s.streamMatrix(w, r, p, key)
 		return
 	}
+	s.serveMatrix(w, r, p, key, func(cells []experiments.MatrixCell) ([]byte, error) {
+		return marshalMatrixEnvelope(p, cells)
+	})
+}
+
+// serveMatrix answers a non-streaming matrix-backed request under its
+// envelope key: from the envelope cache, or by expanding the matrix
+// and computing its cells as one job through the per-cell cache, with
+// the missing cells fanned out to the worker peers when the server is
+// a coordinator. render encodes the cells as the payload. A response
+// not served from the envelope cache reports in X-Matrix-Cells-Cached
+// how many cells the per-cell cache supplied.
+func (s *Server) serveMatrix(w http.ResponseWriter, r *http.Request, p matrixParams, key string, render func([]experiments.MatrixCell) ([]byte, error)) {
 	var cachedCells int
 	payload, state, err := s.cachedPayload(r, key, func(ctx context.Context) ([]byte, error) {
 		ex, keys, err := s.expandMatrix(p, key)
 		if err != nil {
 			return nil, err
 		}
-		b, cached, err := s.matrixPayload(ctx, p, ex, keys)
-		cachedCells = cached
-		return b, err
+		var payload []byte
+		err = s.job(ctx, func(ctx context.Context) error {
+			s.met.computations.Add(1)
+			cells, cached, err := s.computeMatrix(ctx, ex, keys, nil, true)
+			cachedCells = cached
+			if err != nil {
+				return err
+			}
+			payload, err = render(cells)
+			return err
+		})
+		return payload, err
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)

@@ -311,6 +311,46 @@ func TestMatrixPartialCellReuse(t *testing.T) {
 	if len(env.Cells) != 4 {
 		t.Fatalf("big matrix has %d cells, want 4", len(env.Cells))
 	}
+	// The recalled cell takes its index in the big matrix, so the
+	// envelope is the one a fresh server computes.
+	_, fresh := newTestServer(t, Config{})
+	if _, want := postJSON(t, fresh.URL+"/v1/matrix", big); !bytes.Equal(body, want) {
+		t.Fatalf("overlapping matrix differs from a fresh server's\n%s\n%s", body, want)
+	}
+}
+
+// TestMatrixRecalledCellRelabelled: the cell key leaves out the cycle
+// label and fault name, so a matrix that relabels a stored cell recalls
+// it under its own labels, and answers what a fresh server does.
+func TestMatrixRecalledCellRelabelled(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	spec := func(cycle, fault string) string {
+		return `{"cycles":[{"synth":{"profile":"urban","seed":9,"duration_s":6},"label":"` + cycle + `"}],
+			"schemes":["INOR"],"faults":[{"name":"` + fault + `"}],"array_sizes":[20],"max_duration_s":6}`
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/matrix", spec("A", "calm")); resp.StatusCode != 200 {
+		t.Fatalf("first matrix: %d: %s", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/matrix", spec("B", "quiet"))
+	if resp.StatusCode != 200 {
+		t.Fatalf("relabelled matrix: %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Matrix-Cells-Cached"); got != "1" {
+		t.Fatalf("relabelled matrix reused %s cells, want 1", got)
+	}
+	var env struct {
+		Cells []experiments.MatrixCell `json:"cells"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if c := env.Cells[0]; c.Cycle != "B" || c.Fault != "quiet" {
+		t.Fatalf("recalled cell labelled cycle %q, fault %q; want B, quiet", c.Cycle, c.Fault)
+	}
+	_, fresh := newTestServer(t, Config{})
+	if _, want := postJSON(t, fresh.URL+"/v1/matrix", spec("B", "quiet")); !bytes.Equal(body, want) {
+		t.Fatalf("relabelled matrix differs from a fresh server's\n%s\n%s", body, want)
+	}
 }
 
 // TestMatrixStream drives the SSE path: start, one cell event per

@@ -15,7 +15,8 @@
 //	POST /v1/runs     one scheme over one cycle (JSON result, or SSE
 //	                  tick stream with "stream": true)
 //	POST /v1/sweeps   cycle × scheme table, rendered from the cells of
-//	                  the scenario matrix it translates to
+//	                  the scenario matrix it translates to (cached per
+//	                  cell like /v1/matrix)
 //	POST /v1/matrix   declarative scenario matrix (internal/scenario):
 //	                  expanded under the admission bounds, every cell
 //	                  content-addressed into the result cache, SSE
@@ -52,6 +53,7 @@ import (
 	"time"
 
 	"tegrecon/internal/drive"
+	"tegrecon/internal/experiments"
 	"tegrecon/internal/obs"
 	"tegrecon/internal/report"
 	"tegrecon/internal/scenario"
@@ -743,32 +745,6 @@ func sweepMatrix(req SweepRequest) scenario.Matrix {
 	return m
 }
 
-// computeSweep computes, as one job, every cell of the sweep's matrix
-// (fanned out to the worker peers in coordinator mode) and renders them
-// as the cycle × scheme table. Cells are not cached one by one: a sweep
-// costs a single store write, its envelope's.
-func (s *Server) computeSweep(ctx context.Context, p matrixParams) ([]byte, error) {
-	var payload []byte
-	err := s.job(ctx, func(ctx context.Context) error {
-		s.met.computations.Add(1)
-		ex, err := p.m.Expand()
-		if err != nil {
-			return err
-		}
-		all := make([]int, len(ex.Cells))
-		for i := range all {
-			all[i] = i
-		}
-		cells, err := s.computeCells(ctx, ex, all, true)
-		if err != nil {
-			return err
-		}
-		payload, err = json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: report.FromSweep(p.m, cells)})
-		return err
-	})
-	return payload, err
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if herr := decodeJSON(w, r, &req); herr != nil {
@@ -791,12 +767,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache-Key", key)
-	payload, state, err := s.cachedPayload(r, key, func(ctx context.Context) ([]byte, error) {
-		return s.computeSweep(ctx, p)
+	s.serveMatrix(w, r, p, key, func(cells []experiments.MatrixCell) ([]byte, error) {
+		return json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: report.FromSweep(p.m, cells)})
 	})
-	if err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	writePayload(w, state, payload)
 }

@@ -251,7 +251,7 @@ func (s *Server) dispatchMatrixShard(ctx context.Context, peer string, ex *scena
 }
 
 // localMatrixShard runs cells on this process's batch pool: the local
-// path of computeCells, and the retry of a failed shard — the same
+// path of computeMatrix, and the retry of a failed shard — the same
 // Subset the peer would have run.
 func (s *Server) localMatrixShard(ctx context.Context, ex *scenario.Expansion, idxs []int) ([]experiments.MatrixCell, error) {
 	sub, err := ex.Subset(idxs)
