@@ -25,6 +25,11 @@
 //	                    relative to the plain suite; also records the
 //	                    sampled per-phase shares of the measured steps
 //	                    (phases)
+//	session_step_instrumented_<scheme>_n500
+//	                    the same for dnor and ehtr at N = 500 (the
+//	                    twins_n500 array size): where those schemes'
+//	                    tick time goes, decide against temps, sense and
+//	                    act
 //	table1_<scheme>     one full run per Table I scheme over the synthetic
 //	                    drive (dnor, inor, ehtr, baseline)
 //	scaling_inor_n<N>   a single INOR decision at N = 100, 200, 400, 800
@@ -295,7 +300,9 @@ func main() {
 		run  func() (Result, error)
 	}{
 		{"session_step", func() (Result, error) { return benchSessionStep(runDur) }},
-		{"session_step_instrumented", func() (Result, error) { return benchSessionStepSampled(runDur, 16) }},
+		{"session_step_instrumented", func() (Result, error) { return benchSessionStepSampled("INOR", 100, runDur, 16) }},
+		{"session_step_instrumented_dnor_n500", func() (Result, error) { return benchSessionStepSampled("DNOR", 500, runDur, 16) }},
+		{"session_step_instrumented_ehtr_n500", func() (Result, error) { return benchSessionStepSampled("EHTR", 500, runDur, 16) }},
 		{"table1_dnor", func() (Result, error) { return benchTableScheme("DNOR", runDur) }},
 		{"table1_inor", func() (Result, error) { return benchTableScheme("INOR", runDur) }},
 		{"table1_ehtr", func() (Result, error) { return benchTableScheme("EHTR", runDur) }},
@@ -532,25 +539,29 @@ func preparedConds(s *experiments.Setup) ([]thermal.Conditions, error) {
 }
 
 // benchSessionStep measures one steady-state control period of the
-// incremental engine — the zero-allocation acceptance gate.
+// incremental engine (INOR, 100 modules) — the zero-allocation
+// acceptance gate.
 func benchSessionStep(seconds float64) (Result, error) {
-	return benchSessionStepSampled(seconds, 0)
+	return benchSessionStepSampled("INOR", 100, seconds, 0)
 }
 
-// benchSessionStepSampled is benchSessionStep with phase-timing
-// sampling at the given interval — the session_step_instrumented suite
-// runs it at the serve layer's default rate so the budget file can cap
-// the observability overhead against the plain suite.
-func benchSessionStepSampled(seconds float64, sampleEvery int) (Result, error) {
+// benchSessionStepSampled is benchSessionStep for the named scheme at
+// the given array size, with phase-timing sampling at the given
+// interval. The session_step_instrumented suites run it at the serve
+// layer's default rate: at INOR N = 100 so the budget file can cap the
+// observability overhead against the plain suite, and at N = 500 for
+// each scheme's phase split.
+func benchSessionStepSampled(scheme string, modules int, seconds float64, sampleEvery int) (Result, error) {
 	s, err := benchSetup(seconds)
 	if err != nil {
 		return Result{}, err
 	}
+	s.Sys.Modules = modules
 	conds, err := preparedConds(s)
 	if err != nil {
 		return Result{}, err
 	}
-	ctrl, err := s.NewScheme("INOR")
+	ctrl, err := s.NewScheme(scheme)
 	if err != nil {
 		return Result{}, err
 	}

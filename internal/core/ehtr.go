@@ -12,10 +12,13 @@ import (
 // period; this reconstruction searches the same series-group window but
 // replaces INOR's O(N) greedy partition with exhaustive dynamic
 // programming over all consecutive partitions. One table serves every
-// candidate group count, and its Knuth-bounded rows cost O(N·(N+nmax))
-// per decision (dpBuffers.tableInto), so the measured premium over INOR
-// is a small factor, not the cubic growth the paper reports for the
-// original. docs/ARCHITECTURE.md ("Shared-table EHTR partitioning")
+// candidate group count (dpBuffers.tableInto). Its first rows, where
+// Knuth's window is nearly a full scan, are solved by monotone divide
+// and conquer at O(N log N) each; there are O(√(N/log N)) of them (4 at
+// N = 500). The rest are bounded by Knuth's window, O(N·(N+nmax)) in
+// total, which stays the bound per decision. The measured premium over
+// INOR is a small factor, not the cubic growth the paper reports for
+// the original. docs/ARCHITECTURE.md ("Shared-table EHTR partitioning")
 // derives the shared table and why its choices match the full scan.
 type EHTR struct {
 	eval *Evaluator

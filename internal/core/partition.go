@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // prefixSumsInto writes P with P[0]=0 and P[i] = Σ x[:i] into dst,
 // reusing its backing storage when the capacity suffices. The
@@ -150,23 +153,40 @@ type dpBuffers struct {
 // into j consecutive non-empty groups; choice[j][e] records the leftmost
 // argmin start of the last group, which is all reconstruction needs.
 //
-// Each row is bounded by Knuth's window. The row cost
-// prev[s] + (p[e]−p[s])² satisfies the quadrangle inequality (a convex
-// function of the difference of two non-decreasing prefix sums), so the
-// leftmost argmin — exactly what an ascending scan with a strict `<`
-// keeps — is monotone in both indices:
-// choice[j−1][e] ≤ choice[j][e] ≤ choice[j][e+1]. Filling row j with e
-// descending, entry e therefore scans only
-// s ∈ [max(choice[j−1][e], j−1), min(e−1, choice[j][e+1])]. The window
-// widths telescope along each diagonal e − j = const, so the whole
-// table costs O(N·(N+nmax)) instead of the O(nmax·N²) full scan. On
-// live WLTC temperatures at N = 500 (tables of up to 160 rows) that is
-// about 187k cost evaluations per table against a monotone
-// divide-and-conquer row solve's 269k, with no recursion stack. Inside
-// each window the comparisons, tie-breaks and floating-point sums are
-// the ones the full scan would have made, so the chosen starts are
+// The row cost prev[s] + (p[e]−p[s])² satisfies the quadrangle
+// inequality (a convex function of the difference of two
+// non-decreasing prefix sums), so the leftmost argmin — exactly what an
+// ascending scan with a strict `<` keeps — is monotone in both indices:
+// choice[j−1][e] ≤ choice[j][e] ≤ choice[j][e+1]. Two row solvers
+// exploit that, and the row index picks between them:
+//
+//   - Knuth's window. Filling row j with e descending, entry e scans
+//     only s ∈ [max(choice[j−1][e], j−1), min(e−1, choice[j][e+1])].
+//     The window widths telescope along each diagonal e − j = const,
+//     so the Knuth rows together cost O(N·(N+nmax)), but row j alone
+//     costs about N²/(2j(j−1)) evaluations: its lower bounds come from
+//     row j−1, and row 1's choices are all 0, so the first rows are
+//     nearly full scans.
+//   - Monotone divide and conquer (dcRowInto). It solves the midpoint
+//     end of a range, then each half with the midpoint's choice as a
+//     bound, for about N·log₂N evaluations per row whatever j is.
+//
+// Row j is solved by divide and conquer while
+// 2·⌈log₂N⌉·j·(j−1) < N (dcRows), the crossover of the two estimates,
+// and by Knuth's window after that; the rule takes rows 2–5 at
+// N = 500 and rows 2–3 at N = 100. On a radiator decay-plus-noise
+// profile at N = 500 with 160 rows, Knuth evaluates 37.6k / 19.5k /
+// 12.5k / 9.0k costs on rows 2–5 and divide and conquer 4.5k / 4.3k /
+// 4.1k / 3.9k, so the table drops from 255k to 194k evaluations. Past
+// row ~10 Knuth is the cheaper, and divide and conquer on every row
+// would cost 288k.
+//
+// Both solvers price, for each entry, a window that contains the
+// leftmost argmin, in ascending s with the strict `<` of the full scan
+// and the same floating-point sums, so choice and the row values are
 // bit-identical to the quadratic reference (TestDPTableMatchesNaive is
-// the referee).
+// the referee). Nothing is allocated once the buffers have grown, and
+// the recursion is O(log N) deep.
 func (dp *dpBuffers) tableInto(p []float64, nmax int) error {
 	nMod := len(p) - 1
 	if err := checkPartition(nMod, nmax); err != nil {
@@ -204,20 +224,21 @@ func (dp *dpBuffers) tableInto(p []float64, nmax int) error {
 	}
 	prev, cur = cur, prev
 
+	lastDC := dcRows(nMod)
 	for j := 2; j <= nmax; j++ {
 		// Group j covers [s, e) with s ≥ j−1 and e ≥ j; every prev[s]
 		// in that band is finite, so no feasibility checks are needed
 		// inside the scans.
 		up, row := choice[j-1], choice[j]
+		if j <= lastDC {
+			dcRowInto(p, prev, cur, up, row, j, j, nMod, j-1, nMod-1)
+			prev, cur = cur, prev
+			continue
+		}
 		hiNext := nMod - 1 // choice[j][e+1]; for e = nMod only e−1 bounds
 		for e := nMod; e >= j; e-- {
 			lo := max(int(up[e]), j-1)
-			hi := min(e-1, hiNext)
-			if lo > hi {
-				// Unreachable while the monotonicity holds; price the
-				// lower bound alone so the entry stays in range.
-				hi = lo
-			}
+			hi := max(min(e-1, hiNext), lo) // empty only if monotonicity broke
 			pe := p[e]
 			d := pe - p[lo]
 			best, bestS := prev[lo]+d*d, lo
@@ -234,6 +255,48 @@ func (dp *dpBuffers) tableInto(p []float64, nmax int) error {
 		prev, cur = cur, prev
 	}
 	return nil
+}
+
+// dcRows returns the last DP row that tableInto solves by divide and
+// conquer for nMod modules: the largest j with
+// 2·⌈log₂N⌉·j·(j−1) < N, where a Knuth window's ~N²/(2j(j−1))
+// evaluations still exceed divide and conquer's ~N·log₂N. It is 1 (no
+// such row) below N = 21, 3 at N = 100, 5 at N = 500 and 7 at N = 1000.
+func dcRows(nMod int) int {
+	lg := bits.Len(uint(nMod - 1)) // ⌈log₂N⌉ for N ≥ 1
+	j := 1
+	for j < nMod && 2*lg*(j+1)*j < nMod { // j < nMod ends N = 1, where lg = 0
+		j++
+	}
+	return j
+}
+
+// dcRowInto fills DP row j for the ends e ∈ [eLo, eHi] by monotone
+// divide and conquer, given that each entry's leftmost argmin lies in
+// [sLo, sHi]: it solves the midpoint end over
+// s ∈ [max(sLo, choice[j−1][m], j−1), min(sHi, m−1)] with the scan of
+// the Knuth rows, recurses into the left half with the midpoint's
+// choice as the upper bound and loops on the right half with it as the
+// lower bound, so the recursion is O(log N) deep.
+func dcRowInto(p, prev, cur []float64, up, row []int32, j, eLo, eHi, sLo, sHi int) {
+	for eLo <= eHi {
+		m := int(uint(eLo+eHi) >> 1)
+		lo := max(sLo, int(up[m]), j-1)
+		hi := max(min(sHi, m-1), lo) // empty only if monotonicity broke
+		pm := p[m]
+		d := pm - p[lo]
+		best, bestS := prev[lo]+d*d, lo
+		for s := lo + 1; s <= hi; s++ {
+			d := pm - p[s]
+			if c := prev[s] + d*d; c < best {
+				best, bestS = c, s
+			}
+		}
+		cur[m] = best
+		row[m] = int32(bestS)
+		dcRowInto(p, prev, cur, up, row, j, eLo, m-1, sLo, bestS)
+		eLo, sLo = m+1, bestS
+	}
 }
 
 // reconstructInto walks the choice table of the last tableInto build

@@ -181,7 +181,7 @@ func TestPartitionDeviationZeroForPerfectBalance(t *testing.T) {
 }
 
 // partitionTableNaive is the shared DP table filled by full quadratic
-// row scans — the reference the Knuth-bounded tableInto must match bit
+// row scans — the reference the row-bounded tableInto must match bit
 // for bit, starts and all (docs/ARCHITECTURE.md determinism clause 4).
 func partitionTableNaive(starts []int, p []float64) error {
 	return reconstructNaive(starts, naiveChoiceTable(p, len(starts)), len(p)-1)
@@ -301,12 +301,14 @@ func partitionIntoNaive(starts []int, p []float64) error {
 	return nil
 }
 
-// TestDPTableMatchesNaive pins the Knuth-bounded shared-table DP to the
-// quadratic reference: identical starts — not merely equal deviations —
-// on random profiles, the radiator's decay profile at live array sizes,
-// and tie-heavy inputs (flat, zero-padded, duplicated currents) where
-// the leftmost-argmin tie-break is what distinguishes equal-cost
-// partitions.
+// TestDPTableMatchesNaive pins the shared-table DP (divide-and-conquer
+// rows, then Knuth-bounded rows) to the quadratic reference: identical
+// starts — not merely equal deviations — on random profiles, the
+// radiator's decay profile at live array sizes, and tie-heavy inputs
+// (flat, zero-padded, duplicated currents) where the leftmost-argmin
+// tie-break is what distinguishes equal-cost partitions. The tables at
+// N ≥ 100 are compared entry by entry, so every row dcRows hands to
+// divide and conquer is checked, not only the entries a walk reads.
 func TestDPTableMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var dp dpBuffers // one reused buffer set, like the EHTR decider
@@ -328,6 +330,41 @@ func TestDPTableMatchesNaive(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("%s (nMod=%d n=%d): starts diverge at %d: knuth %v, naive %v",
 					name, len(impp), n, i, got, want)
+			}
+		}
+	}
+
+	// checkTable builds one nmax-row table and compares its whole choice
+	// table with the reference entry by entry, then reconstructs every
+	// n ≤ nmax from both (rows never depend on nmax).
+	checkTable := func(name string, impp []float64, nmax int) {
+		t.Helper()
+		nMod := len(impp)
+		p := prefixSums(impp)
+		ref := naiveChoiceTable(p, nmax)
+		if err := dp.tableInto(p, nmax); err != nil {
+			t.Fatal(err)
+		}
+		for j := 2; j <= nmax; j++ {
+			for e := j; e <= nMod; e++ {
+				if dp.choice[j][e] != ref[j][e] {
+					t.Fatalf("%s N=%d: choice[%d][%d] = %d, naive %d (rows 2–%d divide and conquer)",
+						name, nMod, j, e, dp.choice[j][e], ref[j][e], dcRows(nMod))
+				}
+			}
+		}
+		for n := 1; n <= nmax; n++ {
+			got, want := make([]int, n), make([]int, n)
+			if err := dp.reconstructInto(got); err != nil {
+				t.Fatal(err)
+			}
+			if err := reconstructNaive(want, ref, nMod); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s N=%d n=%d: table %v, naive %v", name, nMod, n, got, want)
+				}
 			}
 		}
 	}
@@ -381,34 +418,7 @@ func TestDPTableMatchesNaive(t *testing.T) {
 					impp[i] = 0.75
 				}
 			}
-			nmax := min(160, nMod)
-			p := prefixSums(impp)
-			ref := naiveChoiceTable(p, nmax)
-			if err := dp.tableInto(p, nmax); err != nil {
-				t.Fatal(err)
-			}
-			for j := 2; j <= nmax; j++ {
-				for e := j; e <= nMod; e++ {
-					if dp.choice[j][e] != ref[j][e] {
-						t.Fatalf("decay N=%d trial %d: choice[%d][%d] = %d, naive %d",
-							nMod, trial, j, e, dp.choice[j][e], ref[j][e])
-					}
-				}
-			}
-			for n := 1; n <= nmax; n++ {
-				got, want := make([]int, n), make([]int, n)
-				if err := dp.reconstructInto(got); err != nil {
-					t.Fatal(err)
-				}
-				if err := reconstructNaive(want, ref, nMod); err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("decay N=%d trial %d n=%d: knuth %v, naive %v", nMod, trial, n, got, want)
-					}
-				}
-			}
+			checkTable(fmt.Sprintf("decay trial %d", trial), impp, min(160, nMod))
 		}
 	}
 
@@ -428,6 +438,37 @@ func TestDPTableMatchesNaive(t *testing.T) {
 		}
 		n := 1 + rng.Intn(nMod)
 		check("fuzz", impp, n)
+	}
+
+	// The tie-heavy profiles at the twin array size, where rows 2–5 are
+	// solved by divide and conquer, with the 160 rows its windows reach.
+	const nTie = 500
+	flat, zeros, blocks := make([]float64, nTie), make([]float64, nTie), make([]float64, nTie)
+	for i := range flat {
+		flat[i] = 1.25
+		blocks[i] = float64(1 + i/5)
+	}
+	checkTable("flat", flat, 160)
+	checkTable("zeros", zeros, 160)
+	checkTable("blocks", blocks, 160)
+
+	// A decay profile at N = 1000, where the rule takes rows 2–7.
+	decay1000 := make([]float64, 1000)
+	for i := range decay1000 {
+		decay1000[i] = 1.5*math.Exp(-3*float64(i)/1000) + 0.05*rng.Float64()
+	}
+	checkTable("decay", decay1000, 100)
+}
+
+// TestDCRows pins the row split tableInto documents: divide and
+// conquer while 2·⌈log₂N⌉·j·(j−1) < N.
+func TestDCRows(t *testing.T) {
+	for _, c := range []struct{ nMod, want int }{
+		{1, 1}, {2, 1}, {20, 1}, {21, 2}, {100, 3}, {500, 5}, {1000, 7},
+	} {
+		if got := dcRows(c.nMod); got != c.want {
+			t.Errorf("dcRows(%d) = %d, want %d", c.nMod, got, c.want)
+		}
 	}
 }
 

@@ -216,7 +216,7 @@ func TestScalingStudy(t *testing.T) {
 		t.Fatalf("%d points", len(pts))
 	}
 	// With the shared-table DP, EHTR's table costs O(N·(N+nmax))
-	// (Knuth-bounded rows) on top of the candidate pricing it shares
+	// (divide-and-conquer, then Knuth-bounded rows) on top of the candidate pricing it shares
 	// with INOR's O(nmax·N) greedy — near-parity at small N instead of
 	// the naive DP's cubic blow-up. Both runtimes must still grow with N,
 	// and the study must record positive measurements throughout.

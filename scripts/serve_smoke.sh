@@ -33,7 +33,11 @@ trap cleanup EXIT
 # grep structured fields.
 boot() {
   local log=$1; shift
-  "$workdir/tegserve" -addr 127.0.0.1:0 -log-format json "$@" >"$log" 2>&1 &
+  # Create the log before the child opens it: the poll below may run
+  # first, and a missing file would fail sed and, under pipefail, the
+  # whole script.
+  : >"$log"
+  "$workdir/tegserve" -addr 127.0.0.1:0 -log-format json "$@" >>"$log" 2>&1 &
   pid=$!
   pids+=("$pid")
   local addr=""
