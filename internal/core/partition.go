@@ -277,7 +277,9 @@ func dcRows(nMod int) int {
 // s ∈ [max(sLo, choice[j−1][m], j−1), min(sHi, m−1)] with the scan of
 // the Knuth rows, recurses into the left half with the midpoint's
 // choice as the upper bound and loops on the right half with it as the
-// lower bound, so the recursion is O(log N) deep.
+// lower bound, so the recursion is O(log N) deep. The scan is written
+// out here and in tableInto: a shared helper over resliced windows,
+// even inlined, made the whole table about 20% slower.
 func dcRowInto(p, prev, cur []float64, up, row []int32, j, eLo, eHi, sLo, sHi int) {
 	for eLo <= eHi {
 		m := int(uint(eLo+eHi) >> 1)
