@@ -1,7 +1,8 @@
-// Benchmark harness: one benchmark per table and figure of the paper
-// (the internal/experiments package doc indexes the experiments and
-// their Ext- labels), plus micro-benchmarks of
-// the algorithmic kernels. Run with:
+// Benchmark harness: the figures of the paper (the internal/experiments
+// package doc indexes the experiments and their Ext- labels) and
+// micro-benchmarks of the algorithmic kernels that cmd/tegbench has no
+// suite for; Table I and the scaling sizes it covers are tegbench
+// suites only. Run with:
 //
 //	go test -bench=. -benchmem
 package tegrecon
@@ -72,46 +73,6 @@ func BenchmarkFig6PowerSeries(b *testing.B) {
 	}
 }
 
-// benchTableIScheme times one Table I column over a 60 s excerpt.
-func benchTableIScheme(b *testing.B, scheme string) {
-	b.Helper()
-	s := benchSetup(b, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctrl, err := s.NewScheme(scheme)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run(context.Background(), s.Sys, s.Trace, ctrl, s.Opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.EnergyOutJ <= 0 {
-			b.Fatal("no energy harvested")
-		}
-	}
-}
-
-// BenchmarkTableI_DNOR times the DNOR column of Table I.
-func BenchmarkTableI_DNOR(b *testing.B) {
-	benchTableIScheme(b, "DNOR")
-}
-
-// BenchmarkTableI_INOR times the INOR column of Table I.
-func BenchmarkTableI_INOR(b *testing.B) {
-	benchTableIScheme(b, "INOR")
-}
-
-// BenchmarkTableI_EHTR times the EHTR column of Table I.
-func BenchmarkTableI_EHTR(b *testing.B) {
-	benchTableIScheme(b, "EHTR")
-}
-
-// BenchmarkTableI_Baseline times the static-baseline column of Table I.
-func BenchmarkTableI_Baseline(b *testing.B) {
-	benchTableIScheme(b, "Baseline")
-}
-
 // decayTemps builds the synthetic radiator profile used by the kernel
 // benchmarks.
 func decayTemps(n int) []float64 {
@@ -144,34 +105,12 @@ func benchDecide(b *testing.B, n int, scheme string) {
 	}
 }
 
-// BenchmarkScalingINOR_N100 …N800 sweep the O(N) algorithm.
-func BenchmarkScalingINOR_N100(b *testing.B) { benchDecide(b, 100, "INOR") }
-
-// BenchmarkScalingINOR_N400 is the 400-module point.
-func BenchmarkScalingINOR_N400(b *testing.B) { benchDecide(b, 400, "INOR") }
-
-// BenchmarkScalingINOR_N800 is the 800-module point.
-func BenchmarkScalingINOR_N800(b *testing.B) { benchDecide(b, 800, "INOR") }
-
-// BenchmarkScalingEHTR_N100 …N400 sweep the O(N³) reconstruction.
-func BenchmarkScalingEHTR_N100(b *testing.B) { benchDecide(b, 100, "EHTR") }
-
-// BenchmarkScalingEHTR_N200 is the 200-module point.
+// BenchmarkScalingEHTR_N200 and _N400 fill in the O(N³) reconstruction
+// between tegbench's scaling_ehtr_n100 and scaling_ehtr_n800 suites.
 func BenchmarkScalingEHTR_N200(b *testing.B) { benchDecide(b, 200, "EHTR") }
 
 // BenchmarkScalingEHTR_N400 is the 400-module point.
 func BenchmarkScalingEHTR_N400(b *testing.B) { benchDecide(b, 400, "EHTR") }
-
-// BenchmarkHorizonAblation runs the Ext-B tp sweep over a short trace.
-func BenchmarkHorizonAblation(b *testing.B) {
-	s := benchSetup(b, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HorizonAblation(context.Background(), s, []int{1, 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkMLRObservePredict times one control tick of the paper's
 // selected predictor on a 100-module distribution.

@@ -37,24 +37,36 @@
 // shape the stochastic trace) are refused in this mode, and
 // -scenario-duration outside it.
 //
-// -study faults, seeds and bank are scenario matrices as well, over the
-// stochastic trace (-synth, or -duration and -seed) at -modules, -tick
-// and -horizon: faults runs DNOR, INOR and the baseline with no faults
-// and under a storm of -failures random module failures; seeds runs
-// them over -seeds copies of the trace reseeded 101·k; bank runs INOR
-// and the baseline over 5 radiator paths at maldistribution 0, 0.2,
-// 0.4 and 0.6. Every matrix study derives its seeds from cell
+// -study horizon, predictors, margins, faults, seeds and bank are
+// scenario matrices as well, over the stochastic trace (-synth, or
+// -duration and -seed) at -modules, -tick and -horizon. horizon,
+// predictors and margins put DNOR variants on the scheme axis and print
+// one row per variant: horizons 1, 2, 4, 6 and 8 ticks
+// ("DNOR:horizon=8"); the MLR, BPNN, SVR, Holt, Hold and oracle
+// predictors ("DNOR:predictor=oracle"); extra switch margins of 0,
+// 0.25, 0.5, 1 and 2 J ("DNOR:margin_j=0.5"). A variant equal to the
+// default prints as plain DNOR. faults runs DNOR, INOR and the baseline
+// with no faults and under a storm of -failures random module failures;
+// seeds runs them over -seeds copies of the trace reseeded 101·k; bank
+// runs INOR and the baseline over 5 radiator paths at maldistribution
+// 0, 0.2, 0.4 and 0.6. Every matrix study derives its seeds from cell
 // coordinates and prices runtime deterministically, so it is
-// bit-identical at any -workers count. -failures and -seeds are refused
-// outside their study, and -seed under -study seeds.
+// bit-identical at any -workers count, and the same matrix posted to
+// tegserve's /v1/matrix returns the same cells. -failures and -seeds
+// are refused outside their study, -seed under -study seeds, and
+// -horizon under -study horizon.
 //
-// -study window is the Ext-C converter input-window ablation: INOR over
-// the LTM4607's full [4.5, 36] V band and two narrower ones.
+// -study table1 and -study window (the Ext-C converter input-window
+// ablation: INOR over the LTM4607's full [4.5, 36] V band and two
+// narrower ones) still charge the measured controller runtime to the
+// switching overhead, so run them at -workers 1 for runtime-faithful
+// accounting.
 //
 // -scheme runs a single registered scheme over the stochastic trace
 // instead of a study; with -json the full run Result (including every
 // per-control-period tick) is emitted in the versioned report schema —
-// the same payload the tegserve API serves.
+// the same payload the tegserve API serves. -json is refused without
+// -scheme.
 package main
 
 import (
@@ -121,7 +133,7 @@ func main() {
 		failures = flag.Int("failures", 15, "module failures for -study faults")
 		seeds    = flag.Int("seeds", 5, "trace count for -study seeds")
 		format   = flag.String("format", "text", "output format: text, csv or json")
-		workers  = flag.Int("workers", 1, "worker pool for independent runs: 1 = serial (runtime-faithful overhead accounting), 0 = all CPUs")
+		workers  = flag.Int("workers", 1, "worker pool for independent runs: 0 = all CPUs, 1 = serial; table1 and window charge measured controller runtime, which concurrent runs inflate, while matrix studies are bit-identical at any count")
 
 		scenarios   = flag.Bool("scenarios", false, "shorthand for -study scenarios: sweep every standard drive cycle under all four schemes")
 		scenarioCap = flag.Float64("scenario-duration", 0, "cap each scenario cycle at this many seconds (0 = full published schedule)")
@@ -183,6 +195,12 @@ func main() {
 		}
 	} else if set["scenario-duration"] {
 		log.Fatalf("-scenario-duration only applies to -study scenarios")
+	}
+	if *jsonOut && *scheme == "" {
+		log.Fatalf("-json only applies to -scheme; studies take -format json")
+	}
+	if *study == "horizon" && set["horizon"] {
+		log.Fatalf("-study horizon sweeps its own horizons and cannot be combined with -horizon")
 	}
 	if set["failures"] && *study != "faults" {
 		log.Fatalf("-failures only applies to -study faults")
@@ -278,7 +296,6 @@ func main() {
 	}
 
 	var tab *report.Table
-	var trailer string
 	switch *study {
 	case "table1":
 		res, err := experiments.TableI(ctx, setup)
@@ -293,7 +310,14 @@ func main() {
 			return
 		}
 		tab = report.FromTableI(res)
-	case "faults", "seeds", "bank", "scenarios":
+	case "window":
+		conv := setup.Sys.Conv
+		pts, err := experiments.WindowAblation(ctx, setup, [][2]float64{{conv.MinInput, conv.MaxInput}, {8, 24}, {12, 16}})
+		if err != nil {
+			fail(err)
+		}
+		tab = report.FromWindow(pts)
+	default:
 		base := scenario.Matrix{TickS: *tick, HorizonTicks: *horizon, ArraySizes: []int{*modules}, MaxDurationS: *scenarioCap}
 		m, render, err := studyMatrix(*study, base, cfg, *failures, *seeds)
 		if err != nil {
@@ -304,40 +328,9 @@ func main() {
 			fail(err)
 		}
 		tab = render(m, res.Cells)
-	case "margins":
-		pts, err := experiments.MarginAblation(ctx, setup, []float64{0, 0.25, 0.5, 1, 2})
-		if err != nil {
-			fail(err)
-		}
-		tab = report.FromMargins(pts)
-		trailer = "margin 0 is the paper's Algorithm 2 rule"
-	case "horizon":
-		pts, err := experiments.HorizonAblation(ctx, setup, []int{1, 2, 4, 6, 8})
-		if err != nil {
-			fail(err)
-		}
-		tab = report.FromHorizon(pts)
-	case "predictors":
-		pts, err := experiments.PredictorAblation(ctx, setup)
-		if err != nil {
-			fail(err)
-		}
-		tab = report.FromPredictors(pts)
-	case "window":
-		conv := setup.Sys.Conv
-		pts, err := experiments.WindowAblation(ctx, setup, [][2]float64{{conv.MinInput, conv.MaxInput}, {8, 24}, {12, 16}})
-		if err != nil {
-			fail(err)
-		}
-		tab = report.FromWindow(pts)
-	default:
-		log.Fatalf("unknown study %q", *study)
 	}
 	meter.done()
 	if err := tab.Write(os.Stdout, report.Format(*format)); err != nil {
 		log.Fatal(err)
-	}
-	if trailer != "" && *format == "text" {
-		fmt.Println(trailer)
 	}
 }

@@ -383,6 +383,11 @@ func TestDNOROptionsValidation(t *testing.T) {
 		{Predictor: mlr, HorizonTicks: 0, TickSeconds: 0.5},
 		{Predictor: mlr, HorizonTicks: 2, TickSeconds: 0},
 		{Predictor: mlr, HorizonTicks: 2, TickSeconds: 0.5, ExtraMargin: -1},
+		{Predictor: mlr, HorizonTicks: 2, TickSeconds: math.NaN()},
+		{Predictor: mlr, HorizonTicks: 2, TickSeconds: math.Inf(1)},
+		{Predictor: mlr, HorizonTicks: 2, TickSeconds: 0.5, ExtraMargin: math.NaN()},
+		{Predictor: mlr, HorizonTicks: 2, TickSeconds: 0.5, ExtraMargin: math.Inf(1)},
+		{Predictor: mlr, HorizonTicks: 2, TickSeconds: 0.5, ExtraMargin: math.Inf(-1)},
 	}
 	for i, o := range cases {
 		if _, err := NewDNOR(e, o); err == nil {
@@ -488,13 +493,19 @@ func TestDNORNameAndPeriod(t *testing.T) {
 	}
 }
 
+// truthRows is a slice-backed predict.Truth.
+type truthRows [][]float64
+
+func (r truthRows) Len() int                       { return len(r) }
+func (r truthRows) Temps(k int) ([]float64, error) { return append([]float64(nil), r[k]...), nil }
+
 func TestDNORWithOraclePredictor(t *testing.T) {
 	// The oracle variant must also run cleanly — used by the ablation.
 	truth := make([][]float64, 40)
 	for i := range truth {
 		truth[i] = decayTemps(30, 90+3*math.Sin(float64(i)/5), 40, 12)
 	}
-	oracle, err := predict.NewOracle(truth)
+	oracle, err := predict.NewOracle(truthRows(truth))
 	if err != nil {
 		t.Fatal(err)
 	}

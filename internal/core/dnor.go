@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"tegrecon/internal/array"
@@ -75,11 +76,14 @@ func NewDNOR(eval *Evaluator, opts DNOROptions) (*DNOR, error) {
 	if opts.HorizonTicks < 1 {
 		return nil, fmt.Errorf("core: DNOR horizon %d < 1 tick", opts.HorizonTicks)
 	}
-	if opts.TickSeconds <= 0 {
-		return nil, fmt.Errorf("core: DNOR tick length %g <= 0", opts.TickSeconds)
+	// NaN fails every comparison, so each bound is written to let it
+	// through to the finiteness test: a NaN margin would make the switch
+	// test always false, and DNOR would silently never switch.
+	if opts.TickSeconds <= 0 || math.IsNaN(opts.TickSeconds) || math.IsInf(opts.TickSeconds, 0) {
+		return nil, fmt.Errorf("core: DNOR tick length %g is not positive and finite", opts.TickSeconds)
 	}
-	if opts.ExtraMargin < 0 {
-		return nil, fmt.Errorf("core: DNOR negative margin %g", opts.ExtraMargin)
+	if opts.ExtraMargin < 0 || math.IsNaN(opts.ExtraMargin) || math.IsInf(opts.ExtraMargin, 0) {
+		return nil, fmt.Errorf("core: DNOR margin %g is not non-negative and finite", opts.ExtraMargin)
 	}
 	return &DNOR{
 		eval:      eval,

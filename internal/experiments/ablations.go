@@ -6,8 +6,6 @@ import (
 	"math"
 	"time"
 
-	"tegrecon/internal/core"
-	"tegrecon/internal/predict"
 	"tegrecon/internal/sim"
 )
 
@@ -86,107 +84,6 @@ func ScalingStudy(sizes []int, reps int) ([]ScalingPoint, error) {
 	return out, nil
 }
 
-// HorizonPoint is one tp of the Ext-B ablation.
-type HorizonPoint struct {
-	HorizonTicks int
-	EnergyOutJ   float64
-	OverheadJ    float64
-	SwitchEvents int
-}
-
-// HorizonAblation sweeps DNOR's prediction horizon tp over the setup's
-// trace. Horizon 1 is the shortest durable window; larger horizons
-// amortise switches further but lean harder on forecast quality.
-// Cancellation is threaded into every run's per-tick check.
-func HorizonAblation(ctx context.Context, s *Setup, horizons []int) ([]HorizonPoint, error) {
-	jobs := make([]sim.Job, 0, len(horizons))
-	for _, h := range horizons {
-		setup := *s
-		setup.HorizonTicks = h
-		dnor, err := setup.NewScheme("DNOR")
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
-	}
-	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]HorizonPoint, 0, len(horizons))
-	for i, h := range horizons {
-		out = append(out, HorizonPoint{
-			HorizonTicks: h,
-			EnergyOutJ:   results[i].EnergyOutJ,
-			OverheadJ:    results[i].OverheadJ,
-			SwitchEvents: results[i].SwitchEvents,
-		})
-	}
-	return out, nil
-}
-
-// PredictorPoint is one predictor of the Ext-D ablation.
-type PredictorPoint struct {
-	Predictor    string
-	EnergyOutJ   float64
-	OverheadJ    float64
-	SwitchEvents int
-}
-
-// PredictorAblation runs DNOR with each predictor (MLR, BPNN, SVR, the
-// persistence baseline, and the oracle upper bound) over the setup's
-// trace.
-// Cancellation is threaded into every run's per-tick check.
-func PredictorAblation(ctx context.Context, s *Setup) ([]PredictorPoint, error) {
-	seq, _, err := s.TempSequence()
-	if err != nil {
-		return nil, err
-	}
-	mlr, err := predict.NewMLR(predict.DefaultMLROptions())
-	if err != nil {
-		return nil, err
-	}
-	bpnn, err := predict.NewBPNN(predict.DefaultBPNNOptions())
-	if err != nil {
-		return nil, err
-	}
-	svr, err := predict.NewSVR(predict.DefaultSVROptions())
-	if err != nil {
-		return nil, err
-	}
-	holt, err := predict.NewHolt(predict.DefaultHoltOptions())
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := predict.NewOracle(seq)
-	if err != nil {
-		return nil, err
-	}
-	preds := []predict.Predictor{mlr, bpnn, svr, holt, predict.NewHold(), oracle}
-	jobs := make([]sim.Job, 0, len(preds))
-	for _, p := range preds {
-		dnor, err := s.newScheme("DNOR", p)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
-	}
-	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PredictorPoint, 0, len(preds))
-	for i, p := range preds {
-		out = append(out, PredictorPoint{
-			Predictor:    p.Name(),
-			EnergyOutJ:   results[i].EnergyOutJ,
-			OverheadJ:    results[i].OverheadJ,
-			SwitchEvents: results[i].SwitchEvents,
-		})
-	}
-	return out, nil
-}
-
 // WindowPoint is one converter window of the Ext-C ablation.
 type WindowPoint struct {
 	MinInput, MaxInput float64
@@ -222,60 +119,6 @@ func WindowAblation(ctx context.Context, s *Setup, windows [][2]float64) ([]Wind
 	out := make([]WindowPoint, 0, len(windows))
 	for i, w := range windows {
 		out = append(out, WindowPoint{MinInput: w[0], MaxInput: w[1], EnergyOutJ: results[i].EnergyOutJ})
-	}
-	return out, nil
-}
-
-// MarginPoint is one hysteresis margin of the Ext-H ablation.
-type MarginPoint struct {
-	MarginJ      float64
-	EnergyOutJ   float64
-	OverheadJ    float64
-	SwitchEvents int
-}
-
-// MarginAblation (Ext-H) sweeps the extra switch-decision margin added
-// on top of Algorithm 2's E_old ≤ E_new − E_overhead test. The paper's
-// rule is margin 0; positive margins trade a little peak energy for
-// fewer switch events — the knob that closes the gap between the
-// synthetic trace's switch count and the one the paper's Table I
-// reports for its measured drive.
-// Cancellation is threaded into every run's per-tick check.
-func MarginAblation(ctx context.Context, s *Setup, marginsJ []float64) ([]MarginPoint, error) {
-	eval, err := core.NewEvaluator(s.Sys.Spec, s.Sys.Conv)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]sim.Job, 0, len(marginsJ))
-	for _, m := range marginsJ {
-		mlr, err := predict.NewMLR(predict.DefaultMLROptions())
-		if err != nil {
-			return nil, err
-		}
-		dnor, err := core.NewDNOR(eval, core.DNOROptions{
-			Predictor:    mlr,
-			HorizonTicks: s.HorizonTicks,
-			TickSeconds:  s.Opts.TickSeconds,
-			Overhead:     s.Sys.Overhead,
-			ExtraMargin:  m,
-		})
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, sim.Job{Sys: s.Sys, Trace: s.Trace, Ctrl: dnor, Opts: s.summaryOpts()})
-	}
-	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MarginPoint, 0, len(marginsJ))
-	for i, m := range marginsJ {
-		out = append(out, MarginPoint{
-			MarginJ:      m,
-			EnergyOutJ:   results[i].EnergyOutJ,
-			OverheadJ:    results[i].OverheadJ,
-			SwitchEvents: results[i].SwitchEvents,
-		})
 	}
 	return out, nil
 }

@@ -1,15 +1,17 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI) plus the extension studies, each labelled in
-// its doc comment: Ext-A array-size scaling (ScalingStudy), Ext-B
-// prediction horizon (HorizonAblation), Ext-C converter window
-// (WindowAblation), Ext-D predictor choice (PredictorAblation) and
-// Ext-H switch margin (MarginAblation). Each experiment is a pure
-// function from a System + trace (or parameters) to typed rows/series;
-// cmd/ binaries and the benchmark harness render them. The Ext-E module
-// fault, Ext-F drive-trace seed and Ext-G 2-D radiator bank studies are
-// scenario matrices (a fault, cycle and flow axis respectively) run by
-// MatrixSweep and rendered by report.FromFaultStudy, FromSeedSweep and
-// FromBank; `tegsim -study faults|seeds|bank` builds them.
+// its doc comment: Ext-A array-size scaling (ScalingStudy) and Ext-C
+// converter window (WindowAblation). Each experiment is a pure function
+// from a System + trace (or parameters) to typed rows/series; cmd/
+// binaries and the benchmark harness render them. The other extension
+// studies are scenario matrices run by MatrixSweep: Ext-B prediction
+// horizon, Ext-D predictor choice and Ext-H switch margin put DNOR
+// variants ("DNOR:horizon=8", "DNOR:predictor=oracle",
+// "DNOR:margin_j=0.5") on the scheme axis and render with
+// report.FromSweep; Ext-E module faults, Ext-F drive-trace seeds and
+// Ext-G 2-D radiator bank sweep a fault, cycle and flow axis and render
+// with report.FromFaultStudy, FromSeedSweep and FromBank. `tegsim
+// -study horizon|predictors|margins|faults|seeds|bank` builds them.
 package experiments
 
 import (
@@ -18,7 +20,6 @@ import (
 
 	"tegrecon/internal/core"
 	"tegrecon/internal/drive"
-	"tegrecon/internal/predict"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/trace"
 )
@@ -30,14 +31,14 @@ type Setup struct {
 	Opts  sim.Options
 	// HorizonTicks is DNOR's tp in control ticks.
 	HorizonTicks int
-	// Workers bounds the batch pool every study runs its independent
-	// jobs on: 0 picks runtime.NumCPU(), 1 runs them one at a time.
-	// DefaultSetup picks 1 because overhead pricing charges the measured
-	// controller runtime (Section III.C), and concurrent runs competing
-	// for cores inflate that measurement; opt into parallelism where the
-	// accounting is deterministic (the seed sweep, DeterministicRuntime
-	// runs) or where throughput matters more than the runtime-priced
-	// decimals.
+	// Workers bounds the batch pool Table I, the window ablation and
+	// Figs. 6–7 run their independent jobs on: 0 picks runtime.NumCPU(),
+	// 1 runs them one at a time. DefaultSetup picks 1 because those runs
+	// charge the measured controller runtime to the switching overhead
+	// (Section III.C), and concurrent runs competing for cores inflate
+	// that measurement; opt into parallelism where throughput matters
+	// more than the runtime-priced decimals. Matrix studies take their
+	// pool from MatrixOptions and price runtime deterministically.
 	Workers int
 }
 
@@ -71,23 +72,17 @@ func (s *Setup) summaryOpts() sim.Options {
 // the experiment-level face of sim.SchemeByName. Unlike SchemeConfig's
 // zero-value-means-default contract, a Setup always carries an
 // explicit horizon, so a non-positive one here is a caller mistake
-// (e.g. an ablation sweeping over 0) that must fail loudly rather than
-// silently simulate the default and mislabel the result.
+// that must fail loudly rather than silently simulate the default and
+// mislabel the result.
 func (s *Setup) NewScheme(name string) (core.Controller, error) {
-	return s.newScheme(name, nil)
-}
-
-// newScheme is NewScheme with DNOR's predictor overridden (nil keeps
-// the registry's MLR) — the predictor ablation's hook.
-func (s *Setup) newScheme(name string, p predict.Predictor) (core.Controller, error) {
 	sch, err := sim.SchemeByName(name)
 	if err != nil {
 		return nil, err
 	}
-	if sch.UsesHorizon && s.HorizonTicks < 1 {
+	if sch.Predictive && s.HorizonTicks < 1 {
 		return nil, fmt.Errorf("experiments: %s prediction horizon %d < 1 tick", sch.Name, s.HorizonTicks)
 	}
-	return sch.New(s.Sys, sim.SchemeConfig{HorizonTicks: s.HorizonTicks, TickSeconds: s.Opts.TickSeconds, Predictor: p})
+	return sch.New(s.Sys, sim.SchemeConfig{HorizonTicks: s.HorizonTicks, TickSeconds: s.Opts.TickSeconds})
 }
 
 // compareSchemes runs one fresh controller per name over the same
@@ -105,27 +100,21 @@ func (s *Setup) compareSchemes(ctx context.Context, tr *trace.Trace, opts sim.Op
 }
 
 // TempSequence converts the trace into per-tick module temperature
-// distributions — the predictors' input stream.
+// distributions — the predictors' input stream — and returns the last
+// tick's ambient air temperature with them.
 func (s *Setup) TempSequence() ([][]float64, float64, error) {
-	t0 := s.Trace.Times[0]
-	dt := s.Opts.TickSeconds
-	ticks := int(s.Trace.Duration()/dt) + 1
-	out := make([][]float64, 0, ticks)
-	ambient := 0.0
-	for k := 0; k < ticks; k++ {
-		cond, err := drive.ConditionsAt(s.Trace, t0+float64(k)*dt)
+	q := sim.TempSequence{Sys: s.Sys, Trace: s.Trace, TickSeconds: s.Opts.TickSeconds}
+	out := make([][]float64, q.Len())
+	for k := range out {
+		temps, err := q.Temps(k)
 		if err != nil {
 			return nil, 0, err
 		}
-		temps, err := s.Sys.Radiator.ModuleTemps(cond, s.Sys.Modules)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, temps)
-		ambient = cond.AirInletC
+		out[k] = temps
 	}
-	if len(out) == 0 {
-		return nil, 0, fmt.Errorf("experiments: empty temperature sequence")
+	last, err := q.Conditions(len(out) - 1)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, ambient, nil
+	return out, last.AirInletC, nil
 }

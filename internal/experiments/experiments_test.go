@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"tegrecon/internal/drive"
+	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/teg"
 )
@@ -243,67 +245,6 @@ func TestScalingStudyErrors(t *testing.T) {
 	}
 }
 
-func TestHorizonAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation is slow")
-	}
-	s := shortSetup(t, 100)
-	pts, err := HorizonAblation(context.Background(), s, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.EnergyOutJ <= 0 {
-			t.Errorf("tp=%d harvested nothing", p.HorizonTicks)
-		}
-	}
-	// Switch events are bounded by the decision count ticks/(tp+1),
-	// and both horizons must stay far below INOR's every-tick rate.
-	ticks := int(s.Trace.Duration()/s.Opts.TickSeconds) + 1
-	for i, tp := range []int{1, 4} {
-		maxDecisions := ticks/(tp+1) + 1
-		if pts[i].SwitchEvents > maxDecisions {
-			t.Errorf("tp=%d: %d switches exceed %d decisions", tp, pts[i].SwitchEvents, maxDecisions)
-		}
-		if pts[i].SwitchEvents > ticks/4 {
-			t.Errorf("tp=%d: %d switches of %d ticks — not durable", tp, pts[i].SwitchEvents, ticks)
-		}
-	}
-}
-
-func TestPredictorAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation is slow")
-	}
-	s := shortSetup(t, 100)
-	pts, err := PredictorAblation(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 6 {
-		t.Fatalf("%d predictors", len(pts))
-	}
-	byName := map[string]PredictorPoint{}
-	for _, p := range pts {
-		byName[p.Predictor] = p
-		if p.EnergyOutJ <= 0 {
-			t.Errorf("%s harvested nothing", p.Predictor)
-		}
-	}
-	for _, want := range []string{"MLR", "BPNN", "SVR", "Holt", "Hold", "Oracle"} {
-		if _, ok := byName[want]; !ok {
-			t.Errorf("missing predictor %s", want)
-		}
-	}
-	// The oracle can lose at most a whisker to MLR.
-	if byName["Oracle"].EnergyOutJ < byName["MLR"].EnergyOutJ*0.97 {
-		t.Errorf("oracle %v well below MLR %v", byName["Oracle"].EnergyOutJ, byName["MLR"].EnergyOutJ)
-	}
-}
-
 func TestWindowAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation is slow")
@@ -344,35 +285,11 @@ func TestTempSequence(t *testing.T) {
 	}
 }
 
-func TestMarginAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation is slow")
-	}
-	s := shortSetup(t, 120)
-	pts, err := MarginAblation(context.Background(), s, []float64{0, 0.5, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("%d points", len(pts))
-	}
-	// Switch count must be non-increasing in the margin.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].SwitchEvents > pts[i-1].SwitchEvents {
-			t.Errorf("margin %v switched more (%d) than margin %v (%d)",
-				pts[i].MarginJ, pts[i].SwitchEvents, pts[i-1].MarginJ, pts[i-1].SwitchEvents)
-		}
-	}
-	// A moderate margin must not destroy the harvest.
-	if pts[2].EnergyOutJ < pts[0].EnergyOutJ*0.9 {
-		t.Errorf("margin 2 J lost too much energy: %v vs %v", pts[2].EnergyOutJ, pts[0].EnergyOutJ)
-	}
-}
-
 // TestSchemeBuilderGuards pins the loud-failure contract of the
-// registry-backed builder: a Setup's horizon is always explicit, so a
-// non-positive one (e.g. an ablation sweeping over 0) must error, not
-// silently simulate the default horizon under the wrong label.
+// registry-backed builders: a Setup's horizon is always explicit, so a
+// non-positive one must error, not silently simulate the default
+// horizon under the wrong label, and so must a horizon-0 DNOR variant
+// on a matrix's scheme axis.
 func TestSchemeBuilderGuards(t *testing.T) {
 	s, err := DefaultSetup()
 	if err != nil {
@@ -388,8 +305,9 @@ func TestSchemeBuilderGuards(t *testing.T) {
 	if _, err := s.NewScheme("DNOR"); err == nil {
 		t.Error("horizon 0 DNOR built silently")
 	}
-	if _, err := HorizonAblation(context.Background(), s, []int{0}); err == nil {
-		t.Error("horizon-0 ablation point ran silently")
+	m := scenario.Matrix{Cycles: []scenario.CycleSpec{{Name: "nedc"}}, Schemes: []string{"DNOR:horizon=0"}}
+	if _, err := MatrixSweep(context.Background(), &m, MatrixOptions{}); !errors.Is(err, scenario.ErrSpec) {
+		t.Errorf("horizon-0 DNOR variant: %v, want a refused spec", err)
 	}
 	// INOR ignores the horizon, so it still builds.
 	if _, err := s.NewScheme("INOR"); err != nil {

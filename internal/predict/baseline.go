@@ -41,21 +41,29 @@ func (p *Hold) Predict(horizon int) ([][]float64, error) {
 	return out, nil
 }
 
+// Truth is a ground-truth distribution sequence: Len control ticks,
+// row k the true distribution at tick k.
+type Truth interface {
+	Len() int
+	Temps(k int) ([]float64, error)
+}
+
 // Oracle replays a future known in advance — the upper bound for the
-// DNOR ablation. The caller primes it with the full ground-truth
-// sequence; Observe advances an internal cursor.
+// DNOR ablation. It reads each true row from its Truth when Predict
+// asks for it, so it holds no copy of the sequence; Observe advances
+// an internal cursor.
 type Oracle struct {
-	future [][]float64
+	truth  Truth
 	cursor int
 }
 
-// NewOracle wraps the ground-truth distribution sequence (one entry per
-// control tick, aligned with the Observe calls that will follow).
-func NewOracle(groundTruth [][]float64) (*Oracle, error) {
-	if len(groundTruth) == 0 {
+// NewOracle wraps the ground-truth sequence (one row per control tick,
+// aligned with the Observe calls that will follow).
+func NewOracle(truth Truth) (*Oracle, error) {
+	if truth == nil || truth.Len() == 0 {
 		return nil, fmt.Errorf("predict: oracle needs ground truth")
 	}
-	return &Oracle{future: groundTruth}, nil
+	return &Oracle{truth: truth}, nil
 }
 
 // Name implements Predictor.
@@ -63,7 +71,7 @@ func (o *Oracle) Name() string { return "Oracle" }
 
 // Observe implements Predictor: advances past the tick just observed.
 func (o *Oracle) Observe(temps []float64) error {
-	if o.cursor < len(o.future) {
+	if o.cursor < o.truth.Len() {
 		o.cursor++
 	}
 	return nil
@@ -81,13 +89,14 @@ func (o *Oracle) Predict(horizon int) ([][]float64, error) {
 	if !o.Ready() {
 		return nil, ErrNotReady
 	}
+	last := o.truth.Len() - 1
 	out := make([][]float64, horizon)
 	for i := range out {
-		idx := o.cursor + i
-		if idx >= len(o.future) {
-			idx = len(o.future) - 1
+		row, err := o.truth.Temps(min(o.cursor+i, last))
+		if err != nil {
+			return nil, err
 		}
-		out[i] = append([]float64(nil), o.future[idx]...)
+		out[i] = row
 	}
 	return out, nil
 }

@@ -16,6 +16,7 @@ package predict
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // ErrNotReady is returned by Predict before enough history has been
@@ -35,6 +36,31 @@ type Predictor interface {
 	// Predict returns the next horizon distributions. The returned
 	// slices are owned by the caller.
 	Predict(horizon int) ([][]float64, error)
+}
+
+// Names lists the predictors New builds, in ablation order: the
+// paper's MLR, the two methods Section IV rejects, Holt smoothing, the
+// persistence baseline and the oracle upper bound.
+func Names() []string { return []string{"mlr", "bpnn", "svr", "holt", "hold", "oracle"} }
+
+// New builds a fresh predictor with its default options from a name
+// in Names (case-insensitive). truth is read only by the oracle.
+func New(name string, truth Truth) (Predictor, error) {
+	switch strings.ToLower(name) {
+	case "mlr":
+		return NewMLR(DefaultMLROptions())
+	case "bpnn":
+		return NewBPNN(DefaultBPNNOptions())
+	case "svr":
+		return NewSVR(DefaultSVROptions())
+	case "holt":
+		return NewHolt(DefaultHoltOptions())
+	case "hold":
+		return NewHold(), nil
+	case "oracle":
+		return NewOracle(truth)
+	}
+	return nil, fmt.Errorf("predict: unknown predictor %q (valid: %s)", name, strings.Join(Names(), ", "))
 }
 
 // HistoryCarrier is the optional checkpoint interface of a Predictor:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -317,9 +318,15 @@ func TestHoldPredictsLastValue(t *testing.T) {
 	}
 }
 
+// rows is a slice-backed Truth.
+type rows [][]float64
+
+func (r rows) Len() int                       { return len(r) }
+func (r rows) Temps(k int) ([]float64, error) { return append([]float64(nil), r[k]...), nil }
+
 func TestOracleReplaysFuture(t *testing.T) {
 	truth := [][]float64{{1}, {2}, {3}, {4}}
-	o, err := NewOracle(truth)
+	o, err := NewOracle(rows(truth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +356,37 @@ func TestOracleReplaysFuture(t *testing.T) {
 
 func TestOracleNeedsTruth(t *testing.T) {
 	if _, err := NewOracle(nil); err == nil {
+		t.Error("nil ground truth should error")
+	}
+	if _, err := NewOracle(rows{}); err == nil {
 		t.Error("empty ground truth should error")
+	}
+}
+
+// TestNewByName: every listed name builds the predictor it names, in
+// any case; an unknown name and a truthless oracle are refused.
+func TestNewByName(t *testing.T) {
+	want := []string{"MLR", "BPNN", "SVR", "Holt", "Hold", "Oracle"}
+	for i, name := range Names() {
+		p, err := New(strings.ToUpper(name), rows{{1}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.Name() != want[i] {
+			t.Errorf("New(%q) built %s, want %s", name, p.Name(), want[i])
+		}
+	}
+	if _, err := New("arima", nil); err == nil || !strings.Contains(err.Error(), "mlr, bpnn") {
+		t.Errorf("unknown predictor: %v", err)
+	}
+	if _, err := New("oracle", nil); err == nil {
+		t.Error("oracle without truth built")
 	}
 }
 
 func TestOracleIsPerfectInEvaluate(t *testing.T) {
 	seq := synthSeq(60, 4, 0.1, 6)
-	o, err := NewOracle(seq)
+	o, err := NewOracle(rows(seq))
 	if err != nil {
 		t.Fatal(err)
 	}

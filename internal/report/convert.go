@@ -43,20 +43,6 @@ func FromTableI(r *experiments.TableIResult) *Table {
 	return t
 }
 
-// FromHorizon converts the Ext-B horizon ablation.
-func FromHorizon(pts []experiments.HorizonPoint) *Table {
-	t := &Table{
-		Title:  "Ext-B — DNOR prediction-horizon ablation",
-		Header: []string{"horizon_ticks", "energy_j", "overhead_j", "switch_events"},
-	}
-	for _, p := range pts {
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(p.HorizonTicks), f1(p.EnergyOutJ), f2(p.OverheadJ), strconv.Itoa(p.SwitchEvents),
-		})
-	}
-	return t
-}
-
 // FromWindow converts the Ext-C converter-window ablation.
 func FromWindow(pts []experiments.WindowPoint) *Table {
 	t := &Table{
@@ -65,20 +51,6 @@ func FromWindow(pts []experiments.WindowPoint) *Table {
 	}
 	for _, p := range pts {
 		t.Rows = append(t.Rows, []string{f1(p.MinInput), f1(p.MaxInput), f1(p.EnergyOutJ)})
-	}
-	return t
-}
-
-// FromPredictors converts the Ext-D predictor ablation.
-func FromPredictors(pts []experiments.PredictorPoint) *Table {
-	t := &Table{
-		Title:  "Ext-D — DNOR predictor ablation",
-		Header: []string{"predictor", "energy_j", "overhead_j", "switch_events"},
-	}
-	for _, p := range pts {
-		t.Rows = append(t.Rows, []string{
-			p.Predictor, f1(p.EnergyOutJ), f2(p.OverheadJ), strconv.Itoa(p.SwitchEvents),
-		})
 	}
 	return t
 }
@@ -184,20 +156,6 @@ func FromBank(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
 		t.Rows = append(t.Rows, []string{
 			f2(fl.Maldistribution), strconv.Itoa(fl.Paths),
 			f1(in.EnergyOutJ), f1(base.EnergyOutJ), gain,
-		})
-	}
-	return t
-}
-
-// FromMargins converts the Ext-H margin ablation.
-func FromMargins(pts []experiments.MarginPoint) *Table {
-	t := &Table{
-		Title:  "Ext-H — DNOR switch-margin ablation",
-		Header: []string{"margin_j", "energy_j", "overhead_j", "switch_events"},
-	}
-	for _, p := range pts {
-		t.Rows = append(t.Rows, []string{
-			f2(p.MarginJ), f1(p.EnergyOutJ), f2(p.OverheadJ), strconv.Itoa(p.SwitchEvents),
 		})
 	}
 	return t

@@ -261,16 +261,7 @@ func TestFromBank(t *testing.T) {
 }
 
 func TestRemainingConverters(t *testing.T) {
-	if err := FromHorizon([]experiments.HorizonPoint{{HorizonTicks: 2, EnergyOutJ: 5}}).Validate(); err != nil {
-		t.Error(err)
-	}
 	if err := FromWindow([]experiments.WindowPoint{{MinInput: 4.5, MaxInput: 36, EnergyOutJ: 5}}).Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := FromPredictors([]experiments.PredictorPoint{{Predictor: "MLR", EnergyOutJ: 5}}).Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := FromMargins([]experiments.MarginPoint{{MarginJ: 1, EnergyOutJ: 5}}).Validate(); err != nil {
 		t.Error(err)
 	}
 }

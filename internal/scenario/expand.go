@@ -9,6 +9,7 @@ import (
 
 	"tegrecon/internal/drive"
 	"tegrecon/internal/faults"
+	"tegrecon/internal/predict"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/thermal"
 	"tegrecon/internal/trace"
@@ -354,16 +355,22 @@ func (m *Matrix) Expand() (*Expansion, error) {
 		// hits every scheme of a grid point with the same failures.
 		stormCoord string
 		ci         int // index into n.Cycles
-		scheme     string
+		si         int // index into n.Schemes
 		amb        AmbientSpec
 		fl         FlowSpec
 		fi         int // index into n.Faults
 		modules    int
 	}
+	variants := make([]schemeVariant, len(n.Schemes))
+	for si, entry := range n.Schemes {
+		if variants[si], err = parseScheme(entry, n.HorizonTicks); err != nil {
+			return nil, fmt.Errorf("scenario: scheme %s: %w", entry, err)
+		}
+	}
 	var protos []protoCell
 	for ci, cy := range n.Cycles {
 		cid := cy.identity()
-		for _, scheme := range n.Schemes {
+		for si, scheme := range n.Schemes {
 			for _, amb := range n.Ambients {
 				for _, fl := range n.Flows {
 					for fi, ft := range n.Faults {
@@ -373,7 +380,7 @@ func (m *Matrix) Expand() (*Expansion, error) {
 								coord:      cellCoord(cid, scheme, amb, fl, fid, modules),
 								stormCoord: cellCoord(cid, "", amb, fl, fid, modules),
 								ci:         ci,
-								scheme:     scheme,
+								si:         si,
 								amb:        amb,
 								fl:         fl,
 								fi:         fi,
@@ -407,15 +414,12 @@ func (m *Matrix) Expand() (*Expansion, error) {
 			return nil, fmt.Errorf("scenario: cell %s: %w", p.coord, err)
 		}
 		sys := st.system(p.modules)
-		sch, err := sim.SchemeByName(p.scheme)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: cell %s: %w", p.coord, err)
-		}
+		v := variants[p.si]
 		cell := Cell{
 			Index:           idx,
 			Coord:           p.coord,
 			Cycle:           cy.Label,
-			Scheme:          p.scheme,
+			Scheme:          n.Schemes[p.si],
 			AmbientC:        p.amb.AmbientC,
 			CoolantOffsetC:  p.amb.CoolantOffsetC,
 			Paths:           p.fl.Paths,
@@ -430,7 +434,18 @@ func (m *Matrix) Expand() (*Expansion, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario: cell %s: %w", p.coord, err)
 			}
-			ctrl, err := sch.New(sys, sim.SchemeConfig{HorizonTicks: n.HorizonTicks, TickSeconds: n.TickS})
+			cfg := sim.SchemeConfig{HorizonTicks: n.HorizonTicks, TickSeconds: n.TickS, ExtraMarginJ: v.marginJ}
+			if v.horizon != 0 {
+				cfg.HorizonTicks = v.horizon
+			}
+			if v.predictor != "" {
+				// The oracle replays this job's own trace on its own plant.
+				truth := sim.TempSequence{Sys: sys, Trace: tr, TickSeconds: n.TickS}
+				if cfg.Predictor, err = predict.New(v.predictor, truth); err != nil {
+					return nil, fmt.Errorf("scenario: cell %s: %w", p.coord, err)
+				}
+			}
+			ctrl, err := v.sch.New(sys, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: cell %s: %w", p.coord, err)
 			}

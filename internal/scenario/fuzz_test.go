@@ -9,7 +9,8 @@ import (
 
 // matrixSeeds is the seed corpus both matrix fuzzers start from: the
 // example spec, a grid, a translated sweep, CSV and fault axes, a swept
-// ambient range and a few malformed specs.
+// ambient range, DNOR variants on the scheme axis and a few malformed
+// specs.
 func matrixSeeds(f *testing.F) []string {
 	example, err := os.ReadFile("../../examples/matrix/spec.json")
 	if err != nil {
@@ -35,6 +36,12 @@ func matrixSeeds(f *testing.F) []string {
 		// a step so small the point count overflows int: must be
 		// refused, not collapsed to an empty axis.
 		`{"cycles":[{"name":"nedc"}],"ambients":[{"from_c":0,"to_c":10,"step_c":1e-300}]}`,
+		// DNOR variants: out-of-order keys, a default-valued key and
+		// every predictor, under a non-default matrix horizon.
+		`{"horizon_ticks":6,"max_duration_s":10,"cycles":[{"name":"nedc"}],"array_sizes":[10],
+		  "schemes":["dnor:margin_j=0.50,predictor=ORACLE,horizon=4","DNOR:horizon=6,margin_j=1e-3",
+		             "DNOR:predictor=bpnn","DNOR:predictor=svr","DNOR:predictor=holt","DNOR:predictor=hold","inor"]}`,
+		`{"cycles":[{"name":"nedc"}],"schemes":["DNOR:horizon=0","INOR:horizon=8","DNOR:margin_j=NaN","DNOR:horizon=2,horizon=2"]}`,
 		`{}`,
 		`{"cycles":[{"name":"nedc","csv":"x"}]}`,
 	}

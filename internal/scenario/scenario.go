@@ -18,12 +18,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"tegrecon/internal/array"
 	"tegrecon/internal/drive"
+	"tegrecon/internal/predict"
 	"tegrecon/internal/sim"
 )
 
@@ -45,6 +47,7 @@ var ErrSpec = errors.New("scenario: invalid matrix spec")
 // willingness to wait).
 const (
 	maxCycleAxis   = 64
+	maxSchemeAxis  = 64
 	maxAmbientAxis = 256
 	maxFlowAxis    = 32
 	maxFaultAxis   = 64
@@ -79,7 +82,10 @@ type Matrix struct {
 
 	// Cycles is the workload axis (required, ≥ 1 entry).
 	Cycles []CycleSpec `json:"cycles"`
-	// Schemes selects controllers by registry name; empty → all.
+	// Schemes selects controllers by registry name; empty → all. An
+	// entry may name a DNOR variant, "DNOR:horizon=8,predictor=oracle,
+	// margin_j=0.5", whose keys override the matrix's horizon_ticks, the
+	// MLR predictor and the paper's zero switch margin for that entry.
 	Schemes []string `json:"schemes,omitempty"`
 	// Ambients is the environment axis; empty → one 25 °C point.
 	Ambients []AmbientSpec `json:"ambients,omitempty"`
@@ -287,7 +293,7 @@ func (m *Matrix) Normalize() (*Matrix, error) {
 	if n.Cycles, err = normalizeCycles(m.Cycles); err != nil {
 		return nil, err
 	}
-	if n.Schemes, err = normalizeSchemes(m.Schemes); err != nil {
+	if n.Schemes, err = normalizeSchemes(m.Schemes, n.HorizonTicks); err != nil {
 		return nil, err
 	}
 	if n.Ambients, err = normalizeAmbients(m.Ambients); err != nil {
@@ -472,24 +478,113 @@ func (c CycleSpec) identity() string {
 	}
 }
 
-func normalizeSchemes(in []string) ([]string, error) {
+func normalizeSchemes(in []string, horizon int) ([]string, error) {
 	if len(in) == 0 {
 		in = sim.SchemeNames()
 	}
+	if len(in) > maxSchemeAxis {
+		return nil, specErrf("%d schemes exceed the %d-entry axis cap", len(in), maxSchemeAxis)
+	}
 	out := make([]string, 0, len(in))
 	seen := map[string]bool{}
-	for i, name := range in {
-		sch, err := sim.SchemeByName(name)
+	for i, entry := range in {
+		v, err := parseScheme(entry, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("%w: scheme %d: %v", ErrSpec, i, err)
 		}
-		if seen[sch.Name] {
-			return nil, specErrf("scheme %d duplicates %q", i, sch.Name)
+		name := v.String()
+		if seen[name] {
+			return nil, specErrf("scheme %d duplicates %q", i, name)
 		}
-		seen[sch.Name] = true
-		out = append(out, sch.Name)
+		seen[name] = true
+		out = append(out, name)
 	}
 	return out, nil
+}
+
+// schemeVariant is one parsed Schemes entry: a registry scheme and the
+// DNOR knobs it overrides, each left at its zero value where the entry
+// keeps the default.
+type schemeVariant struct {
+	sch       sim.Scheme
+	horizon   int     // 0 keeps the matrix's horizon_ticks
+	predictor string  // "" keeps MLR
+	marginJ   float64 // extra switch margin in joules
+}
+
+// parseScheme parses a Schemes entry: a registry name, optionally
+// followed by ":key=value,…" with the keys horizon (ticks), predictor
+// (a predict.Names entry) and margin_j (joules). Only a predictive
+// scheme takes keys. A key set to its default (the matrix's horizon,
+// mlr, 0) is dropped, so a variant equal to the default is the bare
+// scheme.
+func parseScheme(entry string, horizon int) (schemeVariant, error) {
+	name, knobs, hasKnobs := strings.Cut(entry, ":")
+	sch, err := sim.SchemeByName(name)
+	v := schemeVariant{sch: sch}
+	if err != nil || !hasKnobs {
+		return v, err
+	}
+	if !sch.Predictive {
+		return v, fmt.Errorf("%s takes no horizon, predictor or margin_j key", sch.Name)
+	}
+	seen := map[string]bool{}
+	for _, kv := range strings.Split(knobs, ",") {
+		key, val, _ := strings.Cut(kv, "=")
+		if seen[key] {
+			return v, fmt.Errorf("key %q repeated", key)
+		}
+		seen[key] = true
+		switch key {
+		case "horizon":
+			h, err := strconv.Atoi(val)
+			if err != nil || h < 1 || h > sim.MaxHorizonTicks {
+				return v, fmt.Errorf("horizon %q is not a tick count in [1, %d]", val, sim.MaxHorizonTicks)
+			}
+			if h != horizon {
+				v.horizon = h
+			}
+		case "predictor":
+			p := strings.ToLower(val)
+			if !slices.Contains(predict.Names(), p) {
+				return v, fmt.Errorf("unknown predictor %q (valid: %s)", val, strings.Join(predict.Names(), ", "))
+			}
+			if p != "mlr" {
+				v.predictor = p
+			}
+		case "margin_j":
+			m, err := strconv.ParseFloat(val, 64)
+			if err != nil || m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+				return v, fmt.Errorf("margin_j %q is not a non-negative finite number", val)
+			}
+			if m != 0 {
+				v.marginJ = m
+			}
+		default:
+			return v, fmt.Errorf("unknown key %q in %q (valid: horizon, predictor, margin_j)", key, kv)
+		}
+	}
+	return v, nil
+}
+
+// String is the canonical entry: the registry name, then the keys that
+// differ from the default in a fixed order, numbers in shortest
+// round-trip form.
+func (v schemeVariant) String() string {
+	var knobs []string
+	if v.horizon != 0 {
+		knobs = append(knobs, "horizon="+strconv.Itoa(v.horizon))
+	}
+	if v.predictor != "" {
+		knobs = append(knobs, "predictor="+v.predictor)
+	}
+	if v.marginJ != 0 {
+		knobs = append(knobs, "margin_j="+strconv.FormatFloat(v.marginJ, 'g', -1, 64))
+	}
+	if len(knobs) == 0 {
+		return v.sch.Name
+	}
+	return v.sch.Name + ":" + strings.Join(knobs, ",")
 }
 
 func normalizeAmbients(in []AmbientSpec) ([]AmbientSpec, error) {

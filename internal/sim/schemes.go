@@ -21,6 +21,9 @@ type SchemeConfig struct {
 	// Predictor overrides DNOR's default MLR temperature predictor —
 	// the predictor-ablation hook. Nil keeps MLR.
 	Predictor predict.Predictor
+	// ExtraMarginJ is added to DNOR's switching-overhead test in joules
+	// (0 is the paper's E_old ≤ E_new − E_overhead rule).
+	ExtraMarginJ float64
 }
 
 // MaxHorizonTicks bounds DNOR's prediction horizon on every entry: the
@@ -47,11 +50,12 @@ type Scheme struct {
 	Name string
 	// Description says what the scheme does.
 	Description string
-	// UsesHorizon marks schemes whose behaviour depends on
-	// SchemeConfig.HorizonTicks, so callers that carry an explicit
-	// horizon (the experiment drivers) know to validate it instead of
-	// letting the zero-value default mislabel a run.
-	UsesHorizon bool
+	// Predictive marks schemes whose behaviour depends on
+	// SchemeConfig's HorizonTicks, Predictor and ExtraMarginJ, so
+	// callers that carry an explicit horizon (the experiment drivers)
+	// know to validate it, and scheme variants that set those knobs on
+	// any other scheme are refused.
+	Predictive bool
 
 	build func(sys *System, cfg SchemeConfig) (core.Controller, error)
 }
@@ -105,7 +109,7 @@ var schemeRegistry = []Scheme{
 	{
 		Name:        "DNOR",
 		Description: "prediction-based dynamic reconfiguration with switching-overhead gating (Algorithm 2)",
-		UsesHorizon: true,
+		Predictive:  true,
 		build: func(sys *System, cfg SchemeConfig) (core.Controller, error) {
 			eval, err := core.NewEvaluator(sys.Spec, sys.Conv)
 			if err != nil {
@@ -123,6 +127,7 @@ var schemeRegistry = []Scheme{
 				HorizonTicks: cfg.HorizonTicks,
 				TickSeconds:  cfg.TickSeconds,
 				Overhead:     sys.Overhead,
+				ExtraMargin:  cfg.ExtraMarginJ,
 			})
 		},
 	},

@@ -228,3 +228,32 @@ func Run(ctx context.Context, sys *System, tr *trace.Trace, ctrl core.Controller
 func ticksFor(tr *trace.Trace, tickSeconds float64) int {
 	return int(math.Floor(tr.Duration()/tickSeconds)) + 1
 }
+
+// TempSequence is the true per-tick module temperature sequence of a
+// trace replay on a system: row k holds the modules' temperatures at
+// the trace's first timestamp plus k control periods. It is the ground
+// truth the predictors forecast (Fig. 5) and the oracle replays; rows
+// are computed when asked for, so a long replay costs no ticks × N
+// slab. It implements predict.Truth.
+type TempSequence struct {
+	Sys         *System
+	Trace       *trace.Trace
+	TickSeconds float64
+}
+
+// Len is the replay's control-period count.
+func (q TempSequence) Len() int { return ticksFor(q.Trace, q.TickSeconds) }
+
+// Conditions returns the radiator boundary conditions at tick k.
+func (q TempSequence) Conditions(k int) (thermal.Conditions, error) {
+	return drive.ConditionsAt(q.Trace, q.Trace.Times[0]+float64(k)*q.TickSeconds)
+}
+
+// Temps returns the module temperatures at tick k.
+func (q TempSequence) Temps(k int) ([]float64, error) {
+	cond, err := q.Conditions(k)
+	if err != nil {
+		return nil, err
+	}
+	return q.Sys.Radiator.ModuleTemps(cond, q.Sys.Modules)
+}
