@@ -212,7 +212,6 @@ func BenchmarkSessionStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := s.Opts
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false
 	sess, err := sim.NewSession(s.Sys, ctrl, opts)
 	if err != nil {
@@ -239,7 +238,6 @@ func BenchmarkRunVsSession(b *testing.B) {
 	s := benchSetup(b, 60)
 	conds := benchConditions(b, s)
 	opts := s.Opts
-	opts.DeterministicRuntime = true
 	b.Run("Run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -566,7 +566,6 @@ func benchSessionStepSampled(scheme string, modules int, seconds float64, sample
 		return Result{}, err
 	}
 	opts := s.Opts
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false
 	opts.PhaseSampleEvery = sampleEvery
 	sess, err := sim.NewSession(s.Sys, ctrl, opts)
@@ -612,7 +611,6 @@ func benchTableScheme(scheme string, seconds float64) (Result, error) {
 		return Result{}, err
 	}
 	opts := s.Opts
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false
 	var ticks atomic.Int64
 	opts.OnTick = func(sim.Tick) { ticks.Add(1) }
@@ -719,7 +717,6 @@ func recordLiveTemps(n int, seconds float64) (*liveTemps, error) {
 	}
 	rec := &recorder{Controller: ctrl}
 	opts := sim.DefaultOptions()
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false
 	sess, err := sim.NewSession(sys, rec, opts)
 	if err != nil {

@@ -39,7 +39,7 @@ func main() {
 		start   = flag.Float64("start", 20, "window start for figs 6/7 (s)")
 		end     = flag.Float64("end", 140, "window end for figs 6/7 (s)")
 		horizon = flag.Int("horizon", 2, "prediction horizon for fig 5 (ticks)")
-		workers = flag.Int("workers", 1, "worker pool for independent runs: 1 = serial (runtime-faithful overhead accounting), 0 = all CPUs")
+		workers = flag.Int("workers", 0, "worker pool for independent runs: 0 = all CPUs, 1 = serial; output is byte-identical at any count")
 	)
 	flag.Parse()
 

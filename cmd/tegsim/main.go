@@ -8,7 +8,7 @@
 //
 //	tegsim [-duration 800] [-modules 100] [-seed 42] [-tick 0.5] [-horizon 4]
 //	       [-study table1|faults|seeds|margins|bank|horizon|predictors|window|scenarios]
-//	       [-workers 1] [-format text|csv|json]
+//	       [-workers 0] [-format text|csv|json]
 //	tegsim -scenarios [-scenario-duration 0] [-workers 0] [-format text|csv|json]
 //	tegsim -scheme dnor [-json]
 //	tegsim -matrix spec.json [-workers 0] [-format text|csv|json]
@@ -50,17 +50,17 @@
 // seeds runs them over -seeds copies of the trace reseeded 101·k; bank
 // runs INOR and the baseline over 5 radiator paths at maldistribution
 // 0, 0.2, 0.4 and 0.6. Every matrix study derives its seeds from cell
-// coordinates and prices runtime deterministically, so it is
-// bit-identical at any -workers count, and the same matrix posted to
-// tegserve's /v1/matrix returns the same cells. -failures and -seeds
-// are refused outside their study, -seed under -study seeds, and
-// -horizon under -study horizon.
+// coordinates, so the same matrix posted to tegserve's /v1/matrix
+// returns the same cells. -failures and -seeds are refused outside
+// their study, -seed under -study seeds, and -horizon under -study
+// horizon. -study window is the Ext-C converter input-window ablation:
+// INOR over the LTM4607's full [4.5, 36] V band and two narrower ones.
 //
-// -study table1 and -study window (the Ext-C converter input-window
-// ablation: INOR over the LTM4607's full [4.5, 36] V band and two
-// narrower ones) still charge the measured controller runtime to the
-// switching overhead, so run them at -workers 1 for runtime-faithful
-// accounting.
+// Controller runtime (Table I's "Average Runtime" row and the runtime
+// part of every switching overhead) is priced from a closed-form count
+// of each published algorithm's operations, not measured, so every
+// study's output is byte-identical across runs and at any -workers
+// count.
 //
 // -scheme runs a single registered scheme over the stochastic trace
 // instead of a study; with -json the full run Result (including every
@@ -133,7 +133,7 @@ func main() {
 		failures = flag.Int("failures", 15, "module failures for -study faults")
 		seeds    = flag.Int("seeds", 5, "trace count for -study seeds")
 		format   = flag.String("format", "text", "output format: text, csv or json")
-		workers  = flag.Int("workers", 1, "worker pool for independent runs: 0 = all CPUs, 1 = serial; table1 and window charge measured controller runtime, which concurrent runs inflate, while matrix studies are bit-identical at any count")
+		workers  = flag.Int("workers", 0, "worker pool for independent runs: 0 = all CPUs, 1 = serial; output is byte-identical at any count")
 
 		scenarios   = flag.Bool("scenarios", false, "shorthand for -study scenarios: sweep every standard drive cycle under all four schemes")
 		scenarioCap = flag.Float64("scenario-duration", 0, "cap each scenario cycle at this many seconds (0 = full published schedule)")

@@ -85,11 +85,12 @@ func tegsimChild(t *testing.T, args string) []byte {
 
 // TestStudiesByteIdenticalAcrossWorkers: the horizon, predictor,
 // margin, fault, seed and bank studies run as scenario-matrix cells
-// with coordinate-derived seeds and deterministic runtime, so their CSV
-// is byte-identical at any -workers count. Four workers force the
-// concurrent path even on a single-CPU host.
+// with coordinate-derived seeds, and Table I runs each scheme on its
+// own seeded session; every one prices controller runtime from counted
+// work, so their CSV is byte-identical at any -workers count. Four
+// workers force the concurrent path even on a single-CPU host.
 func TestStudiesByteIdenticalAcrossWorkers(t *testing.T) {
-	for _, study := range []string{"horizon", "predictors", "margins", "faults", "seeds", "bank"} {
+	for _, study := range []string{"table1", "horizon", "predictors", "margins", "faults", "seeds", "bank"} {
 		args := "-study " + study + " -duration 10 -modules 20 -format csv"
 		serial := tegsimChild(t, args+" -workers 1")
 		parallel := tegsimChild(t, args+" -workers 4")
@@ -279,7 +280,9 @@ func TestPredictorAblation(t *testing.T) {
 			t.Errorf("%s harvested nothing", scheme)
 		}
 	}
-	// The oracle can lose at most a whisker to MLR.
+	// The oracle forecasts perfectly but is no upper bound: DNOR prices
+	// step 0 of its window from the noisy sensed temperatures and its
+	// switch rule is greedy, so it may lose a little to MLR, never 3%.
 	if oracle, mlr := cells["DNOR:predictor=oracle"].EnergyOutJ, cells["DNOR"].EnergyOutJ; oracle < mlr*0.97 {
 		t.Errorf("oracle %v well below MLR %v", oracle, mlr)
 	}

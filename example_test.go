@@ -25,7 +25,6 @@ func ExampleSimulate() {
 		log.Fatal(err)
 	}
 	opts := tegrecon.DefaultSimOptions()
-	opts.DeterministicRuntime = true
 
 	res, err := tegrecon.Simulate(context.Background(), sys, tr, ctrl, opts)
 	if err != nil {
@@ -57,7 +56,6 @@ func ExampleNewSession() {
 		log.Fatal(err)
 	}
 	opts := tegrecon.DefaultSimOptions()
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false       // stream instead of buffering every tick
 	opts.StartTime = tr.Times[0] // align the session clock with the trace
 

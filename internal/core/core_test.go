@@ -483,6 +483,34 @@ func TestDNORResetClearsState(t *testing.T) {
 	}
 }
 
+// TestDNORResetReplaysAFreshController: Reset forgets the predictor's
+// history too, so a reused controller repeats a fresh one's decisions
+// and priced runtimes tick for tick.
+func TestDNORResetReplaysAFreshController(t *testing.T) {
+	run := func(c *DNOR) []Decision {
+		var out []Decision
+		for tick := 0; tick < 24; tick++ {
+			d, err := c.Decide(tick, decayTemps(40, 90-0.5*float64(tick), 40, 12), 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Config.Starts = append([]int(nil), d.Config.Starts...)
+			out = append(out, d)
+		}
+		return out
+	}
+	reused := newDNOR(t, 3)
+	run(reused)
+	reused.Reset()
+	got, want := run(reused), run(newDNOR(t, 3))
+	for i := range want {
+		if !got[i].Config.Equal(want[i].Config) || got[i].Expected != want[i].Expected ||
+			got[i].Switched != want[i].Switched || got[i].ComputeTime != want[i].ComputeTime {
+			t.Fatalf("tick %d after Reset: %+v, fresh %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestDNORNameAndPeriod(t *testing.T) {
 	c := newDNOR(t, 4)
 	if c.Name() != "DNOR" {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"tegrecon/internal/array"
 	"tegrecon/internal/predict"
@@ -22,7 +21,10 @@ import (
 //
 // Between decision points the incumbent configuration is simply held, so
 // the amortised runtime is lower than INOR's even though each decision
-// does more work — the paper's 13× speedup over EHTR.
+// does more work — the paper's 13× speedup over EHTR. ComputeTime
+// counts the predictor's Observe every tick, plus INOR's count, the
+// predictor's fit and forecast and 2·(tp+1)·N window pricing units on
+// a full decision tick.
 type DNOR struct {
 	eval      *Evaluator
 	pred      predict.Predictor
@@ -111,10 +113,11 @@ func (c *DNOR) Name() string { return "DNOR" }
 // can rebuild an identically configured DNOR.
 func (c *DNOR) HorizonTicks() int { return c.horizon }
 
-// Reset implements Controller.
+// Reset implements Controller: no incumbent, and an empty predictor.
 func (c *DNOR) Reset() {
 	c.haveCur = false
 	c.lastPower = 0
+	c.pred.Reset()
 }
 
 // period returns the decision period tp+1 in ticks.
@@ -126,10 +129,10 @@ func (c *DNOR) period() int { return c.horizon + 1 }
 // callers should still honour the general Decision.Config contract and
 // copy anything they keep across periods.
 func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, error) {
-	start := time.Now()
 	if err := c.pred.Observe(tempsC); err != nil {
 		return Decision{}, err
 	}
+	work, predictWork := c.pred.Work(c.horizon)
 
 	// Non-decision ticks just hold the incumbent.
 	if c.haveCur && tick%c.period() != 0 {
@@ -137,7 +140,7 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 			Config:      c.cur,
 			Expected:    c.lastPower,
 			Switched:    false,
-			ComputeTime: time.Since(start),
+			ComputeTime: workTime(work),
 		}, nil
 	}
 
@@ -147,6 +150,7 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 	if err != nil {
 		return Decision{}, err
 	}
+	work += c.sc.work
 
 	// First decision, or predictor still warming up: adopt the
 	// candidate outright (there is no incumbent worth defending).
@@ -158,7 +162,7 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 			Config:      c.cur,
 			Expected:    candOp.Delivered,
 			Switched:    switched,
-			ComputeTime: time.Since(start),
+			ComputeTime: workTime(work),
 		}, nil
 	}
 	old := c.cur
@@ -183,7 +187,8 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 		return Decision{}, err
 	}
 
-	d := Decision{ComputeTime: 0}
+	work += predictWork + 2*int64(len(window))*int64(len(tempsC))
+	d := Decision{ComputeTime: workTime(work)}
 	if eOld <= eNew-eOverhead-c.threshold {
 		switched := !old.Equal(cand)
 		c.adopt(cand) // overwrites old's backing — all comparisons done above
@@ -198,7 +203,6 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 		c.lastPower = d.Expected
 		d.Switched = false
 	}
-	d.ComputeTime = time.Since(start)
 	return d, nil
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // EHTR reconstructs the prior-work Efficient Heuristic TEG
 // Reconfiguration algorithm (Baek et al., ISLPED 2017) that the paper
@@ -11,15 +8,12 @@ import (
 // output, O(N³) runtime and unconditional reconfiguration every control
 // period; this reconstruction searches the same series-group window but
 // replaces INOR's O(N) greedy partition with exhaustive dynamic
-// programming over all consecutive partitions. One table serves every
-// candidate group count (dpBuffers.tableInto). Its first rows, where
-// Knuth's window is nearly a full scan, are solved by monotone divide
-// and conquer at O(N log N) each; there are O(√(N/log N)) of them (4 at
-// N = 500). The rest are bounded by Knuth's window, O(N·(N+nmax)) in
-// total, which stays the bound per decision. The measured premium over
-// INOR is a small factor, not the cubic growth the paper reports for
-// the original. docs/ARCHITECTURE.md ("Shared-table EHTR partitioning")
-// derives the shared table and why its choices match the full scan.
+// programming over all consecutive partitions, one shared table for
+// every candidate group count (dpBuffers.tableInto, O(N·(N+nmax))).
+// ComputeTime charges the original's work instead: INOR's count plus
+// the full-scan DP's O(nmax·N²) evaluations (fullScanDPWork).
+// docs/ARCHITECTURE.md ("Shared-table EHTR partitioning") derives the
+// shared table and why its choices match the full scan.
 type EHTR struct {
 	eval *Evaluator
 	sc   *scratch
@@ -45,7 +39,6 @@ func (c *EHTR) Reset() {}
 // every period. The returned Config aliases the controller's scratch
 // and is valid until the next Decide.
 func (c *EHTR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, error) {
-	start := time.Now()
 	cfg, op, err := c.eval.configureTempsAt(c.sc, tempsC, ambientC, true)
 	if err != nil {
 		return Decision{}, err
@@ -55,6 +48,6 @@ func (c *EHTR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 		Config:      cfg,
 		Expected:    op.Delivered,
 		Switched:    true,
-		ComputeTime: time.Since(start),
+		ComputeTime: workTime(c.sc.work),
 	}, nil
 }

@@ -103,7 +103,24 @@ type Decision struct {
 	Config      array.Config  // configuration to apply for this period
 	Expected    float64       // controller's expected delivered power, W
 	Switched    bool          // topology differs from the previous period
-	ComputeTime time.Duration // measured algorithm runtime
+	ComputeTime time.Duration // runtime priced from counted work (workTime)
+}
+
+// workUnitNs prices one unit of counted controller work, calibrated
+// once from tegbench's decide_live_inor_n100 (docs/ARCHITECTURE.md,
+// "Controller runtime"); kernel speed-ups do not move it.
+const workUnitNs = 8.05
+
+func workTime(units int64) time.Duration { return time.Duration(float64(units) * workUnitNs) }
+
+// fullScanDPWork counts the cost evaluations of the prior work's
+// full-scan DP table (rows 1…nmax over nMod modules): nMod for row 1
+// and m(m+1)/2 for row j, m = nMod−j+1, which sum to the tetrahedral
+// numbers Te(nMod−1) − Te(nMod−nmax), Te(m) = m(m+1)(m+2)/6.
+func fullScanDPWork(nMod, nmax int) int64 {
+	te := func(m int64) int64 { return m * (m + 1) * (m + 2) / 6 }
+	n := int64(nMod)
+	return n + te(n-1) - te(n-int64(nmax))
 }
 
 // Controller is the common interface of INOR, DNOR, EHTR and the static

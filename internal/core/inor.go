@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // INOR is Algorithm 1 — Instantaneous Near-Optimal TEG Array
 // Reconfiguration. Given the sensed temperature distribution it computes
@@ -13,7 +10,8 @@ import (
 // current; the candidate with the highest converter-delivered MPP wins.
 // The partition is O(N) and the n-range is fixed by the converter, so
 // one invocation is O(N) — and, through the per-controller scratch,
-// allocation-free at steady state.
+// allocation-free at steady state. ComputeTime prices nmax−nmin+1
+// candidates at N units each.
 type INOR struct {
 	eval *Evaluator
 	sc   *scratch
@@ -42,7 +40,6 @@ func (c *INOR) Reset() {}
 // is exactly the overhead DNOR eliminates. The returned Config aliases
 // the controller's scratch and is valid until the next Decide.
 func (c *INOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, error) {
-	start := time.Now()
 	cfg, op, err := c.eval.configureTempsAt(c.sc, tempsC, ambientC, false)
 	if err != nil {
 		return Decision{}, err
@@ -51,6 +48,6 @@ func (c *INOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 		Config:      cfg,
 		Expected:    op.Delivered,
 		Switched:    true,
-		ComputeTime: time.Since(start),
+		ComputeTime: workTime(c.sc.work),
 	}, nil
 }

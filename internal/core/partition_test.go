@@ -184,17 +184,19 @@ func TestPartitionDeviationZeroForPerfectBalance(t *testing.T) {
 // row scans — the reference the row-bounded tableInto must match bit
 // for bit, starts and all (docs/ARCHITECTURE.md determinism clause 4).
 func partitionTableNaive(starts []int, p []float64) error {
-	return reconstructNaive(starts, naiveChoiceTable(p, len(starts)), len(p)-1)
+	choice, _ := naiveChoiceTable(p, len(starts))
+	return reconstructNaive(starts, choice, len(p)-1)
 }
 
 // naiveChoiceTable fills the choice rows 1..nmax of the shared DP table
 // by full quadratic row scans: every start s ∈ [j−1, e−1], ascending,
-// strict `<`.
-func naiveChoiceTable(p []float64, nmax int) [][]int32 {
+// strict `<`. It also tallies the cost evaluations it makes — the work
+// fullScanDPWork charges EHTR for.
+func naiveChoiceTable(p []float64, nmax int) (choice [][]int32, evals int64) {
 	nMod := len(p) - 1
 	prev := make([]float64, nMod+1)
 	cur := make([]float64, nMod+1)
-	choice := make([][]int32, nmax+1)
+	choice = make([][]int32, nmax+1)
 	for j := range choice {
 		choice[j] = make([]int32, nMod+1)
 	}
@@ -202,24 +204,27 @@ func naiveChoiceTable(p []float64, nmax int) [][]int32 {
 		d := p[e] - p[0]
 		cur[e] = d * d
 		choice[1][e] = 0
+		evals++
 	}
 	prev, cur = cur, prev
 	for j := 2; j <= nmax; j++ {
 		for e := j; e <= nMod; e++ {
 			d := p[e] - p[j-1]
 			best, bestS := prev[j-1]+d*d, j-1
+			evals++
 			for s := j; s < e; s++ {
 				d := p[e] - p[s]
 				if c := prev[s] + d*d; c < best {
 					best, bestS = c, s
 				}
+				evals++
 			}
 			cur[e] = best
 			choice[j][e] = int32(bestS)
 		}
 		prev, cur = cur, prev
 	}
-	return choice
+	return choice, evals
 }
 
 // reconstructNaive walks a naiveChoiceTable back from nMod.
@@ -341,7 +346,7 @@ func TestDPTableMatchesNaive(t *testing.T) {
 		t.Helper()
 		nMod := len(impp)
 		p := prefixSums(impp)
-		ref := naiveChoiceTable(p, nmax)
+		ref, _ := naiveChoiceTable(p, nmax)
 		if err := dp.tableInto(p, nmax); err != nil {
 			t.Fatal(err)
 		}

@@ -43,20 +43,21 @@ func bestAtUnpruned(e *Evaluator, sc *scratch, cfg array.Config) (Operating, err
 	return Operating{Current: i, Voltage: v, ArrayW: v * i, Delivered: p, Reverse: rev}, nil
 }
 
-// configureAtUnpruned is configureAt over bestAtUnpruned. It also
-// reports whether a clean (no reverse-driven module) candidate won.
-func configureAtUnpruned(e *Evaluator, sc *scratch, arr *array.Array, exhaustive bool) (starts []int, op Operating, clean bool, err error) {
+// configureAtUnpruned is configureAt over bestAtUnpruned, with the
+// full-scan DP table (naiveChoiceTable) behind the exhaustive search.
+// It also reports whether a clean (no reverse-driven module) candidate
+// won, and tallies its work as the runtime count defines it: N units
+// per candidate priced, plus every cost evaluation of the DP table.
+func configureAtUnpruned(e *Evaluator, sc *scratch, arr *array.Array, exhaustive bool) (starts []int, op Operating, clean bool, work int64, err error) {
 	nmin, nmax, _, err := e.groupWindow(arr)
 	if err != nil {
-		return []int{0}, Operating{}, false, nil
+		return []int{0}, Operating{}, false, 0, nil
 	}
 	arr.NortonInto(&sc.nt)
 	p := prefixSums(arr.MPPCurrentsInto(nil))
-	var dp dpBuffers
+	var choice [][]int32
 	if exhaustive {
-		if err := dp.tableInto(p, nmax); err != nil {
-			return nil, Operating{}, false, err
-		}
+		choice, work = naiveChoiceTable(p, nmax)
 	}
 	var best, cleanStarts []int
 	var bestOp, cleanOp Operating
@@ -64,16 +65,17 @@ func configureAtUnpruned(e *Evaluator, sc *scratch, arr *array.Array, exhaustive
 	for n := nmin; n <= nmax; n++ {
 		s := make([]int, n)
 		if exhaustive {
-			if err := dp.reconstructInto(s); err != nil {
-				return nil, Operating{}, false, err
+			if err := reconstructNaive(s, choice, arr.N()); err != nil {
+				return nil, Operating{}, false, 0, err
 			}
 		} else {
 			greedyPartitionInto(s, p)
 		}
 		op, err := bestAtUnpruned(e, sc, array.Config{N: arr.N(), Starts: s})
 		if err != nil {
-			return nil, Operating{}, false, err
+			return nil, Operating{}, false, 0, err
 		}
+		work += int64(arr.N())
 		if !haveAny || op.Delivered > bestOp.Delivered {
 			best, bestOp, haveAny = s, op, true
 		}
@@ -82,12 +84,12 @@ func configureAtUnpruned(e *Evaluator, sc *scratch, arr *array.Array, exhaustive
 		}
 	}
 	if haveClean {
-		return cleanStarts, cleanOp, true, nil
+		return cleanStarts, cleanOp, true, work, nil
 	}
 	if haveAny {
-		return best, bestOp, false, nil
+		return best, bestOp, false, work, nil
 	}
-	return []int{0}, Operating{}, false, nil
+	return []int{0}, Operating{}, false, work, nil
 }
 
 // sameOperating reports whether two operating points are bit-identical.
@@ -181,9 +183,12 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantOp, clean, err := configureAtUnpruned(e, ref, arr, exhaustive)
+			want, wantOp, clean, work, err := configureAtUnpruned(e, ref, arr, exhaustive)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if sc.work != work {
+				t.Fatalf("trial %d exhaustive=%v: counted work %d, reference tally %d", trial, exhaustive, sc.work, work)
 			}
 			if !cfg.Equal(array.Config{N: arr.N(), Starts: want}) {
 				t.Fatalf("trial %d exhaustive=%v: starts %v, reference %v", trial, exhaustive, cfg.Starts, want)

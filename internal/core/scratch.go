@@ -44,6 +44,9 @@ type scratch struct {
 	// priced counts the candidates configureAt ran the converter search
 	// for in its last call; the rest were pruned by their bound.
 	priced int
+	// work is the published algorithm's operation count for the last
+	// configureAt call, which pruning never changes.
+	work int64
 
 	// deliver is the converter-weighted power at array output current i
 	// for the equivalent currently in eq — the objective handed to the
@@ -289,12 +292,17 @@ func (sc *scratch) partitionInto(starts []int, exhaustive bool) error {
 // only a survivor pays the O(N) EquivalentInto, and then runs the
 // same pricing it always has.
 func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) (array.Config, Operating, error) {
-	sc.priced = 0
+	sc.priced, sc.work = 0, 0
 	nmin, nmax, vGroup, err := e.groupWindow(arr)
 	if err != nil {
 		// No EMF or no feasible window: park in the all-parallel
 		// configuration delivering nothing.
 		return sc.parkConfig(arr.N()), Operating{}, nil
+	}
+	// Algorithm 1 partitions and prices every candidate at O(N).
+	sc.work = int64(nmax-nmin+1) * int64(arr.N())
+	if exhaustive {
+		sc.work += fullScanDPWork(arr.N(), nmax)
 	}
 	if sc.bands.conv != e.Conv {
 		sc.bands.build(e.Conv)

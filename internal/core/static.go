@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"tegrecon/internal/array"
 )
@@ -46,19 +45,15 @@ func (c *Static) Name() string { return c.name }
 // Reset implements Controller.
 func (c *Static) Reset() {}
 
-// Decide implements Controller: always the fixed configuration with
-// effectively zero compute time. Switched is never reported — the
-// paper's baseline is a hard-wired array with no switch fabric (Table I
-// prints "/" for its overhead), so unlike the reconfiguring schemes it
-// has no power-on commissioning reprogram to price.
+// Decide implements Controller: always the fixed configuration, with
+// zero ComputeTime, since a hard-wired array runs no algorithm.
+// Switched is never reported — the paper's baseline has no switch
+// fabric (Table I prints "/" for its overhead), so unlike the
+// reconfiguring schemes it has no power-on commissioning reprogram to
+// price.
 func (c *Static) Decide(tick int, tempsC []float64, ambientC float64) (Decision, error) {
-	start := time.Now()
 	if len(tempsC) != c.cfg.N {
 		return Decision{}, fmt.Errorf("core: %d temperatures for %d-module baseline", len(tempsC), c.cfg.N)
 	}
-	return Decision{
-		Config:      c.cfg,
-		Switched:    false,
-		ComputeTime: time.Since(start),
-	}, nil
+	return Decision{Config: c.cfg}, nil
 }

@@ -48,6 +48,7 @@ func TestMatrixSweepCancelAbortsWithinOnePeriod(t *testing.T) {
 // surface there too.
 func TestTableICancelPropagates(t *testing.T) {
 	s := shortSetup(t, 60)
+	s.Workers = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ticks atomic.Int64

@@ -33,12 +33,8 @@ type Setup struct {
 	HorizonTicks int
 	// Workers bounds the batch pool Table I, the window ablation and
 	// Figs. 6–7 run their independent jobs on: 0 picks runtime.NumCPU(),
-	// 1 runs them one at a time. DefaultSetup picks 1 because those runs
-	// charge the measured controller runtime to the switching overhead
-	// (Section III.C), and concurrent runs competing for cores inflate
-	// that measurement; opt into parallelism where throughput matters
-	// more than the runtime-priced decimals. Matrix studies take their
-	// pool from MatrixOptions and price runtime deterministically.
+	// 1 runs them one at a time. Results are bit-identical at any
+	// count. Matrix studies take their pool from MatrixOptions.
 	Workers int
 }
 
@@ -55,7 +51,6 @@ func DefaultSetup() (*Setup, error) {
 		Trace:        tr,
 		Opts:         sim.DefaultOptions(),
 		HorizonTicks: 4,
-		Workers:      1,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
@@ -22,6 +23,9 @@ type MatrixCell struct {
 	// Jobs is the number of simulation runs folded into this cell
 	// (the cell's path count).
 	Jobs int `json:"jobs"`
+	// AvgRuntime is the priced controller runtime per tick, summed over
+	// the cell's paths like the totals above.
+	AvgRuntime time.Duration `json:"avg_runtime_ns"`
 }
 
 // Ratio is delivered/ideal energy (0 when the ideal is 0).
@@ -39,7 +43,7 @@ type MatrixResult struct {
 }
 
 // MatrixOptions tunes the sweep engine, not the physics — nothing here
-// can change a cell's numbers (every job runs DeterministicRuntime).
+// can change a cell's numbers.
 type MatrixOptions struct {
 	// Workers bounds the batch worker pool (0 → NumCPU, 1 → one job at
 	// a time).
@@ -53,7 +57,8 @@ type MatrixOptions struct {
 // MatrixSweep expands the matrix and runs every job on the batch
 // engine, folding per-path results into cells. Serial and parallel runs
 // are bit-identical because every job is seeded from its cell
-// coordinate and runs with DeterministicRuntime. The context reaches
+// coordinate and prices controller runtime from counted work. The
+// context reaches
 // every run's per-tick check, so a cancel aborts the sweep within one
 // control period.
 func MatrixSweep(ctx context.Context, m *scenario.Matrix, opts MatrixOptions) (*MatrixResult, error) {
@@ -92,6 +97,7 @@ func RunExpansion(ctx context.Context, ex *scenario.Expansion, opts MatrixOption
 		c.IdealEnergyJ += r.IdealEnergyJ
 		c.SwitchEvents += r.SwitchEvents
 		c.SwitchToggles += r.SwitchToggles
+		c.AvgRuntime += r.AvgRuntime
 		c.Jobs++
 	}
 	return out, nil

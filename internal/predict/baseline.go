@@ -22,8 +22,16 @@ func (p *Hold) Name() string { return "Hold" }
 // Observe implements Predictor.
 func (p *Hold) Observe(temps []float64) error { return p.hist.Push(temps) }
 
+// Reset implements Predictor.
+func (p *Hold) Reset() { p.hist.Reset() }
+
 // Ready implements Predictor.
 func (p *Hold) Ready() bool { return p.hist.Len() >= 1 }
+
+// Work implements Predictor: one sample copy per Observe and per step.
+func (p *Hold) Work(horizon int) (observe, predict int64) {
+	return int64(p.hist.Modules()), int64(horizon * p.hist.Modules())
+}
 
 // Predict implements Predictor.
 func (p *Hold) Predict(horizon int) ([][]float64, error) {
@@ -48,13 +56,16 @@ type Truth interface {
 	Temps(k int) ([]float64, error)
 }
 
-// Oracle replays a future known in advance — the upper bound for the
-// DNOR ablation. It reads each true row from its Truth when Predict
-// asks for it, so it holds no copy of the sequence; Observe advances
-// an internal cursor.
+// Oracle replays a future known in advance: the perfect forecast of
+// the DNOR ablation, but no upper bound on DNOR's energy, since DNOR
+// prices step 0 of its window from the noisy sensed temperatures and
+// its switch rule is greedy. It reads each true row from its Truth
+// when Predict asks for it, so it holds no copy of the sequence;
+// Observe advances an internal cursor.
 type Oracle struct {
-	truth  Truth
-	cursor int
+	truth   Truth
+	cursor  int
+	modules int // width of the last observed sample
 }
 
 // NewOracle wraps the ground-truth sequence (one row per control tick,
@@ -71,14 +82,24 @@ func (o *Oracle) Name() string { return "Oracle" }
 
 // Observe implements Predictor: advances past the tick just observed.
 func (o *Oracle) Observe(temps []float64) error {
+	o.modules = len(temps)
 	if o.cursor < o.truth.Len() {
 		o.cursor++
 	}
 	return nil
 }
 
+// Reset implements Predictor: back to the first tick.
+func (o *Oracle) Reset() { o.cursor, o.modules = 0, 0 }
+
 // Ready implements Predictor.
 func (o *Oracle) Ready() bool { return o.cursor > 0 }
+
+// Work implements Predictor: a cursor step per Observe, one read per
+// module and forecast step.
+func (o *Oracle) Work(horizon int) (observe, predict int64) {
+	return 1, int64(horizon) * int64(o.modules)
+}
 
 // Predict implements Predictor: returns the true next distributions,
 // clamping at the end of the known future by repeating the final tick.

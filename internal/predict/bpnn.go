@@ -19,6 +19,7 @@ type BPNN struct {
 	lr     float64
 	moment float64
 	epochs int
+	seed   int64
 	rng    *rand.Rand
 
 	hist *History
@@ -82,13 +83,20 @@ func NewBPNN(opts BPNNOptions) (*BPNN, error) {
 		lr:     opts.LearnRate,
 		moment: opts.Momentum,
 		epochs: opts.Epochs,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
+		seed:   opts.Seed,
 		hist:   h,
-		mean:   60, // sensible priors for radiator °C; refined on fit
-		scale:  40,
 	}
-	n.initWeights()
+	n.Reset()
 	return n, nil
+}
+
+// Reset implements Predictor: the seeded initial weights and priors.
+func (n *BPNN) Reset() {
+	n.hist.Reset()
+	n.rng = rand.New(rand.NewSource(n.seed))
+	n.mean, n.scale = 60, 40 // sensible priors for radiator °C; refined on fit
+	n.b2, n.b2v = 0, 0
+	n.initWeights()
 }
 
 func (n *BPNN) initWeights() {
@@ -209,6 +217,19 @@ func (n *BPNN) train() {
 			}
 		}
 	}
+}
+
+// Work implements Predictor: once ready, each Observe trains Epochs
+// passes over the pooled window, a forward and a backward pass of
+// Hidden·(Order+2) per sample; the forecast is one forward pass per
+// module and step.
+func (n *BPNN) Work(horizon int) (observe, predict int64) {
+	pass, modules := n.hidden*(n.order+2), n.hist.Modules()
+	observe = int64(modules)
+	if n.Ready() {
+		observe += int64(n.epochs) * int64(arCount(n.hist, n.order)) * int64(2*pass)
+	}
+	return observe, int64(horizon * modules * pass)
 }
 
 // Predict implements Predictor.

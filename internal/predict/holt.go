@@ -69,8 +69,17 @@ func (h *Holt) Observe(temps []float64) error {
 	return nil
 }
 
+// Reset implements Predictor.
+func (h *Holt) Reset() { h.level, h.trend, h.seen = nil, nil, 0 }
+
 // Ready implements Predictor: two observations pin down level and trend.
 func (h *Holt) Ready() bool { return h.seen >= 2 }
+
+// Work implements Predictor: a level and a trend per module and
+// Observe, one value per module and forecast step.
+func (h *Holt) Work(horizon int) (observe, predict int64) {
+	return int64(2 * len(h.level)), int64(horizon * len(h.level))
+}
 
 // Predict implements Predictor.
 func (h *Holt) Predict(horizon int) ([][]float64, error) {

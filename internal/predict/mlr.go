@@ -87,24 +87,29 @@ func (m *MLR) Observe(temps []float64) error {
 	return nil
 }
 
+// Reset implements Predictor.
+func (m *MLR) Reset() { m.hist.Reset(); m.coef, m.fresh = nil, false }
+
 // Ready implements Predictor: at least order+2 ticks are needed for a
 // non-degenerate fit.
 func (m *MLR) Ready() bool { return m.hist.Len() >= m.order+2 }
 
-// fit refits the pooled model on the current window.
-func (m *MLR) fit() error {
+// subsample sizes a fit: a strided subsample of the pooled dataset
+// keeps coverage across ticks and modules (the dataset interleaves
+// modules within each tick) within maxSamples rows.
+func (m *MLR) subsample() (stride, rows int) {
 	total := arCount(m.hist, m.order)
-	if total == 0 {
+	stride = max(1, (total+m.maxSamples-1)/m.maxSamples)
+	return stride, (total + stride - 1) / stride
+}
+
+// fit refits the pooled model on the current window; only the kept
+// pairs are built, straight into the regression matrix.
+func (m *MLR) fit() error {
+	stride, rows := m.subsample()
+	if rows == 0 {
 		return ErrNotReady
 	}
-	// Strided subsample keeps coverage across ticks and modules (the
-	// pooled dataset interleaves modules within each tick); only the
-	// kept pairs are built, straight into the regression matrix.
-	stride := 1
-	if total > m.maxSamples {
-		stride = (total + m.maxSamples - 1) / m.maxSamples
-	}
-	rows := (total + stride - 1) / stride
 	width := m.order + 1
 	a := linalg.NewMatrix(rows, width)
 	b := make([]float64, rows)
@@ -143,6 +148,14 @@ func (m *MLR) Predict(horizon int) ([][]float64, error) {
 		return y
 	}
 	return rollForward(m.hist, m.order, horizon, step), nil
+}
+
+// Work implements Predictor: a sample copy per Observe; a QR solve of
+// rows·w² and w per module and step, w = order+1.
+func (m *MLR) Work(horizon int) (observe, predict int64) {
+	_, rows := m.subsample()
+	n, w := m.hist.Modules(), m.order+1
+	return int64(n), int64(rows*w*w + horizon*n*w)
 }
 
 // CaptureHistory implements HistoryCarrier: the retained sliding

@@ -33,14 +33,21 @@ type Predictor interface {
 	Observe(temps []float64) error
 	// Ready reports whether enough history exists to predict.
 	Ready() bool
+	// Reset returns the predictor to its freshly built state.
+	Reset()
 	// Predict returns the next horizon distributions. The returned
 	// slices are owned by the caller.
 	Predict(horizon int) ([][]float64, error)
+	// Work counts the operations (one unit per multiply-add or module
+	// step) of the Observe that produced the current history, training
+	// included, and of a Predict(horizon) from it, fit included: closed
+	// forms in the history's shape and the options, never the data.
+	Work(horizon int) (observe, predict int64)
 }
 
 // Names lists the predictors New builds, in ablation order: the
 // paper's MLR, the two methods Section IV rejects, Holt smoothing, the
-// persistence baseline and the oracle upper bound.
+// persistence baseline and the oracle (a perfect forecast, see Oracle).
 func Names() []string { return []string{"mlr", "bpnn", "svr", "holt", "hold", "oracle"} }
 
 // New builds a fresh predictor with its default options from a name
@@ -116,6 +123,9 @@ func (h *History) Push(temps []float64) error {
 	}
 	return nil
 }
+
+// Reset empties the window; the next push fixes the module count anew.
+func (h *History) Reset() { h.n, h.ticks = 0, nil }
 
 // Len returns the number of retained ticks.
 func (h *History) Len() int { return len(h.ticks) }

@@ -530,3 +530,39 @@ func TestHoltBeatsHoldOnTrendingSignal(t *testing.T) {
 		t.Errorf("Holt MAPE %v not better than Hold %v", rs[0].MAPE, rs[1].MAPE)
 	}
 }
+
+// TestWorkCountsPinned pins every predictor's closed-form counts at two
+// array sizes, once mid-warm-up (10 ticks) and once past a full window
+// (64 ticks): the shape of the history decides them, never the data.
+func TestWorkCountsPinned(t *testing.T) {
+	want := map[string][4][2]int64{ // [N=20 10 ticks, N=20 64, N=100 10, N=100 64] × {observe, predict}
+		"mlr":    {{20, 3400}, {20, 6000}, {100, 7000}, {100, 8375}},
+		"bpnn":   {{46100, 3840}, {430100, 3840}, {230500, 19200}, {2150500, 19200}},
+		"svr":    {{20, 48400}, {20, 160400}, {100, 162000}, {100, 162000}},
+		"holt":   {{40, 80}, {40, 80}, {200, 400}, {200, 400}},
+		"hold":   {{20, 80}, {20, 80}, {100, 400}, {100, 400}},
+		"oracle": {{1, 80}, {1, 80}, {1, 400}, {1, 400}},
+	}
+	for _, name := range Names() {
+		i := 0
+		for _, n := range []int{20, 100} {
+			seq := synthSeq(64, n, 0.1, 3)
+			for _, ticks := range []int{10, 64} {
+				p, err := New(name, rows(seq))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, row := range seq[:ticks] {
+					if err := p.Observe(row); err != nil {
+						t.Fatal(err)
+					}
+				}
+				obs, pred := p.Work(4)
+				if w := want[name][i]; obs != w[0] || pred != w[1] {
+					t.Errorf("%s N=%d after %d ticks: Work(4) = (%d, %d), want (%d, %d)", name, n, ticks, obs, pred, w[0], w[1])
+				}
+				i++
+			}
+		}
+	}
+}

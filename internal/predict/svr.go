@@ -91,6 +91,9 @@ func (s *SVR) Observe(temps []float64) error {
 	return nil
 }
 
+// Reset implements Predictor.
+func (s *SVR) Reset() { s.hist.Reset(); s.w, s.fresh, s.mean, s.scale = nil, false, 60, 40 }
+
 // Ready implements Predictor.
 func (s *SVR) Ready() bool { return s.hist.Len() >= s.order+2 }
 
@@ -178,6 +181,15 @@ func (s *SVR) fit() error {
 	s.w = w
 	s.fresh = true
 	return nil
+}
+
+// Work implements Predictor: a sample copy per Observe; every one of
+// the Iterations sweeps (converged or not) over at most MaxSamples
+// rows at 2w each, and w per module and step, w = order+1.
+func (s *SVR) Work(horizon int) (observe, predict int64) {
+	n, w := s.hist.Modules(), s.order+1
+	rows := min(arCount(s.hist, s.order), s.maxSamples)
+	return int64(n), int64(s.iterations)*int64(rows*2*w) + int64(horizon*n*w)
 }
 
 // Predict implements Predictor.

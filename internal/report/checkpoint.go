@@ -33,8 +33,9 @@ import (
 
 // CheckpointVersion is the schema version stamped into every encoded
 // checkpoint; UnmarshalCheckpoint rejects anything else, naming the
-// version it found.
-const CheckpointVersion = 1
+// version it found. Version 1 checkpoints are refused: their ledgers
+// may have priced controller runtime at zero or from the wall clock.
+const CheckpointVersion = 2
 
 // checkpointEnvelope is the on-wire form: version outside, state inside.
 type checkpointEnvelope struct {
@@ -62,16 +63,15 @@ type checkpointJSON struct {
 }
 
 type optionsJSON struct {
-	TickSeconds          float64      `json:"tick_s"`
-	SensorNoiseC         float64      `json:"sensor_noise_c"`
-	Seed                 int64        `json:"seed"`
-	Battery              bool         `json:"battery"`
-	SelfCheck            bool         `json:"self_check,omitempty"`
-	DeterministicRuntime bool         `json:"deterministic_runtime"`
-	StartTime            float64      `json:"start_time"`
-	KeepTicks            bool         `json:"keep_ticks"`
-	FaultPlan            *planJSON    `json:"fault_plan,omitempty"`
-	ChargeProfile        *profileJSON `json:"charge_profile,omitempty"`
+	TickSeconds   float64      `json:"tick_s"`
+	SensorNoiseC  float64      `json:"sensor_noise_c"`
+	Seed          int64        `json:"seed"`
+	Battery       bool         `json:"battery"`
+	SelfCheck     bool         `json:"self_check,omitempty"`
+	StartTime     float64      `json:"start_time"`
+	KeepTicks     bool         `json:"keep_ticks"`
+	FaultPlan     *planJSON    `json:"fault_plan,omitempty"`
+	ChargeProfile *profileJSON `json:"charge_profile,omitempty"`
 }
 
 type planJSON struct {
@@ -149,14 +149,13 @@ func MarshalCheckpoint(st *sim.SessionState) ([]byte, error) {
 	}
 	o := st.Options
 	j.Options = optionsJSON{
-		TickSeconds:          o.TickSeconds,
-		SensorNoiseC:         o.SensorNoiseC,
-		Seed:                 o.Seed,
-		Battery:              o.Battery,
-		SelfCheck:            o.SelfCheck,
-		DeterministicRuntime: o.DeterministicRuntime,
-		StartTime:            o.StartTime,
-		KeepTicks:            o.KeepTicks,
+		TickSeconds:  o.TickSeconds,
+		SensorNoiseC: o.SensorNoiseC,
+		Seed:         o.Seed,
+		Battery:      o.Battery,
+		SelfCheck:    o.SelfCheck,
+		StartTime:    o.StartTime,
+		KeepTicks:    o.KeepTicks,
 	}
 	if o.FaultPlan != nil {
 		p := &planJSON{Modules: o.FaultPlan.Modules()}
@@ -238,14 +237,13 @@ func UnmarshalCheckpoint(b []byte) (*sim.SessionState, error) {
 	}
 	o := j.Options
 	st.Options = sim.Options{
-		TickSeconds:          o.TickSeconds,
-		SensorNoiseC:         o.SensorNoiseC,
-		Seed:                 o.Seed,
-		Battery:              o.Battery,
-		SelfCheck:            o.SelfCheck,
-		DeterministicRuntime: o.DeterministicRuntime,
-		StartTime:            o.StartTime,
-		KeepTicks:            o.KeepTicks,
+		TickSeconds:  o.TickSeconds,
+		SensorNoiseC: o.SensorNoiseC,
+		Seed:         o.Seed,
+		Battery:      o.Battery,
+		SelfCheck:    o.SelfCheck,
+		StartTime:    o.StartTime,
+		KeepTicks:    o.KeepTicks,
 	}
 	if o.FaultPlan != nil {
 		events := make([]faults.Event, len(o.FaultPlan.Events))

@@ -25,7 +25,6 @@ func liveSessionState(t testing.TB, scheme string) *sim.SessionState {
 	sys := sim.DefaultSystem()
 	sys.Modules = 24
 	opts := sim.DefaultOptions()
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = true
 	opts.Battery = true
 	plan, err := faults.NewPlan(24, []faults.Event{
@@ -152,28 +151,33 @@ func TestCheckpointRoundTripRestores(t *testing.T) {
 
 // TestCheckpointVersionMismatch pins the error contract: an unknown
 // schema version is rejected with the *found* version named, so a
-// client on the wrong schema learns which one it actually sent.
+// client on the wrong schema learns which one it actually sent. That
+// includes version 1, whose sessions could run without pricing
+// controller runtime: its ledger is refused, never resumed under
+// today's physics.
 func TestCheckpointVersionMismatch(t *testing.T) {
 	st := liveSessionState(t, "INOR")
 	b, err := MarshalCheckpoint(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(b, &env); err != nil {
-		t.Fatal(err)
-	}
-	env["version"] = json.RawMessage("7")
-	mangled, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = UnmarshalCheckpoint(mangled)
-	if err == nil {
-		t.Fatal("version 7 checkpoint accepted")
-	}
-	if !strings.Contains(err.Error(), "version 7") {
-		t.Fatalf("error does not name the found version: %v", err)
+	for _, version := range []string{"1", "7"} {
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal(b, &env); err != nil {
+			t.Fatal(err)
+		}
+		env["version"] = json.RawMessage(version)
+		mangled, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = UnmarshalCheckpoint(mangled)
+		if err == nil {
+			t.Fatalf("version %s checkpoint accepted", version)
+		}
+		if !strings.Contains(err.Error(), "version "+version) {
+			t.Fatalf("error does not name the found version %s: %v", version, err)
+		}
 	}
 }
 

@@ -164,8 +164,7 @@ func FromBank(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
 // FromSweep renders the cells of a scenario.CycleSweep grid as the
 // cycle × scheme table, one row per (cycle, scheme) in the order of the
 // normalized matrix m — each cycle as listed under each scheme as
-// listed, not the cells' coordinate order. Matrix cells price runtime
-// deterministically, so avg_runtime_ms is always zero.
+// listed, not the cells' coordinate order.
 func FromSweep(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
 	type rowKey struct{ cycle, scheme string }
 	byRow := make(map[rowKey]experiments.MatrixCell, len(cells))
@@ -181,7 +180,7 @@ func FromSweep(m *scenario.Matrix, cells []experiments.MatrixCell) *Table {
 			c := byRow[rowKey{cy.Label, sch}]
 			t.Rows = append(t.Rows, []string{
 				c.Cycle, c.Scheme, f1(c.DurationS), f1(c.EnergyOutJ), f2(c.OverheadJ),
-				strconv.Itoa(c.SwitchEvents), f4(0), share(c.EnergyOutJ, c.IdealEnergyJ),
+				strconv.Itoa(c.SwitchEvents), f4(float64(c.AvgRuntime) / 1e6), share(c.EnergyOutJ, c.IdealEnergyJ),
 			})
 		}
 	}

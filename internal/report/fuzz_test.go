@@ -26,8 +26,10 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Add([]byte(`{"version":1,"checkpoint":{}}`))
-	f.Add([]byte(`{"version":1,"checkpoint":{"modules":3,"steps":2,"rng_draws":6}}`))
+	f.Add([]byte(`{"version":2,"checkpoint":{}}`))
+	f.Add([]byte(`{"version":2,"checkpoint":{"modules":3,"steps":2,"rng_draws":6}}`))
+	// A version-1 envelope, with the retired option, is refused.
+	f.Add([]byte(`{"version":1,"checkpoint":{"modules":3,"options":{"deterministic_runtime":true}}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := UnmarshalCheckpoint(b)

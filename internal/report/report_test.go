@@ -196,14 +196,14 @@ func TestFromFaultStudyAndSeedSweep(t *testing.T) {
 
 // TestFromSweep pins the cycle × scheme rendering: rows follow the
 // matrix's cycle and scheme order (not the cells' order), a missing
-// ideal renders capture as "/", and runtime is always zero.
+// ideal renders capture as "/", and runtime renders in milliseconds.
 func TestFromSweep(t *testing.T) {
 	m := &scenario.Matrix{
 		Cycles:  []scenario.CycleSpec{{Name: "nedc", Label: "nedc"}},
 		Schemes: []string{"DNOR", "Baseline"},
 	}
 	cell := func(scheme string, energy, overhead float64, events int, ideal float64) experiments.MatrixCell {
-		c := experiments.MatrixCell{EnergyOutJ: energy, OverheadJ: overhead, SwitchEvents: events, IdealEnergyJ: ideal}
+		c := experiments.MatrixCell{EnergyOutJ: energy, OverheadJ: overhead, SwitchEvents: events, IdealEnergyJ: ideal, AvgRuntime: 25 * time.Microsecond}
 		c.Cycle, c.Scheme, c.DurationS = "nedc", scheme, 1180
 		return c
 	}
@@ -221,7 +221,7 @@ func TestFromSweep(t *testing.T) {
 	if dnor[0] != "nedc" || dnor[1] != "DNOR" || dnor[2] != "1180.0" || dnor[3] != "150.0" || dnor[4] != "2.50" || dnor[5] != "7" {
 		t.Errorf("DNOR row = %v", dnor)
 	}
-	if dnor[6] != "0.0000" || dnor[7] != "75.0%" {
+	if dnor[6] != "0.0250" || dnor[7] != "75.0%" {
 		t.Errorf("runtime/capture cells = %v", dnor)
 	}
 	if base[1] != "Baseline" || base[7] != "/" {

@@ -329,11 +329,11 @@ func (f FaultSpec) faultPlan(modules int, durationS float64, base int64, stormCo
 
 // Expand compiles the matrix into its stable cell and job lists. The
 // receiver need not be normalized. Expansion is deterministic: the
-// cell order is the lexicographic order of the canonical coordinates,
-// every seed is a hash of coordinate and base seed, and every job has
-// DeterministicRuntime set — so the same spec always compiles to the
-// same jobs and the same results, at any worker count, in any
-// declaration order, on any shard boundary.
+// cell order is the lexicographic order of the canonical coordinates
+// and every seed is a hash of coordinate and base seed — so the same
+// spec always compiles to the same jobs and the same results (the
+// engine's controller runtime is counted work), at any worker count,
+// in any declaration order, on any shard boundary.
 func (m *Matrix) Expand() (*Expansion, error) {
 	n, err := m.Normalize()
 	if err != nil {
@@ -370,7 +370,8 @@ func (m *Matrix) Expand() (*Expansion, error) {
 	var protos []protoCell
 	for ci, cy := range n.Cycles {
 		cid := cy.identity()
-		for si, scheme := range n.Schemes {
+		for si, v := range variants {
+			scheme := v.coord(n.HorizonTicks)
 			for _, amb := range n.Ambients {
 				for _, fl := range n.Flows {
 					for fi, ft := range n.Faults {
@@ -450,11 +451,10 @@ func (m *Matrix) Expand() (*Expansion, error) {
 				return nil, fmt.Errorf("scenario: cell %s: %w", p.coord, err)
 			}
 			opts := sim.Options{
-				TickSeconds:          n.TickS,
-				SensorNoiseC:         *n.SensorNoiseC,
-				Seed:                 seedFor(n.Seed, p.coord+"|path="+strconv.Itoa(pi)),
-				FaultPlan:            plan,
-				DeterministicRuntime: true,
+				TickSeconds:  n.TickS,
+				SensorNoiseC: *n.SensorNoiseC,
+				Seed:         seedFor(n.Seed, p.coord+"|path="+strconv.Itoa(pi)),
+				FaultPlan:    plan,
 			}
 			ex.Jobs = append(ex.Jobs, sim.Job{Sys: sys, Trace: tr, Ctrl: ctrl, Opts: opts})
 			ex.CellOf = append(ex.CellOf, idx)

@@ -567,6 +567,18 @@ func parseScheme(entry string, horizon int) (schemeVariant, error) {
 	return v, nil
 }
 
+// coord is the entry as a cell coordinate spells it: String, except
+// that a predictive scheme always names its effective horizon. One
+// controller configuration then has one coordinate, one seed and one
+// cache key, whether its horizon came from the entry or from the
+// matrix's horizon_ticks. Rendered labels keep the entry (String).
+func (v schemeVariant) coord(horizon int) string {
+	if v.sch.Predictive && v.horizon == 0 {
+		v.horizon = horizon
+	}
+	return v.String()
+}
+
 // String is the canonical entry: the registry name, then the keys that
 // differ from the default in a fixed order, numbers in shortest
 // round-trip form.

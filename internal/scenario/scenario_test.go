@@ -181,9 +181,6 @@ func TestExpandStableAndSeeded(t *testing.T) {
 		if j.Sys.Radiator != ex.Jobs[0].Sys.Radiator {
 			t.Fatal("jobs do not share one radiator")
 		}
-		if !j.Opts.DeterministicRuntime {
-			t.Fatal("job without DeterministicRuntime")
-		}
 	}
 }
 

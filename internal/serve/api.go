@@ -42,11 +42,6 @@ type RunRequest struct {
 	HorizonTicks int `json:"horizon_ticks,omitempty"`
 	// Battery terminates the chain in the lead-acid battery.
 	Battery bool `json:"battery,omitempty"`
-	// DeterministicRuntime prices switching with zero compute time,
-	// making the run bit-reproducible — and therefore cacheable (nil →
-	// true). Set false for the paper's measured-runtime accounting;
-	// such runs always execute.
-	DeterministicRuntime *bool `json:"deterministic_runtime,omitempty"`
 	// Ticks includes the per-control-period records in the response
 	// payload (non-streaming requests only).
 	Ticks bool `json:"ticks,omitempty"`
@@ -58,8 +53,6 @@ type RunRequest struct {
 
 // SweepRequest is the POST /v1/sweeps body: a cycle × scheme matrix,
 // answered as a rendering of scenario-matrix cells (see sweepMatrix).
-// Sweeps always run with deterministic runtime pricing, so every
-// sweep is cacheable.
 type SweepRequest struct {
 	// Cycles selects workloads by name; empty runs every registered
 	// cycle.
@@ -79,15 +72,14 @@ type SweepRequest struct {
 // normalization: the scheme resolved, every default applied, all
 // bounds checked. build turns it into what the engine consumes.
 type physics struct {
-	scheme     sim.Scheme
-	tickS      float64
-	noiseC     float64
-	seed       int64
-	modules    int
-	horizon    int
-	battery    bool
-	detRuntime bool
-	keepTicks  bool
+	scheme    sim.Scheme
+	tickS     float64
+	noiseC    float64
+	seed      int64
+	modules   int
+	horizon   int
+	battery   bool
+	keepTicks bool
 }
 
 // runParams is a RunRequest after normalization: registry identities
@@ -135,7 +127,7 @@ func lookupScheme(name string) (sim.Scheme, *httpError) {
 
 // normalizePhysics applies the paper's defaults to the zero-valued
 // knobs and checks every bound. The optional fields (seed, sensor
-// noise, deterministic runtime) arrive already defaulted by orDefault.
+// noise) arrive already defaulted by orDefault.
 func (s *Server) normalizePhysics(ph physics) (physics, *httpError) {
 	if ph.tickS == 0 {
 		ph.tickS = defaultOpts.TickSeconds
@@ -181,7 +173,6 @@ func (ph physics) build(phaseSampleEvery int) (*sim.System, core.Controller, sim
 	opts.SensorNoiseC = ph.noiseC
 	opts.Seed = ph.seed
 	opts.Battery = ph.battery
-	opts.DeterministicRuntime = ph.detRuntime
 	opts.KeepTicks = ph.keepTicks
 	opts.PhaseSampleEvery = phaseSampleEvery
 	return sys, ctrl, opts, nil
@@ -219,15 +210,14 @@ func (s *Server) normalizeRun(req RunRequest) (runParams, *httpError) {
 		return p, errf(http.StatusBadRequest, "duration_s %g is not a non-negative finite number", req.DurationS)
 	}
 	ph, herr := s.normalizePhysics(physics{
-		scheme:     scheme,
-		tickS:      req.TickS,
-		noiseC:     orDefault(req.SensorNoiseC, defaultOpts.SensorNoiseC),
-		seed:       orDefault(req.Seed, defaultOpts.Seed),
-		modules:    req.Modules,
-		horizon:    req.HorizonTicks,
-		battery:    req.Battery,
-		detRuntime: orDefault(req.DeterministicRuntime, true),
-		keepTicks:  req.Ticks && !req.Stream,
+		scheme:    scheme,
+		tickS:     req.TickS,
+		noiseC:    orDefault(req.SensorNoiseC, defaultOpts.SensorNoiseC),
+		seed:      orDefault(req.Seed, defaultOpts.Seed),
+		modules:   req.Modules,
+		horizon:   req.HorizonTicks,
+		battery:   req.Battery,
+		keepTicks: req.Ticks && !req.Stream,
 	})
 	if herr != nil {
 		return p, herr

@@ -16,8 +16,9 @@ import (
 // let a handful of large results defeat the server's bounded-memory
 // design. Payloads are the exact bytes previously sent to a client, so
 // a hit is byte-identical to the original response by construction —
-// under DeterministicRuntime the physics is bit-reproducible, which
-// makes serving the stored bytes equivalent to recomputing them.
+// the physics is bit-reproducible (controller runtime is counted work,
+// not the wall clock), which makes serving the stored bytes equivalent
+// to recomputing them.
 //
 // An optional disk tier (internal/store) sits behind the memory LRU:
 // gets fall through to disk before reporting a miss (promoting what

@@ -250,7 +250,6 @@ func TestCanonicalKeys(t *testing.T) {
 	// Every physically meaningful field changes the key.
 	seed := int64(8)
 	noise := 0.2
-	det := false
 	variants := []RunRequest{
 		{Cycle: "nedc", Scheme: "dnor", DurationS: 10},
 		{Cycle: "wltc", Scheme: "inor", DurationS: 10},
@@ -261,7 +260,6 @@ func TestCanonicalKeys(t *testing.T) {
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Modules: 50},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, HorizonTicks: 8},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Battery: true},
-		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, DeterministicRuntime: &det},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Ticks: true},
 	}
 	seen := map[string]int{runKey(p1): -1}

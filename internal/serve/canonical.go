@@ -20,7 +20,7 @@ import (
 // keyVersion tags the canonical form itself: bump it whenever the
 // encoding or the physics behind it changes, and every stale cache key
 // simply stops matching.
-const keyVersion = "tegserve/v2"
+const keyVersion = "tegserve/v3"
 
 type keyBuilder struct{ b strings.Builder }
 
@@ -52,7 +52,6 @@ func runKey(p runParams) string {
 	k.int("modules", int64(p.modules))
 	k.int("horizon", int64(p.horizon))
 	k.bool("battery", p.battery)
-	k.bool("det_runtime", p.detRuntime)
 	k.bool("ticks", p.keepTicks)
 	return k.sum()
 }
@@ -62,9 +61,11 @@ func runKey(p runParams) string {
 // encodes every axis value (ambient, fault seed offsets, synth-cycle
 // parameters, CSV content hashes) hex-exactly into it — so the key
 // only needs to add what the coordinate deliberately leaves out: the
-// matrix-level run parameters (tick, noise, base seed, horizon) and
-// the cell's effective duration, which a matrix-level duration cap can
-// change without touching the coordinate. Keyed per cell, two matrices
+// matrix-level run parameters (tick, noise, base seed) and the cell's
+// effective duration, which a matrix-level duration cap can change
+// without touching the coordinate. The matrix-level horizon is not
+// among them: a predictive scheme's coordinate carries its effective
+// horizon, and no other scheme reads one. Keyed per cell, two matrices
 // sharing a cell share its cached result.
 func cellKey(p matrixParams, cell scenario.Cell) string {
 	var k keyBuilder
@@ -72,7 +73,6 @@ func cellKey(p matrixParams, cell scenario.Cell) string {
 	k.num("tick_s", p.m.TickS)
 	k.num("noise_c", *p.m.SensorNoiseC)
 	k.int("seed", p.m.Seed)
-	k.int("horizon", int64(p.m.HorizonTicks))
 	k.num("dur_s", cell.DurationS)
 	k.str("coord", cell.Coord)
 	return k.sum()

@@ -25,8 +25,7 @@ import (
 )
 
 // MatrixRequest is the POST /v1/matrix body: a scenario.Matrix spec
-// plus the transport flag. Matrix cells always run with deterministic
-// runtime pricing, so every cell is cacheable.
+// plus the transport flag. Every cell is cacheable.
 type MatrixRequest struct {
 	scenario.Matrix
 	// Stream switches the response to Server-Sent Events: `start`,
@@ -332,7 +331,7 @@ func (s *Server) serveMatrix(w http.ResponseWriter, r *http.Request, p matrixPar
 // holding the same envelope the non-streaming path serves (which also
 // back-fills the envelope cache).
 func (s *Server) streamMatrix(w http.ResponseWriter, r *http.Request, p matrixParams, key string) {
-	s.stream(w, r, key, true, func(ctx context.Context, send func(string, []byte) error) ([]byte, error) {
+	s.stream(w, r, key, func(ctx context.Context, send func(string, []byte) error) ([]byte, error) {
 		ex, keys, err := s.expandMatrix(p, key)
 		if err != nil {
 			return nil, err

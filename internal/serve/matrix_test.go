@@ -54,9 +54,9 @@ func tinyMatrix() *scenario.Matrix {
 
 // TestCellKeyDistinguishesEveryAxis is the canonicalization regression
 // test: two cells that differ in any physically meaningful way — an
-// ambient point, a storm seed offset, a synth-cycle parameter, or a
-// matrix-level knob the coordinate deliberately omits — must never
-// share a SHA-256 cache key.
+// ambient point, a storm seed offset, a synth-cycle parameter, a
+// matrix-level knob the coordinate deliberately omits, or a predictive
+// scheme's horizon — must never share a SHA-256 cache key.
 func TestCellKeyDistinguishesEveryAxis(t *testing.T) {
 	base := cellKeysOf(t, tinyMatrix())
 	if len(base) != 1 {
@@ -77,7 +77,8 @@ func TestCellKeyDistinguishesEveryAxis(t *testing.T) {
 		{"base seed", func(m *scenario.Matrix) { m.Seed = 8 }},
 		{"tick", func(m *scenario.Matrix) { m.TickS = 0.25 }},
 		{"noise", func(m *scenario.Matrix) { v := 0.2; m.SensorNoiseC = &v }},
-		{"horizon", func(m *scenario.Matrix) { m.HorizonTicks = 6 }},
+		{"dnor", func(m *scenario.Matrix) { m.Schemes = []string{"DNOR"} }},
+		{"dnor horizon", func(m *scenario.Matrix) { m.Schemes = []string{"DNOR"}; m.HorizonTicks = 6 }},
 		{"modules", func(m *scenario.Matrix) { m.ArraySizes = []int{25} }},
 	}
 	seen := map[string]string{}
@@ -93,6 +94,51 @@ func TestCellKeyDistinguishesEveryAxis(t *testing.T) {
 			}
 			seen[key] = v.name
 		}
+	}
+}
+
+// TestCellKeyHorizonIdentity: one controller configuration has one
+// cell. "DNOR:horizon=8" under horizon_ticks 4 and plain "DNOR" under
+// horizon_ticks 8 build the same DNOR, so they share the coordinate,
+// the sensor-noise seed and the cache key, while each keeps its own
+// label; a scheme that reads no horizon keys the same under any
+// horizon_ticks.
+func TestCellKeyHorizonIdentity(t *testing.T) {
+	cellOf := func(scheme string, horizon int) (scenario.Cell, string) {
+		t.Helper()
+		m := tinyMatrix()
+		m.Schemes = []string{scheme}
+		m.HorizonTicks = horizon
+		n, err := m.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := n.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex.Cells) != 1 {
+			t.Fatalf("%s@%d: %d cells, want 1", scheme, horizon, len(ex.Cells))
+		}
+		c := ex.Cells[0]
+		return c, cellKey(matrixParams{m: n}, c)
+	}
+	variant, vKey := cellOf("DNOR:horizon=8", 4)
+	plain, pKey := cellOf("DNOR", 8)
+	if variant.Coord != plain.Coord || variant.Seed != plain.Seed || vKey != pKey {
+		t.Errorf("one DNOR, two cells: %q seed %d key %s vs %q seed %d key %s",
+			variant.Coord, variant.Seed, vKey, plain.Coord, plain.Seed, pKey)
+	}
+	if variant.Scheme != "DNOR:horizon=8" || plain.Scheme != "DNOR" {
+		t.Errorf("labels %q and %q, want the entries as written", variant.Scheme, plain.Scheme)
+	}
+	if !strings.Contains(plain.Coord, "sch=DNOR:horizon=8;") {
+		t.Errorf("DNOR coordinate %q does not carry its effective horizon", plain.Coord)
+	}
+	inor4, k4 := cellOf("INOR", 4)
+	inor8, k8 := cellOf("INOR", 8)
+	if inor4.Coord != inor8.Coord || k4 != k8 {
+		t.Errorf("INOR keyed by the unread horizon: %s vs %s", k4, k8)
 	}
 }
 

@@ -448,8 +448,8 @@ func (s *Server) writeJobError(w http.ResponseWriter, r *http.Request, err error
 	}
 }
 
-// logCache records one request's cache outcome (hit / miss / coalesced
-// / bypass) against its correlation ID.
+// logCache records one request's cache outcome (hit / miss /
+// coalesced) against its correlation ID.
 func (s *Server) logCache(r *http.Request, state, key string) {
 	s.log.Debug("cache", "state", state, "key", key, "request_id", obs.RequestID(r.Context()))
 }
@@ -608,18 +608,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.streamRun(w, r, p, key)
 		return
 	}
-	if !p.detRuntime {
-		// Measured-runtime physics is not reproducible, so it is never
-		// cached; each request pays for its own computation.
-		payload, err := s.runPayload(r.Context(), p)
-		if err != nil {
-			s.writeJobError(w, r, err)
-			return
-		}
-		s.logCache(r, "bypass", key)
-		writePayload(w, "bypass", payload)
-		return
-	}
 	payload, state, err := s.cachedPayload(r, key, func(ctx context.Context) ([]byte, error) {
 		return s.runPayload(ctx, p)
 	})
@@ -634,12 +622,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // runs the simulation, sending its own events — `start` first, then
 // ticks or cells — and returns the summary payload; the stream closes
 // with exactly one terminal event, `summary` carrying that payload or
-// `error`. With fill set the summary also back-fills the result cache
-// under key. A failed write means the client went away: it cancels the
+// `error`. The summary also back-fills the result cache under key. A
+// failed write means the client went away: it cancels the
 // job, so the simulation stops at its next per-tick context check
 // instead of simulating into a dead socket, and no terminal event
 // follows.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, fill bool,
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string,
 	body func(ctx context.Context, send func(name string, data []byte) error) ([]byte, error)) {
 	err := s.job(r.Context(), func(ctx context.Context) error {
 		ew, err := newEventWriter(w)
@@ -671,9 +659,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, fill
 			msg, _ := json.Marshal(map[string]string{"error": err.Error()})
 			ew.event("error", msg)
 		default:
-			if fill {
-				s.cache.put(key, payload)
-			}
+			s.cache.put(key, payload)
 			ew.event("summary", payload)
 		}
 		return nil
@@ -685,10 +671,10 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, fill
 
 // streamRun answers a run request with Server-Sent Events: `start`,
 // one `tick` per control period straight from Options.OnTick, then the
-// terminal `summary` (or `error`). A deterministic run's summary also
-// back-fills the result cache.
+// terminal `summary` (or `error`). The summary also back-fills the
+// result cache.
 func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, p runParams, key string) {
-	s.stream(w, r, key, p.detRuntime, func(ctx context.Context, send func(string, []byte) error) ([]byte, error) {
+	s.stream(w, r, key, func(ctx context.Context, send func(string, []byte) error) ([]byte, error) {
 		start, _ := json.Marshal(map[string]any{
 			"key":        key,
 			"cycle":      p.cycle.Name,

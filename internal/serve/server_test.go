@@ -156,10 +156,9 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunCacheBitIdentical is the satellite cache contract: under
-// DeterministicRuntime a cached response is byte-identical to the
-// fresh computation — across repeats on one server and across server
-// instances.
+// TestRunCacheBitIdentical is the cache contract: a cached response
+// is byte-identical to the fresh computation — across repeats on one
+// server and across server instances.
 func TestRunCacheBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp1, fresh := postJSON(t, ts.URL+"/v1/runs", shortRun)
@@ -183,10 +182,27 @@ func TestRunCacheBitIdentical(t *testing.T) {
 	if !bytes.Equal(fresh, fresh2) {
 		t.Fatal("two independent computations disagree — determinism broken")
 	}
-	// Measured-runtime runs bypass the cache entirely.
-	respB, _ := postJSON(t, ts.URL+"/v1/runs", `{"cycle":"delivery","scheme":"inor","duration_s":6,"modules":20,"deterministic_runtime":false}`)
-	if got := respB.Header.Get("X-Cache"); got != "bypass" {
-		t.Errorf("measured-runtime X-Cache = %q, want bypass", got)
+}
+
+// TestRetiredRuntimeFieldRefused pins the retirement of the
+// deterministic_runtime request field: every run and session prices
+// controller runtime from counted work, so a client still sending the
+// field (either value) gets a 400 that names it, not a silently
+// different accounting.
+func TestRetiredRuntimeFieldRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/runs", `{"cycle":"delivery","scheme":"inor","duration_s":6,"modules":20,"deterministic_runtime":false}`},
+		{"/v1/runs", `{"cycle":"delivery","scheme":"inor","duration_s":6,"modules":20,"deterministic_runtime":true}`},
+		{"/v1/sessions", `{"scheme":"dnor","modules":20,"deterministic_runtime":true}`},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: %d %s", c.path, c.body, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "deterministic_runtime") {
+			t.Errorf("%s: error does not name the field: %s", c.path, body)
+		}
 	}
 }
 

@@ -204,9 +204,6 @@ type SessionCreateRequest struct {
 	Modules      int      `json:"modules,omitempty"`
 	HorizonTicks int      `json:"horizon_ticks,omitempty"`
 	Battery      bool     `json:"battery,omitempty"`
-	// DeterministicRuntime defaults to true; it is also the condition
-	// for a checkpointed twin to replay bit-exactly after restore.
-	DeterministicRuntime *bool `json:"deterministic_runtime,omitempty"`
 	// Ticks keeps the per-control-period records in the session result
 	// (and therefore in its checkpoints).
 	Ticks bool `json:"ticks,omitempty"`
@@ -322,8 +319,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	)
 	if len(req.FromCheckpoint) > 0 {
 		if req.Scheme != "" || req.TickS != 0 || req.Seed != nil || req.SensorNoiseC != nil ||
-			req.Modules != 0 || req.HorizonTicks != 0 || req.Battery || req.Ticks ||
-			req.DeterministicRuntime != nil {
+			req.Modules != 0 || req.HorizonTicks != 0 || req.Battery || req.Ticks {
 			s.writeJSONError(w, http.StatusBadRequest, "from_checkpoint excludes every other field — the checkpoint already fixes the physics")
 			return
 		}
@@ -371,15 +367,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ph, herr := s.normalizePhysics(physics{
-			scheme:     sch,
-			tickS:      req.TickS,
-			noiseC:     orDefault(req.SensorNoiseC, defaultOpts.SensorNoiseC),
-			seed:       orDefault(req.Seed, defaultOpts.Seed),
-			modules:    req.Modules,
-			horizon:    req.HorizonTicks,
-			battery:    req.Battery,
-			detRuntime: orDefault(req.DeterministicRuntime, true),
-			keepTicks:  req.Ticks,
+			scheme:    sch,
+			tickS:     req.TickS,
+			noiseC:    orDefault(req.SensorNoiseC, defaultOpts.SensorNoiseC),
+			seed:      orDefault(req.Seed, defaultOpts.Seed),
+			modules:   req.Modules,
+			horizon:   req.HorizonTicks,
+			battery:   req.Battery,
+			keepTicks: req.Ticks,
 		})
 		if herr != nil {
 			s.writeHTTPError(w, herr)

@@ -219,13 +219,17 @@ func TestSessionCreateRejects(t *testing.T) {
 	}
 
 	// A wrong-version checkpoint must be rejected naming the version
-	// actually found.
-	resp, b := postJSON(t, ts.URL+"/v1/sessions", `{"from_checkpoint":{"version":9,"checkpoint":{}}}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("version 9 checkpoint: %d %s", resp.StatusCode, b)
-	}
-	if !strings.Contains(string(b), "version 9") {
-		t.Fatalf("error does not name the found version: %s", b)
+	// actually found — version 1 too, whose twins could run without
+	// pricing controller runtime.
+	for _, version := range []string{"1", "9"} {
+		resp, b := postJSON(t, ts.URL+"/v1/sessions",
+			`{"from_checkpoint":{"version":`+version+`,"checkpoint":{"modules":20,"options":{"deterministic_runtime":true}}}}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("version %s checkpoint: %d %s", version, resp.StatusCode, b)
+		}
+		if !strings.Contains(string(b), "version "+version) {
+			t.Fatalf("error does not name the found version %s: %s", version, b)
+		}
 	}
 }
 
@@ -380,7 +384,7 @@ func TestSessionDrainSeal(t *testing.T) {
 		t.Fatalf("step while draining: %d %s", resp.StatusCode, b)
 	}
 	ck := getCheckpoint(t, ts.URL, sr.Session.ID)
-	if !strings.Contains(string(ck), `"version":1`) {
+	if !strings.Contains(string(ck), `"version":2`) {
 		t.Fatalf("checkpoint unavailable while draining: %.120s", ck)
 	}
 	gresp, err := http.Get(ts.URL + "/v1/sessions/" + sr.Session.ID)

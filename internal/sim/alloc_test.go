@@ -44,7 +44,6 @@ func TestSessionStepAllocationFree(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false
 	conds := benchConds(t, tr, opts.TickSeconds)
 	sess, err := NewSession(sys, newINOR(t, sys), opts)
@@ -78,7 +77,6 @@ func TestKeepTicksFalseAllocatesNoTickSlice(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false
 	seen := 0
 	opts.OnTick = func(Tick) { seen++ }
@@ -105,7 +103,6 @@ func TestBatchJobBitIdenticalToFreshRun(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 
 	fresh, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {

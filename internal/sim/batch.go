@@ -36,12 +36,10 @@ type Job struct {
 // would have surfaced.
 //
 // Determinism: every run seeds its own RNG from its Options.Seed and
-// shares no mutable state with its neighbours, so a parallel batch
-// computes exactly the same physics as a serial one regardless of
-// scheduling. The only per-run noise left is the measured controller
-// wall-clock that the overhead model deliberately prices (Section
-// III.C); set Options.DeterministicRuntime to drop it and make batch
-// results bit-identical at any worker count.
+// shares no mutable state with its neighbours, and the controller
+// runtime the overhead model prices (Section III.C) is counted work,
+// not the wall clock, so batch results are bit-identical to a serial
+// loop's at any worker count.
 type Batch struct {
 	// Workers bounds concurrent jobs: 0 picks runtime.NumCPU(), 1 runs
 	// the jobs one at a time on a single pool goroutine.

@@ -45,9 +45,7 @@ func TestBatchParallelBitIdenticalToSerial(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	// Only the measured controller wall-clock is irreproducible; drop it
-	// so every field of every Result must match bit for bit.
-	opts.DeterministicRuntime = true
+	// Every field of every Result must match bit for bit.
 
 	serial, err := runAll(sys, tr, fourSchemes(t, sys), opts, 1)
 	if err != nil {

@@ -38,7 +38,6 @@ func wltcConds(t *testing.T, ticks int, tickS float64) []thermal.Conditions {
 
 func checkpointTestOptions(battery bool) Options {
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true // measured runtimes are not reproducible
 	opts.KeepTicks = true
 	opts.Battery = battery
 	return opts

@@ -65,7 +65,6 @@ func recordSensed(t *testing.T, n int) *sensedRecorder {
 	ctrl := newScheme(t, "INOR", sys)
 	rec := &sensedRecorder{Controller: ctrl}
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false
 	sess, err := NewSession(sys, rec, opts)
 	if err != nil {

@@ -110,7 +110,6 @@ func TestSessionStepSamplingAllocationFree(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 	opts.KeepTicks = false
 	opts.PhaseSampleEvery = 1
 	conds := benchConds(t, tr, opts.TickSeconds)

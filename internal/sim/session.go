@@ -242,9 +242,6 @@ func (s *Session) tickAct(cond thermal.Conditions) (Tick, error) {
 	dec, health := sc.dec, sc.health
 	var err error
 	computeTime := dec.ComputeTime
-	if s.opts.DeterministicRuntime {
-		computeTime = 0
-	}
 
 	// Plant: true temperatures (and true health), chosen config. The
 	// array is assembled in place over the scratch: the spec was

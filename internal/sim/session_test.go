@@ -40,7 +40,6 @@ func TestSessionMatchesRunBitIdentical(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 
 	ran, err := Run(context.Background(), sys, tr, newDNOR(t, sys), opts)
 	if err != nil {
@@ -79,7 +78,6 @@ func TestSessionResultIsACheckpoint(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 
 	full, err := Run(context.Background(), sys, tr, newINOR(t, sys), opts)
 	if err != nil {
@@ -104,8 +102,8 @@ func TestSessionResultIsACheckpoint(t *testing.T) {
 		if k == ticks/2 {
 			mid := sess.Result()
 			midEnergy = mid.EnergyOutJ
-			if mid.AvgRuntime != 0 {
-				t.Error("deterministic checkpoint reports non-zero runtime")
+			if mid.AvgRuntime <= 0 {
+				t.Error("mid-run checkpoint reports no priced controller runtime")
 			}
 		}
 	}
@@ -125,7 +123,6 @@ func TestStreamingMatchesBufferedRun(t *testing.T) {
 	sys := DefaultSystem()
 	tr := shortTrace(t)
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 
 	buffered, err := Run(context.Background(), sys, tr, newDNOR(t, sys), opts)
 	if err != nil {

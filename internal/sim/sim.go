@@ -91,13 +91,9 @@ type Options struct {
 	// the converter's output voltage through the three-stage lead-acid
 	// strategy instead of the fixed 13.8 V float.
 	ChargeProfile *charger.Profile
-	// DeterministicRuntime drops the measured controller wall-clock from
-	// the physics: switching overhead is priced with zero compute time
-	// and the runtime statistics report zero. Everything else in a run
-	// is already driven by Seed, so with this set a Result is
-	// bit-reproducible — and a parallel batch bit-identical to a serial
-	// one. Leave it false to keep the paper's Section III.C accounting,
-	// where the algorithm's own runtime is part of the overhead.
+	// Deprecated: DeterministicRuntime is ignored; controller runtime
+	// is always counted work (core.Decision.ComputeTime). It remains
+	// only because perfbench assigns it.
 	DeterministicRuntime bool
 	// StartTime is the session clock's origin in seconds: Tick.Time
 	// stamps and fault-plan advances run on this clock. Run overrides it

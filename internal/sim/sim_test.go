@@ -310,7 +310,6 @@ func TestFirstProgramPaysCommissioningToggles(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.DeterministicRuntime = true
 	res, err := Run(context.Background(), sys, tr, &fixedOnce{cfg: cfg}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +372,6 @@ func TestMPPTReinitAfterFaultRecovery(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.SensorNoiseC = 0
-	opts.DeterministicRuntime = true
 	opts.FaultPlan = plan
 	res, err := Run(context.Background(), sys, tr, ctrl, opts)
 	if err != nil {
@@ -449,7 +447,6 @@ func TestMPPTReinitAfterZeroEMFDip(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.SensorNoiseC = 0
-	opts.DeterministicRuntime = true
 	res, err := Run(context.Background(), sys, tr, ctrl, opts)
 	if err != nil {
 		t.Fatal(err)

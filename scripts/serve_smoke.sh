@@ -115,7 +115,7 @@ id=$(echo "$twin" | sed -n 's/.*"id":"\(tw-[^"]*\)".*/\1/p')
 curl -fsS -H 'Content-Type: application/json' \
   -d '{"cycle":"delivery","ticks":40}' "$base/v1/sessions/$id/step" >/dev/null
 curl -fsS "$base/v1/sessions/$id/checkpoint" -o "$workdir/ck.json"
-grep -q '"version":1' "$workdir/ck.json" || { echo "checkpoint is not the versioned schema"; exit 1; }
+grep -q '"version":2' "$workdir/ck.json" || { echo "checkpoint is not the versioned schema"; exit 1; }
 echo "   twin $id checkpointed at step 40 ($(wc -c <"$workdir/ck.json") bytes)"
 
 # Run the original twin to step 60 before the server dies: this is the
