@@ -8,6 +8,7 @@ import (
 	"tegrecon/internal/predict"
 	"tegrecon/internal/switchfab"
 	"tegrecon/internal/teg"
+	"tegrecon/internal/units"
 )
 
 // DNOR is Algorithm 2 — Durable Near-Optimal Reconfiguration. Every
@@ -113,11 +114,13 @@ func (c *DNOR) Name() string { return "DNOR" }
 // can rebuild an identically configured DNOR.
 func (c *DNOR) HorizonTicks() int { return c.horizon }
 
-// Reset implements Controller: no incumbent, and an empty predictor.
+// Reset implements Controller: no incumbent, an empty predictor and
+// no pricing hint.
 func (c *DNOR) Reset() {
 	c.haveCur = false
 	c.lastPower = 0
 	c.pred.Reset()
+	c.sc.hint = 0
 }
 
 // period returns the decision period tp+1 in ticks.
@@ -140,7 +143,7 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 			Config:      c.cur,
 			Expected:    c.lastPower,
 			Switched:    false,
-			ComputeTime: workTime(work),
+			ComputeTime: units.WorkTime(work),
 		}, nil
 	}
 
@@ -162,7 +165,7 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 			Config:      c.cur,
 			Expected:    candOp.Delivered,
 			Switched:    switched,
-			ComputeTime: workTime(work),
+			ComputeTime: units.WorkTime(work),
 		}, nil
 	}
 	old := c.cur
@@ -188,7 +191,7 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 	}
 
 	work += predictWork + 2*int64(len(window))*int64(len(tempsC))
-	d := Decision{ComputeTime: workTime(work)}
+	d := Decision{ComputeTime: units.WorkTime(work)}
 	if eOld <= eNew-eOverhead-c.threshold {
 		switched := !old.Equal(cand)
 		c.adopt(cand) // overwrites old's backing — all comparisons done above

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"tegrecon/internal/units"
+)
 
 // EHTR reconstructs the prior-work Efficient Heuristic TEG
 // Reconfiguration algorithm (Baek et al., ISLPED 2017) that the paper
@@ -30,10 +34,10 @@ func NewEHTR(eval *Evaluator) (*EHTR, error) {
 // Name implements Controller.
 func (c *EHTR) Name() string { return "EHTR" }
 
-// Reset implements Controller. EHTR is memoryless between periods (its
-// scratch — including the DP work arrays — is fully overwritten each
-// Decide), so there is no state to clear.
-func (c *EHTR) Reset() {}
+// Reset implements Controller. EHTR carries only a pricing hint that
+// never changes a decision (its scratch, the DP work arrays included,
+// is overwritten each Decide); Reset clears that hint.
+func (c *EHTR) Reset() { c.sc.hint = 0 }
 
 // Decide implements Controller: exhaustive-partition reconfiguration
 // every period. The returned Config aliases the controller's scratch
@@ -48,6 +52,6 @@ func (c *EHTR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 		Config:      cfg,
 		Expected:    op.Delivered,
 		Switched:    true,
-		ComputeTime: workTime(c.sc.work),
+		ComputeTime: units.WorkTime(c.sc.work),
 	}, nil
 }

@@ -103,15 +103,8 @@ type Decision struct {
 	Config      array.Config  // configuration to apply for this period
 	Expected    float64       // controller's expected delivered power, W
 	Switched    bool          // topology differs from the previous period
-	ComputeTime time.Duration // runtime priced from counted work (workTime)
+	ComputeTime time.Duration // runtime priced from counted work (units.WorkTime)
 }
-
-// workUnitNs prices one unit of counted controller work, calibrated
-// once from tegbench's decide_live_inor_n100 (docs/ARCHITECTURE.md,
-// "Controller runtime"); kernel speed-ups do not move it.
-const workUnitNs = 8.05
-
-func workTime(units int64) time.Duration { return time.Duration(float64(units) * workUnitNs) }
 
 // fullScanDPWork counts the cost evaluations of the prior work's
 // full-scan DP table (rows 1…nmax over nMod modules): nMod for row 1
@@ -131,7 +124,8 @@ func fullScanDPWork(nMod, nmax int) int64 {
 // periods (an incumbent configuration, predictor history) must also
 // implement StateCarrier, or sessions using it cannot be checkpointed
 // faithfully — the checkpoint machinery treats non-carriers as
-// memoryless (which INOR, EHTR and the baseline genuinely are).
+// memoryless (the baseline is; INOR and EHTR carry only a pricing hint
+// that never changes a decision).
 type Controller interface {
 	// Name labels the scheme in reports ("DNOR", "INOR", …).
 	Name() string

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"tegrecon/internal/units"
+)
 
 // INOR is Algorithm 1 — Instantaneous Near-Optimal TEG Array
 // Reconfiguration. Given the sensed temperature distribution it computes
@@ -28,10 +32,10 @@ func NewINOR(eval *Evaluator) (*INOR, error) {
 // Name implements Controller.
 func (c *INOR) Name() string { return "INOR" }
 
-// Reset implements Controller. INOR is memoryless between periods (its
-// scratch buffers are fully overwritten each Decide), so there is no
-// state to clear.
-func (c *INOR) Reset() {}
+// Reset implements Controller. INOR carries only a pricing hint that
+// never changes a decision (its scratch buffers are overwritten each
+// Decide); Reset clears that hint.
+func (c *INOR) Reset() { c.sc.hint = 0 }
 
 // Decide implements Controller: a full reconfiguration every period.
 // Per Section VI, INOR "switches at every time point" — every decision
@@ -48,6 +52,6 @@ func (c *INOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 		Config:      cfg,
 		Expected:    op.Delivered,
 		Switched:    true,
-		ComputeTime: workTime(c.sc.work),
+		ComputeTime: units.WorkTime(c.sc.work),
 	}, nil
 }

@@ -44,13 +44,15 @@ func checkPartition(nMod, n int) error {
 //
 // Each boundary is the smallest end e in [loEnd, hiEnd] with
 // p[e] ≥ target (clamped to hiEnd), moved to e−1 when that lands at
-// least as close to the target. The end is found by galloping from the
-// expected one — the previous group's length past the group start,
-// nMod/n for the first group — and then binary-searching the bracket,
-// so a group near its expected length costs O(1) probes instead of a
-// full O(log N) search. The result is the index a binary search over
-// the whole range returns because the predicate p[e] ≥ target is
-// monotone in e: p is non-decreasing. That holds for every decider
+// least as close to the target. The end is found from the expected one
+// — the previous group's length past the group start, nMod/n for the
+// first group — by stepping one end at a time for up to walkSteps
+// probes, which settles almost every boundary of a smooth profile, and
+// only past that by galloping and binary-searching the rest of the
+// range (gallopAtLeast). The predicate "e = hiEnd or p[e] ≥ target" is
+// monotone in e because p is non-decreasing, so the end found does not
+// depend on where the walk starts: it is the index a binary search
+// over the whole range returns. p is non-decreasing for every decider
 // input: teg.OpsFromTempsInto clamps ΔT to ≥ 0, failed modules
 // contribute a zero MPP current, and groupWindow parks a non-finite
 // distribution before any partition is built.
@@ -69,8 +71,25 @@ func greedyPartitionInto(starts []int, p []float64) {
 		loEnd := start + 1
 		hiEnd := nMod - (n - j)
 		target := p[start] + iIdeal
-		// Smallest end with cumulative sum ≥ target, hiEnd if none.
-		e := gallopAtLeast(p, loEnd, hiEnd, start+length, target)
+		// Smallest end with cumulative sum ≥ target, hiEnd if none:
+		// walk from the expected end, then gallop past walkSteps.
+		e := min(max(start+length, loEnd), hiEnd)
+		if e == hiEnd || p[e] >= target {
+			stop := max(e-walkSteps, loEnd)
+			for e > stop && p[e-1] >= target {
+				e--
+			}
+			if e == stop && e > loEnd {
+				e = gallopAtLeast(p, loEnd, e, e-1, target)
+			}
+		} else {
+			stop := min(e+walkSteps, hiEnd)
+			for e++; e < stop && !(p[e] >= target); e++ {
+			}
+			if e < hiEnd && !(p[e] >= target) {
+				e = gallopAtLeast(p, e+1, hiEnd, e+1, target)
+			}
+		}
 		// The closest of e and e−1 to the target.
 		if e > loEnd {
 			if target-p[e-1] <= p[e]-target {
@@ -82,6 +101,10 @@ func greedyPartitionInto(starts []int, p []float64) {
 		start = e
 	}
 }
+
+// walkSteps is how many ends greedyPartitionInto steps through from a
+// boundary's expected end before it gallops.
+const walkSteps = 4
 
 // gallopAtLeast returns the smallest e in [lo, hi) with p[e] ≥ target,
 // or hi when there is none. It probes guess first, gallops away from it

@@ -669,6 +669,46 @@ func TestGreedyWalkMatchesSearchReference(t *testing.T) {
 	t.Logf("%d partitions compared", compared)
 }
 
+// FuzzGreedyPartition pins the walking boundary search to the
+// binary-search reference on arbitrary non-decreasing prefixes, for
+// every group count. Each input byte is one module's MPP current:
+// bytes below 64 are zero-current modules (plateaus in the prefix),
+// the rest small multiples of 1/7, so sums tie and round. Bytes past
+// the first 512 are ignored. The seeds include a plateau tail, which
+// clamps the expected end of the later groups at hiEnd, and a long
+// dark head, whose first boundaries lie far from their expected ends.
+func FuzzGreedyPartition(f *testing.F) {
+	f.Add([]byte{200, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 70, 70, 70})
+	f.Add([]byte{100, 100, 100, 100, 0, 0, 0, 0, 0, 0, 0, 0, 0, 100})
+	f.Add([]byte("radiator decay profiles taper toward the outlet"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		impp := make([]float64, len(data))
+		for i, b := range data {
+			if b >= 64 {
+				impp[i] = float64(b-63) / 7
+			}
+		}
+		if len(impp) == 0 {
+			return
+		}
+		p := prefixSums(impp)
+		got, want := make([]int, len(impp)), make([]int, len(impp))
+		for n := 1; n <= len(impp); n++ {
+			greedyPartitionInto(got[:n], p)
+			greedyPartitionSearchRef(want[:n], p)
+			for j := 0; j < n; j++ {
+				if got[j] != want[j] {
+					t.Fatalf("n=%d: starts %v, reference %v (prefix %v)", n, got[:n], want[:n], p)
+				}
+			}
+		}
+	})
+}
+
 // TestGallopAtLeastMatchesSearch checks the search itself from every
 // guess, in range and out of it, on a prefix with repeated entries.
 func TestGallopAtLeastMatchesSearch(t *testing.T) {

@@ -164,14 +164,17 @@ func pricingTestArray(t *testing.T, e *Evaluator, rng *rand.Rand, kind int) *arr
 // partitioners, from Best on random configurations, and from DNOR's
 // windowEnergies. Both the clean-winner and the all-reverse fallback
 // branches of configureAt must be exercised, and so must decisions
-// whose n̂ is reverse-driven (no threshold until the loop finds a clean
-// candidate) and decisions with a clean n̂ whose candidates include
-// equivalents with Voc < MinInput or Voc/2 > MaxInput.
+// whose first-priced candidate is reverse-driven (no threshold until
+// the loop finds a clean candidate) and decisions with a clean first
+// candidate whose window includes equivalents with Voc < MinInput or
+// Voc/2 > MaxInput. One scratch serves every trial, so the first
+// candidate is the previous decision's winner whenever that lies in
+// the window, and n̂ otherwise.
 func TestPricingMatchesUnprunedReference(t *testing.T) {
 	e := newEval(t)
 	rng := rand.New(rand.NewSource(77))
 	sc, ref := newScratch(e), newScratch(e)
-	cleanWins, fallbacks, hatReverse, vocOutside, pruned := 0, 0, 0, 0, 0
+	cleanWins, fallbacks, firstReverse, vocOutside, pruned := 0, 0, 0, 0, 0
 	for trial := 0; trial < 300; trial++ {
 		kind := radiatorProfile
 		if trial >= 150 {
@@ -207,8 +210,8 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 				pruned += nmax - nmin + 1 - sc.priced
 			}
 			if !exhaustive {
-				r, o := pruneRegimes(t, e, ref, arr, sc.hat)
-				hatReverse += r
+				r, o := pruneRegimes(t, e, ref, arr, sc.first)
+				firstReverse += r
 				vocOutside += o
 			}
 		}
@@ -233,10 +236,10 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 	if cleanWins == 0 || fallbacks == 0 {
 		t.Fatalf("branches not both exercised: %d clean winners, %d all-reverse fallbacks", cleanWins, fallbacks)
 	}
-	t.Logf("%d clean winners, %d fallbacks, %d reverse-driven n̂, %d out-of-range equivalents, %d candidates pruned",
-		cleanWins, fallbacks, hatReverse, vocOutside, pruned)
-	if hatReverse == 0 || vocOutside == 0 || pruned == 0 {
-		t.Fatalf("prune regimes not exercised: %d reverse-driven n̂, %d out-of-range equivalents, %d pruned", hatReverse, vocOutside, pruned)
+	t.Logf("%d clean winners, %d fallbacks, %d reverse-driven first candidates, %d out-of-range equivalents, %d candidates pruned",
+		cleanWins, fallbacks, firstReverse, vocOutside, pruned)
+	if firstReverse == 0 || vocOutside == 0 || pruned == 0 {
+		t.Fatalf("prune regimes not exercised: %d reverse-driven first candidates, %d out-of-range equivalents, %d pruned", firstReverse, vocOutside, pruned)
 	}
 
 	// DNOR's window pricing reads only Delivered.
@@ -280,18 +283,19 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 	}
 }
 
-// pruneRegimes classifies a greedy configureAt decision on arr whose n̂
-// partition is hat: reverse is 1 when n̂ was priced but reverse-driven
-// (so it set no threshold); outside is 1 when n̂ was clean and some
-// candidate of the window has an equivalent with Voc < MinInput or
-// Voc/2 > MaxInput. ref must hold arr's Norton pairs.
-func pruneRegimes(t *testing.T, e *Evaluator, ref *scratch, arr *array.Array, hat []int) (reverse, outside int) {
+// pruneRegimes classifies a greedy configureAt decision on arr whose
+// first-priced partition (the hint or n̂) is first: reverse is 1 when
+// it was priced but reverse-driven (so it set no threshold); outside
+// is 1 when it was clean and some candidate of the window has an
+// equivalent with Voc < MinInput or Voc/2 > MaxInput. ref must hold
+// arr's Norton pairs.
+func pruneRegimes(t *testing.T, e *Evaluator, ref *scratch, arr *array.Array, first []int) (reverse, outside int) {
 	t.Helper()
 	nmin, nmax, _, err := e.groupWindow(arr)
 	if err != nil {
-		return 0, 0 // parked: hat is stale
+		return 0, 0 // parked: first is stale
 	}
-	cfg := array.Config{N: arr.N(), Starts: hat}
+	cfg := array.Config{N: arr.N(), Starts: first}
 	op, ok, err := e.bestAt(ref, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ type scratch struct {
 	pg, pj []float64            // prefix sums of nt.G and nt.J (the candidate bound)
 	eg, ej float64              // their difference-error terms (groupSumError)
 	starts []int                // candidate partition under evaluation
-	hat    []int                // partition of n̂, the candidate priced first
+	first  []int                // partition of the candidate priced first
 	best   []int                // winner partition (any operating point)
 	clean  []int                // winner partition without reverse-driven modules
 	park   []int                // the all-parallel fallback config
@@ -47,6 +47,12 @@ type scratch struct {
 	// work is the published algorithm's operation count for the last
 	// configureAt call, which pruning never changes.
 	work int64
+	// hint is the group count configureAt last returned from a search,
+	// 0 before the first one. The next search prices it first when it
+	// lies in that search's window. It only orders the pricing and
+	// never changes a decision (see configureAt); a controller's Reset
+	// clears it.
+	hint int
 
 	// deliver is the converter-weighted power at array output current i
 	// for the equivalent currently in eq — the objective handed to the
@@ -275,22 +281,27 @@ func (sc *scratch) partitionInto(starts []int, exhaustive bool) error {
 // here, before the group-count loop. The returned Config aliases the
 // scratch winner buffers and is valid until the scratch's next use.
 //
-// Most candidates are priced only to lose, so the search prices n̂
-// first: the group count whose nominal stacked voltage lands nearest
-// the converter's output voltage. Every clean candidate found — n̂ if
-// it is priced and drives no module in reverse, then each new clean
-// winner of the loop — raises the threshold thr, which the final clean
-// winner, and so the final overall winner, reaches. Every other
-// candidate whose delivered-power bound (bandTable.deliverBound) falls
-// below thr is skipped without the converter search: its Delivered is
-// strictly below both final maxima, so it could win neither strict
-// comparison of the ascending loop, and dropping it changes neither
-// the first maxima nor the reverse checks that decide them. The bound
-// is read at equivalentBound's O(n) over-estimate of the candidate's
-// equivalent, from prefix sums of the Norton pairs built once per
-// decision, so a pruned candidate costs its partition and that bound;
-// only a survivor pays the O(N) EquivalentInto, and then runs the
-// same pricing it always has.
+// Most candidates are priced only to lose, so the search prices one
+// likely winner first: last period's winning group count (sc.hint)
+// when it lies in this period's window, since temperatures drift
+// slowly, and otherwise n̂, the group count whose nominal stacked
+// voltage lands nearest the converter's output voltage. Every clean
+// candidate found — the first one if it drives no module in reverse,
+// then each new clean winner of the loop — raises the threshold thr,
+// which the final clean winner, and so the final overall winner,
+// reaches. Which candidate is priced first does not matter for that:
+// it is one of the window's candidates, so its Delivered, when clean,
+// is at most the final clean maximum. Every other candidate whose
+// delivered-power bound (bandTable.deliverBound) falls below thr is
+// skipped without the converter search: its Delivered is strictly
+// below both final maxima, so it could win neither strict comparison
+// of the ascending loop, and dropping it changes neither the first
+// maxima nor the reverse checks that decide them. The bound is read at
+// equivalentBound's O(n) over-estimate of the candidate's equivalent,
+// from prefix sums of the Norton pairs built once per decision, so a
+// pruned candidate costs its partition and that bound; only a survivor
+// pays the O(N) EquivalentInto, and then runs the same pricing it
+// always has.
 func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) (array.Config, Operating, error) {
 	sc.priced, sc.work = 0, 0
 	nmin, nmax, vGroup, err := e.groupWindow(arr)
@@ -322,27 +333,31 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 		}
 	}
 
-	// Price n̂ first. thr is the largest Delivered of a clean candidate
-	// seen so far, −Inf (nothing pruned) until there is one.
-	hat := int(math.Round(min(max(e.Conv.OutputVoltage/vGroup, float64(nmin)), float64(nmax))))
-	if err := checkPartition(arr.N(), hat); err != nil {
+	// Price the hint, or n̂, first. thr is the largest Delivered of a
+	// clean candidate seen so far, −Inf (nothing pruned) until there is
+	// one.
+	first := sc.hint
+	if first < nmin || first > nmax {
+		first = int(math.Round(min(max(e.Conv.OutputVoltage/vGroup, float64(nmin)), float64(nmax))))
+	}
+	if err := checkPartition(arr.N(), first); err != nil {
 		return array.Config{}, Operating{}, err
 	}
-	sc.hat = resizeInts(sc.hat, hat)
-	if err := sc.partitionInto(sc.hat, exhaustive); err != nil {
+	sc.first = resizeInts(sc.first, first)
+	if err := sc.partitionInto(sc.first, exhaustive); err != nil {
 		return array.Config{}, Operating{}, err
 	}
-	hatCfg := array.Config{N: arr.N(), Starts: sc.hat}
-	hatOp, ok, err := e.bestAt(sc, hatCfg)
+	firstCfg := array.Config{N: arr.N(), Starts: sc.first}
+	firstOp, ok, err := e.bestAt(sc, firstCfg)
 	if err != nil {
 		return array.Config{}, Operating{}, err
 	}
 	sc.priced++
 	thr := math.Inf(-1)
 	if ok {
-		hatOp.Reverse = sc.nt.HasReverseCurrentAt(sc.eq, hatCfg, hatOp.Current)
-		if !hatOp.Reverse {
-			thr = hatOp.Delivered
+		firstOp.Reverse = sc.nt.HasReverseCurrentAt(sc.eq, firstCfg, firstOp.Current)
+		if !firstOp.Reverse {
+			thr = firstOp.Delivered
 		}
 	}
 
@@ -350,8 +365,8 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 	var bestOp, cleanOp Operating
 	haveAny, haveClean := false, false
 	for n := nmin; n <= nmax; n++ {
-		cfg, op := hatCfg, hatOp
-		if n != hat {
+		cfg, op := firstCfg, firstOp
+		if n != first {
 			if err := checkPartition(arr.N(), n); err != nil {
 				return array.Config{}, Operating{}, err
 			}
@@ -380,8 +395,9 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 			// the reverse check. bestOp.Delivered ≥ cleanOp.Delivered
 			// always holds, so any candidate that becomes the overall
 			// winner passes this test too, and bestOp.Reverse is always
-			// computed. (n̂'s check above runs unconditionally; a check
-			// this gate would skip cannot change either comparison.)
+			// computed. (The first candidate's check above runs
+			// unconditionally; a check this gate would skip cannot
+			// change either comparison.)
 			if ok && (!haveClean || op.Delivered > cleanOp.Delivered) {
 				op.Reverse = sc.nt.HasReverseCurrentAt(sc.eq, cfg, op.Current)
 			}
@@ -401,12 +417,12 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 		}
 	}
 	if haveClean {
-		return cleanCfg, cleanOp, nil
+		bestCfg, bestOp = cleanCfg, cleanOp
+	} else if !haveAny {
+		return sc.parkConfig(arr.N()), Operating{}, nil
 	}
-	if haveAny {
-		return bestCfg, bestOp, nil
-	}
-	return sc.parkConfig(arr.N()), Operating{}, nil
+	sc.hint = len(bestCfg.Starts)
+	return bestCfg, bestOp, nil
 }
 
 // resizeInts returns s with length n, reallocating only when its

@@ -10,9 +10,10 @@ import (
 // ControllerState is the serializable cross-period state of a
 // Controller — everything a controller carries from one Decide to the
 // next that a session checkpoint must preserve to replay the remainder
-// of a run bit-for-bit. The static baseline, INOR and EHTR are
-// memoryless (their scratch is fully overwritten each Decide), so only
-// DNOR implements the capture/restore pair: its incumbent
+// of a run bit-for-bit. The static baseline is memoryless, and INOR
+// and EHTR carry only a pricing hint that never changes a decision
+// (their scratch is otherwise overwritten each Decide), so only DNOR
+// implements the capture/restore pair: its incumbent
 // configuration, the delivered-power estimate that prices hypothetical
 // switches, and the predictor's observation window.
 type ControllerState struct {
@@ -35,7 +36,9 @@ type ControllerState struct {
 // Controllers that carry state across control periods implement it so
 // sessions holding them can be snapshotted and restored bit-exactly; a
 // controller that does not implement it is treated as memoryless by the
-// checkpoint machinery (true for the baseline, INOR and EHTR). Any new
+// checkpoint machinery: true for the baseline, and true in effect for
+// INOR and EHTR, whose pricing hint a restored controller may lack
+// without changing a decision. Any new
 // stateful controller must implement StateCarrier, or sessions using it
 // will restore with amnesia.
 type StateCarrier interface {

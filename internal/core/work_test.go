@@ -9,14 +9,18 @@ import (
 	"tegrecon/internal/array"
 	"tegrecon/internal/predict"
 	"tegrecon/internal/switchfab"
+	"tegrecon/internal/units"
 )
 
 // workTestTemps is the decision input of the pinned counts: a radiator
 // decay at N modules.
 func workTestTemps(n int) []float64 { return decayTemps(n, 90, 40, float64(n)/3) }
 
-// workUnits inverts workTime up to its truncation, for failure messages.
-func workUnits(d time.Duration) int64 { return int64(math.Round(float64(d) / workUnitNs)) }
+// workUnits inverts units.WorkTime up to its truncation, for failure
+// messages.
+func workUnits(d time.Duration) int64 {
+	return int64(math.Round(float64(d) / float64(units.WorkTime(1e6)) * 1e6))
+}
 
 // TestWorkCountsPinned pins every scheme's closed-form runtime count
 // at two array sizes on a fixed profile. The counts are a model of the
@@ -49,8 +53,8 @@ func TestWorkCountsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.ComputeTime != workTime(s.want) {
-				t.Errorf("N=%d %s: ComputeTime %v (≈%d units), want %d units (%v)", c.n, s.ctrl.Name(), d.ComputeTime, workUnits(d.ComputeTime), s.want, workTime(s.want))
+			if d.ComputeTime != units.WorkTime(s.want) {
+				t.Errorf("N=%d %s: ComputeTime %v (≈%d units), want %d units (%v)", c.n, s.ctrl.Name(), d.ComputeTime, workUnits(d.ComputeTime), s.want, units.WorkTime(s.want))
 			}
 		}
 
@@ -71,8 +75,8 @@ func TestWorkCountsPinned(t *testing.T) {
 			case 10:
 				want, what = c.dnorDecide, "decision"
 			}
-			if want >= 0 && dec.ComputeTime != workTime(want) {
-				t.Errorf("N=%d DNOR %s tick: ComputeTime %v (≈%d units), want %d units (%v)", c.n, what, dec.ComputeTime, workUnits(dec.ComputeTime), want, workTime(want))
+			if want >= 0 && dec.ComputeTime != units.WorkTime(want) {
+				t.Errorf("N=%d DNOR %s tick: ComputeTime %v (≈%d units), want %d units (%v)", c.n, what, dec.ComputeTime, workUnits(dec.ComputeTime), want, units.WorkTime(want))
 			}
 		}
 	}
@@ -121,8 +125,8 @@ func TestComputeTimeMatchesUnprunedReference(t *testing.T) {
 			if !d.Config.Equal(array.Config{N: arr.N(), Starts: starts}) {
 				t.Fatalf("trial %d %s: decision differs from the reference", trial, c.ctrl.Name())
 			}
-			if d.ComputeTime != workTime(work) {
-				t.Fatalf("trial %d %s: ComputeTime %v, reference tally %d units (%v)", trial, c.ctrl.Name(), d.ComputeTime, work, workTime(work))
+			if d.ComputeTime != units.WorkTime(work) {
+				t.Fatalf("trial %d %s: ComputeTime %v, reference tally %d units (%v)", trial, c.ctrl.Name(), d.ComputeTime, work, units.WorkTime(work))
 			}
 		}
 	}
@@ -157,8 +161,8 @@ func TestComputeTimeMatchesUnprunedReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := observe + fit + work + 2*(horizon+1)*int64(len(temps))
-		if dec.ComputeTime != workTime(want) {
-			t.Fatalf("DNOR tick %d: ComputeTime %v, reference tally %d units (%v)", tick, dec.ComputeTime, want, workTime(want))
+		if dec.ComputeTime != units.WorkTime(want) {
+			t.Fatalf("DNOR tick %d: ComputeTime %v, reference tally %d units (%v)", tick, dec.ComputeTime, want, units.WorkTime(want))
 		}
 	}
 }

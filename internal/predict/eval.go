@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tegrecon/internal/stats"
+	"tegrecon/internal/units"
 )
 
 // EvalPoint is one tick of a rolling-forecast evaluation: the mean (over
@@ -23,7 +24,7 @@ type EvalResult struct {
 	Series    []EvalPoint   // per-tick mean APE
 	MAPE      float64       // Eq. (3) over all evaluated module-ticks
 	MaxAPE    float64       // worst module-tick, percent
-	Runtime   time.Duration // total Observe+Predict time
+	Runtime   time.Duration // Observe+Predict work priced by units.WorkTime
 	Evaluated int           // module-ticks scored
 }
 
@@ -31,6 +32,9 @@ type EvalResult struct {
 // tick) in the online protocol: observe tick t, forecast t+horizon, then
 // score that forecast when the ground truth arrives. Temperatures are in
 // °C and strictly positive for radiator data, so APE is well defined.
+// Runtime prices the predictor's counted Work (each Observe, and each
+// Predict it is asked for) at the controllers' work unit, so it is the
+// same on every run and host.
 func Evaluate(p Predictor, seq [][]float64, horizon int) (EvalResult, error) {
 	if horizon < 1 {
 		return EvalResult{}, fmt.Errorf("predict: horizon %d < 1", horizon)
@@ -42,7 +46,7 @@ func Evaluate(p Predictor, seq [][]float64, horizon int) (EvalResult, error) {
 	// pending[t] is the forecast made for tick t.
 	pending := make(map[int][]float64)
 	var allActual, allForecast []float64
-	start := time.Now()
+	var work int64
 	for t, temps := range seq {
 		// Score a forecast that has come due.
 		if f, ok := pending[t]; ok {
@@ -58,15 +62,18 @@ func Evaluate(p Predictor, seq [][]float64, horizon int) (EvalResult, error) {
 		if err := p.Observe(temps); err != nil {
 			return EvalResult{}, fmt.Errorf("predict: observing tick %d: %w", t, err)
 		}
+		observe, predict := p.Work(horizon)
+		work += observe
 		if p.Ready() && t+horizon < len(seq) {
 			fc, err := p.Predict(horizon)
 			if err != nil {
 				return EvalResult{}, fmt.Errorf("predict: forecasting at tick %d: %w", t, err)
 			}
+			work += predict
 			pending[t+horizon] = fc[horizon-1]
 		}
 	}
-	res.Runtime = time.Since(start)
+	res.Runtime = units.WorkTime(work)
 	res.Evaluated = len(allActual)
 	if len(allActual) == 0 {
 		return EvalResult{}, fmt.Errorf("predict: nothing evaluated")

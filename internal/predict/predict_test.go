@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // synthSeq builds a radiator-like temperature sequence: n modules whose
@@ -563,6 +564,30 @@ func TestWorkCountsPinned(t *testing.T) {
 				}
 				i++
 			}
+		}
+	}
+}
+
+// TestEvaluateRuntimeIsCountedWork: Evaluate prices the predictor's
+// counted work, not the wall clock, so two evaluations of the same
+// predictor on the same sequence report the same, positive Runtime.
+func TestEvaluateRuntimeIsCountedWork(t *testing.T) {
+	seq := synthSeq(80, 6, 0.05, 12)
+	for _, name := range []string{"mlr", "holt", "hold"} {
+		var runtimes [2]time.Duration
+		for k := range runtimes {
+			p, err := New(name, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Evaluate(p, seq, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtimes[k] = res.Runtime
+		}
+		if runtimes[0] <= 0 || runtimes[0] != runtimes[1] {
+			t.Errorf("%s: Runtime %v then %v, want one positive value", name, runtimes[0], runtimes[1])
 		}
 	}
 }

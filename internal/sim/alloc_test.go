@@ -34,9 +34,14 @@ func benchConds(t *testing.T, tr *trace.Trace, tick float64) []thermal.Condition
 
 // TestSessionStepAllocationFree is the allocation-regression gate of
 // the zero-allocation tick engine: after warmup (scratch buffers grown
-// to their steady-state sizes), Step must allocate nothing. INOR is the
-// controller under test because it exercises the full decision path —
-// candidate search, equivalent pricing, MPPT restart — every period.
+// to their steady-state sizes), Step must allocate nothing. INOR and
+// EHTR are the controllers under test because they exercise the full
+// decision path — candidate search, equivalent pricing, EHTR's DP
+// table, MPPT restart — every period, with the pricing hint carried
+// from one period to the next. DNOR is left out until its predictor is
+// allocation-free: MLR allocates on every Predict (ROADMAP, "DNOR, the
+// paper's scheme, allocation-free"; CHANGES.md's FOUND line on
+// session_step_instrumented_dnor_n500).
 func TestSessionStepAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations the production build does not pay")
@@ -46,26 +51,30 @@ func TestSessionStepAllocationFree(t *testing.T) {
 	opts := DefaultOptions()
 	opts.KeepTicks = false
 	conds := benchConds(t, tr, opts.TickSeconds)
-	sess, err := NewSession(sys, newINOR(t, sys), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warmup: one full pass over the trace grows every scratch buffer to
-	// the largest size this drive demands.
-	for _, cond := range conds {
-		if _, err := sess.Step(cond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := sess.Step(conds[i%len(conds)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if avg > stepAllocBudget {
-		t.Fatalf("steady-state Session.Step allocates %.2f objects/op, budget %d", avg, stepAllocBudget)
+	for _, scheme := range []string{"INOR", "EHTR"} {
+		t.Run(scheme, func(t *testing.T) {
+			sess, err := NewSession(sys, newScheme(t, scheme, sys), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warmup: one full pass over the trace grows every scratch
+			// buffer to the largest size this drive demands.
+			for _, cond := range conds {
+				if _, err := sess.Step(cond); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			avg := testing.AllocsPerRun(200, func() {
+				if _, err := sess.Step(conds[i%len(conds)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if avg > stepAllocBudget {
+				t.Fatalf("steady-state %s Session.Step allocates %.2f objects/op, budget %d", scheme, avg, stepAllocBudget)
+			}
+		})
 	}
 }
 

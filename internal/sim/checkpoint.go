@@ -96,7 +96,7 @@ type SessionState struct {
 	// is off.
 	Battery *battery.State
 	// Controller is the cross-period controller state; nil for
-	// memoryless schemes (Baseline, INOR, EHTR).
+	// schemes that carry no decision state (Baseline, INOR, EHTR).
 	Controller *core.ControllerState
 }
 

@@ -67,7 +67,10 @@ func newCheckpointTestSession(t *testing.T, scheme string, opts Options) *Sessio
 // into a fresh Session (fresh controller, fresh RNG, fresh tracker)
 // replays the remaining ticks bit-for-bit identical to the
 // uninterrupted run — for all four schemes, including DNOR's
-// incumbent/predictor state and the battery integrators.
+// incumbent/predictor state and the battery integrators — and ends in
+// the same state. The restored controllers start without the pricing
+// hint (last period's winning group count) that the reference carries
+// across the cut; the hint never changes a decision.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const ticks = 160
 	opts := checkpointTestOptions(true)
@@ -121,6 +124,17 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			refRes, gotRes := ref.Result(), restored.Result()
 			if !reflect.DeepEqual(refRes, gotRes) {
 				t.Fatalf("%s final results differ:\nrestored: %+v\nreference: %+v", scheme, gotRes, refRes)
+			}
+			refSt, err := ref.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSt, err := restored.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(refSt, gotSt) {
+				t.Fatalf("%s final states differ:\nrestored: %+v\nreference: %+v", scheme, gotSt, refSt)
 			}
 			// The original keeps stepping after the snapshot — a
 			// snapshot is a copy, not a terminator — and stays

@@ -1,7 +1,7 @@
-// Package units provides the Celsius-to-kelvin conversion and the small
+// Package units provides the Celsius-to-kelvin conversion, the small
 // numeric helpers (clamping, golden-section search) shared by the
 // thermal, electrical and control packages of the TEG reconfiguration
-// system.
+// system, and the price of one unit of counted algorithm work.
 //
 // Conventions used across the repository:
 //
@@ -12,7 +12,10 @@
 //   - Time is seconds (float64) inside models, time.Duration at the edges.
 package units
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
 // ZeroCelsiusK is 0 °C expressed in kelvin.
 const ZeroCelsiusK = 273.15
@@ -34,6 +37,17 @@ func Clamp(v, lo, hi float64) float64 {
 		return v
 	}
 }
+
+// workUnitNs prices one unit of counted algorithm work (one
+// multiply-add or per-module step), calibrated once from tegbench's
+// decide_live_inor_n100 (docs/ARCHITECTURE.md, "Controller runtime");
+// kernel speed-ups do not move it.
+const workUnitNs = 8.05
+
+// WorkTime is the runtime of the given count of work units: what the
+// controllers charge as Decision.ComputeTime and predict.Evaluate
+// reports as a predictor's runtime.
+func WorkTime(units int64) time.Duration { return time.Duration(float64(units) * workUnitNs) }
 
 // invPhi is 1/φ, the golden-section search ratio.
 var invPhi = (math.Sqrt(5) - 1) / 2
