@@ -39,7 +39,6 @@ func main() {
 		start   = flag.Float64("start", 20, "window start for figs 6/7 (s)")
 		end     = flag.Float64("end", 140, "window end for figs 6/7 (s)")
 		horizon = flag.Int("horizon", 2, "prediction horizon for fig 5 (ticks)")
-		workers = flag.Int("workers", 0, "worker pool for independent runs: 0 = all CPUs, 1 = serial; output is byte-identical at any count")
 	)
 	flag.Parse()
 
@@ -53,9 +52,9 @@ func main() {
 	case "5":
 		err = emitFig5(w, *horizon)
 	case "6":
-		err = emitFig6or7(w, *start, *end, false, *workers)
+		err = emitFig6or7(w, *start, *end, false)
 	case "7":
-		err = emitFig6or7(w, *start, *end, true, *workers)
+		err = emitFig6or7(w, *start, *end, true)
 	case "scaling":
 		err = emitScaling(w)
 	default:
@@ -112,12 +111,11 @@ func emitFig5(w *csv.Writer, horizon int) error {
 	return nil
 }
 
-func emitFig6or7(w *csv.Writer, start, end float64, ratio bool, workers int) error {
+func emitFig6or7(w *csv.Writer, start, end float64, ratio bool) error {
 	setup, err := experiments.DefaultSetup()
 	if err != nil {
 		return err
 	}
-	setup.Workers = workers
 	res, err := experiments.Fig6PowerSeries(setup, start, end)
 	if err != nil {
 		return err

@@ -2,7 +2,10 @@
 // synthesises the 800 s drive trace, runs DNOR, INOR, EHTR and the
 // static 10×10 baseline over the 100-module radiator system, and prints
 // the energy / overhead / runtime comparison with the paper's headline
-// ratios.
+// ratios. Every study it runs, Table I included, is one or more
+// scenario matrices (internal/scenario) run on the batch engine, each
+// cell seeded from its coordinate, so the same matrix posted to
+// tegserve's /v1/matrix returns the same cells.
 //
 // Usage:
 //
@@ -37,24 +40,24 @@
 // shape the stochastic trace) are refused in this mode, and
 // -scenario-duration outside it.
 //
-// -study horizon, predictors, margins, faults, seeds and bank are
-// scenario matrices as well, over the stochastic trace (-synth, or
-// -duration and -seed) at -modules, -tick and -horizon. horizon,
-// predictors and margins put DNOR variants on the scheme axis and print
-// one row per variant: horizons 1, 2, 4, 6 and 8 ticks
-// ("DNOR:horizon=8"); the MLR, BPNN, SVR, Holt, Hold and oracle
+// Every other study drives the stochastic trace (-synth, or -duration
+// and -seed) at -modules, -tick and -horizon. table1 runs the four
+// schemes. horizon, predictors and margins put DNOR variants on the
+// scheme axis and print one row per variant: horizons 1, 2, 4, 6 and 8
+// ticks ("DNOR:horizon=8"); the MLR, BPNN, SVR, Holt, Hold and oracle
 // predictors ("DNOR:predictor=oracle"); extra switch margins of 0,
 // 0.25, 0.5, 1 and 2 J ("DNOR:margin_j=0.5"). A variant equal to the
 // default prints as plain DNOR. faults runs DNOR, INOR and the baseline
 // with no faults and under a storm of -failures random module failures;
 // seeds runs them over -seeds copies of the trace reseeded 101·k; bank
 // runs INOR and the baseline over 5 radiator paths at maldistribution
-// 0, 0.2, 0.4 and 0.6. Every matrix study derives its seeds from cell
-// coordinates, so the same matrix posted to tegserve's /v1/matrix
-// returns the same cells. -failures and -seeds are refused outside
-// their study, -seed under -study seeds, and -horizon under -study
-// horizon. -study window is the Ext-C converter input-window ablation:
-// INOR over the LTM4607's full [4.5, 36] V band and two narrower ones.
+// 0, 0.2, 0.4 and 0.6. window is the Ext-C converter input-window
+// ablation: INOR over the LTM4607's full [4.5, 36] V band and two
+// narrower ones, one matrix per band (the matrices' converter_input_v),
+// whose full-band row is Table I's INOR cell. A matrix reads trace seed
+// 0 as its default, so -seed 0 is refused. -failures and -seeds are
+// refused outside their study, -seed under -study seeds, and -horizon
+// under -study horizon.
 //
 // Controller runtime (Table I's "Average Runtime" row and the runtime
 // part of every switching overhead) is priced from a closed-form count
@@ -236,12 +239,7 @@ func main() {
 		return
 	}
 
-	setup, err := experiments.DefaultSetup()
-	if err != nil {
-		log.Fatal(err)
-	}
 	meter := newProgressMeter()
-	setup.Opts.OnTick = meter.observe
 	fail := func(err error) {
 		meter.done()
 		if errors.Is(err, context.Canceled) {
@@ -253,23 +251,26 @@ func main() {
 	cfg.Duration = *duration
 	cfg.Seed = *seed
 	if *synthSpec != "" {
-		cfg, err = drive.ParseSynthSpec(*synthSpec)
-		if err != nil {
+		var err error
+		if cfg, err = drive.ParseSynthSpec(*synthSpec); err != nil {
 			log.Fatal(err)
 		}
 		*duration = cfg.Duration // studies report the simulated span
 	}
-	if setup.Trace, err = drive.Synthesize(cfg); err != nil {
+	if err := cfg.Validate(); err != nil { // a study's matrix would read duration 0 as 800 s
 		log.Fatal(err)
 	}
-	setup.Sys.Modules = *modules
-	setup.Opts.TickSeconds = *tick
-	setup.Workers = *workers
-	setup.HorizonTicks = *horizon
 
 	// A single named scheme instead of a study: one run, full Result —
 	// and with -json the same versioned payload the tegserve API serves.
 	if *scheme != "" {
+		tr, err := drive.Synthesize(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		setup := &experiments.Setup{Sys: sim.DefaultSystem(), Trace: tr, Opts: sim.DefaultOptions(), HorizonTicks: *horizon}
+		setup.Sys.Modules = *modules
+		setup.Opts.TickSeconds, setup.Opts.OnTick = *tick, meter.observe
 		ctrl, err := setup.NewScheme(*scheme)
 		if err != nil {
 			log.Fatal(err)
@@ -295,41 +296,36 @@ func main() {
 		return
 	}
 
-	var tab *report.Table
-	switch *study {
-	case "table1":
-		res, err := experiments.TableI(ctx, setup)
-		if err != nil {
-			fail(err)
-		}
-		meter.done()
-		if *format == "text" {
-			fmt.Printf("TEG reconfiguration comparison — %d modules, %.0f s drive, %.1f s control period\n\n",
-				*modules, *duration, *tick)
-			fmt.Print(res.Render())
-			return
-		}
-		tab = report.FromTableI(res)
-	case "window":
-		conv := setup.Sys.Conv
-		pts, err := experiments.WindowAblation(ctx, setup, [][2]float64{{conv.MinInput, conv.MaxInput}, {8, 24}, {12, 16}})
-		if err != nil {
-			fail(err)
-		}
-		tab = report.FromWindow(pts)
-	default:
-		base := scenario.Matrix{TickS: *tick, HorizonTicks: *horizon, ArraySizes: []int{*modules}, MaxDurationS: *scenarioCap}
-		m, render, err := studyMatrix(*study, base, cfg, *failures, *seeds)
-		if err != nil {
-			log.Fatal(err)
-		}
+	base := scenario.Matrix{TickS: *tick, HorizonTicks: *horizon, ArraySizes: []int{*modules}, MaxDurationS: *scenarioCap}
+	ms, render, err := studyMatrix(*study, base, cfg, *failures, *seeds)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var cells []experiments.MatrixCell
+	for _, m := range ms {
 		res, err := experiments.MatrixSweep(ctx, m, experiments.MatrixOptions{Workers: *workers, OnTick: meter.observe})
 		if err != nil {
 			fail(err)
 		}
-		tab = render(m, res.Cells)
+		cells = append(cells, res.Cells...)
 	}
 	meter.done()
+	if *study == "table1" && *format == "text" {
+		// Table I's text form is the paper's transposed layout with the
+		// headline ratios, not a report table.
+		res, err := experiments.TableI(ms[0], cells)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("TEG reconfiguration comparison — %d modules, %.0f s drive, %.1f s control period\n\n",
+			*modules, *duration, *tick)
+		fmt.Print(res.Render())
+		return
+	}
+	tab, err := render(ms, cells)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := tab.Write(os.Stdout, report.Format(*format)); err != nil {
 		log.Fatal(err)
 	}

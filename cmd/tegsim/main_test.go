@@ -47,6 +47,9 @@ func TestRefusesIgnoredFlags(t *testing.T) {
 		{"-study faults -failures 0", "-failures 0: scenario: invalid matrix spec: fault 1 storm must set exactly one of count, fraction"},
 		{"-study faults -modules 20 -failures 21", "storm count 21 outside [1, 20]"},
 		{"-study bank -seed 0", "trace seed 0 cannot be expressed"},
+		{"-study table1 -seed 0", "-study table1: trace seed 0 cannot be expressed"},
+		{"-study window -seed 0", "-study window: trace seed 0 cannot be expressed"},
+		{"-study table1 -duration 0", "non-positive duration 0"},
 		{"-study horizon -horizon 6", "cannot be combined with -horizon"},
 		{"-study margins -json -format csv", "-json only applies to -scheme"},
 		{"-json", "-json only applies to -scheme"},
@@ -83,14 +86,13 @@ func tegsimChild(t *testing.T, args string) []byte {
 	return out
 }
 
-// TestStudiesByteIdenticalAcrossWorkers: the horizon, predictor,
-// margin, fault, seed and bank studies run as scenario-matrix cells
-// with coordinate-derived seeds, and Table I runs each scheme on its
-// own seeded session; every one prices controller runtime from counted
-// work, so their CSV is byte-identical at any -workers count. Four
-// workers force the concurrent path even on a single-CPU host.
+// TestStudiesByteIdenticalAcrossWorkers: every study runs as
+// scenario-matrix cells with coordinate-derived seeds and prices
+// controller runtime from counted work, so its CSV is byte-identical
+// at any -workers count. Four workers force the concurrent path even
+// on a single-CPU host.
 func TestStudiesByteIdenticalAcrossWorkers(t *testing.T) {
-	for _, study := range []string{"table1", "horizon", "predictors", "margins", "faults", "seeds", "bank"} {
+	for _, study := range []string{"table1", "window", "horizon", "predictors", "margins", "faults", "seeds", "bank"} {
 		args := "-study " + study + " -duration 10 -modules 20 -format csv"
 		serial := tegsimChild(t, args+" -workers 1")
 		parallel := tegsimChild(t, args+" -workers 4")
@@ -110,15 +112,68 @@ func runStudy(t *testing.T, study string, duration float64, failures, seeds int)
 	synth := drive.DefaultSynthConfig()
 	synth.Duration = duration
 	base := scenario.Matrix{TickS: 0.5, HorizonTicks: 4, ArraySizes: []int{100}}
-	m, _, err := studyMatrix(study, base, synth, failures, seeds)
+	ms, _, err := studyMatrix(study, base, synth, failures, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiments.MatrixSweep(t.Context(), m, experiments.MatrixOptions{Workers: 0})
+	var cells []experiments.MatrixCell
+	for _, m := range ms {
+		res, err := experiments.MatrixSweep(t.Context(), m, experiments.MatrixOptions{Workers: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, res.Cells...)
+	}
+	return cells
+}
+
+// TestTableIStudyMatrix: at tegsim's defaults the Table I study is the
+// bare synth-trace spec the experiments golden test runs, so that test
+// pins what `tegsim -study table1` prints.
+func TestTableIStudyMatrix(t *testing.T) {
+	base := scenario.Matrix{TickS: 0.5, HorizonTicks: 4, ArraySizes: []int{100}}
+	ms, _, err := studyMatrix("table1", base, drive.DefaultSynthConfig(), 15, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Cells
+	bare := scenario.Matrix{Cycles: []scenario.CycleSpec{{Synth: &scenario.SynthSpec{}}}, Schemes: experiments.TableISchemes}
+	want, err := bare.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 || !reflect.DeepEqual(ms[0], want) {
+		t.Errorf("-study table1 runs %+v, want the bare spec %+v", ms, want)
+	}
+}
+
+// TestWindowStudy: the window study keeps its three rows, its
+// full-band cell is Table I's INOR cell bit for bit (same coordinate,
+// seed and plant), and the narrowest band cannot out-harvest the full
+// one.
+func TestWindowStudy(t *testing.T) {
+	const duration = 40
+	window := runStudy(t, "window", duration, 0, 0)
+	if len(window) != 3 {
+		t.Fatalf("%d window cells, want 3", len(window))
+	}
+	var inor experiments.MatrixCell
+	for _, c := range runStudy(t, "table1", duration, 0, 0) {
+		if c.Scheme == "INOR" {
+			inor = c
+		}
+	}
+	inor.Index = 0 // its position in the four-scheme grid
+	if window[0] != inor {
+		t.Errorf("full-band cell differs from Table I's INOR cell:\n%+v\n%+v", window[0], inor)
+	}
+	if window[0].EnergyOutJ < window[2].EnergyOutJ*0.98 {
+		t.Errorf("full band %v J below the [12, 16] V band's %v J", window[0].EnergyOutJ, window[2].EnergyOutJ)
+	}
+	csv := tegsimChild(t, fmt.Sprintf("-study window -duration %d -format csv", duration))
+	want := fmt.Sprintf("min_input_v,max_input_v,energy_j\n4.5,36.0,%.1f\n", inor.EnergyOutJ)
+	if !strings.HasPrefix(string(csv), want) || bytes.Count(csv, []byte("\n")) != 4 {
+		t.Errorf("-study window printed\n%s\nwant a header, three rows, the first\n%s", csv, want)
+	}
 }
 
 func TestFaultStudy(t *testing.T) {
@@ -322,10 +377,11 @@ func TestVariantStudiesServedByMatrixEndpoint(t *testing.T) {
 	synth.Duration = 10
 	base := scenario.Matrix{TickS: 0.5, HorizonTicks: 4, ArraySizes: []int{20}}
 	for _, study := range []string{"horizon", "predictors", "margins"} {
-		m, render, err := studyMatrix(study, base, synth, 0, 0)
+		ms, render, err := studyMatrix(study, base, synth, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := ms[0]
 		local, err := experiments.MatrixSweep(t.Context(), m, experiments.MatrixOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -351,8 +407,12 @@ func TestVariantStudiesServedByMatrixEndpoint(t *testing.T) {
 			if !reflect.DeepEqual(env.Cells, local.Cells) {
 				t.Errorf("%s (%s): served cells differ from tegsim's\nserved %+v\nlocal  %+v", study, want, env.Cells, local.Cells)
 			}
+			tab, err := render(ms, env.Cells)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var served bytes.Buffer
-			if err := render(m, env.Cells).Write(&served, report.CSV); err != nil {
+			if err := tab.Write(&served, report.CSV); err != nil {
 				t.Fatal(err)
 			}
 			if csv := tegsimChild(t, "-study "+study+" -duration 10 -modules 20 -format csv"); !bytes.Equal(served.Bytes(), csv) {

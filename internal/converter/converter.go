@@ -64,7 +64,8 @@ func (m Model) Validate() error {
 	if m.Spread < 0 {
 		return fmt.Errorf("converter: negative spread %g", m.Spread)
 	}
-	if m.MinInput <= 0 || m.MaxInput <= m.MinInput {
+	// Negated so a NaN bound fails too; an infinite one bounds nothing.
+	if !(m.MinInput > 0 && m.MaxInput > m.MinInput) || math.IsInf(m.MaxInput, 1) {
 		return fmt.Errorf("converter: bad input range [%g, %g]", m.MinInput, m.MaxInput)
 	}
 	return nil

@@ -27,6 +27,9 @@ func TestValidateRejections(t *testing.T) {
 		{"spread", func(m *Model) { m.Spread = -1 }},
 		{"range", func(m *Model) { m.MinInput = 10; m.MaxInput = 5 }},
 		{"min-zero", func(m *Model) { m.MinInput = 0 }},
+		{"min-nan", func(m *Model) { m.MinInput = math.NaN() }},
+		{"max-nan", func(m *Model) { m.MaxInput = math.NaN() }},
+		{"max-inf", func(m *Model) { m.MaxInput = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		m := base

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -80,45 +79,6 @@ func ScalingStudy(sizes []int, reps int) ([]ScalingPoint, error) {
 			p.Speedup = float64(p.EHTRRuntime) / float64(p.INORRuntime)
 		}
 		out = append(out, p)
-	}
-	return out, nil
-}
-
-// WindowPoint is one converter window of the Ext-C ablation.
-type WindowPoint struct {
-	MinInput, MaxInput float64
-	EnergyOutJ         float64
-}
-
-// WindowAblation narrows the converter's input-voltage band (hence
-// INOR's [nmin, nmax]) and measures delivered energy, demonstrating why
-// the group-count window matters (Section III.B).
-// Cancellation is threaded into every run's per-tick check.
-func WindowAblation(ctx context.Context, s *Setup, windows [][2]float64) ([]WindowPoint, error) {
-	jobs := make([]sim.Job, 0, len(windows))
-	for _, w := range windows {
-		if w[1] <= w[0] {
-			return nil, fmt.Errorf("experiments: bad window [%g, %g]", w[0], w[1])
-		}
-		// Each job gets its own System copy carrying the narrowed band.
-		setup := *s
-		sysCopy := *s.Sys
-		sysCopy.Conv.MinInput = w[0]
-		sysCopy.Conv.MaxInput = w[1]
-		setup.Sys = &sysCopy
-		inor, err := setup.NewScheme("INOR")
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, sim.Job{Sys: setup.Sys, Trace: s.Trace, Ctrl: inor, Opts: s.summaryOpts()})
-	}
-	results, err := sim.Batch{Workers: s.Workers}.Run(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WindowPoint, 0, len(windows))
-	for i, w := range windows {
-		out = append(out, WindowPoint{MinInput: w[0], MaxInput: w[1], EnergyOutJ: results[i].EnergyOutJ})
 	}
 	return out, nil
 }

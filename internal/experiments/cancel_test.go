@@ -44,20 +44,21 @@ func TestMatrixSweepCancelAbortsWithinOnePeriod(t *testing.T) {
 }
 
 // TestTableICancelPropagates covers Workers: 1, where the batch runs
-// its jobs one at a time on a single pool goroutine: the cancel must
-// surface there too.
+// the Table I matrix's jobs one at a time on a single pool goroutine:
+// the cancel must surface there too, with no tick simulated after it.
 func TestTableICancelPropagates(t *testing.T) {
-	s := shortSetup(t, 60)
-	s.Workers = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ticks atomic.Int64
-	s.Opts.OnTick = func(sim.Tick) {
-		if ticks.Add(1) == 20 {
-			cancel()
-		}
-	}
-	if _, err := TableI(ctx, s); !errors.Is(err, context.Canceled) {
+	_, err := MatrixSweep(ctx, tableIMatrix(60, nil), MatrixOptions{
+		Workers: 1,
+		OnTick: func(sim.Tick) {
+			if ticks.Add(1) == 20 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 	if got := ticks.Load(); got != 20 {

@@ -30,6 +30,40 @@ func shortSetup(t *testing.T, seconds float64) *Setup {
 	return s
 }
 
+// tableIMatrix is the Table I study as `tegsim -study table1` builds it
+// at its defaults — the 800 s synthetic trace (seed 42) at 100 modules —
+// with the trace cut to seconds (0 keeps all 800 s); band, when
+// non-nil, narrows the converter's input window.
+func tableIMatrix(seconds float64, band *[2]float64, schemes ...string) *scenario.Matrix {
+	if len(schemes) == 0 {
+		schemes = TableISchemes
+	}
+	return &scenario.Matrix{
+		Cycles:          []scenario.CycleSpec{{Synth: &scenario.SynthSpec{DurationS: seconds}}},
+		Schemes:         schemes,
+		ConverterInputV: band,
+	}
+}
+
+// runTableI runs the Table I matrix cut to seconds and folds it.
+func runTableI(t *testing.T, seconds float64) *TableIResult {
+	t.Helper()
+	m := tableIMatrix(seconds, nil)
+	res, err := MatrixSweep(t.Context(), m, MatrixOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := TableI(n, res.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 func TestDefaultSetup(t *testing.T) {
 	s, err := DefaultSetup()
 	if err != nil {
@@ -167,11 +201,7 @@ func TestTableIShortRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table I is slow")
 	}
-	s := shortSetup(t, 120)
-	res, err := TableI(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runTableI(t, 120)
 	if len(res.Rows) != 4 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -245,24 +275,52 @@ func TestScalingStudyErrors(t *testing.T) {
 	}
 }
 
+// TestWindowAblation runs the Ext-C study's matrices: INOR alone under
+// the full converter band and a narrow one, paired on one noise draw.
 func TestWindowAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation is slow")
 	}
-	s := shortSetup(t, 80)
-	pts, err := WindowAblation(context.Background(), s, [][2]float64{{4.5, 36}, {12, 16}})
+	energy := func(band *[2]float64) float64 {
+		t.Helper()
+		res, err := MatrixSweep(t.Context(), tableIMatrix(80, band, "INOR"), MatrixOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cells[0].EnergyOutJ
+	}
+	full, narrow := energy(nil), energy(&[2]float64{12, 16})
+	// The full window can only help.
+	if full < narrow*0.98 {
+		t.Errorf("full window %v below narrow window %v", full, narrow)
+	}
+	if _, err := MatrixSweep(t.Context(), tableIMatrix(80, &[2]float64{10, 5}, "INOR"), MatrixOptions{}); !errors.Is(err, scenario.ErrSpec) {
+		t.Errorf("inverted window: %v, want a refused spec", err)
+	}
+}
+
+// TestTableIRefusesOtherGrids: Table I folds exactly one cell per
+// scheme, so a grid with a second axis point, or one missing a
+// column, is refused rather than folded into the wrong rows.
+func TestTableIRefusesOtherGrids(t *testing.T) {
+	m, err := tableIMatrix(0, nil).Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
+	cells := make([]MatrixCell, len(m.Schemes))
+	for i, name := range m.Schemes {
+		cells[i].Scheme = name
 	}
-	// The full window can only help.
-	if pts[0].EnergyOutJ < pts[1].EnergyOutJ*0.98 {
-		t.Errorf("full window %v below narrow window %v", pts[0].EnergyOutJ, pts[1].EnergyOutJ)
+	if _, err := TableI(m, cells); err != nil {
+		t.Fatalf("one cell per scheme refused: %v", err)
 	}
-	if _, err := WindowAblation(context.Background(), s, [][2]float64{{10, 5}}); err == nil {
-		t.Error("inverted window should error")
+	if _, err := TableI(m, append(cells, cells[0])); err == nil {
+		t.Error("a fifth cell folded silently")
+	}
+	short := *m
+	short.Schemes = []string{"DNOR", "INOR", "EHTR"}
+	if _, err := TableI(&short, cells[:3]); err == nil {
+		t.Error("Table I without a baseline column folded")
 	}
 }
 

@@ -90,7 +90,15 @@ func Fig6PowerSeries(s *Setup, startS, endS float64) (*PowerSeriesResult, error)
 	if window.Len() < 2 {
 		return nil, fmt.Errorf("experiments: window [%g, %g] outside trace", startS, endS)
 	}
-	runs, err := s.compareSchemes(context.TODO(), window, s.Opts, "DNOR", "INOR", "EHTR", "Baseline")
+	jobs := make([]sim.Job, len(TableISchemes))
+	for i, name := range TableISchemes {
+		c, err := s.NewScheme(name)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = sim.Job{Sys: s.Sys, Trace: window, Ctrl: c, Opts: s.Opts}
+	}
+	runs, err := sim.Batch{}.Run(context.TODO(), jobs)
 	if err != nil {
 		return nil, err
 	}

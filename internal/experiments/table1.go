@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 
-	"tegrecon/internal/sim"
+	"tegrecon/internal/scenario"
 )
 
 // TableIRow is one column of the paper's Table I (transposed to a row
@@ -18,7 +17,6 @@ type TableIRow struct {
 	AvgRuntime    time.Duration
 	SwitchEvents  int
 	SwitchToggles int
-	IdealEnergyJ  float64
 }
 
 // TableIResult carries all four schemes plus the headline ratios the
@@ -35,32 +33,41 @@ type TableIResult struct {
 	SpeedupDNOR float64
 }
 
-// TableI runs the four schemes of Table I over the setup's trace.
-// The context reaches every run's per-tick check, so a cancel aborts
-// the whole study within one control period.
-func TableI(ctx context.Context, s *Setup) (*TableIResult, error) {
-	results, err := s.compareSchemes(ctx, s.Trace, s.summaryOpts(), "DNOR", "INOR", "EHTR", "Baseline")
-	if err != nil {
-		return nil, err
+// TableISchemes are Table I's columns in the paper's order.
+var TableISchemes = []string{"DNOR", "INOR", "EHTR", "Baseline"}
+
+// TableI folds the cells of a Table I matrix — one drive trace under
+// each of TableISchemes, every other axis collapsed — into rows in
+// m.Schemes order and derives the headline ratios.
+func TableI(m *scenario.Matrix, cells []MatrixCell) (*TableIResult, error) {
+	if len(cells) != len(m.Schemes) {
+		return nil, fmt.Errorf("experiments: Table I needs one cell per scheme, got %d cells for %d schemes", len(cells), len(m.Schemes))
+	}
+	byName := make(map[string]MatrixCell, len(cells))
+	for _, c := range cells {
+		byName[c.Scheme] = c
 	}
 	out := &TableIResult{}
-	byName := map[string]*sim.Result{}
-	for _, r := range results {
+	for _, name := range m.Schemes {
+		c, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("experiments: Table I has no %s cell", name)
+		}
 		out.Rows = append(out.Rows, TableIRow{
-			Scheme:        r.Scheme,
-			EnergyOutJ:    r.EnergyOutJ,
-			OverheadJ:     r.OverheadJ,
-			AvgRuntime:    r.AvgRuntime,
-			SwitchEvents:  r.SwitchEvents,
-			SwitchToggles: r.SwitchToggles,
-			IdealEnergyJ:  r.IdealEnergyJ,
+			Scheme:        c.Scheme,
+			EnergyOutJ:    c.EnergyOutJ,
+			OverheadJ:     c.OverheadJ,
+			AvgRuntime:    c.AvgRuntime,
+			SwitchEvents:  c.SwitchEvents,
+			SwitchToggles: c.SwitchToggles,
 		})
-		byName[r.Scheme] = r
+	}
+	for _, name := range TableISchemes {
+		if _, ok := byName[name]; !ok {
+			return nil, fmt.Errorf("experiments: Table I has no %s cell", name)
+		}
 	}
 	d, i, e, b := byName["DNOR"], byName["INOR"], byName["EHTR"], byName["Baseline"]
-	if d == nil || i == nil || e == nil || b == nil {
-		return nil, fmt.Errorf("experiments: missing scheme in Table I results")
-	}
 	if b.EnergyOutJ > 0 {
 		out.GainVsBaseline = d.EnergyOutJ/b.EnergyOutJ - 1
 	}

@@ -43,14 +43,16 @@ func FromTableI(r *experiments.TableIResult) *Table {
 	return t
 }
 
-// FromWindow converts the Ext-C converter-window ablation.
-func FromWindow(pts []experiments.WindowPoint) *Table {
+// FromWindow renders the Ext-C converter-window ablation: one row per
+// converter input band, each with the energy of its cell (cells[i] ran
+// under bands[i]).
+func FromWindow(bands [][2]float64, cells []experiments.MatrixCell) *Table {
 	t := &Table{
 		Title:  "Ext-C — converter input-window ablation",
 		Header: []string{"min_input_v", "max_input_v", "energy_j"},
 	}
-	for _, p := range pts {
-		t.Rows = append(t.Rows, []string{f1(p.MinInput), f1(p.MaxInput), f1(p.EnergyOutJ)})
+	for i, c := range cells {
+		t.Rows = append(t.Rows, []string{f1(bands[i][0]), f1(bands[i][1]), f1(c.EnergyOutJ)})
 	}
 	return t
 }

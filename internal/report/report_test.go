@@ -261,7 +261,11 @@ func TestFromBank(t *testing.T) {
 }
 
 func TestRemainingConverters(t *testing.T) {
-	if err := FromWindow([]experiments.WindowPoint{{MinInput: 4.5, MaxInput: 36, EnergyOutJ: 5}}).Validate(); err != nil {
+	tab := FromWindow([][2]float64{{4.5, 36}, {8, 24}}, []experiments.MatrixCell{{EnergyOutJ: 5}, {EnergyOutJ: 4.5}})
+	if err := tab.Validate(); err != nil {
 		t.Error(err)
+	}
+	if got := strings.Join(tab.Rows[1], " "); got != "8.0 24.0 4.5" {
+		t.Errorf("window row %q, want the second band with its cell's energy", got)
 	}
 }

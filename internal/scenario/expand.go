@@ -279,8 +279,8 @@ func (st *expandState) flowWeights(fl FlowSpec) ([]float64, error) {
 }
 
 // system recalls the shared plant for one array size. Systems differ
-// only in module count and share the one radiator, so every cell of
-// one size runs on the same plant.
+// only in module count and share the one radiator and the matrix's
+// converter band, so every cell of one size runs on the same plant.
 func (st *expandState) system(modules int) *sim.System {
 	if sys, ok := st.systems[modules]; ok {
 		return sys
@@ -288,6 +288,9 @@ func (st *expandState) system(modules int) *sim.System {
 	sys := sim.DefaultSystem()
 	sys.Radiator = st.rad
 	sys.Modules = modules
+	if band := st.m.ConverterInputV; band != nil {
+		sys.Conv.MinInput, sys.Conv.MaxInput = band[0], band[1]
+	}
 	st.systems[modules] = sys
 	return sys
 }

@@ -9,8 +9,8 @@ import (
 
 // matrixSeeds is the seed corpus both matrix fuzzers start from: the
 // example spec, a grid, a translated sweep, CSV and fault axes, a swept
-// ambient range, DNOR variants on the scheme axis and a few malformed
-// specs.
+// ambient range, DNOR variants on the scheme axis, a converter band and
+// a few malformed specs.
 func matrixSeeds(f *testing.F) []string {
 	example, err := os.ReadFile("../../examples/matrix/spec.json")
 	if err != nil {
@@ -42,6 +42,8 @@ func matrixSeeds(f *testing.F) []string {
 		  "schemes":["dnor:margin_j=0.50,predictor=ORACLE,horizon=4","DNOR:horizon=6,margin_j=1e-3",
 		             "DNOR:predictor=bpnn","DNOR:predictor=svr","DNOR:predictor=holt","DNOR:predictor=hold","inor"]}`,
 		`{"cycles":[{"name":"nedc"}],"schemes":["DNOR:horizon=0","INOR:horizon=8","DNOR:margin_j=NaN","DNOR:horizon=2,horizon=2"]}`,
+		// a narrowed converter input band, a matrix-level run parameter.
+		`{"max_duration_s":10,"cycles":[{"name":"nedc"}],"schemes":["inor"],"array_sizes":[20],"converter_input_v":[8,24]}`,
 		`{}`,
 		`{"cycles":[{"name":"nedc","csv":"x"}]}`,
 	}

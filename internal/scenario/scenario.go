@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"tegrecon/internal/array"
+	"tegrecon/internal/converter"
 	"tegrecon/internal/drive"
 	"tegrecon/internal/predict"
 	"tegrecon/internal/sim"
@@ -79,6 +80,11 @@ type Matrix struct {
 	// MaxDurationS caps every cycle's simulated span; 0 runs each
 	// cycle to its full length.
 	MaxDurationS float64 `json:"max_duration_s,omitempty"`
+	// ConverterInputV is the charger's usable input band [min, max] in
+	// volts, which bounds the schemes' group-count window; nil → the
+	// LTM4607's [4.5, 36]. Like tick_s no cell coordinate carries it, so
+	// matrices that differ only in the band share every cell's seeds.
+	ConverterInputV *[2]float64 `json:"converter_input_v,omitempty"`
 
 	// Cycles is the workload axis (required, ≥ 1 entry).
 	Cycles []CycleSpec `json:"cycles"`
@@ -287,6 +293,15 @@ func (m *Matrix) Normalize() (*Matrix, error) {
 	}
 	if n.MaxDurationS > 0 && n.MaxDurationS < n.TickS {
 		return nil, specErrf("max_duration_s %g shorter than one tick (%g s)", n.MaxDurationS, n.TickS)
+	}
+	// The LTM4607's own band is the default and normalizes away.
+	conv := converter.LTM4607()
+	if band := m.ConverterInputV; band != nil && *band != [2]float64{conv.MinInput, conv.MaxInput} {
+		conv.MinInput, conv.MaxInput = band[0], band[1]
+		if err := conv.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: converter_input_v: %v", ErrSpec, err)
+		}
+		n.ConverterInputV = &[2]float64{band[0], band[1]}
 	}
 
 	var err error

@@ -64,6 +64,62 @@ func TestNormalizeDefaultsAndIdempotence(t *testing.T) {
 	if !reflect.DeepEqual(n, n2) {
 		t.Fatalf("Normalize is not idempotent:\n%+v\n%+v", n, n2)
 	}
+	if n.ConverterInputV != nil {
+		t.Fatalf("unset converter band normalized to %v, want nil", *n.ConverterInputV)
+	}
+}
+
+// TestNormalizeConverterBand: the LTM4607's own band is the default and
+// normalizes away, so a spec that spells it out shares every byte of
+// its canonical form with one that does not; a narrower band is kept
+// as a copy and is a fixed point.
+func TestNormalizeConverterBand(t *testing.T) {
+	m := &Matrix{Cycles: []CycleSpec{{Name: "nedc"}}, ConverterInputV: &[2]float64{4.5, 36}}
+	n, err := m.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.ConverterInputV != nil {
+		t.Fatalf("default band normalized to %v, want nil", *n.ConverterInputV)
+	}
+	band := [2]float64{8, 24}
+	m.ConverterInputV = &band
+	if n, err = m.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	band[0] = 12
+	if n.ConverterInputV == nil || *n.ConverterInputV != [2]float64{8, 24} {
+		t.Fatalf("band normalized to %v, want an independent [8 24]", n.ConverterInputV)
+	}
+	n2, err := n.Normalize()
+	if err != nil || !reflect.DeepEqual(n, n2) {
+		t.Fatalf("banded spec is not a fixed point: %v\n%+v\n%+v", err, n, n2)
+	}
+}
+
+// TestExpandConverterBand: the band reaches every job's plant and
+// leaves the cell coordinate and seeds alone, so a banded cell and its
+// default-band twin run on one noise draw.
+func TestExpandConverterBand(t *testing.T) {
+	expand := func(band *[2]float64) *Expansion {
+		t.Helper()
+		m := &Matrix{MaxDurationS: 5, Cycles: []CycleSpec{{Name: "nedc"}}, Schemes: []string{"INOR"}, ArraySizes: []int{20}, ConverterInputV: band}
+		ex, err := m.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
+	def, narrow := expand(nil), expand(&[2]float64{8, 24})
+	if c := narrow.Jobs[0].Sys.Conv; c.MinInput != 8 || c.MaxInput != 24 {
+		t.Errorf("banded job's converter band [%g, %g], want [8, 24]", c.MinInput, c.MaxInput)
+	}
+	if c := def.Jobs[0].Sys.Conv; c.MinInput != 4.5 || c.MaxInput != 36 {
+		t.Errorf("default job's converter band [%g, %g], want [4.5, 36]", c.MinInput, c.MaxInput)
+	}
+	if def.Cells[0] != narrow.Cells[0] || def.Jobs[0].Opts.Seed != narrow.Jobs[0].Opts.Seed {
+		t.Errorf("band changed the cell or its seed:\n%+v\n%+v", def.Cells[0], narrow.Cells[0])
+	}
 }
 
 func TestNormalizeRejections(t *testing.T) {
@@ -113,6 +169,10 @@ func TestNormalizeRejections(t *testing.T) {
 		}},
 		{"bad health", func(m *Matrix) { m.Faults = []FaultSpec{{Events: []EventSpec{{TimeS: 1, Module: 0, To: "melted"}}}} }},
 		{"negative event time", func(m *Matrix) { m.Faults = []FaultSpec{{Events: []EventSpec{{TimeS: -1, Module: 0, To: "open"}}}} }},
+		{"inverted converter band", func(m *Matrix) { m.ConverterInputV = &[2]float64{24, 8} }},
+		{"zero converter band", func(m *Matrix) { m.ConverterInputV = &[2]float64{0, 0} }},
+		{"nan converter band", func(m *Matrix) { m.ConverterInputV = &[2]float64{math.NaN(), 24} }},
+		{"inf converter band", func(m *Matrix) { m.ConverterInputV = &[2]float64{8, math.Inf(1)} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

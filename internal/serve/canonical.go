@@ -61,18 +61,24 @@ func runKey(p runParams) string {
 // encodes every axis value (ambient, fault seed offsets, synth-cycle
 // parameters, CSV content hashes) hex-exactly into it — so the key
 // only needs to add what the coordinate deliberately leaves out: the
-// matrix-level run parameters (tick, noise, base seed) and the cell's
-// effective duration, which a matrix-level duration cap can change
-// without touching the coordinate. The matrix-level horizon is not
-// among them: a predictive scheme's coordinate carries its effective
-// horizon, and no other scheme reads one. Keyed per cell, two matrices
-// sharing a cell share its cached result.
+// matrix-level run parameters (tick, noise, base seed, converter band)
+// and the cell's effective duration, which a matrix-level duration cap
+// can change without touching the coordinate. The band is written only
+// when it is not the default, so a spec without one keeps the keys it
+// had before the band existed. The matrix-level horizon is not among
+// them: a predictive scheme's coordinate carries its effective horizon,
+// and no other scheme reads one. Keyed per cell, two matrices sharing a
+// cell share its cached result.
 func cellKey(p matrixParams, cell scenario.Cell) string {
 	var k keyBuilder
 	k.b.WriteString(keyVersion + "/cell")
 	k.num("tick_s", p.m.TickS)
 	k.num("noise_c", *p.m.SensorNoiseC)
 	k.int("seed", p.m.Seed)
+	if band := p.m.ConverterInputV; band != nil {
+		k.num("conv_min_v", band[0])
+		k.num("conv_max_v", band[1])
+	}
 	k.num("dur_s", cell.DurationS)
 	k.str("coord", cell.Coord)
 	return k.sum()

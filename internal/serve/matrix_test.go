@@ -80,6 +80,7 @@ func TestCellKeyDistinguishesEveryAxis(t *testing.T) {
 		{"dnor", func(m *scenario.Matrix) { m.Schemes = []string{"DNOR"} }},
 		{"dnor horizon", func(m *scenario.Matrix) { m.Schemes = []string{"DNOR"}; m.HorizonTicks = 6 }},
 		{"modules", func(m *scenario.Matrix) { m.ArraySizes = []int{25} }},
+		{"converter band", func(m *scenario.Matrix) { m.ConverterInputV = &[2]float64{8, 24} }},
 	}
 	seen := map[string]string{}
 	for k := range base {
@@ -139,6 +140,48 @@ func TestCellKeyHorizonIdentity(t *testing.T) {
 	inor8, k8 := cellOf("INOR", 8)
 	if inor4.Coord != inor8.Coord || k4 != k8 {
 		t.Errorf("INOR keyed by the unread horizon: %s vs %s", k4, k8)
+	}
+}
+
+// TestMatrixKeysStableWithoutBand pins the envelope key and the first
+// cell key of the committed example spec, which sets no converter
+// band, to the values they had before the band existed: adding a
+// matrix-level parameter must not invalidate any cache or disk-store
+// entry of a spec that leaves it unset. Spelling out the default band
+// keeps them too.
+func TestMatrixKeysStableWithoutBand(t *testing.T) {
+	spec, err := os.ReadFile("../../examples/matrix/spec.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, band := range []*[2]float64{nil, {4.5, 36}} {
+		var m scenario.Matrix
+		if err := json.Unmarshal(spec, &m); err != nil {
+			t.Fatal(err)
+		}
+		m.ConverterInputV = band
+		n, err := m.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := matrixKey("matrix", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "884f4a7ad6d55548a85f4b45e3073c12fb59c1d2147447e8ca6531a181a39598"; key != want {
+			t.Errorf("band %v: matrix key %s, want %s", band, key, want)
+		}
+		ex, err := n.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := ex.Cells[0]
+		if !strings.HasPrefix(first.Coord, "cy=name=nedc;sch=Baseline;") || !strings.HasSuffix(first.Coord, ";mod=100") {
+			t.Fatalf("first cell %q is not the NEDC baseline cell at N=100", first.Coord)
+		}
+		if got, want := cellKey(matrixParams{m: n}, first), "a9e77e4095eccf5501a94520237bae8adca68ca14e08ab19859dbf47d2c9282a"; got != want {
+			t.Errorf("band %v: first cell key %s, want %s", band, got, want)
+		}
 	}
 }
 
