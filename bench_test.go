@@ -17,27 +17,39 @@ import (
 	"tegrecon/internal/drive"
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/predict"
+	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/teg"
 	"tegrecon/internal/thermal"
+	"tegrecon/internal/trace"
 )
 
-// benchSetup builds a Section VI setup over a shortened trace so each
+// benchTrace synthesizes the paper's drive cut to seconds, so each
 // benchmark iteration stays tractable.
-func benchSetup(b *testing.B, seconds float64) *experiments.Setup {
+func benchTrace(b *testing.B, seconds float64) *trace.Trace {
 	b.Helper()
-	s, err := experiments.DefaultSetup()
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := drive.DefaultSynthConfig()
 	cfg.Duration = seconds
 	tr, err := drive.Synthesize(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.Trace = tr
-	return s
+	return tr
+}
+
+// benchINOR builds a fresh INOR controller for sys at the paper's
+// control period.
+func benchINOR(b *testing.B, sys *sim.System) core.Controller {
+	b.Helper()
+	sch, err := sim.SchemeByName("INOR")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctrl, err := sch.New(sys, sim.SchemeConfig{HorizonTicks: 4, TickSeconds: sim.DefaultOptions().TickSeconds})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ctrl
 }
 
 // BenchmarkFig1ModuleCurves regenerates the Fig. 1 I–V / P–V family.
@@ -52,22 +64,21 @@ func BenchmarkFig1ModuleCurves(b *testing.B) {
 // BenchmarkFig5Prediction regenerates the Fig. 5 MLR/BPNN/SVR error
 // comparison over a 120 s excerpt.
 func BenchmarkFig5Prediction(b *testing.B) {
-	s := benchSetup(b, 120)
+	truth := sim.TempSequence{Sys: sim.DefaultSystem(), Trace: benchTrace(b, 120), TickSeconds: sim.DefaultOptions().TickSeconds}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5PredictionError(s, 2); err != nil {
+		if _, err := experiments.Fig5PredictionError(truth, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkFig6PowerSeries regenerates the Fig. 6 four-scheme power
-// series over the 120 s window.
+// series: the Table I cells over a 160 s drive, cut to the 120 s window.
 func BenchmarkFig6PowerSeries(b *testing.B) {
-	s := benchSetup(b, 160)
-	b.ResetTimer()
+	m := &scenario.Matrix{Cycles: []scenario.CycleSpec{{Synth: &scenario.SynthSpec{DurationS: 160}}}, Schemes: experiments.TableISchemes}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6PowerSeries(s, 20, 140); err != nil {
+		if _, err := experiments.Fig6PowerSeries(context.Background(), m, 20, 140); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,9 +94,9 @@ func decayTemps(n int) []float64 {
 	return out
 }
 
-// benchDecide times a single controller invocation at array size n —
-// the Ext-A scaling study (Table I "Average Runtime" and the O(N) vs
-// O(N³) claim).
+// benchDecide times a single controller invocation at array size n
+// with the wall clock: INOR's O(N) greedy against EHTR's shared-table
+// DP, O(N·(N+nmax)).
 func benchDecide(b *testing.B, n int, scheme string) {
 	b.Helper()
 	sch, err := sim.SchemeByName(scheme)
@@ -105,7 +116,7 @@ func benchDecide(b *testing.B, n int, scheme string) {
 	}
 }
 
-// BenchmarkScalingEHTR_N200 and _N400 fill in the O(N³) reconstruction
+// BenchmarkScalingEHTR_N200 and _N400 fill in the EHTR decision cost
 // between tegbench's scaling_ehtr_n100 and scaling_ehtr_n800 suites.
 func BenchmarkScalingEHTR_N200(b *testing.B) { benchDecide(b, 200, "EHTR") }
 
@@ -183,12 +194,12 @@ func BenchmarkEvaluatorBest(b *testing.B) {
 // benchConditions interpolates every control period's radiator boundary
 // conditions from a trace up front, so a Step benchmark measures only
 // the engine's own loop body.
-func benchConditions(b *testing.B, s *experiments.Setup) []thermal.Conditions {
+func benchConditions(b *testing.B, tr *trace.Trace, tickSeconds float64) []thermal.Conditions {
 	b.Helper()
-	ticks := int(s.Trace.Duration()/s.Opts.TickSeconds) + 1
+	ticks := int(tr.Duration()/tickSeconds) + 1
 	conds := make([]thermal.Conditions, ticks)
 	for k := range conds {
-		cond, err := drive.ConditionsAt(s.Trace, s.Trace.Times[0]+float64(k)*s.Opts.TickSeconds)
+		cond, err := drive.ConditionsAt(tr, tr.Times[0]+float64(k)*tickSeconds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,15 +216,10 @@ func benchConditions(b *testing.B, s *experiments.Setup) []thermal.Conditions {
 // CI run. The warmup pass grows the scratch to the largest size the
 // drive demands so the measurement sees pure steady state.
 func BenchmarkSessionStep(b *testing.B) {
-	s := benchSetup(b, 60)
-	conds := benchConditions(b, s)
-	ctrl, err := s.NewScheme("INOR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := s.Opts
+	sys, opts := sim.DefaultSystem(), sim.DefaultOptions()
+	conds := benchConditions(b, benchTrace(b, 60), opts.TickSeconds)
 	opts.KeepTicks = false
-	sess, err := sim.NewSession(s.Sys, ctrl, opts)
+	sess, err := sim.NewSession(sys, benchINOR(b, sys), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,17 +241,12 @@ func BenchmarkSessionStep(b *testing.B) {
 // a hand-stepped session over the same 60 s drive — the overhead of the
 // incremental API relative to the monolithic loop it replaced.
 func BenchmarkRunVsSession(b *testing.B) {
-	s := benchSetup(b, 60)
-	conds := benchConditions(b, s)
-	opts := s.Opts
+	sys, opts, tr := sim.DefaultSystem(), sim.DefaultOptions(), benchTrace(b, 60)
+	conds := benchConditions(b, tr, opts.TickSeconds)
 	b.Run("Run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctrl, err := s.NewScheme("INOR")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(context.Background(), s.Sys, s.Trace, ctrl, opts); err != nil {
+			if _, err := sim.Run(context.Background(), sys, tr, benchINOR(b, sys), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -253,11 +254,7 @@ func BenchmarkRunVsSession(b *testing.B) {
 	b.Run("Session", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctrl, err := s.NewScheme("INOR")
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess, err := sim.NewSession(s.Sys, ctrl, opts)
+			sess, err := sim.NewSession(sys, benchINOR(b, sys), opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -33,7 +33,8 @@
 //	table1_<scheme>     one full run per Table I scheme over the synthetic
 //	                    drive (dnor, inor, ehtr, baseline)
 //	scaling_inor_n<N>   a single INOR decision at N = 100, 200, 400, 800
-//	scaling_ehtr_n100   the O(N³) reconstruction at N = 100
+//	scaling_ehtr_n100   one EHTR decision (the shared-table DP,
+//	                    O(N·(N+nmax))) at N = 100
 //	decide_live_<scheme>_n500
 //	                    one Decide (inor, dnor, ehtr) at N = 500 on the
 //	                    sensed temperatures recorded from a WLTC session,
@@ -49,8 +50,9 @@
 //	                    cores (aggregate ticks/sec)
 //	serve_cache_hit     a POST /v1/runs answered from the result cache —
 //	                    the steady-state cost of a repeated request
-//	scaling_ehtr_n800   the O(N³) reconstruction at N = 800 — the deep
-//	                    end of the Ext-A scaling curve
+//	scaling_ehtr_n800   the same EHTR decision at N = 800, the largest
+//	                    wall-clock point (tegfig -fig scaling prices
+//	                    Ext-A from counted work instead)
 //	twin_sessions_concurrent
 //	                    eight /v1/sessions digital twins stepped in
 //	                    parallel over HTTP, 50-tick batches through the
@@ -160,6 +162,7 @@ import (
 	"tegrecon/internal/serve"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/thermal"
+	"tegrecon/internal/trace"
 )
 
 // Result is one suite entry of the emitted document. The allocation
@@ -506,30 +509,30 @@ func checkBudget(budget map[string]float64, results []Result) error {
 	return errors.Join(errs...)
 }
 
-// benchSetup builds the Section VI rig over a shortened synthetic
-// drive.
-func benchSetup(seconds float64) (*experiments.Setup, error) {
-	s, err := experiments.DefaultSetup()
-	if err != nil {
-		return nil, err
-	}
+// benchTrace synthesizes the paper's drive cut to seconds.
+func benchTrace(seconds float64) (*trace.Trace, error) {
 	cfg := drive.DefaultSynthConfig()
 	cfg.Duration = seconds
-	tr, err := drive.Synthesize(cfg)
+	return drive.Synthesize(cfg)
+}
+
+// newScheme builds a fresh controller for the named scheme on sys,
+// DNOR predicting 4 ticks ahead at the paper's control period.
+func newScheme(name string, sys *sim.System) (core.Controller, error) {
+	sch, err := sim.SchemeByName(name)
 	if err != nil {
 		return nil, err
 	}
-	s.Trace = tr
-	return s, nil
+	return sch.New(sys, sim.SchemeConfig{HorizonTicks: 4, TickSeconds: sim.DefaultOptions().TickSeconds})
 }
 
 // preparedConds interpolates every control period's radiator boundary
 // conditions up front so the step benchmark measures only the engine.
-func preparedConds(s *experiments.Setup) ([]thermal.Conditions, error) {
-	ticks := int(s.Trace.Duration()/s.Opts.TickSeconds) + 1
+func preparedConds(tr *trace.Trace, tickSeconds float64) ([]thermal.Conditions, error) {
+	ticks := int(tr.Duration()/tickSeconds) + 1
 	conds := make([]thermal.Conditions, ticks)
 	for k := range conds {
-		cond, err := drive.ConditionsAt(s.Trace, s.Trace.Times[0]+float64(k)*s.Opts.TickSeconds)
+		cond, err := drive.ConditionsAt(tr, tr.Times[0]+float64(k)*tickSeconds)
 		if err != nil {
 			return nil, err
 		}
@@ -552,23 +555,23 @@ func benchSessionStep(seconds float64) (Result, error) {
 // observability overhead against the plain suite, and at N = 500 for
 // each scheme's phase split.
 func benchSessionStepSampled(scheme string, modules int, seconds float64, sampleEvery int) (Result, error) {
-	s, err := benchSetup(seconds)
+	tr, err := benchTrace(seconds)
 	if err != nil {
 		return Result{}, err
 	}
-	s.Sys.Modules = modules
-	conds, err := preparedConds(s)
+	sys, opts := sim.DefaultSystem(), sim.DefaultOptions()
+	sys.Modules = modules
+	conds, err := preparedConds(tr, opts.TickSeconds)
 	if err != nil {
 		return Result{}, err
 	}
-	ctrl, err := s.NewScheme(scheme)
+	ctrl, err := newScheme(scheme, sys)
 	if err != nil {
 		return Result{}, err
 	}
-	opts := s.Opts
 	opts.KeepTicks = false
 	opts.PhaseSampleEvery = sampleEvery
-	sess, err := sim.NewSession(s.Sys, ctrl, opts)
+	sess, err := sim.NewSession(sys, ctrl, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -600,26 +603,26 @@ func benchSessionStepSampled(scheme string, modules int, seconds float64, sample
 		r.TicksPerSec = 1e9 / r.NsPerOp
 	}
 	r.Phases = phaseFracs(before, sess.Result().Phases)
-	return r.withModules(s.Sys.Modules), nil
+	return r.withModules(sys.Modules), nil
 }
 
 // benchTableScheme times one full Table I run of the named scheme and
 // reports simulated ticks per wall-clock second.
 func benchTableScheme(scheme string, seconds float64) (Result, error) {
-	s, err := benchSetup(seconds)
+	tr, err := benchTrace(seconds)
 	if err != nil {
 		return Result{}, err
 	}
-	opts := s.Opts
+	sys, opts := sim.DefaultSystem(), sim.DefaultOptions()
 	opts.KeepTicks = false
 	var ticks atomic.Int64
 	opts.OnTick = func(sim.Tick) { ticks.Add(1) }
-	ctrl, err := s.NewScheme(scheme)
+	ctrl, err := newScheme(scheme, sys)
 	if err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
-	res, err := sim.Run(context.Background(), s.Sys, s.Trace, ctrl, opts)
+	res, err := sim.Run(context.Background(), sys, tr, ctrl, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -631,12 +634,12 @@ func benchTableScheme(scheme string, seconds float64) (Result, error) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		r.TicksPerSec = float64(ticks.Load()) / secs
 	}
-	return r.withModules(s.Sys.Modules), nil
+	return r.withModules(sys.Modules), nil
 }
 
-// benchDecide times a single controller invocation at array size n —
-// the Ext-A scaling study (O(N) INOR vs the O(N³) EHTR
-// reconstruction).
+// benchDecide times a single controller invocation at array size n on
+// a ramp profile with the wall clock: INOR's O(N) greedy against
+// EHTR's shared-table DP, O(N·(N+nmax)).
 func benchDecide(n int, ehtr bool) (Result, error) {
 	sys := sim.DefaultSystem()
 	sys.Modules = n

@@ -8,19 +8,30 @@
 //	tegfig -fig 6            # output power, 120 s window (Fig. 6)
 //	tegfig -fig 7            # output-power ratio vs ideal (Fig. 7)
 //	tegfig -fig scaling      # Ext-A: INOR vs EHTR runtime vs N
+//
+// Figs. 6 and 7 cut their window out of the four full Table I runs
+// (`tegsim -study table1`'s cells), and -fig scaling runs INOR and EHTR
+// over that drive at N = 25…800 as cells of one array_sizes matrix.
+// Controller runtime is priced from counted work, so every figure's CSV
+// is the same bytes on every run.
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
 	"os"
+	"sort"
 	"strconv"
 
+	"tegrecon/internal/drive"
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/obs"
+	"tegrecon/internal/scenario"
+	"tegrecon/internal/sim"
 	"tegrecon/internal/teg"
 )
 
@@ -85,12 +96,26 @@ func emitFig1(w *csv.Writer) error {
 	return nil
 }
 
+// synthMatrix runs the schemes over Table I's drive, the 800 s
+// synthetic trace at the paper's defaults, at the given array sizes
+// (none: Table I's 100 modules).
+func synthMatrix(schemes []string, sizes ...int) *scenario.Matrix {
+	cfg := drive.DefaultSynthConfig()
+	return &scenario.Matrix{
+		Cycles:     []scenario.CycleSpec{scenario.SynthCycle(cfg)},
+		Schemes:    schemes,
+		Ambients:   []scenario.AmbientSpec{{AmbientC: cfg.AmbientC}},
+		ArraySizes: sizes,
+	}
+}
+
 func emitFig5(w *csv.Writer, horizon int) error {
-	setup, err := experiments.DefaultSetup()
+	tr, err := drive.Synthesize(drive.DefaultSynthConfig())
 	if err != nil {
 		return err
 	}
-	res, err := experiments.Fig5PredictionError(setup, horizon)
+	truth := sim.TempSequence{Sys: sim.DefaultSystem(), Trace: tr, TickSeconds: sim.DefaultOptions().TickSeconds}
+	res, err := experiments.Fig5PredictionError(truth, horizon)
 	if err != nil {
 		return err
 	}
@@ -112,11 +137,7 @@ func emitFig5(w *csv.Writer, horizon int) error {
 }
 
 func emitFig6or7(w *csv.Writer, start, end float64, ratio bool) error {
-	setup, err := experiments.DefaultSetup()
-	if err != nil {
-		return err
-	}
-	res, err := experiments.Fig6PowerSeries(setup, start, end)
+	res, err := experiments.Fig6PowerSeries(context.Background(), synthMatrix(experiments.TableISchemes), start, end)
 	if err != nil {
 		return err
 	}
@@ -141,20 +162,34 @@ func emitFig6or7(w *csv.Writer, start, end float64, ratio bool) error {
 	return nil
 }
 
+// scalingSizes are Ext-A's array sizes.
+var scalingSizes = []int{25, 50, 100, 200, 400, 800}
+
+// emitScaling writes Ext-A: INOR's and EHTR's counted runtime per
+// control period at each array size, and their ratio.
 func emitScaling(w *csv.Writer) error {
-	pts, err := experiments.ScalingStudy([]int{25, 50, 100, 200, 400, 800}, 3)
+	res, err := experiments.MatrixSweep(context.Background(), synthMatrix([]string{"INOR", "EHTR"}, scalingSizes...), experiments.MatrixOptions{})
 	if err != nil {
 		return err
 	}
+	cells := res.Cells
+	// Cells come in coordinate order; the curve reads by N, INOR first.
+	sort.SliceStable(cells, func(i, j int) bool {
+		if cells[i].Modules != cells[j].Modules {
+			return cells[i].Modules < cells[j].Modules
+		}
+		return cells[i].Scheme == "INOR" && cells[j].Scheme != "INOR"
+	})
 	if err := w.Write([]string{"n_modules", "inor_us", "ehtr_us", "speedup"}); err != nil {
 		return err
 	}
-	for _, p := range pts {
+	for k := 0; k+1 < len(cells); k += 2 {
+		inor, ehtr := cells[k].AvgRuntime, cells[k+1].AvgRuntime
 		if err := w.Write([]string{
-			strconv.Itoa(p.N),
-			f(float64(p.INORRuntime.Microseconds())),
-			f(float64(p.EHTRRuntime.Microseconds())),
-			f(p.Speedup),
+			strconv.Itoa(cells[k].Modules),
+			f(float64(inor) / 1e3),
+			f(float64(ehtr) / 1e3),
+			f(float64(ehtr) / float64(inor)),
 		}); err != nil {
 			return err
 		}

@@ -65,11 +65,12 @@
 // study's output is byte-identical across runs and at any -workers
 // count.
 //
-// -scheme runs a single registered scheme over the stochastic trace
-// instead of a study; with -json the full run Result (including every
-// per-control-period tick) is emitted in the versioned report schema —
-// the same payload the tegserve API serves. -json is refused without
-// -scheme.
+// -scheme runs Table I's cell for one scheme instead of a study: the
+// same trace, system and coordinate seed, run with every tick kept, so
+// its totals are that cell's bit for bit. With -json the full run
+// Result (including every per-control-period tick) is emitted in the
+// versioned report schema — the same payload the tegserve API serves.
+// -json is refused without -scheme.
 package main
 
 import (
@@ -261,25 +262,29 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A single named scheme instead of a study: one run, full Result —
+	base := scenario.Matrix{TickS: *tick, HorizonTicks: *horizon, ArraySizes: []int{*modules}, MaxDurationS: *scenarioCap}
+	if *scheme != "" {
+		base.Schemes = []string{*scheme}
+	}
+	ms, render, err := studyMatrix(*study, base, cfg, *failures, *seeds)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// A single named scheme instead of a study: Table I's cell for that
+	// scheme run with every tick kept, so its totals are the table's —
 	// and with -json the same versioned payload the tegserve API serves.
 	if *scheme != "" {
-		tr, err := drive.Synthesize(cfg)
+		ex, err := ms[0].Expand()
 		if err != nil {
 			log.Fatal(err)
 		}
-		setup := &experiments.Setup{Sys: sim.DefaultSystem(), Trace: tr, Opts: sim.DefaultOptions(), HorizonTicks: *horizon}
-		setup.Sys.Modules = *modules
-		setup.Opts.TickSeconds, setup.Opts.OnTick = *tick, meter.observe
-		ctrl, err := setup.NewScheme(*scheme)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sim.Run(ctx, setup.Sys, setup.Trace, ctrl, setup.Opts)
+		runs, err := experiments.RunCells(ctx, ex, experiments.MatrixOptions{OnTick: meter.observe})
 		if err != nil {
 			fail(err)
 		}
 		meter.done()
+		res := runs[0]
 		if *jsonOut {
 			b, err := report.MarshalResult(res)
 			if err != nil {
@@ -296,11 +301,6 @@ func main() {
 		return
 	}
 
-	base := scenario.Matrix{TickS: *tick, HorizonTicks: *horizon, ArraySizes: []int{*modules}, MaxDurationS: *scenarioCap}
-	ms, render, err := studyMatrix(*study, base, cfg, *failures, *seeds)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var cells []experiments.MatrixCell
 	for _, m := range ms {
 		res, err := experiments.MatrixSweep(ctx, m, experiments.MatrixOptions{Workers: *workers, OnTick: meter.observe})

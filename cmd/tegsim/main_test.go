@@ -50,6 +50,9 @@ func TestRefusesIgnoredFlags(t *testing.T) {
 		{"-study table1 -seed 0", "-study table1: trace seed 0 cannot be expressed"},
 		{"-study window -seed 0", "-study window: trace seed 0 cannot be expressed"},
 		{"-study table1 -duration 0", "non-positive duration 0"},
+		{"-scheme dnor -seed 0", "-scheme dnor: trace seed 0 cannot be expressed"},
+		{"-scheme dnor -horizon 0", "-horizon 0: DNOR needs a prediction horizon of at least 1 tick"},
+		{"-scheme nope", `unknown scheme "nope"`},
 		{"-study horizon -horizon 6", "cannot be combined with -horizon"},
 		{"-study margins -json -format csv", "-json only applies to -scheme"},
 		{"-json", "-json only applies to -scheme"},
@@ -143,6 +146,33 @@ func TestTableIStudyMatrix(t *testing.T) {
 	}
 	if len(ms) != 1 || !reflect.DeepEqual(ms[0], want) {
 		t.Errorf("-study table1 runs %+v, want the bare spec %+v", ms, want)
+	}
+}
+
+// TestSchemeIsTableICell: a single -scheme run is Table I's cell for
+// that scheme, the same coordinate seed, trace and system, so its
+// -json totals equal the cell's bit for bit.
+func TestSchemeIsTableICell(t *testing.T) {
+	const duration = 60
+	cells := runStudy(t, "table1", duration, 0, 0)
+	if len(cells) != len(experiments.TableISchemes) {
+		t.Fatalf("%d Table I cells", len(cells))
+	}
+	for _, c := range cells {
+		out := tegsimChild(t, fmt.Sprintf("-scheme %s -json -duration %d", strings.ToLower(c.Scheme), duration))
+		res, err := report.UnmarshalResult(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := experiments.MatrixCell{Cell: c.Cell, Jobs: 1,
+			EnergyOutJ: res.EnergyOutJ, OverheadJ: res.OverheadJ, IdealEnergyJ: res.IdealEnergyJ,
+			SwitchEvents: res.SwitchEvents, SwitchToggles: res.SwitchToggles, AvgRuntime: res.AvgRuntime}
+		if res.Scheme != c.Scheme || got != c {
+			t.Errorf("-scheme %s printed %s\n%+v\nwant Table I's cell\n%+v", c.Scheme, res.Scheme, got, c)
+		}
+		if len(res.Ticks) != 2*duration+1 {
+			t.Errorf("-scheme %s kept %d ticks, want %d", c.Scheme, len(res.Ticks), 2*duration+1)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 
 	"tegrecon/internal/converter"
 	"tegrecon/internal/drive"
@@ -23,11 +24,11 @@ type studyRender func(ms []*scenario.Matrix, cells []experiments.MatrixCell) (*r
 // studyMatrix builds the normalized scenario matrices a study runs and
 // the function that renders their cells. base carries what every
 // study shares (array size, tick, horizon and the scenario sweep's
-// cycle cap). Every study but the scenario sweep drives synth, the
-// -synth (or -duration and -seed) trace, and sweeps only its own axis:
-// the four Table I schemes, DNOR variants on the scheme axis (horizon,
-// predictor, switch margin), fault plans, trace seeds or radiator flow
-// levels. The converter band is a matrix-level parameter, not an axis,
+// cycle cap), and for -scheme Table I's one scheme. Every study but
+// the scenario sweep drives synth, the -synth (or -duration and -seed)
+// trace, and sweeps only its own axis: the four Table I schemes, DNOR
+// variants on the scheme axis (horizon, predictor, switch margin),
+// fault plans, trace seeds or radiator flow levels. The converter band is a matrix-level parameter, not an axis,
 // so the window study runs one INOR matrix per band; every band's cell
 // keeps the coordinate, and so the noise draw, of Table I's INOR cell.
 func studyMatrix(study string, base scenario.Matrix, synth drive.SynthConfig, failures, seeds int) ([]*scenario.Matrix, studyRender, error) {
@@ -39,7 +40,13 @@ func studyMatrix(study string, base scenario.Matrix, synth drive.SynthConfig, fa
 	label := "-study " + study
 	switch study {
 	case "table1":
-		m.Schemes = experiments.TableISchemes
+		// -scheme narrows Table I to one column. A cell's coordinate,
+		// and so its seed, does not depend on the other schemes.
+		if len(m.Schemes) == 0 {
+			m.Schemes = experiments.TableISchemes
+		} else {
+			label = "-scheme " + strings.Join(m.Schemes, ",")
+		}
 		render = func(ms []*scenario.Matrix, cells []experiments.MatrixCell) (*report.Table, error) {
 			res, err := experiments.TableI(ms[0], cells)
 			if err != nil {
@@ -103,16 +110,9 @@ func studyMatrix(study string, base scenario.Matrix, synth drive.SynthConfig, fa
 		if seed == 0 {
 			return nil, nil, fmt.Errorf("%s: trace seed 0 cannot be expressed in a scenario matrix; pick another seed", label)
 		}
-		m.Cycles = append(m.Cycles, scenario.CycleSpec{Synth: &scenario.SynthSpec{
-			Profile:    synth.Cycle.String(),
-			DurationS:  synth.Duration,
-			DTS:        synth.DT,
-			Seed:       seed,
-			GradePct:   synth.GradePct,
-			StopFactor: synth.StopFactor,
-			SpeedScale: synth.SpeedScale,
-			ColdStart:  !synth.WarmStart,
-		}})
+		cfg := synth
+		cfg.Seed = seed
+		m.Cycles = append(m.Cycles, scenario.SynthCycle(cfg))
 	}
 	ms := make([]*scenario.Matrix, len(bands))
 	for i := range ms {

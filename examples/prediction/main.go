@@ -10,25 +10,21 @@ import (
 
 	"tegrecon/internal/drive"
 	"tegrecon/internal/exampleenv"
-	"tegrecon/internal/experiments"
 	"tegrecon/internal/predict"
+	"tegrecon/internal/sim"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	setup, err := experiments.DefaultSetup()
+	cfg := drive.DefaultSynthConfig()
+	cfg.Duration = exampleenv.Duration(800)
+	tr, err := drive.Synthesize(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if d := exampleenv.Duration(800); d != 800 {
-		cfg := drive.DefaultSynthConfig()
-		cfg.Duration = d
-		if setup.Trace, err = drive.Synthesize(cfg); err != nil {
-			log.Fatal(err)
-		}
-	}
-	seq, _, err := setup.TempSequence()
+	truth := sim.TempSequence{Sys: sim.DefaultSystem(), Trace: tr, TickSeconds: sim.DefaultOptions().TickSeconds}
+	seq, err := truth.All()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,21 +14,17 @@ import (
 	"tegrecon/internal/teg"
 )
 
-// shortSetup trims the trace so the heavier experiments stay test-sized.
-func shortSetup(t *testing.T, seconds float64) *Setup {
+// truthOver is Fig. 5's input: the true module temperatures of the
+// paper's 100-module system over the default drive cut to seconds.
+func truthOver(t *testing.T, seconds float64) sim.TempSequence {
 	t.Helper()
-	s, err := DefaultSetup()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := drive.DefaultSynthConfig()
 	cfg.Duration = seconds
 	tr, err := drive.Synthesize(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Trace = tr
-	return s
+	return sim.TempSequence{Sys: sim.DefaultSystem(), Trace: tr, TickSeconds: sim.DefaultOptions().TickSeconds}
 }
 
 // tableIMatrix is the Table I study as `tegsim -study table1` builds it
@@ -64,19 +61,6 @@ func runTableI(t *testing.T, seconds float64) *TableIResult {
 	return tab
 }
 
-func TestDefaultSetup(t *testing.T) {
-	s, err := DefaultSetup()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Sys.Modules != 100 || s.HorizonTicks != 4 {
-		t.Errorf("setup = %+v", s)
-	}
-	if math.Abs(s.Trace.Duration()-800) > 1 {
-		t.Errorf("trace duration %v", s.Trace.Duration())
-	}
-}
-
 func TestFig1ModuleCurves(t *testing.T) {
 	series, err := Fig1ModuleCurves(teg.TGM199, 25, 51)
 	if err != nil {
@@ -111,8 +95,7 @@ func TestFig1BadSpec(t *testing.T) {
 }
 
 func TestFig5PredictionError(t *testing.T) {
-	s := shortSetup(t, 120)
-	res, err := Fig5PredictionError(s, 2)
+	res, err := Fig5PredictionError(truthOver(t, 120), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,18 +130,31 @@ func TestFig5PredictionError(t *testing.T) {
 	}
 }
 
+// TestFig6And7PowerSeries: the figures cut their window out of the
+// full Table I runs, so every run's totals are its matrix cell's.
 func TestFig6And7PowerSeries(t *testing.T) {
-	s := shortSetup(t, 160)
-	res, err := Fig6PowerSeries(s, 20, 140)
+	m := tableIMatrix(160, nil)
+	res, err := Fig6PowerSeries(t.Context(), m, 20, 140)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 4 {
-		t.Fatalf("%d runs", len(res.Runs))
+	sweep, err := MatrixSweep(t.Context(), m, MatrixOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range res.Runs {
-		if len(r.Ticks) == 0 {
-			t.Fatalf("%s produced no ticks", r.Scheme)
+	if len(res.Runs) != len(sweep.Cells) || len(res.Runs) != 4 {
+		t.Fatalf("%d runs for %d cells", len(res.Runs), len(sweep.Cells))
+	}
+	for i, r := range res.Runs {
+		c := sweep.Cells[i]
+		if r.Scheme != c.Scheme || r.EnergyOutJ != c.EnergyOutJ || r.SwitchToggles != c.SwitchToggles || r.AvgRuntime != c.AvgRuntime {
+			t.Errorf("run %d (%s: %v J, %d toggles) is not cell %s (%v J, %d toggles)",
+				i, r.Scheme, r.EnergyOutJ, r.SwitchToggles, c.Scheme, c.EnergyOutJ, c.SwitchToggles)
+		}
+		// [20, 140) at the 0.5 s period.
+		if len(r.Ticks) != 240 || r.Ticks[0].Time != 20 || r.Ticks[len(r.Ticks)-1].Time != 139.5 {
+			t.Fatalf("%s: %d ticks from %v s to %v s, want 240 from 20 s to 139.5 s",
+				r.Scheme, len(r.Ticks), r.Ticks[0].Time, r.Ticks[len(r.Ticks)-1].Time)
 		}
 	}
 	// Fig. 7 reads each tick's ratio and switch marker.
@@ -188,11 +184,11 @@ func TestFig6And7PowerSeries(t *testing.T) {
 }
 
 func TestFig6BadWindow(t *testing.T) {
-	s := shortSetup(t, 60)
-	if _, err := Fig6PowerSeries(s, 50, 40); err == nil {
+	m := tableIMatrix(60, nil)
+	if _, err := Fig6PowerSeries(t.Context(), m, 50, 40); err == nil {
 		t.Error("inverted window should error")
 	}
-	if _, err := Fig6PowerSeries(s, 5000, 6000); err == nil {
+	if _, err := Fig6PowerSeries(t.Context(), m, 5000, 6000); err == nil {
 		t.Error("window outside trace should error")
 	}
 }
@@ -236,42 +232,6 @@ func TestTableIShortRun(t *testing.T) {
 		if !strings.Contains(text, name) {
 			t.Errorf("render missing %q", name)
 		}
-	}
-}
-
-func TestScalingStudy(t *testing.T) {
-	pts, err := ScalingStudy([]int{25, 50, 100}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("%d points", len(pts))
-	}
-	// With the shared-table DP, EHTR's table costs O(N·(N+nmax))
-	// (divide-and-conquer, then Knuth-bounded rows) on top of the candidate pricing it shares
-	// with INOR's O(nmax·N) greedy — near-parity at small N instead of
-	// the naive DP's cubic blow-up. Both runtimes must still grow with N,
-	// and the study must record positive measurements throughout.
-	if pts[2].EHTRRuntime <= pts[0].EHTRRuntime {
-		t.Errorf("EHTR runtime not growing with N: %v → %v", pts[0].EHTRRuntime, pts[2].EHTRRuntime)
-	}
-	if pts[2].INORRuntime <= pts[0].INORRuntime {
-		t.Errorf("INOR runtime not growing with N: %v → %v", pts[0].INORRuntime, pts[2].INORRuntime)
-	}
-	for _, p := range pts {
-		if p.EHTRRuntime <= 0 || p.INORRuntime <= 0 || p.Speedup <= 0 {
-			t.Errorf("N=%d: non-positive measurement: EHTR %v, INOR %v, speedup %v",
-				p.N, p.EHTRRuntime, p.INORRuntime, p.Speedup)
-		}
-	}
-}
-
-func TestScalingStudyErrors(t *testing.T) {
-	if _, err := ScalingStudy([]int{100}, 0); err == nil {
-		t.Error("zero reps should error")
-	}
-	if _, err := ScalingStudy([]int{5}, 1); err == nil {
-		t.Error("tiny N should error")
 	}
 }
 
@@ -324,51 +284,40 @@ func TestTableIRefusesOtherGrids(t *testing.T) {
 	}
 }
 
+// TestTempSequence: Fig. 5 reads one row per control period, each the
+// whole array, and row k is the sequence's own Temps(k).
 func TestTempSequence(t *testing.T) {
-	s := shortSetup(t, 40)
-	seq, ambient, err := s.TempSequence()
+	truth := truthOver(t, 40)
+	seq, err := truth.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq) != 81 { // 40 s / 0.5 s + 1
 		t.Errorf("sequence length %d", len(seq))
 	}
-	if ambient != 25 {
-		t.Errorf("ambient %v", ambient)
-	}
 	for i, row := range seq {
-		if len(row) != s.Sys.Modules {
+		if len(row) != truth.Sys.Modules {
 			t.Fatalf("tick %d has %d modules", i, len(row))
 		}
+	}
+	last, err := truth.Temps(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seq[80], last) {
+		t.Errorf("row 80 %v differs from Temps(80) %v", seq[80][:3], last[:3])
 	}
 }
 
 // TestSchemeBuilderGuards pins the loud-failure contract of the
-// registry-backed builders: a Setup's horizon is always explicit, so a
-// non-positive one must error, not silently simulate the default
-// horizon under the wrong label, and so must a horizon-0 DNOR variant
-// on a matrix's scheme axis.
+// scheme axis: an unknown scheme and a horizon-0 DNOR variant are
+// refused specs, not silently simulated under the wrong label.
+// (tegsim refuses an explicit -horizon 0 itself.)
 func TestSchemeBuilderGuards(t *testing.T) {
-	s, err := DefaultSetup()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.NewScheme("nope"); err == nil {
-		t.Error("unknown scheme built")
-	}
-	if c, err := s.NewScheme("dnor"); err != nil || c.Name() != "DNOR" {
-		t.Errorf("NewScheme(dnor): %v %v", c, err)
-	}
-	s.HorizonTicks = 0
-	if _, err := s.NewScheme("DNOR"); err == nil {
-		t.Error("horizon 0 DNOR built silently")
-	}
-	m := scenario.Matrix{Cycles: []scenario.CycleSpec{{Name: "nedc"}}, Schemes: []string{"DNOR:horizon=0"}}
-	if _, err := MatrixSweep(context.Background(), &m, MatrixOptions{}); !errors.Is(err, scenario.ErrSpec) {
-		t.Errorf("horizon-0 DNOR variant: %v, want a refused spec", err)
-	}
-	// INOR ignores the horizon, so it still builds.
-	if _, err := s.NewScheme("INOR"); err != nil {
-		t.Errorf("INOR with horizon 0: %v", err)
+	for _, scheme := range []string{"nope", "DNOR:horizon=0"} {
+		m := scenario.Matrix{Cycles: []scenario.CycleSpec{{Name: "nedc"}}, Schemes: []string{scheme}}
+		if _, err := MatrixSweep(context.Background(), &m, MatrixOptions{}); !errors.Is(err, scenario.ErrSpec) {
+			t.Errorf("%s: %v, want a refused spec", scheme, err)
+		}
 	}
 }

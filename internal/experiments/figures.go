@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"tegrecon/internal/predict"
+	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/teg"
 )
@@ -45,9 +46,10 @@ type Fig5Result struct {
 }
 
 // Fig5PredictionError regenerates Fig. 5: the per-tick percentage error
-// of 1-tick-ahead forecasts by MLR, BPNN and SVR over the drive trace.
-func Fig5PredictionError(s *Setup, horizon int) (*Fig5Result, error) {
-	seq, _, err := s.TempSequence()
+// of horizon-tick-ahead forecasts by MLR, BPNN and SVR over the true
+// module temperatures of a trace replay.
+func Fig5PredictionError(truth sim.TempSequence, horizon int) (*Fig5Result, error) {
+	seq, err := truth.All()
 	if err != nil {
 		return nil, err
 	}
@@ -70,37 +72,40 @@ func Fig5PredictionError(s *Setup, horizon int) (*Fig5Result, error) {
 	return &Fig5Result{Horizon: horizon, Results: results}, nil
 }
 
-// PowerSeriesResult carries the Fig. 6 / Fig. 7 time series for all four
-// schemes over an excerpt of the drive.
+// PowerSeriesResult carries the Fig. 6 / Fig. 7 time series of every
+// cell over an excerpt of the drive.
 type PowerSeriesResult struct {
 	StartS, EndS float64
-	Runs         []*sim.Result // DNOR, INOR, EHTR, Baseline
+	Runs         []*sim.Result // one per cell, in cell order, ticks cut to [StartS, EndS)
 }
 
 // Fig6PowerSeries regenerates Fig. 6: output power of the three
-// reconfiguration methods and the baseline over a 120 s window. The same
-// run data, normalised by P_ideal per tick, is Fig. 7 (each sim.Tick
-// already carries Ratio and the Switched markers that the paper plots as
-// black dots on the DNOR curve).
-func Fig6PowerSeries(s *Setup, startS, endS float64) (*PowerSeriesResult, error) {
-	if endS <= startS {
+// reconfiguration methods and the baseline over a window of the drive.
+// It runs every cell of m (the paper's figure reads Table I's matrix)
+// over the whole trace with ticks kept and cuts the ticks in
+// [startS, endS) out of each run, so the figure plots the runs Table I
+// totals. The same run data, normalised by P_ideal per tick, is Fig. 7
+// (each sim.Tick already carries Ratio and the Switched markers that
+// the paper plots as black dots on the DNOR curve).
+func Fig6PowerSeries(ctx context.Context, m *scenario.Matrix, startS, endS float64) (*PowerSeriesResult, error) {
+	if !(endS > startS) {
 		return nil, fmt.Errorf("experiments: bad window [%g, %g]", startS, endS)
 	}
-	window := s.Trace.Slice(startS, endS)
-	if window.Len() < 2 {
-		return nil, fmt.Errorf("experiments: window [%g, %g] outside trace", startS, endS)
-	}
-	jobs := make([]sim.Job, len(TableISchemes))
-	for i, name := range TableISchemes {
-		c, err := s.NewScheme(name)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = sim.Job{Sys: s.Sys, Trace: window, Ctrl: c, Opts: s.Opts}
-	}
-	runs, err := sim.Batch{}.Run(context.TODO(), jobs)
+	ex, err := m.Expand()
 	if err != nil {
 		return nil, err
+	}
+	runs, err := RunCells(ctx, ex, MatrixOptions{})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range runs {
+		lo := sort.Search(len(r.Ticks), func(i int) bool { return r.Ticks[i].Time >= startS })
+		hi := sort.Search(len(r.Ticks), func(i int) bool { return r.Ticks[i].Time >= endS })
+		if hi-lo < 2 {
+			return nil, fmt.Errorf("experiments: window [%g, %g) holds fewer than 2 ticks of the %s run", startS, endS, r.Scheme)
+		}
+		r.Ticks = r.Ticks[lo:hi]
 	}
 	return &PowerSeriesResult{StartS: startS, EndS: endS, Runs: runs}, nil
 }

@@ -75,12 +75,9 @@ func MatrixSweep(ctx context.Context, m *scenario.Matrix, opts MatrixOptions) (*
 // down to one cell for per-cell stream progress). Cancellation behaves
 // as in MatrixSweep.
 func RunExpansion(ctx context.Context, ex *scenario.Expansion, opts MatrixOptions) (*MatrixResult, error) {
-	runOpts := make([]sim.Options, len(ex.Jobs))
 	for i := range ex.Jobs {
-		runOpts[i] = ex.Jobs[i].Opts
-		runOpts[i].KeepTicks = false
-		runOpts[i].OnTick = opts.OnTick
-		ex.Jobs[i].Opts = runOpts[i]
+		ex.Jobs[i].Opts.KeepTicks = false
+		ex.Jobs[i].Opts.OnTick = opts.OnTick
 	}
 	out := &MatrixResult{Name: ex.Matrix.Name, Cells: make([]MatrixCell, len(ex.Cells))}
 	for i, c := range ex.Cells {
@@ -101,6 +98,22 @@ func RunExpansion(ctx context.Context, ex *scenario.Expansion, opts MatrixOption
 		c.Jobs++
 	}
 	return out, nil
+}
+
+// RunCells runs an expansion whose cells each own one job with every
+// tick kept, and returns each cell's full Result in cell order: the
+// per-tick view of the same runs RunExpansion folds (a `tegsim -scheme`
+// run, Figs. 6/7). Each Result holds one Tick per control period, so
+// it suits a handful of cells, not a sweep.
+func RunCells(ctx context.Context, ex *scenario.Expansion, opts MatrixOptions) ([]*sim.Result, error) {
+	if len(ex.Jobs) != len(ex.Cells) {
+		return nil, fmt.Errorf("experiments: %d jobs for %d cells: a multi-path cell has no single tick series", len(ex.Jobs), len(ex.Cells))
+	}
+	for i := range ex.Jobs {
+		ex.Jobs[i].Opts.KeepTicks = true
+		ex.Jobs[i].Opts.OnTick = opts.OnTick
+	}
+	return sim.Batch{Workers: opts.Workers}.Run(ctx, ex.Jobs)
 }
 
 // MatrixMarginal is one axis value's roll-up across every cell that

@@ -153,6 +153,39 @@ func TestRunExpansionSubset(t *testing.T) {
 	}
 }
 
+// TestRunCells: the per-tick runs total to the folded cells bit for
+// bit, and a multi-path cell, which has no single tick series, is
+// refused.
+func TestRunCells(t *testing.T) {
+	m := &scenario.Matrix{MaxDurationS: 20, Cycles: []scenario.CycleSpec{{Name: "nedc"}}, Schemes: []string{"INOR", "DNOR"}, ArraySizes: []int{20}}
+	folded, err := MatrixSweep(t.Context(), m, MatrixOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := RunCells(t.Context(), ex, MatrixOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range runs {
+		c := folded.Cells[i]
+		if r.Scheme != c.Scheme || r.EnergyOutJ != c.EnergyOutJ || r.OverheadJ != c.OverheadJ || r.AvgRuntime != c.AvgRuntime || len(r.Ticks) != 41 {
+			t.Errorf("run %d: %s %v J, %v J overhead, %v, %d ticks; cell %s %v J, %v J, %v",
+				i, r.Scheme, r.EnergyOutJ, r.OverheadJ, r.AvgRuntime, len(r.Ticks), c.Scheme, c.EnergyOutJ, c.OverheadJ, c.AvgRuntime)
+		}
+	}
+	m.Flows = []scenario.FlowSpec{{Paths: 2}}
+	if ex, err = m.Expand(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCells(t.Context(), ex, MatrixOptions{}); err == nil {
+		t.Error("a two-path cell ran as one tick series")
+	}
+}
+
 // TestScenarioSweepMatrix runs the full cycle × scheme grid
 // (scenario.CycleSweep: every registered cycle, ≥ 6, under the four
 // schemes) on cycles truncated to 30 s through MatrixSweep and checks

@@ -160,6 +160,22 @@ type SynthSpec struct {
 	ColdStart  bool    `json:"cold_start,omitempty"`
 }
 
+// SynthCycle is the cycle-axis entry for the stochastic trace cfg
+// synthesizes. The ambient is not part of it: a matrix takes that from
+// its ambient axis. A zero cfg.Seed normalizes to the default seed.
+func SynthCycle(cfg drive.SynthConfig) CycleSpec {
+	return CycleSpec{Synth: &SynthSpec{
+		Profile:    cfg.Cycle.String(),
+		DurationS:  cfg.Duration,
+		DTS:        cfg.DT,
+		Seed:       cfg.Seed,
+		GradePct:   cfg.GradePct,
+		StopFactor: cfg.StopFactor,
+		SpeedScale: cfg.SpeedScale,
+		ColdStart:  !cfg.WarmStart,
+	}}
+}
+
 // AmbientSpec is one point (AmbientC) or an inclusive range
 // (FromC..ToC in StepC strides — range mode iff StepC ≠ 0) of ambient
 // air temperatures, each paired with a coolant-inlet offset applied on

@@ -253,3 +253,17 @@ func (q TempSequence) Temps(k int) ([]float64, error) {
 	}
 	return q.Sys.Radiator.ModuleTemps(cond, q.Sys.Modules)
 }
+
+// All materializes the whole sequence, one row per control period —
+// the input of an offline forecast evaluation (predict.Compare).
+func (q TempSequence) All() ([][]float64, error) {
+	out := make([][]float64, q.Len())
+	for k := range out {
+		row, err := q.Temps(k)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = row
+	}
+	return out, nil
+}

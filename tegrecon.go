@@ -73,8 +73,6 @@ type (
 	DriveSchedule = drive.Schedule
 	// Predictor forecasts temperature distributions.
 	Predictor = predict.Predictor
-	// ExperimentSetup bundles a full Section VI experiment.
-	ExperimentSetup = experiments.Setup
 	// FaultPlan schedules module failures for a simulation run.
 	FaultPlan = faults.Plan
 	// ChargeProfile is the three-stage lead-acid charging schedule.
@@ -201,11 +199,6 @@ func NewSVRPredictor() (Predictor, error) { return predict.NewSVR(predict.Defaul
 // NewHoltPredictor builds the double-exponential-smoothing comparison
 // predictor (an extension beyond the paper's three methods).
 func NewHoltPredictor() (Predictor, error) { return predict.NewHolt(predict.DefaultHoltOptions()) }
-
-// DefaultExperimentSetup builds the full Section VI rig (system + 800 s
-// trace + options), the entry point for regenerating the paper's tables
-// and figures programmatically.
-func DefaultExperimentSetup() (*ExperimentSetup, error) { return experiments.DefaultSetup() }
 
 // NewRandomFaultPlan schedules `count` random module failures (open and
 // short, distinct modules) over a drive of the given duration; wire the

@@ -87,13 +87,18 @@ func TestFacadeModuleSpec(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentSetup(t *testing.T) {
-	s, err := DefaultExperimentSetup()
-	if err != nil {
-		t.Fatal(err)
+// TestFacadeDefaults: the facade's defaults are the paper's Section VI
+// rig, which Table I and the figures run: 100 modules on the 800 s
+// drive at a 0.5 s control period.
+func TestFacadeDefaults(t *testing.T) {
+	if n := DefaultSystem().Modules; n != 100 {
+		t.Errorf("DefaultSystem has %d modules, want 100", n)
 	}
-	if s.Sys.Modules != 100 {
-		t.Errorf("modules = %d", s.Sys.Modules)
+	if d := DefaultDriveConfig().Duration; d != 800 {
+		t.Errorf("DefaultDriveConfig lasts %v s, want 800", d)
+	}
+	if tick := DefaultSimOptions().TickSeconds; tick != 0.5 {
+		t.Errorf("DefaultSimOptions ticks every %v s, want 0.5", tick)
 	}
 }
 
