@@ -44,6 +44,11 @@ func matrixSeeds(f *testing.F) []string {
 		`{"cycles":[{"name":"nedc"}],"schemes":["DNOR:horizon=0","INOR:horizon=8","DNOR:margin_j=NaN","DNOR:horizon=2,horizon=2"]}`,
 		// a narrowed converter input band, a matrix-level run parameter.
 		`{"max_duration_s":10,"cycles":[{"name":"nedc"}],"schemes":["inor"],"array_sizes":[20],"converter_input_v":[8,24]}`,
+		// caps at and under one 0.5 s trace sample, and a CSV log
+		// shorter than one.
+		`{"cycles":[{"name":"wltc"}],"schemes":["inor"],"max_duration_s":0.5,"tick_s":0.25}`,
+		`{"cycles":[{"name":"wltc"},{"synth":{"dt_s":0.25}}],"schemes":["inor"],"max_duration_s":0.3,"tick_s":0.25}`,
+		`{"cycles":[{"csv":"time_s,speed_kph\n0,0\n0.2,1\n"}],"schemes":["inor"],"tick_s":0.1}`,
 		`{}`,
 		`{"cycles":[{"name":"nedc","csv":"x"}]}`,
 	}

@@ -238,8 +238,10 @@ func specErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrSpec, fmt.Sprintf(format, args...))
 }
 
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 func checkFinite(name string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
+	if !finite(v) {
 		return specErrf("%s %g is not finite", name, v)
 	}
 	return nil
@@ -324,6 +326,20 @@ func (m *Matrix) Normalize() (*Matrix, error) {
 	if n.Cycles, err = normalizeCycles(m.Cycles); err != nil {
 		return nil, err
 	}
+	// The trace generator samples a cycle on its own grid (a synth
+	// cycle's dt_s, drive's default period for a named or CSV one) and
+	// cannot generate a span shorter than one sample period.
+	if n.MaxDurationS > 0 {
+		for _, c := range n.Cycles {
+			dt := drive.DefaultSynthConfig().DT
+			if c.Synth != nil {
+				dt = c.Synth.DTS
+			}
+			if n.MaxDurationS < dt {
+				return nil, specErrf("max_duration_s %g shorter than cycle %s's %g s trace sample period", n.MaxDurationS, c.Label, dt)
+			}
+		}
+	}
 	if n.Schemes, err = normalizeSchemes(m.Schemes, n.HorizonTicks); err != nil {
 		return nil, err
 	}
@@ -379,8 +395,12 @@ func normalizeCycles(in []CycleSpec) ([]CycleSpec, error) {
 				nc.Label = cy.Name
 			}
 		case c.CSV != "":
-			if _, err := drive.ReadSchedule(strings.NewReader(c.CSV), ""); err != nil {
+			sched, err := drive.ReadSchedule(strings.NewReader(c.CSV), "")
+			if err != nil {
 				return nil, fmt.Errorf("%w: cycle %d csv: %v", ErrSpec, i, err)
+			}
+			if d, dt := sched.Duration(), drive.DefaultSynthConfig().DT; d < dt {
+				return nil, specErrf("cycle %d csv spans %g s, shorter than the %g s trace sample period", i, d, dt)
 			}
 			nc.CSV = c.CSV
 			if nc.Label == "" {
@@ -656,8 +676,8 @@ func normalizeAmbients(in []AmbientSpec) ([]AmbientSpec, error) {
 			name string
 			v    float64
 		}{{"ambient_c", a.AmbientC}, {"from_c", a.FromC}, {"to_c", a.ToC}, {"step_c", a.StepC}, {"coolant_offset_c", a.CoolantOffsetC}} {
-			if err := checkFinite(fmt.Sprintf("ambient %d %s", i, f.name), f.v); err != nil {
-				return nil, err
+			if !finite(f.v) {
+				return nil, specErrf("ambient %d %s %g is not finite", i, f.name, f.v)
 			}
 		}
 		if a.StepC == 0 {
@@ -709,8 +729,8 @@ func normalizeFlows(in []FlowSpec) ([]FlowSpec, error) {
 		if f.Paths < 1 || f.Paths > maxFlowPaths {
 			return nil, specErrf("flow %d paths %d outside [1, %d]", i, f.Paths, maxFlowPaths)
 		}
-		if err := checkFinite(fmt.Sprintf("flow %d maldistribution", i), f.Maldistribution); err != nil {
-			return nil, err
+		if !finite(f.Maldistribution) {
+			return nil, specErrf("flow %d maldistribution %g is not finite", i, f.Maldistribution)
 		}
 		if f.Maldistribution < 0 || f.Maldistribution >= 1 {
 			return nil, specErrf("flow %d maldistribution %g outside [0, 1)", i, f.Maldistribution)
@@ -785,8 +805,8 @@ func normalizeFaults(in []FaultSpec, minModules int) ([]FaultSpec, error) {
 			}
 			nf.Events = make([]EventSpec, len(f.Events))
 			for j, e := range f.Events {
-				if err := checkFinite(fmt.Sprintf("fault %d event %d time_s", i, j), e.TimeS); err != nil {
-					return nil, err
+				if !finite(e.TimeS) {
+					return nil, specErrf("fault %d event %d time_s %g is not finite", i, j, e.TimeS)
 				}
 				if e.TimeS < 0 {
 					return nil, specErrf("fault %d event %d time %g is negative", i, j, e.TimeS)
@@ -816,8 +836,8 @@ func normalizeFaults(in []FaultSpec, minModules int) ([]FaultSpec, error) {
 			}
 		case f.Storm != nil:
 			st := *f.Storm
-			if err := checkFinite(fmt.Sprintf("fault %d storm fraction", i), st.Fraction); err != nil {
-				return nil, err
+			if !finite(st.Fraction) {
+				return nil, specErrf("fault %d storm fraction %g is not finite", i, st.Fraction)
 			}
 			if (st.Count > 0) == (st.Fraction > 0) {
 				return nil, specErrf("fault %d storm must set exactly one of count, fraction", i)

@@ -136,6 +136,15 @@ func TestNormalizeRejections(t *testing.T) {
 		{"negative horizon", func(m *Matrix) { m.HorizonTicks = -1 }},
 		{"inf duration cap", func(m *Matrix) { m.MaxDurationS = math.Inf(1) }},
 		{"sub-tick duration cap", func(m *Matrix) { m.MaxDurationS = 0.1 }},
+		{"named-cycle cap under the sample period", func(m *Matrix) { m.MaxDurationS, m.TickS = 0.3, 0.25 }},
+		{"synth-cycle cap under its sample period", func(m *Matrix) {
+			m.Cycles = []CycleSpec{{Synth: &SynthSpec{Seed: 3}}}
+			m.MaxDurationS, m.TickS = 0.3, 0.25
+		}},
+		{"csv shorter than the sample period", func(m *Matrix) {
+			m.Cycles = []CycleSpec{{CSV: "time_s,speed_kph\n0,0\n0.2,1\n"}}
+			m.TickS = 0.1
+		}},
 		{"cycle with two sources", func(m *Matrix) { m.Cycles = []CycleSpec{{Name: "nedc", Synth: &SynthSpec{}}} }},
 		{"unknown cycle", func(m *Matrix) { m.Cycles = []CycleSpec{{Name: "autobahn"}} }},
 		{"duplicate cycle", func(m *Matrix) { m.Cycles = []CycleSpec{{Name: "nedc"}, {Name: "NEDC", Label: "again"}} }},
@@ -184,6 +193,41 @@ func TestNormalizeRejections(t *testing.T) {
 				t.Fatalf("error does not wrap ErrSpec: %v", err)
 			}
 		})
+	}
+}
+
+// TestNonFiniteFieldNamed pins the messages for non-finite axis
+// values: each names the entry and field it came from.
+func TestNonFiniteFieldNamed(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		m    Matrix
+		want string
+	}{
+		{Matrix{Ambients: []AmbientSpec{{AmbientC: 20}, {CoolantOffsetC: nan}}}, "ambient 1 coolant_offset_c NaN is not finite"},
+		{Matrix{Flows: []FlowSpec{{Paths: 2, Maldistribution: nan}}}, "flow 0 maldistribution NaN is not finite"},
+		{Matrix{Faults: []FaultSpec{{Events: []EventSpec{{TimeS: nan, To: "open"}}}}}, "fault 0 event 0 time_s NaN is not finite"},
+		{Matrix{Faults: []FaultSpec{{Storm: &StormSpec{Fraction: nan}}}}, "fault 0 storm fraction NaN is not finite"},
+	} {
+		tc.m.Cycles = []CycleSpec{{Name: "nedc"}}
+		_, err := tc.m.Normalize()
+		if !errors.Is(err, ErrSpec) || !strings.HasSuffix(err.Error(), ": "+tc.want) {
+			t.Errorf("error %v, want ErrSpec ending in %q", err, tc.want)
+		}
+	}
+}
+
+// TestCapAtOneSamplePeriod is the other side of the sample-period
+// floor: a cap of exactly one trace sample expands and runs one
+// sample's worth of ticks.
+func TestCapAtOneSamplePeriod(t *testing.T) {
+	m := Matrix{Cycles: []CycleSpec{{Name: "wltc"}}, Schemes: []string{"inor"}, MaxDurationS: 0.5, TickS: 0.25}
+	ex, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ex.Cells[0].DurationS; d != 0.5 {
+		t.Fatalf("cell spans %g s, want 0.5", d)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Request schema and normalization for the v1 HTTP API. Every request
-// is reduced to a fully-defaulted params value before anything runs:
-// canonical cycle/scheme identities from the two registries, the
-// paper's settings filled in for omitted knobs, and the server's
-// resource bounds enforced — so the canonical cache key (canonical.go)
-// and the simulation both see exactly one spelling of each request.
+// is reduced to a fully-defaulted form before anything runs: runs,
+// sweeps and matrices to a normalized scenario matrix, twin sessions to
+// physics. Either way cycle/scheme identities come from the two
+// registries, the paper's settings fill omitted knobs, and the
+// server's resource bounds are enforced — so the canonical cache key
+// (canonical.go) and the simulation both see exactly one spelling of
+// each request.
 
 package serve
 
@@ -14,25 +16,31 @@ import (
 	"net/http"
 
 	"tegrecon/internal/core"
-	"tegrecon/internal/drive"
 	"tegrecon/internal/sim"
 )
 
 // RunRequest is the POST /v1/runs body: one scheme over one standard
-// drive cycle. Zero values mean "paper default" (0.5 s tick, 0.1 °C
-// sensor noise, seed 7, 100 modules, horizon 4, full cycle length);
-// pointer fields exist where zero is itself meaningful.
+// drive cycle, run as the one cell of the scenario matrix it translates
+// to (see Server.runMatrix): with Battery off its result is that cell's
+// bit for bit.
+// Zero values mean "paper default" (0.5 s tick, 0.1 °C sensor noise,
+// base seed 7, 100 modules, horizon 4, full cycle length); pointer
+// fields exist where zero is itself meaningful.
 type RunRequest struct {
 	// Cycle names a registered standard drive cycle (GET /v1/cycles).
 	Cycle string `json:"cycle"`
-	// Scheme names a registered reconfiguration scheme (GET /v1/schemes).
+	// Scheme names a registered reconfiguration scheme (GET /v1/schemes)
+	// or a DNOR variant such as "DNOR:horizon=8", as a matrix's scheme
+	// axis accepts.
 	Scheme string `json:"scheme"`
-	// DurationS caps the simulated span in seconds; 0 runs the full
-	// published cycle.
+	// DurationS caps the simulated span in seconds (the matrix's
+	// max_duration_s); 0 runs the full published cycle. A cap must
+	// cover one control period and one 0.5 s trace sample.
 	DurationS float64 `json:"duration_s,omitempty"`
 	// TickS is the control period in seconds (0 → 0.5).
 	TickS float64 `json:"tick_s,omitempty"`
-	// Seed drives the sensor-noise RNG (nil → 7).
+	// Seed is the matrix's base seed (nil or 0 → 7); the sensor-noise
+	// RNG is seeded from it and the cell's coordinate.
 	Seed *int64 `json:"seed,omitempty"`
 	// SensorNoiseC is the temperature sensing noise σ in °C (nil → 0.1).
 	SensorNoiseC *float64 `json:"sensor_noise_c,omitempty"`
@@ -68,9 +76,9 @@ type SweepRequest struct {
 	HorizonTicks int      `json:"horizon_ticks,omitempty"`
 }
 
-// physics is the knobs runs and twin sessions share, after
-// normalization: the scheme resolved, every default applied, all
-// bounds checked. build turns it into what the engine consumes.
+// physics is a twin session's knobs after normalization: the scheme
+// resolved, every default applied, all bounds checked. build turns it
+// into what the engine consumes.
 type physics struct {
 	scheme    sim.Scheme
 	tickS     float64
@@ -80,14 +88,6 @@ type physics struct {
 	horizon   int
 	battery   bool
 	keepTicks bool
-}
-
-// runParams is a RunRequest after normalization: registry identities
-// resolved, every default applied, all bounds checked.
-type runParams struct {
-	physics
-	cycle     drive.Cycle
-	durationS float64 // effective simulated span (never 0, never past the cycle end)
 }
 
 // httpError is a client-visible failure with its status code.
@@ -159,8 +159,8 @@ func (s *Server) normalizePhysics(ph physics) (physics, *httpError) {
 	return ph, nil
 }
 
-// build makes the system, controller and options a run or a fresh twin
-// session runs on; sim.Run and sim.NewSession consume them as they are.
+// build makes the system, controller and options a fresh twin session
+// runs on; sim.NewSession consumes them as they are.
 func (ph physics) build(phaseSampleEvery int) (*sim.System, core.Controller, sim.Options, error) {
 	sys := sim.DefaultSystem()
 	sys.Modules = ph.modules
@@ -176,63 +176,6 @@ func (ph physics) build(phaseSampleEvery int) (*sim.System, core.Controller, sim
 	opts.KeepTicks = ph.keepTicks
 	opts.PhaseSampleEvery = phaseSampleEvery
 	return sys, ctrl, opts, nil
-}
-
-// effectiveDuration clamps a requested span onto the cycle: 0 or
-// anything past the schedule end means the full published length —
-// the same rule drive.FromSpeedSchedule applies, made explicit here so
-// equivalent requests share one canonical form.
-func effectiveDuration(c drive.Cycle, requested float64) float64 {
-	if requested <= 0 || requested > c.DurationS {
-		return c.DurationS
-	}
-	return requested
-}
-
-func ticksFor(durationS, tickS float64) float64 {
-	return math.Floor(durationS/tickS) + 1
-}
-
-func (s *Server) normalizeRun(req RunRequest) (runParams, *httpError) {
-	var p runParams
-	if req.Cycle == "" {
-		return p, errf(http.StatusBadRequest, "missing cycle (GET /v1/cycles lists them)")
-	}
-	cycle, err := drive.CycleByName(req.Cycle)
-	if err != nil {
-		return p, errf(http.StatusBadRequest, "%v", err)
-	}
-	scheme, herr := lookupScheme(req.Scheme)
-	if herr != nil {
-		return p, herr
-	}
-	if math.IsNaN(req.DurationS) || math.IsInf(req.DurationS, 0) || req.DurationS < 0 {
-		return p, errf(http.StatusBadRequest, "duration_s %g is not a non-negative finite number", req.DurationS)
-	}
-	ph, herr := s.normalizePhysics(physics{
-		scheme:    scheme,
-		tickS:     req.TickS,
-		noiseC:    orDefault(req.SensorNoiseC, defaultOpts.SensorNoiseC),
-		seed:      orDefault(req.Seed, defaultOpts.Seed),
-		modules:   req.Modules,
-		horizon:   req.HorizonTicks,
-		battery:   req.Battery,
-		keepTicks: req.Ticks && !req.Stream,
-	})
-	if herr != nil {
-		return p, herr
-	}
-	p = runParams{physics: ph, cycle: cycle, durationS: effectiveDuration(cycle, req.DurationS)}
-	// The trace generator needs at least two 0.5 s samples and the run
-	// at least one whole control period; shorter spans would fail deep
-	// in the engine as a 500 instead of the 400 they are.
-	if p.durationS < 1 || p.durationS < p.tickS {
-		return p, errf(http.StatusBadRequest, "duration_s %g is shorter than one control period (min 1 s and ≥ tick_s)", p.durationS)
-	}
-	if n := ticksFor(p.durationS, p.tickS); n > float64(s.cfg.MaxTicksPerJob) {
-		return p, errf(http.StatusBadRequest, "run spans %.0f control periods, over the server's %d limit — raise tick_s or lower duration_s", n, s.cfg.MaxTicksPerJob)
-	}
-	return p, nil
 }
 
 // decodeJSON reads a bounded request body strictly: unknown fields are

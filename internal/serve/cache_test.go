@@ -225,30 +225,44 @@ func TestQueueBounds(t *testing.T) {
 
 func TestCanonicalKeys(t *testing.T) {
 	s := New(Config{})
+	keyOfRun := func(req RunRequest) string {
+		t.Helper()
+		p, herr := s.runMatrix(req)
+		if herr != nil {
+			t.Fatalf("%+v: %v", req, herr)
+		}
+		return runKey(p.m, req.Battery, req.Ticks && !req.Stream)
+	}
 	base := RunRequest{Cycle: "wltc", Scheme: "dnor", DurationS: 10}
-	p1, herr := s.normalizeRun(base)
-	if herr != nil {
-		t.Fatal(herr)
-	}
-	// Same request, different surface spelling: scheme case and an
-	// explicit full-length duration normalize away.
-	alt := RunRequest{Cycle: "WLTC", Scheme: "DNOR", DurationS: 10}
-	p2, herr := s.normalizeRun(alt)
-	if herr != nil {
-		t.Fatal(herr)
-	}
-	if runKey(p1) != runKey(p2) {
+	k1 := keyOfRun(base)
+	// Same request, different surface spelling: cycle and scheme case
+	// normalize away.
+	if keyOfRun(RunRequest{Cycle: "WLTC", Scheme: "DNOR", DurationS: 10}) != k1 {
 		t.Fatal("equivalent requests hash differently")
 	}
-	full := RunRequest{Cycle: "wltc", Scheme: "dnor"}
-	overlong := RunRequest{Cycle: "wltc", Scheme: "dnor", DurationS: 1e6}
-	pf, _ := s.normalizeRun(full)
-	po, _ := s.normalizeRun(overlong)
-	if runKey(pf) != runKey(po) {
+	// So do the defaults spelled out: the matrix reads seed 0 as its
+	// default seed 7, and a DNOR variant's horizon equal to the matrix's
+	// is the bare scheme.
+	zero, seven := int64(0), int64(7)
+	for _, req := range []RunRequest{
+		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Seed: &zero},
+		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Seed: &seven},
+		{Cycle: "wltc", Scheme: "DNOR:horizon=4", DurationS: 10},
+	} {
+		if keyOfRun(req) != k1 {
+			t.Errorf("%+v hashes differently from the omitted default", req)
+		}
+	}
+	if keyOfRun(RunRequest{Cycle: "wltc", Scheme: "dnor"}) != keyOfRun(RunRequest{Cycle: "wltc", Scheme: "dnor", DurationS: 1e6}) {
 		t.Fatal("full-cycle and past-the-end durations hash differently")
 	}
+	// A stream keeps no ticks, so a stream asking for ticks keys (and
+	// back-fills) the summary-only payload.
+	if keyOfRun(RunRequest{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Ticks: true, Stream: true}) != k1 {
+		t.Fatal("a stream's ticks flag changed the key")
+	}
 	// Every physically meaningful field changes the key.
-	seed := int64(8)
+	seed, negSeed := int64(8), int64(-1)
 	noise := 0.2
 	variants := []RunRequest{
 		{Cycle: "nedc", Scheme: "dnor", DurationS: 10},
@@ -256,19 +270,17 @@ func TestCanonicalKeys(t *testing.T) {
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 11},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, TickS: 1},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Seed: &seed},
+		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Seed: &negSeed},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, SensorNoiseC: &noise},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Modules: 50},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, HorizonTicks: 8},
+		{Cycle: "wltc", Scheme: "DNOR:horizon=8", DurationS: 10},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Battery: true},
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, Ticks: true},
 	}
-	seen := map[string]int{runKey(p1): -1}
+	seen := map[string]int{k1: -1}
 	for i, req := range variants {
-		p, herr := s.normalizeRun(req)
-		if herr != nil {
-			t.Fatalf("variant %d: %v", i, herr)
-		}
-		k := runKey(p)
+		k := keyOfRun(req)
 		if prev, dup := seen[k]; dup {
 			t.Errorf("variant %d collides with %d", i, prev)
 		}
@@ -327,10 +339,12 @@ func TestNormalizeRejects(t *testing.T) {
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 1, SensorNoiseC: &overNoise},
 		{Cycle: "wltc", Scheme: "dnor"},                              // full 1800 s / 0.5 s = 3601 ticks > 1000
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 0.1},              // shorter than one control period
+		{Cycle: "wltc", Scheme: "dnor", DurationS: 0.3, TickS: 0.25}, // shorter than one 0.5 s trace sample
+		{Cycle: "wltc", Scheme: "inor:horizon=8"},                    // only a predictive scheme takes keys
 		{Cycle: "wltc", Scheme: "dnor", DurationS: 10, TickS: 1e308}, // would overflow energy accounting
 	}
 	for i, req := range cases {
-		if _, herr := s.normalizeRun(req); herr == nil {
+		if _, herr := s.runMatrix(req); herr == nil {
 			t.Errorf("case %d (%+v) normalized", i, req)
 		} else if herr.status != 400 {
 			t.Errorf("case %d status = %d", i, herr.status)
@@ -347,6 +361,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"unknown cycle", SweepRequest{Cycles: []string{"nope"}}},
 		{"unknown scheme", SweepRequest{Schemes: []string{"nope"}}},
 		{"sub-period cap", SweepRequest{Cycles: []string{"delivery"}, MaxDurationS: 0.2}},
+		{"sub-sample cap", SweepRequest{Cycles: []string{"wltc"}, Schemes: []string{"inor"}, MaxDurationS: 0.3, TickS: 0.25}},
 		{"full default sweep over a 1000-tick budget", SweepRequest{}},
 	}
 	for _, tc := range sweeps {

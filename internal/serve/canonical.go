@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
-	"strings"
 
 	"tegrecon/internal/scenario"
 )
@@ -20,39 +19,51 @@ import (
 // keyVersion tags the canonical form itself: bump it whenever the
 // encoding or the physics behind it changes, and every stale cache key
 // simply stops matching.
-const keyVersion = "tegserve/v3"
+const keyVersion = "tegserve/v4"
 
-type keyBuilder struct{ b strings.Builder }
+// keyBuilder appends a canonical string in place: a run's key is built
+// on every cache hit, so fields go straight into one buffer.
+type keyBuilder struct{ b []byte }
 
-func (k *keyBuilder) str(name, v string) { k.b.WriteString("|" + name + "=" + v) }
+// newKey starts a key in a domain ("run", "cell", "matrix", "sweep").
+func newKey(domain string) *keyBuilder {
+	return &keyBuilder{b: append(append(append(make([]byte, 0, 256), keyVersion...), '/'), domain...)}
+}
+
+func (k *keyBuilder) field(name string) []byte { return append(append(append(k.b, '|'), name...), '=') }
+func (k *keyBuilder) str(name, v string)       { k.b = append(k.field(name), v...) }
 func (k *keyBuilder) num(name string, v float64) {
 	// 'x' is the hexadecimal floating-point form: exact, canonical and
 	// locale-free. 0.1 encodes as 0x1.999999999999ap-04, never a rounded
 	// decimal that could collide with a neighbouring value.
-	k.str(name, strconv.FormatFloat(v, 'x', -1, 64))
+	k.b = strconv.AppendFloat(k.field(name), v, 'x', -1, 64)
 }
-func (k *keyBuilder) int(name string, v int64) { k.str(name, strconv.FormatInt(v, 10)) }
-func (k *keyBuilder) bool(name string, v bool) { k.str(name, strconv.FormatBool(v)) }
+func (k *keyBuilder) int(name string, v int64) { k.b = strconv.AppendInt(k.field(name), v, 10) }
+func (k *keyBuilder) bool(name string, v bool) { k.b = strconv.AppendBool(k.field(name), v) }
 
 func (k *keyBuilder) sum() string {
-	h := sha256.Sum256([]byte(k.b.String()))
+	h := sha256.Sum256(k.b)
 	return hex.EncodeToString(h[:])
 }
 
-// runKey hashes a normalized run request.
-func runKey(p runParams) string {
-	var k keyBuilder
-	k.b.WriteString(keyVersion + "/run")
-	k.str("cycle", p.cycle.Name)
-	k.str("scheme", p.scheme.Name)
-	k.num("duration_s", p.durationS)
-	k.num("tick_s", p.tickS)
-	k.num("noise_c", p.noiseC)
-	k.int("seed", p.seed)
-	k.int("modules", int64(p.modules))
-	k.int("horizon", int64(p.horizon))
-	k.bool("battery", p.battery)
-	k.bool("ticks", p.keepTicks)
+// runKey hashes a run: its normalized one-cell matrix field by field
+// (cycle, scheme entry, array size, duration cap, tick, noise, base
+// seed, horizon; every other field of a run's matrix is fixed) plus
+// the two options the cell leaves to the run, battery and kept ticks.
+// It is on every cache hit's path, so it writes the fields directly
+// instead of matrixKey's JSON encoding of the whole spec.
+func runKey(m *scenario.Matrix, battery, keepTicks bool) string {
+	k := newKey("run")
+	k.str("cycle", m.Cycles[0].Name)
+	k.str("scheme", m.Schemes[0])
+	k.int("modules", int64(m.ArraySizes[0]))
+	k.num("max_duration_s", m.MaxDurationS)
+	k.num("tick_s", m.TickS)
+	k.num("noise_c", *m.SensorNoiseC)
+	k.int("seed", m.Seed)
+	k.int("horizon", int64(m.HorizonTicks))
+	k.bool("battery", battery)
+	k.bool("ticks", keepTicks)
 	return k.sum()
 }
 
@@ -70,8 +81,7 @@ func runKey(p runParams) string {
 // and no other scheme reads one. Keyed per cell, two matrices sharing a
 // cell share its cached result.
 func cellKey(p matrixParams, cell scenario.Cell) string {
-	var k keyBuilder
-	k.b.WriteString(keyVersion + "/cell")
+	k := newKey("cell")
 	k.num("tick_s", p.m.TickS)
 	k.num("noise_c", *p.m.SensorNoiseC)
 	k.int("seed", p.m.Seed)

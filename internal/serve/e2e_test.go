@@ -163,21 +163,25 @@ func TestServeListenerError(t *testing.T) {
 
 func BenchmarkCachedRunRequest(b *testing.B) {
 	s := New(Config{})
-	p, herr := s.normalizeRun(RunRequest{Cycle: "delivery", Scheme: "inor", DurationS: 6, Modules: 20})
+	req := RunRequest{Cycle: "delivery", Scheme: "inor", DurationS: 6, Modules: 20}
+	p, herr := s.runMatrix(req)
 	if herr != nil {
 		b.Fatal(herr)
 	}
-	key := runKey(p)
-	payload, err := s.runPayload(context.Background(), p)
+	payload, err := s.runPayload(context.Background(), p.m, false, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.cache.put(key, payload)
+	s.cache.put(runKey(p.m, false, false), payload)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k := runKey(p)
-		if _, ok := s.cache.get(k); !ok {
+		// A hit pays for the request's matrix normalization and its key.
+		p, herr := s.runMatrix(req)
+		if herr != nil {
+			b.Fatal(herr)
+		}
+		if _, ok := s.cache.get(runKey(p.m, false, false)); !ok {
 			b.Fatal("miss")
 		}
 	}

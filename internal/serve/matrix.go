@@ -74,8 +74,7 @@ func matrixKey(domain string, m *scenario.Matrix) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var k keyBuilder
-	k.b.WriteString(keyVersion + "/" + domain)
+	k := newKey(domain)
 	k.str("spec", string(b))
 	return k.sum(), nil
 }

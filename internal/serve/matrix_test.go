@@ -145,10 +145,10 @@ func TestCellKeyHorizonIdentity(t *testing.T) {
 
 // TestMatrixKeysStableWithoutBand pins the envelope key and the first
 // cell key of the committed example spec, which sets no converter
-// band, to the values they had before the band existed: adding a
-// matrix-level parameter must not invalidate any cache or disk-store
-// entry of a spec that leaves it unset. Spelling out the default band
-// keeps them too.
+// band: adding a matrix-level parameter must not invalidate any cache
+// or disk-store entry of a spec that leaves it unset, and spelling out
+// the default band keeps them too. The pins change only with
+// keyVersion (these are its tegserve/v4 values).
 func TestMatrixKeysStableWithoutBand(t *testing.T) {
 	spec, err := os.ReadFile("../../examples/matrix/spec.json")
 	if err != nil {
@@ -168,7 +168,7 @@ func TestMatrixKeysStableWithoutBand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := "884f4a7ad6d55548a85f4b45e3073c12fb59c1d2147447e8ca6531a181a39598"; key != want {
+		if want := "b893467c8db877d4d7d7c86dc816bad158b133c5169e2c3d0c5421a48d3a2c28"; key != want {
 			t.Errorf("band %v: matrix key %s, want %s", band, key, want)
 		}
 		ex, err := n.Expand()
@@ -179,7 +179,7 @@ func TestMatrixKeysStableWithoutBand(t *testing.T) {
 		if !strings.HasPrefix(first.Coord, "cy=name=nedc;sch=Baseline;") || !strings.HasSuffix(first.Coord, ";mod=100") {
 			t.Fatalf("first cell %q is not the NEDC baseline cell at N=100", first.Coord)
 		}
-		if got, want := cellKey(matrixParams{m: n}, first), "a9e77e4095eccf5501a94520237bae8adca68ca14e08ab19859dbf47d2c9282a"; got != want {
+		if got, want := cellKey(matrixParams{m: n}, first), "397f04c5dc0c88f8caa6bbe95235bcc0f18fc808c00a21f0b9024f1befda51a4"; got != want {
 			t.Errorf("band %v: first cell key %s, want %s", band, got, want)
 		}
 	}
@@ -507,6 +507,7 @@ func TestMatrixAdmission(t *testing.T) {
 		{"modules", `{"cycles":[{"name":"nedc"}],"schemes":["INOR"],"array_sizes":[60],"max_duration_s":6}`, "module limit"},
 		{"ticks", `{"cycles":[{"name":"nedc"}],"schemes":["INOR"],"array_sizes":[20]}`, "control periods"},
 		{"unknown field", `{"cycles":[{"name":"nedc"}],"bogus":1}`, "bogus"},
+		{"cap under the trace sample period", `{"cycles":[{"name":"wltc"}],"schemes":["inor"],"array_sizes":[20],"max_duration_s":0.3,"tick_s":0.25}`, "sample period"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

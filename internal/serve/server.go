@@ -12,8 +12,9 @@
 //
 //	GET  /v1/cycles   registered standard drive cycles
 //	GET  /v1/schemes  registered reconfiguration schemes
-//	POST /v1/runs     one scheme over one cycle (JSON result, or SSE
-//	                  tick stream with "stream": true)
+//	POST /v1/runs     one scheme over one cycle, run as the one cell of
+//	                  a scenario matrix (JSON result, or SSE tick
+//	                  stream with "stream": true)
 //	POST /v1/sweeps   cycle × scheme table, rendered from the cells of
 //	                  the scenario matrix it translates to (cached per
 //	                  cell like /v1/matrix)
@@ -532,27 +533,39 @@ func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 
 // --- run execution ---
 
-// executeRun replays the cycle through the Session engine (via
-// sim.Run) with the service's observers wired into
-// Options.OnTick.
-func (s *Server) executeRun(ctx context.Context, p runParams, onTick func(sim.Tick)) (*sim.Result, error) {
-	cfg := drive.DefaultSynthConfig()
-	cfg.Duration = p.durationS
-	tr, err := p.cycle.Synthesize(cfg)
-	if err != nil {
-		return nil, err
+// runMatrix translates a run request into the one-cell scenario matrix
+// it runs, sweepMatrix's grid over its one cycle and one scheme, and
+// admits it under the matrix bounds. A run's result is therefore that
+// matrix cell's, bit for bit. The cycle and scheme are required: an
+// empty axis would mean every registered cycle or scheme.
+func (s *Server) runMatrix(req RunRequest) (matrixParams, *httpError) {
+	if req.Cycle == "" {
+		return matrixParams{}, errf(http.StatusBadRequest, "missing cycle (GET /v1/cycles lists them)")
 	}
-	sys, ctrl, opts, err := p.build(s.cfg.PhaseSampleEvery)
-	if err != nil {
-		return nil, err
+	if req.Scheme == "" {
+		return matrixParams{}, errf(http.StatusBadRequest, "missing scheme (GET /v1/schemes lists them)")
 	}
-	opts.OnTick = func(t sim.Tick) {
+	return s.normalizeMatrix(MatrixRequest{Matrix: sweepMatrix(SweepRequest{
+		Cycles: []string{req.Cycle}, Schemes: []string{req.Scheme}, MaxDurationS: req.DurationS, TickS: req.TickS,
+		Seed: req.Seed, SensorNoiseC: req.SensorNoiseC, Modules: req.Modules, HorizonTicks: req.HorizonTicks,
+	})})
+}
+
+// runCell replays a run's one cell job through the Session engine (via
+// sim.Run). Only the options the cell leaves to the transport are set:
+// the battery, kept ticks, phase sampling, and the service's observers
+// wired into Options.OnTick.
+func (s *Server) runCell(ctx context.Context, job sim.Job, battery, keepTicks bool, onTick func(sim.Tick)) (*sim.Result, error) {
+	job.Opts.Battery = battery
+	job.Opts.KeepTicks = keepTicks
+	job.Opts.PhaseSampleEvery = s.cfg.PhaseSampleEvery
+	job.Opts.OnTick = func(t sim.Tick) {
 		s.met.ticks.Add(1)
 		if onTick != nil {
 			onTick(t)
 		}
 	}
-	res, err := sim.Run(ctx, sys, tr, ctrl, opts)
+	res, err := sim.Run(ctx, job.Sys, job.Trace, job.Ctrl, job.Opts)
 	if err == nil {
 		// Sampled phase timings are observability, not physics: they fold
 		// into the service aggregate here and never into the serialized
@@ -562,13 +575,17 @@ func (s *Server) executeRun(ctx context.Context, p runParams, onTick func(sim.Ti
 	return res, err
 }
 
-// runPayload executes the run as a job and encodes the versioned
-// result payload.
-func (s *Server) runPayload(ctx context.Context, p runParams) ([]byte, error) {
+// runPayload expands the run's matrix and runs its cell as a job, then
+// encodes the versioned result payload.
+func (s *Server) runPayload(ctx context.Context, m *scenario.Matrix, battery, keepTicks bool) ([]byte, error) {
 	var payload []byte
 	err := s.job(ctx, func(ctx context.Context) error {
 		s.met.computations.Add(1)
-		res, err := s.executeRun(ctx, p, nil)
+		ex, err := m.Expand()
+		if err != nil {
+			return err
+		}
+		res, err := s.runCell(ctx, ex.Jobs[0], battery, keepTicks, nil)
 		if err != nil {
 			return err
 		}
@@ -585,14 +602,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The Accept header is the second way to ask for a stream; fold it
-	// into the body flag before normalization so both spellings get
-	// identical treatment (in particular, keepTicks is forced off for
-	// streams — the ticks already travel as events). Compound values
-	// like "text/event-stream, */*" or appended parameters count too.
+	// into the body flag before keying so both spellings get identical
+	// treatment (in particular, ticks are never kept for streams — they
+	// already travel as events). Compound values like
+	// "text/event-stream, */*" or appended parameters count too.
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		req.Stream = true
 	}
-	p, herr := s.normalizeRun(req)
+	p, herr := s.runMatrix(req)
 	if herr != nil {
 		s.writeHTTPError(w, herr)
 		return
@@ -602,14 +619,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.runs.Add(1)
-	key := runKey(p)
+	keepTicks := req.Ticks && !req.Stream
+	key := runKey(p.m, req.Battery, keepTicks)
 	w.Header().Set("X-Cache-Key", key)
 	if req.Stream {
-		s.streamRun(w, r, p, key)
+		s.streamRun(w, r, p.m, req.Battery, key)
 		return
 	}
 	payload, state, err := s.cachedPayload(r, key, func(ctx context.Context) ([]byte, error) {
-		return s.runPayload(ctx, p)
+		return s.runPayload(ctx, p.m, req.Battery, keepTicks)
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)
@@ -673,20 +691,25 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string,
 // one `tick` per control period straight from Options.OnTick, then the
 // terminal `summary` (or `error`). The summary also back-fills the
 // result cache.
-func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, p runParams, key string) {
+func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, m *scenario.Matrix, battery bool, key string) {
 	s.stream(w, r, key, func(ctx context.Context, send func(string, []byte) error) ([]byte, error) {
+		ex, err := m.Expand()
+		if err != nil {
+			return nil, err
+		}
+		cell := ex.Cells[0]
 		start, _ := json.Marshal(map[string]any{
 			"key":        key,
-			"cycle":      p.cycle.Name,
-			"scheme":     p.scheme.Name,
-			"duration_s": p.durationS,
-			"tick_s":     p.tickS,
+			"cycle":      cell.Cycle,
+			"scheme":     cell.Scheme,
+			"duration_s": cell.DurationS,
+			"tick_s":     m.TickS,
 		})
 		if err := send("start", start); err != nil {
 			return nil, err
 		}
 		var tickErr error
-		res, err := s.executeRun(ctx, p, func(t sim.Tick) {
+		res, err := s.runCell(ctx, ex.Jobs[0], battery, false, func(t sim.Tick) {
 			if tickErr == nil {
 				var b []byte
 				if b, tickErr = report.MarshalTick(t); tickErr == nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"tegrecon/internal/drive"
+	"tegrecon/internal/experiments"
 	"tegrecon/internal/report"
 	"tegrecon/internal/sim"
 )
@@ -106,7 +108,8 @@ func TestRunEndpoint(t *testing.T) {
 	if got := resp.Header.Get("X-Cache"); got != "miss" {
 		t.Errorf("first X-Cache = %q, want miss", got)
 	}
-	if resp.Header.Get("X-Cache-Key") == "" {
+	key := resp.Header.Get("X-Cache-Key")
+	if key == "" {
 		t.Error("no X-Cache-Key header")
 	}
 	res, err := report.UnmarshalResult(body)
@@ -136,10 +139,27 @@ func TestRunEndpoint(t *testing.T) {
 		t.Errorf("got %d ticks, want 13", len(res.Ticks))
 	}
 
+	// An explicit seed 0 is the matrix's default seed: the same key as
+	// an omitted seed, answered from the first request's cache entry.
+	resp2, body2 := postJSON(t, ts.URL+"/v1/runs", `{"cycle":"delivery","scheme":"inor","duration_s":6,"modules":20,"seed":0}`)
+	if resp2.StatusCode != 200 || resp2.Header.Get("X-Cache") != "hit" || resp2.Header.Get("X-Cache-Key") != key {
+		t.Errorf("seed 0: %d, X-Cache %q, key %s; want a hit on %s", resp2.StatusCode,
+			resp2.Header.Get("X-Cache"), resp2.Header.Get("X-Cache-Key"), key)
+	}
+
+	// A DNOR variant runs as it would on a matrix's scheme axis.
+	resp2, body2 = postJSON(t, ts.URL+"/v1/runs", `{"cycle":"delivery","scheme":"DNOR:horizon=8","duration_s":6,"modules":20}`)
+	if resp2.StatusCode != 200 {
+		t.Fatalf("DNOR variant: %d %s", resp2.StatusCode, body2)
+	}
+
 	// Bad requests come back 400 with a JSON error.
 	for _, bad := range []string{
 		`{"cycle":"nope","scheme":"inor"}`,
 		`{"cycle":"delivery"}`,
+		`{"scheme":"inor"}`,
+		`{"cycle":"delivery","scheme":"inor","duration_s":0.3,"tick_s":0.25}`,
+		`{"cycle":"delivery","scheme":"inor:horizon=8"}`,
 		`{"cycle":"delivery","scheme":"inor","unknown_knob":1}`,
 		`not json`,
 	} {
@@ -152,6 +172,47 @@ func TestRunEndpoint(t *testing.T) {
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("bad request %q: error body %s", bad, body)
+		}
+	}
+}
+
+// TestRunIsMatrixCell: a run is the one cell of the matrix it
+// translates to, so its totals equal POST /v1/matrix's cell for the
+// same coordinate and base seed bit for bit, for every scheme and a
+// DNOR variant, with the seed omitted or given.
+func TestRunIsMatrixCell(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, scheme := range append(sim.SchemeNames(), "DNOR:horizon=8") {
+		for _, seed := range []string{"", `,"seed":11`} {
+			run := fmt.Sprintf(`{"cycle":"wltc","scheme":%q,"duration_s":30,"modules":20%s}`, scheme, seed)
+			resp, body := postJSON(t, ts.URL+"/v1/runs", run)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: %d %s", run, resp.StatusCode, body)
+			}
+			res, err := report.UnmarshalResult(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := fmt.Sprintf(`{"cycles":[{"name":"wltc"}],"schemes":[%q],"max_duration_s":30,"array_sizes":[20]%s}`, scheme, seed)
+			resp, body = postJSON(t, ts.URL+"/v1/matrix", spec)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: %d %s", spec, resp.StatusCode, body)
+			}
+			var env struct {
+				Cells []experiments.MatrixCell `json:"cells"`
+			}
+			if err := json.Unmarshal(body, &env); err != nil || len(env.Cells) != 1 {
+				t.Fatalf("%s: %v, %d cells", spec, err, len(env.Cells))
+			}
+			c := env.Cells[0]
+			same := math.Float64bits(res.EnergyOutJ) == math.Float64bits(c.EnergyOutJ) &&
+				math.Float64bits(res.OverheadJ) == math.Float64bits(c.OverheadJ) &&
+				math.Float64bits(res.IdealEnergyJ) == math.Float64bits(c.IdealEnergyJ) &&
+				res.SwitchEvents == c.SwitchEvents && res.SwitchToggles == c.SwitchToggles &&
+				res.AvgRuntime == c.AvgRuntime
+			if !same {
+				t.Errorf("%s: run %+v differs from cell %+v", run, *res, c)
+			}
 		}
 	}
 }
@@ -295,6 +356,19 @@ func TestRunStream(t *testing.T) {
 	var summary []byte
 	err = DecodeEvents(resp.Body, func(ev Event) error {
 		switch ev.Name {
+		case "start":
+			var start struct {
+				Cycle     string  `json:"cycle"`
+				Scheme    string  `json:"scheme"`
+				DurationS float64 `json:"duration_s"`
+				TickS     float64 `json:"tick_s"`
+			}
+			if err := json.Unmarshal(ev.Data, &start); err != nil {
+				return err
+			}
+			if start.Cycle != "delivery" || start.Scheme != "INOR" || start.DurationS != 6 || start.TickS != 0.5 {
+				t.Errorf("start event %s", ev.Data)
+			}
 		case "tick":
 			ticks++
 		case "summary":
