@@ -26,7 +26,7 @@
 //	                    sampled per-phase shares of the measured steps
 //	                    (phases)
 //	session_step_instrumented_<scheme>_n500
-//	                    the same for dnor and ehtr at N = 500 (the
+//	                    the same for inor, dnor and ehtr at N = 500 (the
 //	                    twins_n500 array size): where those schemes'
 //	                    tick time goes, decide against temps, sense and
 //	                    act
@@ -304,6 +304,7 @@ func main() {
 	}{
 		{"session_step", func() (Result, error) { return benchSessionStep(runDur) }},
 		{"session_step_instrumented", func() (Result, error) { return benchSessionStepSampled("INOR", 100, runDur, 16) }},
+		{"session_step_instrumented_inor_n500", func() (Result, error) { return benchSessionStepSampled("INOR", 500, runDur, 16) }},
 		{"session_step_instrumented_dnor_n500", func() (Result, error) { return benchSessionStepSampled("DNOR", 500, runDur, 16) }},
 		{"session_step_instrumented_ehtr_n500", func() (Result, error) { return benchSessionStepSampled("EHTR", 500, runDur, 16) }},
 		{"table1_dnor", func() (Result, error) { return benchTableScheme("DNOR", runDur) }},
@@ -959,7 +960,11 @@ func benchMatrixSpec(cellDuration float64) *scenario.Matrix {
 // pays before the first job runs.
 func benchMatrixExpand() (Result, error) {
 	m := benchMatrixSpec(30)
-	counts, err := m.Counts()
+	n, err := m.Normalize()
+	if err != nil {
+		return Result{}, err
+	}
+	counts, err := n.Counts()
 	if err != nil {
 		return Result{}, err
 	}

@@ -36,10 +36,14 @@ func runMatrix(ctx context.Context, path string, workers int, format report.Form
 	if err != nil {
 		return err
 	}
-	// Counts normalizes and sizes the matrix without materializing any
-	// traces, so spec errors and the sweep's scale both surface before
-	// the first simulation starts.
-	counts, err := m.Counts()
+	// Normalize and Counts check and size the matrix without
+	// materializing any traces, so spec errors and the sweep's scale
+	// both surface before the first simulation starts.
+	n, err := m.Normalize()
+	if err != nil {
+		return err
+	}
+	counts, err := n.Counts()
 	if err != nil {
 		return err
 	}

@@ -45,7 +45,11 @@ func main() {
 		m.MaxDurationS = cap
 	}
 
-	counts, err := m.Counts()
+	n, err := m.Normalize()
+	if err != nil {
+		log.Fatal(err)
+	}
+	counts, err := n.Counts()
 	if err != nil {
 		log.Fatal(err)
 	}

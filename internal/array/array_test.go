@@ -298,7 +298,7 @@ func TestEnergyConservation(t *testing.T) {
 func TestArrayMPPNeverBeatsIdeal(t *testing.T) {
 	a := testArray(t, 50)
 	rng := rand.New(rand.NewSource(11))
-	ideal := a.IdealPower()
+	ideal := a.norton().IdealPower()
 	for trial := 0; trial < 50; trial++ {
 		starts := []int{0}
 		for pos := 1 + rng.Intn(5); pos < 50; pos += 1 + rng.Intn(10) {
@@ -326,7 +326,7 @@ func mismatchLoss(t *testing.T, a *Array, cfg Config) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return 1 - eq.MPP().Power/a.IdealPower()
+	return 1 - eq.MPP().Power/a.norton().IdealPower()
 }
 
 // moduleCurrents returns the current through every module when a
@@ -450,9 +450,9 @@ func TestNoReverseCurrentOnBalancedGroups(t *testing.T) {
 
 func TestMPPCurrentsMatchSpec(t *testing.T) {
 	a := testArray(t, 5)
-	currents := a.MPPCurrentsInto(nil)
+	currents := a.norton().MPPCurrentsInto(nil)
 	for i, op := range a.Ops {
-		if math.Abs(currents[i]-a.Spec.MPPCurrent(op)) > 1e-15 {
+		if math.Abs(currents[i]-a.Spec.MaxPowerPoint(op).Current) > 1e-15 {
 			t.Errorf("module %d MPP current mismatch", i)
 		}
 	}

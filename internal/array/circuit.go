@@ -51,41 +51,6 @@ func New(spec teg.ModuleSpec, ops []teg.OperatingPoint) (*Array, error) {
 // N returns the module count.
 func (a *Array) N() int { return len(a.Ops) }
 
-// MPPCurrentsInto writes I_MPP,i for every module — the input to
-// Algorithm 1 — into dst, reusing its backing storage when the capacity
-// suffices. Failed modules contribute zero (they cannot source current
-// at any operating point). The controllers recompute the MPP current
-// vector every decision; a reused scratch slice keeps that off the heap.
-func (a *Array) MPPCurrentsInto(dst []float64) []float64 {
-	if cap(dst) < len(a.Ops) {
-		dst = make([]float64, len(a.Ops))
-	}
-	dst = dst[:len(a.Ops)]
-	for i, op := range a.Ops {
-		if a.healthOf(i) == Healthy {
-			dst[i] = a.Spec.MPPCurrent(op)
-		} else {
-			dst[i] = 0
-		}
-	}
-	return dst
-}
-
-// IdealPower returns P_ideal = Σ module MPP powers over the healthy
-// modules (Fig. 7 normaliser).
-func (a *Array) IdealPower() float64 {
-	if a.Health == nil {
-		return a.Spec.IdealPower(a.Ops)
-	}
-	sum := 0.0
-	for i, op := range a.Ops {
-		if a.healthOf(i) == Healthy {
-			sum += a.Spec.MaxPowerPoint(op).Power
-		}
-	}
-	return sum
-}
-
 // Equivalent computes the Thevenin equivalent of cfg.
 //
 // Modules of a group share their terminal voltage V_g; solving the node
@@ -113,30 +78,94 @@ func (a *Array) EquivalentInto(dst *Equivalent, cfg Config) error {
 	return a.norton().EquivalentInto(dst, cfg)
 }
 
-// Norton holds every module's Norton pair at one temperature
-// distribution: G[i] = 1/Rᵢ and J[i] = Voc,i/Rᵢ. A failed-short module
-// is (1/R_short, 0) and a failed-open one (0, 0), so the group sums
-// need no health branch: adding +0 leaves a sum bit-unchanged. The
-// pairs depend only on the operating points, not on the configuration,
-// so the deciders fill one Norton per sensed distribution and price
-// every candidate group count against it.
+// Norton is the per-tick module table: every module's internal
+// resistance R[i] (teg.ModuleSpec.Resistance at its hot side) and EMF
+// Voc[i] = α·ΔTᵢ at one temperature distribution, derived once, and the
+// Norton pair built from them: G[i] = 1/Rᵢ and J[i] = Voc,i/Rᵢ. R and
+// Voc are the healthy module's whatever its health; G and J honour it:
+// a failed-short module is (1/R_short, 0) and a failed-open one (0, 0),
+// so the group sums need no health branch: adding +0 leaves a sum
+// bit-unchanged. The table depends only on the operating points and
+// health, not on the configuration, so the deciders fill one per
+// sensed distribution and price every candidate group count against
+// it, and the simulator reads the tick's ideal power and heat input
+// from the one it priced the decided configuration with.
 type Norton struct {
-	G []float64 // module conductance 1/R, S
-	J []float64 // module source term Voc/R, A
+	G   []float64 // module conductance 1/R, S
+	J   []float64 // module source term Voc/R, A
+	R   []float64 // module internal resistance, Ω
+	Voc []float64 // module open-circuit voltage, V
+
+	health []ModuleHealth // the array's health vector, nil when all healthy
 }
 
-// NortonInto writes the Norton pair of every module of a into dst,
-// reusing its backing storage when the capacity suffices.
+// NortonInto writes the module table of a into dst, reusing its backing
+// storage when the capacity suffices. It is the one per-module pass
+// over the operating points: each module's R and Voc are derived here
+// and every other per-module quantity of the tick reads them.
 func (a *Array) NortonInto(dst *Norton) {
 	n := a.N()
-	if cap(dst.G) < n {
-		dst.G = make([]float64, n)
-		dst.J = make([]float64, n)
+	dst.G, dst.J = resize(dst.G, n), resize(dst.J, n)
+	dst.R, dst.Voc = resize(dst.R, n), resize(dst.Voc, n)
+	dst.health = a.Health
+	alpha := a.Spec.ModuleSeebeck()
+	ops := a.Ops
+	gs, js, rs, vs := dst.G[:len(ops)], dst.J[:len(ops)], dst.R[:len(ops)], dst.Voc[:len(ops)]
+	for i, op := range ops {
+		r, voc := a.Spec.Resistance(op.HotC), alpha*op.DeltaT
+		rs[i], vs[i] = r, voc
+		switch a.healthOf(i) {
+		case FailedOpen:
+			gs[i], js[i] = 0, 0
+		case FailedShort:
+			gs[i], js[i] = 1/shortResistance, 0
+		default:
+			gs[i], js[i] = 1/r, voc/r
+		}
 	}
-	dst.G, dst.J = dst.G[:n], dst.J[:n]
-	for i := range dst.G {
-		dst.G[i], dst.J[i] = a.contribution(i)
+}
+
+// resize returns s with length n, reusing its backing storage when the
+// capacity suffices.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
 	}
+	return s[:n]
+}
+
+// healthy reports whether module i of the table's array is healthy.
+func (nt *Norton) healthy(i int) bool {
+	return nt.health == nil || nt.health[i] == Healthy
+}
+
+// MPPCurrentsInto writes I_MPP,i = Voc,i/(2·Rᵢ) for every module — the
+// input to Algorithm 1 — into dst, reusing its backing storage when the
+// capacity suffices. Failed modules contribute zero (they cannot source
+// current at any operating point).
+func (nt *Norton) MPPCurrentsInto(dst []float64) []float64 {
+	dst = resize(dst, nt.N())
+	for i, voc := range nt.Voc {
+		if nt.healthy(i) {
+			dst[i] = voc / (2 * nt.R[i])
+		} else {
+			dst[i] = 0
+		}
+	}
+	return dst
+}
+
+// IdealPower returns P_ideal = Σ module MPP powers Voc²/(4·R) over the
+// healthy modules, in module order (Fig. 7 normaliser: "assuming all
+// modules working at their MPPs").
+func (nt *Norton) IdealPower() float64 {
+	sum := 0.0
+	for i, voc := range nt.Voc {
+		if nt.healthy(i) {
+			sum += voc * voc / (4 * nt.R[i])
+		}
+	}
+	return sum
 }
 
 // norton returns freshly built Norton pairs of a for the one-off

@@ -65,19 +65,3 @@ func (a *Array) healthOf(i int) ModuleHealth {
 	}
 	return a.Health[i]
 }
-
-// contribution returns the Norton pair (conductance g = 1/R and source
-// term voc·g) of module i, honouring its health: failed-open modules
-// are (0, 0) and failed-short ones (1/R_short, 0). NortonInto is its
-// only caller.
-func (a *Array) contribution(i int) (g, vg float64) {
-	switch a.healthOf(i) {
-	case FailedOpen:
-		return 0, 0
-	case FailedShort:
-		return 1 / shortResistance, 0
-	default:
-		r := a.Spec.R(a.Ops[i])
-		return 1 / r, a.Spec.Voc(a.Ops[i]) / r
-	}
-}

@@ -38,7 +38,7 @@ func efficiency(t *testing.T, a *Array, cfg Config, iOut float64) (float64, erro
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a.ConversionEfficiencyAt(eq, cfg, iOut, currents)
+	return a.ConversionEfficiencyAt(a.norton(), eq, iOut, currents)
 }
 
 func TestNewWithHealthValidation(t *testing.T) {
@@ -153,10 +153,10 @@ func TestFailedModulesExcludedFromIdealAndMPP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := faulty.IdealPower(), healthy.IdealPower()/2; math.Abs(got-want) > 1e-12 {
+	if got, want := faulty.norton().IdealPower(), healthy.norton().IdealPower()/2; math.Abs(got-want) > 1e-12 {
 		t.Errorf("ideal power %v, want %v", got, want)
 	}
-	currents := faulty.MPPCurrentsInto(nil)
+	currents := faulty.norton().MPPCurrentsInto(nil)
 	if currents[1] != 0 || currents[2] != 0 {
 		t.Errorf("failed modules have MPP currents %v", currents)
 	}
@@ -237,10 +237,7 @@ func TestThermalInputOpenCircuitIsConductionOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := a.thermalInputFromCurrents(currents)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := a.thermalInput(a.norton(), currents)
 	want := 4 * teg.TGM199.ThermalConductanceWK() * 60
 	if math.Abs(q-want) > 1e-9 {
 		t.Errorf("open-circuit heat %v, want %v", q, want)
@@ -271,7 +268,7 @@ func TestConversionEfficiencyRealistic(t *testing.T) {
 	}
 	// And the array never beats a single module's matched-load value by
 	// more than numerical fuzz (identical modules, balanced groups).
-	mEta, err := teg.TGM199.Efficiency(ops[0], teg.TGM199.MPPCurrent(ops[0]))
+	mEta, err := teg.TGM199.Efficiency(ops[0], teg.TGM199.MaxPowerPoint(ops[0]).Current)
 	if err != nil {
 		t.Fatal(err)
 	}

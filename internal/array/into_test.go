@@ -125,7 +125,7 @@ func TestConversionEfficiencyAtMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf = nt.ModuleCurrentsInto(buf, eq, cfg, iOut)
-		got, err := a.ConversionEfficiencyAt(eq, cfg, iOut, buf)
+		got, err := a.ConversionEfficiencyAt(&nt, eq, iOut, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,10 +140,12 @@ func TestConversionEfficiencyAtMatches(t *testing.T) {
 func TestMPPCurrentsIntoReusesAndMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	buf := []float64{99, 99, 99} // stale content must be overwritten
+	var nt Norton
 	for trial := 0; trial < 50; trial++ {
 		a := randomFaultyArray(t, rng, 25)
-		want := a.MPPCurrentsInto(nil)
-		buf = a.MPPCurrentsInto(buf)
+		a.NortonInto(&nt)
+		want := a.norton().MPPCurrentsInto(nil)
+		buf = nt.MPPCurrentsInto(buf)
 		for i := range want {
 			if buf[i] != want[i] {
 				t.Fatalf("trial %d module %d: %g vs %g", trial, i, buf[i], want[i])

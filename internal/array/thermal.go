@@ -1,12 +1,17 @@
 package array
 
-import "fmt"
+import (
+	"fmt"
 
-// thermalInputFromCurrents returns the total heat (W) drawn from the
-// radiator by the array, given the module currents already solved for
-// the delivered output current (Norton.ModuleCurrentsInto). It uses the
-// per-module relation of teg.HeatInput (Goupil et al.). Conventions for
-// non-ideal modules:
+	"tegrecon/internal/units"
+)
+
+// thermalInput returns the total heat (W) drawn from the radiator by
+// the array, given its module table nt and the module currents already
+// solved for the delivered output current (Norton.ModuleCurrentsInto).
+// It sums the per-module relation of teg.ModuleSpec.HeatInput (Goupil
+// et al.), Q_h = α·T_h·I + K_th·ΔT − ½·I²·R with R read from the
+// table, in module order. Conventions for non-ideal modules:
 //
 //   - healthy modules carrying forward current contribute Peltier +
 //     conduction − ½ Joule;
@@ -14,8 +19,8 @@ import "fmt"
 //     heat; their electrical terms are skipped (conservative);
 //   - failed-short modules leak conduction only (no Seebeck EMF);
 //   - failed-open modules leak half the conduction (cracked leg).
-func (a *Array) thermalInputFromCurrents(currents []float64) (float64, error) {
-	kth := a.Spec.ThermalConductanceWK()
+func (a *Array) thermalInput(nt *Norton, currents []float64) float64 {
+	alpha, kth := a.Spec.ModuleSeebeck(), a.Spec.ThermalConductanceWK()
 	total := 0.0
 	for i, op := range a.Ops {
 		switch a.healthOf(i) {
@@ -25,38 +30,32 @@ func (a *Array) thermalInputFromCurrents(currents []float64) (float64, error) {
 			total += kth * op.DeltaT
 		default:
 			if im := currents[i]; im > 0 {
-				q, err := a.Spec.HeatInput(op, im)
-				if err != nil {
-					return 0, err
-				}
-				total += q
+				total += alpha*units.CToK(op.HotC)*im + kth*op.DeltaT - 0.5*im*im*nt.R[i]
 			} else {
 				total += kth * op.DeltaT
 			}
 		}
 	}
-	return total, nil
+	return total
 }
 
 // ConversionEfficiencyAt returns array electrical output over thermal
-// input when the array delivers iOut under cfg — the quantity a system
-// designer quotes as the TEG stage's thermal-to-electrical efficiency —
-// or 0 when no heat flows. It reads an already computed Equivalent of
-// cfg and the module currents solved at (eq, cfg, iOut) — see
-// Norton.ModuleCurrentsInto. It performs no allocation:
-// the simulator calls it once per producing control period and already
-// holds both inputs from the tick's own bookkeeping.
-func (a *Array) ConversionEfficiencyAt(eq Equivalent, cfg Config, iOut float64, currents []float64) (float64, error) {
+// input when the array delivers iOut under the configuration eq is the
+// equivalent of — the quantity a system designer quotes as the TEG
+// stage's thermal-to-electrical efficiency — or 0 when no heat flows.
+// It reads the array's module table nt (NortonInto), the equivalent
+// and the module currents solved at (eq, iOut) — see
+// Norton.ModuleCurrentsInto. It performs no allocation: the simulator
+// calls it once per producing control period and already holds every
+// input from the tick's own bookkeeping.
+func (a *Array) ConversionEfficiencyAt(nt *Norton, eq Equivalent, iOut float64, currents []float64) (float64, error) {
 	if iOut < 0 {
 		return 0, fmt.Errorf("array: negative output current %g", iOut)
 	}
 	if eq.Broken {
 		return 0, nil
 	}
-	heat, err := a.thermalInputFromCurrents(currents)
-	if err != nil {
-		return 0, err
-	}
+	heat := a.thermalInput(nt, currents)
 	if heat <= 0 {
 		return 0, nil
 	}

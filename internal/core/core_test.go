@@ -110,7 +110,7 @@ func TestBestZeroEMF(t *testing.T) {
 func TestGroupWindowReasonable(t *testing.T) {
 	e := newEval(t)
 	arr := newArr(t, decayTemps(100, 92, 38, 30), 25)
-	nmin, nmax, _, err := e.groupWindow(arr)
+	nmin, nmax, _, err := e.groupWindow(tableOf(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestGroupWindowReasonable(t *testing.T) {
 func TestGroupWindowDeadArray(t *testing.T) {
 	e := newEval(t)
 	arr := newArr(t, []float64{25, 25}, 25)
-	if _, _, _, err := e.groupWindow(arr); err == nil {
+	if _, _, _, err := e.groupWindow(tableOf(arr)); err == nil {
 		t.Error("dead array should have no window")
 	}
 }
@@ -135,11 +135,11 @@ func TestGroupWindowDeadArray(t *testing.T) {
 // TestNonFiniteTemperaturesPark pins the refusal of non-finite sensed
 // distributions: a NaN or +Inf module temperature, or a NaN ambient,
 // parks INOR, DNOR and EHTR in the all-parallel configuration with no
-// expected power, before any Norton pair, prefix sum or partition is
-// built.
+// expected power, before any prefix sum or partition is built. The
+// module table is built first: the group window is read from it.
 func TestNonFiniteTemperaturesPark(t *testing.T) {
 	e := newEval(t)
-	if _, _, _, err := e.groupWindow(newArr(t, []float64{90, math.NaN(), 70}, 25)); err == nil {
+	if _, _, _, err := e.groupWindow(tableOf(newArr(t, []float64{90, math.NaN(), 70}, 25))); err == nil {
 		t.Error("NaN temperature has a group window")
 	}
 	for _, tc := range []struct {
@@ -178,8 +178,8 @@ func TestNonFiniteTemperaturesPark(t *testing.T) {
 			if !d.Config.Equal(array.AllParallel(len(temps))) || d.Expected != 0 {
 				t.Errorf("%s %s: decided %s expecting %g W, want the all-parallel park at 0 W", tc.name, c.Name(), d.Config, d.Expected)
 			}
-			if sc.nt.N() != 0 || len(sc.prefix) != 0 || sc.priced != 0 {
-				t.Errorf("%s %s: reached the partition (%d Norton pairs, %d prefix sums, %d priced)", tc.name, c.Name(), sc.nt.N(), len(sc.prefix), sc.priced)
+			if len(sc.prefix) != 0 || sc.priced != 0 {
+				t.Errorf("%s %s: reached the partition (%d prefix sums, %d priced)", tc.name, c.Name(), len(sc.prefix), sc.priced)
 			}
 		}
 	}
@@ -205,7 +205,7 @@ func TestINORBeatsBaseline(t *testing.T) {
 		t.Errorf("INOR %v W not better than 10×10 baseline %v W", op.Delivered, baseOp.Delivered)
 	}
 	// And close to ideal: the paper claims all modules near their MPPs.
-	ideal := arr.IdealPower()
+	ideal := tableOf(arr).IdealPower()
 	if op.Delivered < 0.80*ideal {
 		t.Errorf("INOR delivered %v W < 80%% of ideal %v W", op.Delivered, ideal)
 	}
@@ -222,7 +222,7 @@ func TestINORNearIdealOnUniformTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr := newArr(t, temps, 25)
-	ideal := arr.IdealPower()
+	ideal := tableOf(arr).IdealPower()
 	// Uniform temps: only converter loss separates INOR from ideal.
 	if op.Delivered < 0.9*ideal {
 		t.Errorf("uniform-temp INOR %v W below 90%% of ideal %v W", op.Delivered, ideal)

@@ -68,15 +68,16 @@ func (e *Evaluator) Best(arr *array.Array, cfg array.Config) (Operating, error) 
 // groupWindow derives Algorithm 1's [nmin, nmax] from the converter's
 // usable input band and the array's typical per-group MPP voltage (a
 // balanced parallel group of k modules keeps its MPP voltage near the
-// mean module Voc/2, independent of k). It also returns that nominal
-// per-group voltage, which configureAt uses to pick the candidate it
-// prices first.
-func (e *Evaluator) groupWindow(arr *array.Array) (nmin, nmax int, vGroup float64, err error) {
+// mean module Voc/2, independent of k), read from the module table nt
+// of the sensed distribution. It also returns that nominal per-group
+// voltage, which configureAt uses to pick the candidate it prices
+// first.
+func (e *Evaluator) groupWindow(nt *array.Norton) (nmin, nmax int, vGroup float64, err error) {
 	mean := 0.0
-	for _, op := range arr.Ops {
-		mean += e.Spec.Voc(op)
+	for _, voc := range nt.Voc {
+		mean += voc
 	}
-	mean /= float64(arr.N())
+	mean /= float64(nt.N())
 	vGroup = mean / 2
 	if math.IsNaN(vGroup) || math.IsInf(vGroup, 0) {
 		// A NaN or infinite sensed temperature: refuse it here rather
@@ -87,7 +88,7 @@ func (e *Evaluator) groupWindow(arr *array.Array) (nmin, nmax int, vGroup float6
 	if vGroup <= 0 {
 		return 0, 0, 0, fmt.Errorf("core: array has no EMF (all modules at ambient)")
 	}
-	nmin, nmax, err = e.Conv.GroupCountWindow(vGroup, arr.N())
+	nmin, nmax, err = e.Conv.GroupCountWindow(vGroup, nt.N())
 	return nmin, nmax, vGroup, err
 }
 

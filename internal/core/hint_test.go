@@ -136,7 +136,7 @@ func TestPricingHintInvisible(t *testing.T) {
 				priced, refPriced := 0, 0
 				for k, temps := range seq.temps {
 					amb := seq.ambientC[k]
-					nmin, nmax, _, err := e.groupWindow(newArr(t, temps, amb))
+					nmin, nmax, _, err := e.groupWindow(tableOf(newArr(t, temps, amb)))
 					if err != nil {
 						t.Fatal(err)
 					}

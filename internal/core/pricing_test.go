@@ -49,12 +49,12 @@ func bestAtUnpruned(e *Evaluator, sc *scratch, cfg array.Config) (Operating, err
 // won, and tallies its work as the runtime count defines it: N units
 // per candidate priced, plus every cost evaluation of the DP table.
 func configureAtUnpruned(e *Evaluator, sc *scratch, arr *array.Array, exhaustive bool) (starts []int, op Operating, clean bool, work int64, err error) {
-	nmin, nmax, _, err := e.groupWindow(arr)
+	arr.NortonInto(&sc.nt)
+	nmin, nmax, _, err := e.groupWindow(&sc.nt)
 	if err != nil {
 		return []int{0}, Operating{}, false, 0, nil
 	}
-	arr.NortonInto(&sc.nt)
-	p := prefixSums(arr.MPPCurrentsInto(nil))
+	p := prefixSums(sc.nt.MPPCurrentsInto(nil))
 	var choice [][]int32
 	if exhaustive {
 		choice, work = naiveChoiceTable(p, nmax)
@@ -206,7 +206,7 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 					fallbacks++
 				}
 			}
-			if nmin, nmax, _, err := e.groupWindow(arr); err == nil {
+			if nmin, nmax, _, err := e.groupWindow(tableOf(arr)); err == nil {
 				pruned += nmax - nmin + 1 - sc.priced
 			}
 			if !exhaustive {
@@ -291,7 +291,7 @@ func TestPricingMatchesUnprunedReference(t *testing.T) {
 // arr's Norton pairs.
 func pruneRegimes(t *testing.T, e *Evaluator, ref *scratch, arr *array.Array, first []int) (reverse, outside int) {
 	t.Helper()
-	nmin, nmax, _, err := e.groupWindow(arr)
+	nmin, nmax, _, err := e.groupWindow(&ref.nt)
 	if err != nil {
 		return 0, 0 // parked: first is stale
 	}
@@ -306,7 +306,7 @@ func pruneRegimes(t *testing.T, e *Evaluator, ref *scratch, arr *array.Array, fi
 	if ref.nt.HasReverseCurrentAt(ref.eq, cfg, op.Current) {
 		return 1, 0
 	}
-	p := prefixSums(arr.MPPCurrentsInto(nil))
+	p := prefixSums(ref.nt.MPPCurrentsInto(nil))
 	for n := nmin; n <= nmax; n++ {
 		s := make([]int, n)
 		greedyPartitionInto(s, p)
@@ -390,7 +390,7 @@ func TestDeliverBoundDominatesDeliveredPower(t *testing.T) {
 func TestConfigureAtPricesAtMostHalfTheWindow(t *testing.T) {
 	e := newEval(t)
 	arr := newArr(t, decayTemps(100, 95, 45, 40), 25)
-	nmin, nmax, _, err := e.groupWindow(arr)
+	nmin, nmax, _, err := e.groupWindow(tableOf(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestPrefixBoundDominatesEquivalent(t *testing.T) {
 		}
 		arr.NortonInto(&sc.nt)
 		loadPrefixBound(sc)
-		p := prefixSums(arr.MPPCurrentsInto(nil))
+		p := prefixSums(sc.nt.MPPCurrentsInto(nil))
 		for k := 0; k < 12; k++ {
 			check(label, randomConfig(rng, arr.N()), true)
 			s := make([]int, 1+rng.Intn(arr.N()))

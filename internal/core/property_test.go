@@ -58,7 +58,7 @@ func TestINORInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return op.Delivered <= arr.IdealPower()+1e-9
+		return op.Delivered <= tableOf(arr).IdealPower()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -1,7 +1,17 @@
 package core
 
-// Allocating referees over the partition kernels. The deciders run the
-// Into forms on reused scratch; the tests call these instead.
+import "tegrecon/internal/array"
+
+// Allocating referees over the partition kernels and the module table.
+// The deciders run the Into forms on reused scratch; the tests call
+// these instead.
+
+// tableOf returns a freshly built module table of arr.
+func tableOf(arr *array.Array) *array.Norton {
+	nt := &array.Norton{}
+	arr.NortonInto(nt)
+	return nt
+}
 
 // prefixSums returns P with P[0]=0 and P[i] = Σ x[:i].
 func prefixSums(x []float64) []float64 {

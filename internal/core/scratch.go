@@ -277,9 +277,10 @@ func (sc *scratch) partitionInto(starts []int, exhaustive bool) error {
 // configureAt searches the group-count window through the scratch:
 // greedy partitions (INOR/DNOR) or the exhaustive DP (EHTR when
 // exhaustive is set), each candidate priced over reused buffers. The
-// Norton pairs depend only on the distribution, so they are built once
-// here, before the group-count loop. The returned Config aliases the
-// scratch winner buffers and is valid until the scratch's next use.
+// module table (array.Norton) depends only on the distribution, so it
+// is built once here, first: the group-count window, the MPP currents
+// and every candidate's pricing read it. The returned Config aliases
+// the scratch winner buffers and is valid until the scratch's next use.
 //
 // Most candidates are priced only to lose, so the search prices one
 // likely winner first: last period's winning group count (sc.hint)
@@ -304,7 +305,8 @@ func (sc *scratch) partitionInto(starts []int, exhaustive bool) error {
 // always has.
 func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) (array.Config, Operating, error) {
 	sc.priced, sc.work = 0, 0
-	nmin, nmax, vGroup, err := e.groupWindow(arr)
+	arr.NortonInto(&sc.nt)
+	nmin, nmax, vGroup, err := e.groupWindow(&sc.nt)
 	if err != nil {
 		// No EMF or no feasible window: park in the all-parallel
 		// configuration delivering nothing.
@@ -318,8 +320,7 @@ func (e *Evaluator) configureAt(sc *scratch, arr *array.Array, exhaustive bool) 
 	if sc.bands.conv != e.Conv {
 		sc.bands.build(e.Conv)
 	}
-	arr.NortonInto(&sc.nt)
-	sc.impp = arr.MPPCurrentsInto(sc.impp)
+	sc.impp = sc.nt.MPPCurrentsInto(sc.impp)
 	sc.prefix = prefixSumsInto(sc.prefix, sc.impp)
 	sc.pg = prefixSumsInto(sc.pg, sc.nt.G)
 	sc.pj = prefixSumsInto(sc.pj, sc.nt.J)

@@ -127,32 +127,34 @@ func (m *Matrix) cycleDuration(c CycleSpec) (float64, error) {
 	return full, nil
 }
 
-// Counts sizes the matrix. The receiver need not be normalized.
+// Counts sizes the matrix. The receiver must be normalized (the
+// result of Normalize): the transports normalize once and size that,
+// and a spec Normalize never saw is refused rather than sized from
+// unset defaults.
 func (m *Matrix) Counts() (Counts, error) {
-	n, err := m.Normalize()
-	if err != nil {
-		return Counts{}, err
+	if m.TickS <= 0 || m.SensorNoiseC == nil {
+		return Counts{}, fmt.Errorf("scenario: Counts of a spec that was not normalized")
 	}
 	var out Counts
 	pathsPerCell := 0
-	for _, f := range n.Flows {
+	for _, f := range m.Flows {
 		pathsPerCell += f.Paths
 	}
-	perCycle := len(n.Schemes) * len(n.Ambients) * len(n.Flows) * len(n.Faults) * len(n.ArraySizes)
-	for _, c := range n.Cycles {
-		dur, err := n.cycleDuration(c)
+	perCycle := len(m.Schemes) * len(m.Ambients) * len(m.Flows) * len(m.Faults) * len(m.ArraySizes)
+	for _, c := range m.Cycles {
+		dur, err := m.cycleDuration(c)
 		if err != nil {
 			return Counts{}, err
 		}
-		ticks := int64(dur/n.TickS) + 1
+		ticks := int64(dur/m.TickS) + 1
 		out.Cells += perCycle
-		out.Jobs += pathsPerCell * len(n.Schemes) * len(n.Ambients) * len(n.Faults) * len(n.ArraySizes)
-		out.Ticks += ticks * int64(pathsPerCell*len(n.Schemes)*len(n.Ambients)*len(n.Faults)*len(n.ArraySizes))
+		out.Jobs += pathsPerCell * len(m.Schemes) * len(m.Ambients) * len(m.Faults) * len(m.ArraySizes)
+		out.Ticks += ticks * int64(pathsPerCell*len(m.Schemes)*len(m.Ambients)*len(m.Faults)*len(m.ArraySizes))
 		if ticks > out.MaxJobTicks {
 			out.MaxJobTicks = ticks
 		}
 	}
-	for _, s := range n.ArraySizes {
+	for _, s := range m.ArraySizes {
 		if s > out.MaxModules {
 			out.MaxModules = s
 		}

@@ -107,10 +107,11 @@ func FuzzMatrixExpand(f *testing.F) {
 		if err := json.Unmarshal(data, &m); err != nil {
 			return
 		}
-		if _, err := m.Normalize(); err != nil {
+		n, err := m.Normalize()
+		if err != nil {
 			return
 		}
-		c, err := m.Counts()
+		c, err := n.Counts()
 		if err != nil {
 			t.Fatalf("Counts of a normalizable spec: %v", err)
 		}

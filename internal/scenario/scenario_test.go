@@ -233,7 +233,14 @@ func TestCapAtOneSamplePeriod(t *testing.T) {
 
 func TestExpandStableAndSeeded(t *testing.T) {
 	m := testMatrix()
-	counts, err := m.Counts()
+	if _, err := m.Counts(); err == nil {
+		t.Fatal("Counts sized a spec Normalize never saw")
+	}
+	n, err := m.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := n.Counts()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"tegrecon/internal/array"
 	"tegrecon/internal/drive"
+	"tegrecon/internal/faults"
 	"tegrecon/internal/thermal"
 	"tegrecon/internal/trace"
 )
@@ -38,7 +40,10 @@ func benchConds(t *testing.T, tr *trace.Trace, tick float64) []thermal.Condition
 // EHTR are the controllers under test because they exercise the full
 // decision path — candidate search, equivalent pricing, EHTR's DP
 // table, MPPT restart — every period, with the pricing hint carried
-// from one period to the next. DNOR is left out until its predictor is
+// from one period to the next. INOR runs once more under a random
+// fault plan, whose failures all land during warmup, so the plant's
+// module table is built over failed-open and failed-short modules on
+// every measured step. DNOR is left out until its predictor is
 // allocation-free: MLR allocates on every Predict (ROADMAP, "DNOR, the
 // paper's scheme, allocation-free"; CHANGES.md's FOUND line on
 // session_step_instrumented_dnor_n500).
@@ -48,12 +53,24 @@ func TestSessionStepAllocationFree(t *testing.T) {
 	}
 	sys := DefaultSystem()
 	tr := shortTrace(t)
-	opts := DefaultOptions()
-	opts.KeepTicks = false
-	conds := benchConds(t, tr, opts.TickSeconds)
-	for _, scheme := range []string{"INOR", "EHTR"} {
-		t.Run(scheme, func(t *testing.T) {
-			sess, err := NewSession(sys, newScheme(t, scheme, sys), opts)
+	conds := benchConds(t, tr, DefaultOptions().TickSeconds)
+	plan, err := faults.RandomPlan(sys.Modules, 10, tr.Duration(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, scheme string
+		plan         *faults.Plan
+	}{
+		{"INOR", "INOR", nil},
+		{"EHTR", "EHTR", nil},
+		{"INOR_faulted", "INOR", plan},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.KeepTicks = false
+			opts.FaultPlan = tc.plan
+			sess, err := NewSession(sys, newScheme(t, tc.scheme, sys), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,6 +81,9 @@ func TestSessionStepAllocationFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if failed := countFailed(sess.sc.health); tc.plan != nil && failed != tc.plan.Len() {
+				t.Fatalf("%d modules failed after warmup, plan has %d failures", failed, tc.plan.Len())
+			}
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
 				if _, err := sess.Step(conds[i%len(conds)]); err != nil {
@@ -72,10 +92,22 @@ func TestSessionStepAllocationFree(t *testing.T) {
 				i++
 			})
 			if avg > stepAllocBudget {
-				t.Fatalf("steady-state %s Session.Step allocates %.2f objects/op, budget %d", scheme, avg, stepAllocBudget)
+				t.Fatalf("steady-state %s Session.Step allocates %.2f objects/op, budget %d", tc.name, avg, stepAllocBudget)
 			}
 		})
 	}
+}
+
+// countFailed returns the number of modules of health that are not
+// healthy.
+func countFailed(health []array.ModuleHealth) int {
+	n := 0
+	for _, h := range health {
+		if h != array.Healthy {
+			n++
+		}
+	}
+	return n
 }
 
 // TestKeepTicksFalseAllocatesNoTickSlice pins the Options memory

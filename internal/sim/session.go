@@ -321,7 +321,7 @@ func (s *Session) tickAct(cond thermal.Conditions) (Tick, error) {
 	tegEff := 0.0
 	if gross > 0 {
 		sc.currents = sc.nt.ModuleCurrentsInto(sc.currents, sc.eq, dec.Config, opCurrent)
-		tegEff, err = arr.ConversionEfficiencyAt(sc.eq, dec.Config, opCurrent, sc.currents)
+		tegEff, err = arr.ConversionEfficiencyAt(&sc.nt, sc.eq, opCurrent, sc.currents)
 		if err != nil {
 			return Tick{}, err
 		}
@@ -338,7 +338,7 @@ func (s *Session) tickAct(cond thermal.Conditions) (Tick, error) {
 	// nothing is double-counted. (Plant state — controller history, MPPT
 	// window, battery charge — is not rolled back; treat a failed Step as
 	// the end of the session, not a retryable blip.)
-	ideal := arr.IdealPower()
+	ideal := sc.nt.IdealPower()
 	tick := Tick{
 		Time:     now,
 		GrossW:   gross,

@@ -155,12 +155,6 @@ func (s ModuleSpec) MaxPowerPoint(op OperatingPoint) MPP {
 	}
 }
 
-// MPPCurrent is the I_MPP,i of Algorithm 1: the current at which module i
-// produces maximum power.
-func (s ModuleSpec) MPPCurrent(op OperatingPoint) float64 {
-	return s.Voc(op) / (2 * s.R(op))
-}
-
 // ShortCircuitCurrent returns Isc = Voc/R_teg.
 func (s ModuleSpec) ShortCircuitCurrent(op OperatingPoint) float64 {
 	return s.Voc(op) / s.R(op)
@@ -234,17 +228,6 @@ func OpsFromTempsInto(dst []OperatingPoint, hotC []float64, ambientC float64) []
 		dst[i] = OperatingPoint{DeltaT: dT, HotC: h}
 	}
 	return dst
-}
-
-// IdealPower returns Σ MPP power over the operating points — the
-// P_ideal normaliser of Fig. 7 ("assuming all modules working at their
-// MPPs").
-func (s ModuleSpec) IdealPower(ops []OperatingPoint) float64 {
-	sum := 0.0
-	for _, op := range ops {
-		sum += s.MaxPowerPoint(op).Power
-	}
-	return sum
 }
 
 // MatchedLoadEquivalence cross-checks the two formulations of Eq. (2):

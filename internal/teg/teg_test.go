@@ -125,8 +125,8 @@ func TestMPPRelationships(t *testing.T) {
 	if math.Abs(mpp.Power-mpp.Voltage*mpp.Current) > 1e-12 {
 		t.Errorf("P != V·I at MPP")
 	}
-	if math.Abs(TGM199.MPPCurrent(o)-mpp.Current) > 1e-12 {
-		t.Error("MPPCurrent disagrees with MaxPowerPoint")
+	if math.Abs(mpp.Current-TGM199.ShortCircuitCurrent(o)/2) > 1e-12 {
+		t.Errorf("MPP current %v != Isc/2", mpp.Current)
 	}
 }
 
@@ -264,29 +264,13 @@ func TestOpsFromTemps(t *testing.T) {
 	}
 }
 
-func TestIdealPowerAdditive(t *testing.T) {
-	a := []OperatingPoint{op(40)}
-	b := []OperatingPoint{op(70)}
-	both := []OperatingPoint{op(40), op(70)}
-	pa, pb, pab := TGM199.IdealPower(a), TGM199.IdealPower(b), TGM199.IdealPower(both)
-	if math.Abs(pab-(pa+pb)) > 1e-12 {
-		t.Errorf("ideal power not additive: %v + %v != %v", pa, pb, pab)
-	}
-}
-
-func TestIdealPowerEmpty(t *testing.T) {
-	if got := TGM199.IdealPower(nil); got != 0 {
-		t.Errorf("empty ideal power = %v", got)
-	}
-}
-
 func TestShortCircuitCurrent(t *testing.T) {
 	o := op(60)
 	isc := TGM199.ShortCircuitCurrent(o)
 	if math.Abs(TGM199.TerminalVoltage(o, isc)) > 1e-12 {
 		t.Errorf("V(Isc) = %v, want 0", TGM199.TerminalVoltage(o, isc))
 	}
-	if math.Abs(isc-2*TGM199.MPPCurrent(o)) > 1e-12 {
+	if math.Abs(isc-2*TGM199.MaxPowerPoint(o).Current) > 1e-12 {
 		t.Error("Isc should be twice the MPP current")
 	}
 }

@@ -43,7 +43,7 @@ func TestHeatInputComponents(t *testing.T) {
 		t.Errorf("open-circuit heat %v, want %v", q0, want)
 	}
 	// With current flowing, Peltier pumping adds heat draw.
-	i := TGM199.MPPCurrent(o)
+	i := TGM199.MaxPowerPoint(o).Current
 	qi, err := TGM199.HeatInput(o, i)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestEfficiencyBelowCarnot(t *testing.T) {
 func TestEfficiencyRealisticScale(t *testing.T) {
 	// Bi₂Te₃ at ΔT = 60 K converts at roughly 2–3%.
 	o := op(60)
-	eta, err := TGM199.Efficiency(o, TGM199.MPPCurrent(o))
+	eta, err := TGM199.Efficiency(o, TGM199.MaxPowerPoint(o).Current)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestEfficiencyGrowsWithDeltaT(t *testing.T) {
 	prev := -1.0
 	for _, dT := range []float64{20, 60, 100, 140, 180} {
 		o := op(dT)
-		eta, err := TGM199.Efficiency(o, TGM199.MPPCurrent(o))
+		eta, err := TGM199.Efficiency(o, TGM199.MaxPowerPoint(o).Current)
 		if err != nil {
 			t.Fatal(err)
 		}
