@@ -32,27 +32,20 @@
 //	                    act
 //	table1_<scheme>     one full run per Table I scheme over the synthetic
 //	                    drive (dnor, inor, ehtr, baseline)
-//	scaling_inor_n<N>   a single INOR decision at N = 100, 200, 400, 800
-//	scaling_ehtr_n100   one EHTR decision (the shared-table DP,
-//	                    O(N·(N+nmax))) at N = 100
-//	decide_live_<scheme>_n500
-//	                    one Decide (inor, dnor, ehtr) at N = 500 on the
-//	                    sensed temperatures recorded from a WLTC session,
-//	                    replayed in order — the live decide cost the
-//	                    ramp-profile scaling_* suites understate
-//	                    (ticks_per_sec counts decisions)
-//	decide_live_<scheme>_n100
-//	                    the same for inor and ehtr at N = 100 (the
-//	                    runs_n100 and session_step array size), over a
-//	                    WLTC session recorded at that size
+//	decide_live_<scheme>_n<N>
+//	                    one Decide of inor, dnor and ehtr at N = 100, 200,
+//	                    400, 500 and 800, on the sensed temperatures
+//	                    recorded from a WLTC session at that size and
+//	                    replayed in order (ticks_per_sec counts
+//	                    decisions): the paper's O(N) INOR and DNOR
+//	                    against EHTR's shared-table DP, O(N·(N+nmax)), at
+//	                    the runs_n100 and session_step size, the
+//	                    twins_n500 size and up to the largest wall-clock
+//	                    point (tegfig -fig scaling prices Ext-A from
+//	                    counted work instead)
 //	sweep_throughput    the full cycle × scheme sweep (scenario.CycleSweep
 //	                    run as matrix cells) on the batch engine, all
 //	                    cores (aggregate ticks/sec)
-//	serve_cache_hit     a POST /v1/runs answered from the result cache —
-//	                    the steady-state cost of a repeated request
-//	scaling_ehtr_n800   the same EHTR decision at N = 800, the largest
-//	                    wall-clock point (tegfig -fig scaling prices
-//	                    Ext-A from counted work instead)
 //	twin_sessions_concurrent
 //	                    eight /v1/sessions digital twins stepped in
 //	                    parallel over HTTP, 50-tick batches through the
@@ -166,9 +159,9 @@ import (
 )
 
 // Result is one suite entry of the emitted document. The allocation
-// fields are present only for the alloc-tracked suites (session_step,
-// scaling_*); wall-clock suites omit them rather than claim a zero they
-// did not measure.
+// fields are present only for the alloc-tracked suites (session_step*,
+// decide_live_*, matrix_expand); wall-clock suites omit them rather than
+// claim a zero they did not measure.
 type Result struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
@@ -291,45 +284,7 @@ func main() {
 		logger.Fatalf("working tree has uncommitted changes (commit or stash before measuring; see `git status`)")
 	}
 
-	runDur, sweepCap, liveDur := 120.0, 120.0, 600.0
-	if *quick {
-		runDur, sweepCap, liveDur = 60.0, 45.0, 200.0
-	}
-	live500 := sync.OnceValues(func() (*liveTemps, error) { return recordLiveTemps(500, liveDur) })
-	live100 := sync.OnceValues(func() (*liveTemps, error) { return recordLiveTemps(100, liveDur) })
-
-	suites := []struct {
-		name string
-		run  func() (Result, error)
-	}{
-		{"session_step", func() (Result, error) { return benchSessionStep(runDur) }},
-		{"session_step_instrumented", func() (Result, error) { return benchSessionStepSampled("INOR", 100, runDur, 16) }},
-		{"session_step_instrumented_inor_n500", func() (Result, error) { return benchSessionStepSampled("INOR", 500, runDur, 16) }},
-		{"session_step_instrumented_dnor_n500", func() (Result, error) { return benchSessionStepSampled("DNOR", 500, runDur, 16) }},
-		{"session_step_instrumented_ehtr_n500", func() (Result, error) { return benchSessionStepSampled("EHTR", 500, runDur, 16) }},
-		{"table1_dnor", func() (Result, error) { return benchTableScheme("DNOR", runDur) }},
-		{"table1_inor", func() (Result, error) { return benchTableScheme("INOR", runDur) }},
-		{"table1_ehtr", func() (Result, error) { return benchTableScheme("EHTR", runDur) }},
-		{"table1_baseline", func() (Result, error) { return benchTableScheme("Baseline", runDur) }},
-		{"scaling_inor_n100", func() (Result, error) { return benchDecide(100, false) }},
-		{"scaling_inor_n200", func() (Result, error) { return benchDecide(200, false) }},
-		{"scaling_inor_n400", func() (Result, error) { return benchDecide(400, false) }},
-		{"scaling_inor_n800", func() (Result, error) { return benchDecide(800, false) }},
-		{"scaling_ehtr_n100", func() (Result, error) { return benchDecide(100, true) }},
-		{"decide_live_inor_n500", func() (Result, error) { return benchDecideLive("INOR", 500, live500) }},
-		{"decide_live_dnor_n500", func() (Result, error) { return benchDecideLive("DNOR", 500, live500) }},
-		{"decide_live_ehtr_n500", func() (Result, error) { return benchDecideLive("EHTR", 500, live500) }},
-		{"decide_live_inor_n100", func() (Result, error) { return benchDecideLive("INOR", 100, live100) }},
-		{"decide_live_ehtr_n100", func() (Result, error) { return benchDecideLive("EHTR", 100, live100) }},
-		{"scaling_ehtr_n800", func() (Result, error) { return benchDecide(800, true) }},
-		{"sweep_throughput", func() (Result, error) { return benchSweep(sweepCap) }},
-		{"serve_cache_hit", benchServeCacheHit},
-		{"twin_sessions_concurrent", func() (Result, error) { return benchTwinSessions(*quick) }},
-		{"matrix_expand", benchMatrixExpand},
-		{"matrix_sweep_throughput", func() (Result, error) { return benchMatrixSweep(*quick) }},
-		{"sweep_sharded_throughput", func() (Result, error) { return benchSweepSharded(*quick) }},
-	}
-	for _, s := range suites {
+	for _, s := range suites(*quick) {
 		logger.Printf("running %s ...", s.name)
 		r, err := s.run()
 		if err != nil {
@@ -356,6 +311,51 @@ func main() {
 	if *budgetPath != "" {
 		meetBudget(logger, *budgetPath, doc)
 	}
+}
+
+// suite is one named entry of the fixed suite.
+type suite struct {
+	name string
+	run  func() (Result, error)
+}
+
+// suites returns the fixed suite in run order; quick shrinks drive
+// durations and iteration counts. Nothing runs until a suite's run is
+// called.
+func suites(quick bool) []suite {
+	runDur, sweepCap, liveDur := 120.0, 120.0, 600.0
+	if quick {
+		runDur, sweepCap, liveDur = 60.0, 45.0, 200.0
+	}
+	s := []suite{
+		{"session_step", func() (Result, error) { return benchSessionStep("INOR", 100, runDur, 0) }},
+		{"session_step_instrumented", func() (Result, error) { return benchSessionStep("INOR", 100, runDur, 16) }},
+		{"session_step_instrumented_inor_n500", func() (Result, error) { return benchSessionStep("INOR", 500, runDur, 16) }},
+		{"session_step_instrumented_dnor_n500", func() (Result, error) { return benchSessionStep("DNOR", 500, runDur, 16) }},
+		{"session_step_instrumented_ehtr_n500", func() (Result, error) { return benchSessionStep("EHTR", 500, runDur, 16) }},
+		{"table1_dnor", func() (Result, error) { return benchTableScheme("DNOR", runDur) }},
+		{"table1_inor", func() (Result, error) { return benchTableScheme("INOR", runDur) }},
+		{"table1_ehtr", func() (Result, error) { return benchTableScheme("EHTR", runDur) }},
+		{"table1_baseline", func() (Result, error) { return benchTableScheme("Baseline", runDur) }},
+	}
+	// The decide_live_<scheme>_n<N> grid: every scheme at every size,
+	// over one recording per size made when its first suite runs.
+	for _, n := range []int{100, 200, 400, 500, 800} {
+		live := sync.OnceValues(func() (*liveTemps, error) { return recordLiveTemps(n, liveDur) })
+		for _, scheme := range []string{"INOR", "DNOR", "EHTR"} {
+			s = append(s, suite{
+				fmt.Sprintf("decide_live_%s_n%d", strings.ToLower(scheme), n),
+				func() (Result, error) { return benchDecideLive(scheme, n, live) },
+			})
+		}
+	}
+	return append(s,
+		suite{"sweep_throughput", func() (Result, error) { return benchSweep(sweepCap) }},
+		suite{"twin_sessions_concurrent", func() (Result, error) { return benchTwinSessions(quick) }},
+		suite{"matrix_expand", benchMatrixExpand},
+		suite{"matrix_sweep_throughput", func() (Result, error) { return benchMatrixSweep(quick) }},
+		suite{"sweep_sharded_throughput", func() (Result, error) { return benchSweepSharded(quick) }},
+	)
 }
 
 // gitState reports the checked-out commit and whether the tree carries
@@ -517,14 +517,15 @@ func benchTrace(seconds float64) (*trace.Trace, error) {
 	return drive.Synthesize(cfg)
 }
 
-// newScheme builds a fresh controller for the named scheme on sys,
-// DNOR predicting 4 ticks ahead at the paper's control period.
+// newScheme builds a fresh controller for the named scheme on sys: every
+// tegbench controller, DNOR at its default 4-tick horizon and the
+// paper's control period.
 func newScheme(name string, sys *sim.System) (core.Controller, error) {
 	sch, err := sim.SchemeByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return sch.New(sys, sim.SchemeConfig{HorizonTicks: 4, TickSeconds: sim.DefaultOptions().TickSeconds})
+	return sch.New(sys, sim.SchemeConfig{})
 }
 
 // preparedConds interpolates every control period's radiator boundary
@@ -543,19 +544,14 @@ func preparedConds(tr *trace.Trace, tickSeconds float64) ([]thermal.Conditions, 
 }
 
 // benchSessionStep measures one steady-state control period of the
-// incremental engine (INOR, 100 modules) — the zero-allocation
-// acceptance gate.
-func benchSessionStep(seconds float64) (Result, error) {
-	return benchSessionStepSampled("INOR", 100, seconds, 0)
-}
-
-// benchSessionStepSampled is benchSessionStep for the named scheme at
-// the given array size, with phase-timing sampling at the given
-// interval. The session_step_instrumented suites run it at the serve
+// incremental engine for the named scheme at the given array size, with
+// phase-timing sampling at the given interval (0 = off). session_step
+// runs INOR at 100 modules unsampled: the zero-allocation acceptance
+// gate. The session_step_instrumented suites sample at the serve
 // layer's default rate: at INOR N = 100 so the budget file can cap the
 // observability overhead against the plain suite, and at N = 500 for
 // each scheme's phase split.
-func benchSessionStepSampled(scheme string, modules int, seconds float64, sampleEvery int) (Result, error) {
+func benchSessionStep(scheme string, modules int, seconds float64, sampleEvery int) (Result, error) {
 	tr, err := benchTrace(seconds)
 	if err != nil {
 		return Result{}, err
@@ -638,44 +634,6 @@ func benchTableScheme(scheme string, seconds float64) (Result, error) {
 	return r.withModules(sys.Modules), nil
 }
 
-// benchDecide times a single controller invocation at array size n on
-// a ramp profile with the wall clock: INOR's O(N) greedy against
-// EHTR's shared-table DP, O(N·(N+nmax)).
-func benchDecide(n int, ehtr bool) (Result, error) {
-	sys := sim.DefaultSystem()
-	sys.Modules = n
-	scheme := "INOR"
-	if ehtr {
-		scheme = "EHTR"
-	}
-	sch, err := sim.SchemeByName(scheme)
-	if err != nil {
-		return Result{}, err
-	}
-	ctrl, err := sch.New(sys, sim.SchemeConfig{})
-	if err != nil {
-		return Result{}, err
-	}
-	temps := make([]float64, n)
-	for i := range temps {
-		temps[i] = 38 + 54*float64(n-i)/float64(n)
-	}
-	var decErr error
-	br := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ctrl.Decide(i, temps, 25); err != nil {
-				decErr = err
-				b.FailNow()
-			}
-		}
-	})
-	if decErr != nil {
-		return Result{}, decErr
-	}
-	return fromBenchmark(br), nil
-}
-
 // liveTemps is a recorded live control sequence: the sensed
 // temperatures and ambient every Decide of a session received, in tick
 // order.
@@ -711,11 +669,7 @@ func recordLiveTemps(n int, seconds float64) (*liveTemps, error) {
 	}
 	sys := sim.DefaultSystem()
 	sys.Modules = n
-	sch, err := sim.SchemeByName("INOR")
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := sch.New(sys, sim.SchemeConfig{})
+	ctrl, err := newScheme("INOR", sys)
 	if err != nil {
 		return nil, err
 	}
@@ -749,11 +703,7 @@ func benchDecideLive(scheme string, n int, live func() (*liveTemps, error)) (Res
 	}
 	sys := sim.DefaultSystem()
 	sys.Modules = n
-	sch, err := sim.SchemeByName(scheme)
-	if err != nil {
-		return Result{}, err
-	}
-	ctrl, err := sch.New(sys, sim.SchemeConfig{})
+	ctrl, err := newScheme(scheme, sys)
 	if err != nil {
 		return Result{}, err
 	}
@@ -796,57 +746,6 @@ func benchSweep(maxDuration float64) (Result, error) {
 	m := scenario.CycleSweep(nil, nil, maxDuration)
 	r, err := timeMatrixSweep(&m)
 	return r.withModules(sim.DefaultSystem().Modules), err
-}
-
-// benchServeCacheHit measures the steady-state cost of a POST /v1/runs
-// answered from the content-addressed result cache.
-func benchServeCacheHit() (Result, error) {
-	srv := serve.New(serve.Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	body := `{"cycle":"nedc","scheme":"inor","duration_s":30}`
-	post := func() (string, error) {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return "", err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return resp.Header.Get("X-Cache"), nil
-	}
-	// Prime the cache.
-	if state, err := post(); err != nil {
-		return Result{}, err
-	} else if state != "miss" {
-		return Result{}, fmt.Errorf("priming request was %q, want miss", state)
-	}
-	var postErr error
-	br := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			state, err := post()
-			if err != nil {
-				postErr = err
-				b.FailNow()
-			}
-			if state != "hit" {
-				postErr = fmt.Errorf("request %d was %q, want hit", i, state)
-				b.FailNow()
-			}
-		}
-	})
-	if postErr != nil {
-		return Result{}, postErr
-	}
-	st := srv.Stats()
-	if st.CacheHits < int64(br.N) {
-		return Result{}, fmt.Errorf("server recorded %d hits for %d benchmarked requests", st.CacheHits, br.N)
-	}
-	return Result{Iterations: br.N, NsPerOp: nsPerOp(br)}, nil
 }
 
 // benchTwinSessions measures the digital-twin serving path under

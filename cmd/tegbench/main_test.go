@@ -94,6 +94,27 @@ func TestCheckBudgetViolatesEachKeyOnce(t *testing.T) {
 	}
 }
 
+// TestBudgetRulesNameSuites ties the budget rules to the suite table:
+// every rule must bound a suite tegbench runs, quick or not, so
+// deleting or renaming a gated suite fails here instead of in a bench
+// run.
+func TestBudgetRulesNameSuites(t *testing.T) {
+	for _, quick := range []bool{false, true} {
+		names := make(map[string]bool)
+		for _, s := range suites(quick) {
+			if names[s.name] {
+				t.Errorf("quick=%v: suite %s listed twice", quick, s.name)
+			}
+			names[s.name] = true
+		}
+		for _, rule := range budgetRules {
+			if !names[rule.suite] {
+				t.Errorf("quick=%v: %s bounds %s, which is not in the suite table", quick, rule.key, rule.suite)
+			}
+		}
+	}
+}
+
 // TestCheckBudgetZeroAndMissing pins the key semantics kept from the
 // struct-based budget: 0 disables every bound except the allocation
 // ceilings, an enforced key needs its suite, and an unknown key is an

@@ -285,14 +285,29 @@ func TestEnergyConservation(t *testing.T) {
 	a := testArray(t, 30)
 	cfg, _ := NewConfig(30, []int{0, 7, 14, 22})
 	for _, iOut := range []float64{0.1, 0.4, 0.9} {
-		rel, err := a.EnergyConservationCheck(cfg, iOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel > 1e-9 {
+		if rel := conservation(t, a, cfg, iOut); rel > 1e-9 {
 			t.Errorf("energy conservation violated at I=%v: rel err %v", iOut, rel)
 		}
 	}
+}
+
+// conservation runs the energy-conservation check of cfg at iOut on a's
+// module table, and requires the currents it fills to be
+// ModuleCurrentsInto's.
+func conservation(t *testing.T, a *Array, cfg Config, iOut float64) float64 {
+	t.Helper()
+	nt, eq, err := solve(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	currents, rel := nt.EnergyConservationCheck(eq, cfg, iOut, nil)
+	want := nt.ModuleCurrentsInto(nil, eq, cfg, iOut)
+	for m := range want {
+		if currents[m] != want[m] {
+			t.Fatalf("module %d carries %v in the check, %v in ModuleCurrentsInto", m, currents[m], want[m])
+		}
+	}
+	return rel
 }
 
 func TestArrayMPPNeverBeatsIdeal(t *testing.T) {
@@ -329,10 +344,21 @@ func mismatchLoss(t *testing.T, a *Array, cfg Config) float64 {
 	return 1 - eq.MPP().Power/a.norton().IdealPower()
 }
 
+// solve returns a fresh module table of a and the equivalent of cfg
+// over it.
+func solve(a *Array, cfg Config) (*Norton, Equivalent, error) {
+	nt := a.norton()
+	var eq Equivalent
+	if err := nt.EquivalentInto(&eq, cfg); err != nil {
+		return nil, Equivalent{}, err
+	}
+	return nt, eq, nil
+}
+
 // moduleCurrents returns the current through every module when a
-// delivers iOut under cfg, on fresh Norton pairs.
+// delivers iOut under cfg, on a fresh module table.
 func moduleCurrents(a *Array, cfg Config, iOut float64) ([]float64, error) {
-	nt, eq, err := a.solve(cfg)
+	nt, eq, err := solve(a, cfg)
 	if err != nil {
 		return nil, err
 	}

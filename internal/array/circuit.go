@@ -176,17 +176,6 @@ func (a *Array) norton() *Norton {
 	return nt
 }
 
-// solve returns fresh Norton pairs of a and the equivalent of cfg over
-// them.
-func (a *Array) solve(cfg Config) (*Norton, Equivalent, error) {
-	nt := a.norton()
-	var eq Equivalent
-	if err := nt.EquivalentInto(&eq, cfg); err != nil {
-		return nil, Equivalent{}, err
-	}
-	return nt, eq, nil
-}
-
 // N returns the module count the pairs were built for.
 func (nt *Norton) N() int { return len(nt.G) }
 
@@ -304,19 +293,17 @@ func (nt *Norton) HasReverseCurrentAt(eq Equivalent, cfg Config, iOut float64) b
 	return false
 }
 
-// EnergyConservationCheck verifies that at output current i the power
-// delivered by the array equals Σ module V·I minus nothing (parallel
-// wiring is lossless in this model). Returns the relative discrepancy;
-// used by tests and the simulator's self-check mode.
-func (a *Array) EnergyConservationCheck(cfg Config, iOut float64) (float64, error) {
-	nt, eq, err := a.solve(cfg)
-	if err != nil {
-		return 0, err
-	}
+// EnergyConservationCheck verifies that at output current iOut the
+// power the array delivers under cfg equals Σ module V·I (parallel
+// wiring is lossless in this model). eq is cfg's equivalent over the
+// table. It writes the module currents into currents, as
+// ModuleCurrentsInto does, and returns them with the relative
+// discrepancy; used by tests and the simulator's self-check mode.
+func (nt *Norton) EnergyConservationCheck(eq Equivalent, cfg Config, iOut float64, currents []float64) ([]float64, float64) {
+	currents = nt.ModuleCurrentsInto(currents, eq, cfg, iOut)
 	if eq.Broken {
-		return 0, nil
+		return currents, 0
 	}
-	currents := nt.ModuleCurrentsInto(nil, eq, cfg, iOut)
 	sum := 0.0
 	for j, g := range eq.Groups {
 		// Each conducting module's terminal sits at its group voltage;
@@ -329,5 +316,5 @@ func (a *Array) EnergyConservationCheck(cfg Config, iOut float64) (float64, erro
 	}
 	pArr := eq.PowerAt(iOut)
 	scale := math.Max(math.Abs(pArr), 1e-9)
-	return math.Abs(sum-pArr) / scale, nil
+	return currents, math.Abs(sum-pArr) / scale
 }

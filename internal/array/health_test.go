@@ -202,11 +202,7 @@ func TestEnergyConservationWithFaults(t *testing.T) {
 	}
 	cfg, _ := NewConfig(8, []int{0, 4})
 	for _, iOut := range []float64{0.1, 0.5} {
-		rel, err := a.EnergyConservationCheck(cfg, iOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel > 1e-9 {
+		if rel := conservation(t, a, cfg, iOut); rel > 1e-9 {
 			t.Errorf("conservation violated with faults at I=%v: %v", iOut, rel)
 		}
 	}
@@ -218,11 +214,7 @@ func TestBrokenChainConservationTrivial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := a.EnergyConservationCheck(AllParallel(2), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel != 0 {
+	if rel := conservation(t, a, AllParallel(2), 1); rel != 0 {
 		t.Errorf("broken chain check = %v", rel)
 	}
 }

@@ -43,7 +43,9 @@ func benchConds(t *testing.T, tr *trace.Trace, tick float64) []thermal.Condition
 // from one period to the next. INOR runs once more under a random
 // fault plan, whose failures all land during warmup, so the plant's
 // module table is built over failed-open and failed-short modules on
-// every measured step. DNOR is left out until its predictor is
+// every measured step, and once more with SelfCheck on, whose
+// energy-conservation check reads the tick's module table and fills the
+// session's module-current scratch. DNOR is left out until its predictor is
 // allocation-free: MLR allocates on every Predict (ROADMAP, "DNOR, the
 // paper's scheme, allocation-free"; CHANGES.md's FOUND line on
 // session_step_instrumented_dnor_n500).
@@ -61,15 +63,18 @@ func TestSessionStepAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name, scheme string
 		plan         *faults.Plan
+		selfCheck    bool
 	}{
-		{"INOR", "INOR", nil},
-		{"EHTR", "EHTR", nil},
-		{"INOR_faulted", "INOR", plan},
+		{"INOR", "INOR", nil, false},
+		{"EHTR", "EHTR", nil, false},
+		{"INOR_faulted", "INOR", plan, false},
+		{"INOR_selfcheck", "INOR", nil, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.KeepTicks = false
 			opts.FaultPlan = tc.plan
+			opts.SelfCheck = tc.selfCheck
 			sess, err := NewSession(sys, newScheme(t, tc.scheme, sys), opts)
 			if err != nil {
 				t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // accounting, the copy of the previous topology and the delivered-power
 // closure handed to the MPPT — lives here and is overwritten in place
 // each control period, so a steady-state Step performs no heap
-// allocation (see BenchmarkSessionStep and
+// allocation (see tegbench's session_step suite and
 // TestSessionStepAllocationFree).
 //
 // Ownership: NewSession builds one scratch per Session, and the scratch

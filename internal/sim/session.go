@@ -293,8 +293,10 @@ func (s *Session) tickAct(cond thermal.Conditions) (Tick, error) {
 	s.trackerIdled = !usable
 
 	if s.opts.SelfCheck {
-		if rel, err := arr.EnergyConservationCheck(dec.Config, opCurrent); err != nil || rel > 1e-6 {
-			return Tick{}, fmt.Errorf("sim: energy conservation violated at t=%g: rel=%v err=%v", now, rel, err)
+		var rel float64
+		sc.currents, rel = sc.nt.EnergyConservationCheck(sc.eq, dec.Config, opCurrent, sc.currents)
+		if rel > 1e-6 {
+			return Tick{}, fmt.Errorf("sim: energy conservation violated at t=%g: rel=%v", now, rel)
 		}
 	}
 
